@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .complexes import (ChainCoordinates, SimplicialComplex, Simplex, betti_numbers,
                         boundary_matrix, close_under_faces, intersect, is_subcomplex,
                         relative_boundary_matrix, union)
-from .linalg import (FieldElement, SparseMatrix, Subspace, image_basis, kernel_basis,
-                     preimage, rank, restrict_map)
+from .linalg import Subspace, image_basis, kernel_basis, preimage, rank, restrict_map
 from .morse import (Filtration, GradientField, MorseFunction, critical_cells,
                     filtration_from_morse, gradient_field, is_perfect, sublevel,
                     sublevel_filtration, validate_morse)

@@ -23,8 +23,8 @@ from typing import Optional
 from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces, is_subcomplex)
-from .morse import (Filtration, MorseFunction, critical_cells, is_perfect,
-                    sublevel_filtration, validate_morse)
+from .morse import (Filtration, MorseFunction, UnknownLabelError, critical_cells,
+                    is_perfect, sublevel_filtration, validate_morse)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -49,11 +49,33 @@ class InputContractError(Exception):
     """Subcomplex / covering hypotheses on the parsed inputs failed."""
 
 
+_RATIONAL_BOUND = 10 ** 4300  # labels are printed; Python prints ints of <= 4300 digits
+
+
+def _rational(text: str) -> Fraction:
+    """An exact rational small enough to print as a label. Raises ValueError
+    or ZeroDivisionError; exponents are capped before Fraction expands them."""
+    text = text.strip()
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
+        raise ValueError(f"exponent too large: {text!r}")
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= _RATIONAL_BOUND:
+        raise ValueError(f"too many digits: {text!r}")
+    return value
+
+
 def _fraction(text: str, path, line_no) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _rational(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(path, line_no, f"not a rational value: {text.strip()!r}") from None
+
+
+def _label(text: str, option: str) -> Fraction:
+    try:
+        return _rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputContractError(f"{option} must be a rational, got {text!r}") from None
 
 
 def _parse_lines(path: Path):
@@ -84,27 +106,37 @@ def load_complex(path: Path, strict_values: bool = False
                  ) -> tuple[SimplicialComplex, Optional[MorseFunction]]:
     """Parse a complex file; closure-added faces inherit the minimum value of
     the explicitly valued simplices containing them (strict mode rejects
-    inheritance instead)."""
+    inheritance instead). A simplex valued twice must get the same value."""
     explicit: dict[Simplex, Fraction] = {}
+    first_line: dict[Simplex, int] = {}
     generators: list[Simplex] = []
     for line_no, simplex, value in _parse_lines(path):
         generators.append(simplex)
-        if value is not None:
-            explicit[simplex] = value
+        if value is None:
+            continue
+        if explicit.setdefault(simplex, value) != value:
+            raise ParseError(path, line_no,
+                             f"simplex {tuple(simplex)} given value {value}, but value "
+                             f"{explicit[simplex]} on line {first_line[simplex]}")
+        first_line.setdefault(simplex, line_no)
     K = close_under_faces(generators)
     if not explicit:
         return K, None
+    inherited: dict[Simplex, Fraction] = {}
+    for g, v in explicit.items():
+        for s in g.faces():
+            if s not in inherited or v < inherited[s]:
+                inherited[s] = v
     values: dict[Simplex, Fraction] = {}
     for s in K.simplices():
         if s in explicit:
             values[s] = explicit[s]
-            continue
-        if strict_values:
+        elif strict_values:
             raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
-        holders = [v for g, v in explicit.items() if set(s) <= set(g)]
-        if not holders:
+        elif s in inherited:
+            values[s] = inherited[s]
+        else:
             raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
-        values[s] = min(holders)
     return K, MorseFunction(K, values)
 
 
@@ -146,7 +178,7 @@ def _parse_threshold_list(text: str) -> list[Fraction]:
     if not items:
         raise InputContractError("empty threshold list")
     try:
-        return [Fraction(tok) for tok in items]
+        return [_rational(tok) for tok in items]
     except (ValueError, ZeroDivisionError):
         raise InputContractError(f"thresholds must be rationals, got {text!r}") from None
 
@@ -186,6 +218,8 @@ def cmd_morse_check(args) -> int:
 def cmd_barcode(args) -> int:
     K, f = load_complex(Path(args.complex), args.strict_values)
     thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
+    if args.degree is not None and args.degree < 0:
+        raise InputContractError(f"--degree must be non-negative, got {args.degree}")
     filt = _build_filtration(K, f, thresholds, [])
     result = compute_persistence(filt, args.field)
     degrees = [args.degree] if args.degree is not None else list(range(max(K.dim, 0) + 1))
@@ -237,8 +271,9 @@ def _run_audit(args, kind: str) -> int:
     if not is_subcomplex(A, K):
         raise InputContractError("subspace A is not a subcomplex of the main complex")
     thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
-    extra = [Fraction(label) for label in (args.u, args.v) if label is not None]
-    filt = _build_filtration(K, f, thresholds, extra)
+    u_label = _label(args.u, "--u") if args.u is not None else None
+    v_label = _label(args.v, "--v") if args.v is not None else None
+    filt = _build_filtration(K, f, thresholds, [t for t in (u_label, v_label) if t is not None])
 
     inputs = {"complex": complex_path, "subspace_a": Path(args.subspace_a)}
     if kind == "mayer-vietoris":
@@ -253,14 +288,14 @@ def _run_audit(args, kind: str) -> int:
     payload = {"thresholds": [str(t) for t in filt.thresholds], "level": level,
                "kind": kind}
     if level == ORDINARY:
-        u = filt.index_of(args.u) if args.u is not None else len(filt) - 1
+        u = filt.index_of(u_label) if u_label is not None else len(filt) - 1
         _, aud = ordinary_sequence(system, u)
         law, holds = "exact", aud.exact
         payload["u"] = str(filt.thresholds[u])
     elif level == PERSISTENT:
-        if args.u is None or args.v is None:
+        if u_label is None or v_label is None:
             raise InputContractError("persistent level needs --u and --v")
-        u, v = filt.index_of(args.u), filt.index_of(args.v)
+        u, v = filt.index_of(u_label), filt.index_of(v_label)
         if u > v:
             raise InputContractError("--u must not exceed --v")
         _, aud = persistent_sequence(system, u, v)
@@ -387,11 +422,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotCoveringError, NotSubcomplexError, InputContractError) as exc:
+    except (NotCoveringError, NotSubcomplexError, InputContractError,
+            UnknownLabelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_NOT_COVERING
-    except KeyError as exc:
-        print(f"input error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_NOT_COVERING
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import SparseMatrix, check_modulus, dense_rank, nullspace
+from .linalg import check_modulus, dense_rank, nullspace
 
 
 class MalformedSimplexError(ValueError):
@@ -157,23 +157,13 @@ def close_under_faces(generators: Iterable) -> SimplicialComplex:
     return SimplicialComplex(pool)
 
 
-def boundary_matrix(K: SimplicialComplex, k: int, p: int) -> SparseMatrix:
-    """Matrix of the boundary operator from k-chains to (k-1)-chains.
+def boundary_matrix(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
+    """Matrix of the boundary operator from k-chains to (k-1)-chains: the
+    relative boundary of K modulo the empty complex.
 
     Degree 0 maps to the zero space, so the k=0 matrix has no rows.
     """
-    p = check_modulus(p)
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    cols = K.simplices(k)
-    rows = K.simplices(k - 1) if k > 0 else ()
-    entries: dict[tuple[int, int], int] = {}
-    for j, s in enumerate(cols):
-        if k == 0:
-            continue
-        for sign, f in s.boundary():
-            entries[(K.index(f), j)] = sign % p
-    return SparseMatrix(len(rows), len(cols), p, entries)
+    return relative_boundary_matrix(K, EMPTY_COMPLEX, k, p)
 
 
 def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
@@ -181,10 +171,8 @@ def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
     p = check_modulus(p)
     out = []
     for k in range(K.dim + 1):
-        dk = boundary_matrix(K, k, p).dense()
-        dk1 = boundary_matrix(K, k + 1, p).dense()
-        cycles = nullspace(dk, p).shape[1]
-        out.append(cycles - dense_rank(dk1, p))
+        cycles = nullspace(boundary_matrix(K, k, p), p).shape[1]
+        out.append(cycles - dense_rank(boundary_matrix(K, k + 1, p), p))
     return out
 
 
@@ -208,23 +196,44 @@ def relative_basis(X: SimplicialComplex, A: SimplicialComplex, k: int) -> tuple[
 
 
 def relative_boundary_matrix(X: SimplicialComplex, A: SimplicialComplex,
-                             k: int, p: int) -> SparseMatrix:
+                             k: int, p: int) -> np.ndarray:
     """Boundary of the quotient complex C(X)/C(A) on the relative basis.
 
     Coordinates of faces lying in A are deleted.
     """
     p = check_modulus(p)
+    if k < 0:
+        raise ValueError("degree must be non-negative")
     if not is_subcomplex(A, X):
         raise NotSubcomplexError("A is not a subcomplex of X")
     cols = relative_basis(X, A, k)
     rows = relative_basis(X, A, k - 1) if k > 0 else ()
-    row_pos = {s: i for i, s in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, s in enumerate(cols):
-        if k == 0:
-            continue
-        for sign, f in s.boundary():
-            i = row_pos.get(f)
-            if i is not None:
-                entries[(i, j)] = sign % p
-    return SparseMatrix(len(rows), len(cols), p, entries)
+    d = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    if rows:
+        row_pos = {s: i for i, s in enumerate(rows)}
+        for j, s in enumerate(cols):
+            for sign, f in s.boundary():
+                i = row_pos.get(f)
+                if i is not None:
+                    d[i, j] = sign % p
+    return d
+
+
+def reindex_chains(chains: np.ndarray, from_basis: Sequence[Simplex],
+                   to_basis: Sequence[Simplex]) -> tuple[np.ndarray, list[Simplex]]:
+    """Move chain columns, one row per simplex of from_basis, onto to_basis.
+
+    Rows of simplices outside to_basis are dropped; the simplices whose
+    dropped row is nonzero come back as the leaked list. Inclusions leak
+    nothing; projections onto a quotient basis drop the rows of A.
+    """
+    pos = {s: i for i, s in enumerate(to_basis)}
+    out = np.zeros((len(to_basis), chains.shape[1]), dtype=np.int64)
+    leaked = []
+    for i, s in enumerate(from_basis):
+        j = pos.get(s)
+        if j is not None:
+            out[j] = chains[i]
+        elif chains[i].any():
+            leaked.append(s)
+    return out, leaked

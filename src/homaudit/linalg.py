@@ -2,15 +2,15 @@
 
 All arithmetic is integer residue arithmetic; no floating point appears
 anywhere. The matrices in this project are boundary operators and induced
-maps of desk-scale complexes, so reductions run on dense int64 arrays with
+maps of desk-scale complexes, so every matrix is a dense int64 array of
+residues, always passed together with its prime p, and reductions use
 explicit mod-p pivoting. Results are deterministic: elimination always
 picks the first usable pivot (smallest row, then smallest column).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,63 +45,24 @@ def check_modulus(p: int) -> int:
     return int(p)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in F_p. Construction normalizes the value into [0, p)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        p = check_modulus(self.modulus)
-        object.__setattr__(self, "modulus", p)
-        object.__setattr__(self, "value", int(self.value) % p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return FieldElement(int(other), self.modulus)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value + o.value, self.modulus)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value - o.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value * o.value, self.modulus)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-
 # ---------------------------------------------------------------------------
 # dense helpers (shared by the whole package)
 
-def _as_array(a, p: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.int64) % p
+def _as_array(m, p: int) -> tuple[np.ndarray, int]:
+    """m as a 2-D int64 array of residues, with the checked prime p."""
+    p = check_modulus(p)
+    arr = np.asarray(m, dtype=np.int64) % p
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D array, got shape {arr.shape}")
-    return arr
+    return arr, p
+
+
+def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block matrix [[a, 0], [0, b]]."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -183,97 +144,7 @@ def solve(a: np.ndarray, v: np.ndarray, p: int) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# public matrix / subspace types
-
-EntryLike = Union[int, FieldElement]
-
-
-class SparseMatrix:
-    """Immutable matrix over F_p storing only nonzero entries, keyed by (row, col)."""
-
-    __slots__ = ("rows", "cols", "modulus", "_entries", "_dense")
-
-    def __init__(self, rows: int, cols: int, modulus: int,
-                 entries: Union[Mapping[tuple[int, int], EntryLike],
-                                Iterable[tuple[int, int, EntryLike]], None] = None):
-        p = check_modulus(modulus)
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        store: dict[tuple[int, int], int] = {}
-        if entries is not None:
-            items = entries.items() if isinstance(entries, Mapping) else (
-                ((r, c), v) for r, c, v in entries)
-            for (r, c), v in items:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
-                if isinstance(v, FieldElement):
-                    if v.modulus != p:
-                        raise ValueError("entry modulus differs from matrix modulus")
-                    v = v.value
-                v = int(v) % p
-                if (r, c) in store:
-                    raise ValueError(f"duplicate entry at ({r}, {c})")
-                if v:
-                    store[(r, c)] = v
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "modulus", p)
-        object.__setattr__(self, "_entries", store)
-        object.__setattr__(self, "_dense", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseMatrix is immutable")
-
-    @classmethod
-    def from_dense(cls, array, modulus: int) -> "SparseMatrix":
-        arr = _as_array(array, check_modulus(modulus))
-        entries = {(int(r), int(c)): int(arr[r, c]) for r, c in zip(*np.nonzero(arr))}
-        return cls(arr.shape[0], arr.shape[1], modulus, entries)
-
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> "SparseMatrix":
-        return cls(n, n, modulus, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "SparseMatrix":
-        return cls(rows, cols, modulus)
-
-    def entry(self, r: int, c: int) -> int:
-        return self._entries.get((r, c), 0)
-
-    @property
-    def nnz(self) -> int:
-        return len(self._entries)
-
-    def items(self):
-        return sorted(self._entries.items())
-
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            arr = np.zeros((self.rows, self.cols), dtype=np.int64)
-            for (r, c), v in self._entries.items():
-                arr[r, c] = v
-            arr.setflags(write=False)
-            object.__setattr__(self, "_dense", arr)
-        return self._dense
-
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        return SparseMatrix.from_dense(
-            mat_mul(self.dense(), other.dense(), self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix)
-                and (self.rows, self.cols, self.modulus) == (other.rows, other.cols, other.modulus)
-                and self._entries == other._entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.modulus, frozenset(self._entries.items())))
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols} mod {self.modulus}, nnz={self.nnz})"
-
+# subspaces
 
 class Subspace:
     """A subspace of F_p^n spanned by an independent list of coordinate vectors.
@@ -347,42 +218,30 @@ class Subspace:
 # ---------------------------------------------------------------------------
 # operations
 
-MatrixLike = Union[SparseMatrix, np.ndarray]
-
-
-def _dense_of(m: MatrixLike, p: Optional[int] = None) -> tuple[np.ndarray, int]:
-    if isinstance(m, SparseMatrix):
-        return m.dense(), m.modulus
-    if p is None:
-        raise ValueError("a modulus is required for plain arrays")
-    return _as_array(m, check_modulus(p)), p
-
-
-def rank(m: MatrixLike, p: Optional[int] = None) -> int:
+def rank(m: np.ndarray, p: int) -> int:
     """Dimension of the column space of m."""
-    a, p = _dense_of(m, p)
-    return dense_rank(a, p)
+    return dense_rank(*_as_array(m, p))
 
 
-def kernel_basis(m: MatrixLike, p: Optional[int] = None) -> Subspace:
+def kernel_basis(m: np.ndarray, p: int) -> Subspace:
     """Basis of the null space; its dimension is cols - rank."""
-    a, p = _dense_of(m, p)
+    a, p = _as_array(m, p)
     return Subspace.from_matrix(nullspace(a, p), p)
 
 
-def image_basis(m: MatrixLike, p: Optional[int] = None) -> Subspace:
+def image_basis(m: np.ndarray, p: int) -> Subspace:
     """Basis of the column space: the original columns at pivot positions."""
-    a, p = _dense_of(m, p)
+    a, p = _as_array(m, p)
     _, pivots = row_reduce(a, p)
     return Subspace.from_matrix(a[:, list(pivots)], p)
 
 
-def preimage(m: MatrixLike, v, p: Optional[int] = None) -> Optional[np.ndarray]:
+def preimage(m: np.ndarray, v, p: int) -> Optional[np.ndarray]:
     """Some x with m x = v, or None when v is not in the image.
 
     None is the NotInImage value; unsolvability is an answer, not an error.
     """
-    a, p = _dense_of(m, p)
+    a, p = _as_array(m, p)
     w = np.asarray(v, dtype=np.int64) % p
     if w.shape != (a.shape[0],):
         raise DimensionMismatchError(
@@ -390,13 +249,13 @@ def preimage(m: MatrixLike, v, p: Optional[int] = None) -> Optional[np.ndarray]:
     return solve(a, w, p)
 
 
-def restrict_map(m: MatrixLike, domain_sub: Subspace, codomain_sub: Subspace,
-                 p: Optional[int] = None) -> SparseMatrix:
+def restrict_map(m: np.ndarray, domain_sub: Subspace, codomain_sub: Subspace,
+                 p: int) -> np.ndarray:
     """Matrix of m restricted to domain_sub, written in codomain_sub coordinates.
 
     Raises NotInvariantError when some image vector falls outside codomain_sub.
     """
-    a, p = _dense_of(m, p)
+    a, p = _as_array(m, p)
     if domain_sub.modulus != p or codomain_sub.modulus != p:
         raise ValueError("mixed moduli")
     if domain_sub.ambient != a.shape[1] or codomain_sub.ambient != a.shape[0]:
@@ -405,4 +264,4 @@ def restrict_map(m: MatrixLike, domain_sub: Subspace, codomain_sub: Subspace,
     coords = solve_matrix(codomain_sub.basis, images, p)
     if coords is None:
         raise NotInvariantError("map does not carry the domain subspace into the codomain subspace")
-    return SparseMatrix.from_dense(coords, p)
+    return coords

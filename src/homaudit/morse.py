@@ -171,6 +171,13 @@ def sublevel(K: SimplicialComplex, f: MorseFunction, u: Rational) -> SimplicialC
     return close_under_faces([s for s in K.simplices() if f(s) <= u])
 
 
+class UnknownLabelError(KeyError):
+    """No filtration step carries the requested threshold label."""
+
+    def __str__(self):
+        return str(self.args[0])
+
+
 class Filtration:
     """Strictly increasing thresholds with the nested sublevel complexes at each."""
 
@@ -203,7 +210,7 @@ class Filtration:
         try:
             return self.thresholds.index(t)
         except ValueError:
-            raise KeyError(f"no filtration step labelled {label}") from None
+            raise UnknownLabelError(f"no filtration step labelled {label}") from None
 
     def labels(self) -> tuple[str, ...]:
         return tuple(str(t) for t in self.thresholds)

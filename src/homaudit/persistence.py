@@ -3,8 +3,8 @@
 Per-step homology bases with chosen cycle representatives, the induced maps
 between consecutive steps, persistent groups as images of composed maps,
 interval (barcode) decomposition, and the graded module with its degree-one
-shift action. The same machinery runs on quotient chain complexes for
-relative pairs.
+shift action. Every step's chains form a quotient complex C(X_u)/C(A_u);
+absolute persistence is the case of A empty.
 
 All algebra happens on step indices; the rational threshold values are
 carried along as labels only.
@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .complexes import (ChainCoordinates, SimplicialComplex, Simplex, boundary_matrix,
-                        intersect, is_subcomplex, relative_basis,
-                        relative_boundary_matrix)
+from .complexes import (EMPTY_COMPLEX, ChainCoordinates, NotSubcomplexError,
+                        SimplicialComplex, Simplex, intersect, is_subcomplex,
+                        reindex_chains, relative_basis, relative_boundary_matrix)
 from .linalg import Subspace, check_modulus
 from .morse import Filtration
 
@@ -95,34 +95,13 @@ class _StepChains:
         return np.zeros((rows, 0), dtype=np.int64)
 
 
-def _absolute_chains(step: SimplicialComplex, max_degree: int, p: int) -> _StepChains:
+def _step_chains(x_step: SimplicialComplex, a_step: SimplicialComplex,
+                 max_degree: int, p: int) -> _StepChains:
+    """Chains of C(X_u)/C(A_u); the absolute case has A_u empty."""
     # one degree beyond max_degree so top-degree homology sees its boundaries
-    bases = tuple(step.simplices(k) for k in range(max_degree + 2))
-    bnds = tuple(boundary_matrix(step, k, p).dense() for k in range(max_degree + 2))
-    return _StepChains(bases, bnds)
-
-
-def _relative_chains(x_step: SimplicialComplex, a_step: SimplicialComplex,
-                     max_degree: int, p: int) -> _StepChains:
-    bases = tuple(relative_basis(x_step, a_step, k) for k in range(max_degree + 2))
-    bnds = tuple(relative_boundary_matrix(x_step, a_step, k, p).dense()
-                 for k in range(max_degree + 2))
-    return _StepChains(bases, bnds)
-
-
-def _embedding(prev: _StepChains, nxt: _StepChains, k: int) -> np.ndarray:
-    """Chain map of one inclusion step in degree k.
-
-    Basis simplices keep their coordinate when still present downstream; in the
-    relative case a simplex that has entered A maps to zero.
-    """
-    rows = {s: i for i, s in enumerate(nxt.basis(k))}
-    mat = np.zeros((len(rows), len(prev.basis(k))), dtype=np.int64)
-    for j, s in enumerate(prev.basis(k)):
-        i = rows.get(s)
-        if i is not None:
-            mat[i, j] = 1
-    return mat
+    degrees = range(max_degree + 2)
+    return _StepChains(tuple(relative_basis(x_step, a_step, k) for k in degrees),
+                       tuple(relative_boundary_matrix(x_step, a_step, k, p) for k in degrees))
 
 
 class PersistenceResult:
@@ -146,9 +125,11 @@ class PersistenceResult:
                 self._homology[(k, u)] = _homology_basis(
                     chain.boundary(k), chain.boundary(k + 1), modulus)
             for u in range(len(self._chains) - 1):
-                prev, nxt = self._chains[u], self._chains[u + 1]
-                emb = _embedding(prev, nxt, k)
-                included = linalg.mat_mul(emb, self._homology[(k, u)].representatives, modulus)
+                # a basis simplex keeps its coordinate downstream; in the
+                # relative case one that has entered A maps to zero
+                included, _ = reindex_chains(self._homology[(k, u)].representatives,
+                                             self._chains[u].basis(k),
+                                             self._chains[u + 1].basis(k))
                 self._maps[(k, u)] = self._homology[(k, u + 1)].class_of(included)
 
     @property
@@ -215,14 +196,21 @@ class PersistenceResult:
         return self.homology(chain.degree, u).class_of(chain.coefficients)
 
 
-def compute_persistence(filtration: Filtration, modulus: int,
-                        max_degree: Optional[int] = None) -> PersistenceResult:
-    """Persistent homology of a filtration up to max_degree (default: dim of K)."""
+def _persistence(filtration: Filtration, a_steps: Sequence[SimplicialComplex],
+                 modulus: int, max_degree: Optional[int]) -> PersistenceResult:
     p = check_modulus(modulus)
     if max_degree is None:
         max_degree = max(filtration.complex.dim, 0)
-    chains = [_absolute_chains(step, max_degree, p) for step in filtration.steps]
+    chains = [_step_chains(step, a_step, max_degree, p)
+              for step, a_step in zip(filtration.steps, a_steps)]
     return PersistenceResult(filtration, p, max_degree, chains)
+
+
+def compute_persistence(filtration: Filtration, modulus: int,
+                        max_degree: Optional[int] = None) -> PersistenceResult:
+    """Persistent homology of a filtration up to max_degree (default: dim of K),
+    computed as persistence relative to the empty complex."""
+    return _persistence(filtration, [EMPTY_COMPLEX] * len(filtration), modulus, max_degree)
 
 
 def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
@@ -232,17 +220,12 @@ def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
 
     The filtration filters X; each step is paired with its intersection with A.
     """
-    p = check_modulus(modulus)
     if filtration.complex != X:
         raise ValueError("filtration does not filter X")
     if not is_subcomplex(A, X):
-        from .complexes import NotSubcomplexError
         raise NotSubcomplexError("A is not a subcomplex of X")
-    if max_degree is None:
-        max_degree = max(X.dim, 0)
-    chains = [_relative_chains(step, intersect(step, A), max_degree, p)
-              for step in filtration.steps]
-    return PersistenceResult(filtration, p, max_degree, chains)
+    return _persistence(filtration, [intersect(step, A) for step in filtration.steps],
+                        modulus, max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +386,5 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
     if a.modulus != b.modulus or a.n_steps != b.n_steps:
         raise ValueError("modules are not compatible")
     dims = [da + db for da, db in zip(a.dims, b.dims)]
-    shifts = []
-    for u in range(a.n_steps):
-        sa, sb = a.shifts[u], b.shifts[u]
-        block = np.zeros((sa.shape[0] + sb.shape[0], sa.shape[1] + sb.shape[1]),
-                         dtype=np.int64)
-        block[:sa.shape[0], :sa.shape[1]] = sa
-        block[sa.shape[0]:, sa.shape[1]:] = sb
-        shifts.append(block)
+    shifts = [linalg.block_diag(sa, sb) for sa, sb in zip(a.shifts, b.shifts)]
     return GradedModule(a.modulus, dims, shifts)

@@ -15,8 +15,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import linalg
-from .complexes import (SimplicialComplex, intersect, is_subcomplex, union,
-                        NotSubcomplexError)
+from .complexes import (NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex,
+                        reindex_chains, union)
 from .linalg import DimensionMismatchError, NotInvariantError
 from .morse import Filtration
 from .persistence import (GradedModule, PersistenceResult, compute_persistence,
@@ -167,8 +167,8 @@ class MayerVietorisSystem:
 
     def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
         if label == TERM_SUM:
-            return _block_diag(self.RA.induced_matrix(k, u, v),
-                               self.RB.induced_matrix(k, u, v))
+            return linalg.block_diag(self.RA.induced_matrix(k, u, v),
+                                     self.RB.induced_matrix(k, u, v))
         return self._term_result(label).induced_matrix(k, u, v)
 
     def term_module(self, label: str, k: int) -> GradedModule:
@@ -233,13 +233,6 @@ class PairSystem:
 System = Union[MayerVietorisSystem, PairSystem]
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the three horizontal maps, chain level
 
@@ -250,32 +243,21 @@ def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
     Representative cycles are re-coordinatized along the inclusion and reduced
     modulo the boundaries of the bigger step.
     """
-    sub_basis = R_sub.basis_simplices(k, u)
-    sup_basis = R_sup.basis_simplices(k, u)
-    pos = {s: i for i, s in enumerate(sup_basis)}
-    missing = [s for s in sub_basis if s not in pos]
-    if missing:
-        raise NotSubcomplexError(f"simplex {tuple(missing[0])} of the sub-step is "
+    included, leaked = reindex_chains(R_sub.homology(k, u).representatives,
+                                      R_sub.basis_simplices(k, u),
+                                      R_sup.basis_simplices(k, u))
+    if leaked:
+        raise NotSubcomplexError(f"simplex {tuple(leaked[0])} of the sub-step is "
                                  "not a cell of the containing step")
-    reps = R_sub.homology(k, u).representatives
-    emb = np.zeros((len(sup_basis), len(sub_basis)), dtype=np.int64)
-    for j, s in enumerate(sub_basis):
-        emb[pos[s], j] = 1
-    included = linalg.mat_mul(emb, reps, R_sub.modulus)
     return R_sup.homology(k, u).class_of(included)
 
 
 def _restrict_coords(chains: np.ndarray, from_basis, to_basis, what: str) -> np.ndarray:
     """Re-index chain columns from one simplex basis onto another, requiring
     every nonzero coefficient to sit on a simplex of the target basis."""
-    pos = {s: i for i, s in enumerate(to_basis)}
-    out = np.zeros((len(to_basis), chains.shape[1]), dtype=np.int64)
-    for i, s in enumerate(from_basis):
-        row = chains[i]
-        if s in pos:
-            out[pos[s]] = row
-        elif row.any():
-            raise NotCoveringError(f"{what}: coefficient leaks onto {tuple(s)}")
+    out, leaked = reindex_chains(chains, from_basis, to_basis)
+    if leaked:
+        raise NotCoveringError(f"{what}: coefficient leaks onto {tuple(leaked[0])}")
     return out
 
 
@@ -322,15 +304,10 @@ def pair_connecting(sys: PairSystem, k: int, u: int) -> np.ndarray:
 def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
     """Matrix of H_k(X_u) -> H_k(X_u, A_u): project representative chains onto
     the relative basis and reduce modulo relative boundaries."""
-    reps = sys.RX.homology(k, u).representatives
-    x_basis = sys.RX.basis_simplices(k, u)
-    rel_basis = sys.RXA.basis_simplices(k, u)
-    pos = {s: i for i, s in enumerate(rel_basis)}
-    out = np.zeros((len(rel_basis), reps.shape[1]), dtype=np.int64)
-    for i, s in enumerate(x_basis):
-        if s in pos:
-            out[pos[s]] = reps[i]
-    return sys.RXA.homology(k, u).class_of(out)
+    projected, _ = reindex_chains(sys.RX.homology(k, u).representatives,
+                                  sys.RX.basis_simplices(k, u),
+                                  sys.RXA.basis_simplices(k, u))
+    return sys.RXA.homology(k, u).class_of(projected)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +363,7 @@ def persistent_sequence(sys: System, u: int, v: int) -> tuple[LinearSequence, Se
             raise RestrictionLeakError(
                 f"{gap} at degree {k} left the target persistent group; "
                 "the inclusion squares cannot commute") from exc
-        maps.append(restricted.dense())
+        maps.append(restricted)
     maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
     seq = LinearSequence(PERSISTENT, sys.kind, tuple(terms), tuple(maps), p, u=u, v=v)
     return seq, audit(seq)

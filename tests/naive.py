@@ -110,8 +110,8 @@ def naive_betti(K, p):
     """Betti numbers with the library's boundary matrices but this file's rank."""
     out = []
     for k in range(K.dim + 1):
-        dk = boundary_matrix(K, k, p).dense()
-        dk1 = boundary_matrix(K, k + 1, p).dense()
+        dk = boundary_matrix(K, k, p)
+        dk1 = boundary_matrix(K, k + 1, p)
         kernel = dk.shape[1] - naive_rank(dk, p)
         out.append(kernel - naive_rank(dk1, p))
     return out

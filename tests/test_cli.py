@@ -1,8 +1,12 @@
 """CLI behaviour: output formats, exit codes, JSON report stability."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homaudit.cli import main
 
@@ -282,3 +286,94 @@ def test_json_reports_are_byte_stable(data_dir, tmp_path, capsys):
     assert report["version"]
     for entry in report["inputs"].values():
         assert len(entry["sha256"]) == 64
+
+
+def test_value_inheritance_takes_the_minimum_over_cofaces(tmp_path):
+    from homaudit.cli import load_complex
+    from homaudit.complexes import Simplex
+    path = write(tmp_path, "mins.txt", "0 1 : 3\n0 2 : 2\n1 2 : 5\n0 1 2 : 6\n1 2 : 5\n")
+    K, f = load_complex(Path(path))
+    assert {s: f(s) for s in K.simplices(0)} == {
+        Simplex((0,)): 2, Simplex((1,)): 3, Simplex((2,)): 2}
+    assert f(Simplex((1, 2))) == 5  # an explicit value beats the triangle's 6
+
+
+def test_simplex_valued_twice_differently_exit2(tmp_path, capsys):
+    path = write(tmp_path, "twice.txt", "0 : 0\n1 : 0\n0 1 : 1\n# again\n0 1 : 5\n")
+    code, out, err = run(capsys, "barcode", path)
+    assert code == 2 and out == ""
+    assert "twice.txt:5:" in err and "line 3" in err
+    # an identical repeat, or a repeat without a value, is accepted
+    path = write(tmp_path, "same.txt", "0 : 0\n1 : 0\n0 1 : 1\n0 1 : 1\n0 1\n")
+    code, out, _ = run(capsys, "barcode", path, "--degree", "0")
+    assert code == 0 and out.strip() == "degree 0: [0, 1) [0, inf)"
+
+
+def test_oversized_values_are_parse_errors(tmp_path, capsys):
+    for value in ("1e99999999", "1e5000", "7" * 4301, "1/0"):
+        path = write(tmp_path, "big.txt", f"0 : {value}\n")
+        code, _, err = run(capsys, "barcode", path)
+        assert code == 2 and "big.txt:1:" in err
+    path = write(tmp_path, "ok.txt", f"0 : 1e3\n1 : 25e-1\n0 1 : {'7' * 4300}\n")
+    code, out, _ = run(capsys, "barcode", path, "--degree", "0")
+    assert code == 0 and out.strip() == f"degree 0: [5/2, inf) [1000, {'7' * 4300})"
+
+
+@pytest.mark.parametrize("label", ["abc", "1/0", "1e5000"])
+def test_bad_audit_label_exit4(data_dir, capsys, label):
+    code, out, err = run(capsys, *_torus_audit_args(data_dir, "ordinary", "--u", label))
+    assert code == 4 and out == ""
+    assert f"--u must be a rational, got {label!r}" in err
+    code, _, err = run(capsys, *_torus_audit_args(
+        data_dir, "persistent", "--u", "95", "--v", label))
+    assert code == 4 and "--v must be a rational" in err
+
+
+def test_negative_degree_exit4(data_dir, capsys):
+    code, out, err = run(capsys, "barcode", str(data_dir / "torus" / "complex.txt"),
+                         "--degree", "-1")
+    assert code == 4 and out == "" and "--degree must be non-negative" in err
+
+
+def test_unknown_label_is_input_error_but_other_key_errors_propagate(monkeypatch, capsys,
+                                                                     data_dir):
+    from homaudit import cli
+    from homaudit.morse import UnknownLabelError, sublevel_filtration
+
+    def drop_labels(K, f, thresholds, extra_labels):  # a filtration without --u
+        return sublevel_filtration(K, f, thresholds or [0])
+
+    monkeypatch.setattr(cli, "_build_filtration", drop_labels)
+    code, _, err = run(capsys, *_torus_audit_args(data_dir, "ordinary", "--u", "7/3"))
+    assert code == 4 and "no filtration step labelled 7/3" in err
+    assert issubclass(UnknownLabelError, KeyError)
+
+    def internal_bug(*_):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "ordinary_sequence", internal_bug)
+    with pytest.raises(KeyError, match="internal"):
+        main(_torus_audit_args(data_dir, "ordinary"))
+
+
+_HEADS = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True).map(
+        lambda vs: " ".join(map(str, sorted(vs)))),
+    st.sampled_from(["", "-1", "1 0", "1 1", "x", "01 2", "1_0"]))
+_VALUES = st.sampled_from(["0", "1", "2", "5/2", "-1.5", "1e3", "1e5000", "9" * 4000 + "e999",
+                           "1/0", "x", "", "1 2"])
+_LINES = st.builds(lambda head, sep, value: head + sep + value,
+                   _HEADS, st.sampled_from(["", " : ", ":", "::", " # "]), _VALUES)
+# structured files reach the algebra; raw text exercises the tokenizer
+_FILES = st.one_of(st.lists(_LINES, max_size=8).map("\n".join), st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FILES)
+def test_barcode_never_raises_on_any_complex_file(capsys, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["barcode", str(path)]) in (0, 2, 4)
+    capsys.readouterr()

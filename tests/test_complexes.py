@@ -8,7 +8,7 @@ import pytest
 from homaudit.complexes import (MalformedSimplexError, NotSubcomplexError, Simplex,
                                 SimplicialComplex, betti_numbers, boundary_matrix,
                                 close_under_faces, intersect, is_subcomplex,
-                                relative_boundary_matrix, union)
+                                reindex_chains, relative_boundary_matrix, union)
 from homaudit.fixtures import torus_triad
 from homaudit.linalg import mat_mul
 
@@ -54,14 +54,16 @@ def test_ordering_is_dimension_major_lexicographic():
 def test_boundary_matrix_k0_and_signs():
     tri = close_under_faces([(0, 1, 2)])
     d0 = boundary_matrix(tri, 0, 2)
-    assert d0.rows == 0 and d0.cols == 3
+    assert d0.shape == (0, 3)
     d2 = boundary_matrix(tri, 2, 2)
-    assert d2.rows == 3 and d2.cols == 1 and d2.nnz == 3
+    assert d2.shape == (3, 1) and np.count_nonzero(d2) == 3
     d1 = boundary_matrix(tri, 1, 3)
     # column of edge (0, 1): deleting position 0 leaves (1,) with sign +1,
     # position 1 leaves (0,) with sign -1 == 2 mod 3
-    col = d1.dense()[:, tri.index(Simplex((0, 1)))]
+    col = d1[:, tri.index(Simplex((0, 1)))]
     assert list(col) == [2, 1, 0]
+    with pytest.raises(ValueError):
+        boundary_matrix(tri, -1, 2)
 
 
 def test_boundary_squares_to_zero_randomized():
@@ -70,8 +72,8 @@ def test_boundary_squares_to_zero_randomized():
         K = random_complex(rng)
         for p in (2, 3, 5):
             for k in range(1, K.dim + 2):
-                prod = mat_mul(boundary_matrix(K, k - 1, p).dense(),
-                               boundary_matrix(K, k, p).dense(), p)
+                prod = mat_mul(boundary_matrix(K, k - 1, p),
+                               boundary_matrix(K, k, p), p)
                 assert not prod.any()
 
 
@@ -122,14 +124,15 @@ def test_relative_boundary_matrix():
     tri = close_under_faces([(0, 1, 2)])
     for k in range(3):
         m = relative_boundary_matrix(tri, tri, k, 2)
-        assert m.rows == 0 and m.cols == 0
+        assert m.shape == (0, 0)
     empty = close_under_faces([])
     for k in range(3):
-        assert relative_boundary_matrix(tri, empty, k, 2) == boundary_matrix(tri, k, 2)
+        assert np.array_equal(relative_boundary_matrix(tri, empty, k, 2),
+                              boundary_matrix(tri, k, 2))
     edge = close_under_faces([(0, 1)])
     ends = close_under_faces([(0,), (1,)])
     rel1 = relative_boundary_matrix(edge, ends, 1, 2)
-    assert rel1.rows == 0 and rel1.cols == 1  # both vertex rows are killed
+    assert rel1.shape == (0, 1)  # both vertex rows are killed
     with pytest.raises(NotSubcomplexError):
         relative_boundary_matrix(edge, close_under_faces([(5,)]), 1, 2)
 
@@ -141,6 +144,23 @@ def test_relative_boundary_squares_to_zero():
         gens = [s for s in X.maximal_simplices() if rng.random() < 0.5]
         A = close_under_faces(gens)
         for k in range(1, X.dim + 2):
-            prod = mat_mul(relative_boundary_matrix(X, A, k - 1, 3).dense(),
-                           relative_boundary_matrix(X, A, k, 3).dense(), 3)
+            prod = mat_mul(relative_boundary_matrix(X, A, k - 1, 3),
+                           relative_boundary_matrix(X, A, k, 3), 3)
             assert not prod.any()
+
+
+def test_reindex_chains_moves_rows_and_reports_leaks():
+    tri = close_under_faces([(0, 1, 2)])
+    edges = tri.simplices(1)                     # (0,1), (0,2), (1,2)
+    chains = np.array([[1, 0], [2, 0], [0, 1]])
+    sub = (Simplex((1, 2)), Simplex((0, 1)))
+    moved, leaked = reindex_chains(chains, edges, sub)
+    assert np.array_equal(moved, [[0, 1], [1, 0]])
+    assert leaked == [Simplex((0, 2))]
+    # a zero row on a missing simplex is dropped without a leak
+    moved, leaked = reindex_chains(chains[:, 1:], edges, sub)
+    assert np.array_equal(moved, [[1], [0]]) and leaked == []
+    # inclusion into a bigger basis leaks nothing and pads with zero rows
+    moved, leaked = reindex_chains(moved, sub, edges)
+    assert np.array_equal(moved, [[0], [0], [1]]) and leaked == []
+

@@ -1,5 +1,5 @@
-"""Field arithmetic, sparse matrices, and the five core operations, checked
-against enumeration oracles and frozen hand values."""
+"""Residue arrays over F_p and the five core operations, checked against
+enumeration oracles and frozen hand values."""
 
 import random
 
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from homaudit.complexes import boundary_matrix, close_under_faces
-from homaudit.linalg import (DimensionMismatchError, FieldElement, NotInvariantError,
-                             SparseMatrix, Subspace, image_basis, kernel_basis,
-                             mat_mul, preimage, rank, restrict_map)
+from homaudit.linalg import (DimensionMismatchError, NotInvariantError, Subspace,
+                             check_modulus, image_basis, kernel_basis, mat_mul, preimage,
+                             rank, restrict_map)
 
 from naive import kernel_by_enumeration, naive_rank, solutions_by_enumeration, span_size
 
@@ -17,101 +17,95 @@ TRIANGLE = close_under_faces([(0, 1, 2)])
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
 
 
-def test_field_element_arithmetic():
-    a = FieldElement(3, 5)
-    b = FieldElement(4, 5)
-    assert (a + b).value == 2
-    assert (a - b).value == 4
-    assert (a * b).value == 2
-    assert (-a).value == 2
-    assert (a / b).value == (3 * pow(4, -1, 5)) % 5
-    assert a.inverse().value == 2
-    assert FieldElement(-1, 7).value == 6
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, 5).inverse()
-    with pytest.raises(ValueError):
-        FieldElement(1, 6)
+def eye(n):
+    return np.eye(n, dtype=np.int64)
 
 
-def test_sparse_matrix_invariants():
-    m = SparseMatrix(2, 2, 5, {(0, 0): 7, (1, 1): 5})
-    assert m.entry(0, 0) == 2  # reduced mod 5
-    assert m.nnz == 1          # the zero residue is not stored
+def zeros(rows, cols):
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
+def test_array_entries_reduced_mod_p_and_modulus_checked():
+    m = np.array([[7, 0], [0, 5]])
+    assert rank(m, 5) == 1               # 7 is 2 mod 5, 5 is the zero residue
+    assert kernel_basis(m, 5).dim == 1
+    assert np.array_equal(image_basis(m, 5).basis, [[2], [0]])
+    assert np.array_equal(preimage(np.array([[-1]]), [1], 7), [6])  # -1 is 6 mod 7
+    assert np.array_equal(preimage(np.array([[4]]), [3], 5), [2])   # 3 / 4 over F_5
+    assert check_modulus(7) == 7
+    for bad in (1, 4, 6, 2**31 + 11):
+        with pytest.raises(ValueError):
+            check_modulus(bad)
     with pytest.raises(ValueError):
-        SparseMatrix(2, 2, 5, [(0, 0, 1), (0, 0, 2)])
+        rank(eye(2), 4)
     with pytest.raises(ValueError):
-        SparseMatrix(2, 2, 5, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, 4)
+        kernel_basis(eye(2), 6)
 
 
 def test_rank_trivial_and_derived():
-    assert rank(SparseMatrix.zeros(3, 3, 2)) == 0
-    assert rank(SparseMatrix.identity(3, 5)) == 3
+    assert rank(zeros(3, 3), 2) == 0
+    assert rank(eye(3), 5) == 3
     d1 = boundary_matrix(TRIANGLE, 1, 2)
     # oracle: span of the three boundary columns over F_2 has 2^rank vectors
-    assert span_size(d1.dense(), 2) == 2 ** 2
-    assert rank(d1) == 2
+    assert span_size(d1, 2) == 2 ** 2
+    assert rank(d1, 2) == 2
 
 
 def test_kernel_basis():
-    assert kernel_basis(SparseMatrix.identity(4, 3)).dim == 0
-    assert kernel_basis(SparseMatrix.zeros(2, 4, 2)).dim == 4
+    assert kernel_basis(eye(4), 3).dim == 0
+    assert kernel_basis(zeros(2, 4), 2).dim == 4
     d1 = boundary_matrix(HOLLOW, 1, 2)
     # oracle: exhaustive solve over F_2^3 finds exactly one nonzero kernel vector
-    assert kernel_by_enumeration(d1.dense(), 2) == [(1, 1, 1)]
-    ker = kernel_basis(d1)
+    assert kernel_by_enumeration(d1, 2) == [(1, 1, 1)]
+    ker = kernel_basis(d1, 2)
     assert ker.dim == 1
     assert list(ker.basis[:, 0]) == [1, 1, 1]  # the sum of all three edges
 
 
 def test_image_basis():
-    assert image_basis(SparseMatrix.zeros(3, 2, 2)).dim == 0
-    eye = image_basis(SparseMatrix.identity(3, 7))
-    assert eye.dim == 3 and np.array_equal(eye.basis, np.eye(3, dtype=np.int64))
+    assert image_basis(zeros(3, 2), 2).dim == 0
+    full = image_basis(eye(3), 7)
+    assert full.dim == 3 and np.array_equal(full.basis, eye(3))
     d2 = boundary_matrix(TRIANGLE, 2, 2)
-    img = image_basis(d2)
+    img = image_basis(d2, 2)
     assert img.dim == 1
-    assert np.array_equal(img.basis[:, 0], d2.dense()[:, 0])  # the boundary cycle itself
+    assert np.array_equal(img.basis[:, 0], d2[:, 0])  # the boundary cycle itself
 
 
 def test_preimage():
-    eye = SparseMatrix.identity(3, 5)
     v = np.array([1, 2, 3])
-    assert np.array_equal(preimage(eye, v), v)
-    assert preimage(SparseMatrix.zeros(2, 2, 2), [1, 0]) is None
+    assert np.array_equal(preimage(eye(3), v, 5), v)
+    assert preimage(zeros(2, 2), [1, 0], 2) is None
     d1 = boundary_matrix(TRIANGLE, 1, 3)
     target = np.array([1, 2, 0])  # e0 - e1 over F_3
-    sols = solutions_by_enumeration(d1.dense(), target, 3)
+    sols = solutions_by_enumeration(d1, target, 3)
     assert sols, "oracle says the system is solvable"
-    x = preimage(d1, target)
+    x = preimage(d1, target, 3)
     assert x is not None
     assert tuple(int(c) for c in x) in sols
-    assert np.array_equal(mat_mul(d1.dense(), x.reshape(-1, 1), 3)[:, 0], target)
+    assert np.array_equal(mat_mul(d1, x.reshape(-1, 1), 3)[:, 0], target)
 
 
 def test_restrict_map():
-    eye = SparseMatrix.identity(2, 2)
     sub = Subspace(2, [[1, 1]], 2)
-    restricted = restrict_map(eye, sub, sub)
-    assert restricted == SparseMatrix.identity(1, 2)
-    zero = restrict_map(SparseMatrix.zeros(2, 2, 2), sub, sub)
-    assert zero == SparseMatrix.zeros(1, 1, 2)
-    proj = SparseMatrix.from_dense([[1, 0], [0, 0]], 2)  # (x, y) -> (x, 0)
+    restricted = restrict_map(eye(2), sub, sub, 2)
+    assert restricted.dtype == np.int64 and np.array_equal(restricted, eye(1))
+    assert np.array_equal(restrict_map(zeros(2, 2), sub, sub, 2), zeros(1, 1))
+    proj = np.array([[1, 0], [0, 0]])  # (x, y) -> (x, 0)
     line = Subspace(2, [[1, 0]], 2)
-    assert restrict_map(proj, line, line) == SparseMatrix.from_dense([[1]], 2)
-    swap = SparseMatrix.from_dense([[0, 1], [1, 0]], 2)
+    assert np.array_equal(restrict_map(proj, line, line, 2), [[1]])
+    swap = np.array([[0, 1], [1, 0]])
     with pytest.raises(NotInvariantError):
-        restrict_map(swap, line, line)
+        restrict_map(swap, line, line, 2)
 
 
-def _random_sparse(rng, rows, cols, p, density=0.3):
-    entries = {}
+def _random_matrix(rng, rows, cols, p, density=0.3):
+    m = zeros(rows, cols)
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
-                entries[(r, c)] = rng.randrange(1, p)
-    return SparseMatrix(rows, cols, p, entries)
+                m[r, c] = rng.randrange(1, p)
+    return m
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101])
@@ -119,30 +113,30 @@ def test_rank_nullity_randomized(p):
     rng = random.Random(p)
     for _ in range(25):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
-        m = _random_sparse(rng, rows, cols, p)
-        r = rank(m)
-        assert r == naive_rank(m.dense(), p)
-        assert r + kernel_basis(m).dim == cols
+        m = _random_matrix(rng, rows, cols, p)
+        r = rank(m, p)
+        assert r == naive_rank(m, p)
+        assert r + kernel_basis(m, p).dim == cols
 
 
 def test_preimage_contract_randomized():
     rng = random.Random(7)
     for _ in range(40):
         p = rng.choice((2, 3, 5))
-        m = _random_sparse(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
-        x = np.array([rng.randrange(p) for _ in range(m.cols)])
-        v = mat_mul(m.dense(), x.reshape(-1, 1), p)[:, 0]
-        y = preimage(m, v)
+        m = _random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
+        x = np.array([rng.randrange(p) for _ in range(m.shape[1])])
+        v = mat_mul(m, x.reshape(-1, 1), p)[:, 0]
+        y = preimage(m, v, p)
         assert y is not None
-        assert np.array_equal(mat_mul(m.dense(), y.reshape(-1, 1), p)[:, 0], v)
+        assert np.array_equal(mat_mul(m, y.reshape(-1, 1), p)[:, 0], v)
 
 
 def test_basis_independence_randomized():
     rng = random.Random(11)
     for _ in range(20):
         p = rng.choice((2, 5))
-        m = _random_sparse(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
-        img, ker = image_basis(m), kernel_basis(m)
+        m = _random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
+        img, ker = image_basis(m, p), kernel_basis(m, p)
         # re-verified by the rank of the stacked basis matrix
         assert rank(img.basis, p) == img.dim
         assert rank(ker.basis, p) == ker.dim
@@ -151,24 +145,28 @@ def test_basis_independence_randomized():
 def test_determinism():
     rng1, rng2 = random.Random(3), random.Random(3)
     for _ in range(10):
-        m1 = _random_sparse(rng1, 6, 6, 3)
-        m2 = _random_sparse(rng2, 6, 6, 3)
-        assert m1 == m2
-        assert np.array_equal(kernel_basis(m1).basis, kernel_basis(m2).basis)
-        assert np.array_equal(image_basis(m1).basis, image_basis(m2).basis)
-        assert rank(m1) == rank(m2)
+        m1 = _random_matrix(rng1, 6, 6, 3)
+        m2 = _random_matrix(rng2, 6, 6, 3)
+        assert np.array_equal(m1, m2)
+        assert np.array_equal(kernel_basis(m1, 3).basis, kernel_basis(m2, 3).basis)
+        assert np.array_equal(image_basis(m1, 3).basis, image_basis(m2, 3).basis)
+        assert rank(m1, 3) == rank(m2, 3)
 
 
 def test_large_modulus_products_stay_exact():
     p = 2147483629  # largest prime below 2^31
-    m = SparseMatrix.from_dense([[p - 1, p - 1], [0, p - 1]], p)
-    sq = m @ m
-    assert sq.entry(0, 0) == 1
-    assert sq.entry(0, 1) == ((p - 1) * (p - 1) + (p - 1) * (p - 1)) % p
+    m = np.array([[p - 1, p - 1], [0, p - 1]], dtype=np.int64)
+    sq = mat_mul(m, m, p)
+    assert sq[0, 0] == 1
+    assert sq[0, 1] == ((p - 1) * (p - 1) + (p - 1) * (p - 1)) % p
 
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatchError):
-        preimage(SparseMatrix.identity(2, 2), [1, 0, 0])
+        preimage(eye(2), [1, 0, 0], 2)
+    with pytest.raises(DimensionMismatchError):
+        rank(np.array([1, 0]), 2)  # not a 2-D matrix
+    with pytest.raises(DimensionMismatchError):
+        mat_mul(eye(2), eye(3), 2)
     with pytest.raises(ValueError):
         Subspace(2, [[1, 0], [1, 0]], 2)  # dependent vectors

@@ -3,9 +3,13 @@
 All arithmetic is integer residue arithmetic; no floating point appears
 anywhere. The matrices in this project are boundary operators and induced
 maps of desk-scale complexes, so every matrix is a dense int64 array of
-residues, always passed together with its prime p, and reductions use
-explicit mod-p pivoting. Results are deterministic: elimination always
-picks the first usable pivot (smallest row, then smallest column).
+residues, always passed together with its prime p. There is one
+elimination kernel, `row_reduce`: Gauss-Jordan with explicit mod-p
+pivoting, where each pivot clears its whole column with one array-wide
+rank-1 update. Results are deterministic: elimination always picks the
+first usable pivot (smallest row, then smallest column), so the echelon
+forms, and the homology bases chosen from them, are bit-identical to
+textbook row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -77,26 +81,35 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form over F_p and the pivot column indices."""
-    m = a.astype(np.int64).copy() % p
+    """Reduced row echelon form over F_p and the pivot column indices.
+
+    Each pivot clears its column with one rank-1 update over every row that
+    has a nonzero there, restricted to columns c: (rows at or below the
+    pivot row are already zero to the left of c, and the pivot row is what
+    gets subtracted). Every product is below p^2 < 2^62, so int64 stays exact.
+    """
+    m = a.astype(np.int64) % p
     rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return m, ()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        hit = np.nonzero(m[:, c])[0]
-        for i in hit:
-            if i != r:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        if inv != 1:
+            m[r, c:] = (m[r, c:] * inv) % p
+        hit = m[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - m[hit, c, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, tuple(pivots)
@@ -106,17 +119,23 @@ def dense_rank(a: np.ndarray, p: int) -> int:
     return len(row_reduce(a, p)[1])
 
 
+def _kernel_from_rref(rref: np.ndarray, pivots: tuple[int, ...],
+                      p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of `nullspace`, read off an already reduced matrix, and the
+    free columns; the basis is the identity on the free columns."""
+    cols = rref.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = is_free.nonzero()[0]
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[list(pivots)] = (-rref[:len(pivots), free]) % p
+    return basis, free
+
+
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form the standard basis of {x : a x = 0} (free variables set to 1)."""
-    rref, pivots = row_reduce(a, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, j] = (-rref[r, fc]) % p
-    return basis
+    return _kernel_from_rref(*row_reduce(a, p), p)[0]
 
 
 def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
@@ -128,13 +147,12 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
         b = b.reshape(-1, 1)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"cannot solve {a.shape} x = {b.shape}")
-    aug, pivots = row_reduce(np.hstack([a % p, b % p]), p)
+    aug, pivots = row_reduce(np.concatenate((a, b), axis=1), p)
     n = a.shape[1]
-    if any(c >= n for c in pivots):
+    if pivots and pivots[-1] >= n:
         return None  # a pivot in the augmented block means an inconsistent column
     x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, n:]
+    x[list(pivots)] = aug[:len(pivots), n:]
     return x
 
 

@@ -33,19 +33,35 @@ class NotACycleError(ValueError):
 class StepHomology:
     """Homology of one filtration step in one degree.
 
-    `representatives` columns are cycles whose classes form the chosen basis;
-    `boundaries` columns span the boundary subspace. Together they span the
-    cycle space, so any cycle has unique coordinates (boundary part, class part).
+    The columns of `basis` are a basis of the cycle space: first the
+    `boundaries`, which span the boundary subspace, then the
+    `representatives`, cycles whose classes form the chosen basis. So any
+    cycle has unique coordinates (boundary part, class part). `free` lists
+    the chain coordinates that determine a cycle (the free columns of the
+    echelon form of d_k), so a cycle's coordinates are solved on these rows
+    alone.
     """
 
     modulus: int
-    chain_dim: int
-    representatives: np.ndarray   # chain_dim x dim
-    boundaries: np.ndarray        # chain_dim x (number of boundaries)
+    basis: np.ndarray             # chain_dim x (number of boundaries + dim)
+    n_boundaries: int
+    free: np.ndarray              # (number of boundaries + dim) chain indices
+
+    @property
+    def chain_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        return self.basis[:, :self.n_boundaries]
+
+    @property
+    def representatives(self) -> np.ndarray:
+        return self.basis[:, self.n_boundaries:]
 
     @property
     def dim(self) -> int:
-        return self.representatives.shape[1]
+        return self.basis.shape[1] - self.n_boundaries
 
     def class_of(self, chains: np.ndarray) -> np.ndarray:
         """Homology coordinates of cycle columns (boundary summands discarded)."""
@@ -55,27 +71,13 @@ class StepHomology:
             chains = chains.reshape(-1, 1)
         if chains.shape[0] != self.chain_dim:
             raise linalg.DimensionMismatchError("chain length differs from the step's chain space")
-        stacked = np.hstack([self.boundaries, self.representatives])
-        coords = linalg.solve_matrix(stacked, chains, self.modulus)
-        if coords is None:
+        # basis[free] is square and invertible; the chains are cycles exactly
+        # when the solution rebuilds them on every row
+        coords = linalg.solve_matrix(self.basis[self.free], chains[self.free], self.modulus)
+        if not np.array_equal(linalg.mat_mul(self.basis, coords, self.modulus), chains):
             raise NotACycleError("chain is not a cycle of this step")
-        out = coords[self.boundaries.shape[1]:, :]
+        out = coords[self.n_boundaries:, :]
         return out[:, 0] if single else out
-
-
-def _homology_basis(d_k: np.ndarray, d_k1: np.ndarray, p: int) -> StepHomology:
-    """Choose boundary and representative bases from the two boundary operators.
-
-    Representatives are the kernel-basis cycles that stay independent after
-    the boundary columns, found in one echelon pass for determinism.
-    """
-    cycles = linalg.nullspace(d_k, p)
-    _, piv = linalg.row_reduce(d_k1, p)
-    bounds = d_k1[:, list(piv)]
-    _, pivots = linalg.row_reduce(np.hstack([bounds, cycles]), p)
-    nb = bounds.shape[1]
-    reps = cycles[:, [c - nb for c in pivots if c >= nb]]
-    return StepHomology(p, d_k.shape[1], reps, bounds)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,32 @@ def _step_chains(x_step: SimplicialComplex, a_step: SimplicialComplex,
                        tuple(relative_boundary_matrix(x_step, a_step, k, p) for k in degrees))
 
 
+def _step_homology(chain: _StepChains, max_degree: int, p: int) -> list[StepHomology]:
+    """Boundary and representative bases of one step in degrees 0..max_degree.
+
+    Each boundary operator d_k is row-reduced once: its kernel gives the
+    degree-k cycles, its pivot columns the degree-(k-1) boundaries.
+    Representatives are the kernel-basis cycles that stay independent after
+    the boundary columns, taken in kernel-basis order. The kernel basis is
+    the identity on the free columns of d_k, so z -> z[free] is injective on
+    cycles and sends kernel column j to e_j. With B = bounds[free], e_j is a
+    new class exactly when row j of B lies in the span of the rows below it,
+    that is, when column (len(free) - 1 - j) of B[::-1].T is not a pivot.
+    """
+    boundaries = [chain.boundary(k) for k in range(max_degree + 2)]
+    reduced = [linalg.row_reduce(d, p) for d in boundaries]
+    out = []
+    for k in range(max_degree + 1):
+        cycles, free = linalg._kernel_from_rref(*reduced[k], p)
+        bounds = boundaries[k + 1][:, list(reduced[k + 1][1])]
+        _, spanned = linalg.row_reduce(bounds[free][::-1].T, p)
+        is_new = np.ones(free.size, dtype=bool)
+        is_new[free.size - 1 - np.array(spanned, dtype=np.intp)] = False
+        out.append(StepHomology(p, np.hstack([bounds, cycles[:, is_new]]),
+                                bounds.shape[1], free))
+    return out
+
+
 class PersistenceResult:
     """Homology bases, induced maps, and query operations for one filtration.
 
@@ -120,17 +148,16 @@ class PersistenceResult:
         self._homology: dict[tuple[int, int], StepHomology] = {}
         self._maps: dict[tuple[int, int], np.ndarray] = {}  # (k, u): step u -> u+1
         self._composed: dict[tuple[int, int, int], np.ndarray] = {}
-        for k in range(max_degree + 1):
-            for u, chain in enumerate(self._chains):
-                self._homology[(k, u)] = _homology_basis(
-                    chain.boundary(k), chain.boundary(k + 1), modulus)
-            for u in range(len(self._chains) - 1):
+        for u, chain in enumerate(self._chains):
+            for k, hom in enumerate(_step_homology(chain, max_degree, modulus)):
+                self._homology[(k, u)] = hom
+                if u == 0:
+                    continue
                 # a basis simplex keeps its coordinate downstream; in the
                 # relative case one that has entered A maps to zero
-                included, _ = reindex_chains(self._homology[(k, u)].representatives,
-                                             self._chains[u].basis(k),
-                                             self._chains[u + 1].basis(k))
-                self._maps[(k, u)] = self._homology[(k, u + 1)].class_of(included)
+                included, _ = reindex_chains(self._homology[(k, u - 1)].representatives,
+                                             self._chains[u - 1].basis(k), chain.basis(k))
+                self._maps[(k, u - 1)] = hom.class_of(included)
 
     @property
     def n_steps(self) -> int:
@@ -148,9 +175,8 @@ class PersistenceResult:
         if not 0 <= u < self.n_steps:
             raise IndexError(f"step index {u} out of range")
         if k > self.max_degree:
-            return StepHomology(self.modulus, 0,
-                                np.zeros((0, 0), dtype=np.int64),
-                                np.zeros((0, 0), dtype=np.int64))
+            return StepHomology(self.modulus, np.zeros((0, 0), dtype=np.int64), 0,
+                                np.zeros(0, dtype=np.intp))
         return self._homology[(k, u)]
 
     def dim(self, k: int, u: int) -> int:

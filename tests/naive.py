@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against plain Python lists, separate
 from the library's numpy elimination: textbook row reduction, exhaustive
-vector enumeration, and a from-scratch persistent dimension that reduces the
-cycle-inclusion matrix directly instead of composing step maps.
+vector enumeration, a from-scratch persistent dimension that reduces the
+cycle-inclusion matrix directly instead of composing step maps, and the
+per-step homology basis choice written as three separate reductions.
 """
 
 from itertools import product
@@ -55,10 +56,10 @@ def naive_rank(m, p):
 def naive_nullspace(m, p):
     """All-free-variables nullspace basis, as a list of column vectors."""
     rows = as_rows(m)
-    ncols = len(rows[0]) if rows else (np.asarray(m).shape[1] if np.asarray(m).size >= 0 else 0)
     if not rows:
         ncols = np.asarray(m, dtype=np.int64).shape[1]
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    ncols = len(rows[0])
     rref, pivots = naive_rref(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -69,6 +70,30 @@ def naive_nullspace(m, p):
             vec[pc] = (-rref[r][fc]) % p
         basis.append(vec)
     return basis
+
+
+def naive_homology_basis(d_k, d_k1, p):
+    """(representatives, boundaries) of one step by three separate reductions:
+    the kernel basis of d_k, the pivot columns of d_k1 as boundaries, and the
+    kernel cycles that stay pivots in the echelon form of [boundaries | cycles]."""
+    kernel = naive_nullspace(d_k, p)
+    cycles = np.array(kernel, dtype=np.int64).reshape(len(kernel), d_k.shape[1]).T
+    bounds = d_k1[:, naive_rref(as_rows(d_k1), p)[1]]
+    pivots = naive_rref(as_rows(np.hstack([bounds, cycles])), p)[1]
+    nb = bounds.shape[1]
+    return cycles[:, [c - nb for c in pivots if c >= nb]], bounds
+
+
+def naive_class_of(representatives, boundaries, chains, p):
+    """Class coordinates of cycle columns from one reduction of
+    [boundaries | representatives | chains]; None when a chain is not a cycle."""
+    basis = np.hstack([boundaries, representatives])
+    n = basis.shape[1]
+    rref, pivots = naive_rref(as_rows(np.hstack([basis, chains])), p)
+    if pivots != list(range(n)):
+        return None  # the chains leave the span, or the basis is dependent
+    coords = np.array([row[n:] for row in rref[:n]], dtype=np.int64).reshape(n, chains.shape[1])
+    return coords[boundaries.shape[1]:]
 
 
 def enumerate_vectors(n, p):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from homaudit.complexes import SimplicialComplex, Simplex, close_under_faces
-from homaudit.morse import Filtration, MorseFunction, filtration_from_morse
+from homaudit.morse import MorseFunction, filtration_from_morse
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
 FIXTURE_COUNT = 500

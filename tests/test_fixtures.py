@@ -1,10 +1,8 @@
 """The shipped torus triad and genus-2 pair realize the homology tables the
 audits are keyed to."""
 
-import numpy as np
-
 from homaudit.complexes import betti_numbers, intersect
-from homaudit.fixtures import genus2_pair, torus_triad, write_genus2_files, write_torus_files
+from homaudit.fixtures import write_genus2_files, write_torus_files
 from homaudit.morse import validate_morse
 from homaudit.persistence import barcode
 from homaudit.sequences import induced_inclusion_map

@@ -5,13 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homaudit.complexes import boundary_matrix, close_under_faces
 from homaudit.linalg import (DimensionMismatchError, NotInvariantError, Subspace,
-                             check_modulus, image_basis, kernel_basis, mat_mul, preimage,
-                             rank, restrict_map)
+                             check_modulus, image_basis, kernel_basis, mat_mul, nullspace,
+                             preimage, rank, restrict_map, row_reduce, solve_matrix)
 
-from naive import kernel_by_enumeration, naive_rank, solutions_by_enumeration, span_size
+from naive import (as_rows, kernel_by_enumeration, naive_nullspace, naive_rank, naive_rref,
+                   solutions_by_enumeration, span_size)
 
 TRIANGLE = close_under_faces([(0, 1, 2)])
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -170,3 +173,57 @@ def test_dimension_errors():
         mat_mul(eye(2), eye(3), 2)
     with pytest.raises(ValueError):
         Subspace(2, [[1, 0], [1, 0]], 2)  # dependent vectors
+
+
+LARGE_PRIME = 2147483629  # largest prime below 2^31: rank-1 updates reach (p-1)^2
+
+_SHAPES = st.one_of(
+    st.tuples(st.just(0), st.integers(0, 12)),                                   # 0 x n
+    st.tuples(st.integers(0, 12), st.just(0)),                                   # n x 0
+    st.tuples(st.just(1), st.integers(1, 12)),                                   # 1 x n
+    st.integers(1, 12).flatmap(lambda c: st.tuples(st.integers(c, 12), st.just(c))),  # tall
+    st.integers(1, 12).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 12))),  # wide
+)
+
+
+@st.composite
+def _residue_systems(draw):
+    """(p, a, b): a matrix of residues and a right-hand side with as many rows.
+    Zeros, 1 and p-1 are frequent, so ranks drop and pivots move."""
+    p = draw(st.sampled_from((2, 3, 5, 7, LARGE_PRIME)))
+    rows, cols = draw(_SHAPES)
+    entry = st.one_of(st.just(0), st.sampled_from((1, p - 1)), st.integers(0, p - 1))
+    a = np.array(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, cols)
+    rhs = draw(st.integers(0, 3))
+    b = np.array(draw(st.lists(st.lists(entry, min_size=rhs, max_size=rhs),
+                               min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, rhs)
+    if draw(st.booleans()) and cols:  # a right-hand side known to be solvable
+        x = np.array(draw(st.lists(st.lists(entry, min_size=rhs, max_size=rhs),
+                                   min_size=cols, max_size=cols)), dtype=np.int64)
+        b = _exact_product(a, x.reshape(cols, rhs), p)
+    return p, a, b
+
+
+def _exact_product(a, b, p):
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_systems())
+def test_kernel_matches_textbook_elimination(system):
+    p, a, b = system
+    rref, pivots = row_reduce(a, p)
+    want_rref, want_pivots = naive_rref(as_rows(a), p)
+    assert rref.shape == a.shape and rref.dtype == np.int64
+    assert rref.tolist() == want_rref and pivots == tuple(want_pivots)
+    assert nullspace(a, p).T.tolist() == naive_nullspace(a, p)
+
+    x = solve_matrix(a, b, p)
+    solvable = naive_rank(np.hstack([a, b]), p) == naive_rank(a, p)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert x.shape == (a.shape[1], b.shape[1])
+        assert np.array_equal(_exact_product(a, x, p), b)
+        free = [c for c in range(a.shape[1]) if c not in pivots]
+        assert not x[free].any()  # free variables are set to 0

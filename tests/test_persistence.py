@@ -2,18 +2,20 @@
 barcodes against the structure-theorem consistency formula, graded modules."""
 
 import random
-from fractions import Fraction
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from homaudit.complexes import Simplex, close_under_faces
+from homaudit import linalg
+from homaudit.complexes import (EMPTY_COMPLEX, boundary_matrix, close_under_faces,
+                                intersect, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import mat_mul
-from homaudit.morse import Filtration, MorseFunction, filtration_from_morse
-from homaudit.persistence import (GradedModule, barcode, compute_persistence,
+from homaudit.morse import Filtration, filtration_from_morse
+from homaudit.persistence import (GradedModule, NotACycleError, barcode, compute_persistence,
                                   direct_sum, graded_module, relative_persistence)
 
-from naive import naive_persistent_dim
+from naive import naive_class_of, naive_homology_basis, naive_persistent_dim
 from randfix import make_fixture, random_complex, random_morse
 
 POINT = close_under_faces([(0,)])
@@ -204,7 +206,6 @@ def test_truncated_max_degree_still_quotients_by_boundaries(torus_system):
 
 def test_class_of_chain():
     from homaudit.complexes import ChainCoordinates
-    from homaudit.persistence import NotACycleError
     res = compute_persistence(Filtration([0], [HOLLOW]), 2)
     cycle = ChainCoordinates(1, [1, 1, 1])
     assert res.class_of_chain(0, cycle).tolist() == [1]
@@ -216,3 +217,109 @@ def test_graded_module_validates_top_identity():
     with pytest.raises(ValueError):
         GradedModule(2, (1, 1), (np.eye(1, dtype=np.int64),
                                  np.zeros((1, 1), dtype=np.int64)))
+
+
+def _results_with_subcomplex(system):
+    """Each persistence result of a system, with the subcomplex A it is taken
+    relative to (None for absolute persistence)."""
+    out = [(getattr(system, name), None) for name in ("RX", "RA", "RB", "RAB")
+           if hasattr(system, name)]
+    if hasattr(system, "RXA"):
+        out.append((system.RXA, system.A))
+    return out
+
+
+def _assert_bases_match_three_reductions(R, A, rng=None):
+    p = R.modulus
+    for k in range(R.max_degree + 1):
+        prev = None
+        for u, X_u in enumerate(R.filtration.steps):
+            A_u = EMPTY_COMPLEX if A is None else intersect(X_u, A)
+            reps, bounds = naive_homology_basis(relative_boundary_matrix(X_u, A_u, k, p),
+                                                relative_boundary_matrix(X_u, A_u, k + 1, p), p)
+            hom = R.homology(k, u)
+            assert hom.representatives.shape == reps.shape
+            assert np.array_equal(hom.representatives, reps)
+            assert hom.boundaries.shape == bounds.shape
+            assert np.array_equal(hom.boundaries, bounds)
+            basis = relative_basis(X_u, A_u, k)
+            if prev is not None:
+                prev_reps, prev_basis = prev
+                pos = {s: i for i, s in enumerate(basis)}
+                included = np.zeros((len(basis), prev_reps.shape[1]), dtype=np.int64)
+                for i, s in enumerate(prev_basis):
+                    if s in pos:
+                        included[pos[s]] = prev_reps[i]
+                expected = naive_class_of(reps, bounds, included, p)
+                assert R.step_map(k, u - 1).shape == expected.shape
+                assert np.array_equal(R.step_map(k, u - 1), expected)
+            if rng is not None:
+                # a random cycle and two random chains, each a cycle exactly
+                # when the textbook solve finds class coordinates
+                basis_cycles = np.hstack([bounds, reps])
+                coeffs = np.array([rng.randrange(p) for _ in range(basis_cycles.shape[1])],
+                                  dtype=np.int64).reshape(-1, 1)
+                chains = [mat_mul(basis_cycles, coeffs, p)[:, 0]]
+                chains += [np.array([rng.randrange(p) for _ in basis], dtype=np.int64)
+                           for _ in range(2)]
+                for chain in chains:
+                    want = naive_class_of(reps, bounds, chain.reshape(-1, 1), p)
+                    if want is None:
+                        with pytest.raises(NotACycleError):
+                            hom.class_of(chain)
+                    else:
+                        assert np.array_equal(hom.class_of(chain), want[:, 0])
+            prev = (reps, basis)
+
+
+def test_bases_and_step_maps_match_three_reduction_choice_on_fixtures(torus_system,
+                                                                        torus_system_f3,
+                                                                        genus2_system):
+    rng = random.Random(5)
+    for system in (torus_system, torus_system_f3, genus2_system):
+        for R, A in _results_with_subcomplex(system):
+            _assert_bases_match_three_reductions(R, A, rng)
+
+
+def test_bases_and_step_maps_match_three_reduction_choice_on_random_systems():
+    for index in range(40):
+        _, system, _ = make_fixture(index)
+        for R, A in _results_with_subcomplex(system):
+            _assert_bases_match_three_reductions(R, A)
+
+
+def test_each_boundary_matrix_is_reduced_once_per_step(torus, monkeypatch):
+    # reductions outside the step-map solves: every boundary matrix d_0 .. d_{top+1}
+    # of every step once (empty ones return at once), plus one representative
+    # selection per (degree, step)
+    real_reduce, real_solve = linalg.row_reduce, linalg.solve_matrix
+    reduced, solving = [], [False]
+
+    def counting_reduce(a, p):
+        if not solving[0]:
+            reduced.append(a % p)
+        return real_reduce(a, p)
+
+    def flagged_solve(a, b, p):
+        solving[0] = True
+        try:
+            return real_solve(a, b, p)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(linalg, "row_reduce", counting_reduce)
+    monkeypatch.setattr(linalg, "solve_matrix", flagged_solve)
+    filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+    res = compute_persistence(filt, 2)
+    top = res.max_degree
+
+    def key(m):
+        return m.shape, np.ascontiguousarray(m, dtype=np.int64).tobytes()
+
+    boundaries = Counter(key(boundary_matrix(step, k, 2)) for step in filt.steps
+                         for k in range(top + 2) if boundary_matrix(step, k, 2).size)
+    calls = Counter(key(m) for m in reduced)
+    assert boundaries
+    assert [(shape, calls[(shape, data)], n) for (shape, data), n in boundaries.items()
+            if calls[(shape, data)] != n] == []
+    assert len(reduced) == res.n_steps * ((top + 2) + (top + 1))

@@ -1,8 +1,6 @@
 """Sequence construction and auditing: inclusion-induced maps, connecting
 homomorphisms, the three audit levels, and the commuting-square checks."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -10,14 +8,13 @@ from homaudit.complexes import close_under_faces
 from homaudit.linalg import DimensionMismatchError
 from homaudit.morse import Filtration, filtration_from_morse
 from homaudit.persistence import compute_persistence
-from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
-                                MayerVietorisSystem, NotCoveringError, PairSystem,
-                                SequenceTerm, audit, check_squares,
-                                induced_inclusion_map, module_sequence, mv_connecting,
-                                ordinary_sequence, pair_connecting,
+from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
+                                NotCoveringError, PairSystem, SequenceTerm, audit,
+                                check_squares, induced_inclusion_map, module_sequence,
+                                mv_connecting, ordinary_sequence, pair_connecting,
                                 persistent_sequence)
 
-from randfix import make_fixture, random_morse
+from randfix import make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
 FULL = close_under_faces([(0, 1, 2)])

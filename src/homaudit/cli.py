@@ -302,14 +302,10 @@ def _run_audit(args, kind: str) -> int:
         law, holds = "order-2", aud.order2
         payload["u"] = str(filt.thresholds[u])
         payload["v"] = str(filt.thresholds[v])
-        if kind == "mayer-vietoris":
-            spaces = {"X": system.RX, "A": system.RA, "B": system.RB, "A∩B": system.RAB}
-        else:
-            spaces = {"X": system.RX, "A": system.RA, "(X,A)": system.RXA}
         payload["persistent_dims"] = {
             name: [R.persistent_group(k, u, v).dim for k in range(system.top_degree + 1)]
-            for name, R in spaces.items()}
-        for name in spaces:
+            for name, R in system.spaces.items()}
+        for name in system.spaces:
             print(f"  dim H^{{{payload['u']},{payload['v']}}}({name}) by degree: "
                   f"{payload['persistent_dims'][name]}")
     else:

@@ -100,9 +100,6 @@ class SimplicialComplex:
         """Position of s within the ordered list of its own dimension."""
         return self._index[s]
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices(0))
-
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         cofaced = set()
         for s in self._all:

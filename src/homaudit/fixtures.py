@@ -16,6 +16,7 @@ null-homologous at level v.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -168,43 +169,40 @@ def membership_file_lines(K: SimplicialComplex, title: str) -> list[str]:
     return lines
 
 
-def write_torus_files(directory: str | Path) -> dict[str, Path]:
-    fx = torus_triad()
+def _write_files(directory: str | Path, files: dict[str, tuple[str, list[str]]]
+                 ) -> dict[str, Path]:
+    """Write each (file name, lines) under `directory`; returns the paths by key."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    import warnings
+    out = {}
+    for key, (name, lines) in files.items():
+        out[key] = directory / name
+        out[key].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def write_torus_files(directory: str | Path) -> dict[str, Path]:
+    fx = torus_triad()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the restriction to B happens to be Morse anyway
         restricted_b = fx.function.restrict(fx.B)
-    files = {
-        "complex": (directory / "complex.txt",
+    return _write_files(directory, {
+        "complex": ("complex.txt",
                     complex_file_lines(fx.function, "torus with a perfect discrete Morse function")),
-        "subspace_a": (directory / "subspace_a.txt",
+        "subspace_a": ("subspace_a.txt",
                        membership_file_lines(fx.A, "band A: two columns of the grid torus")),
-        "subspace_b": (directory / "subspace_b.txt",
+        "subspace_b": ("subspace_b.txt",
                        membership_file_lines(fx.B, "band B: the remaining column")),
-        "complex_b": (directory / "complex_b.txt",
+        "complex_b": ("complex_b.txt",
                       complex_file_lines(restricted_b, "band B with the restricted values")),
-    }
-    out = {}
-    for key, (path, lines) in files.items():
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out[key] = path
-    return out
+    })
 
 
 def write_genus2_files(directory: str | Path) -> dict[str, Path]:
     fx = genus2_pair()
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files = {
-        "complex": (directory / "complex.txt",
+    return _write_files(directory, {
+        "complex": ("complex.txt",
                     complex_file_lines(fx.function, "genus-2 surface from two glued tori")),
-        "subspace_a": (directory / "subspace_a.txt",
+        "subspace_a": ("subspace_a.txt",
                        membership_file_lines(fx.A, "the separating circle")),
-    }
-    out = {}
-    for key, (path, lines) in files.items():
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out[key] = path
-    return out
+    })

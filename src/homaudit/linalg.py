@@ -156,11 +156,6 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     return x
 
 
-def solve(a: np.ndarray, v: np.ndarray, p: int) -> Optional[np.ndarray]:
-    x = solve_matrix(a, np.asarray(v, dtype=np.int64).reshape(-1, 1), p)
-    return None if x is None else x[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -197,37 +192,9 @@ class Subspace:
     def from_matrix(cls, basis: np.ndarray, modulus: int) -> "Subspace":
         return cls(basis.shape[0], basis.T, modulus)
 
-    @classmethod
-    def zero(cls, ambient: int, modulus: int) -> "Subspace":
-        return cls(ambient, np.zeros((0, ambient), dtype=np.int64), modulus)
-
-    @classmethod
-    def full(cls, ambient: int, modulus: int) -> "Subspace":
-        return cls(ambient, np.eye(ambient, dtype=np.int64), modulus)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def vectors(self) -> list[np.ndarray]:
-        return [self.basis[:, j].copy() for j in range(self.dim)]
-
-    def contains(self, vector) -> bool:
-        v = np.asarray(vector, dtype=np.int64) % self.modulus
-        if v.shape != (self.ambient,):
-            raise DimensionMismatchError("vector length differs from ambient dimension")
-        return solve(self.basis, v, self.modulus) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient != self.ambient:
-            raise DimensionMismatchError("ambient dimensions differ")
-        stacked = np.hstack([self.basis, other.basis])
-        return dense_rank(stacked, self.modulus) == self.dim
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.modulus == other.modulus and self.dim == other.dim
-                and self.contains_subspace(other))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F_{self.modulus}^{self.ambient})"
@@ -264,7 +231,8 @@ def preimage(m: np.ndarray, v, p: int) -> Optional[np.ndarray]:
     if w.shape != (a.shape[0],):
         raise DimensionMismatchError(
             f"vector of length {w.shape} does not match {a.shape[0]} rows")
-    return solve(a, w, p)
+    x = solve_matrix(a, w.reshape(-1, 1), p)
+    return None if x is None else x[:, 0]
 
 
 def restrict_map(m: np.ndarray, domain_sub: Subspace, codomain_sub: Subspace,

@@ -191,8 +191,7 @@ class PersistenceResult:
         return self._chains[u].basis(k)
 
     def chain_boundary(self, k: int, u: int) -> np.ndarray:
-        return self._chains[u].boundary(k) if k <= self.max_degree else \
-            np.zeros((len(self.basis_simplices(k - 1, u)), 0), dtype=np.int64)
+        return self._chains[u].boundary(k)
 
     def step_map(self, k: int, u: int) -> np.ndarray:
         """Matrix of the induced map from step u to step u+1."""

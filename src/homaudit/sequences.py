@@ -10,6 +10,7 @@ the tails are closed off with zero spaces and zero maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -19,8 +20,7 @@ from .complexes import (NotSubcomplexError, SimplicialComplex, intersect, is_sub
                         reindex_chains, union)
 from .linalg import DimensionMismatchError, NotInvariantError
 from .morse import Filtration
-from .persistence import (GradedModule, PersistenceResult, compute_persistence,
-                          direct_sum, graded_module, relative_persistence)
+from .persistence import PersistenceResult, compute_persistence, relative_persistence
 
 ORDINARY = "ordinary"
 PERSISTENT = "persistent-group"
@@ -30,6 +30,7 @@ TERM_X = "X"
 TERM_INT = "A∩B"
 TERM_SUM = "A⊕B"
 TERM_A = "A"
+TERM_B = "B"
 TERM_REL = "(X,A)"
 
 
@@ -117,35 +118,77 @@ class SequenceAudit:
 # ---------------------------------------------------------------------------
 # systems: cached persistence of all spaces in a triad / pair
 
-class MayerVietorisSystem:
-    """Absolute persistence of X, A, B, and A∩B over one filtration of X."""
+class _System:
+    """Persistence of the spaces of a triad or pair over one filtration of X.
 
-    kind = "mayer-vietoris"
+    `spaces` maps each space name to its persistence result, in the order
+    reports list them. A sequence term is one space or the direct sum `A⊕B`
+    of two, so its dimension adds up over the summands and its vertical
+    maps are block diagonal. `horizontal` computes each map of the sequence
+    once, through the subclass's `map_at`, and keeps it read-only.
+    """
 
-    def __init__(self, X: SimplicialComplex, A: SimplicialComplex, B: SimplicialComplex,
-                 filtration: Filtration, modulus: int, max_degree: Optional[int] = None):
-        if not (is_subcomplex(A, X) and is_subcomplex(B, X)):
-            raise NotSubcomplexError("A and B must be subcomplexes of X")
-        if union(A, B) != X:
-            raise NotCoveringError("A ∪ B does not cover X")
+    kind: str
+    spaces: dict[str, PersistenceResult]
+    # within one degree: the three terms in sequence order; the lead term
+    # sits one degree up at the head of the window
+    term_cycle: tuple[str, str, str]
+    lead_term: str
+
+    def __init__(self, X: SimplicialComplex, subcomplexes: tuple[SimplicialComplex, ...],
+                 filtration: Filtration, modulus: int):
+        if not all(is_subcomplex(S, X) for S in subcomplexes):
+            raise NotSubcomplexError("subspaces must be subcomplexes of X")
         if filtration.complex != X:
             raise ValueError("the filtration must filter X")
-        self.X, self.A, self.B = X, A, B
+        self.X = X
         self.modulus = linalg.check_modulus(modulus)
-        self.top_degree = max(X.dim, 0) if max_degree is None else max_degree
+        self.top_degree = max(X.dim, 0)
         self.filtration = filtration
-        self.RX = compute_persistence(filtration, modulus, self.top_degree)
-        self.RA = compute_persistence(filtration.restrict_to(A), modulus, self.top_degree)
-        self.RB = compute_persistence(filtration.restrict_to(B), modulus, self.top_degree)
-        self.RAB = compute_persistence(filtration.restrict_to(intersect(A, B)),
-                                       modulus, self.top_degree)
+        self._maps: dict[tuple[str, int, int], np.ndarray] = {}
 
     @property
     def n_steps(self) -> int:
         return len(self.filtration)
 
-    def _term_result(self, label: str) -> PersistenceResult:
-        return {TERM_X: self.RX, TERM_INT: self.RAB}[label]
+    def _summands(self, label: str) -> list[PersistenceResult]:
+        return [self.spaces[name] for name in label.split("⊕")]
+
+    def term_dim(self, label: str, k: int, u: int) -> int:
+        return sum(R.dim(k, u) for R in self._summands(label))
+
+    def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
+        return reduce(linalg.block_diag,
+                      [R.induced_matrix(k, u, v) for R in self._summands(label)])
+
+    def horizontal(self, gap: str, k: int, u: int) -> np.ndarray:
+        """The map `gap` ('delta', 'alpha' or 'beta') of degree k at step u."""
+        key = (gap, k, u)
+        if key not in self._maps:
+            m = self.map_at(gap, k, u)
+            m.setflags(write=False)
+            self._maps[key] = m
+        return self._maps[key]
+
+
+class MayerVietorisSystem(_System):
+    """Absolute persistence of X, A, B, and A∩B over one filtration of X."""
+
+    kind = "mayer-vietoris"
+    term_cycle = (TERM_INT, TERM_SUM, TERM_X)
+    lead_term = TERM_X
+
+    def __init__(self, X: SimplicialComplex, A: SimplicialComplex, B: SimplicialComplex,
+                 filtration: Filtration, modulus: int):
+        super().__init__(X, (A, B), filtration, modulus)
+        if union(A, B) != X:
+            raise NotCoveringError("A ∪ B does not cover X")
+        self.A, self.B = A, B
+        self.RX = compute_persistence(filtration, self.modulus, self.top_degree)
+        self.RA, self.RB, self.RAB = (
+            compute_persistence(filtration.restrict_to(S), self.modulus, self.top_degree)
+            for S in (A, B, intersect(A, B)))
+        self.spaces = {TERM_X: self.RX, TERM_A: self.RA, TERM_B: self.RB, TERM_INT: self.RAB}
 
     def map_at(self, gap: str, k: int, u: int) -> np.ndarray:
         if gap == "delta":
@@ -160,53 +203,22 @@ class MayerVietorisSystem:
             return np.hstack([za, zb])
         raise ValueError(gap)
 
-    def term_dim(self, label: str, k: int, u: int) -> int:
-        if label == TERM_SUM:
-            return self.RA.dim(k, u) + self.RB.dim(k, u)
-        return self._term_result(label).dim(k, u)
 
-    def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
-        if label == TERM_SUM:
-            return linalg.block_diag(self.RA.induced_matrix(k, u, v),
-                                     self.RB.induced_matrix(k, u, v))
-        return self._term_result(label).induced_matrix(k, u, v)
-
-    def term_module(self, label: str, k: int) -> GradedModule:
-        if label == TERM_SUM:
-            return direct_sum(graded_module(self.RA, k), graded_module(self.RB, k))
-        return graded_module(self._term_result(label), k)
-
-    # within one degree: delta lands in A∩B, alpha in the sum, beta back in X;
-    # the lead term sits one degree up at the head of the window
-    term_cycle = (TERM_INT, TERM_SUM, TERM_X)
-    lead_term = TERM_X
-
-
-class PairSystem:
+class PairSystem(_System):
     """Absolute persistence of X and A plus relative persistence of (X, A)."""
 
     kind = "pair"
+    term_cycle = (TERM_A, TERM_X, TERM_REL)
+    lead_term = TERM_REL
 
     def __init__(self, X: SimplicialComplex, A: SimplicialComplex,
-                 filtration: Filtration, modulus: int, max_degree: Optional[int] = None):
-        if not is_subcomplex(A, X):
-            raise NotSubcomplexError("A must be a subcomplex of X")
-        if filtration.complex != X:
-            raise ValueError("the filtration must filter X")
-        self.X, self.A = X, A
-        self.modulus = linalg.check_modulus(modulus)
-        self.top_degree = max(X.dim, 0) if max_degree is None else max_degree
-        self.filtration = filtration
-        self.RX = compute_persistence(filtration, modulus, self.top_degree)
-        self.RA = compute_persistence(filtration.restrict_to(A), modulus, self.top_degree)
-        self.RXA = relative_persistence(X, A, filtration, modulus, self.top_degree)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.filtration)
-
-    def _term_result(self, label: str) -> PersistenceResult:
-        return {TERM_X: self.RX, TERM_A: self.RA, TERM_REL: self.RXA}[label]
+                 filtration: Filtration, modulus: int):
+        super().__init__(X, (A,), filtration, modulus)
+        self.A = A
+        self.RX = compute_persistence(filtration, self.modulus, self.top_degree)
+        self.RA = compute_persistence(filtration.restrict_to(A), self.modulus, self.top_degree)
+        self.RXA = relative_persistence(X, A, filtration, self.modulus, self.top_degree)
+        self.spaces = {TERM_X: self.RX, TERM_A: self.RA, TERM_REL: self.RXA}
 
     def map_at(self, gap: str, k: int, u: int) -> np.ndarray:
         if gap == "delta":
@@ -216,21 +228,6 @@ class PairSystem:
         if gap == "beta":
             return quotient_map(self, k, u)
         raise ValueError(gap)
-
-    def term_dim(self, label: str, k: int, u: int) -> int:
-        return self._term_result(label).dim(k, u)
-
-    def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
-        return self._term_result(label).induced_matrix(k, u, v)
-
-    def term_module(self, label: str, k: int) -> GradedModule:
-        return graded_module(self._term_result(label), k)
-
-    term_cycle = (TERM_A, TERM_X, TERM_REL)
-    lead_term = TERM_REL
-
-
-System = Union[MayerVietorisSystem, PairSystem]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sequence assembly
 
-def _term_schedule(sys: System) -> list[tuple[str, int]]:
+def _term_schedule(sys: _System) -> list[tuple[str, int]]:
     """(label, degree) of every term, the leading above-top-degree term included."""
     D = sys.top_degree
     schedule = [(sys.lead_term, D + 1)]
@@ -322,7 +319,7 @@ def _term_schedule(sys: System) -> list[tuple[str, int]]:
     return schedule
 
 
-def _gap_schedule(sys: System) -> list[tuple[str, int]]:
+def _gap_schedule(sys: _System) -> list[tuple[str, int]]:
     """(map name, degree) for every arrow between consecutive terms."""
     D = sys.top_degree
     gaps = []
@@ -331,17 +328,17 @@ def _gap_schedule(sys: System) -> list[tuple[str, int]]:
     return gaps
 
 
-def ordinary_sequence(sys: System, u: int) -> tuple[LinearSequence, SequenceAudit]:
+def ordinary_sequence(sys: _System, u: int) -> tuple[LinearSequence, SequenceAudit]:
     """The long sequence of sublevel u, which must audit exact everywhere."""
     terms = [SequenceTerm(label, k, sys.term_dim(label, k, u))
              for label, k in _term_schedule(sys)]
-    maps = [sys.map_at(gap, k, u) for gap, k in _gap_schedule(sys)]
+    maps = [sys.horizontal(gap, k, u) for gap, k in _gap_schedule(sys)]
     maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
     seq = LinearSequence(ORDINARY, sys.kind, tuple(terms), tuple(maps), sys.modulus, u=u)
     return seq, audit(seq)
 
 
-def persistent_sequence(sys: System, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
+def persistent_sequence(sys: _System, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
     """The sequence of persistent groups between sublevels u <= v.
 
     Spaces are images of the vertical maps; arrows are the level-v maps
@@ -356,7 +353,7 @@ def persistent_sequence(sys: System, u: int, v: int) -> tuple[LinearSequence, Se
              for (label, k), sub in zip(_term_schedule(sys), subspaces)]
     maps = []
     for i, (gap, k) in enumerate(_gap_schedule(sys)):
-        level_v = sys.map_at(gap, k, v)
+        level_v = sys.horizontal(gap, k, v)
         try:
             restricted = linalg.restrict_map(level_v, subspaces[i], subspaces[i + 1], p)
         except NotInvariantError as exc:
@@ -369,84 +366,68 @@ def persistent_sequence(sys: System, u: int, v: int) -> tuple[LinearSequence, Se
     return seq, audit(seq)
 
 
-def module_sequence(sys: System) -> tuple[LinearSequence, SequenceAudit]:
+def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
     """The sequence of graded persistence modules, assembled componentwise.
 
-    Audited per step index at every position; must be exact everywhere.
+    A sequence of graded modules is exact exactly when it is exact at every
+    step index, and its maps commute with the shift action exactly when the
+    squares between consecutive steps commute. So the module level is the
+    ordinary sequence of every step, audited step by step and summed, plus
+    those squares; it must be exact everywhere.
     """
-    n = sys.n_steps
-    modules = [sys.term_module(label, k) for label, k in _term_schedule(sys)]
-    terms = [SequenceTerm(label, k, sum(mod.dims), mod.dims)
-             for (label, k), mod in zip(_term_schedule(sys), modules)]
-    maps: list[GradedMap] = []
-    for i, (gap, k) in enumerate(_gap_schedule(sys)):
-        per_step = tuple(sys.map_at(gap, k, u) for u in range(n))
-        _check_shift_compatibility(per_step, modules[i], modules[i + 1], gap, k)
-        maps.append(GradedMap(per_step))
-    maps.append(GradedMap(tuple(np.zeros((0, d), dtype=np.int64)
-                                for d in terms[-1].dims_per_step)))
+    seqs, auds = zip(*(ordinary_sequence(sys, u) for u in range(sys.n_steps)))
+    for u in range(sys.n_steps - 1):
+        failures = check_squares(sys, u, u + 1)
+        if failures:
+            raise ValueError(f"graded {failures[0]} does not commute with the shift action")
+    terms, maps, positions = [], [], []
+    for i, term in enumerate(seqs[0].terms):
+        dims = tuple(seq.terms[i].dim for seq in seqs)
+        terms.append(SequenceTerm(term.label, term.degree, sum(dims), dims))
+        maps.append(GradedMap(tuple(seq.maps[i] for seq in seqs)))
+        steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,
+                                pos.order2, pos.exact, pos.defect)
+                      for u, pos in enumerate(aud.positions[i] for aud in auds))
+        positions.append(PositionAudit(
+            term.label, term.degree, sum(dims),
+            sum(s.dim_image_in for s in steps), sum(s.dim_kernel_out for s in steps),
+            all(s.order2 for s in steps), all(s.exact for s in steps),
+            sum(s.defect for s in steps), steps))
     seq = LinearSequence(MODULE, sys.kind, tuple(terms), tuple(maps), sys.modulus)
-    return seq, audit(seq)
-
-
-def _check_shift_compatibility(per_step, src: GradedModule, tgt: GradedModule,
-                               gap: str, k: int) -> None:
-    p = src.modulus
-    for u in range(len(per_step) - 1):
-        left = linalg.mat_mul(per_step[u + 1], src.shifts[u], p)
-        right = linalg.mat_mul(tgt.shifts[u], per_step[u], p)
-        if not np.array_equal(left, right):
-            raise ValueError(f"graded {gap} at degree {k} does not commute with the "
-                             f"shift action between steps {u} and {u + 1}")
+    return seq, SequenceAudit(MODULE, sys.kind, tuple(positions),
+                              all(pos.order2 for pos in positions),
+                              all(pos.exact for pos in positions))
 
 
 # ---------------------------------------------------------------------------
 # auditing
 
-def _audit_one(in_map: np.ndarray, out_map: np.ndarray, dim: int, p: int):
-    if in_map.shape[0] != dim or out_map.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"maps of shapes {in_map.shape} -> [{dim}] -> {out_map.shape} do not compose")
-    im = linalg.dense_rank(in_map, p)
-    ker = dim - linalg.dense_rank(out_map, p)
-    order2 = not linalg.mat_mul(out_map, in_map, p).any()
-    exact = order2 and im == ker
-    return im, ker, order2, exact, ker - im
-
-
 def audit(seq: LinearSequence) -> SequenceAudit:
-    """Per-position image/kernel comparison; order 2 means im ⊆ ker (checked
-    as vanishing composition), exact additionally means equal dimensions."""
+    """Per-position image/kernel comparison of an ordinary or persistent
+    sequence; order 2 means im ⊆ ker (checked as vanishing composition),
+    exact additionally means equal dimensions."""
+    if seq.level == MODULE:
+        raise ValueError("a module sequence is audited step by step by module_sequence")
     p = seq.modulus
     positions = []
     for i, term in enumerate(seq.terms):
+        in_map = seq.maps[i - 1] if i > 0 else np.zeros((term.dim, 0), dtype=np.int64)
         out_map = seq.maps[i]
-        if seq.level == MODULE:
-            dims = term.dims_per_step
-            in_map = seq.maps[i - 1] if i > 0 else GradedMap(
-                tuple(np.zeros((d, 0), dtype=np.int64) for d in dims))
-            steps = []
-            for u, d in enumerate(dims):
-                im, ker, o2, ex, defect = _audit_one(
-                    in_map.per_step[u], out_map.per_step[u], d, p)
-                steps.append(StepAudit(u, d, im, ker, o2, ex, defect))
-            positions.append(PositionAudit(
-                term.label, term.degree, term.dim,
-                sum(s.dim_image_in for s in steps),
-                sum(s.dim_kernel_out for s in steps),
-                all(s.order2 for s in steps), all(s.exact for s in steps),
-                sum(s.defect for s in steps), tuple(steps)))
-        else:
-            in_map = seq.maps[i - 1] if i > 0 else np.zeros((term.dim, 0), dtype=np.int64)
-            im, ker, o2, ex, defect = _audit_one(in_map, out_map, term.dim, p)
-            positions.append(PositionAudit(term.label, term.degree, term.dim,
-                                           im, ker, o2, ex, defect))
+        if in_map.shape[0] != term.dim or out_map.shape[1] != term.dim:
+            raise DimensionMismatchError(f"maps of shapes {in_map.shape} -> [{term.dim}] "
+                                         f"-> {out_map.shape} do not compose")
+        im = linalg.dense_rank(in_map, p)
+        ker = term.dim - linalg.dense_rank(out_map, p)
+        order2 = not linalg.mat_mul(out_map, in_map, p).any()
+        exact = order2 and im == ker
+        positions.append(PositionAudit(term.label, term.degree, term.dim,
+                                       im, ker, order2, exact, ker - im))
     return SequenceAudit(seq.level, seq.kind, tuple(positions),
                          all(pos.order2 for pos in positions),
                          all(pos.exact for pos in positions))
 
 
-def check_squares(sys: System, u: int, v: int) -> list[str]:
+def check_squares(sys: _System, u: int, v: int) -> list[str]:
     """Commutativity of every inclusion square between sublevels u <= v:
     (map at v) ∘ vertical = vertical ∘ (map at u). Returns mismatch
     descriptions; an empty list means all squares commute."""
@@ -455,8 +436,8 @@ def check_squares(sys: System, u: int, v: int) -> list[str]:
     for i, (gap, k) in enumerate(_gap_schedule(sys)):
         src_label, src_k = schedule[i]
         tgt_label, tgt_k = schedule[i + 1]
-        m_u = sys.map_at(gap, k, u)
-        m_v = sys.map_at(gap, k, v)
+        m_u = sys.horizontal(gap, k, u)
+        m_v = sys.horizontal(gap, k, v)
         vert_src = sys.vertical(src_label, src_k, u, v)
         vert_tgt = sys.vertical(tgt_label, tgt_k, u, v)
         left = linalg.mat_mul(m_v, vert_src, sys.modulus)

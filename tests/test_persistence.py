@@ -204,6 +204,18 @@ def test_truncated_max_degree_still_quotients_by_boundaries(torus_system):
     assert res.dim(2, 5) == 0  # beyond the truncation everything reads as zero
 
 
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_oracle_sees_boundaries_above_the_truncation(torus_system, max_degree):
+    # chain_boundary(max_degree + 1, v) is the real d_{k+1}, so the oracle's
+    # step-v boundaries are right at the truncation degree too
+    res = compute_persistence(torus_system.filtration, 2, max_degree=max_degree)
+    for k in range(max_degree + 1):
+        for u in range(res.n_steps):
+            for v in range(u, res.n_steps):
+                assert naive_persistent_dim(res, k, u, v) == \
+                    linalg.dense_rank(res.induced_matrix(k, u, v), 2), (k, u, v)
+
+
 def test_class_of_chain():
     from homaudit.complexes import ChainCoordinates
     res = compute_persistence(Filtration([0], [HOLLOW]), 2)

@@ -1,9 +1,12 @@
 """Sequence construction and auditing: inclusion-induced maps, connecting
 homomorphisms, the three audit levels, and the commuting-square checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from homaudit import sequences
 from homaudit.complexes import close_under_faces
 from homaudit.linalg import DimensionMismatchError
 from homaudit.morse import Filtration, filtration_from_morse
@@ -232,6 +235,55 @@ def test_audits_deterministic_across_rebuilds(torus):
         _, ma = module_sequence(sys_)
         audits.append((pa, ma))
     assert audits[0] == audits[1]
+
+
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_each_horizontal_map_is_computed_once(monkeypatch, torus, genus2, kind):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(sequences, name)
+
+        def wrapper(*args, **kwargs):
+            # results and systems by identity, degrees and steps by value
+            calls[(name,) + tuple(a if isinstance(a, int) else id(a) for a in args)] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("induced_inclusion_map", "mv_connecting", "pair_connecting", "quotient_map"):
+        monkeypatch.setattr(sequences, name, counted(name))
+    if kind == "triad":
+        filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+        sys_ = MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, 2)
+        calls_per_map = 5   # delta; alpha and beta each include from two spaces
+    else:
+        filt = filtration_from_morse(genus2.complex, genus2.function, genus2.thresholds)
+        sys_ = PairSystem(genus2.complex, genus2.A, filt, 2)
+        calls_per_map = 3
+    n = sys_.n_steps
+    for u in range(n):
+        for v in range(u, n):
+            persistent_sequence(sys_, u, v)
+            assert check_squares(sys_, u, v) == []
+        ordinary_sequence(sys_, u)
+    module_sequence(sys_)
+    assert len(calls) == calls_per_map * (sys_.top_degree + 1) * n
+    assert set(calls.values()) == {1}
+    assert not sys_.horizontal("alpha", 1, n - 1).flags.writeable
+
+
+def test_module_sequence_rejects_a_map_that_breaks_a_square(torus):
+    filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+    sys_ = MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, 2)
+    computed = sys_.map_at
+
+    def broken(gap, k, u):
+        m = computed(gap, k, u)
+        return np.zeros_like(m) if (gap, k, u) == ("alpha", 1, 4) else m
+    sys_.map_at = broken
+    assert computed("alpha", 1, 4).any()
+    with pytest.raises(ValueError, match="shift action"):
+        module_sequence(sys_)
 
 
 def test_order2_random_sample():

@@ -359,7 +359,7 @@ def _write_report(args, command: str, inputs: dict, extra: dict) -> None:
 def _prime(text: str) -> int:
     from .linalg import is_prime
     value = int(text)
-    if not is_prime(value) or value >= 2**31:
+    if value >= 2**31 or not is_prime(value):
         raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")
     return value
 

@@ -42,10 +42,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_modulus(p: int) -> int:
+    # the bound comes first: trial division of a huge p would take hours
+    if isinstance(p, (int, np.integer)) and p >= 2**31:
+        raise ValueError(f"modulus too large for exact int64 arithmetic: {p}")
     if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
         raise ValueError(f"modulus must be prime, got {p!r}")
-    if p >= 2**31:
-        raise ValueError(f"modulus too large for exact int64 arithmetic: {p}")
     return int(p)
 
 
@@ -116,6 +117,8 @@ def row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def dense_rank(a: np.ndarray, p: int) -> int:
+    if a.size == 0:
+        return 0
     return len(row_reduce(a, p)[1])
 
 
@@ -156,17 +159,37 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     return x
 
 
+def _independent_columns(a: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The pivot columns of a, and a left inverse of a[:, pivots], from one
+    reduction of [a | I].
+
+    The left block reduces exactly as a alone would (a pivot choice depends
+    only on the columns up to it), so the pivots are those of `row_reduce(a)`.
+    The right block E records the row operations, E a = rref(a), and the
+    first r rows of rref(a) are the identity on the r pivot columns.
+    """
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return (), np.zeros((0, rows), dtype=np.int64)
+    rref, pivots = row_reduce(np.concatenate((a, np.eye(rows, dtype=np.int64)), axis=1), p)
+    pivots = tuple(c for c in pivots if c < cols)
+    return pivots, rref[:len(pivots), cols:].copy()
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
 class Subspace:
     """A subspace of F_p^n spanned by an independent list of coordinate vectors.
 
-    Basis vectors are the columns of `basis`; independence is checked at
-    construction.
+    Basis vectors are the columns of `basis`, and `left` is a left inverse of
+    it (left @ basis = I), so a vector of the subspace has coordinates
+    left @ vector. The constructor proves independence and finds `left` with
+    one reduction; `image_basis`, `kernel_basis` and `direct_sum` take both
+    from reductions they have already made.
     """
 
-    __slots__ = ("ambient", "modulus", "basis")
+    __slots__ = ("ambient", "modulus", "basis", "left")
 
     def __init__(self, ambient: int, vectors, modulus: int):
         p = check_modulus(modulus)
@@ -178,23 +201,41 @@ class Subspace:
             raise DimensionMismatchError(
                 f"basis vectors must have length {ambient}, got shape {mat.shape}")
         basis = (mat % p).T  # ambient x dim
-        if dense_rank(basis, p) != basis.shape[1]:
+        pivots, left = _independent_columns(basis, p)
+        if len(pivots) != basis.shape[1]:
             raise ValueError("basis vectors are linearly dependent")
+        self._fill(basis, left, p)
+
+    @classmethod
+    def _trusted(cls, basis: np.ndarray, left: np.ndarray, p: int) -> "Subspace":
+        """A subspace from independent columns and their known left inverse."""
+        sub = cls.__new__(cls)
+        sub._fill(basis, left, p)
+        return sub
+
+    def _fill(self, basis: np.ndarray, left: np.ndarray, p: int) -> None:
         basis.setflags(write=False)
-        object.__setattr__(self, "ambient", ambient)
+        left.setflags(write=False)
+        object.__setattr__(self, "ambient", basis.shape[0])
         object.__setattr__(self, "modulus", p)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "left", left)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def from_matrix(cls, basis: np.ndarray, modulus: int) -> "Subspace":
-        return cls(basis.shape[0], basis.T, modulus)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    def direct_sum(self, other: "Subspace") -> "Subspace":
+        """self ⊕ other inside the direct sum of the ambients. The pivots of a
+        block-diagonal matrix are those of its blocks, so this is the basis
+        `image_basis` finds for the block-diagonal sum of spanning matrices."""
+        if other.modulus != self.modulus:
+            raise ValueError("mixed moduli")
+        return Subspace._trusted(block_diag(self.basis, other.basis),
+                                 block_diag(self.left, other.left), self.modulus)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F_{self.modulus}^{self.ambient})"
@@ -211,14 +252,18 @@ def rank(m: np.ndarray, p: int) -> int:
 def kernel_basis(m: np.ndarray, p: int) -> Subspace:
     """Basis of the null space; its dimension is cols - rank."""
     a, p = _as_array(m, p)
-    return Subspace.from_matrix(nullspace(a, p), p)
+    basis, free = _kernel_from_rref(*row_reduce(a, p), p)
+    left = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    left[np.arange(free.size), free] = 1  # the basis is the identity on the free rows
+    return Subspace._trusted(basis, left, p)
 
 
 def image_basis(m: np.ndarray, p: int) -> Subspace:
-    """Basis of the column space: the original columns at pivot positions."""
+    """Basis of the column space: the original columns at pivot positions,
+    with their left inverse from the same reduction."""
     a, p = _as_array(m, p)
-    _, pivots = row_reduce(a, p)
-    return Subspace.from_matrix(a[:, list(pivots)], p)
+    pivots, left = _independent_columns(a, p)
+    return Subspace._trusted(a[:, list(pivots)], left, p)
 
 
 def preimage(m: np.ndarray, v, p: int) -> Optional[np.ndarray]:
@@ -246,8 +291,13 @@ def restrict_map(m: np.ndarray, domain_sub: Subspace, codomain_sub: Subspace,
         raise ValueError("mixed moduli")
     if domain_sub.ambient != a.shape[1] or codomain_sub.ambient != a.shape[0]:
         raise DimensionMismatchError("subspace ambients do not match the matrix")
+    if domain_sub.dim == 0:
+        return np.zeros((codomain_sub.dim, 0), dtype=np.int64)
     images = mat_mul(a, domain_sub.basis, p)
-    coords = solve_matrix(codomain_sub.basis, images, p)
-    if coords is None:
+    # the codomain basis is independent, so left @ images are the only
+    # possible coordinates; they are coordinates when they rebuild the images
+    # (into a zero codomain: when the images vanish)
+    coords = mat_mul(codomain_sub.left, images, p)
+    if not np.array_equal(mat_mul(codomain_sub.basis, coords, p), images):
         raise NotInvariantError("map does not carry the domain subspace into the codomain subspace")
     return coords

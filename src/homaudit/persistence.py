@@ -148,6 +148,7 @@ class PersistenceResult:
         self._homology: dict[tuple[int, int], StepHomology] = {}
         self._maps: dict[tuple[int, int], np.ndarray] = {}  # (k, u): step u -> u+1
         self._composed: dict[tuple[int, int, int], np.ndarray] = {}
+        self._groups: dict[tuple[int, int, int], Subspace] = {}
         for u, chain in enumerate(self._chains):
             for k, hom in enumerate(_step_homology(chain, max_degree, modulus)):
                 self._homology[(k, u)] = hom
@@ -201,20 +202,34 @@ class PersistenceResult:
         return self._maps[(k, u)]
 
     def induced_matrix(self, k: int, u: int, v: int) -> np.ndarray:
-        """Matrix of the composed induced map from step u to step v (u <= v)."""
+        """Matrix of the composed induced map from step u to step v (u <= v),
+        composed once and kept read-only."""
         if not 0 <= u <= v < self.n_steps:
             raise IndexError(f"bad step pair ({u}, {v})")
-        if u == v:
-            return np.eye(self.dim(k, u), dtype=np.int64)
         key = (k, u, v)
-        if key not in self._composed:
-            m = self.induced_matrix(k, u, v - 1)
-            self._composed[key] = linalg.mat_mul(self.step_map(k, v - 1), m, self.modulus)
-        return self._composed[key]
+        m = self._composed.get(key)
+        if m is None:
+            rows, cols = self.dim(k, v), self.dim(k, u)
+            if u == v:
+                m = np.eye(cols, dtype=np.int64)
+            elif rows == 0 or cols == 0:
+                m = np.zeros((rows, cols), dtype=np.int64)
+            else:
+                m = linalg.mat_mul(self.step_map(k, v - 1), self.induced_matrix(k, u, v - 1),
+                                   self.modulus)
+            m.setflags(write=False)
+            self._composed[key] = m
+        return m
 
     def persistent_group(self, k: int, u: int, v: int) -> Subspace:
-        """Image of the composed induced map, as a subspace of step-v homology."""
-        return linalg.image_basis(self.induced_matrix(k, u, v), self.modulus)
+        """Image of the composed induced map, as a subspace of step-v homology;
+        reduced once per (k, u, v) and kept."""
+        key = (k, u, v)
+        group = self._groups.get(key)
+        if group is None:
+            group = linalg.image_basis(self.induced_matrix(k, u, v), self.modulus)
+            self._groups[key] = group
+        return group
 
     def class_of_chain(self, u: int, chain: ChainCoordinates) -> np.ndarray:
         """Homology coordinates at step u of a cycle given in chain coordinates."""
@@ -293,12 +308,13 @@ def barcode(result: PersistenceResult, k: int) -> Barcode:
     """Interval decomposition in degree k.
 
     Multiplicities come from the rank function of the composed induced maps,
-    so by construction dim H^{u,v} equals the number of intervals containing
-    [u, v]; the consistency is still asserted exhaustively in the test suite.
+    read off the cached persistent groups, so by construction dim H^{u,v}
+    equals the number of intervals containing [u, v]; the consistency is
+    still asserted exhaustively in the test suite.
     """
     n = result.n_steps
     labels = result.labels()
-    r = {(u, v): linalg.dense_rank(result.induced_matrix(k, u, v), result.modulus)
+    r = {(u, v): result.persistent_group(k, u, v).dim
          for u in range(n) for v in range(u, n)}
 
     def rk(u: int, v: int) -> int:

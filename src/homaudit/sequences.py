@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .complexes import (NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex,
                         reindex_chains, union)
-from .linalg import DimensionMismatchError, NotInvariantError
+from .linalg import DimensionMismatchError, NotInvariantError, Subspace
 from .morse import Filtration
 from .persistence import PersistenceResult, compute_persistence, relative_persistence
 
@@ -123,9 +123,10 @@ class _System:
 
     `spaces` maps each space name to its persistence result, in the order
     reports list them. A sequence term is one space or the direct sum `A⊕B`
-    of two, so its dimension adds up over the summands and its vertical
-    maps are block diagonal. `horizontal` computes each map of the sequence
-    once, through the subclass's `map_at`, and keeps it read-only.
+    of two, so its dimension adds up over the summands, its vertical maps
+    are block diagonal and its persistent groups are direct sums of the
+    summands' (cached) groups. `horizontal` computes each map of the
+    sequence once, through the subclass's `map_at`, and keeps it read-only.
     """
 
     kind: str
@@ -160,6 +161,12 @@ class _System:
     def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
         return reduce(linalg.block_diag,
                       [R.induced_matrix(k, u, v) for R in self._summands(label)])
+
+    def persistent_group(self, label: str, k: int, u: int, v: int) -> Subspace:
+        """The image of `vertical(label, k, u, v)`, as the direct sum of the
+        summands' persistent groups, which each result reduces once."""
+        return reduce(Subspace.direct_sum,
+                      [R.persistent_group(k, u, v) for R in self._summands(label)])
 
     def horizontal(self, gap: str, k: int, u: int) -> np.ndarray:
         """The map `gap` ('delta', 'alpha' or 'beta') of degree k at step u."""
@@ -347,8 +354,7 @@ def persistent_sequence(sys: _System, u: int, v: int) -> tuple[LinearSequence, S
     if not 0 <= u <= v < sys.n_steps:
         raise IndexError(f"bad step pair ({u}, {v})")
     p = sys.modulus
-    subspaces = [linalg.image_basis(sys.vertical(label, k, u, v), p)
-                 for label, k in _term_schedule(sys)]
+    subspaces = [sys.persistent_group(label, k, u, v) for label, k in _term_schedule(sys)]
     terms = [SequenceTerm(label, k, sub.dim)
              for (label, k), sub in zip(_term_schedule(sys), subspaces)]
     maps = []
@@ -409,6 +415,7 @@ def audit(seq: LinearSequence) -> SequenceAudit:
     if seq.level == MODULE:
         raise ValueError("a module sequence is audited step by step by module_sequence")
     p = seq.modulus
+    ranks = [linalg.dense_rank(m, p) for m in seq.maps]  # maps[i] leaves terms[i]
     positions = []
     for i, term in enumerate(seq.terms):
         in_map = seq.maps[i - 1] if i > 0 else np.zeros((term.dim, 0), dtype=np.int64)
@@ -416,9 +423,10 @@ def audit(seq: LinearSequence) -> SequenceAudit:
         if in_map.shape[0] != term.dim or out_map.shape[1] != term.dim:
             raise DimensionMismatchError(f"maps of shapes {in_map.shape} -> [{term.dim}] "
                                          f"-> {out_map.shape} do not compose")
-        im = linalg.dense_rank(in_map, p)
-        ker = term.dim - linalg.dense_rank(out_map, p)
-        order2 = not linalg.mat_mul(out_map, in_map, p).any()
+        im = ranks[i - 1] if i > 0 else 0
+        ker = term.dim - ranks[i]
+        # a map of rank 0 is the zero map, so the composition vanishes
+        order2 = im == 0 or ranks[i] == 0 or not linalg.mat_mul(out_map, in_map, p).any()
         exact = order2 and im == ker
         positions.append(PositionAudit(term.label, term.degree, term.dim,
                                        im, ker, order2, exact, ker - im))
@@ -438,6 +446,8 @@ def check_squares(sys: _System, u: int, v: int) -> list[str]:
         tgt_label, tgt_k = schedule[i + 1]
         m_u = sys.horizontal(gap, k, u)
         m_v = sys.horizontal(gap, k, v)
+        if m_v.shape[0] == 0 or m_u.shape[1] == 0:
+            continue  # both sides of the square are empty matrices
         vert_src = sys.vertical(src_label, src_k, u, v)
         vert_tgt = sys.vertical(tgt_label, tgt_k, u, v)
         left = linalg.mat_mul(m_v, vert_src, sys.modulus)

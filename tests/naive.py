@@ -3,15 +3,18 @@
 Everything here is deliberately written against plain Python lists, separate
 from the library's numpy elimination: textbook row reduction, exhaustive
 vector enumeration, a from-scratch persistent dimension that reduces the
-cycle-inclusion matrix directly instead of composing step maps, and the
-per-step homology basis choice written as three separate reductions.
+cycle-inclusion matrix directly instead of composing step maps, the
+per-step homology basis choice written as three separate reductions, and
+the persistent sequence built from each term's block-diagonal vertical map.
 """
 
 from itertools import product
 
 import numpy as np
 
+from homaudit import sequences
 from homaudit.complexes import boundary_matrix
+from homaudit.linalg import mat_mul, solve_matrix
 
 
 def as_rows(m):
@@ -158,3 +161,21 @@ def naive_persistent_dim(result, k, u, v):
     d_next = result.chain_boundary(k + 1, v)
     stacked = np.hstack([d_next, included])
     return naive_rank(stacked, p) - naive_rank(d_next, p)
+
+
+def naive_persistent_sequence(system, u, v):
+    """(bases, maps) of the persistent sequence between steps u <= v, the
+    direct way: each term's group is spanned by the pivot columns (textbook
+    elimination) of its whole vertical map, block diagonal for A⊕B, and each
+    arrow is the level-v map restricted by a solve in the target basis (None
+    where an image leaves the target group)."""
+    p = system.modulus
+    bases = []
+    for label, k in sequences._term_schedule(system):
+        vertical = system.vertical(label, k, u, v)
+        bases.append(vertical[:, naive_rref(as_rows(vertical), p)[1]])
+    maps = []
+    for i, (gap, k) in enumerate(sequences._gap_schedule(system)):
+        images = mat_mul(system.horizontal(gap, k, v), bases[i], p)
+        maps.append(solve_matrix(bases[i + 1], images, p))
+    return bases, maps

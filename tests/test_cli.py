@@ -1,6 +1,9 @@
 """CLI behaviour: output formats, exit codes, JSON report stability."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -54,6 +57,27 @@ def test_non_prime_field_rejected(data_dir, capsys):
         main(["betti", str(data_dir / "torus" / "complex.txt"), "--field", "4"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _run_python(code, *args):
+    """Run `python -c code args` against this checkout's src/, with a timeout:
+    a primality test by trial division of a huge modulus would run for hours."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_huge_field_rejected_before_any_primality_test(data_dir):
+    mersenne = str(2**61 - 1)  # a prime: about 7.6e8 odd trial divisors below its root
+    proc = _run_python("import sys; from homaudit.cli import main; sys.exit(main(sys.argv[1:]))",
+                       "betti", str(data_dir / "torus" / "complex.txt"), "--field", mersenne)
+    assert proc.returncode == 2 and "below 2^31" in proc.stderr
+    proc = _run_python("from homaudit.linalg import check_modulus\n"
+                       "try:\n    check_modulus(2**61 - 1)\n"
+                       "except ValueError as exc:\n    print(exc)")
+    assert proc.returncode == 0 and "too large" in proc.stdout
 
 
 def test_malformed_thresholds_exit4(data_dir, capsys):

@@ -100,6 +100,11 @@ def test_restrict_map():
     swap = np.array([[0, 1], [1, 0]])
     with pytest.raises(NotInvariantError):
         restrict_map(swap, line, line, 2)
+    zero = Subspace(2, [], 2)
+    with pytest.raises(NotInvariantError):
+        restrict_map(eye(2), line, zero, 2)  # a nonzero image has no place in 0
+    assert restrict_map(swap, zero, line, 2).shape == (1, 0)
+    assert restrict_map(zeros(2, 2), line, zero, 2).shape == (0, 1)
 
 
 def _random_matrix(rng, rows, cols, p, density=0.3):
@@ -227,3 +232,45 @@ def test_kernel_matches_textbook_elimination(system):
         assert np.array_equal(_exact_product(a, x, p), b)
         free = [c for c in range(a.shape[1]) if c not in pivots]
         assert not x[free].any()  # free variables are set to 0
+
+
+def _restriction_oracle(m, domain_sub, codomain_sub, p):
+    """Coordinates of the images in the codomain basis by a full solve, or
+    None when some image lies outside the codomain subspace."""
+    return solve_matrix(codomain_sub.basis, _exact_product(m, domain_sub.basis, p), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_systems())
+def test_stored_left_inverse_restricts_like_a_solve(system):
+    p, a, b = system
+    rows, cols = a.shape
+    img = image_basis(a, p)
+    pivots = naive_rref(as_rows(a), p)[1]
+    assert img.basis.shape == (rows, len(pivots))
+    assert img.basis.tolist() == a[:, pivots].tolist()  # the same columns as ever
+    built = Subspace(rows, img.basis.T, p)  # the checked constructor
+    ker = kernel_basis(a, p)
+    for sub in (img, built, ker, image_basis(b, p)):
+        assert sub.left.shape == (sub.dim, sub.ambient) and not sub.left.flags.writeable
+        assert np.array_equal(_exact_product(sub.left, sub.basis, p), eye(sub.dim))
+    assert np.array_equal(built.basis, img.basis)
+
+    zero_rows, full_cols = Subspace(rows, [], p), Subspace(cols, eye(cols), p)
+    cases = [(eye(rows), image_basis(b, p), img),   # raises unless im b ⊆ im a
+             (eye(rows), img, image_basis(b, p)),
+             (a, ker, zero_rows),                     # the kernel maps into 0
+             (a, full_cols, zero_rows),               # raises exactly when a ≠ 0
+             (a, full_cols, img),
+             (a, Subspace(cols, [], p), img)]         # zero-dimensional domain
+    for m, dom, cod in cases:
+        want = _restriction_oracle(m, dom, cod, p)
+        if want is None:
+            with pytest.raises(NotInvariantError):
+                restrict_map(m, dom, cod, p)
+        else:
+            got = restrict_map(m, dom, cod, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    if a.any():
+        with pytest.raises(NotInvariantError):
+            restrict_map(a, full_cols, zero_rows, p)

@@ -6,17 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from homaudit import sequences
+from homaudit import linalg, sequences
 from homaudit.complexes import close_under_faces
 from homaudit.linalg import DimensionMismatchError
 from homaudit.morse import Filtration, filtration_from_morse
-from homaudit.persistence import compute_persistence
+from homaudit.persistence import PersistenceResult, barcode, compute_persistence
 from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 NotCoveringError, PairSystem, SequenceTerm, audit,
                                 check_squares, induced_inclusion_map, module_sequence,
                                 mv_connecting, ordinary_sequence, pair_connecting,
                                 persistent_sequence)
 
+from naive import naive_persistent_sequence
 from randfix import make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -176,6 +177,20 @@ def test_audit_zero_maps():
     assert [pos.defect for pos in aud.positions] == [2, 3]
 
 
+def test_audit_sees_a_nonzero_composition():
+    # F_3 -> F_3 -> F_3 by the identity twice: not of order 2 in the middle;
+    # the zero map after it composes to zero with anything
+    terms = (SequenceTerm("A", 1, 1), SequenceTerm("X", 1, 1), SequenceTerm("X", 0, 1),
+             SequenceTerm("A", 0, 0))
+    one = np.ones((1, 1), dtype=np.int64)
+    maps = (one, one, np.zeros((0, 1), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
+    aud = audit(LinearSequence(ORDINARY, "pair", terms, maps, 3))
+    assert [pos.order2 for pos in aud.positions] == [True, False, True, True]
+    assert [(pos.dim_image_in, pos.dim_kernel_out) for pos in aud.positions] == \
+        [(0, 0), (1, 0), (1, 1), (0, 0)]
+    assert not aud.order2 and [pos.exact for pos in aud.positions] == [True, False, True, True]
+
+
 def test_audit_dimension_mismatch():
     terms = (SequenceTerm("X", 1, 2), SequenceTerm("X", 0, 3))
     maps = (np.zeros((2, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
@@ -237,6 +252,14 @@ def test_audits_deterministic_across_rebuilds(torus):
     assert audits[0] == audits[1]
 
 
+def _fresh_system(kind, torus, genus2, p=2):
+    if kind == "triad":
+        filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+        return MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, p)
+    filt = filtration_from_morse(genus2.complex, genus2.function, genus2.thresholds)
+    return PairSystem(genus2.complex, genus2.A, filt, p)
+
+
 @pytest.mark.parametrize("kind", ["triad", "pair"])
 def test_each_horizontal_map_is_computed_once(monkeypatch, torus, genus2, kind):
     calls = Counter()
@@ -252,14 +275,9 @@ def test_each_horizontal_map_is_computed_once(monkeypatch, torus, genus2, kind):
 
     for name in ("induced_inclusion_map", "mv_connecting", "pair_connecting", "quotient_map"):
         monkeypatch.setattr(sequences, name, counted(name))
-    if kind == "triad":
-        filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
-        sys_ = MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, 2)
-        calls_per_map = 5   # delta; alpha and beta each include from two spaces
-    else:
-        filt = filtration_from_morse(genus2.complex, genus2.function, genus2.thresholds)
-        sys_ = PairSystem(genus2.complex, genus2.A, filt, 2)
-        calls_per_map = 3
+    sys_ = _fresh_system(kind, torus, genus2)
+    # delta; for a triad alpha and beta each include from two spaces
+    calls_per_map = 5 if kind == "triad" else 3
     n = sys_.n_steps
     for u in range(n):
         for v in range(u, n):
@@ -270,6 +288,90 @@ def test_each_horizontal_map_is_computed_once(monkeypatch, torus, genus2, kind):
     assert len(calls) == calls_per_map * (sys_.top_degree + 1) * n
     assert set(calls.values()) == {1}
     assert not sys_.horizontal("alpha", 1, n - 1).flags.writeable
+
+
+@pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
+def test_persistent_sequence_matches_the_vertical_map_path(torus, genus2, kind, p):
+    sys_ = _fresh_system(kind, torus, genus2, p)
+    schedule = sequences._term_schedule(sys_)
+    n = sys_.n_steps
+    for u in range(n):
+        for v in range(u, n):
+            seq, _ = persistent_sequence(sys_, u, v)
+            bases, maps = naive_persistent_sequence(sys_, u, v)
+            for (label, k), term, basis in zip(schedule, seq.terms, bases, strict=True):
+                assert term.dim == basis.shape[1], (u, v, label, k)
+                group = sys_.persistent_group(label, k, u, v)
+                assert np.array_equal(group.basis, basis), (u, v, label, k)
+            for got, want in zip(seq.maps, maps):
+                assert want is not None and np.array_equal(got, want), (u, v)
+            assert seq.maps[-1].shape == (0, seq.terms[-1].dim)
+
+
+def test_each_persistent_group_is_reduced_once(monkeypatch, torus, genus2):
+    sys_ = _fresh_system("triad", torus, genus2)
+    group_of, reductions, row_reductions = PersistenceResult.persistent_group, Counter(), []
+    open_groups = []
+
+    def group(result, k, u, v):
+        open_groups.append((id(result), k, u, v))
+        try:
+            return group_of(result, k, u, v)
+        finally:
+            open_groups.pop()
+
+    def counted(original, record):
+        def wrapper(*args):
+            record()
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(PersistenceResult, "persistent_group", group)
+    monkeypatch.setattr(linalg, "image_basis", counted(
+        linalg.image_basis, lambda: reductions.update([open_groups[-1] if open_groups else None])))
+    n = sys_.n_steps
+    for u in range(n):
+        for v in range(u, n):
+            persistent_sequence(sys_, u, v)
+    assert None not in reductions, "a reduction outside a result's persistent group"
+    assert set(reductions.values()) == {1}
+    reduced = sum(reductions.values())
+    monkeypatch.setattr(linalg, "row_reduce", counted(
+        linalg.row_reduce, lambda: row_reductions.append(1)))
+    for R in sys_.spaces.values():
+        for k in range(sys_.top_degree + 1):
+            barcode(R, k)
+    assert sum(reductions.values()) == reduced and not row_reductions
+
+
+@pytest.mark.parametrize("which", ["triad", "pair"] + list(range(12)))
+def test_check_squares_sees_every_broken_square(monkeypatch, torus, genus2, which):
+    """Breaking m_v (seen through the source vertical) or m_u (seen through
+    the target vertical) must be reported, whatever the other terms' sizes;
+    the random fixtures add squares with a zero target at u or source at v."""
+    sys_ = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
+            else make_fixture(which)[1])
+    schedule, horizontal = sequences._term_schedule(sys_), sys_.horizontal
+    n, broken = sys_.n_steps, Counter()
+    for i, (gap, k) in enumerate(sequences._gap_schedule(sys_)):
+        for u in range(n):
+            for v in range(u + 1, n):
+                for step, term in ((v, i), (u, i + 1)):
+                    m, vert = horizontal(gap, k, step), sys_.vertical(*schedule[term], u, v)
+                    bad = m.copy()
+                    if step == v and m.shape[0] and vert.any():
+                        bad[0, vert.any(axis=1).argmax()] += 1  # changes m_v ∘ vert_src
+                    elif step == u and m.shape[1] and vert.any():
+                        bad[vert.any(axis=0).argmax(), 0] += 1  # changes vert_tgt ∘ m_u
+                    else:
+                        continue  # no change of m shows through vert
+                    bad %= sys_.modulus
+                    monkeypatch.setattr(sys_, "horizontal", lambda *key: (
+                        bad if key == (gap, k, step) else horizontal(*key)))
+                    failures = check_squares(sys_, u, v)
+                    assert failures == [f"{gap} square at degree {k} between steps {u} and {v}"]
+                    broken[step == v] += 1
+    assert broken[True] and broken[False]
 
 
 def test_module_sequence_rejects_a_map_that_breaks_a_square(torus):

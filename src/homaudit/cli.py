@@ -303,7 +303,7 @@ def _run_audit(args, kind: str) -> int:
         payload["u"] = str(filt.thresholds[u])
         payload["v"] = str(filt.thresholds[v])
         payload["persistent_dims"] = {
-            name: [R.persistent_group(k, u, v).dim for k in range(system.top_degree + 1)]
+            name: [len(R.persistent_group(k, u, v)) for k in range(system.top_degree + 1)]
             for name, R in system.spaces.items()}
         for name in system.spaces:
             print(f"  dim H^{{{payload['u']},{payload['v']}}}({name}) by degree: "
@@ -357,11 +357,16 @@ def _write_report(args, command: str, inputs: dict, extra: dict) -> None:
 # argument wiring
 
 def _prime(text: str) -> int:
-    from .linalg import is_prime
+    from .linalg import _small_prime
     value = int(text)
-    if value >= 2**31 or not is_prime(value):
+    if not _small_prime(value):
         raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")
     return value
+
+
+# argparse takes "-5,-1" or "-13/2", written apart, for an option of its own
+_THRESHOLDS_HELP = ("comma-separated rational threshold labels; a list with a negative "
+                    "value goes with '=': --thresholds=-5,-1")
 
 
 def _add_common(sub):
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("barcode", help="interval decomposition of the filtration")
     _add_common(p)
-    p.add_argument("--thresholds", help="comma-separated rational threshold labels")
+    p.add_argument("--thresholds", help=_THRESHOLDS_HELP)
     p.add_argument("--degree", type=int, help="restrict output to one degree")
     p.add_argument("--json", help="write a JSON report to this path")
     p.set_defaults(func=cmd_barcode)
@@ -401,10 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--subspace-a", required=True, help="membership file for A")
         if name == "mv-audit":
             p.add_argument("--subspace-b", required=True, help="membership file for B")
-        p.add_argument("--u", help="sublevel label (ordinary/persistent levels)")
-        p.add_argument("--v", help="second sublevel label (persistent level)")
+        p.add_argument("--u", help="sublevel label (ordinary/persistent levels); "
+                       "a negative fraction goes with '=': --u=-13/2")
+        p.add_argument("--v", help="second sublevel label (persistent level); "
+                       "a negative fraction goes with '=': --v=-1/2")
         p.add_argument("--level", required=True, choices=sorted(_LEVELS), help="audit level")
-        p.add_argument("--thresholds", help="comma-separated rational threshold labels")
+        p.add_argument("--thresholds", help=_THRESHOLDS_HELP)
         p.add_argument("--json", help="write a JSON report to this path")
         p.set_defaults(func=cmd_mv_audit if name == "mv-audit" else cmd_pair_audit)
     return parser

@@ -3,17 +3,18 @@
 All arithmetic is integer residue arithmetic; no floating point appears
 anywhere. The matrices in this project are boundary operators and induced
 maps of desk-scale complexes, so every matrix is a dense int64 array of
-residues, always passed together with its prime p. There is one
+residues, always passed together with its prime p. There is one dense
 elimination kernel, `row_reduce`: Gauss-Jordan with explicit mod-p
 pivoting, where each pivot clears its whole column with one array-wide
 rank-1 update. Results are deterministic: elimination always picks the
 first usable pivot (smallest row, then smallest column), so the echelon
-forms, and the homology bases chosen from them, are bit-identical to
-textbook row-by-row elimination.
+forms are bit-identical to textbook row-by-row elimination. (Filtrations
+are reduced in `persistence`, once each, on sparse columns.)
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -41,11 +42,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
+def _small_prime(n: int) -> bool:
+    """Whether n is a prime below 2^31, by trial division once per n. The
+    bound comes first: trial division of a huge n would take hours."""
+    return n < 2**31 and is_prime(n)
+
+
 def check_modulus(p: int) -> int:
-    # the bound comes first: trial division of a huge p would take hours
     if isinstance(p, (int, np.integer)) and p >= 2**31:
         raise ValueError(f"modulus too large for exact int64 arithmetic: {p}")
-    if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
+    if not isinstance(p, (int, np.integer)) or not _small_prime(int(p)):
         raise ValueError(f"modulus must be prime, got {p!r}")
     return int(p)
 
@@ -122,23 +129,16 @@ def dense_rank(a: np.ndarray, p: int) -> int:
     return len(row_reduce(a, p)[1])
 
 
-def _kernel_from_rref(rref: np.ndarray, pivots: tuple[int, ...],
-                      p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of `nullspace`, read off an already reduced matrix, and the
-    free columns; the basis is the identity on the free columns."""
-    cols = rref.shape[1]
-    is_free = np.ones(cols, dtype=bool)
-    is_free[list(pivots)] = False
-    free = is_free.nonzero()[0]
-    basis = np.zeros((cols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[list(pivots)] = (-rref[:len(pivots), free]) % p
-    return basis, free
-
-
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form the standard basis of {x : a x = 0} (free variables set to 1)."""
-    return _kernel_from_rref(*row_reduce(a, p), p)[0]
+    rref, pivots = row_reduce(a, p)
+    is_free = np.ones(rref.shape[1], dtype=bool)
+    is_free[list(pivots)] = False
+    free = is_free.nonzero()[0]
+    basis = np.zeros((rref.shape[1], free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[list(pivots)] = (-rref[:len(pivots), free]) % p
+    return basis
 
 
 def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
@@ -159,37 +159,17 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     return x
 
 
-def _independent_columns(a: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The pivot columns of a, and a left inverse of a[:, pivots], from one
-    reduction of [a | I].
-
-    The left block reduces exactly as a alone would (a pivot choice depends
-    only on the columns up to it), so the pivots are those of `row_reduce(a)`.
-    The right block E records the row operations, E a = rref(a), and the
-    first r rows of rref(a) are the identity on the r pivot columns.
-    """
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return (), np.zeros((0, rows), dtype=np.int64)
-    rref, pivots = row_reduce(np.concatenate((a, np.eye(rows, dtype=np.int64)), axis=1), p)
-    pivots = tuple(c for c in pivots if c < cols)
-    return pivots, rref[:len(pivots), cols:].copy()
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
 class Subspace:
     """A subspace of F_p^n spanned by an independent list of coordinate vectors.
 
-    Basis vectors are the columns of `basis`, and `left` is a left inverse of
-    it (left @ basis = I), so a vector of the subspace has coordinates
-    left @ vector. The constructor proves independence and finds `left` with
-    one reduction; `image_basis`, `kernel_basis` and `direct_sum` take both
-    from reductions they have already made.
+    Basis vectors are the columns of `basis`, read-only. The constructor
+    proves independence with one reduction.
     """
 
-    __slots__ = ("ambient", "modulus", "basis", "left")
+    __slots__ = ("ambient", "modulus", "basis")
 
     def __init__(self, ambient: int, vectors, modulus: int):
         p = check_modulus(modulus)
@@ -201,25 +181,12 @@ class Subspace:
             raise DimensionMismatchError(
                 f"basis vectors must have length {ambient}, got shape {mat.shape}")
         basis = (mat % p).T  # ambient x dim
-        pivots, left = _independent_columns(basis, p)
-        if len(pivots) != basis.shape[1]:
+        if dense_rank(basis, p) != basis.shape[1]:
             raise ValueError("basis vectors are linearly dependent")
-        self._fill(basis, left, p)
-
-    @classmethod
-    def _trusted(cls, basis: np.ndarray, left: np.ndarray, p: int) -> "Subspace":
-        """A subspace from independent columns and their known left inverse."""
-        sub = cls.__new__(cls)
-        sub._fill(basis, left, p)
-        return sub
-
-    def _fill(self, basis: np.ndarray, left: np.ndarray, p: int) -> None:
         basis.setflags(write=False)
-        left.setflags(write=False)
-        object.__setattr__(self, "ambient", basis.shape[0])
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "modulus", p)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "left", left)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -227,18 +194,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def direct_sum(self, other: "Subspace") -> "Subspace":
-        """self ⊕ other inside the direct sum of the ambients. The pivots of a
-        block-diagonal matrix are those of its blocks, so this is the basis
-        `image_basis` finds for the block-diagonal sum of spanning matrices."""
-        if other.modulus != self.modulus:
-            raise ValueError("mixed moduli")
-        return Subspace._trusted(block_diag(self.basis, other.basis),
-                                 block_diag(self.left, other.left), self.modulus)
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of F_{self.modulus}^{self.ambient})"
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +207,14 @@ def rank(m: np.ndarray, p: int) -> int:
 def kernel_basis(m: np.ndarray, p: int) -> Subspace:
     """Basis of the null space; its dimension is cols - rank."""
     a, p = _as_array(m, p)
-    basis, free = _kernel_from_rref(*row_reduce(a, p), p)
-    left = np.zeros((free.size, a.shape[1]), dtype=np.int64)
-    left[np.arange(free.size), free] = 1  # the basis is the identity on the free rows
-    return Subspace._trusted(basis, left, p)
+    return Subspace(a.shape[1], nullspace(a, p).T, p)
 
 
 def image_basis(m: np.ndarray, p: int) -> Subspace:
-    """Basis of the column space: the original columns at pivot positions,
-    with their left inverse from the same reduction."""
+    """Basis of the column space: the original columns at pivot positions."""
     a, p = _as_array(m, p)
-    pivots, left = _independent_columns(a, p)
-    return Subspace._trusted(a[:, list(pivots)], left, p)
+    pivots = row_reduce(a, p)[1]
+    return Subspace(a.shape[0], a[:, list(pivots)].T, p)
 
 
 def preimage(m: np.ndarray, v, p: int) -> Optional[np.ndarray]:
@@ -293,11 +244,7 @@ def restrict_map(m: np.ndarray, domain_sub: Subspace, codomain_sub: Subspace,
         raise DimensionMismatchError("subspace ambients do not match the matrix")
     if domain_sub.dim == 0:
         return np.zeros((codomain_sub.dim, 0), dtype=np.int64)
-    images = mat_mul(a, domain_sub.basis, p)
-    # the codomain basis is independent, so left @ images are the only
-    # possible coordinates; they are coordinates when they rebuild the images
-    # (into a zero codomain: when the images vanish)
-    coords = mat_mul(codomain_sub.left, images, p)
-    if not np.array_equal(mat_mul(codomain_sub.basis, coords, p), images):
+    coords = solve_matrix(codomain_sub.basis, mat_mul(a, domain_sub.basis, p), p)
+    if coords is None:
         raise NotInvariantError("map does not carry the domain subspace into the codomain subspace")
     return coords

@@ -1,13 +1,22 @@
-"""Persistent homology of a filtration.
+"""Persistent homology of a filtration, from one column reduction per space.
 
-Per-step homology bases with chosen cycle representatives, the induced maps
-between consecutive steps, persistent groups as images of composed maps,
-interval (barcode) decomposition, and the graded module with its degree-one
-shift action. Every step's chains form a quotient complex C(X_u)/C(A_u);
-absolute persistence is the case of A empty.
+The cells of a space are ordered by the step at which they enter, then by
+dimension, then by simplex, and the boundary matrix in that order is
+reduced once on sparse columns over F_p (Zomorodian-Carlsson 2005). A pivot
+pair (sigma, tau) is the bar [step of sigma, step of tau); an unpaired cycle
+cell is an essential bar. The reduced column R_tau, a cycle whose last cell
+is sigma, represents its bar at every step the bar is alive, and V_sigma an
+essential bar. These bases fit every step at once: induced maps are 0/1
+selections, the persistent group H^{u,v} is the set of bars containing
+[u, v], and the barcode is read off the pairs.
 
-All algebra happens on step indices; the rational threshold values are
-carried along as labels only.
+The pair (X, A) is reduced as X ∪ cone(A), whose reduced homology is
+H(X, A) (Cohen-Steiner-Edelsbrunner-Harer 2009). The apex is the oldest
+cell, so the elder rule never keeps a component that meets A, and its
+class, the one reduced homology drops, counts as a boundary. A relative
+result's chain coordinates are thus the cells of X_u ∪ cone(A_u); absolute
+persistence is the case of A empty, with no apex. All algebra happens on
+step indices; thresholds are carried along as labels only.
 """
 
 from __future__ import annotations
@@ -19,9 +28,8 @@ import numpy as np
 
 from . import linalg
 from .complexes import (EMPTY_COMPLEX, ChainCoordinates, NotSubcomplexError,
-                        SimplicialComplex, Simplex, intersect, is_subcomplex,
-                        reindex_chains, relative_basis, relative_boundary_matrix)
-from .linalg import Subspace, check_modulus
+                        SimplicialComplex, Simplex, is_subcomplex)
+from .linalg import check_modulus
 from .morse import Filtration
 
 
@@ -36,10 +44,10 @@ class StepHomology:
     The columns of `basis` are a basis of the cycle space: first the
     `boundaries`, which span the boundary subspace, then the
     `representatives`, cycles whose classes form the chosen basis. So any
-    cycle has unique coordinates (boundary part, class part). `free` lists
-    the chain coordinates that determine a cycle (the free columns of the
-    echelon form of d_k), so a cycle's coordinates are solved on these rows
-    alone.
+    cycle has unique coordinates (boundary part, class part). `free` lists,
+    per column, a chain coordinate where that column is the last nonzero
+    one (its low); the lows are distinct, so `basis[free]` is invertible
+    and a cycle's coordinates are solved on these rows alone.
     """
 
     modulus: int
@@ -80,108 +88,175 @@ class StepHomology:
         return out[:, 0] if single else out
 
 
-@dataclass(frozen=True)
-class _StepChains:
-    """Chain-level data of one step: ordered bases and boundary matrices per degree."""
-
-    bases: tuple[tuple[Simplex, ...], ...]
-    boundaries: tuple[np.ndarray, ...]
-
-    def basis(self, k: int) -> tuple[Simplex, ...]:
-        return self.bases[k] if 0 <= k < len(self.bases) else ()
-
-    def boundary(self, k: int) -> np.ndarray:
-        if 0 <= k < len(self.boundaries):
-            return self.boundaries[k]
-        rows = len(self.basis(k - 1))
-        return np.zeros((rows, 0), dtype=np.int64)
+def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
+    """target += c * source over F_p, dropping entries that vanish."""
+    for i, x in source.items():
+        y = (target.get(i, 0) + c * x) % p
+        if y:
+            target[i] = y
+        else:
+            target.pop(i, None)
 
 
-def _step_chains(x_step: SimplicialComplex, a_step: SimplicialComplex,
-                 max_degree: int, p: int) -> _StepChains:
-    """Chains of C(X_u)/C(A_u); the absolute case has A_u empty."""
-    # one degree beyond max_degree so top-degree homology sees its boundaries
-    degrees = range(max_degree + 2)
-    return _StepChains(tuple(relative_basis(x_step, a_step, k) for k in degrees),
-                       tuple(relative_boundary_matrix(x_step, a_step, k, p) for k in degrees))
+def _dense(columns: Sequence[dict], rows: int) -> np.ndarray:
+    """The sparse columns as a rows x len(columns) array."""
+    m = np.zeros((rows, len(columns)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        m[list(column), j] = list(column.values())
+    return m
 
 
-def _step_homology(chain: _StepChains, max_degree: int, p: int) -> list[StepHomology]:
-    """Boundary and representative bases of one step in degrees 0..max_degree.
+def _reduce(columns: Sequence[dict], p: int, cleared: set[int]) -> tuple[list, list, dict]:
+    """Left-to-right column reduction of one degree's boundary columns.
 
-    Each boundary operator d_k is row-reduced once: its kernel gives the
-    degree-k cycles, its pivot columns the degree-(k-1) boundaries.
-    Representatives are the kernel-basis cycles that stay independent after
-    the boundary columns, taken in kernel-basis order. The kernel basis is
-    the identity on the free columns of d_k, so z -> z[free] is injective on
-    cycles and sends kernel column j to e_j. With B = bounds[free], e_j is a
-    new class exactly when row j of B lies in the span of the rows below it,
-    that is, when column (len(free) - 1 - j) of B[::-1].T is not a pivot.
+    Returns the reduced columns R, the columns V with R_j = sum_i V_j[i] d_i,
+    and the pivot of every nonzero R_j as {low row: j}. Each nonzero R_j is
+    scaled so that its low entry is 1. Columns in `cleared` are lows of the
+    degree above, so they would reduce to zero; they are skipped.
     """
-    boundaries = [chain.boundary(k) for k in range(max_degree + 2)]
-    reduced = [linalg.row_reduce(d, p) for d in boundaries]
-    out = []
-    for k in range(max_degree + 1):
-        cycles, free = linalg._kernel_from_rref(*reduced[k], p)
-        bounds = boundaries[k + 1][:, list(reduced[k + 1][1])]
-        _, spanned = linalg.row_reduce(bounds[free][::-1].T, p)
-        is_new = np.ones(free.size, dtype=bool)
-        is_new[free.size - 1 - np.array(spanned, dtype=np.intp)] = False
-        out.append(StepHomology(p, np.hstack([bounds, cycles[:, is_new]]),
-                                bounds.shape[1], free))
-    return out
+    reduced: list[Optional[dict]] = [None] * len(columns)
+    sources: list[Optional[dict]] = [None] * len(columns)
+    pivot_of: dict[int, int] = {}
+    for j, column in enumerate(columns):
+        if j in cleared:
+            continue
+        r, v = dict(column), {j: 1}
+        while r:
+            low = max(r)
+            i = pivot_of.get(low)
+            if i is None:
+                inv = pow(r[low], -1, p)
+                if inv != 1:
+                    r = {row: x * inv % p for row, x in r.items()}
+                    v = {row: x * inv % p for row, x in v.items()}
+                pivot_of[low] = j
+                break
+            c = p - r[low]
+            _add_multiple(r, reduced[i], c, p)
+            _add_multiple(v, sources[i], c, p)
+        reduced[j], sources[j] = r, v
+    return reduced, sources, pivot_of
 
 
 class PersistenceResult:
-    """Homology bases, induced maps, and query operations for one filtration.
+    """Bars, bar-adapted homology bases, induced maps and query operations
+    for one filtration.
 
-    Produced by compute_persistence (absolute) or relative_persistence
-    (quotient complexes of a pair); immutable afterwards.
+    Produced by compute_persistence (absolute) or relative_persistence (the
+    pair, coned); immutable afterwards.
     """
 
-    def __init__(self, filtration: Filtration, modulus: int, max_degree: int,
-                 chains: Sequence[_StepChains]):
+    def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
+                 A: SimplicialComplex):
         self.filtration = filtration
-        self.modulus = modulus
-        self.max_degree = max_degree
-        self._chains = tuple(chains)
+        self.modulus = p = check_modulus(modulus)
+        self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
+        top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
+        entry: dict[Simplex, int] = {}
+        for u, step in enumerate(filtration.steps):
+            for s in step.simplices():
+                entry.setdefault(s, u)
+        blocks: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
+        # the cone's apex: one more than the largest vertex
+        apex = Simplex((max(filtration.complex.simplices(0))[0] + 1,)) if len(A) else None
+        for s, u in entry.items():
+            if s.dim <= top:
+                blocks[s.dim].append((u, s))
+            if apex is not None and s.dim < top and s in A:
+                blocks[s.dim + 1].append((u, Simplex(s + apex)))
+        for block in blocks:
+            block.sort()
+        if apex is not None:
+            blocks[0].insert(0, (0, apex))  # the oldest cell
+        # degree k: cells in filtration order, their entry steps, boundary columns
+        self._cells = [tuple(s for _, s in block) for block in blocks]
+        self._entry = [np.array([u for u, _ in block], dtype=np.int64) for block in blocks]
+        self._columns: list[list[dict]] = [[{} for _ in self._cells[0]]]
+        for k in range(1, top + 1):
+            row = {s: i for i, s in enumerate(self._cells[k - 1])}
+            # facet i of s (vertex i deleted, sign (-1)^i), looked up as a plain tuple
+            self._columns.append([{row[s[:i] + s[i + 1:]]: (-1) ** i % p for i in range(k + 1)}
+                                  for s in self._cells[k]])
+        self._reduce_filtration(apex is not None)
         self._homology: dict[tuple[int, int], StepHomology] = {}
-        self._maps: dict[tuple[int, int], np.ndarray] = {}  # (k, u): step u -> u+1
-        self._composed: dict[tuple[int, int, int], np.ndarray] = {}
-        self._groups: dict[tuple[int, int, int], Subspace] = {}
-        for u, chain in enumerate(self._chains):
-            for k, hom in enumerate(_step_homology(chain, max_degree, modulus)):
-                self._homology[(k, u)] = hom
-                if u == 0:
-                    continue
-                # a basis simplex keeps its coordinate downstream; in the
-                # relative case one that has entered A maps to zero
-                included, _ = reindex_chains(self._homology[(k, u - 1)].representatives,
-                                             self._chains[u - 1].basis(k), chain.basis(k))
-                self._maps[(k, u - 1)] = hom.class_of(included)
+
+    def _reduce_filtration(self, coned: bool) -> None:
+        """Reduce every degree once, top down, so each degree's pivots clear
+        the cycle columns of the degree below (Chen-Kerber 2011), and read off
+        per degree the cycle cells (each the low of exactly one cycle
+        column: R_tau when paired with tau, V_sigma when essential) with the
+        steps of their birth and death (n_steps when essential)."""
+        p, n, top = self.modulus, self.n_steps, self.max_degree + 1
+        paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
+        above: list[Optional[dict]] = []
+        self._lows, self._cycles, self._births, self._deaths = [], [], [], []
+        for k in range(top, -1, -1):
+            reduced, sources, pivot_of = _reduce(self._columns[k], p, set(paired))
+            if k < top:
+                lows, cycles, deaths = [], [], []
+                for j, r in enumerate(reduced):
+                    if r:
+                        continue  # j kills a class of degree k - 1
+                    tau = paired.get(j)
+                    lows.append(j)
+                    cycles.append(sources[j] if tau is None else above[tau])
+                    deaths.append(n if tau is None else int(self._entry[k + 1][tau]))
+                lows = np.array(lows, dtype=np.int64)
+                deaths = np.array(deaths, dtype=np.int64)
+                if coned and k == 0:
+                    deaths[0] = 0  # the apex class is a boundary from the start
+                self._lows.insert(0, lows)
+                self._cycles.insert(0, cycles)
+                self._births.insert(0, self._entry[k][lows])
+                self._deaths.insert(0, deaths)
+            paired, above = pivot_of, reduced
+        # bars: cycle cells that are not boundaries at their own step
+        self._bars = [(b[b < d], d[b < d]) for b, d in zip(self._births, self._deaths)]
+        # per degree and step: the bars alive there, as indices into the degree's bars
+        self._alive = [[np.flatnonzero((b <= u) & (d > u)) for u in range(n)]
+                       for b, d in self._bars]
 
     @property
     def n_steps(self) -> int:
-        return len(self._chains)
+        return len(self.filtration)
 
     def labels(self) -> tuple[str, ...]:
         return self.filtration.labels()
 
-    def _check_degree(self, k: int) -> None:
+    def _check(self, k: int, u: int, v: int) -> None:
         if k < 0:
             raise IndexError(f"negative degree {k}")
+        if not 0 <= u <= v < self.n_steps:
+            raise IndexError(f"bad step pair ({u}, {v})")
+
+    def _n_cells(self, k: int, u: int) -> int:
+        """Number of k-cells present at step u (a prefix of the degree's cells)."""
+        if k < 0 or k >= len(self._entry):
+            return 0
+        return int(np.searchsorted(self._entry[k], u, side="right"))
 
     def homology(self, k: int, u: int) -> StepHomology:
-        self._check_degree(k)
-        if not 0 <= u < self.n_steps:
-            raise IndexError(f"step index {u} out of range")
+        """Step u's bar-adapted basis of degree-k cycles: the cycle columns of
+        the bars dead by step u (boundaries), then those of the bars alive at
+        u (representatives); built on first use and kept."""
+        self._check(k, u, u)
         if k > self.max_degree:
             return StepHomology(self.modulus, np.zeros((0, 0), dtype=np.int64), 0,
                                 np.zeros(0, dtype=np.intp))
-        return self._homology[(k, u)]
+        hom = self._homology.get((k, u))
+        if hom is None:
+            born = self._births[k] <= u
+            dead = self._deaths[k] <= u
+            order = np.concatenate((np.flatnonzero(born & dead), np.flatnonzero(born & ~dead)))
+            basis = _dense([self._cycles[k][i] for i in order], self._n_cells(k, u))
+            hom = StepHomology(self.modulus, basis, int(np.count_nonzero(born & dead)),
+                               self._lows[k][order])
+            self._homology[(k, u)] = hom
+        return hom
 
     def dim(self, k: int, u: int) -> int:
-        return self.homology(k, u).dim
+        self._check(k, u, u)
+        return 0 if k > self.max_degree else self._alive[k][u].size
 
     def dims(self, k: int) -> tuple[int, ...]:
         return tuple(self.dim(k, u) for u in range(self.n_steps))
@@ -189,74 +264,54 @@ class PersistenceResult:
     def basis_simplices(self, k: int, u: int) -> tuple[Simplex, ...]:
         if k > self.max_degree:
             return ()
-        return self._chains[u].basis(k)
+        return self._cells[k][:self._n_cells(k, u)]
 
     def chain_boundary(self, k: int, u: int) -> np.ndarray:
-        return self._chains[u].boundary(k)
+        """The boundary matrix d_k of step u on the step's chain coordinates."""
+        columns = self._columns[k][:self._n_cells(k, u)] if k < len(self._columns) else []
+        return _dense(columns, self._n_cells(k - 1, u))
 
     def step_map(self, k: int, u: int) -> np.ndarray:
         """Matrix of the induced map from step u to step u+1."""
-        self._check_degree(k)
-        if k > self.max_degree:
-            return np.zeros((0, 0), dtype=np.int64)
-        return self._maps[(k, u)]
+        return self.induced_matrix(k, u, u + 1)
 
     def induced_matrix(self, k: int, u: int, v: int) -> np.ndarray:
-        """Matrix of the composed induced map from step u to step v (u <= v),
-        composed once and kept read-only."""
-        if not 0 <= u <= v < self.n_steps:
-            raise IndexError(f"bad step pair ({u}, {v})")
-        key = (k, u, v)
-        m = self._composed.get(key)
-        if m is None:
-            rows, cols = self.dim(k, v), self.dim(k, u)
-            if u == v:
-                m = np.eye(cols, dtype=np.int64)
-            elif rows == 0 or cols == 0:
-                m = np.zeros((rows, cols), dtype=np.int64)
-            else:
-                m = linalg.mat_mul(self.step_map(k, v - 1), self.induced_matrix(k, u, v - 1),
-                                   self.modulus)
-            m.setflags(write=False)
-            self._composed[key] = m
+        """Matrix of the induced map from step u to step v (u <= v): a bar
+        alive at both steps goes to itself, a bar dead by v goes to zero."""
+        self._check(k, u, v)
+        if k > self.max_degree:
+            return np.zeros((0, 0), dtype=np.int64)
+        births, deaths = self._bars[k]
+        at_u, at_v = self._alive[k][u], self._alive[k][v]
+        m = np.zeros((at_v.size, at_u.size), dtype=np.int64)
+        m[np.flatnonzero(births[at_v] <= u), np.flatnonzero(deaths[at_u] > v)] = 1
         return m
 
-    def persistent_group(self, k: int, u: int, v: int) -> Subspace:
-        """Image of the composed induced map, as a subspace of step-v homology;
-        reduced once per (k, u, v) and kept."""
-        key = (k, u, v)
-        group = self._groups.get(key)
-        if group is None:
-            group = linalg.image_basis(self.induced_matrix(k, u, v), self.modulus)
-            self._groups[key] = group
-        return group
+    def persistent_group(self, k: int, u: int, v: int) -> np.ndarray:
+        """H^{u,v} = im(H_k(step u) -> H_k(step v)): the positions, among the
+        bars alive at v, of the bars born by u."""
+        self._check(k, u, v)
+        if k > self.max_degree:
+            return np.zeros(0, dtype=np.intp)
+        return np.flatnonzero(self._bars[k][0][self._alive[k][v]] <= u)
 
     def class_of_chain(self, u: int, chain: ChainCoordinates) -> np.ndarray:
         """Homology coordinates at step u of a cycle given in chain coordinates."""
         return self.homology(chain.degree, u).class_of(chain.coefficients)
 
 
-def _persistence(filtration: Filtration, a_steps: Sequence[SimplicialComplex],
-                 modulus: int, max_degree: Optional[int]) -> PersistenceResult:
-    p = check_modulus(modulus)
-    if max_degree is None:
-        max_degree = max(filtration.complex.dim, 0)
-    chains = [_step_chains(step, a_step, max_degree, p)
-              for step, a_step in zip(filtration.steps, a_steps)]
-    return PersistenceResult(filtration, p, max_degree, chains)
-
-
 def compute_persistence(filtration: Filtration, modulus: int,
                         max_degree: Optional[int] = None) -> PersistenceResult:
     """Persistent homology of a filtration up to max_degree (default: dim of K),
     computed as persistence relative to the empty complex."""
-    return _persistence(filtration, [EMPTY_COMPLEX] * len(filtration), modulus, max_degree)
+    return PersistenceResult(filtration, modulus, max_degree, EMPTY_COMPLEX)
 
 
 def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
                          filtration: Filtration, modulus: int,
                          max_degree: Optional[int] = None) -> PersistenceResult:
-    """Persistence of the quotient complexes C(X_u)/C(A_u).
+    """Persistence of the pairs (X_u, A_u), as the reduced homology of
+    X_u ∪ cone(A_u).
 
     The filtration filters X; each step is paired with its intersection with A.
     """
@@ -264,8 +319,7 @@ def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
         raise ValueError("filtration does not filter X")
     if not is_subcomplex(A, X):
         raise NotSubcomplexError("A is not a subcomplex of X")
-    return _persistence(filtration, [intersect(step, A) for step in filtration.steps],
-                        modulus, max_degree)
+    return PersistenceResult(filtration, modulus, max_degree, A)
 
 
 # ---------------------------------------------------------------------------
@@ -305,33 +359,16 @@ class Barcode:
 
 
 def barcode(result: PersistenceResult, k: int) -> Barcode:
-    """Interval decomposition in degree k.
-
-    Multiplicities come from the rank function of the composed induced maps,
-    read off the cached persistent groups, so by construction dim H^{u,v}
-    equals the number of intervals containing [u, v]; the consistency is
-    still asserted exhaustively in the test suite.
-    """
+    """Interval decomposition in degree k, read off the reduction's pairs:
+    the bars sorted by birth, then death (essential bars last)."""
     n = result.n_steps
     labels = result.labels()
-    r = {(u, v): result.persistent_group(k, u, v).dim
-         for u in range(n) for v in range(u, n)}
-
-    def rk(u: int, v: int) -> int:
-        return 0 if u < 0 else r[(u, v)]
-
-    bars = []
-    for b in range(n):
-        for d in range(b + 1, n):
-            mult = (rk(b, d - 1) - rk(b, d)) - (rk(b - 1, d - 1) - rk(b - 1, d))
-            if mult < 0:
-                raise AssertionError("negative interval multiplicity; rank function corrupt")
-            bars.extend(Interval(b, d, labels[b], labels[d]) for _ in range(mult))
-        mult = rk(b, n - 1) - rk(b - 1, n - 1)
-        if mult < 0:
-            raise AssertionError("negative interval multiplicity; rank function corrupt")
-        bars.extend(Interval(b, None, labels[b], None) for _ in range(mult))
-    bars.sort(key=lambda iv: (iv.birth, n + 1 if iv.death is None else iv.death))
+    if k > result.max_degree:
+        return Barcode(k, ())
+    births, deaths = result._bars[k]
+    bars = [Interval(int(b), None if d == n else int(d), labels[b],
+                     None if d == n else labels[d])
+            for b, d in sorted(zip(births.tolist(), deaths.tolist()))]
     return Barcode(k, tuple(bars))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .complexes import (NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex,
                         reindex_chains, union)
-from .linalg import DimensionMismatchError, NotInvariantError, Subspace
+from .linalg import DimensionMismatchError
 from .morse import Filtration
 from .persistence import PersistenceResult, compute_persistence, relative_persistence
 
@@ -124,8 +124,8 @@ class _System:
     `spaces` maps each space name to its persistence result, in the order
     reports list them. A sequence term is one space or the direct sum `A⊕B`
     of two, so its dimension adds up over the summands, its vertical maps
-    are block diagonal and its persistent groups are direct sums of the
-    summands' (cached) groups. `horizontal` computes each map of the
+    are block diagonal and its persistent groups are the summands' bar
+    selections side by side. `horizontal` computes each map of the
     sequence once, through the subclass's `map_at`, and keeps it read-only.
     """
 
@@ -162,11 +162,15 @@ class _System:
         return reduce(linalg.block_diag,
                       [R.induced_matrix(k, u, v) for R in self._summands(label)])
 
-    def persistent_group(self, label: str, k: int, u: int, v: int) -> Subspace:
-        """The image of `vertical(label, k, u, v)`, as the direct sum of the
-        summands' persistent groups, which each result reduces once."""
-        return reduce(Subspace.direct_sum,
-                      [R.persistent_group(k, u, v) for R in self._summands(label)])
+    def persistent_group(self, label: str, k: int, u: int, v: int) -> np.ndarray:
+        """The image of `vertical(label, k, u, v)`: the positions, among the
+        term's coordinates at step v, of its summands' bars that contain
+        [u, v]."""
+        groups, offset = [], 0
+        for R in self._summands(label):
+            groups.append(R.persistent_group(k, u, v) + offset)
+            offset += R.dim(k, v)
+        return np.concatenate(groups)
 
     def horizontal(self, gap: str, k: int, u: int) -> np.ndarray:
         """The map `gap` ('delta', 'alpha' or 'beta') of degree k at step u."""
@@ -292,12 +296,13 @@ def mv_connecting(sys: MayerVietorisSystem, k: int, u: int,
 
 
 def pair_connecting(sys: PairSystem, k: int, u: int) -> np.ndarray:
-    """Connecting map H_{k+1}(X_u, A_u) -> H_k(A_u): lift each relative class
-    to a chain of X_u and take the class of its boundary, which lands in A_u."""
+    """Connecting map H_{k+1}(X_u, A_u) -> H_k(A_u): a relative class is a
+    cycle of X_u ∪ cone(A_u); its part on the cells of X_u has its boundary
+    in A_u, and the class of that boundary is the image."""
     p = sys.modulus
     rel_reps = sys.RXA.homology(k + 1, u).representatives
-    lifted = _restrict_coords(rel_reps, sys.RXA.basis_simplices(k + 1, u),
-                              sys.RX.basis_simplices(k + 1, u), "relative lift")
+    lifted, _ = reindex_chains(rel_reps, sys.RXA.basis_simplices(k + 1, u),
+                               sys.RX.basis_simplices(k + 1, u))  # drops the cone cells
     boundary = linalg.mat_mul(sys.RX.chain_boundary(k + 1, u), lifted, p)
     a_chains = _restrict_coords(boundary, sys.RX.basis_simplices(k, u),
                                 sys.RA.basis_simplices(k, u),
@@ -306,12 +311,13 @@ def pair_connecting(sys: PairSystem, k: int, u: int) -> np.ndarray:
 
 
 def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
-    """Matrix of H_k(X_u) -> H_k(X_u, A_u): project representative chains onto
-    the relative basis and reduce modulo relative boundaries."""
-    projected, _ = reindex_chains(sys.RX.homology(k, u).representatives,
-                                  sys.RX.basis_simplices(k, u),
-                                  sys.RXA.basis_simplices(k, u))
-    return sys.RXA.homology(k, u).class_of(projected)
+    """Matrix of H_k(X_u) -> H_k(X_u, A_u): the map induced by the inclusion
+    of X_u into X_u ∪ cone(A_u), whose cells are the relative chain
+    coordinates."""
+    included, _ = reindex_chains(sys.RX.homology(k, u).representatives,
+                                 sys.RX.basis_simplices(k, u),
+                                 sys.RXA.basis_simplices(k, u))
+    return sys.RXA.homology(k, u).class_of(included)
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +354,27 @@ def ordinary_sequence(sys: _System, u: int) -> tuple[LinearSequence, SequenceAud
 def persistent_sequence(sys: _System, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
     """The sequence of persistent groups between sublevels u <= v.
 
-    Spaces are images of the vertical maps; arrows are the level-v maps
-    restricted to those images. Order 2 must always hold; exactness may fail.
+    Spaces are images of the vertical maps, which in bar-adapted bases are
+    selections of coordinates at v; arrows are the level-v maps restricted to
+    those selections, which must send every selected column into the
+    selected rows. Order 2 must always hold; exactness may fail.
     """
     if not 0 <= u <= v < sys.n_steps:
         raise IndexError(f"bad step pair ({u}, {v})")
-    p = sys.modulus
-    subspaces = [sys.persistent_group(label, k, u, v) for label, k in _term_schedule(sys)]
-    terms = [SequenceTerm(label, k, sub.dim)
-             for (label, k), sub in zip(_term_schedule(sys), subspaces)]
+    groups = [sys.persistent_group(label, k, u, v) for label, k in _term_schedule(sys)]
+    terms = [SequenceTerm(label, k, len(group))
+             for (label, k), group in zip(_term_schedule(sys), groups)]
     maps = []
     for i, (gap, k) in enumerate(_gap_schedule(sys)):
-        level_v = sys.horizontal(gap, k, v)
-        try:
-            restricted = linalg.restrict_map(level_v, subspaces[i], subspaces[i + 1], p)
-        except NotInvariantError as exc:
+        columns = sys.horizontal(gap, k, v)[:, groups[i]]
+        restricted = columns[groups[i + 1]]
+        if np.count_nonzero(restricted) != np.count_nonzero(columns):
             raise RestrictionLeakError(
                 f"{gap} at degree {k} left the target persistent group; "
-                "the inclusion squares cannot commute") from exc
+                "the inclusion squares cannot commute")
         maps.append(restricted)
     maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
-    seq = LinearSequence(PERSISTENT, sys.kind, tuple(terms), tuple(maps), p, u=u, v=v)
+    seq = LinearSequence(PERSISTENT, sys.kind, tuple(terms), tuple(maps), sys.modulus, u=u, v=v)
     return seq, audit(seq)
 
 

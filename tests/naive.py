@@ -1,20 +1,32 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here is deliberately written against plain Python lists, separate
-from the library's numpy elimination: textbook row reduction, exhaustive
-vector enumeration, a from-scratch persistent dimension that reduces the
-cycle-inclusion matrix directly instead of composing step maps, the
-per-step homology basis choice written as three separate reductions, and
-the persistent sequence built from each term's block-diagonal vertical map.
+Everything here is deliberately written apart from the library's
+bar-selection path: textbook row reduction on plain Python lists,
+exhaustive vector enumeration, a from-scratch persistent dimension that
+reduces the cycle-inclusion matrix directly instead of composing step maps,
+the per-step homology basis choice written as three separate reductions,
+the persistent sequence built from each term's block-diagonal vertical map,
+and `DensePersistence`, the dense per-step path that the bar-selection
+path replaced (one basis per step, composed step maps, persistent groups as
+images, the barcode by inclusion-exclusion over their ranks), with
+`assert_matches_oracle` comparing the two on every basis-free invariant.
 """
 
+import copy
+from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from homaudit import sequences
-from homaudit.complexes import boundary_matrix
-from homaudit.linalg import mat_mul, solve_matrix
+from homaudit import linalg, sequences
+from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, intersect,
+                                reindex_chains, relative_basis, relative_boundary_matrix)
+from homaudit.linalg import dense_rank, mat_mul, solve_matrix
+from homaudit.persistence import PersistenceResult, StepHomology, barcode
+from homaudit.sequences import (PERSISTENT, LinearSequence, MayerVietorisSystem,
+                                SequenceTerm, audit, module_sequence, ordinary_sequence,
+                                persistent_sequence)
 
 
 def as_rows(m):
@@ -179,3 +191,231 @@ def naive_persistent_sequence(system, u, v):
         images = mat_mul(system.horizontal(gap, k, v), bases[i], p)
         maps.append(solve_matrix(bases[i + 1], images, p))
     return bases, maps
+
+
+# ---------------------------------------------------------------------------
+# the dense per-step path
+
+@dataclass(frozen=True)
+class _StepChains:
+    """Chain-level data of one step: ordered bases and boundary matrices per degree."""
+
+    bases: tuple[tuple[Simplex, ...], ...]
+    boundaries: tuple[np.ndarray, ...]
+
+    def basis(self, k):
+        return self.bases[k] if 0 <= k < len(self.bases) else ()
+
+    def boundary(self, k):
+        if 0 <= k < len(self.boundaries):
+            return self.boundaries[k]
+        return np.zeros((len(self.basis(k - 1)), 0), dtype=np.int64)
+
+
+def _step_chains(x_step, a_step, max_degree, p):
+    """Chains of the quotient complex C(X_u)/C(A_u), one degree beyond max_degree."""
+    degrees = range(max_degree + 2)
+    return _StepChains(tuple(relative_basis(x_step, a_step, k) for k in degrees),
+                       tuple(relative_boundary_matrix(x_step, a_step, k, p) for k in degrees))
+
+
+def _kernel_from_rref(rref, pivots, p):
+    """The all-free-variables kernel basis of a reduced matrix, and its free
+    columns; the basis is the identity on the free columns."""
+    cols = rref.shape[1]
+    free = np.array([c for c in range(cols) if c not in pivots], dtype=np.intp)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[list(pivots)] = (-rref[:len(pivots), free]) % p
+    return basis, free
+
+
+def _step_homology(chain, max_degree, p):
+    """Boundary and representative bases of one step in degrees 0..max_degree.
+
+    Each d_k is reduced once: its kernel gives the degree-k cycles, its pivot
+    columns the degree-(k-1) boundaries. Representatives are the kernel
+    cycles that stay independent after the boundary columns, in kernel
+    order: kernel column j is new exactly when row j of B = bounds[free] is
+    in the span of the rows below it, that is, when column
+    (len(free) - 1 - j) of B[::-1].T is not a pivot.
+    """
+    boundaries = [chain.boundary(k) for k in range(max_degree + 2)]
+    reduced = [linalg.row_reduce(d, p) for d in boundaries]
+    out = []
+    for k in range(max_degree + 1):
+        cycles, free = _kernel_from_rref(*reduced[k], p)
+        bounds = boundaries[k + 1][:, list(reduced[k + 1][1])]
+        _, spanned = linalg.row_reduce(bounds[free][::-1].T, p)
+        is_new = np.ones(free.size, dtype=bool)
+        is_new[free.size - 1 - np.array(spanned, dtype=np.intp)] = False
+        out.append(StepHomology(p, np.hstack([bounds, cycles[:, is_new]]),
+                                bounds.shape[1], free))
+    return out
+
+
+class DensePersistence:
+    """Persistence the dense per-step way, with the query interface of
+    `PersistenceResult` that the sequences module reads. Each step's chains
+    are the quotient C(X_u)/C(A_u); step maps are solved from included
+    representatives, longer maps are their products, and a persistent group
+    is the image of such a product, given by a basis of its columns."""
+
+    def __init__(self, filtration, modulus, max_degree, A=None):
+        self.filtration, self.modulus, self.max_degree = filtration, modulus, max_degree
+        a_steps = [EMPTY_COMPLEX if A is None else intersect(step, A)
+                   for step in filtration.steps]
+        self._chains = [_step_chains(step, a_step, max_degree, modulus)
+                        for step, a_step in zip(filtration.steps, a_steps)]
+        self._homology, self._maps, self._composed, self._groups = {}, {}, {}, {}
+        for u, chain in enumerate(self._chains):
+            for k, hom in enumerate(_step_homology(chain, max_degree, modulus)):
+                self._homology[(k, u)] = hom
+                if u:
+                    included, _ = reindex_chains(self._homology[(k, u - 1)].representatives,
+                                                 self._chains[u - 1].basis(k), chain.basis(k))
+                    self._maps[(k, u - 1)] = hom.class_of(included)
+
+    @property
+    def n_steps(self):
+        return len(self._chains)
+
+    def labels(self):
+        return self.filtration.labels()
+
+    def homology(self, k, u):
+        if k > self.max_degree:
+            return StepHomology(self.modulus, np.zeros((0, 0), dtype=np.int64), 0,
+                                np.zeros(0, dtype=np.intp))
+        return self._homology[(k, u)]
+
+    def dim(self, k, u):
+        return self.homology(k, u).dim
+
+    def dims(self, k):
+        return tuple(self.dim(k, u) for u in range(self.n_steps))
+
+    def basis_simplices(self, k, u):
+        return () if k > self.max_degree else self._chains[u].basis(k)
+
+    def chain_boundary(self, k, u):
+        return self._chains[u].boundary(k)
+
+    def step_map(self, k, u):
+        return np.zeros((0, 0), dtype=np.int64) if k > self.max_degree else self._maps[(k, u)]
+
+    def induced_matrix(self, k, u, v):
+        key = (k, u, v)
+        if key not in self._composed:
+            if u == v:
+                m = np.eye(self.dim(k, u), dtype=np.int64)
+            else:
+                m = mat_mul(self.step_map(k, v - 1), self.induced_matrix(k, u, v - 1),
+                            self.modulus)
+            self._composed[key] = m
+        return self._composed[key]
+
+    def persistent_group(self, k, u, v):
+        """A basis of the image of the induced map: its pivot columns."""
+        key = (k, u, v)
+        if key not in self._groups:
+            m = self.induced_matrix(k, u, v)
+            pivots = linalg.row_reduce(m, self.modulus)[1] if m.size else ()
+            self._groups[key] = m[:, list(pivots)]
+        return self._groups[key]
+
+
+def dense_bars(result, k):
+    """(birth, death) of every bar in degree k, death None for essential
+    bars, by inclusion-exclusion over the ranks of the persistent groups."""
+    n = result.n_steps
+
+    def rk(u, v):
+        return 0 if u < 0 else result.persistent_group(k, u, v).shape[1]
+
+    bars = []
+    for b in range(n):
+        for d in range(b + 1, n):
+            mult = (rk(b, d - 1) - rk(b, d)) - (rk(b - 1, d - 1) - rk(b - 1, d))
+            assert mult >= 0, "negative interval multiplicity"
+            bars += [(b, d)] * mult
+        mult = rk(b, n - 1) - rk(b - 1, n - 1)
+        assert mult >= 0, "negative interval multiplicity"
+        bars += [(b, None)] * mult
+    return bars
+
+
+def dense_twin(system):
+    """A copy of a system whose spaces are recomputed by the dense path, with
+    no horizontal map computed yet; the sequences module runs on it as on
+    the original."""
+    twin = copy.copy(system)
+    twin._maps = {}
+    filt, p, top = system.filtration, system.modulus, system.top_degree
+    dense = {"RX": DensePersistence(filt, p, top),
+             "RA": DensePersistence(filt.restrict_to(system.A), p, top)}
+    if isinstance(system, MayerVietorisSystem):
+        dense["RB"] = DensePersistence(filt.restrict_to(system.B), p, top)
+        dense["RAB"] = DensePersistence(filt.restrict_to(intersect(system.A, system.B)), p, top)
+    else:
+        dense["RXA"] = DensePersistence(filt, p, top, system.A)
+    for attr, result in dense.items():
+        setattr(twin, attr, result)
+    twin.spaces = {name: next(d for attr, d in dense.items() if getattr(system, attr) is R)
+                   for name, R in system.spaces.items()}
+    return twin
+
+
+def dense_persistent_audit(twin, u, v):
+    """The persistent audit the dense way: each term's group is the direct sum
+    of its summands' images, each arrow the level-v map restricted by a solve
+    in the target basis."""
+    p = twin.modulus
+    schedule = sequences._term_schedule(twin)
+    groups = [reduce(linalg.block_diag, [R.persistent_group(k, u, v)
+                                         for R in twin._summands(label)])
+              for label, k in schedule]
+    terms = [SequenceTerm(label, k, g.shape[1]) for (label, k), g in zip(schedule, groups)]
+    maps = []
+    for i, (gap, k) in enumerate(sequences._gap_schedule(twin)):
+        images = mat_mul(twin.horizontal(gap, k, v), groups[i], p)
+        maps.append(solve_matrix(groups[i + 1], images, p) if images.size else
+                    np.zeros((groups[i + 1].shape[1], images.shape[1]), dtype=np.int64))
+        assert maps[-1] is not None, f"{gap} at degree {k} leaves the persistent group"
+    maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
+    return audit(LinearSequence(PERSISTENT, twin.kind, tuple(terms), tuple(maps), p, u=u, v=v))
+
+
+def _assert_result_matches(result, dense, what):
+    """Dims, induced-map ranks, group sizes and bars of one result."""
+    p = result.modulus
+    for k in range(result.max_degree + 1):
+        assert result.dims(k) == dense.dims(k), (what, k)
+        for u in range(result.n_steps):
+            for v in range(u, result.n_steps):
+                rank = dense.persistent_group(k, u, v).shape[1]
+                assert dense_rank(result.induced_matrix(k, u, v), p) == rank, (what, k, u, v)
+                assert len(result.persistent_group(k, u, v)) == rank, (what, k, u, v)
+        assert [(iv.birth, iv.death) for iv in barcode(result, k)] == dense_bars(dense, k), \
+            (what, k)
+
+
+def assert_matches_oracle(subject, A=None):
+    """Compare a result (relative to A, when given) or a system with the
+    dense per-step path on every basis-free invariant: every dim, the rank
+    of every induced map, every bar, and for a system every audit row of the
+    ordinary (every u), persistent (every u <= v) and module levels."""
+    if isinstance(subject, PersistenceResult):
+        dense = DensePersistence(subject.filtration, subject.modulus, subject.max_degree, A)
+        _assert_result_matches(subject, dense, "result")
+        return
+    twin = dense_twin(subject)
+    for name, result in subject.spaces.items():
+        _assert_result_matches(result, twin.spaces[name], name)
+    n = subject.n_steps
+    for u in range(n):
+        assert ordinary_sequence(subject, u)[1] == ordinary_sequence(twin, u)[1], u
+        for v in range(u, n):
+            assert persistent_sequence(subject, u, v)[1] == dense_persistent_audit(twin, u, v), \
+                (u, v)
+    assert module_sequence(subject)[1] == module_sequence(twin)[1]

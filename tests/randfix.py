@@ -82,13 +82,14 @@ def random_subcomplex(K: SimplicialComplex, rng: random.Random) -> SimplicialCom
     return sub
 
 
-def make_fixture(index: int):
-    """One deterministic fixture: (kind, system, morse function)."""
+def make_fixture(index: int, p=None):
+    """One deterministic fixture: (kind, system, morse function), over its
+    own prime unless p is given."""
     rng = random.Random(10_000 + index)
     K = random_complex(rng, max_simplices=(14, 18, 21, 25)[index % 4])
     f = random_morse(K, rng)
     filt = filtration_from_morse(K, f)
-    p = _PRIMES[index % len(_PRIMES)]
+    p = p or _PRIMES[index % len(_PRIMES)]
     if index % 2 == 0:
         A, B = random_triad(K, rng)
         return "triad", MayerVietorisSystem(K, A, B, filt, p), f

@@ -401,3 +401,20 @@ def test_barcode_never_raises_on_any_complex_file(capsys, text):
         path.write_text(text, encoding="utf-8")
         assert main(["barcode", str(path)]) in (0, 2, 4)
     capsys.readouterr()
+
+
+def test_negative_labels_in_the_equals_form(tmp_path, capsys):
+    # a hollow triangle from -5 on, filled at -1; negative fractions and
+    # lists are attached with '=', negative integers also work apart
+    complex_path = write(tmp_path, "x.txt", "0 : -13/2\n1 : -6\n2 : -6\n0 1 : -6\n"
+                                            "1 2 : -5\n0 2 : -5\n0 1 2 : -1\n")
+    code, out, _ = run(capsys, "barcode", complex_path, "--thresholds=-13/2,-5,-1")
+    assert code == 0
+    assert out == "degree 0: [-13/2, inf)\ndegree 1: [-5, -1)\ndegree 2:\n"
+    a_path = write(tmp_path, "a.txt", "0\n")
+    code, out, _ = run(capsys, "pair-audit", complex_path, "--subspace-a", a_path,
+                       "--level", "persistent", "--u=-13/2", "--v", "-5",
+                       "--thresholds=-13/2,-5,-1")
+    assert code == 0
+    assert "dim H^{-13/2,-5}(X) by degree: [1, 0, 0]" in out
+    assert "dim H^{-13/2,-5}((X,A)) by degree: [0, 0, 0]" in out

@@ -27,18 +27,18 @@ def test_torus_homology_tables(torus_system):
     assert torus_system.RX.dims(1) == (0, 1, 2, 2, 2, 2)
     assert torus_system.RX.dims(2) == (0, 0, 0, 0, 0, 1)
     u, v = 4, 5
-    assert torus_system.RAB.persistent_group(1, u, v).dim == 2
-    assert torus_system.RA.persistent_group(1, u, v).dim == 1
-    assert torus_system.RB.persistent_group(1, u, v).dim == 1
-    assert torus_system.RX.persistent_group(2, u, v).dim == 0
+    assert len(torus_system.RAB.persistent_group(1, u, v)) == 2
+    assert len(torus_system.RA.persistent_group(1, u, v)) == 1
+    assert len(torus_system.RB.persistent_group(1, u, v)) == 1
+    assert len(torus_system.RX.persistent_group(2, u, v)) == 0
 
 
 def test_torus_tables_hold_over_f3(torus_system_f3):
     s = torus_system_f3
     assert s.RB.dims(1) == (0, 0, 1, 1, 2, 1)
-    assert s.RAB.persistent_group(1, 4, 5).dim == 2
-    assert s.RA.persistent_group(1, 4, 5).dim == 1
-    assert s.RB.persistent_group(1, 4, 5).dim == 1
+    assert len(s.RAB.persistent_group(1, 4, 5)) == 2
+    assert len(s.RA.persistent_group(1, 4, 5)) == 1
+    assert len(s.RB.persistent_group(1, 4, 5)) == 1
 
 
 def test_torus_barcodes(torus_system):
@@ -69,10 +69,10 @@ def test_genus2_homology_tables(genus2_system):
     assert genus2_system.RXA.dim(1, u) == 4 and genus2_system.RXA.dim(1, v) == 4
     assert genus2_system.RXA.dim(2, u) == 0
     # persistent groups between the levels
-    assert genus2_system.RXA.persistent_group(2, u, v).dim == 0
-    assert genus2_system.RA.persistent_group(1, u, v).dim == 1
-    assert genus2_system.RX.persistent_group(1, u, v).dim == 4
-    assert genus2_system.RXA.persistent_group(1, u, v).dim == 4
+    assert len(genus2_system.RXA.persistent_group(2, u, v)) == 0
+    assert len(genus2_system.RA.persistent_group(1, u, v)) == 1
+    assert len(genus2_system.RX.persistent_group(1, u, v)) == 4
+    assert len(genus2_system.RXA.persistent_group(1, u, v)) == 4
 
 
 def test_genus2_circle_class_dies(genus2_system):

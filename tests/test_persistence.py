@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from homaudit import linalg
-from homaudit.complexes import (EMPTY_COMPLEX, boundary_matrix, close_under_faces,
-                                intersect, relative_basis, relative_boundary_matrix)
+from homaudit.complexes import (EMPTY_COMPLEX, close_under_faces, intersect, relative_basis,
+                                relative_boundary_matrix)
 from homaudit.linalg import mat_mul
-from homaudit.morse import Filtration, filtration_from_morse
-from homaudit.persistence import (GradedModule, NotACycleError, barcode, compute_persistence,
-                                  direct_sum, graded_module, relative_persistence)
+from homaudit.morse import Filtration, filtration_from_morse, sublevel_filtration
+from homaudit.persistence import (GradedModule, NotACycleError, PersistenceResult, barcode,
+                                  compute_persistence, direct_sum, graded_module,
+                                  relative_persistence)
 
-from naive import naive_class_of, naive_homology_basis, naive_persistent_dim
+from naive import (DensePersistence, naive_class_of, naive_homology_basis,
+                   naive_persistent_dim)
 from randfix import make_fixture, random_complex, random_morse
 
 POINT = close_under_faces([(0,)])
@@ -41,7 +43,7 @@ def test_persistent_group_equal_indices_is_full_homology(torus_system):
     for R in (torus_system.RX, torus_system.RA, torus_system.RB, torus_system.RAB):
         for k in range(3):
             for u in range(R.n_steps):
-                assert R.persistent_group(k, u, u).dim == R.dim(k, u)
+                assert len(R.persistent_group(k, u, u)) == R.dim(k, u)
 
 
 def test_step_homology_dims_are_betti_numbers(torus_system):
@@ -86,7 +88,7 @@ def test_barcode_birth_and_fill():
     assert [(iv.birth, iv.death) for iv in bars] == [(1, 3)]
     for u in range(4):
         for v in range(u, 4):
-            assert res.persistent_group(1, u, v).dim == bars.count_containing(u, v)
+            assert len(res.persistent_group(1, u, v)) == bars.count_containing(u, v)
 
 
 def test_barcode_consistency_fixtures(torus_system, genus2_system):
@@ -97,7 +99,7 @@ def test_barcode_consistency_fixtures(torus_system, genus2_system):
             bars = barcode(R, k)
             for u in range(R.n_steps):
                 for v in range(u, R.n_steps):
-                    assert R.persistent_group(k, u, v).dim == bars.count_containing(u, v)
+                    assert len(R.persistent_group(k, u, v)) == bars.count_containing(u, v)
 
 
 def test_persistent_dims_against_bruteforce_oracle():
@@ -109,7 +111,7 @@ def test_persistent_dims_against_bruteforce_oracle():
         for k in range(res.max_degree + 1):
             for u in range(res.n_steps):
                 for v in range(u, res.n_steps):
-                    assert res.persistent_group(k, u, v).dim == \
+                    assert len(res.persistent_group(k, u, v)) == \
                         naive_persistent_dim(res, k, u, v)
 
 
@@ -284,54 +286,95 @@ def _assert_bases_match_three_reductions(R, A, rng=None):
             prev = (reps, basis)
 
 
+def _dense_results(system):
+    """The dense per-step oracle of each result of a system, with its A."""
+    return [(DensePersistence(R.filtration, R.modulus, R.max_degree, A), A)
+            for R, A in _results_with_subcomplex(system)]
+
+
 def test_bases_and_step_maps_match_three_reduction_choice_on_fixtures(torus_system,
                                                                         torus_system_f3,
                                                                         genus2_system):
+    # the dense oracle's bases, step maps and class coordinates
     rng = random.Random(5)
     for system in (torus_system, torus_system_f3, genus2_system):
-        for R, A in _results_with_subcomplex(system):
+        for R, A in _dense_results(system):
             _assert_bases_match_three_reductions(R, A, rng)
 
 
 def test_bases_and_step_maps_match_three_reduction_choice_on_random_systems():
     for index in range(40):
         _, system, _ = make_fixture(index)
-        for R, A in _results_with_subcomplex(system):
+        for R, A in _dense_results(system):
             _assert_bases_match_three_reductions(R, A)
 
 
-def test_each_boundary_matrix_is_reduced_once_per_step(torus, monkeypatch):
-    # reductions outside the step-map solves: every boundary matrix d_0 .. d_{top+1}
-    # of every step once (empty ones return at once), plus one representative
-    # selection per (degree, step)
-    real_reduce, real_solve = linalg.row_reduce, linalg.solve_matrix
-    reduced, solving = [], [False]
+def _assert_representatives_follow_their_bars(R):
+    """A bar's representative is one chain for the bar's whole life: a cycle
+    whose class is the bar's unit vector at every step the bar is alive, and
+    zero at the step where it dies. Following the representatives of the
+    bars born at each step gives back the barcode."""
+    p, n = R.modulus, R.n_steps
+    for k in range(R.max_degree + 1):
+        lives = []
+        for u in range(n):
+            hom = R.homology(k, u)
+            reps = hom.representatives
+            assert not mat_mul(R.chain_boundary(k, u), reps, p).any()
+            assert np.array_equal(hom.class_of(reps), np.eye(hom.dim, dtype=np.int64))
+            born = np.ones(hom.dim, dtype=bool) if u == 0 else ~R.step_map(k, u - 1).any(axis=1)
+            for j in np.flatnonzero(born):
+                death = None
+                for w in range(u + 1, n):
+                    chain = np.zeros(len(R.basis_simplices(k, w)), dtype=np.int64)
+                    chain[:reps.shape[0]] = reps[:, j]  # a step's chains extend the earlier ones
+                    coords = R.homology(k, w).class_of(chain)
+                    assert np.array_equal(coords, R.induced_matrix(k, u, w)[:, j])
+                    if not coords.any():
+                        death = w
+                        break
+                    assert sorted(coords.tolist()) == [0] * (coords.size - 1) + [1]
+                    assert np.array_equal(R.homology(k, w).representatives[:, coords.argmax()],
+                                          chain)
+                lives.append((u, death))
+        lives.sort(key=lambda bar: (bar[0], n if bar[1] is None else bar[1]))
+        assert lives == [(iv.birth, iv.death) for iv in barcode(R, k)], k
 
-    def counting_reduce(a, p):
-        if not solving[0]:
-            reduced.append(a % p)
-        return real_reduce(a, p)
 
-    def flagged_solve(a, b, p):
-        solving[0] = True
-        try:
-            return real_solve(a, b, p)
-        finally:
-            solving[0] = False
+def test_representatives_follow_their_bars(torus_system, torus_system_f3, genus2_system):
+    systems = [torus_system, torus_system_f3, genus2_system]
+    systems += [make_fixture(index)[1] for index in range(40)]
+    for system in systems:
+        for R in system.spaces.values():
+            _assert_representatives_follow_their_bars(R)
 
-    monkeypatch.setattr(linalg, "row_reduce", counting_reduce)
-    monkeypatch.setattr(linalg, "solve_matrix", flagged_solve)
-    filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
-    res = compute_persistence(filt, 2)
-    top = res.max_degree
 
-    def key(m):
-        return m.shape, np.ascontiguousarray(m, dtype=np.int64).tobytes()
+def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
+    # one filtration reduction per result, and no dense elimination to build
+    # every step's bases, step maps, induced maps, groups and bars
+    real_reduction = PersistenceResult._reduce_filtration
+    reductions, eliminations = Counter(), []
 
-    boundaries = Counter(key(boundary_matrix(step, k, 2)) for step in filt.steps
-                         for k in range(top + 2) if boundary_matrix(step, k, 2).size)
-    calls = Counter(key(m) for m in reduced)
-    assert boundaries
-    assert [(shape, calls[(shape, data)], n) for (shape, data), n in boundaries.items()
-            if calls[(shape, data)] != n] == []
-    assert len(reduced) == res.n_steps * ((top + 2) + (top + 1))
+    def counted(result, coned):
+        reductions[id(result)] += 1
+        return real_reduction(result, coned)
+
+    monkeypatch.setattr(PersistenceResult, "_reduce_filtration", counted)
+    monkeypatch.setattr(linalg, "row_reduce",
+                        lambda *args: eliminations.append(args) or pytest.fail("row_reduce"))
+    torus_filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+    genus2_filt = sublevel_filtration(genus2.complex, genus2.function, genus2.thresholds)
+    results = [compute_persistence(torus_filt, 2),
+               compute_persistence(torus_filt.restrict_to(torus.A), 3),
+               relative_persistence(genus2.complex, genus2.A, genus2_filt, 5)]
+    for R in results:
+        for k in range(R.max_degree + 2):
+            barcode(R, k)
+            for u in range(R.n_steps):
+                R.homology(k, u)
+                R.chain_boundary(k, u)
+                for v in range(u, R.n_steps):
+                    R.induced_matrix(k, u, v)
+                    R.persistent_group(k, u, v)
+    assert sorted(reductions) == sorted(id(R) for R in results)
+    assert set(reductions.values()) == {1} and not eliminations

@@ -10,7 +10,7 @@ from homaudit import linalg, sequences
 from homaudit.complexes import close_under_faces
 from homaudit.linalg import DimensionMismatchError
 from homaudit.morse import Filtration, filtration_from_morse
-from homaudit.persistence import PersistenceResult, barcode, compute_persistence
+from homaudit.persistence import barcode, compute_persistence
 from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 NotCoveringError, PairSystem, SequenceTerm, audit,
                                 check_squares, induced_inclusion_map, module_sequence,
@@ -301,47 +301,79 @@ def test_persistent_sequence_matches_the_vertical_map_path(torus, genus2, kind, 
             bases, maps = naive_persistent_sequence(sys_, u, v)
             for (label, k), term, basis in zip(schedule, seq.terms, bases, strict=True):
                 assert term.dim == basis.shape[1], (u, v, label, k)
+                # the group selects unit vectors of the term's bar coordinates at v
                 group = sys_.persistent_group(label, k, u, v)
-                assert np.array_equal(group.basis, basis), (u, v, label, k)
+                selected = np.eye(sys_.term_dim(label, k, v), dtype=np.int64)[:, group]
+                assert np.array_equal(selected, basis), (u, v, label, k)
             for got, want in zip(seq.maps, maps):
                 assert want is not None and np.array_equal(got, want), (u, v)
             assert seq.maps[-1].shape == (0, seq.terms[-1].dim)
 
 
-def test_each_persistent_group_is_reduced_once(monkeypatch, torus, genus2):
-    sys_ = _fresh_system("triad", torus, genus2)
-    group_of, reductions, row_reductions = PersistenceResult.persistent_group, Counter(), []
-    open_groups = []
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_persistent_groups_and_barcodes_need_no_elimination(monkeypatch, torus, genus2, kind):
+    # with the horizontal maps computed, a persistent sequence only selects
+    # bars and submatrices: nothing but its audit's ranks eliminates
+    sys_ = _fresh_system(kind, torus, genus2)
+    n = sys_.n_steps
+    for u in range(n):
+        ordinary_sequence(sys_, u)
+    auditing, eliminations = [False], Counter()
 
-    def group(result, k, u, v):
-        open_groups.append((id(result), k, u, v))
-        try:
-            return group_of(result, k, u, v)
-        finally:
-            open_groups.pop()
-
-    def counted(original, record):
+    def counted(name, original):
         def wrapper(*args):
-            record()
+            if not auditing[0]:
+                eliminations[name] += 1
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(PersistenceResult, "persistent_group", group)
-    monkeypatch.setattr(linalg, "image_basis", counted(
-        linalg.image_basis, lambda: reductions.update([open_groups[-1] if open_groups else None])))
-    n = sys_.n_steps
+    def flagged_audit(seq):
+        auditing[0] = True
+        try:
+            return real_audit(seq)
+        finally:
+            auditing[0] = False
+
+    real_audit = sequences.audit
+    monkeypatch.setattr(sequences, "audit", flagged_audit)
+    for name in ("row_reduce", "image_basis", "solve_matrix"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     for u in range(n):
         for v in range(u, n):
             persistent_sequence(sys_, u, v)
-    assert None not in reductions, "a reduction outside a result's persistent group"
-    assert set(reductions.values()) == {1}
-    reduced = sum(reductions.values())
-    monkeypatch.setattr(linalg, "row_reduce", counted(
-        linalg.row_reduce, lambda: row_reductions.append(1)))
     for R in sys_.spaces.values():
         for k in range(sys_.top_degree + 1):
             barcode(R, k)
-    assert sum(reductions.values()) == reduced and not row_reductions
+            for u in range(n):
+                for v in range(u, n):
+                    R.persistent_group(k, u, v)
+    assert not eliminations
+
+
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_persistent_sequence_rejects_a_map_that_leaves_the_group(torus, genus2, kind):
+    """A level-v map that sends a persistent class outside the target group
+    is an internal fault, reported as RestrictionLeakError."""
+    sys_ = _fresh_system(kind, torus, genus2)
+    n, schedule = sys_.n_steps, sequences._term_schedule(sys_)
+    for u in range(n):
+        ordinary_sequence(sys_, u)
+    for i, (gap, k) in enumerate(sequences._gap_schedule(sys_)):
+        for u in range(n):
+            for v in range(u, n):
+                source = sys_.persistent_group(*schedule[i], u, v)
+                target = sys_.persistent_group(*schedule[i + 1], u, v)
+                outside = np.setdiff1d(np.arange(sys_.term_dim(*schedule[i + 1], v)), target)
+                if source.size and outside.size:
+                    persistent_sequence(sys_, u, v)  # the true maps stay inside
+                    leaking = sys_.horizontal(gap, k, v).copy()
+                    leaking[outside[0], source[0]] += 1
+                    leaking %= sys_.modulus
+                    sys_._maps[(gap, k, v)] = leaking
+                    with pytest.raises(sequences.RestrictionLeakError):
+                        persistent_sequence(sys_, u, v)
+                    return
+    pytest.fail("no persistent group with a coordinate outside its target")
 
 
 @pytest.mark.parametrize("which", ["triad", "pair"] + list(range(12)))

@@ -47,7 +47,8 @@ class Simplex(tuple):
         """Codimension-1 faces, in vertex-deletion order."""
         if self.dim == 0:
             return []
-        return [Simplex(self[:i] + self[i + 1:]) for i in range(len(self))]
+        # a face of a valid simplex is valid, so it skips the validation in __new__
+        return [tuple.__new__(Simplex, self[:i] + self[i + 1:]) for i in range(len(self))]
 
     def boundary(self) -> list[tuple[int, "Simplex"]]:
         """(sign, facet) pairs; deleting the vertex at position i carries sign (-1)^i."""
@@ -57,7 +58,7 @@ class Simplex(tuple):
         """All proper faces, every dimension."""
         out = []
         for k in range(1, len(self)):
-            out.extend(Simplex(c) for c in combinations(self, k))
+            out.extend(tuple.__new__(Simplex, c) for c in combinations(self, k))
         return out
 
 

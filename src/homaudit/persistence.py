@@ -8,7 +8,11 @@ cell is an essential bar. The reduced column R_tau, a cycle whose last cell
 is sigma, represents its bar at every step the bar is alive, and V_sigma an
 essential bar. These bases fit every step at once: induced maps are 0/1
 selections, the persistent group H^{u,v} is the set of bars containing
-[u, v], and the barcode is read off the pairs.
+[u, v], and the barcode is read off the pairs. Chains are sparse
+{simplex: coefficient} dicts: `representatives(k, u)` gives the cycle
+columns of the bars alive at u, and `class_of` finds a cycle's class by
+back-substitution on the lows of step u's cycle columns, so no step builds
+a dense basis.
 
 The pair (X, A) is reduced as X ∪ cone(A), whose reduced homology is
 H(X, A) (Cohen-Steiner-Edelsbrunner-Harer 2009). The apex is the oldest
@@ -22,7 +26,7 @@ step indices; thresholds are carried along as labels only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,57 +41,6 @@ class NotACycleError(ValueError):
     """A chain handed to a homology coordinatization was not a cycle."""
 
 
-@dataclass(frozen=True)
-class StepHomology:
-    """Homology of one filtration step in one degree.
-
-    The columns of `basis` are a basis of the cycle space: first the
-    `boundaries`, which span the boundary subspace, then the
-    `representatives`, cycles whose classes form the chosen basis. So any
-    cycle has unique coordinates (boundary part, class part). `free` lists,
-    per column, a chain coordinate where that column is the last nonzero
-    one (its low); the lows are distinct, so `basis[free]` is invertible
-    and a cycle's coordinates are solved on these rows alone.
-    """
-
-    modulus: int
-    basis: np.ndarray             # chain_dim x (number of boundaries + dim)
-    n_boundaries: int
-    free: np.ndarray              # (number of boundaries + dim) chain indices
-
-    @property
-    def chain_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return self.basis[:, :self.n_boundaries]
-
-    @property
-    def representatives(self) -> np.ndarray:
-        return self.basis[:, self.n_boundaries:]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1] - self.n_boundaries
-
-    def class_of(self, chains: np.ndarray) -> np.ndarray:
-        """Homology coordinates of cycle columns (boundary summands discarded)."""
-        chains = np.asarray(chains, dtype=np.int64) % self.modulus
-        single = chains.ndim == 1
-        if single:
-            chains = chains.reshape(-1, 1)
-        if chains.shape[0] != self.chain_dim:
-            raise linalg.DimensionMismatchError("chain length differs from the step's chain space")
-        # basis[free] is square and invertible; the chains are cycles exactly
-        # when the solution rebuilds them on every row
-        coords = linalg.solve_matrix(self.basis[self.free], chains[self.free], self.modulus)
-        if not np.array_equal(linalg.mat_mul(self.basis, coords, self.modulus), chains):
-            raise NotACycleError("chain is not a cycle of this step")
-        out = coords[self.n_boundaries:, :]
-        return out[:, 0] if single else out
-
-
 def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
     """target += c * source over F_p, dropping entries that vanish."""
     for i, x in source.items():
@@ -96,14 +49,6 @@ def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
             target[i] = y
         else:
             target.pop(i, None)
-
-
-def _dense(columns: Sequence[dict], rows: int) -> np.ndarray:
-    """The sparse columns as a rows x len(columns) array."""
-    m = np.zeros((rows, len(columns)), dtype=np.int64)
-    for j, column in enumerate(columns):
-        m[list(column), j] = list(column.values())
-    return m
 
 
 def _reduce(columns: Sequence[dict], p: int, cleared: set[int]) -> tuple[list, list, dict]:
@@ -171,14 +116,14 @@ class PersistenceResult:
         # degree k: cells in filtration order, their entry steps, boundary columns
         self._cells = [tuple(s for _, s in block) for block in blocks]
         self._entry = [np.array([u for u, _ in block], dtype=np.int64) for block in blocks]
+        self._index = [{s: i for i, s in enumerate(cells)} for cells in self._cells]
         self._columns: list[list[dict]] = [[{} for _ in self._cells[0]]]
         for k in range(1, top + 1):
-            row = {s: i for i, s in enumerate(self._cells[k - 1])}
+            row = self._index[k - 1]
             # facet i of s (vertex i deleted, sign (-1)^i), looked up as a plain tuple
             self._columns.append([{row[s[:i] + s[i + 1:]]: (-1) ** i % p for i in range(k + 1)}
                                   for s in self._cells[k]])
         self._reduce_filtration(apex is not None)
-        self._homology: dict[tuple[int, int], StepHomology] = {}
 
     def _reduce_filtration(self, coned: bool) -> None:
         """Reduce every degree once, top down, so each degree's pivots clear
@@ -210,11 +155,10 @@ class PersistenceResult:
                 self._births.insert(0, self._entry[k][lows])
                 self._deaths.insert(0, deaths)
             paired, above = pivot_of, reduced
-        # bars: cycle cells that are not boundaries at their own step
-        self._bars = [(b[b < d], d[b < d]) for b, d in zip(self._births, self._deaths)]
-        # per degree and step: the bars alive there, as indices into the degree's bars
+        self._cycle_at = [{low: j for j, low in enumerate(lows.tolist())} for lows in self._lows]
+        # per degree and step: the cycle cells whose bars are alive there
         self._alive = [[np.flatnonzero((b <= u) & (d > u)) for u in range(n)]
-                       for b, d in self._bars]
+                       for b, d in zip(self._births, self._deaths)]
 
     @property
     def n_steps(self) -> int:
@@ -235,25 +179,6 @@ class PersistenceResult:
             return 0
         return int(np.searchsorted(self._entry[k], u, side="right"))
 
-    def homology(self, k: int, u: int) -> StepHomology:
-        """Step u's bar-adapted basis of degree-k cycles: the cycle columns of
-        the bars dead by step u (boundaries), then those of the bars alive at
-        u (representatives); built on first use and kept."""
-        self._check(k, u, u)
-        if k > self.max_degree:
-            return StepHomology(self.modulus, np.zeros((0, 0), dtype=np.int64), 0,
-                                np.zeros(0, dtype=np.intp))
-        hom = self._homology.get((k, u))
-        if hom is None:
-            born = self._births[k] <= u
-            dead = self._deaths[k] <= u
-            order = np.concatenate((np.flatnonzero(born & dead), np.flatnonzero(born & ~dead)))
-            basis = _dense([self._cycles[k][i] for i in order], self._n_cells(k, u))
-            hom = StepHomology(self.modulus, basis, int(np.count_nonzero(born & dead)),
-                               self._lows[k][order])
-            self._homology[(k, u)] = hom
-        return hom
-
     def dim(self, k: int, u: int) -> int:
         self._check(k, u, u)
         return 0 if k > self.max_degree else self._alive[k][u].size
@@ -262,14 +187,11 @@ class PersistenceResult:
         return tuple(self.dim(k, u) for u in range(self.n_steps))
 
     def basis_simplices(self, k: int, u: int) -> tuple[Simplex, ...]:
-        if k > self.max_degree:
+        """The k-cells of step u in filtration order, its chain coordinates;
+        given through degree max_degree + 1, whose cells bound the top degree."""
+        if not 0 <= k < len(self._cells):
             return ()
         return self._cells[k][:self._n_cells(k, u)]
-
-    def chain_boundary(self, k: int, u: int) -> np.ndarray:
-        """The boundary matrix d_k of step u on the step's chain coordinates."""
-        columns = self._columns[k][:self._n_cells(k, u)] if k < len(self._columns) else []
-        return _dense(columns, self._n_cells(k - 1, u))
 
     def step_map(self, k: int, u: int) -> np.ndarray:
         """Matrix of the induced map from step u to step u+1."""
@@ -281,7 +203,7 @@ class PersistenceResult:
         self._check(k, u, v)
         if k > self.max_degree:
             return np.zeros((0, 0), dtype=np.int64)
-        births, deaths = self._bars[k]
+        births, deaths = self._births[k], self._deaths[k]
         at_u, at_v = self._alive[k][u], self._alive[k][v]
         m = np.zeros((at_v.size, at_u.size), dtype=np.int64)
         m[np.flatnonzero(births[at_v] <= u), np.flatnonzero(deaths[at_u] > v)] = 1
@@ -293,11 +215,66 @@ class PersistenceResult:
         self._check(k, u, v)
         if k > self.max_degree:
             return np.zeros(0, dtype=np.intp)
-        return np.flatnonzero(self._bars[k][0][self._alive[k][v]] <= u)
+        return np.flatnonzero(self._births[k][self._alive[k][v]] <= u)
+
+    def representatives(self, k: int, u: int) -> list[dict[Simplex, int]]:
+        """The cycle columns of the bars alive at step u, as {simplex:
+        coefficient} chains, in the coordinate order of `dim`,
+        `induced_matrix` and `persistent_group`. A bar's chain is the same at
+        every step of its life."""
+        self._check(k, u, u)
+        if k > self.max_degree:
+            return []
+        cells, cycles = self._cells[k], self._cycles[k]
+        return [{cells[i]: x for i, x in cycles[j].items()} for j in self._alive[k][u].tolist()]
+
+    def class_of(self, k: int, u: int, chains: Sequence[Mapping[Simplex, int]]) -> np.ndarray:
+        """Homology coordinates at step u of degree-k cycles given as
+        {simplex: coefficient} chains, one column per chain.
+
+        Each chain is reduced by back-substitution on the lows of step u's
+        cycle columns, which are distinct and carry the coefficient 1: a bar
+        dead by u is a boundary and its coefficient is dropped, a bar alive
+        at u gives a coordinate. A cycle reduces to zero, so a low that is no
+        cycle cell of step u, or a cell outside step u, raises NotACycleError.
+        """
+        self._check(k, u, u)
+        p, n = self.modulus, self._n_cells(k, u)
+        if k > self.max_degree:
+            index, cycles, cycle_at, alive = {}, [], {}, []
+        else:
+            index, cycles, cycle_at = self._index[k], self._cycles[k], self._cycle_at[k]
+            alive = self._alive[k][u].tolist()
+        position = {j: i for i, j in enumerate(alive)}
+        out = np.zeros((len(alive), len(chains)), dtype=np.int64)
+        for col, chain in enumerate(chains):
+            r = {}
+            for s, x in chain.items():
+                x = int(x) % p
+                if x:
+                    i = index.get(s, n)
+                    if i >= n:
+                        raise NotACycleError(f"{tuple(s)} is not a {k}-cell of step {u}")
+                    r[i] = x
+            while r:
+                low = max(r)
+                j = cycle_at.get(low)
+                if j is None:
+                    raise NotACycleError(f"a {k}-chain is not a cycle of step {u}")
+                x = r[low]
+                _add_multiple(r, cycles[j], p - x, p)
+                if j in position:
+                    out[position[j], col] = x
+        return out
 
     def class_of_chain(self, u: int, chain: ChainCoordinates) -> np.ndarray:
-        """Homology coordinates at step u of a cycle given in chain coordinates."""
-        return self.homology(chain.degree, u).class_of(chain.coefficients)
+        """Homology coordinates at step u of a cycle given in the step's chain
+        coordinates (`basis_simplices`)."""
+        cells = self.basis_simplices(chain.degree, u)
+        coefficients = chain.coefficients.tolist()
+        if len(coefficients) != len(cells):
+            raise linalg.DimensionMismatchError("chain length differs from the step's chain space")
+        return self.class_of(chain.degree, u, [dict(zip(cells, coefficients))])[:, 0]
 
 
 def compute_persistence(filtration: Filtration, modulus: int,
@@ -365,10 +342,9 @@ def barcode(result: PersistenceResult, k: int) -> Barcode:
     labels = result.labels()
     if k > result.max_degree:
         return Barcode(k, ())
-    births, deaths = result._bars[k]
-    bars = [Interval(int(b), None if d == n else int(d), labels[b],
-                     None if d == n else labels[d])
-            for b, d in sorted(zip(births.tolist(), deaths.tolist()))]
+    bars = [Interval(b, None if d == n else d, labels[b], None if d == n else labels[d])
+            for b, d in sorted(zip(result._births[k].tolist(), result._deaths[k].tolist()))
+            if b < d]
     return Barcode(k, tuple(bars))
 
 

@@ -16,8 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import linalg
-from .complexes import (NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex,
-                        reindex_chains, union)
+from .complexes import NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex, union
 from .linalg import DimensionMismatchError
 from .morse import Filtration
 from .persistence import PersistenceResult, compute_persistence, relative_persistence
@@ -246,26 +245,21 @@ class PairSystem(_System):
 
 def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
                           k: int, u: int) -> np.ndarray:
-    """Matrix of H_k(sub_u) -> H_k(sup_u) in the chosen homology bases.
-
-    Representative cycles are re-coordinatized along the inclusion and reduced
-    modulo the boundaries of the bigger step.
-    """
-    included, leaked = reindex_chains(R_sub.homology(k, u).representatives,
-                                      R_sub.basis_simplices(k, u),
-                                      R_sup.basis_simplices(k, u))
-    if leaked:
-        raise NotSubcomplexError(f"simplex {tuple(leaked[0])} of the sub-step is "
-                                 "not a cell of the containing step")
-    return R_sup.homology(k, u).class_of(included)
+    """Matrix of H_k(sub_u) -> H_k(sup_u) in the chosen homology bases: the
+    classes, in the bigger step, of the smaller step's representatives."""
+    return R_sup.class_of(k, u, R_sub.representatives(k, u))
 
 
-def _restrict_coords(chains: np.ndarray, from_basis, to_basis, what: str) -> np.ndarray:
-    """Re-index chain columns from one simplex basis onto another, requiring
-    every nonzero coefficient to sit on a simplex of the target basis."""
-    out, leaked = reindex_chains(chains, from_basis, to_basis)
-    if leaked:
-        raise NotCoveringError(f"{what}: coefficient leaks onto {tuple(leaked[0])}")
+def _boundary(chains, keep) -> list[dict]:
+    """The boundary of the part of each chain on the cells that `keep` accepts."""
+    out = []
+    for chain in chains:
+        boundary: dict = {}
+        for s, x in chain.items():
+            if keep(s):
+                for sign, f in s.boundary():
+                    boundary[f] = boundary.get(f, 0) + sign * x
+        out.append(boundary)
     return out
 
 
@@ -275,49 +269,34 @@ def mv_connecting(sys: MayerVietorisSystem, k: int, u: int,
     chain into an A-part and a B-part and take the class of the A-part's
     boundary. Simplices of A∩B go to the A side (or B, for the
     well-definedness cross-check)."""
-    p = sys.modulus
     a_step = sys.RA.filtration.steps[u]
     b_step = sys.RB.filtration.steps[u]
-    x_basis = sys.RX.basis_simplices(k + 1, u)
-    reps = sys.RX.homology(k + 1, u).representatives
-    a_mask = np.zeros(len(x_basis), dtype=np.int64)
-    for i, s in enumerate(x_basis):
+
+    def in_a_part(s) -> bool:
         in_a, in_b = s in a_step, s in b_step
         if not in_a and not in_b:
-            raise NotCoveringError(f"simplex {tuple(s)} lies in neither A nor B at step {u}")
-        if in_a and (assign_shared_to == "A" or not in_b):
-            a_mask[i] = 1
-    a_part = (reps * a_mask[:, None]) % p
-    boundary = linalg.mat_mul(sys.RX.chain_boundary(k + 1, u), a_part, p)
-    ab_chains = _restrict_coords(boundary, sys.RX.basis_simplices(k, u),
-                                 sys.RAB.basis_simplices(k, u),
-                                 "connecting chain boundary left A∩B")
-    return sys.RAB.homology(k, u).class_of(ab_chains)
+            # the constructor checked that A ∪ B covers X, so this is a bug
+            raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B at step {u}")
+        return in_a and (assign_shared_to == "A" or not in_b)
+
+    return sys.RAB.class_of(k, u, _boundary(sys.RX.representatives(k + 1, u), in_a_part))
 
 
 def pair_connecting(sys: PairSystem, k: int, u: int) -> np.ndarray:
     """Connecting map H_{k+1}(X_u, A_u) -> H_k(A_u): a relative class is a
-    cycle of X_u ∪ cone(A_u); its part on the cells of X_u has its boundary
-    in A_u, and the class of that boundary is the image."""
-    p = sys.modulus
-    rel_reps = sys.RXA.homology(k + 1, u).representatives
-    lifted, _ = reindex_chains(rel_reps, sys.RXA.basis_simplices(k + 1, u),
-                               sys.RX.basis_simplices(k + 1, u))  # drops the cone cells
-    boundary = linalg.mat_mul(sys.RX.chain_boundary(k + 1, u), lifted, p)
-    a_chains = _restrict_coords(boundary, sys.RX.basis_simplices(k, u),
-                                sys.RA.basis_simplices(k, u),
-                                "relative cycle boundary left A")
-    return sys.RA.homology(k, u).class_of(a_chains)
+    cycle of X_u ∪ cone(A_u); its part on the cells of X_u (the cone cells
+    dropped) has its boundary in A_u, and the class of that boundary is the
+    image."""
+    x_step = sys.filtration.steps[u]
+    return sys.RA.class_of(k, u, _boundary(sys.RXA.representatives(k + 1, u),
+                                           x_step.__contains__))
 
 
 def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
     """Matrix of H_k(X_u) -> H_k(X_u, A_u): the map induced by the inclusion
     of X_u into X_u ∪ cone(A_u), whose cells are the relative chain
     coordinates."""
-    included, _ = reindex_chains(sys.RX.homology(k, u).representatives,
-                                 sys.RX.basis_simplices(k, u),
-                                 sys.RXA.basis_simplices(k, u))
-    return sys.RXA.homology(k, u).class_of(included)
+    return sys.RXA.class_of(k, u, sys.RX.representatives(k, u))
 
 
 # ---------------------------------------------------------------------------

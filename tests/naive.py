@@ -6,10 +6,12 @@ exhaustive vector enumeration, a from-scratch persistent dimension that
 reduces the cycle-inclusion matrix directly instead of composing step maps,
 the per-step homology basis choice written as three separate reductions,
 the persistent sequence built from each term's block-diagonal vertical map,
-and `DensePersistence`, the dense per-step path that the bar-selection
-path replaced (one basis per step, composed step maps, persistent groups as
-images, the barcode by inclusion-exclusion over their ranks), with
-`assert_matches_oracle` comparing the two on every basis-free invariant.
+step boundary matrices built from the simplices' own faces, and
+`DensePersistence`, the dense per-step path that the bar-selection path
+replaced (one basis per step with classes found by a dense solve, composed
+step maps, persistent groups as images, the barcode by inclusion-exclusion
+over their ranks), with `assert_matches_oracle` comparing the two on every
+basis-free invariant.
 """
 
 import copy
@@ -22,8 +24,8 @@ import numpy as np
 from homaudit import linalg, sequences
 from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, intersect,
                                 reindex_chains, relative_basis, relative_boundary_matrix)
-from homaudit.linalg import dense_rank, mat_mul, solve_matrix
-from homaudit.persistence import PersistenceResult, StepHomology, barcode
+from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
+from homaudit.persistence import NotACycleError, PersistenceResult, barcode
 from homaudit.sequences import (PERSISTENT, LinearSequence, MayerVietorisSystem,
                                 SequenceTerm, audit, module_sequence, ordinary_sequence,
                                 persistent_sequence)
@@ -157,11 +159,37 @@ def naive_betti(K, p):
     return out
 
 
+def chain_boundary(result, k, u):
+    """The boundary matrix d_k of step u on a result's own chain coordinates
+    (`basis_simplices`), built from each simplex's facets. A facet outside
+    the step's (k-1)-cells is dropped: for the dense path's relative results
+    these are the cells of A, so d_k is that of C(X_u)/C(A_u)."""
+    rows = {s: i for i, s in enumerate(result.basis_simplices(k - 1, u))}
+    cols = result.basis_simplices(k, u)
+    d = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, s in enumerate(cols):
+        for sign, f in s.boundary():
+            if f in rows:
+                d[rows[f], j] = sign % result.modulus
+    return d
+
+
+def chain_columns(chains, cells):
+    """{simplex: coefficient} chains as the columns of a dense matrix, one
+    row per cell of `cells`."""
+    pos = {s: i for i, s in enumerate(cells)}
+    m = np.zeros((len(cells), len(chains)), dtype=np.int64)
+    for j, chain in enumerate(chains):
+        for s, x in chain.items():
+            m[pos[s], j] = x
+    return m
+
+
 def naive_persistent_dim(result, k, u, v):
     """dim H_k^{u,v} straight from chain data: include a cycle basis of step u
     into step v and count independent classes modulo step-v boundaries."""
     p = result.modulus
-    z_u = np.array(naive_nullspace(result.chain_boundary(k, u), p), dtype=np.int64).T
+    z_u = np.array(naive_nullspace(chain_boundary(result, k, u), p), dtype=np.int64).T
     if z_u.size == 0:
         z_u = z_u.reshape(len(result.basis_simplices(k, u)), 0)
     pos = {s: i for i, s in enumerate(result.basis_simplices(k, v))}
@@ -170,7 +198,7 @@ def naive_persistent_dim(result, k, u, v):
         j = pos.get(s)
         if j is not None:
             included[j] = z_u[i]
-    d_next = result.chain_boundary(k + 1, v)
+    d_next = chain_boundary(result, k + 1, v)
     stacked = np.hstack([d_next, included])
     return naive_rank(stacked, p) - naive_rank(d_next, p)
 
@@ -195,6 +223,57 @@ def naive_persistent_sequence(system, u, v):
 
 # ---------------------------------------------------------------------------
 # the dense per-step path
+
+@dataclass(frozen=True)
+class StepHomology:
+    """Homology of one filtration step in one degree.
+
+    The columns of `basis` are a basis of the cycle space: first the
+    `boundaries`, which span the boundary subspace, then the
+    `representatives`, cycles whose classes form the chosen basis. So any
+    cycle has unique coordinates (boundary part, class part). `free` lists,
+    per column, a chain coordinate where that column is the last nonzero
+    one (its low); the lows are distinct, so `basis[free]` is invertible
+    and a cycle's coordinates are solved on these rows alone.
+    """
+
+    modulus: int
+    basis: np.ndarray             # chain_dim x (number of boundaries + dim)
+    n_boundaries: int
+    free: np.ndarray              # (number of boundaries + dim) chain indices
+
+    @property
+    def chain_dim(self):
+        return self.basis.shape[0]
+
+    @property
+    def boundaries(self):
+        return self.basis[:, :self.n_boundaries]
+
+    @property
+    def representatives(self):
+        return self.basis[:, self.n_boundaries:]
+
+    @property
+    def dim(self):
+        return self.basis.shape[1] - self.n_boundaries
+
+    def class_of(self, chains):
+        """Homology coordinates of cycle columns (boundary summands discarded)."""
+        chains = np.asarray(chains, dtype=np.int64) % self.modulus
+        single = chains.ndim == 1
+        if single:
+            chains = chains.reshape(-1, 1)
+        if chains.shape[0] != self.chain_dim:
+            raise DimensionMismatchError("chain length differs from the step's chain space")
+        # basis[free] is square and invertible; the chains are cycles exactly
+        # when the solution rebuilds them on every row
+        coords = solve_matrix(self.basis[self.free], chains[self.free], self.modulus)
+        if not np.array_equal(mat_mul(self.basis, coords, self.modulus), chains):
+            raise NotACycleError("chain is not a cycle of this step")
+        out = coords[self.n_boundaries:, :]
+        return out[:, 0] if single else out
+
 
 @dataclass(frozen=True)
 class _StepChains:
@@ -263,10 +342,10 @@ class DensePersistence:
 
     def __init__(self, filtration, modulus, max_degree, A=None):
         self.filtration, self.modulus, self.max_degree = filtration, modulus, max_degree
-        a_steps = [EMPTY_COMPLEX if A is None else intersect(step, A)
-                   for step in filtration.steps]
+        self._a_steps = [EMPTY_COMPLEX if A is None else intersect(step, A)
+                         for step in filtration.steps]
         self._chains = [_step_chains(step, a_step, max_degree, modulus)
-                        for step, a_step in zip(filtration.steps, a_steps)]
+                        for step, a_step in zip(filtration.steps, self._a_steps)]
         self._homology, self._maps, self._composed, self._groups = {}, {}, {}, {}
         for u, chain in enumerate(self._chains):
             for k, hom in enumerate(_step_homology(chain, max_degree, modulus)):
@@ -296,10 +375,27 @@ class DensePersistence:
         return tuple(self.dim(k, u) for u in range(self.n_steps))
 
     def basis_simplices(self, k, u):
-        return () if k > self.max_degree else self._chains[u].basis(k)
+        return self._chains[u].basis(k)  # through max_degree + 1, as the library
 
-    def chain_boundary(self, k, u):
-        return self._chains[u].boundary(k)
+    def representatives(self, k, u):
+        cells = self.basis_simplices(k, u)
+        return [{cells[i]: int(x) for i, x in enumerate(column) if x}
+                for column in self.homology(k, u).representatives.T]
+
+    def class_of(self, k, u, chains):
+        """Class coordinates of {simplex: coefficient} cycles by a dense solve
+        on the step's quotient chains: coefficients on cells of A_u are
+        projected away, and any other cell outside the step is no cycle."""
+        p, cells = self.modulus, self.basis_simplices(k, u)
+        pos = {s: i for i, s in enumerate(cells)}
+        dense = np.zeros((len(cells), len(chains)), dtype=np.int64)
+        for j, chain in enumerate(chains):
+            for s, x in chain.items():
+                if s in pos:
+                    dense[pos[s], j] = x % p
+                elif x % p and s not in self._a_steps[u]:
+                    raise NotACycleError(f"{tuple(s)} is not a {k}-cell of step {u}")
+        return self.homology(k, u).class_of(dense)
 
     def step_map(self, k, u):
         return np.zeros((0, 0), dtype=np.int64) if k > self.max_degree else self._maps[(k, u)]

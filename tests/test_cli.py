@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homaudit.cli import main
+from homaudit.complexes import Simplex
+from homaudit.persistence import NotACycleError, PersistenceResult
 
 TORUS_ARGS = None  # filled per-test from data_dir
 
@@ -230,6 +232,20 @@ def test_mv_audit_membership_outside_complex_exit4(tmp_path, capsys):
                        "--subspace-a", a_path, "--subspace-b", a_path,
                        "--level", "ordinary")
     assert code == 4
+
+
+def test_internal_fault_is_not_reported_as_input_error(data_dir, monkeypatch):
+    # the system constructors validate the cover, so a representative that
+    # leaves its step is a library fault: it raises instead of exiting 4
+    real = PersistenceResult.representatives
+
+    def leaking(self, k, u):
+        outside = Simplex(range(10**6, 10**6 + k + 1))
+        return [{**chain, outside: 1} for chain in real(self, k, u)]
+
+    monkeypatch.setattr(PersistenceResult, "representatives", leaking)
+    with pytest.raises((NotACycleError, RuntimeError)):
+        main(_torus_audit_args(data_dir, "ordinary"))
 
 
 def test_persistent_needs_labels(data_dir, capsys):

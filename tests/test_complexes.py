@@ -1,6 +1,7 @@
 """Complex construction, boundary operators, Betti numbers, set operations."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def test_simplex_validation():
         Simplex(())
     with pytest.raises(MalformedSimplexError):
         Simplex((-1, 0))
+
+
+def test_faces_equal_the_validated_construction(torus, genus2):
+    # faces skip validation, so they must come out exactly as validated ones
+    for fixture in (torus, genus2):
+        for s in fixture.complex.simplices():
+            for got, want in ((s.facets(), [Simplex(s[:i] + s[i + 1:]) for i in range(len(s))]
+                               if s.dim else []),
+                              (s.faces(), [Simplex(c) for k in range(1, len(s))
+                                           for c in combinations(s, k)])):
+                assert got == want
+                assert all(type(f) is Simplex for f in got)
 
 
 def test_close_under_faces_counts():

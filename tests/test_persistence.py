@@ -1,23 +1,28 @@
 """Persistence engine: per-step homology, induced maps, persistent groups,
 barcodes against the structure-theorem consistency formula, graded modules."""
 
+import functools
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homaudit import linalg
 from homaudit.complexes import (EMPTY_COMPLEX, close_under_faces, intersect, relative_basis,
                                 relative_boundary_matrix)
+from homaudit.fixtures import genus2_pair, torus_triad
 from homaudit.linalg import mat_mul
 from homaudit.morse import Filtration, filtration_from_morse, sublevel_filtration
 from homaudit.persistence import (GradedModule, NotACycleError, PersistenceResult, barcode,
                                   compute_persistence, direct_sum, graded_module,
                                   relative_persistence)
+from homaudit.sequences import MayerVietorisSystem, PairSystem
 
-from naive import (DensePersistence, naive_class_of, naive_homology_basis,
-                   naive_persistent_dim)
+from naive import (DensePersistence, chain_boundary, chain_columns, naive_class_of,
+                   naive_homology_basis, naive_nullspace, naive_persistent_dim, naive_rank)
 from randfix import make_fixture, random_complex, random_morse
 
 POINT = close_under_faces([(0,)])
@@ -196,7 +201,7 @@ def test_index_errors(torus_system):
     with pytest.raises(IndexError):
         torus_system.RX.persistent_group(1, 3, 1)
     with pytest.raises(IndexError):
-        torus_system.RX.homology(-1, 0)
+        torus_system.RX.representatives(-1, 0)
 
 
 def test_truncated_max_degree_still_quotients_by_boundaries(torus_system):
@@ -208,8 +213,8 @@ def test_truncated_max_degree_still_quotients_by_boundaries(torus_system):
 
 @pytest.mark.parametrize("max_degree", [0, 1])
 def test_oracle_sees_boundaries_above_the_truncation(torus_system, max_degree):
-    # chain_boundary(max_degree + 1, v) is the real d_{k+1}, so the oracle's
-    # step-v boundaries are right at the truncation degree too
+    # the oracle's chain_boundary(res, max_degree + 1, v) is the real d_{k+1},
+    # so its step-v boundaries are right at the truncation degree too
     res = compute_persistence(torus_system.filtration, 2, max_degree=max_degree)
     for k in range(max_degree + 1):
         for u in range(res.n_steps):
@@ -318,24 +323,22 @@ def _assert_representatives_follow_their_bars(R):
     for k in range(R.max_degree + 1):
         lives = []
         for u in range(n):
-            hom = R.homology(k, u)
-            reps = hom.representatives
-            assert not mat_mul(R.chain_boundary(k, u), reps, p).any()
-            assert np.array_equal(hom.class_of(reps), np.eye(hom.dim, dtype=np.int64))
-            born = np.ones(hom.dim, dtype=bool) if u == 0 else ~R.step_map(k, u - 1).any(axis=1)
+            reps = R.representatives(k, u)
+            assert len(reps) == R.dim(k, u)
+            columns = chain_columns(reps, R.basis_simplices(k, u))
+            assert not mat_mul(chain_boundary(R, k, u), columns, p).any()
+            assert np.array_equal(R.class_of(k, u, reps), np.eye(len(reps), dtype=np.int64))
+            born = np.ones(len(reps), dtype=bool) if u == 0 else ~R.step_map(k, u - 1).any(axis=1)
             for j in np.flatnonzero(born):
                 death = None
                 for w in range(u + 1, n):
-                    chain = np.zeros(len(R.basis_simplices(k, w)), dtype=np.int64)
-                    chain[:reps.shape[0]] = reps[:, j]  # a step's chains extend the earlier ones
-                    coords = R.homology(k, w).class_of(chain)
+                    coords = R.class_of(k, w, [reps[j]])[:, 0]
                     assert np.array_equal(coords, R.induced_matrix(k, u, w)[:, j])
                     if not coords.any():
                         death = w
                         break
                     assert sorted(coords.tolist()) == [0] * (coords.size - 1) + [1]
-                    assert np.array_equal(R.homology(k, w).representatives[:, coords.argmax()],
-                                          chain)
+                    assert R.representatives(k, w)[coords.argmax()] == reps[j]
                 lives.append((u, death))
         lives.sort(key=lambda bar: (bar[0], n if bar[1] is None else bar[1]))
         assert lives == [(iv.birth, iv.death) for iv in barcode(R, k)], k
@@ -347,6 +350,67 @@ def test_representatives_follow_their_bars(torus_system, torus_system_f3, genus2
     for system in systems:
         for R in system.spaces.values():
             _assert_representatives_follow_their_bars(R)
+
+
+@functools.lru_cache(maxsize=1)
+def _property_results():
+    """(result, apex or None) for every space of the torus triad over F_2 and
+    F_3, the genus-2 pair and random systems 0-39, coned results included."""
+    torus, genus2 = torus_triad(), genus2_pair()
+    torus_filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+    systems = [MayerVietorisSystem(torus.complex, torus.A, torus.B, torus_filt, p)
+               for p in (2, 3)]
+    systems.append(PairSystem(genus2.complex, genus2.A, sublevel_filtration(
+        genus2.complex, genus2.function, genus2.thresholds), 2))
+    systems += [make_fixture(index)[1] for index in range(40)]
+    out = []
+    for system in systems:
+        for R in system.spaces.values():
+            vertices = set(R.filtration.complex.simplices(0))
+            apex = [s for s in R.basis_simplices(0, R.n_steps - 1) if s not in vertices]
+            out.append((R, apex[0] if apex else None))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_class_of_agrees_with_naive_homology(data):
+    # basis-free: class_of rejects exactly the chains that are no cycles of
+    # step u, and a cycle minus its coordinates' combination of
+    # representatives bounds
+    R, apex = data.draw(st.sampled_from(_property_results()))
+    p = R.modulus
+    k = data.draw(st.integers(0, R.max_degree))
+    u = data.draw(st.integers(0, R.n_steps - 1))
+    # sometimes the chain is drawn on a later step, whose extra cells step u lacks
+    w = data.draw(st.integers(u, R.n_steps - 1)) if data.draw(st.booleans()) else u
+    cells = R.basis_simplices(k, w)
+    d_k = chain_boundary(R, k, w)
+    if data.draw(st.booleans()):
+        kernel = naive_nullspace(d_k, p)
+        kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), len(cells))
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(kernel),
+                                    max_size=len(kernel)))
+        vec = np.array(coeffs, dtype=np.int64).reshape(1, -1) @ kernel % p
+        vec = vec.reshape(len(cells))
+    else:
+        vec = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=len(cells),
+                                          max_size=len(cells))), dtype=np.int64)
+    chain = {s: int(x) for s, x in zip(cells, vec) if x}
+    n_u = len(R.basis_simplices(k, u))
+    if vec[n_u:].any() or mat_mul(d_k, vec.reshape(-1, 1), p).any():
+        with pytest.raises(NotACycleError):
+            R.class_of(k, u, [chain])
+        return
+    coords = R.class_of(k, u, [chain])
+    cells, vec = cells[:n_u], vec[:n_u]
+    reps = chain_columns(R.representatives(k, u), cells)
+    rest = (vec.reshape(-1, 1) - mat_mul(reps, coords, p)) % p
+    bounds = chain_boundary(R, k + 1, u)
+    if apex is not None and k == 0:
+        # a coned result's reduced homology drops the apex class
+        bounds = np.hstack([bounds, np.array([[int(s == apex)] for s in cells], dtype=np.int64)])
+    assert naive_rank(np.hstack([bounds, rest]), p) == naive_rank(bounds, p)
 
 
 def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
@@ -371,8 +435,7 @@ def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
         for k in range(R.max_degree + 2):
             barcode(R, k)
             for u in range(R.n_steps):
-                R.homology(k, u)
-                R.chain_boundary(k, u)
+                R.class_of(k, u, R.representatives(k, u))
                 for v in range(u, R.n_steps):
                     R.induced_matrix(k, u, v)
                     R.persistent_group(k, u, v)

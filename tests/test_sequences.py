@@ -350,6 +350,17 @@ def test_persistent_groups_and_barcodes_need_no_elimination(monkeypatch, torus, 
     assert not eliminations
 
 
+@pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
+def test_horizontal_maps_need_no_elimination(monkeypatch, torus, genus2, kind, p):
+    # classes are found by pivot lookup on the reduction's cycle columns
+    sys_ = _fresh_system(kind, torus, genus2, p)
+    for name in ("row_reduce", "solve_matrix"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: pytest.fail(name))
+    for u in range(sys_.n_steps):
+        for gap, k in sequences._gap_schedule(sys_):
+            sys_.horizontal(gap, k, u)
+
+
 @pytest.mark.parametrize("kind", ["triad", "pair"])
 def test_persistent_sequence_rejects_a_map_that_leaves_the_group(torus, genus2, kind):
     """A level-v map that sends a persistent class outside the target group

@@ -13,7 +13,7 @@ from .morse import (Filtration, GradientField, MorseFunction, critical_cells,
 from .persistence import (Barcode, GradedElement, GradedModule, Interval,
                           PersistenceResult, barcode, compute_persistence,
                           graded_module, relative_persistence)
-from .sequences import (GradedMap, LinearSequence, MayerVietorisSystem, PairSystem,
+from .sequences import (LinearSequence, MayerVietorisSystem, PairSystem,
                         SequenceAudit, audit, check_squares, induced_inclusion_map,
                         module_sequence, mv_connecting, ordinary_sequence,
                         pair_connecting, persistent_sequence)

@@ -23,8 +23,8 @@ from typing import Optional
 from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces, is_subcomplex)
-from .morse import (Filtration, MorseFunction, UnknownLabelError, critical_cells,
-                    is_perfect, sublevel_filtration, validate_morse)
+from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
+                    critical_cells, is_perfect, sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -163,11 +163,9 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
         if thresholds or extra_labels:
             raise InputContractError("thresholds given but the complex file carries no values")
         return Filtration([Fraction(0)], [K])
-    if thresholds is not None:
-        base = set(thresholds)
-    elif not validate_morse(K, f):
-        base = {f(s) for s in critical_cells(K, f)}
-    else:
+    try:
+        base = set(thresholds) if thresholds is not None else {f(s) for s in critical_cells(K, f)}
+    except NotMorseError:
         base = {v for _, v in f.items()}
     base.update(extra_labels)
     return sublevel_filtration(K, f, base)
@@ -196,14 +194,14 @@ def cmd_morse_check(args) -> int:
     K, f = load_complex(Path(args.complex), args.strict_values)
     if f is None:
         raise InputContractError("morse-check needs a complex file with values")
-    violations = validate_morse(K, f)
-    if violations:
+    try:
+        crit = critical_cells(K, f)
+    except NotMorseError as exc:
         print("NOT a discrete Morse function:")
-        for v in violations:
+        for v in exc.violations:
             print(f"  {v}")
         return EXIT_NOT_MORSE
     print("OK: discrete Morse function")
-    crit = critical_cells(K, f)
     for k in range(K.dim + 1):
         cells = [tuple(s) for s in crit if s.dim == k]
         print(f"critical {k}-cells ({len(cells)}):"

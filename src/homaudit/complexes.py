@@ -2,7 +2,9 @@
 
 A complex fixes one deterministic total order on its simplices
 (dimension-major, then lexicographic on vertex tuples); every matrix and
-chain coordinate vector in the package is written in that order.
+chain coordinate vector in the package is written in that order. Betti
+numbers come from the persistence column reduction of the one-step
+filtration, so the dense boundary matrices here are built for callers only.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import check_modulus, dense_rank, nullspace
+from .linalg import check_modulus
 
 
 class MalformedSimplexError(ValueError):
@@ -165,13 +167,12 @@ def boundary_matrix(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
 
 
 def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
-    """b_k = dim ker d_k - rank d_{k+1}, for k = 0 .. dim K."""
-    p = check_modulus(p)
-    out = []
-    for k in range(K.dim + 1):
-        cycles = nullspace(boundary_matrix(K, k, p), p).shape[1]
-        out.append(cycles - dense_rank(boundary_matrix(K, k + 1, p), p))
-    return out
+    """b_k for k = 0 .. dim K, read off the column reduction of the one-step
+    filtration of K (imported here: morse and persistence import this module)."""
+    from .morse import Filtration
+    from .persistence import compute_persistence
+    result = compute_persistence(Filtration([0], [K]), p)
+    return [result.dim(k, 0) for k in range(K.dim + 1)]
 
 
 def intersect(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:

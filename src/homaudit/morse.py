@@ -1,6 +1,10 @@
 """Discrete Morse functions: validation, critical cells, gradient field,
 sublevel complexes, filtrations, and the perfectness check.
 
+One pass over the facet incidences classifies every cell, giving the
+violations, the critical cells and the gradient pairs together. A
+filtration stores the step at which each cell enters, found from the lowest
+value on the cell's cofaces; its step complexes are built only on request.
 Function values are exact rationals throughout; sublevel membership is
 decided by exact comparison, never by floats.
 """
@@ -8,6 +12,7 @@ decided by exact comparison, never by floats.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -95,12 +100,27 @@ class MorseFunction:
         return g
 
 
-def _cofacet_table(K: SimplicialComplex) -> dict[Simplex, list[Simplex]]:
-    table: dict[Simplex, list[Simplex]] = {s: [] for s in K.simplices()}
+def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple, list]:
+    """One pass over the incidences of a facet n in a cell t, exceptional when
+    f(n) >= f(t): the violations (cell by cell in K's order), the critical
+    cells, and the exceptional incidences, the gradient pairs when f is Morse."""
+    value, up, down = f._values, {}, {}
+    for t in K.simplices():
+        for n in t.facets():
+            if value[n] >= value[t]:
+                up.setdefault(n, []).append(t)
+                down.setdefault(t, []).append(n)
+    violations = []
     for s in K.simplices():
-        for f in s.facets():
-            table[f].append(s)
-    return table
+        ups, downs = tuple(up.get(s, ())), tuple(down.get(s, ()))
+        if len(ups) > 1:
+            violations.append(MorseViolation(s, "excess_cofacets", ups))
+        if len(downs) > 1:
+            violations.append(MorseViolation(s, "excess_facets", downs))
+        if len(ups) == 1 and len(downs) == 1:
+            violations.append(MorseViolation(s, "both_exceptional", ups + downs))
+    critical = tuple(s for s in K.simplices() if s not in up and s not in down)
+    return tuple(violations), critical, [(n, t) for t in down for n in down[t]]
 
 
 def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolation, ...]:
@@ -110,38 +130,20 @@ def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolati
     reported as its own violation class ('both_exceptional'); the exclusivity
     of the two conditions is surfaced, not assumed.
     """
-    cofacets = _cofacet_table(K)
-    violations = []
-    for s in K.simplices():
-        up = tuple(t for t in cofacets[s] if f(t) <= f(s))
-        down = tuple(n for n in s.facets() if f(n) >= f(s))
-        if len(up) > 1:
-            violations.append(MorseViolation(s, "excess_cofacets", up))
-        if len(down) > 1:
-            violations.append(MorseViolation(s, "excess_facets", down))
-        if len(up) == 1 and len(down) == 1:
-            violations.append(MorseViolation(s, "both_exceptional", up + down))
-    return tuple(violations)
+    return _classify(K, f)[0]
 
 
-def require_morse(K: SimplicialComplex, f: MorseFunction) -> None:
-    bad = validate_morse(K, f)
+def require_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple[Simplex, ...], list]:
+    """(critical cells, gradient pairs) of f, or NotMorseError with the violations."""
+    bad, critical, pairs = _classify(K, f)
     if bad:
         raise NotMorseError(bad)
+    return critical, pairs
 
 
 def critical_cells(K: SimplicialComplex, f: MorseFunction) -> tuple[Simplex, ...]:
     """Cells with no exceptional facet and no exceptional cofacet."""
-    require_morse(K, f)
-    cofacets = _cofacet_table(K)
-    out = []
-    for s in K.simplices():
-        if any(f(t) <= f(s) for t in cofacets[s]):
-            continue
-        if any(f(n) >= f(s) for n in s.facets()):
-            continue
-        out.append(s)
-    return tuple(out)
+    return require_morse(K, f)[0]
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,7 @@ class GradientField:
 
 
 def gradient_field(K: SimplicialComplex, f: MorseFunction) -> GradientField:
-    require_morse(K, f)
-    pairs = set()
-    cofacets = _cofacet_table(K)
-    for s in K.simplices():
-        for t in cofacets[s]:
-            if f(t) <= f(s):
-                pairs.add((s, t))
-    return GradientField(frozenset(pairs))
+    return GradientField(frozenset(require_morse(K, f)[1]))
 
 
 def sublevel(K: SimplicialComplex, f: MorseFunction, u: Rational) -> SimplicialComplex:
@@ -179,9 +174,9 @@ class UnknownLabelError(KeyError):
 
 
 class Filtration:
-    """Strictly increasing thresholds with the nested sublevel complexes at each."""
+    """Strictly increasing thresholds over one complex and each cell's entry step."""
 
-    __slots__ = ("thresholds", "steps")
+    __slots__ = ("thresholds", "complex", "entry")
 
     def __init__(self, thresholds: Sequence[Rational], steps: Sequence[SimplicialComplex]):
         ts = tuple(Fraction(t) for t in thresholds)
@@ -192,18 +187,30 @@ class Filtration:
         for earlier, later in zip(steps, steps[1:]):
             if not is_subcomplex(earlier, later):
                 raise ValueError("filtration steps are not nested")
-        object.__setattr__(self, "thresholds", ts)
-        object.__setattr__(self, "steps", tuple(steps))
+        # the earliest step wins, so the steps are read from the last one down
+        entry = {s: u for u in reversed(range(len(ts))) for s in steps[u].simplices()}
+        for name, value in zip(self.__slots__, (ts, steps[-1], entry)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, thresholds: tuple, K: SimplicialComplex, entry: dict) -> "Filtration":
+        """A filtration of K from sorted thresholds and each cell's entry step."""
+        filtration = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (thresholds, K, entry)):
+            object.__setattr__(filtration, name, value)
+        return filtration
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.thresholds)
 
     @property
-    def complex(self) -> SimplicialComplex:
-        return self.steps[-1]
+    def steps(self) -> tuple[SimplicialComplex, ...]:
+        """The step complexes, built from `entry` on each access."""
+        return tuple(SimplicialComplex([s for s, e in self.entry.items() if e <= u])
+                     for u in range(len(self)))
 
     def index_of(self, label: Rational) -> int:
         t = Fraction(label)
@@ -217,10 +224,9 @@ class Filtration:
 
     def restrict_to(self, A: SimplicialComplex) -> "Filtration":
         """The induced filtration of a subcomplex: each step intersected with A."""
-        from .complexes import intersect
         if not is_subcomplex(A, self.complex):
             raise ValueError("A is not a subcomplex of the filtered complex")
-        return Filtration(self.thresholds, [intersect(step, A) for step in self.steps])
+        return Filtration._of(self.thresholds, A, {s: self.entry[s] for s in A.simplices()})
 
 
 def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
@@ -228,14 +234,18 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
     """Sublevel complexes of f at the given thresholds (sorted, deduplicated).
 
     If the last threshold does not capture all of K, a final step at max f is
-    appended so the filtration always terminates in the full complex.
-    """
+    appended so the filtration always terminates in the full complex. A cell
+    enters with the earliest of its cofaces, each placed by bisecting its value."""
     ts = sorted({Fraction(t) for t in thresholds})
     if not ts:
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    return Filtration(ts, [sublevel(K, f, t) for t in ts])
+    entry = {s: bisect_left(ts, f(s)) for s in K.simplices()}
+    for s in reversed(K.simplices()):  # from the top dimension down
+        for n in s.facets():
+            entry[n] = min(entry[n], entry[s])
+    return Filtration._of(tuple(ts), K, entry)
 
 
 def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,

@@ -95,16 +95,13 @@ class PersistenceResult:
                  A: SimplicialComplex):
         self.filtration = filtration
         self.modulus = p = check_modulus(modulus)
+        self.n_steps = len(filtration)
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
-        entry: dict[Simplex, int] = {}
-        for u, step in enumerate(filtration.steps):
-            for s in step.simplices():
-                entry.setdefault(s, u)
         blocks: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
         # the cone's apex: one more than the largest vertex
         apex = Simplex((max(filtration.complex.simplices(0))[0] + 1,)) if len(A) else None
-        for s, u in entry.items():
+        for s, u in filtration.entry.items():
             if s.dim <= top:
                 blocks[s.dim].append((u, s))
             if apex is not None and s.dim < top and s in A:
@@ -159,10 +156,6 @@ class PersistenceResult:
         # per degree and step: the cycle cells whose bars are alive there
         self._alive = [[np.flatnonzero((b <= u) & (d > u)) for u in range(n)]
                        for b, d in zip(self._births, self._deaths)]
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.filtration)
 
     def labels(self) -> tuple[str, ...]:
         return self.filtration.labels()

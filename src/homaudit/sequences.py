@@ -10,7 +10,7 @@ the tails are closed off with zero spaces and zero maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -54,18 +54,12 @@ class SequenceTerm:
 
 
 @dataclass(frozen=True)
-class GradedMap:
-    """A map of graded modules, one matrix per step index."""
-
-    per_step: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class LinearSequence:
     level: str
     kind: str  # 'mayer-vietoris' or 'pair'
     terms: tuple[SequenceTerm, ...]
-    maps: tuple[Union[np.ndarray, GradedMap], ...]  # maps[i]: terms[i] -> terms[i+1]
+    # maps[i]: terms[i] -> terms[i+1]; at the module level, one matrix per step
+    maps: tuple[Union[np.ndarray, tuple[np.ndarray, ...]], ...]
     modulus: int
     u: Optional[int] = None
     v: Optional[int] = None
@@ -145,11 +139,8 @@ class _System:
         self.modulus = linalg.check_modulus(modulus)
         self.top_degree = max(X.dim, 0)
         self.filtration = filtration
+        self.n_steps = len(filtration)
         self._maps: dict[tuple[str, int, int], np.ndarray] = {}
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.filtration)
 
     def _summands(self, label: str) -> list[PersistenceResult]:
         return [self.spaces[name] for name in label.split("⊕")]
@@ -269,11 +260,10 @@ def mv_connecting(sys: MayerVietorisSystem, k: int, u: int,
     chain into an A-part and a B-part and take the class of the A-part's
     boundary. Simplices of A∩B go to the A side (or B, for the
     well-definedness cross-check)."""
-    a_step = sys.RA.filtration.steps[u]
-    b_step = sys.RB.filtration.steps[u]
+    a_entry, b_entry = sys.RA.filtration.entry, sys.RB.filtration.entry
 
     def in_a_part(s) -> bool:
-        in_a, in_b = s in a_step, s in b_step
+        in_a, in_b = a_entry.get(s, u + 1) <= u, b_entry.get(s, u + 1) <= u
         if not in_a and not in_b:
             # the constructor checked that A ∪ B covers X, so this is a bug
             raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B at step {u}")
@@ -287,9 +277,9 @@ def pair_connecting(sys: PairSystem, k: int, u: int) -> np.ndarray:
     cycle of X_u ∪ cone(A_u); its part on the cells of X_u (the cone cells
     dropped) has its boundary in A_u, and the class of that boundary is the
     image."""
-    x_step = sys.filtration.steps[u]
+    x_entry = sys.filtration.entry
     return sys.RA.class_of(k, u, _boundary(sys.RXA.representatives(k + 1, u),
-                                           x_step.__contains__))
+                                           lambda s: x_entry.get(s, u + 1) <= u))
 
 
 def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
@@ -375,7 +365,7 @@ def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
     for i, term in enumerate(seqs[0].terms):
         dims = tuple(seq.terms[i].dim for seq in seqs)
         terms.append(SequenceTerm(term.label, term.degree, sum(dims), dims))
-        maps.append(GradedMap(tuple(seq.maps[i] for seq in seqs)))
+        maps.append(tuple(seq.maps[i] for seq in seqs))
         steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,
                                 pos.order2, pos.exact, pos.defect)
                       for u, pos in enumerate(aud.positions[i] for aud in auds))
@@ -425,18 +415,19 @@ def check_squares(sys: _System, u: int, v: int) -> list[str]:
     (map at v) ∘ vertical = vertical ∘ (map at u). Returns mismatch
     descriptions; an empty list means all squares commute."""
     schedule = _term_schedule(sys)
+
+    @cache
+    def vertical(i: int) -> np.ndarray:  # term i's: gap i's source, gap i-1's target
+        return sys.vertical(*schedule[i], u, v)
+
     failures = []
     for i, (gap, k) in enumerate(_gap_schedule(sys)):
-        src_label, src_k = schedule[i]
-        tgt_label, tgt_k = schedule[i + 1]
         m_u = sys.horizontal(gap, k, u)
         m_v = sys.horizontal(gap, k, v)
         if m_v.shape[0] == 0 or m_u.shape[1] == 0:
             continue  # both sides of the square are empty matrices
-        vert_src = sys.vertical(src_label, src_k, u, v)
-        vert_tgt = sys.vertical(tgt_label, tgt_k, u, v)
-        left = linalg.mat_mul(m_v, vert_src, sys.modulus)
-        right = linalg.mat_mul(vert_tgt, m_u, sys.modulus)
+        left = linalg.mat_mul(m_v, vertical(i), sys.modulus)
+        right = linalg.mat_mul(vertical(i + 1), m_u, sys.modulus)
         if not np.array_equal(left, right):
             failures.append(f"{gap} square at degree {k} between steps {u} and {v}")
     return failures

@@ -6,12 +6,13 @@ exhaustive vector enumeration, a from-scratch persistent dimension that
 reduces the cycle-inclusion matrix directly instead of composing step maps,
 the per-step homology basis choice written as three separate reductions,
 the persistent sequence built from each term's block-diagonal vertical map,
-step boundary matrices built from the simplices' own faces, and
-`DensePersistence`, the dense per-step path that the bar-selection path
-replaced (one basis per step with classes found by a dense solve, composed
-step maps, persistent groups as images, the barcode by inclusion-exclusion
-over their ranks), with `assert_matches_oracle` comparing the two on every
-basis-free invariant.
+step boundary matrices built from the simplices' own faces, the three
+separate Morse scans (`naive_classify`) that one classification pass
+replaced, and `DensePersistence`, the dense per-step path that the
+bar-selection path replaced (one basis per step with classes found by a
+dense solve, composed step maps, persistent groups as images, the barcode
+by inclusion-exclusion over their ranks), with `assert_matches_oracle`
+comparing the two on every basis-free invariant.
 """
 
 import copy
@@ -25,6 +26,7 @@ from homaudit import linalg, sequences
 from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, intersect,
                                 reindex_chains, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
+from homaudit.morse import MorseViolation
 from homaudit.persistence import NotACycleError, PersistenceResult, barcode
 from homaudit.sequences import (PERSISTENT, LinearSequence, MayerVietorisSystem,
                                 SequenceTerm, audit, module_sequence, ordinary_sequence,
@@ -157,6 +159,48 @@ def naive_betti(K, p):
         kernel = dk.shape[1] - naive_rank(dk, p)
         out.append(kernel - naive_rank(dk1, p))
     return out
+
+
+def _cofacet_table(K):
+    table = {s: [] for s in K.simplices()}
+    for s in K.simplices():
+        for f in s.facets():
+            table[f].append(s)
+    return table
+
+
+def naive_classify(K, f):
+    """(violations, critical cells, gradient pairs) by the three scans that
+    the library's one classification pass replaced, each over its own
+    cofacet table: validation, then the cells with no exceptional facet or
+    cofacet, then every (cell, cofacet) pair with f(cofacet) <= f(cell).
+    The last two run whether or not f is a discrete Morse function."""
+    cofacets = _cofacet_table(K)
+    violations = []
+    for s in K.simplices():
+        up = tuple(t for t in cofacets[s] if f(t) <= f(s))
+        down = tuple(n for n in s.facets() if f(n) >= f(s))
+        if len(up) > 1:
+            violations.append(MorseViolation(s, "excess_cofacets", up))
+        if len(down) > 1:
+            violations.append(MorseViolation(s, "excess_facets", down))
+        if len(up) == 1 and len(down) == 1:
+            violations.append(MorseViolation(s, "both_exceptional", up + down))
+    cofacets = _cofacet_table(K)
+    critical = []
+    for s in K.simplices():
+        if any(f(t) <= f(s) for t in cofacets[s]):
+            continue
+        if any(f(n) >= f(s) for n in s.facets()):
+            continue
+        critical.append(s)
+    cofacets = _cofacet_table(K)
+    pairs = set()
+    for s in K.simplices():
+        for t in cofacets[s]:
+            if f(t) <= f(s):
+                pairs.add((s, t))
+    return tuple(violations), tuple(critical), frozenset(pairs)
 
 
 def chain_boundary(result, k, u):
@@ -342,10 +386,10 @@ class DensePersistence:
 
     def __init__(self, filtration, modulus, max_degree, A=None):
         self.filtration, self.modulus, self.max_degree = filtration, modulus, max_degree
-        self._a_steps = [EMPTY_COMPLEX if A is None else intersect(step, A)
-                         for step in filtration.steps]
+        steps = filtration.steps
+        self._a_steps = [EMPTY_COMPLEX if A is None else intersect(step, A) for step in steps]
         self._chains = [_step_chains(step, a_step, max_degree, modulus)
-                        for step, a_step in zip(filtration.steps, self._a_steps)]
+                        for step, a_step in zip(steps, self._a_steps)]
         self._homology, self._maps, self._composed, self._groups = {}, {}, {}, {}
         for u, chain in enumerate(self._chains):
             for k, hom in enumerate(_step_homology(chain, max_degree, modulus)):

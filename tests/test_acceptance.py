@@ -88,14 +88,14 @@ def test_criterion_2_torus_module_exactness(data_dir, torus_system, capsys):
     witness = mod_ab.element([[0] * dd for dd in mod_ab.dims[:4]]
                              + [gamma4, [0] * mod_ab.dims[5]])
     dim_a = torus_system.RA.dim(1, 4)
-    image4 = mat_mul(alpha.per_step[4], gamma4.reshape(-1, 1), 2)[:, 0]
+    image4 = mat_mul(alpha[4], gamma4.reshape(-1, 1), 2)[:, 0]
     assert not image4[:dim_a].any()      # vanishes in A already
     assert image4[dim_a:].any()          # alive in B, so the witness is not in ker
     shifted = mod_ab.x_action(witness)
     gamma5 = shifted.components[5]
     assert gamma5.any() and not any(c.any() for c in shifted.components[:5])
-    assert not mat_mul(alpha.per_step[5], gamma5.reshape(-1, 1), 2).any()  # now in ker
-    sigma = preimage(delta.per_step[5], gamma5, 2)
+    assert not mat_mul(alpha[5], gamma5.reshape(-1, 1), 2).any()  # now in ker
+    sigma = preimage(delta[5], gamma5, 2)
     assert sigma is not None and sigma.any()
     assert torus_system.RX.dim(2, 5) == 1  # the preimage is the fundamental class
     elapsed = time.monotonic() - start

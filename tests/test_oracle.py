@@ -1,23 +1,35 @@
-"""The bar-selection path against the dense per-step path it replaced, on
-basis-free invariants: dims, ranks of induced maps, bars and every audit
-row. Inputs: the acceptance batch at its own primes, its first 64 fixtures
-rebuilt over F_2, F_3, F_5 and F_7 (at its own prime a fixture is the
-batch's), grid tori from the benchmark's generator and both shipped
-fixtures."""
+"""Fast paths against the paths they replaced.
+
+The bar-selection path against the dense per-step path, on basis-free
+invariants: dims, ranks of induced maps, bars and every audit row. Inputs:
+the acceptance batch at its own primes, its first 64 fixtures rebuilt over
+F_2, F_3, F_5 and F_7 (at its own prime a fixture is the batch's), grid
+tori from the benchmark's generator and both shipped fixtures.
+
+The input layers against their old paths on the same inputs: filtrations
+stored as entry steps against one closed sublevel per threshold (and
+restrictions against steps intersected with the subcomplex), the one Morse
+classification pass against the three separate scans, and Betti numbers
+from the column reduction against dense ranks.
+"""
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homaudit.complexes import SimplicialComplex, Simplex
-from homaudit.morse import MorseFunction, filtration_from_morse, sublevel_filtration
+from homaudit.complexes import SimplicialComplex, Simplex, betti_numbers, intersect
+from homaudit.morse import (Filtration, MorseFunction, _classify, filtration_from_morse,
+                            sublevel, sublevel_filtration)
 from homaudit.persistence import compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
-from naive import assert_matches_oracle
-from randfix import FIXTURE_COUNT, fixture_batch, make_fixture
+from naive import assert_matches_oracle, naive_betti, naive_classify
+from randfix import FIXTURE_COUNT, fixture_batch, make_fixture, random_complex, random_subcomplex
 
 PRIMES = (2, 3, 5, 7)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,3 +74,101 @@ def test_shipped_fixtures_match_oracle(torus, genus2, p):
     assert_matches_oracle(MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, p))
     filt = sublevel_filtration(genus2.complex, genus2.function, genus2.thresholds)
     assert_matches_oracle(PairSystem(genus2.complex, genus2.A, filt, p))
+
+
+# ---------------------------------------------------------------------------
+# the input layers
+
+def _shipped_and_grid_inputs(torus, genus2):
+    """(K, f, thresholds, subcomplexes) of the grid tori n = 4..10 and both
+    shipped fixtures."""
+    gridgen = _load_gridgen()
+    out = []
+    for n in range(4, 11):
+        grid = gridgen.grid_torus(n, 1000 + n)
+        K = SimplicialComplex(Simplex(s) for s in grid.values)
+        f = MorseFunction(K, {Simplex(s): v for s, v in grid.values.items()})
+        out.append((K, f, gridgen.thresholds(grid), ()))
+    out.append((torus.complex, torus.function, torus.thresholds,
+                (torus.A, torus.B, intersect(torus.A, torus.B))))
+    out.append((genus2.complex, genus2.function, genus2.thresholds, (genus2.A,)))
+    return out
+
+
+def _assert_filtration_matches(K, f, thresholds, subcomplexes):
+    """Entry steps against one closed sublevel per threshold, and each
+    restriction against the steps intersected with the subcomplex."""
+    filt = sublevel_filtration(K, f, thresholds)
+    old_steps = [sublevel(K, f, t) for t in filt.thresholds]
+    assert list(filt.steps) == old_steps
+    assert filt.complex == K and len(filt) == len(old_steps)
+    assert filt.entry == Filtration(filt.thresholds, old_steps).entry
+    for S in subcomplexes:
+        restricted = filt.restrict_to(S)
+        assert restricted.thresholds == filt.thresholds and restricted.complex == S
+        assert list(restricted.steps) == [intersect(step, S) for step in old_steps]
+
+
+def _assert_classification_matches(K, f):
+    violations, critical, pairs = _classify(K, f)
+    assert (violations, critical, frozenset(pairs)) == naive_classify(K, f)
+    assert len(pairs) == len(set(pairs))
+
+
+def _values_of(system, f):
+    """The acceptance fixture's values, and a shuffle of them that breaks
+    the Morse conditions on most fixtures."""
+    cells = list(system.X.simplices())
+    shuffled = [f(s) for s in cells]
+    random.Random(len(cells)).shuffle(shuffled)
+    return f, MorseFunction(system.X, dict(zip(cells, shuffled)))
+
+
+def test_filtrations_match_closed_sublevels(torus, genus2):
+    for _, system, f in fixture_batch(FIXTURE_COUNT):
+        subcomplexes = [system.spaces[name].filtration.complex
+                        for name in system.spaces if name not in ("X", "(X,A)")]
+        values = sorted({v for _, v in f.items()})
+        for thresholds in (system.filtration.thresholds, values, values[::3]):
+            _assert_filtration_matches(system.X, f, thresholds, subcomplexes)
+    for K, f, thresholds, subcomplexes in _shipped_and_grid_inputs(torus, genus2):
+        _assert_filtration_matches(K, f, thresholds, subcomplexes)
+
+
+def test_classification_matches_the_three_scans(torus, genus2):
+    non_morse = 0
+    for _, system, f in fixture_batch(FIXTURE_COUNT):
+        for g in _values_of(system, f):
+            _assert_classification_matches(system.X, g)
+            non_morse += bool(naive_classify(system.X, g)[0])
+    assert non_morse > FIXTURE_COUNT // 2
+    for K, f, _, _ in _shipped_and_grid_inputs(torus, genus2):
+        _assert_classification_matches(K, f)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_filtration_and_classification_on_arbitrary_values(seed, data):
+    """Arbitrary rational values, Morse or not, and thresholds below, inside
+    and above their range (values lie in [-3, 3], thresholds in [-5, 5])."""
+    rng = random.Random(seed)
+    K = random_complex(rng)
+    values = data.draw(st.lists(_RATIONALS, min_size=len(K), max_size=len(K)))
+    f = MorseFunction(K, dict(zip(K.simplices(), values)))
+    thresholds = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                                    min_size=1, max_size=6))
+    _assert_filtration_matches(K, f, thresholds, [random_subcomplex(K, rng)])
+    _assert_classification_matches(K, f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_betti_numbers_match_dense_ranks(torus, genus2, p):
+    complexes = [system.X for _, system, _ in fixture_batch(FIXTURE_COUNT)]
+    complexes += [K for K, _, _, _ in _shipped_and_grid_inputs(torus, genus2)[:3]]
+    complexes += [torus.complex, torus.A, intersect(torus.A, torus.B), genus2.complex, genus2.A]
+    complexes.append(SimplicialComplex(()))
+    for K in complexes:
+        assert betti_numbers(K, p) == naive_betti(K, p), K

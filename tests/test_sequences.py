@@ -167,6 +167,9 @@ def test_module_level_exact_on_fixtures(torus_system, genus2_system):
         seq, aud = module_sequence(sys_)
         assert aud.exact and aud.order2
         assert all(pos.steps is not None for pos in aud.positions)
+        # a module map is the tuple of the ordinary maps, one per step
+        assert all(np.array_equal(per_step[u], ordinary_sequence(sys_, u)[0].maps[i])
+                   for i, per_step in enumerate(seq.maps) for u in range(sys_.n_steps))
 
 
 def test_audit_zero_maps():

@@ -24,7 +24,7 @@ from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces, is_subcomplex)
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
-                    critical_cells, is_perfect, sublevel_filtration)
+                    _perfectness, critical_cells, sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -206,7 +206,7 @@ def cmd_morse_check(args) -> int:
         cells = [tuple(s) for s in crit if s.dim == k]
         print(f"critical {k}-cells ({len(cells)}):"
               + ("" if not cells else " " + " ".join(map(str, cells))))
-    report = is_perfect(K, f, args.field)
+    report = _perfectness(K, crit, args.field)
     verdict = "yes" if report.perfect else "no"
     print(f"perfect: {verdict} (critical counts {list(report.critical_counts)}, "
           f"betti {list(report.betti)} over F_{args.field})")

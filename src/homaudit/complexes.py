@@ -65,22 +65,26 @@ class Simplex(tuple):
 
 
 class SimplicialComplex:
-    """An immutable finite simplicial complex, closed under the face relation."""
+    """An immutable finite simplicial complex, closed under the face relation.
+    `facet_table` (read-only): each cell's facets in vertex-deletion order, as its own simplices."""
 
-    __slots__ = ("_by_dim", "_index", "_all")
+    __slots__ = ("_by_dim", "_index", "_all", "facet_table")
 
     def __init__(self, simplices: Iterable[Simplex]):
         pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
-        for s in pool:
-            for f in s.facets():
-                if f not in pool:
-                    raise ValueError(f"not closed under faces: {s} present but {f} missing")
-        top = max((s.dim for s in pool), default=-1)
-        by_dim = tuple(tuple(sorted(s for s in pool if s.dim == k)) for k in range(top + 1))
+        own, facets = dict(zip(pool, pool)), {}
+        for s in own:  # vertex-deletion order is the reverse of combinations' order
+            try:
+                facets[s] = tuple(map(own.__getitem__, reversed(list(
+                    combinations(s, len(s) - 1))))) if len(s) > 1 else ()
+            except KeyError as missing:
+                raise ValueError(f"not closed under faces: {s} present but "
+                                 f"{missing.args[0]} missing") from None
+        top = max(map(len, pool), default=0)
+        by_dim = tuple(tuple(sorted(s for s in pool if len(s) == k)) for k in range(1, top + 1))
         index = {s: i for block in by_dim for i, s in enumerate(block)}
-        object.__setattr__(self, "_by_dim", by_dim)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_all", frozenset(pool))
+        for name, value in zip(self.__slots__, (by_dim, index, frozenset(pool), facets)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -104,10 +108,7 @@ class SimplicialComplex:
         return self._index[s]
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        cofaced = set()
-        for s in self._all:
-            for f in s.facets():
-                cofaced.add(f)
+        cofaced = {f for facets in self.facet_table.values() for f in facets}
         return tuple(sorted((s for s in self._all if s not in cofaced),
                             key=lambda s: (s.dim, s)))
 

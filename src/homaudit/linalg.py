@@ -184,9 +184,17 @@ class Subspace:
         if dense_rank(basis, p) != basis.shape[1]:
             raise ValueError("basis vectors are linearly dependent")
         basis.setflags(write=False)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "modulus", p)
-        object.__setattr__(self, "basis", basis)
+        for name, value in zip(self.__slots__, (ambient, p, basis)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, basis: np.ndarray, p: int) -> "Subspace":
+        """The span of basis columns already reduced mod p and known independent."""
+        space = object.__new__(cls)
+        basis.setflags(write=False)
+        for name, value in zip(cls.__slots__, (basis.shape[0], p, basis)):
+            object.__setattr__(space, name, value)
+        return space
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -207,14 +215,14 @@ def rank(m: np.ndarray, p: int) -> int:
 def kernel_basis(m: np.ndarray, p: int) -> Subspace:
     """Basis of the null space; its dimension is cols - rank."""
     a, p = _as_array(m, p)
-    return Subspace(a.shape[1], nullspace(a, p).T, p)
+    return Subspace._of(nullspace(a, p), p)
 
 
 def image_basis(m: np.ndarray, p: int) -> Subspace:
     """Basis of the column space: the original columns at pivot positions."""
     a, p = _as_array(m, p)
     pivots = row_reduce(a, p)[1]
-    return Subspace(a.shape[0], a[:, list(pivots)].T, p)
+    return Subspace._of(a[:, list(pivots)], p)
 
 
 def preimage(m: np.ndarray, v, p: int) -> Optional[np.ndarray]:

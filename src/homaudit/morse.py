@@ -5,8 +5,9 @@ One pass over the facet incidences classifies every cell, giving the
 violations, the critical cells and the gradient pairs together. A
 filtration stores the step at which each cell enters, found from the lowest
 value on the cell's cofaces; its step complexes are built only on request.
-Function values are exact rationals throughout; sublevel membership is
-decided by exact comparison, never by floats.
+Both walks read the complex's facet table. Values and thresholds are exact:
+an integral one is held as an `int`, any other as a `Fraction`; sublevel
+membership is decided by exact comparison, never by floats.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from .complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_f
                         is_subcomplex)
 
 Rational = Fraction | int | str
+
+
+def _exact(v: Rational) -> Fraction | int:
+    """v as an int when integral, else as a Fraction: both compare, hash and print alike."""
+    q = Fraction(v)
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 class NotMorseError(ValueError):
@@ -56,7 +63,7 @@ class MorseFunction:
         table = {}
         for s, v in values.items():
             s = s if isinstance(s, Simplex) else Simplex(s)
-            table[s] = Fraction(v)
+            table[s] = _exact(v)
         missing = [s for s in complex.simplices() if s not in table]
         if missing:
             raise ValueError(f"function not total: no value for {tuple(missing[0])} "
@@ -70,18 +77,18 @@ class MorseFunction:
     def __setattr__(self, name, value):
         raise AttributeError("MorseFunction is immutable")
 
-    def __call__(self, s: Simplex) -> Fraction:
+    def __call__(self, s: Simplex) -> Fraction | int:
         return self._values[s]
 
     def items(self):
         return [(s, self._values[s]) for s in self.complex.simplices()]
 
     @property
-    def max_value(self) -> Fraction:
+    def max_value(self) -> Fraction | int:
         return max(self._values.values())
 
     @property
-    def min_value(self) -> Fraction:
+    def min_value(self) -> Fraction | int:
         return min(self._values.values())
 
     def restrict(self, sub: SimplicialComplex) -> "MorseFunction":
@@ -104,9 +111,9 @@ def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple, lis
     """One pass over the incidences of a facet n in a cell t, exceptional when
     f(n) >= f(t): the violations (cell by cell in K's order), the critical
     cells, and the exceptional incidences, the gradient pairs when f is Morse."""
-    value, up, down = f._values, {}, {}
+    value, facets, up, down = f._values, K.facet_table, {}, {}
     for t in K.simplices():
-        for n in t.facets():
+        for n in facets[t]:
             if value[n] >= value[t]:
                 up.setdefault(n, []).append(t)
                 down.setdefault(t, []).append(n)
@@ -179,7 +186,7 @@ class Filtration:
     __slots__ = ("thresholds", "complex", "entry")
 
     def __init__(self, thresholds: Sequence[Rational], steps: Sequence[SimplicialComplex]):
-        ts = tuple(Fraction(t) for t in thresholds)
+        ts = tuple(_exact(t) for t in thresholds)
         if len(ts) != len(steps) or not ts:
             raise ValueError("thresholds and steps must be equal-length and non-empty")
         if any(a >= b for a, b in zip(ts, ts[1:])):
@@ -213,7 +220,7 @@ class Filtration:
                      for u in range(len(self)))
 
     def index_of(self, label: Rational) -> int:
-        t = Fraction(label)
+        t = _exact(label)
         try:
             return self.thresholds.index(t)
         except ValueError:
@@ -236,14 +243,15 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
     If the last threshold does not capture all of K, a final step at max f is
     appended so the filtration always terminates in the full complex. A cell
     enters with the earliest of its cofaces, each placed by bisecting its value."""
-    ts = sorted({Fraction(t) for t in thresholds})
+    ts = sorted({_exact(t) for t in thresholds})
     if not ts:
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    entry = {s: bisect_left(ts, f(s)) for s in K.simplices()}
+    value, facets = f._values, K.facet_table
+    entry = {s: bisect_left(ts, value[s]) for s in K.simplices()}
     for s in reversed(K.simplices()):  # from the top dimension down
-        for n in s.facets():
+        for n in facets[s]:
             entry[n] = min(entry[n], entry[s])
     return Filtration._of(tuple(ts), K, entry)
 
@@ -273,7 +281,10 @@ class PerfectnessReport:
 
 def is_perfect(K: SimplicialComplex, f: MorseFunction, p: int) -> PerfectnessReport:
     """True when per-degree critical cell counts equal the Betti numbers over F_p."""
-    crit = critical_cells(K, f)
+    return _perfectness(K, critical_cells(K, f), p)
+
+
+def _perfectness(K: SimplicialComplex, crit: Iterable[Simplex], p: int) -> PerfectnessReport:
     counts = [0] * (K.dim + 1)
     for s in crit:
         counts[s.dim] += 1

@@ -8,15 +8,20 @@ the per-step homology basis choice written as three separate reductions,
 the persistent sequence built from each term's block-diagonal vertical map,
 step boundary matrices built from the simplices' own faces, the three
 separate Morse scans (`naive_classify`) that one classification pass
-replaced, and `DensePersistence`, the dense per-step path that the
-bar-selection path replaced (one basis per step with classes found by a
-dense solve, composed step maps, persistent groups as images, the barcode
-by inclusion-exclusion over their ranks), with `assert_matches_oracle`
-comparing the two on every basis-free invariant.
+replaced, that pass and the entry-step filtration on `Fraction` values and
+rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
+`int` values and the facet table replaced, and `DensePersistence`, the
+dense per-step path that the bar-selection path replaced (one basis per
+step with classes found by a dense solve, composed step maps, persistent
+groups as images, the barcode by inclusion-exclusion over their ranks),
+with `assert_matches_oracle` comparing the two on every basis-free
+invariant.
 """
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -201,6 +206,44 @@ def naive_classify(K, f):
             if f(t) <= f(s):
                 pairs.add((s, t))
     return tuple(violations), tuple(critical), frozenset(pairs)
+
+
+def fraction_classify(K, f):
+    """(violations, critical cells, gradient pairs) by the one classification
+    pass, every value a `Fraction` and every cell's facets rebuilt by
+    `Simplex.facets()`."""
+    value = {s: Fraction(v) for s, v in f.items()}
+    up, down = {}, {}
+    for t in K.simplices():
+        for n in t.facets():
+            if value[n] >= value[t]:
+                up.setdefault(n, []).append(t)
+                down.setdefault(t, []).append(n)
+    violations = []
+    for s in K.simplices():
+        ups, downs = tuple(up.get(s, ())), tuple(down.get(s, ()))
+        if len(ups) > 1:
+            violations.append(MorseViolation(s, "excess_cofacets", ups))
+        if len(downs) > 1:
+            violations.append(MorseViolation(s, "excess_facets", downs))
+        if len(ups) == 1 and len(downs) == 1:
+            violations.append(MorseViolation(s, "both_exceptional", ups + downs))
+    critical = tuple(s for s in K.simplices() if s not in up and s not in down)
+    return tuple(violations), critical, [(n, t) for t in down for n in down[t]]
+
+
+def fraction_filtration(K, f, thresholds):
+    """(thresholds, entry steps) of the sublevel filtration, every value and
+    threshold a `Fraction` and every cell's facets rebuilt."""
+    value = {s: Fraction(v) for s, v in f.items()}
+    ts = sorted({Fraction(t) for t in thresholds})
+    if ts[-1] < max(value.values()):
+        ts.append(max(value.values()))
+    entry = {s: bisect_left(ts, value[s]) for s in K.simplices()}
+    for s in reversed(K.simplices()):
+        for n in s.facets():
+            entry[n] = min(entry[n], entry[s])
+    return tuple(ts), entry
 
 
 def chain_boundary(result, k, u):

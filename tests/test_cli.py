@@ -170,6 +170,124 @@ def test_fraction_values_round_trip(tmp_path, capsys):
     assert out.strip() == "degree 0: [1/2, inf)"
 
 
+NON_MORSE = """\
+# several violations, each with more than one witness somewhere
+0 : 2
+1 : 0
+2 : 0
+3 : 1
+0 1 : 2
+0 2 : 1
+1 2 : 1
+0 1 2 : 2
+1 3 : 0
+2 3 : 0
+1 2 3 : 0
+"""
+
+
+def test_morse_check_lists_violations_and_witnesses_in_order(tmp_path, capsys):
+    code, out, _ = run(capsys, "morse-check", write(tmp_path, "bad.txt", NON_MORSE))
+    assert code == 3
+    assert out == """\
+NOT a discrete Morse function:
+  excess_cofacets at (0,) (witnesses [(0, 1), (0, 2)])
+  excess_cofacets at (3,) (witnesses [(1, 3), (2, 3)])
+  both_exceptional at (0, 1) (witnesses [(0, 1, 2), (0,)])
+  excess_facets at (1, 3) (witnesses [(3,), (1,)])
+  excess_facets at (2, 3) (witnesses [(3,), (2,)])
+  excess_facets at (1, 2, 3) (witnesses [(2, 3), (1, 3), (1, 2)])
+"""
+
+
+@pytest.mark.parametrize("text", ["0 : 0\n1 : 2\n0 1 : 1\n", NON_MORSE], ids=["morse", "not-morse"])
+def test_morse_check_classifies_once(tmp_path, capsys, monkeypatch, text):
+    from homaudit import morse
+    calls = []
+    real = morse._classify
+    monkeypatch.setattr(morse, "_classify", lambda K, f: calls.append(K) or real(K, f))
+    assert run(capsys, "morse-check", write(tmp_path, "f.txt", text))[0] in (0, 3)
+    assert len(calls) == 1
+
+
+INHERITED_FRACTIONS = """\
+# explicit values on maximal cells only, mixed integral and fractional; faces inherit
+0 1 2 : 7/2
+1 2 3 : 5/2
+2 4 : 1/3
+3 4 : 0.5
+4 5 : 3
+0 5 : 9/3
+"""
+
+INHERITED_FRACTIONS_REPORT = """\
+{
+  "command": "barcode",
+  "degrees": [
+    {
+      "degree": 0,
+      "intervals": [
+        {
+          "birth": "1/3",
+          "death": null
+        }
+      ]
+    },
+    {
+      "degree": 1,
+      "intervals": [
+        {
+          "birth": "3",
+          "death": null
+        },
+        {
+          "birth": "7/2",
+          "death": null
+        }
+      ]
+    },
+    {
+      "degree": 2,
+      "intervals": []
+    }
+  ],
+  "field": 2,
+  "inputs": {
+    "complex": {
+      "path": "PATH",
+      "sha256": "211ead2401af70e3e935443ce94a7007bc46ca9c52af777629a5c237b794684f"
+    }
+  },
+  "thresholds": [
+    "1/3",
+    "1/2",
+    "3",
+    "7/2"
+  ],
+  "tool": "homaudit",
+  "version": "VERSION"
+}
+"""
+
+
+def test_inherited_fractional_values_report_bytes(tmp_path, capsys):
+    # labels and report of values written as '0.5', '9/3', '1/3', thresholds
+    # '0.5' and '1/2' together, '3' and '6/2' together
+    from homaudit import __version__
+    path = write(tmp_path, "inherit.txt", INHERITED_FRACTIONS)
+    report = tmp_path / "bars.json"
+    code, out, _ = run(capsys, "barcode", path, "--thresholds=1/3,0.5,1/2,3,6/2",
+                       "--json", str(report))
+    assert code == 0
+    assert out == "degree 0: [1/3, inf)\ndegree 1: [3, inf) [7/2, inf)\ndegree 2:\n"
+    assert report.read_text() == (INHERITED_FRACTIONS_REPORT.replace("PATH", path)
+                                  .replace("VERSION", __version__))
+    code, out, _ = run(capsys, "barcode", path, "--json", str(report))
+    assert code == 0  # not Morse: every distinct value is a threshold
+    assert out == "degree 0: [1/3, inf)\ndegree 1: [5/2, inf) [7/2, inf)\ndegree 2:\n"
+    assert json.loads(report.read_text())["thresholds"] == ["1/3", "1/2", "5/2", "3", "7/2"]
+
+
 def test_barcode_empty_file(tmp_path, capsys):
     path = write(tmp_path, "empty.txt", "# nothing here\n")
     code, out, _ = run(capsys, "barcode", path)

@@ -29,6 +29,19 @@ def test_simplex_validation():
         Simplex((-1, 0))
 
 
+def test_facet_table_is_the_complex_own_facets(torus, genus2):
+    # each cell's facets in vertex-deletion order, as the complex's own objects
+    rng = random.Random(23)
+    complexes = [torus.complex, torus.A, intersect(torus.A, torus.B), genus2.complex,
+                 SimplicialComplex(())] + [random_complex(rng) for _ in range(20)]
+    for K in complexes:
+        table, own = K.facet_table, {s: s for s in K.simplices()}
+        assert set(table) == set(own)
+        for s in K.simplices():
+            assert table[s] == tuple(s.facets())
+            assert all(f is own[f] for f in table[s])
+
+
 def test_faces_equal_the_validated_construction(torus, genus2):
     # faces skip validation, so they must come out exactly as validated ones
     for fixture in (torus, genus2):
@@ -53,6 +66,8 @@ def test_close_under_faces_counts():
 def test_complex_requires_closure():
     with pytest.raises(ValueError):
         SimplicialComplex([Simplex((0, 1))])
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\) present but \(0, 2\) missing"):
+        SimplicialComplex([Simplex(s) for s in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2))])
 
 
 def test_ordering_is_dimension_major_lexicographic():

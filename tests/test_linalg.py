@@ -151,6 +151,28 @@ def test_basis_independence_randomized():
         assert rank(ker.basis, p) == ker.dim
 
 
+def test_image_and_kernel_bases_take_one_reduction(monkeypatch):
+    # the pivots of the one reduction prove independence; a checked
+    # Subspace would reduce the chosen basis a second time
+    rng = random.Random(19)
+    real = linalg.row_reduce
+    for _ in range(40):
+        p = rng.choice((2, 3, 7))
+        m = _random_matrix(rng, rng.randrange(0, 7), rng.randrange(0, 7), p)
+        pivots = list(row_reduce(m, p)[1])
+        want = {kernel_basis: Subspace(m.shape[1], nullspace(m, p).T, p),
+                image_basis: Subspace(m.shape[0], m[:, pivots].T, p)}
+        for fn, checked in want.items():
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "row_reduce", lambda a, q: calls.append(q) or real(a, q))
+                got = fn(m, p)
+            assert len(calls) == 1
+            assert (got.ambient, got.modulus, got.dim) == (checked.ambient, p, checked.dim)
+            assert got.basis.dtype == np.int64 and np.array_equal(got.basis, checked.basis)
+            assert not got.basis.flags.writeable
+
+
 def test_determinism():
     rng1, rng2 = random.Random(3), random.Random(3)
     for _ in range(10):

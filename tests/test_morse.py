@@ -132,6 +132,25 @@ def test_filtration_invariants():
         Filtration([1, 2], [EDGE, close_under_faces([(7,)])])
 
 
+def test_values_and_thresholds_are_exact():
+    # integral values and thresholds are held as ints, the rest as Fractions;
+    # both compare, hash and print as the Fraction of the same value
+    f = edge_function("10/2", Fraction(7, 3), "0.5")
+    for s, v in zip(EDGE.simplices(), (Fraction(5), Fraction(7, 3), Fraction(1, 2))):
+        assert f(s) == v and hash(f(s)) == hash(v) and str(f(s)) == str(v)
+        assert type(f(s)) is (int if v.denominator == 1 else Fraction)
+    assert type(f.max_value) is int and f.max_value == 5
+    filt = sublevel_filtration(EDGE, f, ["0.5", "1/2", Fraction(5), "10/2", 5])
+    assert filt.thresholds == (Fraction(1, 2), 5) and type(filt.thresholds[1]) is int
+    assert filt.labels() == ("1/2", "5")
+    assert filt.index_of("0.5") == filt.index_of(Fraction(1, 2)) == 0
+    assert filt.index_of("10/2") == filt.index_of(5) == filt.index_of(Fraction(5)) == 1
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Filtration([Fraction(5), "10/2", 7], [EDGE, EDGE, EDGE])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Filtration(["0.5", "1/2"], [EDGE, EDGE])
+
+
 def test_is_perfect():
     point = close_under_faces([(0,)])
     assert is_perfect(point, MorseFunction(point, {Simplex((0,)): 0}), 2).perfect

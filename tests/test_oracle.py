@@ -9,13 +9,17 @@ tori from the benchmark's generator and both shipped fixtures.
 The input layers against their old paths on the same inputs: filtrations
 stored as entry steps against one closed sublevel per threshold (and
 restrictions against steps intersected with the subcomplex), the one Morse
-classification pass against the three separate scans, and Betti numbers
-from the column reduction against dense ranks.
+classification pass against the three separate scans, classification and
+entry steps on `int` values and the facet table against the same passes on
+`Fraction` values and rebuilt facets (also on non-integral variants of
+every input), and Betti numbers from the column reduction against dense
+ranks.
 """
 
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,8 @@ from homaudit.morse import (Filtration, MorseFunction, _classify, filtration_fro
 from homaudit.persistence import compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
-from naive import assert_matches_oracle, naive_betti, naive_classify
+from naive import (assert_matches_oracle, fraction_classify, fraction_filtration, naive_betti,
+                   naive_classify)
 from randfix import FIXTURE_COUNT, fixture_batch, make_fixture, random_complex, random_subcomplex
 
 PRIMES = (2, 3, 5, 7)
@@ -79,12 +84,12 @@ def test_shipped_fixtures_match_oracle(torus, genus2, p):
 # ---------------------------------------------------------------------------
 # the input layers
 
-def _shipped_and_grid_inputs(torus, genus2):
-    """(K, f, thresholds, subcomplexes) of the grid tori n = 4..10 and both
-    shipped fixtures."""
+def _shipped_and_grid_inputs(torus, genus2, largest=10):
+    """(K, f, thresholds, subcomplexes) of the grid tori n = 4..largest and
+    both shipped fixtures."""
     gridgen = _load_gridgen()
     out = []
-    for n in range(4, 11):
+    for n in range(4, largest + 1):
         grid = gridgen.grid_torus(n, 1000 + n)
         K = SimplicialComplex(Simplex(s) for s in grid.values)
         f = MorseFunction(K, {Simplex(s): v for s, v in grid.values.items()})
@@ -146,6 +151,58 @@ def test_classification_matches_the_three_scans(torus, genus2):
         _assert_classification_matches(K, f)
 
 
+def _decimal(q):
+    """A multiple of 1/2 written as a decimal: 5/2 as '2.5', -1/2 as '-0.5'."""
+    m = abs(2 * q)
+    return f"{'-' if q < 0 else ''}{m // 2}.{5 * (m % 2)}"
+
+
+def _non_integral_variants(K, f, thresholds):
+    """(f, thresholds) as given, then: every value and threshold divided by
+    3; half-integer thresholds; every value and threshold halved and written
+    as a string, the values alternately as '0.5' and '1/2', the thresholds
+    in both forms at once."""
+    values = dict(f.items())
+    yield f, list(thresholds)
+    yield (MorseFunction(K, {s: Fraction(v) / 3 for s, v in values.items()}),
+           [Fraction(t) / 3 for t in thresholds])
+    yield f, [Fraction(t) + Fraction(1, 2) for t in thresholds]
+    halves = {s: Fraction(v) / 2 for s, v in values.items()}
+    written = {s: _decimal(q) if i % 2 else f"{q.numerator}/{q.denominator}"
+               for i, (s, q) in enumerate(halves.items())}
+    half_ts = [Fraction(t) / 2 for t in thresholds]
+    yield (MorseFunction(K, written),
+           [_decimal(q) for q in half_ts] + [f"{q.numerator}/{q.denominator}" for q in half_ts])
+
+
+def _assert_matches_fraction_path(K, f, thresholds):
+    """Classification and entry steps against the Fraction path: the same
+    violations and witnesses, critical cells and gradient pairs, each in the
+    same order, and the same thresholds and entry steps; an integral value
+    or threshold is an int, any other a Fraction."""
+    assert _classify(K, f) == fraction_classify(K, f)
+    filt = sublevel_filtration(K, f, thresholds)
+    ts, entry = fraction_filtration(K, f, thresholds)
+    assert filt.thresholds == ts
+    assert list(filt.entry.items()) == list(entry.items())
+    for q in filt.thresholds + tuple(f(s) for s in K.simplices()):
+        assert type(q) is (int if Fraction(q).denominator == 1 else Fraction)
+
+
+def test_int_values_match_the_fraction_path(torus, genus2):
+    inputs, non_morse = [], 0
+    for _, system, f in fixture_batch(FIXTURE_COUNT):
+        inputs.append((system.X, f, system.filtration.thresholds))
+        shuffled = _values_of(system, f)[1]
+        non_morse += bool(fraction_classify(system.X, shuffled)[0])
+        _assert_matches_fraction_path(system.X, shuffled, [0])
+    assert non_morse > FIXTURE_COUNT // 2
+    inputs += [(K, f, ts) for K, f, ts, _ in _shipped_and_grid_inputs(torus, genus2, 14)]
+    for K, f, thresholds in inputs:
+        for g, ts in _non_integral_variants(K, f, thresholds):
+            _assert_matches_fraction_path(K, g, ts)
+
+
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -162,6 +219,7 @@ def test_filtration_and_classification_on_arbitrary_values(seed, data):
                                     min_size=1, max_size=6))
     _assert_filtration_matches(K, f, thresholds, [random_subcomplex(K, rng)])
     _assert_classification_matches(K, f)
+    _assert_matches_fraction_path(K, f, thresholds)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -68,7 +68,7 @@ class SimplicialComplex:
     """An immutable finite simplicial complex, closed under the face relation.
     `facet_table` (read-only): each cell's facets in vertex-deletion order, as its own simplices."""
 
-    __slots__ = ("_by_dim", "_index", "_all", "facet_table")
+    __slots__ = ("_by_dim", "_cells", "_index", "_all", "facet_table")
 
     def __init__(self, simplices: Iterable[Simplex]):
         pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
@@ -82,8 +82,9 @@ class SimplicialComplex:
                                  f"{missing.args[0]} missing") from None
         top = max(map(len, pool), default=0)
         by_dim = tuple(tuple(sorted(s for s in pool if len(s) == k)) for k in range(1, top + 1))
+        cells = tuple(s for block in by_dim for s in block)
         index = {s: i for block in by_dim for i, s in enumerate(block)}
-        for name, value in zip(self.__slots__, (by_dim, index, frozenset(pool), facets)):
+        for name, value in zip(self.__slots__, (by_dim, cells, index, frozenset(pool), facets)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -95,7 +96,7 @@ class SimplicialComplex:
 
     def simplices(self, k: int | None = None) -> tuple[Simplex, ...]:
         if k is None:
-            return tuple(s for block in self._by_dim for s in block)
+            return self._cells
         if k < 0 or k > self.dim:
             return ()
         return self._by_dim[k]

@@ -115,11 +115,16 @@ class PersistenceResult:
         self._entry = [np.array([u for u, _ in block], dtype=np.int64) for block in blocks]
         self._index = [{s: i for i, s in enumerate(cells)} for cells in self._cells]
         self._columns: list[list[dict]] = [[{} for _ in self._cells[0]]]
+        table = filtration.complex.facet_table
         for k in range(1, top + 1):
-            row = self._index[k - 1]
-            # facet i of s (vertex i deleted, sign (-1)^i), looked up as a plain tuple
-            self._columns.append([{row[s[:i] + s[i + 1:]]: (-1) ** i % p for i in range(k + 1)}
-                                  for s in self._cells[k]])
+            # facet i of s: vertex i deleted, sign (-1)^i
+            row, signs, columns = self._index[k - 1], [(-1) ** i % p for i in range(k + 1)], []
+            for s in self._cells[k]:
+                facets = table.get(s)
+                if facets is None:  # a cone cell, in no facet table: cut them out
+                    facets = [s[:i] + s[i + 1:] for i in range(k + 1)]
+                columns.append({row[f]: x for f, x in zip(facets, signs)})
+            self._columns.append(columns)
         self._reduce_filtration(apex is not None)
 
     def _reduce_filtration(self, coned: bool) -> None:
@@ -154,7 +159,7 @@ class PersistenceResult:
             paired, above = pivot_of, reduced
         self._cycle_at = [{low: j for j, low in enumerate(lows.tolist())} for lows in self._lows]
         # per degree and step: the cycle cells whose bars are alive there
-        self._alive = [[np.flatnonzero((b <= u) & (d > u)) for u in range(n)]
+        self._alive = [[((b <= u) & (d > u)).nonzero()[0] for u in range(n)]
                        for b, d in zip(self._births, self._deaths)]
 
     def labels(self) -> tuple[str, ...]:
@@ -190,16 +195,26 @@ class PersistenceResult:
         """Matrix of the induced map from step u to step u+1."""
         return self.induced_matrix(k, u, u + 1)
 
+    def bars_alive(self, k: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Births and deaths (n_steps when essential) of the bars alive at
+        step u, in the coordinate order of `dim`, `induced_matrix` and
+        `persistent_group`."""
+        self._check(k, u, u)
+        if k > self.max_degree:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        alive = self._alive[k][u]
+        return self._births[k][alive], self._deaths[k][alive]
+
     def induced_matrix(self, k: int, u: int, v: int) -> np.ndarray:
         """Matrix of the induced map from step u to step v (u <= v): a bar
         alive at both steps goes to itself, a bar dead by v goes to zero."""
         self._check(k, u, v)
         if k > self.max_degree:
             return np.zeros((0, 0), dtype=np.int64)
-        births, deaths = self._births[k], self._deaths[k]
         at_u, at_v = self._alive[k][u], self._alive[k][v]
         m = np.zeros((at_v.size, at_u.size), dtype=np.int64)
-        m[np.flatnonzero(births[at_v] <= u), np.flatnonzero(deaths[at_u] > v)] = 1
+        columns, rows = _survivors(self._births[k][at_v], self._deaths[k][at_u], u, v)
+        m[rows, columns] = 1
         return m
 
     def persistent_group(self, k: int, u: int, v: int) -> np.ndarray:
@@ -208,7 +223,7 @@ class PersistenceResult:
         self._check(k, u, v)
         if k > self.max_degree:
             return np.zeros(0, dtype=np.intp)
-        return np.flatnonzero(self._births[k][self._alive[k][v]] <= u)
+        return (self._births[k][self._alive[k][v]] <= u).nonzero()[0]
 
     def representatives(self, k: int, u: int) -> list[dict[Simplex, int]]:
         """The cycle columns of the bars alive at step u, as {simplex:
@@ -268,6 +283,15 @@ class PersistenceResult:
         if len(coefficients) != len(cells):
             raise linalg.DimensionMismatchError("chain length differs from the step's chain space")
         return self.class_of(chain.degree, u, [dict(zip(cells, coefficients))])[:, 0]
+
+
+def _survivors(births_v: np.ndarray, deaths_u: np.ndarray, u: int,
+              v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bars alive through [u, v], given the births of the coordinates at
+    v and the deaths of those at u: their positions among the coordinates at
+    u and among those at v, in one order. The map from step u to step v is
+    the partial identity between the two."""
+    return (deaths_u > v).nonzero()[0], (births_v <= u).nonzero()[0]
 
 
 def compute_persistence(filtration: Filtration, modulus: int,

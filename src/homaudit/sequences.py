@@ -5,12 +5,27 @@ modules (exact componentwise).
 
 Sequences are finite windows over degrees 0..dim X; beyond the top degree
 the tails are closed off with zero spaces and zero maps.
+
+A system audits its sequences from one rank profile per step v. In
+bar-adapted bases each coordinate of a term at v is a bar with a birth, and
+the persistent group between u <= v selects the bars born by u. So a
+level-v map, its columns sorted by birth, is reduced once: its restriction
+to the groups at (u, v) has as rank the number of pivot columns born by u,
+a prefix count. That holds because the rows the restriction drops are zero,
+which the leak bounds check: no column born by u may reach a row born after
+u (these bounds are built on the first query with u < v). Order 2 at a term
+holds at (u, v) exactly while u is below the earliest birth among the
+nonzero columns of the composition of its two level-v maps. The ordinary
+sequence at v is the case u = v, so the ordinary, module and persistent
+audits share one reduction per map. `audit` is the generic auditor of any
+`LinearSequence`, from its maps alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -19,7 +34,8 @@ from . import linalg
 from .complexes import NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex, union
 from .linalg import DimensionMismatchError
 from .morse import Filtration
-from .persistence import PersistenceResult, compute_persistence, relative_persistence
+from .persistence import (PersistenceResult, _survivors, compute_persistence,
+                          relative_persistence)
 
 ORDINARY = "ordinary"
 PERSISTENT = "persistent-group"
@@ -31,6 +47,7 @@ TERM_SUM = "A⊕B"
 TERM_A = "A"
 TERM_B = "B"
 TERM_REL = "(X,A)"
+GAPS = ("delta", "alpha", "beta")
 
 
 class NotCoveringError(ValueError):
@@ -116,10 +133,11 @@ class _System:
 
     `spaces` maps each space name to its persistence result, in the order
     reports list them. A sequence term is one space or the direct sum `A⊕B`
-    of two, so its dimension adds up over the summands, its vertical maps
-    are block diagonal and its persistent groups are the summands' bar
-    selections side by side. `horizontal` computes each map of the
-    sequence once, through the subclass's `map_at`, and keeps it read-only.
+    of two, so its coordinates at a step are its summands' bars side by
+    side, its vertical maps are block diagonal and its persistent groups
+    select the bars born early enough. `horizontal` computes each map of
+    the sequence once, through the subclass's `map_at`, and keeps it
+    read-only; `level` keeps the rank profile of each step's maps.
     """
 
     kind: str
@@ -137,16 +155,32 @@ class _System:
             raise ValueError("the filtration must filter X")
         self.X = X
         self.modulus = linalg.check_modulus(modulus)
-        self.top_degree = max(X.dim, 0)
+        self.top_degree = D = max(X.dim, 0)
         self.filtration = filtration
         self.n_steps = len(filtration)
+        # (label, degree) of every term, the leading above-top-degree term
+        # included, and (map name, degree) of every arrow between them
+        self._terms = ((self.lead_term, D + 1),) + tuple(
+            (label, k) for k in range(D, -1, -1) for label in self.term_cycle)
+        self._gaps = tuple((gap, k) for k in range(D, -1, -1) for gap in GAPS)
         self._maps: dict[tuple[str, int, int], np.ndarray] = {}
+        self._bars: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._levels: dict[int, _Level] = {}
 
     def _summands(self, label: str) -> list[PersistenceResult]:
         return [self.spaces[name] for name in label.split("⊕")]
 
+    def term_bars(self, label: str, k: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Births and deaths of the term's coordinates at step u."""
+        key = (label, k, u)
+        if key not in self._bars:
+            parts = [R.bars_alive(k, u) for R in self._summands(label)]
+            self._bars[key] = parts[0] if len(parts) == 1 else tuple(
+                map(np.concatenate, zip(*parts)))
+        return self._bars[key]
+
     def term_dim(self, label: str, k: int, u: int) -> int:
-        return sum(R.dim(k, u) for R in self._summands(label))
+        return self.term_bars(label, k, u)[0].size
 
     def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
         return reduce(linalg.block_diag,
@@ -154,13 +188,9 @@ class _System:
 
     def persistent_group(self, label: str, k: int, u: int, v: int) -> np.ndarray:
         """The image of `vertical(label, k, u, v)`: the positions, among the
-        term's coordinates at step v, of its summands' bars that contain
-        [u, v]."""
-        groups, offset = [], 0
-        for R in self._summands(label):
-            groups.append(R.persistent_group(k, u, v) + offset)
-            offset += R.dim(k, v)
-        return np.concatenate(groups)
+        term's coordinates at step v, of the bars born by u."""
+        _check_steps(self, u, v)
+        return (self.term_bars(label, k, v)[0] <= u).nonzero()[0]
 
     def horizontal(self, gap: str, k: int, u: int) -> np.ndarray:
         """The map `gap` ('delta', 'alpha' or 'beta') of degree k at step u."""
@@ -170,6 +200,74 @@ class _System:
             m.setflags(write=False)
             self._maps[key] = m
         return self._maps[key]
+
+    def level(self, v: int) -> _Level:
+        """The rank profile of the maps at step v, kept while they are the
+        maps `horizontal` gives."""
+        maps = tuple(self.horizontal(gap, k, v) for gap, k in self._gaps)
+        level = self._levels.get(v)
+        if level is None or any(a is not b for a, b in zip(maps, level.maps)):
+            level = self._levels[v] = _Level(self, v, maps)
+        return level
+
+
+class _Level:
+    """The rank profile at step v: `births[j]` of term j's coordinates,
+    `pivots[i]` the births of the pivot columns of maps[i] (term i -> term
+    i + 1) with its columns in birth order, and `order2_until[j]` the birth
+    from which order 2 fails at term j (n_steps: never)."""
+
+    __slots__ = ("maps", "births", "pivots", "order2_until", "_leaks")
+
+    def __init__(self, sys: _System, v: int, maps: tuple[np.ndarray, ...]):
+        p = sys.modulus
+        self.maps = maps
+        self.births = [sys.term_bars(label, k, v)[0] for label, k in sys._terms]
+        self.pivots = []
+        for m, births in zip(maps, self.births):
+            pivots = []
+            if m.any():  # a zero map has no pivots
+                order = births.argsort(kind="stable")
+                pivots = births[order[list(linalg.row_reduce(m[:, order], p)[1])]].tolist()
+            self.pivots.append(pivots)
+        self.order2_until = [sys.n_steps] * len(self.births)
+        for j in range(1, len(maps)):
+            if self.pivots[j - 1] and self.pivots[j]:
+                hit = linalg.mat_mul(maps[j], maps[j - 1], p).any(axis=0)
+                if hit.any():
+                    self.order2_until[j] = int(self.births[j - 1][hit].min())
+        self._leaks = None
+
+    def leak(self, u: int) -> Optional[int]:
+        """The first map that sends a column born by u to a row born after
+        u, which the restriction to the groups at (u, v) would drop; None
+        when there is none. Each column's latest row birth is found once."""
+        if self._leaks is None:
+            self._leaks = []
+            for i, m in enumerate(self.maps):
+                source, target = self.births[i], self.births[i + 1]
+                latest = np.where(m != 0, target[:, None], -1).max(axis=0, initial=-1)
+                early = source < latest
+                if early.any():
+                    self._leaks.append((i, source[early], latest[early]))
+        for i, born, latest in self._leaks:
+            if ((born <= u) & (u < latest)).any():
+                return i
+        return None
+
+    def audit(self, sys: _System, level_name: str, u: int, dims: list[int]) -> SequenceAudit:
+        """The audit at (u, v) of the terms of dimensions `dims`, read off
+        the profile: ranks by prefix counts, order 2 by the earliest births."""
+        ranks = [bisect_right(pivots, u) for pivots in self.pivots] + [0]
+        positions, im = [], 0
+        for (label, k), dim, rank, until in zip(sys._terms, dims, ranks, self.order2_until):
+            ker, order2 = dim - rank, u < until
+            positions.append(PositionAudit(label, k, dim, im, ker, order2,
+                                           order2 and im == ker, ker - im))
+            im = rank
+        return SequenceAudit(level_name, sys.kind, tuple(positions),
+                             all(pos.order2 for pos in positions),
+                             all(pos.exact for pos in positions))
 
 
 class MayerVietorisSystem(_System):
@@ -292,32 +390,29 @@ def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sequence assembly
 
-def _term_schedule(sys: _System) -> list[tuple[str, int]]:
+def _term_schedule(sys: _System) -> tuple[tuple[str, int], ...]:
     """(label, degree) of every term, the leading above-top-degree term included."""
-    D = sys.top_degree
-    schedule = [(sys.lead_term, D + 1)]
-    for k in range(D, -1, -1):
-        schedule.extend((label, k) for label in sys.term_cycle)
-    return schedule
+    return sys._terms
 
 
-def _gap_schedule(sys: _System) -> list[tuple[str, int]]:
+def _gap_schedule(sys: _System) -> tuple[tuple[str, int], ...]:
     """(map name, degree) for every arrow between consecutive terms."""
-    D = sys.top_degree
-    gaps = []
-    for k in range(D, -1, -1):
-        gaps.extend([("delta", k), ("alpha", k), ("beta", k)])
-    return gaps
+    return sys._gaps
+
+
+def _check_steps(sys: _System, u: int, v: int) -> None:
+    if not 0 <= u <= v < sys.n_steps:
+        raise IndexError(f"bad step pair ({u}, {v})")
 
 
 def ordinary_sequence(sys: _System, u: int) -> tuple[LinearSequence, SequenceAudit]:
     """The long sequence of sublevel u, which must audit exact everywhere."""
-    terms = [SequenceTerm(label, k, sys.term_dim(label, k, u))
-             for label, k in _term_schedule(sys)]
-    maps = [sys.horizontal(gap, k, u) for gap, k in _gap_schedule(sys)]
-    maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
+    level = sys.level(u)
+    terms = [SequenceTerm(label, k, births.size)
+             for (label, k), births in zip(sys._terms, level.births)]
+    maps = list(level.maps) + [np.zeros((0, terms[-1].dim), dtype=np.int64)]
     seq = LinearSequence(ORDINARY, sys.kind, tuple(terms), tuple(maps), sys.modulus, u=u)
-    return seq, audit(seq)
+    return seq, level.audit(sys, ORDINARY, u, [term.dim for term in terms])
 
 
 def persistent_sequence(sys: _System, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
@@ -328,23 +423,20 @@ def persistent_sequence(sys: _System, u: int, v: int) -> tuple[LinearSequence, S
     those selections, which must send every selected column into the
     selected rows. Order 2 must always hold; exactness may fail.
     """
-    if not 0 <= u <= v < sys.n_steps:
-        raise IndexError(f"bad step pair ({u}, {v})")
-    groups = [sys.persistent_group(label, k, u, v) for label, k in _term_schedule(sys)]
-    terms = [SequenceTerm(label, k, len(group))
-             for (label, k), group in zip(_term_schedule(sys), groups)]
-    maps = []
-    for i, (gap, k) in enumerate(_gap_schedule(sys)):
-        columns = sys.horizontal(gap, k, v)[:, groups[i]]
-        restricted = columns[groups[i + 1]]
-        if np.count_nonzero(restricted) != np.count_nonzero(columns):
-            raise RestrictionLeakError(
-                f"{gap} at degree {k} left the target persistent group; "
-                "the inclusion squares cannot commute")
-        maps.append(restricted)
+    _check_steps(sys, u, v)
+    level = sys.level(v)
+    leak = level.leak(u) if u < v else None
+    if leak is not None:
+        gap, k = sys._gaps[leak]
+        raise RestrictionLeakError(f"{gap} at degree {k} left the target persistent group; "
+                                   "the inclusion squares cannot commute")
+    groups = [(births <= u).nonzero()[0] for births in level.births]
+    terms = [SequenceTerm(label, k, group.size)
+             for (label, k), group in zip(sys._terms, groups)]
+    maps = [m[groups[i + 1]][:, groups[i]] for i, m in enumerate(level.maps)]
     maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
     seq = LinearSequence(PERSISTENT, sys.kind, tuple(terms), tuple(maps), sys.modulus, u=u, v=v)
-    return seq, audit(seq)
+    return seq, level.audit(sys, PERSISTENT, u, [term.dim for term in terms])
 
 
 def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
@@ -412,22 +504,27 @@ def audit(seq: LinearSequence) -> SequenceAudit:
 
 def check_squares(sys: _System, u: int, v: int) -> list[str]:
     """Commutativity of every inclusion square between sublevels u <= v:
-    (map at v) ∘ vertical = vertical ∘ (map at u). Returns mismatch
+    (map at v) ∘ vertical = vertical ∘ (map at u). The verticals are partial
+    identities, so each side is a selection of one map's entries scattered
+    into the (target at v, source at u) shape. Returns mismatch
     descriptions; an empty list means all squares commute."""
-    schedule = _term_schedule(sys)
-
-    @cache
-    def vertical(i: int) -> np.ndarray:  # term i's: gap i's source, gap i-1's target
-        return sys.vertical(*schedule[i], u, v)
-
+    _check_steps(sys, u, v)
+    if u == v:
+        return []  # the verticals are identities, both sides the map at u
+    # per term: its survivors' positions among its coordinates at u and at v
+    kept = [_survivors(sys.term_bars(label, k, v)[0], sys.term_bars(label, k, u)[1], u, v)
+            for label, k in sys._terms]
     failures = []
-    for i, (gap, k) in enumerate(_gap_schedule(sys)):
+    for i, (gap, k) in enumerate(sys._gaps):
         m_u = sys.horizontal(gap, k, u)
         m_v = sys.horizontal(gap, k, v)
         if m_v.shape[0] == 0 or m_u.shape[1] == 0:
             continue  # both sides of the square are empty matrices
-        left = linalg.mat_mul(m_v, vertical(i), sys.modulus)
-        right = linalg.mat_mul(vertical(i + 1), m_u, sys.modulus)
+        (at_u, at_v), (target_at_u, target_at_v) = kept[i], kept[i + 1]
+        left = np.zeros((m_v.shape[0], m_u.shape[1]), dtype=np.int64)
+        right = left.copy()
+        left[:, at_u] = m_v[:, at_v]
+        right[target_at_v] = m_u[target_at_u]
         if not np.array_equal(left, right):
             failures.append(f"{gap} square at degree {k} between steps {u} and {v}")
     return failures

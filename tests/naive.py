@@ -10,12 +10,15 @@ step boundary matrices built from the simplices' own faces, the three
 separate Morse scans (`naive_classify`) that one classification pass
 replaced, that pass and the entry-step filtration on `Fraction` values and
 rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
-`int` values and the facet table replaced, and `DensePersistence`, the
+`int` values and the facet table replaced, `DensePersistence`, the
 dense per-step path that the bar-selection path replaced (one basis per
 step with classes found by a dense solve, composed step maps, persistent
 groups as images, the barcode by inclusion-exclusion over their ranks),
 with `assert_matches_oracle` comparing the two on every basis-free
-invariant.
+invariant, and the per-call audit path that the rank profiles replaced
+(each sequence sliced and audited by `audit` with fresh reductions, each
+square multiplied out through block-diagonal verticals), with
+`assert_audits_match_per_call_path` comparing the two on every audit.
 """
 
 import copy
@@ -33,9 +36,10 @@ from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, interse
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import MorseViolation
 from homaudit.persistence import NotACycleError, PersistenceResult, barcode
-from homaudit.sequences import (PERSISTENT, LinearSequence, MayerVietorisSystem,
-                                SequenceTerm, audit, module_sequence, ordinary_sequence,
-                                persistent_sequence)
+from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
+                                MayerVietorisSystem, PositionAudit, RestrictionLeakError,
+                                SequenceAudit, SequenceTerm, StepAudit, audit, check_squares,
+                                module_sequence, ordinary_sequence, persistent_sequence)
 
 
 def as_rows(m):
@@ -508,6 +512,118 @@ class DensePersistence:
         return self._groups[key]
 
 
+# ---------------------------------------------------------------------------
+# the per-call audit path
+
+def _term_dim(system, label, k, u):
+    return sum(R.dim(k, u) for R in system._summands(label))
+
+
+def per_call_ordinary_sequence(system, u):
+    """The ordinary sequence of step u, audited by `audit`."""
+    terms = [SequenceTerm(label, k, _term_dim(system, label, k, u))
+             for label, k in sequences._term_schedule(system)]
+    maps = [system.horizontal(gap, k, u) for gap, k in sequences._gap_schedule(system)]
+    maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
+    seq = LinearSequence(ORDINARY, system.kind, tuple(terms), tuple(maps), system.modulus, u=u)
+    return seq, audit(seq)
+
+
+def per_call_persistent_sequence(system, u, v):
+    """The persistent sequence between steps u <= v, audited by `audit`: each
+    term's group is its summands' groups side by side, each arrow the level-v
+    map sliced to the groups, and a slice that drops a nonzero entry leaks."""
+    if not 0 <= u <= v < system.n_steps:
+        raise IndexError(f"bad step pair ({u}, {v})")
+    schedule = sequences._term_schedule(system)
+    groups = []
+    for label, k in schedule:
+        parts, offset = [], 0
+        for R in system._summands(label):
+            parts.append(R.persistent_group(k, u, v) + offset)
+            offset += R.dim(k, v)
+        groups.append(np.concatenate(parts))
+    terms = [SequenceTerm(label, k, len(group)) for (label, k), group in zip(schedule, groups)]
+    maps = []
+    for i, (gap, k) in enumerate(sequences._gap_schedule(system)):
+        columns = system.horizontal(gap, k, v)[:, groups[i]]
+        restricted = columns[groups[i + 1]]
+        if np.count_nonzero(restricted) != np.count_nonzero(columns):
+            raise RestrictionLeakError(f"{gap} at degree {k} left the target persistent group")
+        maps.append(restricted)
+    maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
+    seq = LinearSequence(PERSISTENT, system.kind, tuple(terms), tuple(maps), system.modulus,
+                         u=u, v=v)
+    return seq, audit(seq)
+
+
+def per_call_check_squares(system, u, v):
+    """Every inclusion square between steps u <= v multiplied out: (map at v)
+    ∘ vertical against vertical ∘ (map at u), with the verticals block
+    diagonal."""
+    schedule, p = sequences._term_schedule(system), system.modulus
+    verticals = [system.vertical(label, k, u, v) for label, k in schedule]
+    failures = []
+    for i, (gap, k) in enumerate(sequences._gap_schedule(system)):
+        left = mat_mul(system.horizontal(gap, k, v), verticals[i], p)
+        right = mat_mul(verticals[i + 1], system.horizontal(gap, k, u), p)
+        if not np.array_equal(left, right):
+            failures.append(f"{gap} square at degree {k} between steps {u} and {v}")
+    return failures
+
+
+def per_call_module_sequence(system):
+    """The module audit as the per-call ordinary audit of every step, summed
+    position by position, after checking the consecutive squares."""
+    n = system.n_steps
+    for u in range(n - 1):
+        failures = per_call_check_squares(system, u, u + 1)
+        if failures:
+            raise ValueError(f"graded {failures[0]} does not commute with the shift action")
+    auds = [per_call_ordinary_sequence(system, u)[1] for u in range(n)]
+    positions = []
+    for i, pos in enumerate(auds[0].positions):
+        steps = tuple(StepAudit(u, q.dim, q.dim_image_in, q.dim_kernel_out, q.order2, q.exact,
+                                q.defect)
+                      for u, q in enumerate(aud.positions[i] for aud in auds))
+        positions.append(PositionAudit(
+            pos.term, pos.degree, sum(s.dim for s in steps),
+            sum(s.dim_image_in for s in steps), sum(s.dim_kernel_out for s in steps),
+            all(s.order2 for s in steps), all(s.exact for s in steps),
+            sum(s.defect for s in steps), steps))
+    return SequenceAudit(MODULE, system.kind, tuple(positions),
+                         all(pos.order2 for pos in positions),
+                         all(pos.exact for pos in positions))
+
+
+def _assert_same_sequence(seq, want, what):
+    assert (seq.level, seq.kind, seq.terms, seq.modulus, seq.u, seq.v) == \
+        (want.level, want.kind, want.terms, want.modulus, want.u, want.v), what
+    assert len(seq.maps) == len(want.maps), what
+    for got, expected in zip(seq.maps, want.maps):
+        assert got.shape == expected.shape and np.array_equal(got, expected), what
+
+
+def assert_audits_match_per_call_path(system):
+    """The rank-profile audits of a system against `audit` of the very
+    sequences they come with and against the per-call path: every ordinary
+    (every u) and persistent (every u <= v) sequence and audit, every square
+    check, and the module audit."""
+    n = system.n_steps
+    for u in range(n):
+        seq, aud = ordinary_sequence(system, u)
+        want_seq, want = per_call_ordinary_sequence(system, u)
+        _assert_same_sequence(seq, want_seq, ("ordinary", u))
+        assert aud == audit(seq) == want, ("ordinary", u)
+        for v in range(u, n):
+            seq, aud = persistent_sequence(system, u, v)
+            want_seq, want = per_call_persistent_sequence(system, u, v)
+            _assert_same_sequence(seq, want_seq, ("persistent", u, v))
+            assert aud == audit(seq) == want, ("persistent", u, v)
+            assert check_squares(system, u, v) == per_call_check_squares(system, u, v), (u, v)
+    assert module_sequence(system)[1] == per_call_module_sequence(system)
+
+
 def dense_bars(result, k):
     """(birth, death) of every bar in degree k, death None for essential
     bars, by inclusion-exclusion over the ranks of the persistent groups."""
@@ -530,10 +646,10 @@ def dense_bars(result, k):
 
 def dense_twin(system):
     """A copy of a system whose spaces are recomputed by the dense path, with
-    no horizontal map computed yet; the sequences module runs on it as on
+    no horizontal map computed yet; the per-call audit path runs on it as on
     the original."""
     twin = copy.copy(system)
-    twin._maps = {}
+    twin._maps, twin._bars, twin._levels = {}, {}, {}
     filt, p, top = system.filtration, system.modulus, system.top_degree
     dense = {"RX": DensePersistence(filt, p, top),
              "RA": DensePersistence(filt.restrict_to(system.A), p, top)}
@@ -597,8 +713,8 @@ def assert_matches_oracle(subject, A=None):
         _assert_result_matches(result, twin.spaces[name], name)
     n = subject.n_steps
     for u in range(n):
-        assert ordinary_sequence(subject, u)[1] == ordinary_sequence(twin, u)[1], u
+        assert ordinary_sequence(subject, u)[1] == per_call_ordinary_sequence(twin, u)[1], u
         for v in range(u, n):
             assert persistent_sequence(subject, u, v)[1] == dense_persistent_audit(twin, u, v), \
                 (u, v)
-    assert module_sequence(subject)[1] == module_sequence(twin)[1]
+    assert module_sequence(subject)[1] == per_call_module_sequence(twin)

@@ -1,5 +1,9 @@
 """Fast paths against the paths they replaced.
 
+The rank-profile audits against `audit` of the sequences they return and
+against the per-call audit path, at every u <= v of the acceptance batch
+and of its first 64 fixtures rebuilt over F_2, F_3, F_5 and F_7.
+
 The bar-selection path against the dense per-step path, on basis-free
 invariants: dims, ranks of induced maps, bars and every audit row. Inputs:
 the acceptance batch at its own primes, its first 64 fixtures rebuilt over
@@ -32,8 +36,8 @@ from homaudit.morse import (Filtration, MorseFunction, _classify, filtration_fro
 from homaudit.persistence import compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
-from naive import (assert_matches_oracle, fraction_classify, fraction_filtration, naive_betti,
-                   naive_classify)
+from naive import (assert_audits_match_per_call_path, assert_matches_oracle, fraction_classify,
+                   fraction_filtration, naive_betti, naive_classify)
 from randfix import FIXTURE_COUNT, fixture_batch, make_fixture, random_complex, random_subcomplex
 
 PRIMES = (2, 3, 5, 7)
@@ -60,6 +64,19 @@ def test_rebuilt_fixtures_match_oracle(p):
     for index in range(64):
         if batch[index][1].modulus != p:  # at its own prime it is the batch's fixture
             assert_matches_oracle(make_fixture(index, p)[1])
+
+
+def test_acceptance_batch_audits_match_per_call_path():
+    for _, system, _ in fixture_batch(FIXTURE_COUNT):
+        assert_audits_match_per_call_path(system)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rebuilt_fixtures_audits_match_per_call_path(p):
+    batch = fixture_batch(FIXTURE_COUNT)
+    for index in range(64):
+        if batch[index][1].modulus != p:  # at its own prime it is the batch's fixture
+            assert_audits_match_per_call_path(make_fixture(index, p)[1])
 
 
 @pytest.mark.parametrize("p", PRIMES)

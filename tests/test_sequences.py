@@ -364,6 +364,76 @@ def test_horizontal_maps_need_no_elimination(monkeypatch, torus, genus2, kind, p
             sys_.horizontal(gap, k, u)
 
 
+@pytest.mark.parametrize("which", ["triad", "pair"] + list(range(12)))
+def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
+    """Every audit of a system, at every u <= v and at every level, runs at
+    most one row reduction per map (gap, k, v); asking again runs none."""
+    sys_ = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
+            else make_fixture(which)[1])
+    reductions = []
+    row_reduce = linalg.row_reduce
+
+    def counted(a, p):
+        reductions.append(a.shape)
+        return row_reduce(a, p)
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    n = sys_.n_steps
+
+    def audit_everything():
+        for u in range(n):
+            for v in range(u, n):
+                persistent_sequence(sys_, u, v)
+                check_squares(sys_, u, v)
+            ordinary_sequence(sys_, u)
+        module_sequence(sys_)
+    audit_everything()
+    assert 0 < len(reductions) <= len(sequences._gap_schedule(sys_)) * n
+    first = len(reductions)
+    audit_everything()
+    assert len(reductions) == first
+
+
+@pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
+def test_audits_see_a_map_that_breaks_order_2(monkeypatch, torus, genus2, kind, p):
+    """A level-v map whose composition with the map before it is nonzero
+    (it sends a class in the image to an earlier-born class, so nothing
+    leaks) breaks order 2 from the birth of a column that composition hits
+    on. The audits say so, and agree with `audit` of their own sequences at
+    every u <= v."""
+    probe = _fresh_system(kind, torus, genus2, p)
+    gaps, terms = sequences._gap_schedule(probe), sequences._term_schedule(probe)
+
+    def breakable():  # (v, j, r, c): maps[j-1] reaches row c, and row r is born no later
+        for v in range(probe.n_steps):
+            for j in range(1, len(gaps)):
+                hit = probe.horizontal(*gaps[j - 1], v).any(axis=1).nonzero()[0]
+                source = probe.term_bars(*terms[j], v)[0]
+                target = probe.term_bars(*terms[j + 1], v)[0]
+                if hit.size and target.size:
+                    c, r = hit[source[hit].argmax()], target.argmin()
+                    if target[r] <= source[c]:
+                        yield v, j, r, c
+    found = next(breakable(), None)
+    assert found is not None, "no map to break"
+    v, j, r, c = found
+    sys_ = _fresh_system(kind, torus, genus2, p)
+    computed = sys_.map_at
+
+    def broken(gap, k, w):
+        m = computed(gap, k, w)
+        if (gap, k, w) == (*gaps[j], v):
+            m = m.copy()
+            m[r, c] = (m[r, c] + 1) % p
+        return m
+    monkeypatch.setattr(sys_, "map_at", broken)
+    for u in range(v + 1):
+        seq, aud = persistent_sequence(sys_, u, v)
+        assert aud == audit(seq), u
+    assert not aud.position(*terms[j]).order2 and not aud.order2  # at u = v
+    seq, aud = ordinary_sequence(sys_, v)
+    assert aud == audit(seq) and not aud.position(*terms[j]).order2
+
+
 @pytest.mark.parametrize("kind", ["triad", "pair"])
 def test_persistent_sequence_rejects_a_map_that_leaves_the_group(torus, genus2, kind):
     """A level-v map that sends a persistent class outside the target group

@@ -150,13 +150,18 @@ class ChainCoordinates:
 
 
 def close_under_faces(generators: Iterable) -> SimplicialComplex:
-    """Smallest complex containing the generators."""
-    pool: set[Simplex] = set()
-    for g in generators:
-        s = g if isinstance(g, Simplex) else Simplex(g)
-        pool.add(s)
-        pool.update(s.faces())
-    return SimplicialComplex(pool)
+    """Smallest complex containing the generators. Walking down from each
+    simplex, a facet not seen yet is built once and walked in its turn."""
+    cells = {g if isinstance(g, Simplex) else Simplex(g) for g in generators}
+    todo = list(cells)
+    while todo:
+        s = todo.pop()
+        for f in combinations(s, len(s) - 1):
+            if f and f not in cells:
+                f = tuple.__new__(Simplex, f)  # a face of a valid simplex is valid
+                cells.add(f)
+                todo.append(f)
+    return SimplicialComplex(cells)
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, p: int) -> np.ndarray:

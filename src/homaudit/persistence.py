@@ -10,9 +10,9 @@ essential bar. These bases fit every step at once: induced maps are 0/1
 selections, the persistent group H^{u,v} is the set of bars containing
 [u, v], and the barcode is read off the pairs. Chains are sparse
 {simplex: coefficient} dicts: `representatives(k, u)` gives the cycle
-columns of the bars alive at u, and `class_of` finds a cycle's class by
-back-substitution on the lows of step u's cycle columns, so no step builds
-a dense basis.
+columns of the bars alive at u (of every bar), and `coordinates` finds
+classes by back-substitution on the lows of all cycle columns, on the bars
+alive at u or on every bar at once, so no step builds a dense basis.
 
 The pair (X, A) is reduced as X ∪ cone(A), whose reduced homology is
 H(X, A) (Cohen-Steiner-Edelsbrunner-Harer 2009). The apex is the oldest
@@ -26,7 +26,7 @@ step indices; thresholds are carried along as labels only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +81,15 @@ def _reduce(columns: Sequence[dict], p: int, cleared: set[int]) -> tuple[list, l
             _add_multiple(v, sources[i], c, p)
         reduced[j], sources[j] = r, v
     return reduced, sources, pivot_of
+
+
+class BarMatrix(NamedTuple):
+    """A matrix over bars, stored sparse: values[e] at (rows[e], cols[e])."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
 
 class PersistenceResult:
@@ -158,6 +167,8 @@ class PersistenceResult:
                 self._deaths.insert(0, deaths)
             paired, above = pivot_of, reduced
         self._cycle_at = [{low: j for j, low in enumerate(lows.tolist())} for lows in self._lows]
+        # per degree: the cycle cells of the bars of positive length (the others are never alive)
+        self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
         # per degree and step: the cycle cells whose bars are alive there
         self._alive = [[((b <= u) & (d > u)).nonzero()[0] for u in range(n)]
                        for b, d in zip(self._births, self._deaths)]
@@ -195,14 +206,15 @@ class PersistenceResult:
         """Matrix of the induced map from step u to step u+1."""
         return self.induced_matrix(k, u, u + 1)
 
-    def bars_alive(self, k: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+    def bars_alive(self, k: int, u: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """Births and deaths (n_steps when essential) of the bars alive at
-        step u, in the coordinate order of `dim`, `induced_matrix` and
-        `persistent_group`."""
-        self._check(k, u, u)
+        step u, or of every bar of positive length when u is None, in the order
+        of `dim`, `induced_matrix`, `persistent_group` and `coordinates`."""
+        if u is not None:
+            self._check(k, u, u)
         if k > self.max_degree:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        alive = self._alive[k][u]
+        alive = self._long[k] if u is None else self._alive[k][u]
         return self._births[k][alive], self._deaths[k][alive]
 
     def induced_matrix(self, k: int, u: int, v: int) -> np.ndarray:
@@ -213,6 +225,8 @@ class PersistenceResult:
             return np.zeros((0, 0), dtype=np.int64)
         at_u, at_v = self._alive[k][u], self._alive[k][v]
         m = np.zeros((at_v.size, at_u.size), dtype=np.int64)
+        if not m.size:
+            return m
         columns, rows = _survivors(self._births[k][at_v], self._deaths[k][at_u], u, v)
         m[rows, columns] = 1
         return m
@@ -225,36 +239,37 @@ class PersistenceResult:
             return np.zeros(0, dtype=np.intp)
         return (self._births[k][self._alive[k][v]] <= u).nonzero()[0]
 
-    def representatives(self, k: int, u: int) -> list[dict[Simplex, int]]:
-        """The cycle columns of the bars alive at step u, as {simplex:
-        coefficient} chains, in the coordinate order of `dim`,
-        `induced_matrix` and `persistent_group`. A bar's chain is the same at
-        every step of its life."""
-        self._check(k, u, u)
+    def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
+        """The cycle columns of the bars of `bars_alive(k, u)` as {simplex:
+        coefficient} chains; a bar's chain is the same all its life."""
+        if u is not None:
+            self._check(k, u, u)
         if k > self.max_degree:
             return []
         cells, cycles = self._cells[k], self._cycles[k]
-        return [{cells[i]: x for i, x in cycles[j].items()} for j in self._alive[k][u].tolist()]
+        alive = self._long[k] if u is None else self._alive[k][u]
+        return [{cells[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
 
-    def class_of(self, k: int, u: int, chains: Sequence[Mapping[Simplex, int]]) -> np.ndarray:
-        """Homology coordinates at step u of degree-k cycles given as
-        {simplex: coefficient} chains, one column per chain.
-
-        Each chain is reduced by back-substitution on the lows of step u's
-        cycle columns, which are distinct and carry the coefficient 1: a bar
-        dead by u is a boundary and its coefficient is dropped, a bar alive
-        at u gives a coordinate. A cycle reduces to zero, so a low that is no
-        cycle cell of step u, or a cell outside step u, raises NotACycleError.
-        """
-        self._check(k, u, u)
-        p, n = self.modulus, self._n_cells(k, u)
+    def coordinates(self, k: int, chains: Sequence[Mapping[Simplex, int]],
+                    u: Optional[int] = None) -> BarMatrix:
+        """Homology coordinates of degree-k cycles, given as {simplex:
+        coefficient} chains, on the bars alive at step u (a column per chain),
+        or on every bar of positive length when u is None. Each chain is
+        reduced by back-substitution on the lows of all the degree's cycle
+        columns, which are distinct and carry the coefficient 1; a bar not
+        alive at u is a boundary there. A cycle reduces to zero, so a low
+        that is no cycle cell, or a cell outside step u (outside the
+        filtration when u is None), raises NotACycleError."""
+        if u is not None:
+            self._check(k, u, u)
+        p, where = self.modulus, "the filtration" if u is None else f"step {u}"
         if k > self.max_degree:
-            index, cycles, cycle_at, alive = {}, [], {}, []
+            index, cycles, cycle_at, n, rows = {}, [], {}, 0, np.zeros(0, dtype=np.int64)
         else:
             index, cycles, cycle_at = self._index[k], self._cycles[k], self._cycle_at[k]
-            alive = self._alive[k][u].tolist()
-        position = {j: i for i, j in enumerate(alive)}
-        out = np.zeros((len(alive), len(chains)), dtype=np.int64)
+            n = len(index) if u is None else self._n_cells(k, u)
+            rows = self._long[k] if u is None else self._alive[k][u]
+        out = []
         for col, chain in enumerate(chains):
             r = {}
             for s, x in chain.items():
@@ -262,17 +277,27 @@ class PersistenceResult:
                 if x:
                     i = index.get(s, n)
                     if i >= n:
-                        raise NotACycleError(f"{tuple(s)} is not a {k}-cell of step {u}")
+                        raise NotACycleError(f"{tuple(s)} is not a {k}-cell of {where}")
                     r[i] = x
             while r:
                 low = max(r)
                 j = cycle_at.get(low)
                 if j is None:
-                    raise NotACycleError(f"a {k}-chain is not a cycle of step {u}")
+                    raise NotACycleError(f"a {k}-chain is not a cycle of {where}")
                 x = r[low]
                 _add_multiple(r, cycles[j], p - x, p)
-                if j in position:
-                    out[position[j], col] = x
+                out.append((j, col, x))
+        j, col, x = np.array(out, dtype=np.int64).reshape(-1, 3).T
+        position = np.full(len(cycles), -1)
+        position[rows] = np.arange(rows.size)
+        row = position[j]
+        return BarMatrix((rows.size, len(chains)), row[row >= 0], col[row >= 0], x[row >= 0])
+
+    def class_of(self, k: int, u: int, chains: Sequence[Mapping[Simplex, int]]) -> np.ndarray:
+        """`coordinates(k, chains, u)` as a dense matrix."""
+        m = self.coordinates(k, chains, u)
+        out = np.zeros(m.shape, dtype=np.int64)
+        out[m.rows, m.cols] = m.values
         return out
 
     def class_of_chain(self, u: int, chain: ChainCoordinates) -> np.ndarray:

@@ -6,27 +6,30 @@ modules (exact componentwise).
 Sequences are finite windows over degrees 0..dim X; beyond the top degree
 the tails are closed off with zero spaces and zero maps.
 
-A system audits its sequences from one rank profile per step v. In
-bar-adapted bases each coordinate of a term at v is a bar with a birth, and
-the persistent group between u <= v selects the bars born by u. So a
-level-v map, its columns sorted by birth, is reduced once: its restriction
-to the groups at (u, v) has as rank the number of pivot columns born by u,
-a prefix count. That holds because the rows the restriction drops are zero,
-which the leak bounds check: no column born by u may reach a row born after
-u (these bounds are built on the first query with u < v). Order 2 at a term
-holds at (u, v) exactly while u is below the earliest birth among the
-nonzero columns of the composition of its two level-v maps. The ordinary
-sequence at v is the case u = v, so the ordinary, module and persistent
-audits share one reduction per map. `audit` is the generic auditor of any
-`LinearSequence`, from its maps alone.
+A system builds each horizontal map once, as M over all bars: a column per
+source bar and a row per target bar, summands side by side. A bar's cycle
+column is one chain for its whole life, so the map at step u is M on the
+bars alive at u, and the persistent map at (u, v) is M on the bars alive
+through [u, v]. Two structural checks on every nonzero M[t, s], birth(t) <=
+birth(s) and death(t) <= death(s), give every commuting square and every
+restriction that stays in its target group. M is reduced once, columns in
+birth order and rows numbered by death, and each pivot column gives an image
+bar (Cohen-Steiner-Edelsbrunner-Harer-Morozov 2009; Bauer-Schmahl 2023); the
+rank at (u, v) is the number of image bars containing [u, v]. Order 2 at a
+term fails at (u, v) exactly when a nonzero entry of the composite of its
+two maps has its source born by u and its target alive after v. So every
+ordinary (u = v), persistent and module audit is a count over bar arrays,
+and a returned sequence's maps are selected from M only when read. No count
+is read from a map that fails a structural check, an internal fault. `audit`
+audits any `LinearSequence` from its maps alone.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from typing import Optional, Union
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from . import linalg
 from .complexes import NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex, union
 from .linalg import DimensionMismatchError
 from .morse import Filtration
-from .persistence import (PersistenceResult, _survivors, compute_persistence,
+from .persistence import (BarMatrix, PersistenceResult, _reduce, compute_persistence,
                           relative_persistence)
 
 ORDINARY = "ordinary"
@@ -75,8 +78,9 @@ class LinearSequence:
     level: str
     kind: str  # 'mayer-vietoris' or 'pair'
     terms: tuple[SequenceTerm, ...]
-    # maps[i]: terms[i] -> terms[i+1]; at the module level, one matrix per step
-    maps: tuple[Union[np.ndarray, tuple[np.ndarray, ...]], ...]
+    # maps[i]: terms[i] -> terms[i+1], built when read; at the module level, a
+    # sequence of one matrix per step
+    maps: Sequence
     modulus: int
     u: Optional[int] = None
     v: Optional[int] = None
@@ -133,11 +137,8 @@ class _System:
 
     `spaces` maps each space name to its persistence result, in the order
     reports list them. A sequence term is one space or the direct sum `A⊕B`
-    of two, so its coordinates at a step are its summands' bars side by
-    side, its vertical maps are block diagonal and its persistent groups
-    select the bars born early enough. `horizontal` computes each map of
-    the sequence once, through the subclass's `map_at`, and keeps it
-    read-only; `level` keeps the rank profile of each step's maps.
+    of two, whose bars are its summands' bars side by side. `matrix` keeps
+    each map over all bars, built once by the subclass's `map_at`.
     """
 
     kind: str
@@ -163,111 +164,59 @@ class _System:
         self._terms = ((self.lead_term, D + 1),) + tuple(
             (label, k) for k in range(D, -1, -1) for label in self.term_cycle)
         self._gaps = tuple((gap, k) for k in range(D, -1, -1) for gap in GAPS)
-        self._maps: dict[tuple[str, int, int], np.ndarray] = {}
-        self._bars: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._levels: dict[int, _Level] = {}
+        self._matrices: dict[tuple[str, int], BarMatrix] = {}
 
     def _summands(self, label: str) -> list[PersistenceResult]:
         return [self.spaces[name] for name in label.split("⊕")]
 
-    def term_bars(self, label: str, k: int, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Births and deaths of the term's coordinates at step u."""
-        key = (label, k, u)
-        if key not in self._bars:
-            parts = [R.bars_alive(k, u) for R in self._summands(label)]
-            self._bars[key] = parts[0] if len(parts) == 1 else tuple(
-                map(np.concatenate, zip(*parts)))
-        return self._bars[key]
+    @cached_property
+    def _bars(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Births and deaths of each term's bars: the rows or columns of its maps."""
+        return [tuple(map(np.concatenate, zip(*(R.bars_alive(k) for R in self._summands(label)))))
+                for label, k in self._terms]
 
-    def term_dim(self, label: str, k: int, u: int) -> int:
-        return self.term_bars(label, k, u)[0].size
+    def matrix(self, gap: str, k: int) -> BarMatrix:
+        """The map `gap` ('delta', 'alpha' or 'beta') of degree k over all bars."""
+        if (gap, k) not in self._matrices:
+            self._matrices[gap, k] = self.map_at(gap, k)
+        return self._matrices[gap, k]
 
-    def vertical(self, label: str, k: int, u: int, v: int) -> np.ndarray:
-        return reduce(linalg.block_diag,
-                      [R.induced_matrix(k, u, v) for R in self._summands(label)])
-
-    def persistent_group(self, label: str, k: int, u: int, v: int) -> np.ndarray:
-        """The image of `vertical(label, k, u, v)`: the positions, among the
-        term's coordinates at step v, of the bars born by u."""
-        _check_steps(self, u, v)
-        return (self.term_bars(label, k, v)[0] <= u).nonzero()[0]
+    def _maps_at(self, u: int, v: int) -> _Lazy:
+        """The sequence's maps at (u, v), selected when read: map i (term i ->
+        term i + 1) on the bars alive through [u, v], then a zero map."""
+        groups, G = _Lazy(len(self._terms), lambda j: _group(self._bars[j], u, v)), len(self._gaps)
+        return _Lazy(G + 1, lambda i: _select(self.matrix(*self._gaps[i]), groups[i + 1], groups[i])
+                     if i < G else np.zeros((0, groups[G][2]), dtype=np.int64))
 
     def horizontal(self, gap: str, k: int, u: int) -> np.ndarray:
-        """The map `gap` ('delta', 'alpha' or 'beta') of degree k at step u."""
-        key = (gap, k, u)
-        if key not in self._maps:
-            m = self.map_at(gap, k, u)
-            m.setflags(write=False)
-            self._maps[key] = m
-        return self._maps[key]
+        """The map `gap` of degree k at step u, read-only."""
+        _check_steps(self, u, u)
+        return self._maps_at(u, u)[self._gaps.index((gap, k))]
 
-    def level(self, v: int) -> _Level:
-        """The rank profile of the maps at step v, kept while they are the
-        maps `horizontal` gives."""
-        maps = tuple(self.horizontal(gap, k, v) for gap, k in self._gaps)
-        level = self._levels.get(v)
-        if level is None or any(a is not b for a, b in zip(maps, level.maps)):
-            level = self._levels[v] = _Level(self, v, maps)
-        return level
-
-
-class _Level:
-    """The rank profile at step v: `births[j]` of term j's coordinates,
-    `pivots[i]` the births of the pivot columns of maps[i] (term i -> term
-    i + 1) with its columns in birth order, and `order2_until[j]` the birth
-    from which order 2 fails at term j (n_steps: never)."""
-
-    __slots__ = ("maps", "births", "pivots", "order2_until", "_leaks")
-
-    def __init__(self, sys: _System, v: int, maps: tuple[np.ndarray, ...]):
-        p = sys.modulus
-        self.maps = maps
-        self.births = [sys.term_bars(label, k, v)[0] for label, k in sys._terms]
-        self.pivots = []
-        for m, births in zip(maps, self.births):
-            pivots = []
-            if m.any():  # a zero map has no pivots
-                order = births.argsort(kind="stable")
-                pivots = births[order[list(linalg.row_reduce(m[:, order], p)[1])]].tolist()
-            self.pivots.append(pivots)
-        self.order2_until = [sys.n_steps] * len(self.births)
-        for j in range(1, len(maps)):
-            if self.pivots[j - 1] and self.pivots[j]:
-                hit = linalg.mat_mul(maps[j], maps[j - 1], p).any(axis=0)
-                if hit.any():
-                    self.order2_until[j] = int(self.births[j - 1][hit].min())
-        self._leaks = None
-
-    def leak(self, u: int) -> Optional[int]:
-        """The first map that sends a column born by u to a row born after
-        u, which the restriction to the groups at (u, v) would drop; None
-        when there is none. Each column's latest row birth is found once."""
-        if self._leaks is None:
-            self._leaks = []
-            for i, m in enumerate(self.maps):
-                source, target = self.births[i], self.births[i + 1]
-                latest = np.where(m != 0, target[:, None], -1).max(axis=0, initial=-1)
-                early = source < latest
-                if early.any():
-                    self._leaks.append((i, source[early], latest[early]))
-        for i, born, latest in self._leaks:
-            if ((born <= u) & (u < latest)).any():
-                return i
-        return None
-
-    def audit(self, sys: _System, level_name: str, u: int, dims: list[int]) -> SequenceAudit:
-        """The audit at (u, v) of the terms of dimensions `dims`, read off
-        the profile: ranks by prefix counts, order 2 by the earliest births."""
-        ranks = [bisect_right(pivots, u) for pivots in self.pivots] + [0]
-        positions, im = [], 0
-        for (label, k), dim, rank, until in zip(sys._terms, dims, ranks, self.order2_until):
-            ker, order2 = dim - rank, u < until
-            positions.append(PositionAudit(label, k, dim, im, ker, order2,
-                                           order2 and im == ker, ker - im))
-            im = rank
-        return SequenceAudit(level_name, sys.kind, tuple(positions),
-                             all(pos.order2 for pos in positions),
-                             all(pos.exact for pos in positions))
+    @cached_property
+    def _profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """(births, deaths, slots) of every bar a count reads: term j's bars
+        in slot j < T, map i's image bars in T + i, and in T + G + j term j's
+        order-2 witnesses, a bar [source birth, target death) per nonzero
+        entry of its composite. Then {map i: (target births, target deaths,
+        source births, source deaths) of its entries that fail a check}."""
+        T, G, p, bars = len(self._terms), len(self._gaps), self.modulus, self._bars
+        maps = [self.matrix(gap, k) for gap, k in self._gaps]
+        parts, faults = [(b, d, j) for j, (b, d) in enumerate(bars)], {}
+        for i, m in enumerate(maps):
+            (sb, sd), (tb, td) = bars[i], bars[i + 1]
+            ends = tb[m.rows], td[m.rows], sb[m.cols], sd[m.cols]
+            bad = (ends[0] > ends[2]) | (ends[1] > ends[3])
+            if bad.any():
+                faults[i] = tuple(e[bad] for e in ends)
+            parts.append((*_image_bars(m, sb, td, p), T + i))
+        for j in range(1, G):
+            s, t = _composite(maps[j], maps[j - 1], p)
+            parts.append((bars[j - 1][0][s], bars[j + 1][1][t], T + G + j))
+        births, deaths, slots = (np.concatenate(x) for x in zip(
+            *((b, d, np.full(b.size, slot)) for b, d, slot in parts)))
+        alive = births < deaths
+        return births[alive], deaths[alive], slots[alive], faults
 
 
 class MayerVietorisSystem(_System):
@@ -289,17 +238,16 @@ class MayerVietorisSystem(_System):
             for S in (A, B, intersect(A, B)))
         self.spaces = {TERM_X: self.RX, TERM_A: self.RA, TERM_B: self.RB, TERM_INT: self.RAB}
 
-    def map_at(self, gap: str, k: int, u: int) -> np.ndarray:
+    def map_at(self, gap: str, k: int) -> BarMatrix:
         if gap == "delta":
-            return mv_connecting(self, k, u)
-        if gap == "alpha":
-            s = induced_inclusion_map(self.RAB, self.RA, k, u)
-            t = (-induced_inclusion_map(self.RAB, self.RB, k, u)) % self.modulus
-            return np.vstack([s, t])
-        if gap == "beta":
-            za = induced_inclusion_map(self.RA, self.RX, k, u)
-            zb = induced_inclusion_map(self.RB, self.RX, k, u)
-            return np.hstack([za, zb])
+            return mv_connecting(self, k)
+        if gap == "alpha":  # H_k(A∩B) -> H_k(A) ⊕ H_k(B), x -> (x, -x)
+            s, t = (induced_inclusion_map(self.RAB, R, k) for R in (self.RA, self.RB))
+            return BarMatrix((s.shape[0] + t.shape[0], s.shape[1]),
+                             np.append(s.rows, t.rows + s.shape[0]), np.append(s.cols, t.cols),
+                             np.append(s.values, -t.values % self.modulus))
+        if gap == "beta":  # H_k(A) ⊕ H_k(B) -> H_k(X), the classes side by side
+            return self.RX.coordinates(k, self.RA.representatives(k) + self.RB.representatives(k))
         raise ValueError(gap)
 
 
@@ -319,24 +267,24 @@ class PairSystem(_System):
         self.RXA = relative_persistence(X, A, filtration, self.modulus, self.top_degree)
         self.spaces = {TERM_X: self.RX, TERM_A: self.RA, TERM_REL: self.RXA}
 
-    def map_at(self, gap: str, k: int, u: int) -> np.ndarray:
+    def map_at(self, gap: str, k: int) -> BarMatrix:
         if gap == "delta":
-            return pair_connecting(self, k, u)
+            return pair_connecting(self, k)
         if gap == "alpha":
-            return induced_inclusion_map(self.RA, self.RX, k, u)
+            return induced_inclusion_map(self.RA, self.RX, k)
         if gap == "beta":
-            return quotient_map(self, k, u)
+            return quotient_map(self, k)
         raise ValueError(gap)
 
 
 # ---------------------------------------------------------------------------
-# the three horizontal maps, chain level
+# the three horizontal maps, chain level, over all bars
 
 def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
-                          k: int, u: int) -> np.ndarray:
-    """Matrix of H_k(sub_u) -> H_k(sup_u) in the chosen homology bases: the
-    classes, in the bigger step, of the smaller step's representatives."""
-    return R_sup.class_of(k, u, R_sub.representatives(k, u))
+                          k: int) -> BarMatrix:
+    """H_k(sub) -> H_k(sup) over all bars: the classes, in the bigger space,
+    of the smaller space's cycle columns."""
+    return R_sup.coordinates(k, R_sub.representatives(k))
 
 
 def _boundary(chains, keep) -> list[dict]:
@@ -352,91 +300,165 @@ def _boundary(chains, keep) -> list[dict]:
     return out
 
 
-def mv_connecting(sys: MayerVietorisSystem, k: int, u: int,
-                  assign_shared_to: str = "A") -> np.ndarray:
-    """Connecting map H_{k+1}(X_u) -> H_k((A∩B)_u): split each representative
-    chain into an A-part and a B-part and take the class of the A-part's
-    boundary. Simplices of A∩B go to the A side (or B, for the
-    well-definedness cross-check)."""
+def mv_connecting(sys: MayerVietorisSystem, k: int, assign_shared_to: str = "A") -> BarMatrix:
+    """Connecting map H_{k+1}(X) -> H_k(A∩B) over all bars: split each cycle
+    column into an A-part and a B-part and take the class of the A-part's
+    boundary. A cell present at a step lies in that step of A exactly when it
+    lies in A, so the split is the same at every step. Simplices of A∩B go to
+    the A side (or B, for the well-definedness cross-check)."""
     a_entry, b_entry = sys.RA.filtration.entry, sys.RB.filtration.entry
 
     def in_a_part(s) -> bool:
-        in_a, in_b = a_entry.get(s, u + 1) <= u, b_entry.get(s, u + 1) <= u
+        in_a, in_b = s in a_entry, s in b_entry
         if not in_a and not in_b:
             # the constructor checked that A ∪ B covers X, so this is a bug
-            raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B at step {u}")
+            raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B")
         return in_a and (assign_shared_to == "A" or not in_b)
 
-    return sys.RAB.class_of(k, u, _boundary(sys.RX.representatives(k + 1, u), in_a_part))
+    return sys.RAB.coordinates(k, _boundary(sys.RX.representatives(k + 1), in_a_part))
 
 
-def pair_connecting(sys: PairSystem, k: int, u: int) -> np.ndarray:
-    """Connecting map H_{k+1}(X_u, A_u) -> H_k(A_u): a relative class is a
-    cycle of X_u ∪ cone(A_u); its part on the cells of X_u (the cone cells
-    dropped) has its boundary in A_u, and the class of that boundary is the
-    image."""
+def pair_connecting(sys: PairSystem, k: int) -> BarMatrix:
+    """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative class
+    is a cycle of X ∪ cone(A); its part on the cells of X (the cone cells
+    dropped, the same ones at every step) has its boundary in A, and the
+    class of that boundary is the image."""
     x_entry = sys.filtration.entry
-    return sys.RA.class_of(k, u, _boundary(sys.RXA.representatives(k + 1, u),
-                                           lambda s: x_entry.get(s, u + 1) <= u))
+    return sys.RA.coordinates(k, _boundary(sys.RXA.representatives(k + 1),
+                                           x_entry.__contains__))
 
 
-def quotient_map(sys: PairSystem, k: int, u: int) -> np.ndarray:
-    """Matrix of H_k(X_u) -> H_k(X_u, A_u): the map induced by the inclusion
-    of X_u into X_u ∪ cone(A_u), whose cells are the relative chain
-    coordinates."""
-    return sys.RXA.class_of(k, u, sys.RX.representatives(k, u))
+def quotient_map(sys: PairSystem, k: int) -> BarMatrix:
+    """H_k(X) -> H_k(X, A) over all bars: the map induced by the inclusion of
+    X into X ∪ cone(A), whose cells are the relative chain coordinates."""
+    return sys.RXA.coordinates(k, sys.RX.representatives(k))
+
+
+# ---------------------------------------------------------------------------
+# maps over bars: selection, image bars, composites
+
+def _group(bars: tuple[np.ndarray, np.ndarray], u: int, v: int) -> tuple:
+    """The bars alive through [u, v]: a mask, each bar's position among them, their number."""
+    alive = (bars[0] <= u) & (bars[1] > v)
+    position = alive.cumsum()
+    return alive, position - 1, int(position[-1]) if position.size else 0
+
+
+def _select(m: BarMatrix, target: tuple, source: tuple) -> np.ndarray:
+    """m on a group of its target's bars and one of its source's; read-only."""
+    (rows, row_at, n_rows), (cols, col_at, n_cols) = target, source
+    out = np.zeros((n_rows, n_cols), dtype=np.int64)
+    if m.values.size:
+        keep = rows[m.rows] & cols[m.cols]
+        out[row_at[m.rows[keep]], col_at[m.cols[keep]]] = m.values[keep]
+    out.setflags(write=False)
+    return out
+
+
+def _image_bars(m: BarMatrix, births: np.ndarray, deaths: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image barcode of m, given its columns' births and its rows'
+    deaths: columns in birth order and rows numbered by death, both stably,
+    m is reduced once, and each pivot column gives the bar [its birth, the
+    death of its low)."""
+    cols, rows = births.argsort(kind="stable"), deaths.argsort(kind="stable")
+    col_at, row_at = np.empty_like(cols), np.empty_like(rows)
+    col_at[cols], row_at[rows] = np.arange(cols.size), np.arange(rows.size)
+    columns: list[dict] = [{} for _ in range(cols.size)]
+    for c, r, x in zip(col_at[m.cols].tolist(), row_at[m.rows].tolist(), m.values.tolist()):
+        columns[c][r] = x
+    lows, pivots = np.array(list(_reduce(columns, p, set())[2].items()),
+                            dtype=np.int64).reshape(-1, 2).T
+    return births[cols[pivots]], deaths[rows[lows]]
+
+
+def _composite(a: BarMatrix, b: BarMatrix, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns and rows of the nonzero entries of a · b over F_p."""
+    by_col: dict[int, list] = {}
+    for t, m, y in zip(a.rows.tolist(), a.cols.tolist(), a.values.tolist()):
+        by_col.setdefault(m, []).append((t, y))
+    out: dict[tuple[int, int], int] = {}
+    for m, s, x in zip(b.rows.tolist(), b.cols.tolist(), b.values.tolist()):
+        for t, y in by_col.get(m, ()):
+            out[s, t] = (out.get((s, t), 0) + x * y) % p
+    return np.array([st for st, z in out.items() if z], dtype=np.int64).reshape(-1, 2).T
+
+
+class _Lazy(Sequence):
+    """A read-only sequence whose item i is `build(i)`, built when first read."""
+
+    def __init__(self, n: int, build: Callable[[int], object]):
+        self._build, self._items = build, [None] * n
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        if self._items[i] is None:
+            self._items[i] = self._build(range(len(self))[i])
+        return self._items[i]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 # ---------------------------------------------------------------------------
 # sequence assembly
-
-def _term_schedule(sys: _System) -> tuple[tuple[str, int], ...]:
-    """(label, degree) of every term, the leading above-top-degree term included."""
-    return sys._terms
-
-
-def _gap_schedule(sys: _System) -> tuple[tuple[str, int], ...]:
-    """(map name, degree) for every arrow between consecutive terms."""
-    return sys._gaps
-
 
 def _check_steps(sys: _System, u: int, v: int) -> None:
     if not 0 <= u <= v < sys.n_steps:
         raise IndexError(f"bad step pair ({u}, {v})")
 
 
+def _positions(sys: _System, counts: list[int]) -> list[PositionAudit]:
+    """Each term's audit from the counts in the slots of `_System._profile`."""
+    T, G = len(sys._terms), len(sys._gaps)
+    ranks = counts[T:T + G] + [0]
+    positions, im = [], 0
+    for j, (label, k) in enumerate(sys._terms):
+        ker, order2 = counts[j] - ranks[j], not counts[T + G + j]
+        positions.append(PositionAudit(label, k, counts[j], im, ker, order2,
+                                       order2 and im == ker, ker - im))
+        im = ranks[j]
+    return positions
+
+
+def _sequence(sys: _System, level: str, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
+    """The sequence of the groups at (u, v), its maps selected when read, and
+    its audit by counts; by `audit` of the sequence when a map fails a
+    structural check, whose counts would not be ranks."""
+    _check_steps(sys, u, v)
+    births, deaths, slots, faults = sys._profile
+    counts = np.bincount(slots[(births <= u) & (deaths > v)],
+                         minlength=2 * len(sys._terms) + len(sys._gaps)).tolist()
+    terms = tuple(SequenceTerm(label, k, dim) for (label, k), dim in zip(sys._terms, counts))
+    seq = LinearSequence(level, sys.kind, terms, sys._maps_at(u, v), sys.modulus, u=u,
+                         v=None if level == ORDINARY else v)
+    if faults:
+        return seq, audit(seq)
+    return seq, _sequence_audit(level, sys.kind, _positions(sys, counts))
+
+
 def ordinary_sequence(sys: _System, u: int) -> tuple[LinearSequence, SequenceAudit]:
     """The long sequence of sublevel u, which must audit exact everywhere."""
-    level = sys.level(u)
-    terms = [SequenceTerm(label, k, births.size)
-             for (label, k), births in zip(sys._terms, level.births)]
-    maps = list(level.maps) + [np.zeros((0, terms[-1].dim), dtype=np.int64)]
-    seq = LinearSequence(ORDINARY, sys.kind, tuple(terms), tuple(maps), sys.modulus, u=u)
-    return seq, level.audit(sys, ORDINARY, u, [term.dim for term in terms])
+    return _sequence(sys, ORDINARY, u, u)
 
 
 def persistent_sequence(sys: _System, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
-    """The sequence of persistent groups between sublevels u <= v.
-
-    Spaces are images of the vertical maps, which in bar-adapted bases are
-    selections of coordinates at v; arrows are the level-v maps restricted to
-    those selections, which must send every selected column into the
-    selected rows. Order 2 must always hold; exactness may fail.
-    """
+    """The sequence of persistent groups between sublevels u <= v: in
+    bar-adapted bases each group (an image of a vertical map) is the bars
+    alive through [u, v], and each arrow a map over bars restricted to them,
+    which must send every selected column into the selected rows. Order 2
+    must always hold; exactness may fail."""
     _check_steps(sys, u, v)
-    level = sys.level(v)
-    leak = level.leak(u) if u < v else None
-    if leak is not None:
-        gap, k = sys._gaps[leak]
-        raise RestrictionLeakError(f"{gap} at degree {k} left the target persistent group; "
-                                   "the inclusion squares cannot commute")
-    groups = [(births <= u).nonzero()[0] for births in level.births]
-    terms = [SequenceTerm(label, k, group.size)
-             for (label, k), group in zip(sys._terms, groups)]
-    maps = [m[groups[i + 1]][:, groups[i]] for i, m in enumerate(level.maps)]
-    maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
-    seq = LinearSequence(PERSISTENT, sys.kind, tuple(terms), tuple(maps), sys.modulus, u=u, v=v)
-    return seq, level.audit(sys, PERSISTENT, u, [term.dim for term in terms])
+    for i, (tb, td, sb, sd) in sys._profile[3].items():
+        if ((sb <= u) & (sd > v) & (u < tb) & (tb <= v) & (td > v)).any():
+            gap, k = sys._gaps[i]
+            raise RestrictionLeakError(f"{gap} at degree {k} left the target persistent group; "
+                                       "the inclusion squares cannot commute")
+    return _sequence(sys, PERSISTENT, u, v)
 
 
 def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
@@ -448,32 +470,36 @@ def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
     ordinary sequence of every step, audited step by step and summed, plus
     those squares; it must be exact everywhere.
     """
-    seqs, auds = zip(*(ordinary_sequence(sys, u) for u in range(sys.n_steps)))
-    for u in range(sys.n_steps - 1):
+    n = sys.n_steps
+    for u in range(n - 1):
         failures = check_squares(sys, u, u + 1)
         if failures:
             raise ValueError(f"graded {failures[0]} does not commute with the shift action")
-    terms, maps, positions = [], [], []
-    for i, term in enumerate(seqs[0].terms):
-        dims = tuple(seq.terms[i].dim for seq in seqs)
-        terms.append(SequenceTerm(term.label, term.degree, sum(dims), dims))
-        maps.append(tuple(seq.maps[i] for seq in seqs))
+    per_step = [ordinary_sequence(sys, u)[1].positions for u in range(n)]
+    terms, positions = [], []
+    for i, (label, k) in enumerate(sys._terms):
         steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,
                                 pos.order2, pos.exact, pos.defect)
-                      for u, pos in enumerate(aud.positions[i] for aud in auds))
+                      for u, pos in enumerate(step[i] for step in per_step))
+        dims = tuple(s.dim for s in steps)
+        terms.append(SequenceTerm(label, k, sum(dims), dims))
         positions.append(PositionAudit(
-            term.label, term.degree, sum(dims),
+            label, k, sum(dims),
             sum(s.dim_image_in for s in steps), sum(s.dim_kernel_out for s in steps),
             all(s.order2 for s in steps), all(s.exact for s in steps),
             sum(s.defect for s in steps), steps))
-    seq = LinearSequence(MODULE, sys.kind, tuple(terms), tuple(maps), sys.modulus)
-    return seq, SequenceAudit(MODULE, sys.kind, tuple(positions),
-                              all(pos.order2 for pos in positions),
-                              all(pos.exact for pos in positions))
+    maps = _Lazy(len(terms), lambda i: _Lazy(n, lambda u: sys._maps_at(u, u)[i]))
+    seq = LinearSequence(MODULE, sys.kind, tuple(terms), maps, sys.modulus)
+    return seq, _sequence_audit(MODULE, sys.kind, positions)
 
 
 # ---------------------------------------------------------------------------
 # auditing
+
+def _sequence_audit(level: str, kind: str, positions: list[PositionAudit]) -> SequenceAudit:
+    return SequenceAudit(level, kind, tuple(positions), all(pos.order2 for pos in positions),
+                         all(pos.exact for pos in positions))
+
 
 def audit(seq: LinearSequence) -> SequenceAudit:
     """Per-position image/kernel comparison of an ordinary or persistent
@@ -497,34 +523,18 @@ def audit(seq: LinearSequence) -> SequenceAudit:
         exact = order2 and im == ker
         positions.append(PositionAudit(term.label, term.degree, term.dim,
                                        im, ker, order2, exact, ker - im))
-    return SequenceAudit(seq.level, seq.kind, tuple(positions),
-                         all(pos.order2 for pos in positions),
-                         all(pos.exact for pos in positions))
+    return _sequence_audit(seq.level, seq.kind, positions)
 
 
 def check_squares(sys: _System, u: int, v: int) -> list[str]:
     """Commutativity of every inclusion square between sublevels u <= v:
     (map at v) ∘ vertical = vertical ∘ (map at u). The verticals are partial
-    identities, so each side is a selection of one map's entries scattered
-    into the (target at v, source at u) shape. Returns mismatch
-    descriptions; an empty list means all squares commute."""
+    identities, so an entry M[t, s] with t alive at v and s alive at u shows
+    on the left when s lives through v and on the right when t is born by
+    u; the structural checks make both hold, so only the entries that fail
+    one can break a square. Returns mismatch descriptions; an empty list
+    means all squares commute."""
     _check_steps(sys, u, v)
-    if u == v:
-        return []  # the verticals are identities, both sides the map at u
-    # per term: its survivors' positions among its coordinates at u and at v
-    kept = [_survivors(sys.term_bars(label, k, v)[0], sys.term_bars(label, k, u)[1], u, v)
-            for label, k in sys._terms]
-    failures = []
-    for i, (gap, k) in enumerate(sys._gaps):
-        m_u = sys.horizontal(gap, k, u)
-        m_v = sys.horizontal(gap, k, v)
-        if m_v.shape[0] == 0 or m_u.shape[1] == 0:
-            continue  # both sides of the square are empty matrices
-        (at_u, at_v), (target_at_u, target_at_v) = kept[i], kept[i + 1]
-        left = np.zeros((m_v.shape[0], m_u.shape[1]), dtype=np.int64)
-        right = left.copy()
-        left[:, at_u] = m_v[:, at_v]
-        right[target_at_v] = m_u[target_at_u]
-        if not np.array_equal(left, right):
-            failures.append(f"{gap} square at degree {k} between steps {u} and {v}")
-    return failures
+    return [f"{sys._gaps[i][0]} square at degree {sys._gaps[i][1]} between steps {u} and {v}"
+            for i, (tb, td, sb, sd) in sys._profile[3].items()
+            if ((tb <= v) & (td > v) & (sb <= u) & (sd > u) & ((sd > v) != (tb <= u))).any()]

@@ -15,14 +15,19 @@ dense per-step path that the bar-selection path replaced (one basis per
 step with classes found by a dense solve, composed step maps, persistent
 groups as images, the barcode by inclusion-exclusion over their ranks),
 with `assert_matches_oracle` comparing the two on every basis-free
-invariant, and the per-call audit path that the rank profiles replaced
-(each sequence sliced and audited by `audit` with fresh reductions, each
-square multiplied out through block-diagonal verticals), with
-`assert_audits_match_per_call_path` comparing the two on every audit.
+invariant, the per-step map path that the maps over bars replaced
+(`PerStepSystem`: every horizontal map built at every step from the step's
+representatives, with the rank profiles of `_Level` and their leak bounds
+and the scatter square check), the per-call audit path before it (each
+sequence sliced and audited by `audit` with fresh reductions, each square
+multiplied out through block-diagonal verticals), with
+`assert_audits_match_per_call_path` comparing the count audits with both on
+every map and audit, and `tampered`, which adds an entry to a map over bars
+so that the tests can see how the audits treat a faulty map.
 """
 
 import copy
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,7 +40,8 @@ from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, interse
                                 reindex_chains, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import MorseViolation
-from homaudit.persistence import NotACycleError, PersistenceResult, barcode
+from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _survivors,
+                                  barcode)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
                                 MayerVietorisSystem, PositionAudit, RestrictionLeakError,
                                 SequenceAudit, SequenceTerm, StepAudit, audit, check_squares,
@@ -302,11 +308,11 @@ def naive_persistent_sequence(system, u, v):
     where an image leaves the target group)."""
     p = system.modulus
     bases = []
-    for label, k in sequences._term_schedule(system):
+    for label, k in system._terms:
         vertical = system.vertical(label, k, u, v)
         bases.append(vertical[:, naive_rref(as_rows(vertical), p)[1]])
     maps = []
-    for i, (gap, k) in enumerate(sequences._gap_schedule(system)):
+    for i, (gap, k) in enumerate(system._gaps):
         images = mat_mul(system.horizontal(gap, k, v), bases[i], p)
         maps.append(solve_matrix(bases[i + 1], images, p))
     return bases, maps
@@ -513,17 +519,266 @@ class DensePersistence:
 
 
 # ---------------------------------------------------------------------------
+# the per-step map path that the maps over bars replaced
+
+class PerStepSystem:
+    """A system's maps the per-step way, with the query interface the audit
+    paths read: at each step u every horizontal map is built from the
+    step's representatives and their classes at u (`map_at(gap, k, u)`),
+    and kept; terms are read per step (`term_bars`, `term_dim`, `vertical`,
+    `persistent_group`), and `level(v)` keeps the rank profile of the maps
+    at v. It runs on the system's own spaces or on others with the same
+    per-step queries (the dense twin)."""
+
+    def __init__(self, system, spaces=None):
+        self.kind, self.modulus, self.n_steps = system.kind, system.modulus, system.n_steps
+        self.top_degree, self.filtration = system.top_degree, system.filtration
+        self._terms, self._gaps = system._terms, system._gaps
+        self.spaces = system.spaces if spaces is None else spaces
+        self._maps, self._bars, self._levels = {}, {}, {}
+
+    def _summands(self, label):
+        return [self.spaces[name] for name in label.split("⊕")]
+
+    def term_bars(self, label, k, u):
+        """Births and deaths of the term's coordinates at step u."""
+        key = (label, k, u)
+        if key not in self._bars:
+            parts = [R.bars_alive(k, u) for R in self._summands(label)]
+            self._bars[key] = parts[0] if len(parts) == 1 else tuple(
+                map(np.concatenate, zip(*parts)))
+        return self._bars[key]
+
+    def term_dim(self, label, k, u):
+        return sum(R.dim(k, u) for R in self._summands(label))
+
+    def vertical(self, label, k, u, v):
+        return reduce(linalg.block_diag,
+                      [R.induced_matrix(k, u, v) for R in self._summands(label)])
+
+    def persistent_group(self, label, k, u, v):
+        """The positions, among the term's coordinates at step v, of the bars
+        born by u: the image of `vertical(label, k, u, v)`."""
+        if not 0 <= u <= v < self.n_steps:
+            raise IndexError(f"bad step pair ({u}, {v})")
+        return (self.term_bars(label, k, v)[0] <= u).nonzero()[0]
+
+    def horizontal(self, gap, k, u):
+        key = (gap, k, u)
+        if key not in self._maps:
+            m = self.map_at(gap, k, u)
+            m.setflags(write=False)
+            self._maps[key] = m
+        return self._maps[key]
+
+    def level(self, v):
+        """The rank profile of the maps at step v, kept while they are the
+        maps `horizontal` gives."""
+        maps = tuple(self.horizontal(gap, k, v) for gap, k in self._gaps)
+        level = self._levels.get(v)
+        if level is None or any(a is not b for a, b in zip(maps, level.maps)):
+            level = self._levels[v] = _Level(self, v, maps)
+        return level
+
+    def map_at(self, gap, k, u):
+        X, A, p = self.spaces["X"], self.spaces["A"], self.modulus
+        if self.kind == "mayer-vietoris":
+            B, AB = self.spaces["B"], self.spaces["A∩B"]
+            if gap == "delta":
+                return step_mv_connecting(self, k, u)
+            if gap == "alpha":
+                return np.vstack([step_inclusion(AB, A, k, u),
+                                  (-step_inclusion(AB, B, k, u)) % p])
+            return np.hstack([step_inclusion(A, X, k, u), step_inclusion(B, X, k, u)])
+        XA = self.spaces["(X,A)"]
+        if gap == "delta":
+            entry = self.filtration.entry
+            return A.class_of(k, u, sequences._boundary(
+                XA.representatives(k + 1, u), lambda s: entry.get(s, u + 1) <= u))
+        if gap == "alpha":
+            return step_inclusion(A, X, k, u)
+        return step_inclusion(X, XA, k, u)  # the quotient map
+
+
+def step_inclusion(R_sub, R_sup, k, u):
+    """H_k(sub_u) -> H_k(sup_u): the classes, in the bigger step, of the
+    smaller step's representatives."""
+    return R_sup.class_of(k, u, R_sub.representatives(k, u))
+
+
+def step_mv_connecting(system, k, u, assign_shared_to="A"):
+    """H_{k+1}(X_u) -> H_k((A∩B)_u): the class of the boundary of the A-part
+    of each representative, the cells of step u of A (or of A but not B)."""
+    a_entry = system.spaces["A"].filtration.entry
+    b_entry = system.spaces["B"].filtration.entry
+
+    def in_a_part(s):
+        in_a, in_b = a_entry.get(s, u + 1) <= u, b_entry.get(s, u + 1) <= u
+        assert in_a or in_b, f"simplex {tuple(s)} lies in neither A nor B at step {u}"
+        return in_a and (assign_shared_to == "A" or not in_b)
+
+    return system.spaces["A∩B"].class_of(k, u, sequences._boundary(
+        system.spaces["X"].representatives(k + 1, u), in_a_part))
+
+
+class _Level:
+    """The rank profile at step v: `births[j]` of term j's coordinates,
+    `pivots[i]` the births of the pivot columns of maps[i] (term i -> term
+    i + 1) with its columns in birth order, and `order2_until[j]` the birth
+    from which order 2 fails at term j (n_steps: never)."""
+
+    def __init__(self, system, v, maps):
+        p = system.modulus
+        self.maps = maps
+        self.births = [system.term_bars(label, k, v)[0] for label, k in system._terms]
+        self.pivots = []
+        for m, births in zip(maps, self.births):
+            pivots = []
+            if m.any():  # a zero map has no pivots
+                order = births.argsort(kind="stable")
+                pivots = births[order[list(linalg.row_reduce(m[:, order], p)[1])]].tolist()
+            self.pivots.append(pivots)
+        self.order2_until = [system.n_steps] * len(self.births)
+        for j in range(1, len(maps)):
+            if self.pivots[j - 1] and self.pivots[j]:
+                hit = mat_mul(maps[j], maps[j - 1], p).any(axis=0)
+                if hit.any():
+                    self.order2_until[j] = int(self.births[j - 1][hit].min())
+        self._leaks = None
+
+    def leak(self, u):
+        """The first map that sends a column born by u to a row born after
+        u, which the restriction to the groups at (u, v) would drop; None
+        when there is none. Each column's latest row birth is found once."""
+        if self._leaks is None:
+            self._leaks = []
+            for i, m in enumerate(self.maps):
+                source, target = self.births[i], self.births[i + 1]
+                latest = np.where(m != 0, target[:, None], -1).max(axis=0, initial=-1)
+                early = source < latest
+                if early.any():
+                    self._leaks.append((i, source[early], latest[early]))
+        for i, born, latest in self._leaks:
+            if ((born <= u) & (u < latest)).any():
+                return i
+        return None
+
+    def audit(self, system, level_name, u, dims):
+        """The audit at (u, v) of the terms of dimensions `dims`, read off
+        the profile: ranks by prefix counts, order 2 by the earliest births."""
+        ranks = [bisect_right(pivots, u) for pivots in self.pivots] + [0]
+        positions, im = [], 0
+        for (label, k), dim, rank, until in zip(system._terms, dims, ranks,
+                                                self.order2_until):
+            ker, order2 = dim - rank, u < until
+            positions.append(PositionAudit(label, k, dim, im, ker, order2,
+                                           order2 and im == ker, ker - im))
+            im = rank
+        return SequenceAudit(level_name, system.kind, tuple(positions),
+                             all(pos.order2 for pos in positions),
+                             all(pos.exact for pos in positions))
+
+
+def level_ordinary_sequence(system, u):
+    """The ordinary sequence of step u and its audit by the rank profile."""
+    level = system.level(u)
+    terms = [SequenceTerm(label, k, births.size)
+             for (label, k), births in zip(system._terms, level.births)]
+    maps = list(level.maps) + [np.zeros((0, terms[-1].dim), dtype=np.int64)]
+    seq = LinearSequence(ORDINARY, system.kind, tuple(terms), tuple(maps), system.modulus, u=u)
+    return seq, level.audit(system, ORDINARY, u, [term.dim for term in terms])
+
+
+def level_persistent_sequence(system, u, v):
+    """The persistent sequence between u <= v: the level-v maps sliced to
+    the groups, after the leak bounds, audited by the rank profile."""
+    level = system.level(v)
+    leak = level.leak(u) if u < v else None
+    if leak is not None:
+        gap, k = system._gaps[leak]
+        raise RestrictionLeakError(f"{gap} at degree {k} left the target persistent group; "
+                                   "the inclusion squares cannot commute")
+    groups = [(births <= u).nonzero()[0] for births in level.births]
+    terms = [SequenceTerm(label, k, group.size)
+             for (label, k), group in zip(system._terms, groups)]
+    maps = [m[groups[i + 1]][:, groups[i]] for i, m in enumerate(level.maps)]
+    maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
+    seq = LinearSequence(PERSISTENT, system.kind, tuple(terms), tuple(maps), system.modulus,
+                         u=u, v=v)
+    return seq, level.audit(system, PERSISTENT, u, [term.dim for term in terms])
+
+
+def scatter_check_squares(system, u, v):
+    """Every inclusion square between u <= v: each side a selection of one
+    map's entries, scattered into the (target at v, source at u) shape."""
+    if u == v:
+        return []
+    kept = [_survivors(system.term_bars(label, k, v)[0], system.term_bars(label, k, u)[1], u, v)
+            for label, k in system._terms]
+    failures = []
+    for i, (gap, k) in enumerate(system._gaps):
+        m_u, m_v = system.horizontal(gap, k, u), system.horizontal(gap, k, v)
+        if m_v.shape[0] == 0 or m_u.shape[1] == 0:
+            continue
+        (at_u, at_v), (target_at_u, target_at_v) = kept[i], kept[i + 1]
+        left = np.zeros((m_v.shape[0], m_u.shape[1]), dtype=np.int64)
+        right = left.copy()
+        left[:, at_u] = m_v[:, at_v]
+        right[target_at_v] = m_u[target_at_u]
+        if not np.array_equal(left, right):
+            failures.append(f"{gap} square at degree {k} between steps {u} and {v}")
+    return failures
+
+
+def with_entry(m, t, s, x, p):
+    """A map over bars with x added to its entry (t, s) over F_p."""
+    hit = (m.rows == t) & (m.cols == s)
+    value = int(m.values[hit].sum() + x) % p
+    rows, cols, values = m.rows[~hit], m.cols[~hit], m.values[~hit]
+    if value:
+        rows, cols, values = np.append(rows, t), np.append(cols, s), np.append(values, value)
+    return BarMatrix(m.shape, rows, cols, values)
+
+
+def fault_sites(system, i):
+    """One entry (t, s) of map i over bars for each structural check it would
+    fail where some step shows it: a target born after its source while the
+    source lives, and a target dying after its source, born no later."""
+    (sb, sd), (tb, td) = system._bars[i], system._bars[i + 1]
+    checks = {"birth": lambda s: (tb > sb[s]) & (tb < sd[s]),
+              "death": lambda s: (tb <= sb[s]) & (td > sd[s]) & (sd[s] < system.n_steps)}
+    for check, fails in checks.items():
+        site = next(((t, s) for s in range(sb.size) for t in fails(s).nonzero()[0].tolist()), None)
+        if site is not None:
+            yield check, site
+
+
+def tampered(system, i, t, s, x=1):
+    """A copy of a system whose map i over bars has x added at (t, s); the
+    other maps are built as usual, and nothing is counted yet."""
+    twin = copy.copy(system)
+    twin.__dict__.pop("_profile", None)
+    m = system.matrix(*system._gaps[i])
+    twin._matrices = {**system._matrices, system._gaps[i]: with_entry(m, t, s, x, system.modulus)}
+    return twin
+
+
+def reading(system):
+    """The per-step path on the maps a system selects from its maps over
+    bars, so the oracles audit what the system audits."""
+    old = PerStepSystem(system)
+    old.horizontal = system.horizontal
+    return old
+
+
+# ---------------------------------------------------------------------------
 # the per-call audit path
-
-def _term_dim(system, label, k, u):
-    return sum(R.dim(k, u) for R in system._summands(label))
-
 
 def per_call_ordinary_sequence(system, u):
     """The ordinary sequence of step u, audited by `audit`."""
-    terms = [SequenceTerm(label, k, _term_dim(system, label, k, u))
-             for label, k in sequences._term_schedule(system)]
-    maps = [system.horizontal(gap, k, u) for gap, k in sequences._gap_schedule(system)]
+    terms = [SequenceTerm(label, k, system.term_dim(label, k, u))
+             for label, k in system._terms]
+    maps = [system.horizontal(gap, k, u) for gap, k in system._gaps]
     maps.append(np.zeros((0, terms[-1].dim), dtype=np.int64))
     seq = LinearSequence(ORDINARY, system.kind, tuple(terms), tuple(maps), system.modulus, u=u)
     return seq, audit(seq)
@@ -535,7 +790,7 @@ def per_call_persistent_sequence(system, u, v):
     map sliced to the groups, and a slice that drops a nonzero entry leaks."""
     if not 0 <= u <= v < system.n_steps:
         raise IndexError(f"bad step pair ({u}, {v})")
-    schedule = sequences._term_schedule(system)
+    schedule = system._terms
     groups = []
     for label, k in schedule:
         parts, offset = [], 0
@@ -545,7 +800,7 @@ def per_call_persistent_sequence(system, u, v):
         groups.append(np.concatenate(parts))
     terms = [SequenceTerm(label, k, len(group)) for (label, k), group in zip(schedule, groups)]
     maps = []
-    for i, (gap, k) in enumerate(sequences._gap_schedule(system)):
+    for i, (gap, k) in enumerate(system._gaps):
         columns = system.horizontal(gap, k, v)[:, groups[i]]
         restricted = columns[groups[i + 1]]
         if np.count_nonzero(restricted) != np.count_nonzero(columns):
@@ -561,10 +816,10 @@ def per_call_check_squares(system, u, v):
     """Every inclusion square between steps u <= v multiplied out: (map at v)
     ∘ vertical against vertical ∘ (map at u), with the verticals block
     diagonal."""
-    schedule, p = sequences._term_schedule(system), system.modulus
+    schedule, p = system._terms, system.modulus
     verticals = [system.vertical(label, k, u, v) for label, k in schedule]
     failures = []
-    for i, (gap, k) in enumerate(sequences._gap_schedule(system)):
+    for i, (gap, k) in enumerate(system._gaps):
         left = mat_mul(system.horizontal(gap, k, v), verticals[i], p)
         right = mat_mul(verticals[i + 1], system.horizontal(gap, k, u), p)
         if not np.array_equal(left, right):
@@ -604,24 +859,36 @@ def _assert_same_sequence(seq, want, what):
         assert got.shape == expected.shape and np.array_equal(got, expected), what
 
 
-def assert_audits_match_per_call_path(system):
-    """The rank-profile audits of a system against `audit` of the very
-    sequences they come with and against the per-call path: every ordinary
-    (every u) and persistent (every u <= v) sequence and audit, every square
-    check, and the module audit."""
-    n = system.n_steps
+def assert_audits_match_per_call_path(system, pairs=None, per_call=True):
+    """The count audits of a system against the per-step path: every map at
+    every step (as the ordinary sequences' maps), every ordinary (every u)
+    and persistent (every u <= v, or the given `pairs`) sequence and audit
+    against the rank profiles (`_Level`), every square check against the
+    scatter check, and the module audit. With `per_call`, also against
+    `audit` of the very sequences they come with and against the per-call
+    path (slicing, fresh reductions, verticals multiplied out)."""
+    n, old = system.n_steps, PerStepSystem(system)
     for u in range(n):
         seq, aud = ordinary_sequence(system, u)
-        want_seq, want = per_call_ordinary_sequence(system, u)
+        want_seq, want = level_ordinary_sequence(old, u)
         _assert_same_sequence(seq, want_seq, ("ordinary", u))
-        assert aud == audit(seq) == want, ("ordinary", u)
-        for v in range(u, n):
-            seq, aud = persistent_sequence(system, u, v)
-            want_seq, want = per_call_persistent_sequence(system, u, v)
-            _assert_same_sequence(seq, want_seq, ("persistent", u, v))
-            assert aud == audit(seq) == want, ("persistent", u, v)
-            assert check_squares(system, u, v) == per_call_check_squares(system, u, v), (u, v)
-    assert module_sequence(system)[1] == per_call_module_sequence(system)
+        assert aud == want, ("ordinary", u)
+        if per_call:
+            assert aud == audit(seq) == per_call_ordinary_sequence(old, u)[1], ("ordinary", u)
+    for u, v in pairs or [(u, v) for u in range(n) for v in range(u, n)]:
+        seq, aud = persistent_sequence(system, u, v)
+        want_seq, want = level_persistent_sequence(old, u, v)
+        _assert_same_sequence(seq, want_seq, ("persistent", u, v))
+        assert aud == want, ("persistent", u, v)
+        squares = check_squares(system, u, v)
+        if per_call:
+            call_seq, call_aud = per_call_persistent_sequence(old, u, v)
+            _assert_same_sequence(seq, call_seq, ("persistent", u, v))
+            assert aud == audit(seq) == call_aud, ("persistent", u, v)
+            assert squares == per_call_check_squares(old, u, v), (u, v)
+        else:
+            assert squares == scatter_check_squares(old, u, v), (u, v)
+    assert module_sequence(system)[1] == per_call_module_sequence(old)
 
 
 def dense_bars(result, k):
@@ -645,24 +912,18 @@ def dense_bars(result, k):
 
 
 def dense_twin(system):
-    """A copy of a system whose spaces are recomputed by the dense path, with
-    no horizontal map computed yet; the per-call audit path runs on it as on
-    the original."""
-    twin = copy.copy(system)
-    twin._maps, twin._bars, twin._levels = {}, {}, {}
+    """The per-step path of a system on its spaces recomputed by the dense
+    path, with no horizontal map computed yet; the per-call audit path runs
+    on it as on the original."""
     filt, p, top = system.filtration, system.modulus, system.top_degree
-    dense = {"RX": DensePersistence(filt, p, top),
-             "RA": DensePersistence(filt.restrict_to(system.A), p, top)}
+    dense = {"X": DensePersistence(filt, p, top),
+             "A": DensePersistence(filt.restrict_to(system.A), p, top)}
     if isinstance(system, MayerVietorisSystem):
-        dense["RB"] = DensePersistence(filt.restrict_to(system.B), p, top)
-        dense["RAB"] = DensePersistence(filt.restrict_to(intersect(system.A, system.B)), p, top)
+        dense["B"] = DensePersistence(filt.restrict_to(system.B), p, top)
+        dense["A∩B"] = DensePersistence(filt.restrict_to(intersect(system.A, system.B)), p, top)
     else:
-        dense["RXA"] = DensePersistence(filt, p, top, system.A)
-    for attr, result in dense.items():
-        setattr(twin, attr, result)
-    twin.spaces = {name: next(d for attr, d in dense.items() if getattr(system, attr) is R)
-                   for name, R in system.spaces.items()}
-    return twin
+        dense["(X,A)"] = DensePersistence(filt, p, top, system.A)
+    return PerStepSystem(system, {name: dense[name] for name in system.spaces})
 
 
 def dense_persistent_audit(twin, u, v):
@@ -670,13 +931,13 @@ def dense_persistent_audit(twin, u, v):
     of its summands' images, each arrow the level-v map restricted by a solve
     in the target basis."""
     p = twin.modulus
-    schedule = sequences._term_schedule(twin)
+    schedule = twin._terms
     groups = [reduce(linalg.block_diag, [R.persistent_group(k, u, v)
                                          for R in twin._summands(label)])
               for label, k in schedule]
     terms = [SequenceTerm(label, k, g.shape[1]) for (label, k), g in zip(schedule, groups)]
     maps = []
-    for i, (gap, k) in enumerate(sequences._gap_schedule(twin)):
+    for i, (gap, k) in enumerate(twin._gaps):
         images = mat_mul(twin.horizontal(gap, k, v), groups[i], p)
         maps.append(solve_matrix(groups[i + 1], images, p) if images.size else
                     np.zeros((groups[i + 1].shape[1], images.shape[1]), dtype=np.int64))

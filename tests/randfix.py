@@ -1,12 +1,13 @@
 """Seeded random fixtures: small complexes, valid discrete Morse functions
-built from random gradient build orders, and random triads / pairs."""
+built from random gradient build orders, random triads / pairs, and
+lower-star values of random vertex orders on the same complexes."""
 
 import functools
 import random
 from fractions import Fraction
 
 from homaudit.complexes import SimplicialComplex, Simplex, close_under_faces
-from homaudit.morse import MorseFunction, filtration_from_morse
+from homaudit.morse import MorseFunction, filtration_from_morse, sublevel_filtration
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
 FIXTURE_COUNT = 500
@@ -94,6 +95,31 @@ def make_fixture(index: int, p=None):
         A, B = random_triad(K, rng)
         return "triad", MayerVietorisSystem(K, A, B, filt, p), f
     return "pair", PairSystem(K, random_subcomplex(K, rng), filt, p), f
+
+
+def lower_star(K: SimplicialComplex, rng: random.Random) -> MorseFunction:
+    """Lower-star values of a random vertex order: each cell takes the latest
+    position among its vertices. Such a function is Morse only by chance."""
+    vertices = [s[0] for s in K.simplices(0)]
+    position = dict(zip(vertices, rng.sample(range(len(vertices)), len(vertices))))
+    return MorseFunction(K, {s: max(map(position.__getitem__, s)) for s in K.simplices()})
+
+
+def lower_star_system(kind: str, K: SimplicialComplex, cover, f: MorseFunction, p: int):
+    """A triad (cover A, B) or pair (cover A) over f, with a step at every value."""
+    filt = sublevel_filtration(K, f, {v for _, v in f.items()})
+    if kind == "triad":
+        return MayerVietorisSystem(K, *cover, filt, p)
+    return PairSystem(K, *cover, filt, p)
+
+
+def lower_star_fixture(index: int, p=None):
+    """Fixture `index`'s complex and cover over lower-star values of a seeded
+    vertex order: (kind, system, lower-star function)."""
+    kind, system, _ = make_fixture(index, p)
+    f = lower_star(system.X, random.Random(20_000 + index))
+    cover = (system.A, system.B) if kind == "triad" else (system.A,)
+    return kind, lower_star_system(kind, system.X, cover, f, system.modulus), f
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from homaudit.cli import main
 from homaudit.complexes import Simplex
+from homaudit.fixtures import torus_triad
+from homaudit.morse import filtration_from_morse
 from homaudit.persistence import NotACycleError, PersistenceResult
+from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
+
+from naive import fault_sites, with_entry
 
 TORUS_ARGS = None  # filled per-test from data_dir
 
@@ -354,16 +359,36 @@ def test_mv_audit_membership_outside_complex_exit4(tmp_path, capsys):
 
 def test_internal_fault_is_not_reported_as_input_error(data_dir, monkeypatch):
     # the system constructors validate the cover, so a representative that
-    # leaves its step is a library fault: it raises instead of exiting 4
+    # leaves its space is a library fault: it raises instead of exiting 4
     real = PersistenceResult.representatives
 
-    def leaking(self, k, u):
+    def leaking(self, k, u=None):
         outside = Simplex(range(10**6, 10**6 + k + 1))
         return [{**chain, outside: 1} for chain in real(self, k, u)]
 
     monkeypatch.setattr(PersistenceResult, "representatives", leaking)
     with pytest.raises((NotACycleError, RuntimeError)):
         main(_torus_audit_args(data_dir, "ordinary"))
+    monkeypatch.undo()
+    # so is a map over bars with an entry on a bar born after its source:
+    # the persistent query whose group holds the source raises
+    torus = torus_triad()
+    probe = MayerVietorisSystem(torus.complex, torus.A, torus.B, filtration_from_morse(
+        torus.complex, torus.function, torus.thresholds), 2)
+    i, (t, s) = next((i, site) for i in range(len(probe._gaps))
+                     for check, site in fault_sites(probe, i) if check == "birth")
+    u, v = probe._bars[i][0][s], probe._bars[i + 1][0][t]
+    real_map_at = MayerVietorisSystem.map_at
+
+    def broken(self, gap, k):
+        m = real_map_at(self, gap, k)
+        return with_entry(m, t, s, 1, self.modulus) if (gap, k) == probe._gaps[i] else m
+
+    monkeypatch.setattr(MayerVietorisSystem, "map_at", broken)
+    labels = probe.filtration.thresholds
+    with pytest.raises(RestrictionLeakError):
+        main(_torus_audit_args(data_dir, "persistent", "--u", str(labels[u]), "--v",
+                               str(labels[v]), "--thresholds", ",".join(map(str, labels))))
 
 
 def test_persistent_needs_labels(data_dir, capsys):

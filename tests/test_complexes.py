@@ -63,6 +63,33 @@ def test_close_under_faces_counts():
     assert two.n_cells(0) == 4 and two.n_cells(1) == 5 and two.n_cells(2) == 2
 
 
+def _every_face_closure(generators):
+    """The closure the generator-by-generator way: every proper face of
+    every generator, each built once per coface."""
+    pool = set()
+    for g in map(Simplex, generators):
+        pool.add(g)
+        pool.update(g.faces())
+    return SimplicialComplex(pool)
+
+
+def test_close_under_faces_matches_every_face_closure(torus, genus2):
+    lists = [list(K.simplices()) for K in (torus.complex, torus.A, torus.B, genus2.complex,
+                                           genus2.A)]
+    lists += [list(K.maximal_simplices()) for K in (torus.complex, genus2.complex, genus2.A)]
+    rng = random.Random(17)
+    for _ in range(200):
+        K = random_complex(rng, n_vertices=rng.choice((4, 7, 9)))
+        cells = list(K.simplices())
+        lists.append(rng.sample(cells, rng.randrange(len(cells) + 1)))
+        lists.append(list(K.maximal_simplices()))
+    lists += [[], [(3,)], [(0, 1, 2, 3, 4)], [(0, 1), (0, 1), (1, 2)]]
+    for generators in lists:
+        closed = close_under_faces(generators)
+        assert closed == _every_face_closure(generators), generators
+        assert list(closed.simplices()) == list(_every_face_closure(generators).simplices())
+
+
 def test_complex_requires_closure():
     with pytest.raises(ValueError):
         SimplicialComplex([Simplex((0, 1))])

@@ -5,7 +5,6 @@ from homaudit.complexes import betti_numbers, intersect
 from homaudit.fixtures import write_genus2_files, write_torus_files
 from homaudit.morse import validate_morse
 from homaudit.persistence import barcode
-from homaudit.sequences import induced_inclusion_map
 
 
 def test_torus_shape(torus):
@@ -78,8 +77,8 @@ def test_genus2_homology_tables(genus2_system):
 def test_genus2_circle_class_dies(genus2_system):
     filt = genus2_system.filtration
     u, v = filt.index_of(190), filt.index_of(250)
-    at_u = induced_inclusion_map(genus2_system.RA, genus2_system.RX, 1, u)
-    at_v = induced_inclusion_map(genus2_system.RA, genus2_system.RX, 1, v)
+    at_u = genus2_system.horizontal("alpha", 1, u)  # H_1(A) -> H_1(X)
+    at_v = genus2_system.horizontal("alpha", 1, v)
     assert at_u.any()        # the separating circle is alive in the level-u surface
     assert not at_v.any()    # and null-homologous once the lower handle closes
 

@@ -1,8 +1,14 @@
 """Fast paths against the paths they replaced.
 
-The rank-profile audits against `audit` of the sequences they return and
-against the per-call audit path, at every u <= v of the acceptance batch
-and of its first 64 fixtures rebuilt over F_2, F_3, F_5 and F_7.
+The count audits over maps over bars against the per-step path (every map
+at every step, the rank profiles of `_Level`, the scatter square check),
+against `audit` of the sequences they return and against the per-call
+audit path, at every u <= v of the acceptance batch and of its first 64
+fixtures rebuilt over F_2, F_3, F_5 and F_7; against the per-step path on
+lower-star grid tori, at every u <= v for n = 8 and 10 and on a grid of
+(u, v) for n = 16. A property over random and lower-star fixtures and four
+primes: every map over bars passes its structural checks, and its image
+bars give the rank of its restriction at every u <= v.
 
 The bar-selection path against the dense per-step path, on basis-free
 invariants: dims, ranks of induced maps, bars and every audit row. Inputs:
@@ -30,15 +36,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homaudit.complexes import SimplicialComplex, Simplex, betti_numbers, intersect
+from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_faces,
+                                intersect)
+from homaudit.linalg import dense_rank
 from homaudit.morse import (Filtration, MorseFunction, _classify, filtration_from_morse,
                             sublevel, sublevel_filtration)
 from homaudit.persistence import compute_persistence
-from homaudit.sequences import MayerVietorisSystem, PairSystem
+from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
 from naive import (assert_audits_match_per_call_path, assert_matches_oracle, fraction_classify,
                    fraction_filtration, naive_betti, naive_classify)
-from randfix import FIXTURE_COUNT, fixture_batch, make_fixture, random_complex, random_subcomplex
+from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
+                     lower_star_system, make_fixture, random_complex, random_subcomplex)
 
 PRIMES = (2, 3, 5, 7)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -77,6 +86,52 @@ def test_rebuilt_fixtures_audits_match_per_call_path(p):
     for index in range(64):
         if batch[index][1].modulus != p:  # at its own prime it is the batch's fixture
             assert_audits_match_per_call_path(make_fixture(index, p)[1])
+
+
+def _lower_star_torus(n, kind, p):
+    """A grid torus from the benchmark's generator over lower-star values of
+    a seeded vertex order, with a step at every value: a triad of two bands
+    of n/2 columns, or a pair with a band of two columns."""
+    grid = _load_gridgen().grid_torus(n, 2000 + n)
+    K = SimplicialComplex(Simplex(s) for s in grid.values)
+    widths = (n // 2, n // 2) if kind == "triad" else (2,)
+    cover = [close_under_faces(grid.band(i * n // 2, w)) for i, w in enumerate(widths)]
+    return lower_star_system(kind, K, cover, lower_star(K, random.Random(n)), p)
+
+
+@pytest.mark.parametrize("n,p", [(8, 2), (10, 3)])
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_lower_star_tori_match_per_step_path(n, p, kind):
+    system = _lower_star_torus(n, kind, p)
+    assert system.n_steps == n * n
+    assert_audits_match_per_call_path(system, per_call=False)
+
+
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_lower_star_torus_16_matches_per_step_path_on_a_grid(kind):
+    system = _lower_star_torus(16, kind, 2)
+    n = system.n_steps
+    pairs = [(u, v) for u in range(0, n, 37) for v in range(u, n, 29)]
+    pairs += [(u, u + 1) for u in range(5, n - 1, 23)] + [(n - 1, n - 1)]
+    assert_audits_match_per_call_path(system, pairs, per_call=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, FIXTURE_COUNT - 1), p=st.sampled_from(PRIMES), lower=st.booleans())
+def test_maps_over_bars_pass_their_checks_and_image_bars_give_ranks(index, p, lower):
+    """Every map over bars passes both structural checks, on a fixture's
+    own values or on lower-star values, and its image bars containing
+    [u, v] number the dense rank of its restriction at every u <= v."""
+    system = (lower_star_fixture if lower else make_fixture)(index, p)[1]
+    gaps, bars, n = system._gaps, system._bars, system.n_steps
+    for i, gap in enumerate(gaps):
+        m, (sb, sd), (tb, td) = system.matrix(*gap), bars[i], bars[i + 1]
+        assert (tb[m.rows] <= sb[m.cols]).all() and (td[m.rows] <= sd[m.cols]).all(), gap
+    for u in range(n):
+        for v in range(u, n):
+            seq, aud = persistent_sequence(system, u, v)
+            ranks = [pos.dim_image_in for pos in aud.positions[1:]]
+            assert ranks == [dense_rank(m, p) for m in seq.maps[:-1]], (u, v)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -10,14 +10,17 @@ from homaudit import linalg, sequences
 from homaudit.complexes import close_under_faces
 from homaudit.linalg import DimensionMismatchError
 from homaudit.morse import Filtration, filtration_from_morse
-from homaudit.persistence import barcode, compute_persistence
+from homaudit.persistence import PersistenceResult, barcode, compute_persistence
 from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 NotCoveringError, PairSystem, SequenceTerm, audit,
                                 check_squares, induced_inclusion_map, module_sequence,
                                 mv_connecting, ordinary_sequence, pair_connecting,
                                 persistent_sequence)
 
-from naive import naive_persistent_sequence
+from naive import (PerStepSystem, fault_sites, level_ordinary_sequence, level_persistent_sequence,
+                   naive_persistent_sequence, per_call_check_squares,
+                   per_call_persistent_sequence, reading, scatter_check_squares,
+                   step_mv_connecting, tampered)
 from randfix import make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -28,22 +31,32 @@ def _one_step(K, p=2):
     return compute_persistence(Filtration([0], [K]), p)
 
 
+def _inclusion_at(R_sub, R_sup, k, u):
+    """The inclusion map over bars, selected at step u."""
+    return _at(induced_inclusion_map(R_sub, R_sup, k), R_sup.bars_alive(k), R_sub.bars_alive(k), u)
+
+
+def _at(m, target, source, u):
+    """A map over bars at step u, given its target's and source's bars."""
+    return sequences._select(m, sequences._group(target, u, u), sequences._group(source, u, u))
+
+
 def test_induced_identity():
     res = _one_step(HOLLOW)
-    m = induced_inclusion_map(res, res, 1, 0)
+    m = _inclusion_at(res, res, 1, 0)
     assert np.array_equal(m, np.eye(1, dtype=np.int64))
 
 
 def test_induced_cycle_becomes_boundary():
     sub = _one_step(HOLLOW)
     sup = _one_step(FULL)
-    m = induced_inclusion_map(sub, sup, 1, 0)
+    m = _inclusion_at(sub, sup, 1, 0)
     assert m.shape == (0, 1)  # H1 of the full triangle vanishes
 
 
 def test_induced_torus_intersection_into_b(torus_system):
     # at the second-to-last level both circle classes of A∩B stay alive in B
-    m = induced_inclusion_map(torus_system.RAB, torus_system.RB, 1, 4)
+    m = _inclusion_at(torus_system.RAB, torus_system.RB, 1, 4)
     assert m.shape == (2, 2)
     assert np.linalg.matrix_rank(m % 2) == 2
 
@@ -59,7 +72,7 @@ def square_circle_system(p=2):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_mv_connecting_square_circle(p):
     sys_ = square_circle_system(p)
-    delta = mv_connecting(sys_, 0, 0)
+    delta = sys_.horizontal("delta", 0, 0)
     assert delta.shape == (2, 1)
     assert delta.any()  # fundamental class maps to the difference of the two points
     _, aud = ordinary_sequence(sys_, 0)
@@ -74,32 +87,40 @@ def test_mv_connecting_kills_classes_supported_in_one_side():
     B = close_under_faces([(2, 3)])
     sys_ = MayerVietorisSystem(X, A, B, Filtration([0], [X]), 2)
     assert sys_.RX.dim(1, 0) == 1  # the hollow triangle inside A
-    delta = mv_connecting(sys_, 0, 0)
+    delta = sys_.horizontal("delta", 0, 0)
     assert delta.shape == (1, 1) and not delta.any()
     _, aud = ordinary_sequence(sys_, 0)
     assert aud.exact
 
 
+def _assert_split_independent(sys_, k):
+    """Both splits of the connecting map over bars agree at every step with
+    each other and with the per-step path's. Over all bars they may differ
+    on rows that are dead before the column is born."""
+    i, old = sys_._gaps.index(("delta", k)), PerStepSystem(sys_)
+    sides = [mv_connecting(sys_, k, assign_shared_to=side) for side in "AB"]
+    for u in range(sys_.n_steps):
+        a_side, b_side = (_at(m, sys_._bars[i + 1], sys_._bars[i], u) for m in sides)
+        assert np.array_equal(a_side, b_side)
+        assert np.array_equal(a_side, step_mv_connecting(old, k, u, "B"))
+
+
 def test_mv_connecting_splitting_independence(torus_system):
     for k in range(3):
-        for u in range(torus_system.n_steps):
-            a_side = mv_connecting(torus_system, k, u, assign_shared_to="A")
-            b_side = mv_connecting(torus_system, k, u, assign_shared_to="B")
-            assert np.array_equal(a_side, b_side)
+        _assert_split_independent(torus_system, k)
 
 
 def test_mv_connecting_splitting_independence_odd_characteristic():
     sys_ = square_circle_system(5)
     for k in range(2):
-        assert np.array_equal(mv_connecting(sys_, k, 0, assign_shared_to="A"),
-                              mv_connecting(sys_, k, 0, assign_shared_to="B"))
+        _assert_split_independent(sys_, k)
 
 
 def test_pair_connecting_edge():
     X = close_under_faces([(0, 1)])
     A = close_under_faces([(0,), (1,)])
     sys_ = PairSystem(X, A, Filtration([0], [X]), 2)
-    delta = pair_connecting(sys_, 0, 0)  # H_1(X, A) -> H_0(A)
+    delta = sys_.horizontal("delta", 0, 0)  # H_1(X, A) -> H_0(A)
     assert delta.shape == (2, 1)
     assert sorted(delta[:, 0]) == [1, 1]  # endpoint difference (signs vanish mod 2)
     _, aud = ordinary_sequence(sys_, 0)
@@ -109,8 +130,9 @@ def test_pair_connecting_edge():
 def test_pair_connecting_a_empty():
     X = FULL
     sys_ = PairSystem(X, close_under_faces([]), Filtration([0], [X]), 2)
-    delta = pair_connecting(sys_, 0, 0)
+    delta = sys_.horizontal("delta", 0, 0)
     assert delta.shape == (0, 0)
+    assert pair_connecting(sys_, 0).shape == (0, 0)
     _, aud = ordinary_sequence(sys_, 0)
     assert aud.exact
 
@@ -265,48 +287,57 @@ def _fresh_system(kind, torus, genus2, p=2):
 
 @pytest.mark.parametrize("kind", ["triad", "pair"])
 def test_each_horizontal_map_is_computed_once(monkeypatch, torus, genus2, kind):
-    calls = Counter()
+    """map_at runs once per (gap, k), whatever the audits and their
+    sequences' maps ask for, and each class computation under it runs once."""
+    chain_calls, calls = Counter(), Counter()
+    coordinates = PersistenceResult.coordinates
 
-    def counted(name):
-        original = getattr(sequences, name)
+    def counted(result, k, chains, u=None):
+        chain_calls[id(result), k, u] += 1
+        return coordinates(result, k, chains, u)
 
-        def wrapper(*args, **kwargs):
-            # results and systems by identity, degrees and steps by value
-            calls[(name,) + tuple(a if isinstance(a, int) else id(a) for a in args)] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("induced_inclusion_map", "mv_connecting", "pair_connecting", "quotient_map"):
-        monkeypatch.setattr(sequences, name, counted(name))
+    monkeypatch.setattr(PersistenceResult, "coordinates", counted)
     sys_ = _fresh_system(kind, torus, genus2)
-    # delta; for a triad alpha and beta each include from two spaces
-    calls_per_map = 5 if kind == "triad" else 3
+    computed = sys_.map_at
+
+    def counted_map_at(gap, k):
+        calls[gap, k] += 1
+        return computed(gap, k)
+    monkeypatch.setattr(sys_, "map_at", counted_map_at)
     n = sys_.n_steps
     for u in range(n):
         for v in range(u, n):
-            persistent_sequence(sys_, u, v)
+            seq, _ = persistent_sequence(sys_, u, v)
+            assert len(list(seq.maps)) == len(seq.terms)
             assert check_squares(sys_, u, v) == []
         ordinary_sequence(sys_, u)
-    module_sequence(sys_)
-    assert len(calls) == calls_per_map * (sys_.top_degree + 1) * n
-    assert set(calls.values()) == {1}
+        for gap, k in sys_._gaps:
+            sys_.horizontal(gap, k, u)
+    seq, _ = module_sequence(sys_)
+    assert all(len(per_step) == n for per_step in seq.maps)
+    assert calls == Counter(sys_._gaps)
+    # delta and beta; for a triad alpha includes into two spaces
+    calls_per_map = 4 if kind == "triad" else 3
+    assert len(chain_calls) == calls_per_map * (sys_.top_degree + 1)
+    assert set(chain_calls.values()) == {1}
     assert not sys_.horizontal("alpha", 1, n - 1).flags.writeable
 
 
 @pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
 def test_persistent_sequence_matches_the_vertical_map_path(torus, genus2, kind, p):
     sys_ = _fresh_system(kind, torus, genus2, p)
-    schedule = sequences._term_schedule(sys_)
+    old = PerStepSystem(sys_)
+    schedule = sys_._terms
     n = sys_.n_steps
     for u in range(n):
         for v in range(u, n):
             seq, _ = persistent_sequence(sys_, u, v)
-            bases, maps = naive_persistent_sequence(sys_, u, v)
+            bases, maps = naive_persistent_sequence(old, u, v)
             for (label, k), term, basis in zip(schedule, seq.terms, bases, strict=True):
                 assert term.dim == basis.shape[1], (u, v, label, k)
                 # the group selects unit vectors of the term's bar coordinates at v
-                group = sys_.persistent_group(label, k, u, v)
-                selected = np.eye(sys_.term_dim(label, k, v), dtype=np.int64)[:, group]
+                group = old.persistent_group(label, k, u, v)
+                selected = np.eye(old.term_dim(label, k, v), dtype=np.int64)[:, group]
                 assert np.array_equal(selected, basis), (u, v, label, k)
             for got, want in zip(seq.maps, maps):
                 assert want is not None and np.array_equal(got, want), (u, v)
@@ -360,23 +391,25 @@ def test_horizontal_maps_need_no_elimination(monkeypatch, torus, genus2, kind, p
     for name in ("row_reduce", "solve_matrix"):
         monkeypatch.setattr(linalg, name, lambda *args, name=name: pytest.fail(name))
     for u in range(sys_.n_steps):
-        for gap, k in sequences._gap_schedule(sys_):
+        for gap, k in sys_._gaps:
             sys_.horizontal(gap, k, u)
 
 
 @pytest.mark.parametrize("which", ["triad", "pair"] + list(range(12)))
 def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
     """Every audit of a system, at every u <= v and at every level, runs at
-    most one row reduction per map (gap, k, v); asking again runs none."""
+    most one image reduction per map (gap, k), whatever n_steps is, and no
+    dense elimination; asking again runs none."""
     sys_ = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
             else make_fixture(which)[1])
     reductions = []
-    row_reduce = linalg.row_reduce
+    real_reduce = sequences._reduce
 
-    def counted(a, p):
-        reductions.append(a.shape)
-        return row_reduce(a, p)
-    monkeypatch.setattr(linalg, "row_reduce", counted)
+    def counted(columns, p, cleared):
+        reductions.append(len(columns))
+        return real_reduce(columns, p, cleared)
+    monkeypatch.setattr(sequences, "_reduce", counted)
+    monkeypatch.setattr(linalg, "row_reduce", lambda *args: pytest.fail("row_reduce"))
     n = sys_.n_steps
 
     def audit_everything():
@@ -387,121 +420,124 @@ def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
             ordinary_sequence(sys_, u)
         module_sequence(sys_)
     audit_everything()
-    assert 0 < len(reductions) <= len(sequences._gap_schedule(sys_)) * n
+    assert 0 < len(reductions) <= len(sys_._gaps)
     first = len(reductions)
     audit_everything()
     assert len(reductions) == first
 
 
+def _outcome(path, system, u, v):
+    """A persistent audit, or 'leak' where the path raises RestrictionLeakError."""
+    try:
+        return path(system, u, v)[1]
+    except sequences.RestrictionLeakError:
+        return "leak"
+
+
 @pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
-def test_audits_see_a_map_that_breaks_order_2(monkeypatch, torus, genus2, kind, p):
-    """A level-v map whose composition with the map before it is nonzero
-    (it sends a class in the image to an earlier-born class, so nothing
-    leaks) breaks order 2 from the birth of a column that composition hits
-    on. The audits say so, and agree with `audit` of their own sequences at
-    every u <= v."""
+def test_audits_see_a_map_that_breaks_order_2(torus, genus2, kind, p):
+    """An entry added to map j over bars at (t, s), where map j - 1 reaches
+    s and t is born and dies no later than s, passes both structural checks
+    (nothing leaks) but makes the composite nonzero. The audits see order 2
+    fail at term j exactly where that composite has a witness, and agree
+    with `audit` of their own sequences, with the per-call path and with the
+    rank profiles on the same maps at every u <= v."""
     probe = _fresh_system(kind, torus, genus2, p)
-    gaps, terms = sequences._gap_schedule(probe), sequences._term_schedule(probe)
+    gaps, terms, bars = probe._gaps, probe._terms, probe._bars
 
-    def breakable():  # (v, j, r, c): maps[j-1] reaches row c, and row r is born no later
-        for v in range(probe.n_steps):
-            for j in range(1, len(gaps)):
-                hit = probe.horizontal(*gaps[j - 1], v).any(axis=1).nonzero()[0]
-                source = probe.term_bars(*terms[j], v)[0]
-                target = probe.term_bars(*terms[j + 1], v)[0]
-                if hit.size and target.size:
-                    c, r = hit[source[hit].argmax()], target.argmin()
-                    if target[r] <= source[c]:
-                        yield v, j, r, c
-    found = next(breakable(), None)
-    assert found is not None, "no map to break"
-    v, j, r, c = found
-    sys_ = _fresh_system(kind, torus, genus2, p)
-    computed = sys_.map_at
-
-    def broken(gap, k, w):
-        m = computed(gap, k, w)
-        if (gap, k, w) == (*gaps[j], v):
-            m = m.copy()
-            m[r, c] = (m[r, c] + 1) % p
-        return m
-    monkeypatch.setattr(sys_, "map_at", broken)
-    for u in range(v + 1):
-        seq, aud = persistent_sequence(sys_, u, v)
-        assert aud == audit(seq), u
-    assert not aud.position(*terms[j]).order2 and not aud.order2  # at u = v
-    seq, aud = ordinary_sequence(sys_, v)
-    assert aud == audit(seq) and not aud.position(*terms[j]).order2
+    def breakable():  # (j, t, s), t alive after the earliest birth of a column reaching s
+        for j in range(1, len(gaps)):
+            before = probe.matrix(*gaps[j - 1])
+            (sb, sd), (tb, td) = bars[j], bars[j + 1]
+            for s in np.unique(before.rows).tolist():
+                born = bars[j - 1][0][before.cols[before.rows == s]].min()
+                for t in ((tb <= sb[s]) & (td <= sd[s]) & (td > born)).nonzero()[0].tolist():
+                    yield j, t, s
+    sites = list(breakable())
+    assert sites, "no map to break"
+    n = probe.n_steps
+    for j, t, s in sites[::max(1, len(sites) // 3)]:
+        sys_ = tampered(probe, j, t, s)
+        old, broken = reading(sys_), []
+        for u in range(n):
+            seq, aud = ordinary_sequence(sys_, u)
+            assert aud == audit(seq) == level_ordinary_sequence(old, u)[1], u
+            for v in range(u, n):
+                seq, aud = persistent_sequence(sys_, u, v)
+                assert aud == audit(seq) == _outcome(per_call_persistent_sequence, old, u, v) \
+                    == _outcome(level_persistent_sequence, old, u, v), (u, v)
+                if not aud.position(*terms[j]).order2:
+                    broken.append((u, v))
+        assert broken and not persistent_sequence(sys_, *broken[0])[1].order2
 
 
 @pytest.mark.parametrize("kind", ["triad", "pair"])
 def test_persistent_sequence_rejects_a_map_that_leaves_the_group(torus, genus2, kind):
-    """A level-v map that sends a persistent class outside the target group
-    is an internal fault, reported as RestrictionLeakError."""
-    sys_ = _fresh_system(kind, torus, genus2)
-    n, schedule = sys_.n_steps, sequences._term_schedule(sys_)
-    for u in range(n):
-        ordinary_sequence(sys_, u)
-    for i, (gap, k) in enumerate(sequences._gap_schedule(sys_)):
-        for u in range(n):
-            for v in range(u, n):
-                source = sys_.persistent_group(*schedule[i], u, v)
-                target = sys_.persistent_group(*schedule[i + 1], u, v)
-                outside = np.setdiff1d(np.arange(sys_.term_dim(*schedule[i + 1], v)), target)
-                if source.size and outside.size:
-                    persistent_sequence(sys_, u, v)  # the true maps stay inside
-                    leaking = sys_.horizontal(gap, k, v).copy()
-                    leaking[outside[0], source[0]] += 1
-                    leaking %= sys_.modulus
-                    sys_._maps[(gap, k, v)] = leaking
-                    with pytest.raises(sequences.RestrictionLeakError):
-                        persistent_sequence(sys_, u, v)
-                    return
-    pytest.fail("no persistent group with a coordinate outside its target")
+    """An entry of a map over bars whose target is born after its source
+    sends a persistent class outside the target group: an internal fault,
+    reported as RestrictionLeakError at exactly the (u, v) where the
+    per-call slicing path and the leak bounds report it on the same maps;
+    elsewhere the audits are those of the per-call path."""
+    probe = _fresh_system(kind, torus, genus2)
+    n, leaks = probe.n_steps, 0
+    for i in range(len(probe._gaps)):
+        for check, (t, s) in fault_sites(probe, i):
+            if check != "birth":
+                continue
+            sys_ = tampered(probe, i, t, s)
+            old = reading(sys_)
+            for u in range(n):
+                for v in range(u, n):
+                    got = _outcome(persistent_sequence, sys_, u, v)
+                    assert got == _outcome(per_call_persistent_sequence, old, u, v), (i, u, v)
+                    assert (got == "leak") == (
+                        _outcome(level_persistent_sequence, old, u, v) == "leak"), (i, u, v)
+                    leaks += got == "leak"
+    assert leaks, "no map entry to make leak"
 
 
 @pytest.mark.parametrize("which", ["triad", "pair"] + list(range(12)))
-def test_check_squares_sees_every_broken_square(monkeypatch, torus, genus2, which):
-    """Breaking m_v (seen through the source vertical) or m_u (seen through
-    the target vertical) must be reported, whatever the other terms' sizes;
-    the random fixtures add squares with a zero target at u or source at v."""
-    sys_ = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
-            else make_fixture(which)[1])
-    schedule, horizontal = sequences._term_schedule(sys_), sys_.horizontal
-    n, broken = sys_.n_steps, Counter()
-    for i, (gap, k) in enumerate(sequences._gap_schedule(sys_)):
-        for u in range(n):
-            for v in range(u + 1, n):
-                for step, term in ((v, i), (u, i + 1)):
-                    m, vert = horizontal(gap, k, step), sys_.vertical(*schedule[term], u, v)
-                    bad = m.copy()
-                    if step == v and m.shape[0] and vert.any():
-                        bad[0, vert.any(axis=1).argmax()] += 1  # changes m_v ∘ vert_src
-                    elif step == u and m.shape[1] and vert.any():
-                        bad[vert.any(axis=0).argmax(), 0] += 1  # changes vert_tgt ∘ m_u
-                    else:
-                        continue  # no change of m shows through vert
-                    bad %= sys_.modulus
-                    monkeypatch.setattr(sys_, "horizontal", lambda *key: (
-                        bad if key == (gap, k, step) else horizontal(*key)))
+def test_check_squares_sees_every_broken_square(torus, genus2, which):
+    """An entry of a map over bars that fails a structural check breaks the
+    squares where it shows on one side only: a target born after its source
+    shows through the source vertical (m_v ∘ vert) and not through the
+    target vertical, a target dying after its source the other way round.
+    check_squares lists exactly the squares that the scatter check and the
+    multiplied-out check on the same maps list; the random fixtures add
+    squares with a zero target at u or source at v. Every such entry breaks
+    some square. The shipped fixtures have entries of both kinds; a small
+    random fixture may have no pair of bars that shows one kind at any step."""
+    probe = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
+             else make_fixture(which)[1])
+    n, broken = probe.n_steps, Counter()
+    for i, (gap, k) in enumerate(probe._gaps):
+        for check, site in fault_sites(probe, i):
+            sys_ = tampered(probe, i, *site)
+            old, seen = reading(sys_), 0
+            for u in range(n):
+                for v in range(u, n):
                     failures = check_squares(sys_, u, v)
-                    assert failures == [f"{gap} square at degree {k} between steps {u} and {v}"]
-                    broken[step == v] += 1
-    assert broken[True] and broken[False]
+                    assert failures == scatter_check_squares(old, u, v) == \
+                        per_call_check_squares(old, u, v), (gap, k, check, u, v)
+                    assert failures in (
+                        [], [f"{gap} square at degree {k} between steps {u} and {v}"])
+                    seen += bool(failures)
+            assert seen, (gap, k, check)
+            broken[check] += seen
+    assert set(broken) == {"birth", "death"} or not isinstance(which, str)
 
 
 def test_module_sequence_rejects_a_map_that_breaks_a_square(torus):
     filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
     sys_ = MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, 2)
-    computed = sys_.map_at
-
-    def broken(gap, k, u):
-        m = computed(gap, k, u)
-        return np.zeros_like(m) if (gap, k, u) == ("alpha", 1, 4) else m
-    sys_.map_at = broken
-    assert computed("alpha", 1, 4).any()
-    with pytest.raises(ValueError, match="shift action"):
-        module_sequence(sys_)
+    assert module_sequence(sys_)[1].exact
+    checks = set()
+    for i in range(len(sys_._gaps)):
+        for check, site in fault_sites(sys_, i):
+            with pytest.raises(ValueError, match="shift action"):
+                module_sequence(tampered(sys_, i, *site))
+            checks.add(check)
+    assert checks == {"birth", "death"}
 
 
 def test_order2_random_sample():

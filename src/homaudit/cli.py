@@ -24,7 +24,7 @@ from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces, is_subcomplex)
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
-                    _perfectness, critical_cells, sublevel_filtration)
+                    _least_over_cofaces, _perfectness, critical_cells, sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -122,22 +122,15 @@ def load_complex(path: Path, strict_values: bool = False
     K = close_under_faces(generators)
     if not explicit:
         return K, None
-    inherited: dict[Simplex, Fraction] = {}
-    for g, v in explicit.items():
-        for s in g.faces():
-            if s not in inherited or v < inherited[s]:
-                inherited[s] = v
-    values: dict[Simplex, Fraction] = {}
+    inherited = _least_over_cofaces(K, explicit)
     for s in K.simplices():
         if s in explicit:
-            values[s] = explicit[s]
-        elif strict_values:
+            continue
+        if strict_values:
             raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
-        elif s in inherited:
-            values[s] = inherited[s]
-        else:
+        if s not in inherited:
             raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
-    return K, MorseFunction(K, values)
+    return K, MorseFunction(K, {**inherited, **explicit})
 
 
 def load_membership(path: Path) -> SimplicialComplex:
@@ -300,8 +293,9 @@ def _run_audit(args, kind: str) -> int:
         law, holds = "order-2", aud.order2
         payload["u"] = str(filt.thresholds[u])
         payload["v"] = str(filt.thresholds[v])
-        payload["persistent_dims"] = {
-            name: [len(R.persistent_group(k, u, v)) for k in range(system.top_degree + 1)]
+        payload["persistent_dims"] = {  # the bars containing [u, v]
+            name: [int(((b <= u) & (d > v)).sum())
+                   for b, d in (R.bars_alive(k) for k in range(system.top_degree + 1))]
             for name, R in system.spaces.items()}
         for name in system.spaces:
             print(f"  dim H^{{{payload['u']},{payload['v']}}}({name}) by degree: "

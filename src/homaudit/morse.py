@@ -248,12 +248,21 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    value, facets = f._values, K.facet_table
-    entry = {s: bisect_left(ts, value[s]) for s in K.simplices()}
-    for s in reversed(K.simplices()):  # from the top dimension down
-        for n in facets[s]:
-            entry[n] = min(entry[n], entry[s])
+    entry = _least_over_cofaces(K, {s: bisect_left(ts, f._values[s]) for s in K.simplices()})
     return Filtration._of(tuple(ts), K, entry)
+
+
+def _least_over_cofaces(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> dict:
+    """Each cell's least value over itself and its valued cofaces, walked down
+    the facet table from the top dimension (cells with none are left out)."""
+    least, facets = dict(value), K.facet_table
+    for s in reversed(K.simplices()):
+        x = least.get(s)
+        if x is not None:
+            for n in facets[s]:
+                if n not in least or x < least[n]:
+                    least[n] = x
+    return least
 
 
 def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,

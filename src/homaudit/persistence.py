@@ -8,11 +8,14 @@ cell is an essential bar. The reduced column R_tau, a cycle whose last cell
 is sigma, represents its bar at every step the bar is alive, and V_sigma an
 essential bar. These bases fit every step at once: induced maps are 0/1
 selections, the persistent group H^{u,v} is the set of bars containing
-[u, v], and the barcode is read off the pairs. Chains are sparse
-{simplex: coefficient} dicts: `representatives(k, u)` gives the cycle
-columns of the bars alive at u (of every bar), and `coordinates` finds
-classes by back-substitution on the lows of all cycle columns, on the bars
-alive at u or on every bar at once, so no step builds a dense basis.
+[u, v], and the barcode is read off the pairs. A result keeps per degree
+only the cells, cycle columns and bar table its reduction gives; a
+per-step view is selected from the table, and the index of the bars alive
+at each step is built by the first per-step query, then kept. Chains are
+sparse {simplex: coefficient} dicts: `representatives(k, u)` gives the
+cycle columns of the bars alive at u (of every bar), and `coordinates`
+finds classes by back-substitution on the lows of all cycle columns, so
+no step builds a dense basis.
 
 The pair (X, A) is reduced as X ∪ cone(A), whose reduced homology is
 H(X, A) (Cohen-Steiner-Edelsbrunner-Harer 2009). The apex is the oldest
@@ -26,6 +29,7 @@ step indices; thresholds are carried along as labels only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -93,8 +97,8 @@ class BarMatrix(NamedTuple):
 
 
 class PersistenceResult:
-    """Bars, bar-adapted homology bases, induced maps and query operations
-    for one filtration.
+    """The bar table of one filtration, with its bar-adapted homology bases,
+    and the per-step views and queries selected from it.
 
     Produced by compute_persistence (absolute) or relative_persistence (the
     pair, coned); immutable afterwards.
@@ -103,7 +107,7 @@ class PersistenceResult:
     def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
                  A: SimplicialComplex):
         self.filtration = filtration
-        self.modulus = p = check_modulus(modulus)
+        self.modulus = check_modulus(modulus)
         self.n_steps = len(filtration)
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
@@ -119,35 +123,32 @@ class PersistenceResult:
             block.sort()
         if apex is not None:
             blocks[0].insert(0, (0, apex))  # the oldest cell
-        # degree k: cells in filtration order, their entry steps, boundary columns
+        # degree k: cells in filtration order, their entry steps, their positions
         self._cells = [tuple(s for _, s in block) for block in blocks]
         self._entry = [np.array([u for u, _ in block], dtype=np.int64) for block in blocks]
         self._index = [{s: i for i, s in enumerate(cells)} for cells in self._cells]
-        self._columns: list[list[dict]] = [[{} for _ in self._cells[0]]]
-        table = filtration.complex.facet_table
-        for k in range(1, top + 1):
+        self._reduce_filtration(apex is not None)
+
+    def _reduce_filtration(self, coned: bool) -> None:
+        """Reduce every degree's boundary columns once, top down, each
+        degree's pivots clearing the degree below (Chen-Kerber 2011), and keep
+        per degree the bar table: the cycle cells (each the low of exactly one
+        cycle column: R_tau when paired with tau, V_sigma when essential),
+        their cycle columns and their birth and death steps (n_steps if none)."""
+        p, n, top = self.modulus, self.n_steps, self.max_degree + 1
+        table = self.filtration.complex.facet_table
+        paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
+        above: list[Optional[dict]] = []
+        self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
+        for k in range(top, -1, -1):
             # facet i of s: vertex i deleted, sign (-1)^i
             row, signs, columns = self._index[k - 1], [(-1) ** i % p for i in range(k + 1)], []
             for s in self._cells[k]:
                 facets = table.get(s)
-                if facets is None:  # a cone cell, in no facet table: cut them out
-                    facets = [s[:i] + s[i + 1:] for i in range(k + 1)]
+                if facets is None:  # a cone cell, in no facet table: cut them out (apex: none)
+                    facets = [s[:i] + s[i + 1:] for i in range(k + 1)] if k else ()
                 columns.append({row[f]: x for f, x in zip(facets, signs)})
-            self._columns.append(columns)
-        self._reduce_filtration(apex is not None)
-
-    def _reduce_filtration(self, coned: bool) -> None:
-        """Reduce every degree once, top down, so each degree's pivots clear
-        the cycle columns of the degree below (Chen-Kerber 2011), and read off
-        per degree the cycle cells (each the low of exactly one cycle
-        column: R_tau when paired with tau, V_sigma when essential) with the
-        steps of their birth and death (n_steps when essential)."""
-        p, n, top = self.modulus, self.n_steps, self.max_degree + 1
-        paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
-        above: list[Optional[dict]] = []
-        self._lows, self._cycles, self._births, self._deaths = [], [], [], []
-        for k in range(top, -1, -1):
-            reduced, sources, pivot_of = _reduce(self._columns[k], p, set(paired))
+            reduced, sources, pivot_of = _reduce(columns, p, set(paired))
             if k < top:
                 lows, cycles, deaths = [], [], []
                 for j, r in enumerate(reduced):
@@ -157,21 +158,23 @@ class PersistenceResult:
                     lows.append(j)
                     cycles.append(sources[j] if tau is None else above[tau])
                     deaths.append(n if tau is None else int(self._entry[k + 1][tau]))
-                lows = np.array(lows, dtype=np.int64)
                 deaths = np.array(deaths, dtype=np.int64)
                 if coned and k == 0:
                     deaths[0] = 0  # the apex class is a boundary from the start
-                self._lows.insert(0, lows)
                 self._cycles.insert(0, cycles)
-                self._births.insert(0, self._entry[k][lows])
+                self._cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
+                self._births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
                 self._deaths.insert(0, deaths)
             paired, above = pivot_of, reduced
-        self._cycle_at = [{low: j for j, low in enumerate(lows.tolist())} for lows in self._lows]
         # per degree: the cycle cells of the bars of positive length (the others are never alive)
         self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
-        # per degree and step: the cycle cells whose bars are alive there
-        self._alive = [[((b <= u) & (d > u)).nonzero()[0] for u in range(n)]
-                       for b, d in zip(self._births, self._deaths)]
+
+    @cached_property
+    def _alive(self) -> list[list[np.ndarray]]:
+        """Per degree and step, the cycle cells whose bars are alive there:
+        selected from the bar table by the first per-step query, then kept."""
+        return [[((b <= u) & (d > u)).nonzero()[0] for u in range(self.n_steps)]
+                for b, d in zip(self._births, self._deaths)]
 
     def labels(self) -> tuple[str, ...]:
         return self.filtration.labels()
@@ -182,6 +185,14 @@ class PersistenceResult:
         if not 0 <= u <= v < self.n_steps:
             raise IndexError(f"bad step pair ({u}, {v})")
 
+    def _bars(self, k: int, u: Optional[int]) -> Optional[np.ndarray]:
+        """The cycle cells of the bars alive at step u, or of every bar of
+        positive length when u is None; None above max_degree."""
+        self._check(k, u or 0, u or 0)
+        if k > self.max_degree:
+            return None
+        return self._long[k] if u is None else self._alive[k][u]
+
     def _n_cells(self, k: int, u: int) -> int:
         """Number of k-cells present at step u (a prefix of the degree's cells)."""
         if k < 0 or k >= len(self._entry):
@@ -189,8 +200,8 @@ class PersistenceResult:
         return int(np.searchsorted(self._entry[k], u, side="right"))
 
     def dim(self, k: int, u: int) -> int:
-        self._check(k, u, u)
-        return 0 if k > self.max_degree else self._alive[k][u].size
+        alive = self._bars(k, u)
+        return 0 if alive is None else alive.size
 
     def dims(self, k: int) -> tuple[int, ...]:
         return tuple(self.dim(k, u) for u in range(self.n_steps))
@@ -210,11 +221,9 @@ class PersistenceResult:
         """Births and deaths (n_steps when essential) of the bars alive at
         step u, or of every bar of positive length when u is None, in the order
         of `dim`, `induced_matrix`, `persistent_group` and `coordinates`."""
-        if u is not None:
-            self._check(k, u, u)
-        if k > self.max_degree:
+        alive = self._bars(k, u)
+        if alive is None:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        alive = self._long[k] if u is None else self._alive[k][u]
         return self._births[k][alive], self._deaths[k][alive]
 
     def induced_matrix(self, k: int, u: int, v: int) -> np.ndarray:
@@ -225,10 +234,9 @@ class PersistenceResult:
             return np.zeros((0, 0), dtype=np.int64)
         at_u, at_v = self._alive[k][u], self._alive[k][v]
         m = np.zeros((at_v.size, at_u.size), dtype=np.int64)
-        if not m.size:
-            return m
-        columns, rows = _survivors(self._births[k][at_v], self._deaths[k][at_u], u, v)
-        m[rows, columns] = 1
+        if m.size:  # the bars alive through [u, v] go to themselves
+            rows = (self._births[k][at_v] <= u).nonzero()[0]  # among those at v: born by u
+            m[rows, (self._deaths[k][at_u] > v).nonzero()[0]] = 1  # among those at u: dying after v
         return m
 
     def persistent_group(self, k: int, u: int, v: int) -> np.ndarray:
@@ -242,12 +250,10 @@ class PersistenceResult:
     def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
         """The cycle columns of the bars of `bars_alive(k, u)` as {simplex:
         coefficient} chains; a bar's chain is the same all its life."""
-        if u is not None:
-            self._check(k, u, u)
-        if k > self.max_degree:
+        alive = self._bars(k, u)
+        if alive is None:
             return []
         cells, cycles = self._cells[k], self._cycles[k]
-        alive = self._long[k] if u is None else self._alive[k][u]
         return [{cells[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
 
     def coordinates(self, k: int, chains: Sequence[Mapping[Simplex, int]],
@@ -260,15 +266,13 @@ class PersistenceResult:
         alive at u is a boundary there. A cycle reduces to zero, so a low
         that is no cycle cell, or a cell outside step u (outside the
         filtration when u is None), raises NotACycleError."""
-        if u is not None:
-            self._check(k, u, u)
-        p, where = self.modulus, "the filtration" if u is None else f"step {u}"
-        if k > self.max_degree:
+        rows, p = self._bars(k, u), self.modulus
+        where = "the filtration" if u is None else f"step {u}"
+        if rows is None:
             index, cycles, cycle_at, n, rows = {}, [], {}, 0, np.zeros(0, dtype=np.int64)
         else:
             index, cycles, cycle_at = self._index[k], self._cycles[k], self._cycle_at[k]
             n = len(index) if u is None else self._n_cells(k, u)
-            rows = self._long[k] if u is None else self._alive[k][u]
         out = []
         for col, chain in enumerate(chains):
             r = {}
@@ -308,15 +312,6 @@ class PersistenceResult:
         if len(coefficients) != len(cells):
             raise linalg.DimensionMismatchError("chain length differs from the step's chain space")
         return self.class_of(chain.degree, u, [dict(zip(cells, coefficients))])[:, 0]
-
-
-def _survivors(births_v: np.ndarray, deaths_u: np.ndarray, u: int,
-              v: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bars alive through [u, v], given the births of the coordinates at
-    v and the deaths of those at u: their positions among the coordinates at
-    u and among those at v, in one order. The map from step u to step v is
-    the partial identity between the two."""
-    return (deaths_u > v).nonzero()[0], (births_v <= u).nonzero()[0]
 
 
 def compute_persistence(filtration: Filtration, modulus: int,
@@ -380,13 +375,9 @@ class Barcode:
 def barcode(result: PersistenceResult, k: int) -> Barcode:
     """Interval decomposition in degree k, read off the reduction's pairs:
     the bars sorted by birth, then death (essential bars last)."""
-    n = result.n_steps
-    labels = result.labels()
-    if k > result.max_degree:
-        return Barcode(k, ())
+    n, labels = result.n_steps, result.labels()
     bars = [Interval(b, None if d == n else d, labels[b], None if d == n else labels[d])
-            for b, d in sorted(zip(result._births[k].tolist(), result._deaths[k].tolist()))
-            if b < d]
+            for b, d in sorted(zip(*(ends.tolist() for ends in result.bars_alive(k))))]
     return Barcode(k, tuple(bars))
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .complexes import NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex, union
+from .complexes import NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex
 from .linalg import DimensionMismatchError
 from .morse import Filtration
 from .persistence import (BarMatrix, PersistenceResult, _reduce, compute_persistence,
@@ -229,7 +229,7 @@ class MayerVietorisSystem(_System):
     def __init__(self, X: SimplicialComplex, A: SimplicialComplex, B: SimplicialComplex,
                  filtration: Filtration, modulus: int):
         super().__init__(X, (A, B), filtration, modulus)
-        if union(A, B) != X:
+        if not all(s in A or s in B for s in X.simplices()):
             raise NotCoveringError("A ∪ B does not cover X")
         self.A, self.B = A, B
         self.RX = compute_persistence(filtration, self.modulus, self.top_degree)

@@ -10,7 +10,10 @@ step boundary matrices built from the simplices' own faces, the three
 separate Morse scans (`naive_classify`) that one classification pass
 replaced, that pass and the entry-step filtration on `Fraction` values and
 rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
-`int` values and the facet table replaced, `DensePersistence`, the
+`int` values and the facet table replaced, a file's values inherited by
+every face of each valued simplex (`faces_inherited_values`), the walk
+that one coface walk replaced, the per-step views of a result selected
+eagerly, bar by bar, from its bar table (`EagerSteps`), `DensePersistence`, the
 dense per-step path that the bar-selection path replaced (one basis per
 step with classes found by a dense solve, composed step maps, persistent
 groups as images, the barcode by inclusion-exclusion over their ranks),
@@ -40,8 +43,7 @@ from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, interse
                                 reindex_chains, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import MorseViolation
-from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _survivors,
-                                  barcode)
+from homaudit.persistence import BarMatrix, NotACycleError, PersistenceResult, barcode
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
                                 MayerVietorisSystem, PositionAudit, RestrictionLeakError,
                                 SequenceAudit, SequenceTerm, StepAudit, audit, check_squares,
@@ -254,6 +256,70 @@ def fraction_filtration(K, f, thresholds):
         for n in s.facets():
             entry[n] = min(entry[n], entry[s])
     return tuple(ts), entry
+
+
+def faces_inherited_values(K, explicit, strict=False):
+    """A complex file's values the way the parser first found them: every
+    proper face of each explicitly valued simplex (`Simplex.faces()`)
+    inherits the least such value, and the first cell of K with no value
+    given, or none inheritable, is named as a `ValueError`."""
+    inherited = {}
+    for g, v in explicit.items():
+        for s in g.faces():
+            if s not in inherited or v < inherited[s]:
+                inherited[s] = v
+    values = {}
+    for s in K.simplices():
+        if s in explicit:
+            values[s] = explicit[s]
+        elif strict:
+            raise ValueError(f"strict mode: no explicit value for {tuple(s)}")
+        elif s in inherited:
+            values[s] = inherited[s]
+        else:
+            raise ValueError(f"no value given or inheritable for {tuple(s)}")
+    return values
+
+
+class EagerSteps:
+    """The per-step views of a persistence result written out bar by bar
+    from its bar table (`bars_alive(k)` and `representatives(k)`, the bars of
+    positive length): the bars alive at step u are those with birth <= u <
+    death, in table order, a bar alive at u and at v maps to itself, and the
+    persistent group is the bars at v born by u. `alive` is every step's
+    index, built up front the way each result once built it."""
+
+    def __init__(self, result):
+        self.result, self.n_steps = result, result.n_steps
+        self.table = [result.bars_alive(k) for k in range(result.max_degree + 1)]
+        self.alive = [[[i for i, (b, d) in enumerate(zip(*bars)) if b <= u < d]
+                       for u in range(self.n_steps)] for bars in self.table]
+
+    def _at(self, k, u):
+        return self.alive[k][u] if k <= self.result.max_degree else []
+
+    def dim(self, k, u):
+        return len(self._at(k, u))
+
+    def bars_alive(self, k, u):
+        births, deaths = self.table[k] if k <= self.result.max_degree else ([], [])
+        at = self._at(k, u)
+        return (np.array([births[i] for i in at], dtype=np.int64),
+                np.array([deaths[i] for i in at], dtype=np.int64))
+
+    def representatives(self, k, u):
+        chains = self.result.representatives(k)
+        return [chains[i] for i in self._at(k, u)]
+
+    def induced_matrix(self, k, u, v):
+        at_u, at_v = self._at(k, u), self._at(k, v)
+        return np.array([[int(a == b) for b in at_u] for a in at_v],
+                        dtype=np.int64).reshape(len(at_v), len(at_u))
+
+    def persistent_group(self, k, u, v):
+        births = self.table[k][0] if k <= self.result.max_degree else []
+        return np.array([i for i, a in enumerate(self._at(k, v)) if births[a] <= u],
+                        dtype=np.intp)
 
 
 def chain_boundary(result, k, u):
@@ -706,6 +772,13 @@ def level_persistent_sequence(system, u, v):
     seq = LinearSequence(PERSISTENT, system.kind, tuple(terms), tuple(maps), system.modulus,
                          u=u, v=v)
     return seq, level.audit(system, PERSISTENT, u, [term.dim for term in terms])
+
+
+def _survivors(births_v, deaths_u, u, v):
+    """The bars alive through [u, v], given the births of the coordinates at
+    v and the deaths of those at u: their positions among the coordinates at
+    u and among those at v, in one order."""
+    return (deaths_u > v).nonzero()[0], (births_v <= u).nonzero()[0]
 
 
 def scatter_check_squares(system, u, v):

@@ -2,23 +2,25 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from homaudit.cli import main
+from homaudit.cli import ParseError, load_complex, main
 from homaudit.complexes import Simplex
 from homaudit.fixtures import torus_triad
 from homaudit.morse import filtration_from_morse
 from homaudit.persistence import NotACycleError, PersistenceResult
 from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
 
-from naive import fault_sites, with_entry
+from naive import faces_inherited_values, fault_sites, with_entry
+from randfix import random_complex
 
 TORUS_ARGS = None  # filled per-test from data_dir
 
@@ -577,3 +579,34 @@ def test_negative_labels_in_the_equals_form(tmp_path, capsys):
     assert code == 0
     assert "dim H^{-13/2,-5}(X) by degree: [1, 0, 0]" in out
     assert "dim H^{-13/2,-5}((X,A)) by degree: [0, 0, 0]" in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), strict=st.booleans(), data=st.data())
+def test_file_values_match_inheritance_by_faces(seed, strict, data):
+    """Values on some cells of a random complex, the maximal cells listed
+    bare otherwise: `load_complex` gives every cell the value, or names in
+    its error the cell, that inheritance by each valued simplex's faces
+    gives."""
+    K = random_complex(random.Random(seed))
+    valued = data.draw(st.lists(st.booleans(), min_size=len(K), max_size=len(K)))
+    assume(any(valued))
+    values = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                min_size=len(K), max_size=len(K)))
+    explicit = {s: v for s, keep, v in zip(K.simplices(), valued, values) if keep}
+    lines = [f"{' '.join(map(str, s))} : {v}" for s, v in explicit.items()]
+    lines += [" ".join(map(str, s)) for s in K.maximal_simplices() if s not in explicit]
+    try:
+        want = faces_inherited_values(K, explicit, strict)
+    except ValueError as exc:
+        want = str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "partial.txt"
+        path.write_text("\n".join(data.draw(st.permutations(lines))), encoding="utf-8")
+        try:
+            L, f = load_complex(path, strict)
+            assert L == K
+            got = {s: f(s) for s in K.simplices()}
+        except ParseError as exc:
+            got = exc.message
+    assert got == want

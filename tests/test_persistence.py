@@ -1,5 +1,7 @@
 """Persistence engine: per-step homology, induced maps, persistent groups,
-barcodes against the structure-theorem consistency formula, graded modules."""
+barcodes against the structure-theorem consistency formula, graded modules,
+and the per-step views selected on first use against their eager
+definition."""
 
 import functools
 import random
@@ -21,9 +23,9 @@ from homaudit.persistence import (GradedModule, NotACycleError, PersistenceResul
                                   relative_persistence)
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
-from naive import (DensePersistence, chain_boundary, chain_columns, naive_class_of,
+from naive import (DensePersistence, EagerSteps, chain_boundary, chain_columns, naive_class_of,
                    naive_homology_basis, naive_nullspace, naive_persistent_dim, naive_rank)
-from randfix import make_fixture, random_complex, random_morse
+from randfix import FIXTURE_COUNT, lower_star_fixture, make_fixture, random_complex, random_morse
 
 POINT = close_under_faces([(0,)])
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -202,6 +204,12 @@ def test_index_errors(torus_system):
         torus_system.RX.persistent_group(1, 3, 1)
     with pytest.raises(IndexError):
         torus_system.RX.representatives(-1, 0)
+    # a negative degree is no degree with or without a step, not the top one
+    for query in (torus_system.RX.bars_alive, torus_system.RX.representatives,
+                  lambda k: torus_system.RX.coordinates(k, []),
+                  lambda k: barcode(torus_system.RX, k)):
+        with pytest.raises(IndexError):
+            query(-1)
 
 
 def test_truncated_max_degree_still_quotients_by_boundaries(torus_system):
@@ -441,3 +449,27 @@ def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
                     R.persistent_group(k, u, v)
     assert sorted(reductions) == sorted(id(R) for R in results)
     assert set(reductions.values()) == {1} and not eliminations
+
+
+@settings(max_examples=120, deadline=None)
+@given(index=st.integers(0, FIXTURE_COUNT - 1), p=st.sampled_from((2, 3, 5, 7)),
+       lower=st.booleans())
+def test_per_step_views_equal_their_eager_definition(index, p, lower):
+    """Selected from the bar table on first use, every per-step view of every
+    space equals its eager definition at every step and every u <= v, one
+    degree above the top included; on a fixture's own values or lower-star
+    values."""
+    system = (lower_star_fixture if lower else make_fixture)(index, p)[1]
+    for R in system.spaces.values():
+        eager, n = EagerSteps(R), R.n_steps
+        for k in range(R.max_degree + 2):
+            for u in range(n):
+                assert R.dim(k, u) == eager.dim(k, u)
+                for got, want in zip(R.bars_alive(k, u), eager.bars_alive(k, u)):
+                    assert np.array_equal(got, want), (k, u)
+                assert R.representatives(k, u) == eager.representatives(k, u), (k, u)
+                for v in range(u, n):
+                    assert np.array_equal(R.induced_matrix(k, u, v),
+                                          eager.induced_matrix(k, u, v)), (k, u, v)
+                    assert np.array_equal(R.persistent_group(k, u, v),
+                                          eager.persistent_group(k, u, v)), (k, u, v)

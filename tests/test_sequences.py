@@ -228,6 +228,11 @@ def test_not_covering_rejected():
     A = close_under_faces([(0, 1)])
     with pytest.raises(NotCoveringError):
         MayerVietorisSystem(X, A, A, Filtration([0], [X]), 2)
+    # every vertex and edge covered, the triangle not
+    T = close_under_faces([(0, 1, 2)])
+    with pytest.raises(NotCoveringError, match="^A ∪ B does not cover X$"):
+        MayerVietorisSystem(T, close_under_faces([(0, 1), (1, 2)]), close_under_faces([(0, 2)]),
+                            Filtration([0], [T]), 2)
 
 
 def test_commuting_squares_fixtures(torus_system, genus2_system):

@@ -23,7 +23,7 @@ from typing import Optional
 from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces, is_subcomplex)
-from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
+from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError, _exact,
                     _least_over_cofaces, _perfectness, critical_cells, sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
@@ -52,26 +52,26 @@ class InputContractError(Exception):
 _RATIONAL_BOUND = 10 ** 4300  # labels are printed; Python prints ints of <= 4300 digits
 
 
-def _rational(text: str) -> Fraction:
-    """An exact rational small enough to print as a label. Raises ValueError
-    or ZeroDivisionError; exponents are capped before Fraction expands them."""
+def _rational(text: str) -> Fraction | int:
+    """An exact rational small enough to print as a label, as `_exact` holds it.
+    Raises ValueError or ZeroDivisionError; exponents are capped first."""
     text = text.strip()
     if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
         raise ValueError(f"exponent too large: {text!r}")
-    value = Fraction(text)
+    value = _exact(text)
     if max(abs(value.numerator), value.denominator) >= _RATIONAL_BOUND:
         raise ValueError(f"too many digits: {text!r}")
     return value
 
 
-def _fraction(text: str, path, line_no) -> Fraction:
+def _fraction(text: str, path, line_no) -> Fraction | int:
     try:
         return _rational(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(path, line_no, f"not a rational value: {text.strip()!r}") from None
 
 
-def _label(text: str, option: str) -> Fraction:
+def _label(text: str, option: str) -> Fraction | int:
     try:
         return _rational(text)
     except (ValueError, ZeroDivisionError):
@@ -107,7 +107,7 @@ def load_complex(path: Path, strict_values: bool = False
     """Parse a complex file; closure-added faces inherit the minimum value of
     the explicitly valued simplices containing them (strict mode rejects
     inheritance instead). A simplex valued twice must get the same value."""
-    explicit: dict[Simplex, Fraction] = {}
+    explicit: dict[Simplex, Fraction | int] = {}
     first_line: dict[Simplex, int] = {}
     generators: list[Simplex] = []
     for line_no, simplex, value in _parse_lines(path):
@@ -143,8 +143,8 @@ def _digest(path: Path) -> str:
 
 
 def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
-                      thresholds: Optional[list[Fraction]],
-                      extra_labels: list[Fraction]) -> Filtration:
+                      thresholds: Optional[list[Fraction | int]],
+                      extra_labels: list[Fraction | int]) -> Filtration:
     """Filtration for a command run.
 
     Explicit thresholds win; otherwise the critical values when f is a valid
@@ -155,7 +155,7 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
     if f is None:
         if thresholds or extra_labels:
             raise InputContractError("thresholds given but the complex file carries no values")
-        return Filtration([Fraction(0)], [K])
+        return Filtration([0], [K])
     try:
         base = set(thresholds) if thresholds is not None else {f(s) for s in critical_cells(K, f)}
     except NotMorseError:
@@ -164,7 +164,7 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
     return sublevel_filtration(K, f, base)
 
 
-def _parse_threshold_list(text: str) -> list[Fraction]:
+def _parse_threshold_list(text: str) -> list[Fraction | int]:
     items = [tok for chunk in text.split(",") for tok in chunk.split()]
     if not items:
         raise InputContractError("empty threshold list")

@@ -17,12 +17,10 @@ cycle columns of the bars alive at u (of every bar), and `coordinates`
 finds classes by back-substitution on the lows of all cycle columns, so
 no step builds a dense basis.
 
-The pair (X, A) is reduced as X ∪ cone(A), whose reduced homology is
-H(X, A) (Cohen-Steiner-Edelsbrunner-Harer 2009). The apex is the oldest
-cell, so the elder rule never keeps a component that meets A, and its
-class, the one reduced homology drops, counts as a boundary. A relative
-result's chain coordinates are thus the cells of X_u ∪ cone(A_u); absolute
-persistence is the case of A empty, with no apex. All algebra happens on
+The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u): its
+cells are the cells of X not in A, and a facet in A has no row, so a
+relative result reads chains of X with the cells of A zero. Absolute
+persistence is the same code with A empty. All algebra happens on
 step indices; thresholds are carried along as labels only.
 """
 
@@ -101,40 +99,35 @@ class PersistenceResult:
     and the per-step views and queries selected from it.
 
     Produced by compute_persistence (absolute) or relative_persistence (the
-    pair, coned); immutable afterwards.
+    pair, as the quotient C(X)/C(A)); immutable afterwards.
     """
 
     def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
                  A: SimplicialComplex):
-        self.filtration = filtration
+        self.filtration, self._A = filtration, A
         self.modulus = check_modulus(modulus)
         self.n_steps = len(filtration)
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
         blocks: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
-        # the cone's apex: one more than the largest vertex
-        apex = Simplex((max(filtration.complex.simplices(0))[0] + 1,)) if len(A) else None
         for s, u in filtration.entry.items():
-            if s.dim <= top:
+            if s.dim <= top and s not in A:
                 blocks[s.dim].append((u, s))
-            if apex is not None and s.dim < top and s in A:
-                blocks[s.dim + 1].append((u, Simplex(s + apex)))
         for block in blocks:
             block.sort()
-        if apex is not None:
-            blocks[0].insert(0, (0, apex))  # the oldest cell
         # degree k: cells in filtration order, their entry steps, their positions
         self._cells = [tuple(s for _, s in block) for block in blocks]
         self._entry = [np.array([u for u, _ in block], dtype=np.int64) for block in blocks]
         self._index = [{s: i for i, s in enumerate(cells)} for cells in self._cells]
-        self._reduce_filtration(apex is not None)
+        self._reduce_filtration()
 
-    def _reduce_filtration(self, coned: bool) -> None:
+    def _reduce_filtration(self) -> None:
         """Reduce every degree's boundary columns once, top down, each
         degree's pivots clearing the degree below (Chen-Kerber 2011), and keep
         per degree the bar table: the cycle cells (each the low of exactly one
         cycle column: R_tau when paired with tau, V_sigma when essential),
-        their cycle columns and their birth and death steps (n_steps if none)."""
+        their cycle columns and their birth and death steps (n_steps if none).
+        A facet in A has no row: it is zero in C(X)/C(A)."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
         table = self.filtration.complex.facet_table
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
@@ -142,12 +135,9 @@ class PersistenceResult:
         self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
         for k in range(top, -1, -1):
             # facet i of s: vertex i deleted, sign (-1)^i
-            row, signs, columns = self._index[k - 1], [(-1) ** i % p for i in range(k + 1)], []
-            for s in self._cells[k]:
-                facets = table.get(s)
-                if facets is None:  # a cone cell, in no facet table: cut them out (apex: none)
-                    facets = [s[:i] + s[i + 1:] for i in range(k + 1)] if k else ()
-                columns.append({row[f]: x for f, x in zip(facets, signs)})
+            row, signs = self._index[k - 1], [(-1) ** i % p for i in range(k + 1)]
+            columns = [{row[f]: x for f, x in zip(table[s], signs) if f in row}
+                       for s in self._cells[k]]
             reduced, sources, pivot_of = _reduce(columns, p, set(paired))
             if k < top:
                 lows, cycles, deaths = [], [], []
@@ -158,13 +148,10 @@ class PersistenceResult:
                     lows.append(j)
                     cycles.append(sources[j] if tau is None else above[tau])
                     deaths.append(n if tau is None else int(self._entry[k + 1][tau]))
-                deaths = np.array(deaths, dtype=np.int64)
-                if coned and k == 0:
-                    deaths[0] = 0  # the apex class is a boundary from the start
                 self._cycles.insert(0, cycles)
                 self._cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
                 self._births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
-                self._deaths.insert(0, deaths)
+                self._deaths.insert(0, np.array(deaths, dtype=np.int64))
             paired, above = pivot_of, reduced
         # per degree: the cycle cells of the bars of positive length (the others are never alive)
         self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
@@ -207,8 +194,9 @@ class PersistenceResult:
         return tuple(self.dim(k, u) for u in range(self.n_steps))
 
     def basis_simplices(self, k: int, u: int) -> tuple[Simplex, ...]:
-        """The k-cells of step u in filtration order, its chain coordinates;
+        """The k-cells of step u not in A, in filtration order: its chain coordinates,
         given through degree max_degree + 1, whose cells bound the top degree."""
+        self._check(0, u, u)  # a bad step raises; a degree outside the table has no cells
         if not 0 <= k < len(self._cells):
             return ()
         return self._cells[k][:self._n_cells(k, u)]
@@ -263,16 +251,17 @@ class PersistenceResult:
         or on every bar of positive length when u is None. Each chain is
         reduced by back-substitution on the lows of all the degree's cycle
         columns, which are distinct and carry the coefficient 1; a bar not
-        alive at u is a boundary there. A cycle reduces to zero, so a low
-        that is no cycle cell, or a cell outside step u (outside the
-        filtration when u is None), raises NotACycleError."""
-        rows, p = self._bars(k, u), self.modulus
+        alive at u is a boundary there. A chain is read in C(X)/C(A), where a
+        cell of A present at step u (any, when u is None) is zero. A cycle
+        reduces to zero, so a low that is no cycle cell, or another cell
+        outside step u (the filtration), raises NotACycleError."""
+        rows, p, last = self._bars(k, u), self.modulus, self.n_steps - 1 if u is None else u
         where = "the filtration" if u is None else f"step {u}"
+        A, entry, n = self._A, self.filtration.entry, self._n_cells(k, last)
         if rows is None:
-            index, cycles, cycle_at, n, rows = {}, [], {}, 0, np.zeros(0, dtype=np.int64)
+            index, cycles, cycle_at, rows = {}, [], {}, np.zeros(0, dtype=np.int64)
         else:
             index, cycles, cycle_at = self._index[k], self._cycles[k], self._cycle_at[k]
-            n = len(index) if u is None else self._n_cells(k, u)
         out = []
         for col, chain in enumerate(chains):
             r = {}
@@ -280,9 +269,10 @@ class PersistenceResult:
                 x = int(x) % p
                 if x:
                     i = index.get(s, n)
-                    if i >= n:
+                    if i < n:
+                        r[i] = x
+                    elif not (s in A and entry[s] <= last):
                         raise NotACycleError(f"{tuple(s)} is not a {k}-cell of {where}")
-                    r[i] = x
             while r:
                 low = max(r)
                 j = cycle_at.get(low)
@@ -324,8 +314,8 @@ def compute_persistence(filtration: Filtration, modulus: int,
 def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
                          filtration: Filtration, modulus: int,
                          max_degree: Optional[int] = None) -> PersistenceResult:
-    """Persistence of the pairs (X_u, A_u), as the reduced homology of
-    X_u ∪ cone(A_u).
+    """Persistence of the pairs (X_u, A_u), as the homology of the filtered
+    quotient C(X_u)/C(A_u).
 
     The filtration filters X; each step is paired with its intersection with A.
     """

@@ -287,15 +287,16 @@ def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
     return R_sup.coordinates(k, R_sub.representatives(k))
 
 
-def _boundary(chains, keep) -> list[dict]:
-    """The boundary of the part of each chain on the cells that `keep` accepts."""
+def _boundary(X: SimplicialComplex, chains, keep=None) -> list[dict]:
+    """The boundary of the part of each chain on the cells that `keep` accepts
+    (all when None), read off X's facet table: facet i has the sign (-1)^i."""
     out = []
     for chain in chains:
         boundary: dict = {}
         for s, x in chain.items():
-            if keep(s):
-                for sign, f in s.boundary():
-                    boundary[f] = boundary.get(f, 0) + sign * x
+            if keep is None or keep(s):
+                for i, f in enumerate(X.facet_table[s]):
+                    boundary[f] = boundary.get(f, 0) + (-x if i % 2 else x)
         out.append(boundary)
     return out
 
@@ -315,22 +316,19 @@ def mv_connecting(sys: MayerVietorisSystem, k: int, assign_shared_to: str = "A")
             raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B")
         return in_a and (assign_shared_to == "A" or not in_b)
 
-    return sys.RAB.coordinates(k, _boundary(sys.RX.representatives(k + 1), in_a_part))
+    return sys.RAB.coordinates(k, _boundary(sys.X, sys.RX.representatives(k + 1), in_a_part))
 
 
 def pair_connecting(sys: PairSystem, k: int) -> BarMatrix:
-    """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative class
-    is a cycle of X ∪ cone(A); its part on the cells of X (the cone cells
-    dropped, the same ones at every step) has its boundary in A, and the
-    class of that boundary is the image."""
-    x_entry = sys.filtration.entry
-    return sys.RA.coordinates(k, _boundary(sys.RXA.representatives(k + 1),
-                                           x_entry.__contains__))
+    """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative
+    class is a chain of X whose boundary lies in A, and the class of that
+    boundary is the image."""
+    return sys.RA.coordinates(k, _boundary(sys.X, sys.RXA.representatives(k + 1)))
 
 
 def quotient_map(sys: PairSystem, k: int) -> BarMatrix:
-    """H_k(X) -> H_k(X, A) over all bars: the map induced by the inclusion of
-    X into X ∪ cone(A), whose cells are the relative chain coordinates."""
+    """H_k(X) -> H_k(X, A) over all bars: each cycle column of X read in
+    C(X)/C(A), where its cells in A are zero."""
     return sys.RXA.coordinates(k, sys.RX.representatives(k))
 
 

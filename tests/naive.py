@@ -18,7 +18,9 @@ dense per-step path that the bar-selection path replaced (one basis per
 step with classes found by a dense solve, composed step maps, persistent
 groups as images, the barcode by inclusion-exclusion over their ranks),
 with `assert_matches_oracle` comparing the two on every basis-free
-invariant, the per-step map path that the maps over bars replaced
+invariant, the relative barcodes as the reduced persistence of the cone
+X ∪ cone(A) that the filtered quotient C(X)/C(A) replaced
+(`cone_barcodes`), the per-step map path that the maps over bars replaced
 (`PerStepSystem`: every horizontal map built at every step from the step's
 representatives, with the rank profiles of `_Level` and their leak bounds
 and the scatter square check), the per-call audit path before it (each
@@ -39,11 +41,13 @@ from itertools import product
 import numpy as np
 
 from homaudit import linalg, sequences
-from homaudit.complexes import (EMPTY_COMPLEX, Simplex, boundary_matrix, intersect,
-                                reindex_chains, relative_basis, relative_boundary_matrix)
+from homaudit.complexes import (EMPTY_COMPLEX, Simplex, SimplicialComplex, boundary_matrix,
+                                intersect, reindex_chains, relative_basis,
+                                relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
-from homaudit.morse import MorseViolation
-from homaudit.persistence import BarMatrix, NotACycleError, PersistenceResult, barcode
+from homaudit.morse import Filtration, MorseViolation
+from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, barcode,
+                                  compute_persistence)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
                                 MayerVietorisSystem, PositionAudit, RestrictionLeakError,
                                 SequenceAudit, SequenceTerm, StepAudit, audit, check_squares,
@@ -325,8 +329,9 @@ class EagerSteps:
 def chain_boundary(result, k, u):
     """The boundary matrix d_k of step u on a result's own chain coordinates
     (`basis_simplices`), built from each simplex's facets. A facet outside
-    the step's (k-1)-cells is dropped: for the dense path's relative results
-    these are the cells of A, so d_k is that of C(X_u)/C(A_u)."""
+    the step's (k-1)-cells is dropped: for a relative result of either path,
+    the bar table's or the dense one's, these are the cells of A, so d_k is
+    that of C(X_u)/C(A_u)."""
     rows = {s: i for i, s in enumerate(result.basis_simplices(k - 1, u))}
     cols = result.basis_simplices(k, u)
     d = np.zeros((len(rows), len(cols)), dtype=np.int64)
@@ -585,6 +590,27 @@ class DensePersistence:
 
 
 # ---------------------------------------------------------------------------
+# the cone path that the filtered quotient replaced
+
+def cone_barcodes(X, A, filtration, modulus, max_degree):
+    """The barcodes of the pairs (X_u, A_u) in degrees 0..max_degree as the
+    reduced homology of X_u ∪ cone(A_u) (Cohen-Steiner-Edelsbrunner-Harer
+    2009), built from the public API alone: the cone is a real complex whose
+    apex, a new vertex, enters at step 0 and whose cone cells enter with
+    their base cells, and its absolute barcode has one more bar [0, inf) in
+    degree 0, the apex's component, which is dropped."""
+    apex = (max(s[0] for s in X.simplices(0)) + 1,)
+    entry = {Simplex(apex): 0, **filtration.entry}
+    entry.update({Simplex(s + apex): filtration.entry[s] for s in A.simplices()})
+    steps = [SimplicialComplex(s for s, e in entry.items() if e <= u)
+             for u in range(len(filtration))]
+    cone = compute_persistence(Filtration(filtration.thresholds, steps), modulus, max_degree)
+    bars = [list(barcode(cone, k)) for k in range(max_degree + 1)]
+    bars[0].remove(next(iv for iv in bars[0] if iv.birth == 0 and iv.death is None))
+    return [tuple(b) for b in bars]
+
+
+# ---------------------------------------------------------------------------
 # the per-step map path that the maps over bars replaced
 
 class PerStepSystem:
@@ -658,9 +684,8 @@ class PerStepSystem:
             return np.hstack([step_inclusion(A, X, k, u), step_inclusion(B, X, k, u)])
         XA = self.spaces["(X,A)"]
         if gap == "delta":
-            entry = self.filtration.entry
-            return A.class_of(k, u, sequences._boundary(
-                XA.representatives(k + 1, u), lambda s: entry.get(s, u + 1) <= u))
+            return A.class_of(k, u, sequences._boundary(self.filtration.complex,
+                                                        XA.representatives(k + 1, u)))
         if gap == "alpha":
             return step_inclusion(A, X, k, u)
         return step_inclusion(X, XA, k, u)  # the quotient map
@@ -684,7 +709,7 @@ def step_mv_connecting(system, k, u, assign_shared_to="A"):
         return in_a and (assign_shared_to == "A" or not in_b)
 
     return system.spaces["A∩B"].class_of(k, u, sequences._boundary(
-        system.spaces["X"].representatives(k + 1, u), in_a_part))
+        system.filtration.complex, system.spaces["X"].representatives(k + 1, u), in_a_part))
 
 
 class _Level:

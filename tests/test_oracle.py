@@ -16,6 +16,12 @@ the acceptance batch at its own primes, its first 64 fixtures rebuilt over
 F_2, F_3, F_5 and F_7 (at its own prime a fixture is the batch's), grid
 tori from the benchmark's generator and both shipped fixtures.
 
+Every relative barcode, reduced as the filtered quotient C(X)/C(A),
+against the reduced persistence of the cone X ∪ cone(A), built as a real
+complex: on every pair of the acceptance batch, of its first 64 fixtures
+rebuilt over F_2, F_3, F_5 and F_7, the shipped genus-2 pair and the
+lower-star grid-torus pairs at n = 8 and 10.
+
 The input layers against their old paths on the same inputs: filtrations
 stored as entry steps against one closed sublevel per threshold (and
 restrictions against steps intersected with the subcomplex), the one Morse
@@ -41,11 +47,11 @@ from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close
 from homaudit.linalg import dense_rank
 from homaudit.morse import (Filtration, MorseFunction, _classify, filtration_from_morse,
                             sublevel, sublevel_filtration)
-from homaudit.persistence import compute_persistence
+from homaudit.persistence import barcode, compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
-from naive import (assert_audits_match_per_call_path, assert_matches_oracle, fraction_classify,
-                   fraction_filtration, naive_betti, naive_classify)
+from naive import (assert_audits_match_per_call_path, assert_matches_oracle, cone_barcodes,
+                   fraction_classify, fraction_filtration, naive_betti, naive_classify)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
                      lower_star_system, make_fixture, random_complex, random_subcomplex)
 
@@ -151,6 +157,37 @@ def test_shipped_fixtures_match_oracle(torus, genus2, p):
     assert_matches_oracle(MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, p))
     filt = sublevel_filtration(genus2.complex, genus2.function, genus2.thresholds)
     assert_matches_oracle(PairSystem(genus2.complex, genus2.A, filt, p))
+
+
+# ---------------------------------------------------------------------------
+# the cone path
+
+def _assert_relative_barcodes_match_the_cone(system):
+    R = system.RXA
+    want = cone_barcodes(system.X, system.A, system.filtration, R.modulus, R.max_degree)
+    assert [tuple(barcode(R, k)) for k in range(R.max_degree + 1)] == want
+
+
+def test_acceptance_pairs_match_the_cone(genus2):
+    pairs = [system for kind, system, _ in fixture_batch(FIXTURE_COUNT) if kind == "pair"]
+    assert len(pairs) == FIXTURE_COUNT // 2
+    for system in pairs:
+        _assert_relative_barcodes_match_the_cone(system)
+    filt = sublevel_filtration(genus2.complex, genus2.function, genus2.thresholds)
+    _assert_relative_barcodes_match_the_cone(PairSystem(genus2.complex, genus2.A, filt, 2))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rebuilt_pairs_match_the_cone(p):
+    for index in range(1, 64, 2):  # the odd fixtures are the pairs
+        kind, system, _ = make_fixture(index, p)
+        assert kind == "pair"
+        _assert_relative_barcodes_match_the_cone(system)
+
+
+@pytest.mark.parametrize("n,p", [(8, 2), (10, 3)])
+def test_lower_star_pairs_match_the_cone(n, p):
+    _assert_relative_barcodes_match_the_cone(_lower_star_torus(n, "pair", p))
 
 
 # ---------------------------------------------------------------------------

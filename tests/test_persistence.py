@@ -204,6 +204,11 @@ def test_index_errors(torus_system):
         torus_system.RX.persistent_group(1, 3, 1)
     with pytest.raises(IndexError):
         torus_system.RX.representatives(-1, 0)
+    for u in (99, -1, torus_system.n_steps):
+        with pytest.raises(IndexError):
+            torus_system.RX.basis_simplices(1, u)
+    # a degree outside the chain table has no cells (the oracle asks for d_0)
+    assert torus_system.RX.basis_simplices(-1, 0) == ()
     # a negative degree is no degree with or without a step, not the top one
     for query in (torus_system.RX.bars_alive, torus_system.RX.representatives,
                   lambda k: torus_system.RX.coordinates(k, []),
@@ -362,8 +367,8 @@ def test_representatives_follow_their_bars(torus_system, torus_system_f3, genus2
 
 @functools.lru_cache(maxsize=1)
 def _property_results():
-    """(result, apex or None) for every space of the torus triad over F_2 and
-    F_3, the genus-2 pair and random systems 0-39, coned results included."""
+    """Every space of the torus triad over F_2 and F_3, the genus-2 pair and
+    random systems 0-39, relative results included."""
     torus, genus2 = torus_triad(), genus2_pair()
     torus_filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
     systems = [MayerVietorisSystem(torus.complex, torus.A, torus.B, torus_filt, p)
@@ -371,13 +376,7 @@ def _property_results():
     systems.append(PairSystem(genus2.complex, genus2.A, sublevel_filtration(
         genus2.complex, genus2.function, genus2.thresholds), 2))
     systems += [make_fixture(index)[1] for index in range(40)]
-    out = []
-    for system in systems:
-        for R in system.spaces.values():
-            vertices = set(R.filtration.complex.simplices(0))
-            apex = [s for s in R.basis_simplices(0, R.n_steps - 1) if s not in vertices]
-            out.append((R, apex[0] if apex else None))
-    return out
+    return [R for system in systems for R in system.spaces.values()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -386,7 +385,7 @@ def test_class_of_agrees_with_naive_homology(data):
     # basis-free: class_of rejects exactly the chains that are no cycles of
     # step u, and a cycle minus its coordinates' combination of
     # representatives bounds
-    R, apex = data.draw(st.sampled_from(_property_results()))
+    R = data.draw(st.sampled_from(_property_results()))
     p = R.modulus
     k = data.draw(st.integers(0, R.max_degree))
     u = data.draw(st.integers(0, R.n_steps - 1))
@@ -415,10 +414,79 @@ def test_class_of_agrees_with_naive_homology(data):
     reps = chain_columns(R.representatives(k, u), cells)
     rest = (vec.reshape(-1, 1) - mat_mul(reps, coords, p)) % p
     bounds = chain_boundary(R, k + 1, u)
-    if apex is not None and k == 0:
-        # a coned result's reduced homology drops the apex class
-        bounds = np.hstack([bounds, np.array([[int(s == apex)] for s in cells], dtype=np.int64)])
     assert naive_rank(np.hstack([bounds, rest]), p) == naive_rank(bounds, p)
+
+
+@functools.lru_cache(maxsize=1)
+def _relative_results():
+    """(relative result, A, its dense twin) of the genus-2 pair over F_2 and
+    F_3 and of the pairs among random and lower-star systems 0-39."""
+    genus2 = genus2_pair()
+    filt = sublevel_filtration(genus2.complex, genus2.function, genus2.thresholds)
+    systems = [PairSystem(genus2.complex, genus2.A, filt, p) for p in (2, 3)]
+    systems += [build(index)[1] for index in range(1, 40, 2)
+                for build in (make_fixture, lower_star_fixture)]
+    return [(S.RXA, S.A, DensePersistence(S.filtration, S.modulus, S.RXA.max_degree, S.A))
+            for S in systems]
+
+
+def _class_or_error(query):
+    try:
+        return query()
+    except NotACycleError:
+        return NotACycleError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_relative_classes_read_chains_of_x_in_the_quotient(data):
+    # a chain of X, cells of A included, against the dense quotient's
+    # class_of: a cell of A present at step u is zero there, one entering
+    # later is no cell of the step; classes agree up to the change of basis
+    # that the result's representatives give
+    R, A, dense = data.draw(st.sampled_from(_relative_results()))
+    p, entry = R.modulus, R.filtration.entry
+    k = data.draw(st.integers(0, R.max_degree))
+    u = data.draw(st.integers(0, R.n_steps - 1))
+    w = data.draw(st.integers(u, R.n_steps - 1)) if data.draw(st.booleans()) else u
+    cells = R.basis_simplices(k, w)
+    kernel = naive_nullspace(chain_boundary(R, k, w), p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(kernel),
+                                max_size=len(kernel)))
+    chain = {}
+    for c, z in zip(coeffs, kernel):
+        for s, x in zip(cells, z):
+            chain[s] = (chain.get(s, 0) + c * x) % p
+    a_cells = [s for s in A.simplices(k) if entry[s] <= w]
+    for s in data.draw(st.lists(st.sampled_from(a_cells), max_size=4) if a_cells
+                       else st.just([])):
+        chain[s] = data.draw(st.integers(1, p - 1))
+    late = any(x % p and entry[s] > u for s, x in chain.items())
+    got = _class_or_error(lambda: R.class_of(k, u, [chain]))
+    want = _class_or_error(lambda: dense.class_of(k, u, [chain]))
+    if late or want is NotACycleError:
+        assert got is NotACycleError and want is NotACycleError
+        return
+    change = dense.class_of(k, u, R.representatives(k, u))
+    assert np.array_equal(want, mat_mul(change, got, p))
+    # over every bar, the bars alive at u read the same coordinates
+    births, deaths = R.bars_alive(k)
+    m = R.coordinates(k, [chain])
+    full = np.zeros(m.shape, dtype=np.int64)
+    full[m.rows, m.cols] = m.values
+    assert np.array_equal(full[(births <= u) & (deaths > u)], got)
+    # the cells of A alone are zero wherever they are present
+    on_a = {s: x for s, x in chain.items() if s in A}
+    assert not R.class_of(k, u, [on_a]).any() and not R.coordinates(k, [on_a]).values.size
+
+
+def test_relative_chain_coordinates_are_the_cells_outside_a():
+    for R, A, _ in _relative_results():
+        X = R.filtration.complex
+        for k in range(R.max_degree + 2):
+            assert set(R.basis_simplices(k, R.n_steps - 1)) == \
+                {s for s in X.simplices(k) if s not in A}, k
+            assert len(R.basis_simplices(k, R.n_steps - 1)) == X.n_cells(k) - A.n_cells(k)
 
 
 def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
@@ -427,9 +495,9 @@ def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
     real_reduction = PersistenceResult._reduce_filtration
     reductions, eliminations = Counter(), []
 
-    def counted(result, coned):
+    def counted(result):
         reductions[id(result)] += 1
-        return real_reduction(result, coned)
+        return real_reduction(result)
 
     monkeypatch.setattr(PersistenceResult, "_reduce_filtration", counted)
     monkeypatch.setattr(linalg, "row_reduce",

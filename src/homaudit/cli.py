@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Commands: betti, morse-check, barcode, mv-audit, pair-audit. Input is a
-UTF-8 text file with one simplex per line (`v0 v1 ... vk [: value]`,
-`#` starts a comment); membership files list the simplices of a subcomplex
-and are closed under faces after parsing.
+Commands: betti, morse-check, barcode, mv-audit, pair-audit; `main` parses
+with one parser per process and runs `cmd_` + the name with `-` as `_`, looked
+up at call time. Input is a UTF-8 text file with one simplex per line
+(`v0 v1 ... vk [: value]`, `#` starts a comment); membership files list the
+simplices of a subcomplex and are closed under faces after parsing.
 
 Exit codes: 0 success / law holds; 1 audited law violated; 2 parse error;
 3 not a discrete Morse function (morse-check); 4 covering or subcomplex
@@ -13,6 +14,7 @@ hypothesis failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -54,11 +56,15 @@ _RATIONAL_BOUND = 10 ** 4300  # labels are printed; Python prints ints of <= 430
 
 def _rational(text: str) -> Fraction | int:
     """An exact rational small enough to print as a label, as `_exact` holds it.
-    Raises ValueError or ZeroDivisionError; exponents are capped first."""
+    Integral ASCII decimal text goes straight to `int`, never through a
+    `Fraction`. Raises ValueError or ZeroDivisionError; exponents are capped first."""
     text = text.strip()
-    if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
+    if text.lstrip("+-").isdigit() and text.isascii():
+        value = int(text)
+    elif len(text.lower().partition("e")[2].lstrip("+-")) > 4:
         raise ValueError(f"exponent too large: {text!r}")
-    value = _exact(text)
+    else:
+        value = _exact(text)
     if max(abs(value.numerator), value.denominator) >= _RATIONAL_BOUND:
         raise ValueError(f"too many digits: {text!r}")
     return value
@@ -378,18 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("betti", help="Betti numbers of a complex")
     _add_common(p)
-    p.set_defaults(func=cmd_betti)
 
     p = subs.add_parser("morse-check", help="validate a discrete Morse function")
     _add_common(p)
-    p.set_defaults(func=cmd_morse_check)
 
     p = subs.add_parser("barcode", help="interval decomposition of the filtration")
     _add_common(p)
     p.add_argument("--thresholds", help=_THRESHOLDS_HELP)
     p.add_argument("--degree", type=int, help="restrict output to one degree")
     p.add_argument("--json", help="write a JSON report to this path")
-    p.set_defaults(func=cmd_barcode)
 
     for name, help_text in (("mv-audit", "audit the sequence of a triad X = A ∪ B"),
                             ("pair-audit", "audit the long sequence of a pair (X, A)")):
@@ -405,15 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", required=True, choices=sorted(_LEVELS), help="audit level")
         p.add_argument("--thresholds", help=_THRESHOLDS_HELP)
         p.add_argument("--json", help="write a JSON report to this path")
-        p.set_defaults(func=cmd_mv_audit if name == "mv-audit" else cmd_pair_audit)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

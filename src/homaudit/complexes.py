@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,19 +28,20 @@ class NotSubcomplexError(ValueError):
 
 
 class Simplex(tuple):
-    """A simplex as a strictly increasing tuple of non-negative vertex ids."""
+    """A simplex as a strictly increasing tuple of non-negative vertex ids, checked
+    in that order (a vertex, none negative, increasing) by C-level calls."""
 
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable[int]):
-        vs = tuple(int(v) for v in vertices)
+        vs = tuple(map(int, vertices))
         if not vs:
             raise MalformedSimplexError("a simplex needs at least one vertex")
-        if any(v < 0 for v in vs):
+        if min(vs) < 0:
             raise MalformedSimplexError(f"negative vertex id in {vs}")
-        if any(a >= b for a, b in zip(vs, vs[1:])):
+        if not all(map(lt, vs, vs[1:])):
             raise MalformedSimplexError(f"vertices must be strictly increasing, got {vs}")
-        return super().__new__(cls, vs)
+        return tuple.__new__(cls, vs)
 
     @property
     def dim(self) -> int:

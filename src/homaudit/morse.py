@@ -25,8 +25,11 @@ Rational = Fraction | int | str
 
 
 def _exact(v: Rational) -> Fraction | int:
-    """v as an int when integral, else as a Fraction: both compare, hash and print alike."""
-    q = Fraction(v)
+    """v as an int when integral, else as a Fraction: both compare, hash and print alike.
+    An int that is not a bool comes back unchanged and a Fraction is not rebuilt."""
+    if type(v) is int:
+        return v
+    q = v if type(v) is Fraction else Fraction(v)
     return int(q.numerator) if q.denominator == 1 else q
 
 
@@ -60,10 +63,8 @@ class MorseFunction:
     __slots__ = ("complex", "_values")
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, Rational]):
-        table = {}
-        for s, v in values.items():
-            s = s if isinstance(s, Simplex) else Simplex(s)
-            table[s] = _exact(v)
+        table = {s if isinstance(s, Simplex) else Simplex(s): _exact(v)
+                 for s, v in values.items()}
         missing = [s for s in complex.simplices() if s not in table]
         if missing:
             raise ValueError(f"function not total: no value for {tuple(missing[0])} "

@@ -12,8 +12,11 @@ replaced, that pass and the entry-step filtration on `Fraction` values and
 rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
 `int` values and the facet table replaced, a file's values inherited by
 every face of each valued simplex (`faces_inherited_values`), the walk
-that one coface walk replaced, the per-step views of a result selected
-eagerly, bar by bar, from its bar table (`EagerSteps`), `DensePersistence`, the
+that one coface walk replaced, every value text parsed as a `Fraction`
+(`fraction_rational`), the path integral text now skips, the vertex
+checks of `Simplex` as generator scans (`naive_simplex`), the per-step
+views of a result selected eagerly, bar by bar, from its bar table
+(`EagerSteps`), `DensePersistence`, the
 dense per-step path that the bar-selection path replaced (one basis per
 step with classes found by a dense solve, composed step maps, persistent
 groups as images, the barcode by inclusion-exclusion over their ranks),
@@ -41,9 +44,9 @@ from itertools import product
 import numpy as np
 
 from homaudit import linalg, sequences
-from homaudit.complexes import (EMPTY_COMPLEX, Simplex, SimplicialComplex, boundary_matrix,
-                                intersect, reindex_chains, relative_basis,
-                                relative_boundary_matrix)
+from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, Simplex,
+                                SimplicialComplex, boundary_matrix, intersect,
+                                reindex_chains, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import Filtration, MorseViolation
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, barcode,
@@ -283,6 +286,35 @@ def faces_inherited_values(K, explicit, strict=False):
         else:
             raise ValueError(f"no value given or inheritable for {tuple(s)}")
     return values
+
+
+def fraction_rational(text):
+    """A value or label text as `cli._rational` read it when every text went
+    through `Fraction`: exponents of more than 4 digits are refused first, an
+    integral value is held as an `int`, and a numerator or denominator of more
+    than 4,300 digits is refused. Raises ValueError or ZeroDivisionError."""
+    text = text.strip()
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
+        raise ValueError(f"exponent too large: {text!r}")
+    q = Fraction(text)
+    value = int(q.numerator) if q.denominator == 1 else q
+    if max(abs(value.numerator), value.denominator) >= 10 ** 4300:
+        raise ValueError(f"too many digits: {text!r}")
+    return value
+
+
+def naive_simplex(vertices):
+    """The vertex tuple `Simplex` holds, checked by generator scans in the
+    order the library keeps: a vertex at all, none negative, strictly
+    increasing; a failure is the same `MalformedSimplexError` message."""
+    vs = tuple(int(v) for v in vertices)
+    if not vs:
+        raise MalformedSimplexError("a simplex needs at least one vertex")
+    if any(v < 0 for v in vs):
+        raise MalformedSimplexError(f"negative vertex id in {vs}")
+    if any(a >= b for a, b in zip(vs, vs[1:])):
+        raise MalformedSimplexError(f"vertices must be strictly increasing, got {vs}")
+    return vs
 
 
 class EagerSteps:

@@ -9,17 +9,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from homaudit.cli import ParseError, load_complex, main
+from homaudit.cli import ParseError, _rational, load_complex, main
 from homaudit.complexes import Simplex
 from homaudit.fixtures import torus_triad
 from homaudit.morse import filtration_from_morse
 from homaudit.persistence import NotACycleError, PersistenceResult
 from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
 
-from naive import faces_inherited_values, fault_sites, with_entry
+from naive import faces_inherited_values, fault_sites, fraction_rational, with_entry
 from randfix import random_complex
 
 TORUS_ARGS = None  # filled per-test from data_dir
@@ -502,6 +502,55 @@ def test_oversized_values_are_parse_errors(tmp_path, capsys):
     path = write(tmp_path, "ok.txt", f"0 : 1e3\n1 : 25e-1\n0 1 : {'7' * 4300}\n")
     code, out, _ = run(capsys, "barcode", path, "--degree", "0")
     assert code == 0 and out.strip() == f"degree 0: [5/2, inf) [1000, {'7' * 4300})"
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=5)
+_NUMERALS = st.one_of(
+    _DIGITS,
+    _DIGITS.map("000".__add__),  # leading zeros
+    st.lists(_DIGITS, min_size=2, max_size=3).map("_".join),  # `_` separators
+    st.sampled_from(["٣", "٣٤", "1٣", "²", "1²", "_1", "1_", "1__2", "", ".", "0x1"]),
+    st.builds("{}.{}".format, _DIGITS, _DIGITS),
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    st.builds("{}{}{}{}".format, _DIGITS, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+              st.integers(1000, 99999)),  # exponents of 4 and 5 digits
+    st.sampled_from(["7" * 4300, "7" * 4301, "1" + "0" * 4300, "0" * 4300 + "1"]))
+_VALUE_TEXTS = st.one_of(
+    st.builds("{}{}{}{}".format, st.sampled_from(["", " ", "\t", "\u2003"]),
+              st.sampled_from(["", "+", "-", "+-", "--"]), _NUMERALS,
+              st.sampled_from(["", " ", "\n"])),
+    st.text(max_size=6))
+
+
+def _parsed(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("max_str_digits", [None, 0])
+@settings(max_examples=300, deadline=None)
+@given(_VALUE_TEXTS)
+@example(" -0042 ")
+@example("7" * 4300)
+@example("7" * 4301)
+@example("٣")
+@example("²")
+@example("1e9999")
+@example("1e10000")
+def test_rational_matches_the_fraction_oracle(max_str_digits, text):
+    """Integral text skips `Fraction`, with the same value, type and error
+    class as the `Fraction` path; with Python's own digit limit lifted, only
+    the 4,300-digit bound stops a long integer."""
+    limit = sys.get_int_max_str_digits()
+    if max_str_digits is not None:
+        sys.set_int_max_str_digits(max_str_digits)
+    try:
+        assert _parsed(_rational, text) == _parsed(fraction_rational, text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("label", ["abc", "1/0", "1e5000"])

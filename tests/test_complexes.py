@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homaudit.complexes import (MalformedSimplexError, NotSubcomplexError, Simplex,
                                 SimplicialComplex, betti_numbers, boundary_matrix,
@@ -13,7 +15,7 @@ from homaudit.complexes import (MalformedSimplexError, NotSubcomplexError, Simpl
 from homaudit.fixtures import torus_triad
 from homaudit.linalg import mat_mul
 
-from naive import naive_betti
+from naive import naive_betti, naive_simplex
 from randfix import random_complex
 
 
@@ -27,6 +29,31 @@ def test_simplex_validation():
         Simplex(())
     with pytest.raises(MalformedSimplexError):
         Simplex((-1, 0))
+    with pytest.raises(MalformedSimplexError, match=r"negative vertex id in \(3, -1\)"):
+        Simplex((3, -1))  # negative is reported before decreasing
+
+
+_VERTEX = st.one_of(st.integers(-3, 8), st.booleans(), st.integers(-3, 8).map(np.int64),
+                    st.integers(0, 8).map(np.uint8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VERTEX, max_size=5))
+@example([])
+@example([3, -1])
+@example([2, 2])
+@example([False, True, np.int64(4)])
+def test_simplex_checks_match_the_generator_oracle(vertices):
+    """Each vertex list gives the oracle's tuple of ints, or its exception
+    type and message: empty, then negative, then not increasing."""
+    def outcome(build):
+        try:
+            vs = tuple(build(vertices))
+        except Exception as exc:
+            return type(exc), str(exc)
+        return vs, tuple(map(type, vs))
+
+    assert outcome(Simplex) == outcome(naive_simplex)
 
 
 def test_facet_table_is_the_complex_own_facets(torus, genus2):

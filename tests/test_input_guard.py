@@ -1,0 +1,101 @@
+"""The CLI input layer does each piece of work once.
+
+`main` builds its argument parser once per process and finds the command to
+run by name at call time, so a function bound to `cli.cmd_*` after the
+parser is cached (a tracer's wrapper, a test double) is the one called, and
+an argparse exit (`--version`, a usage error, a bad `--field`) leaves the
+next command's output as a fresh interpreter gives it. A complex file whose
+values are all integers is loaded, and its `MorseFunction` and sublevel
+filtration built, without constructing one `Fraction`.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from homaudit import cli
+from homaudit.morse import sublevel_filtration
+
+from test_cli import _run_python, _torus_audit_args
+
+
+def test_main_builds_the_parser_once(monkeypatch, data_dir, capsys):
+    built, build = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    argv = ["betti", str(data_dir / "torus" / "complex.txt")]
+    for _ in range(5):
+        assert cli.main(argv) == 0
+    assert built == [1]
+    assert capsys.readouterr().out == "b0=1 b1=2 b2=1\n" * 5
+
+
+def _count_fractions(monkeypatch) -> list:
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_an_integer_valued_file_builds_no_fraction(monkeypatch, data_dir, tmp_path):
+    signed = tmp_path / "signed.txt"
+    signed.write_text("0 1 2 : 7\n0 1 : +3\n0 : 0\n1 : 1\n2 : -2\n1 2 : 005\n",
+                      encoding="utf-8")
+    made = _count_fractions(monkeypatch)
+    for path in (data_dir / "torus" / "complex.txt", data_dir / "genus2" / "complex.txt",
+                 signed):
+        K, f = cli.load_complex(path)
+        filtration = sublevel_filtration(K, f, {v for _, v in f.items()})
+        filtration.index_of(f.max_value)
+    assert made == []
+    fractional = tmp_path / "fractional.txt"
+    fractional.write_text("0 : 5/2\n", encoding="utf-8")
+    cli.load_complex(fractional)
+    assert made, "the counter saw no Fraction on the Fraction path"
+
+
+def test_a_command_bound_after_caching_is_the_one_called(monkeypatch, data_dir, capsys):
+    path = str(data_dir / "torus" / "complex.txt")
+    assert cli.main(["barcode", path, "--degree", "0"]) == 0
+    parser = cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_barcode", lambda args: calls.append(args) or 17)
+    assert cli.main(["barcode", path, "--degree", "0"]) == 17
+    assert [(a.command, a.complex, a.degree) for a in calls] == [("barcode", path, 0)]
+    assert cli._parser() is parser
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def fresh_run(data_dir, tmp_path_factory):
+    """Exit code, stdout and report bytes of a persistent audit in a new interpreter."""
+    report = tmp_path_factory.mktemp("fresh") / "report.json"
+    argv = _torus_audit_args(data_dir, "persistent", "--u", "95", "--v", "100")
+    done = _run_python("import sys; from homaudit.cli import main; sys.exit(main(sys.argv[1:]))",
+                       *argv, "--json", str(report))
+    return argv, (done.returncode, done.stdout, report.read_bytes())
+
+
+@pytest.mark.parametrize("exit_argv", [["--version"], ["mv-audit", "x.txt"],
+                                       ["betti", "x.txt", "--field", "4"]],
+                         ids=["version", "usage", "field"])
+def test_a_parser_exit_leaves_the_next_command_as_fresh(exit_argv, fresh_run, tmp_path,
+                                                        capsys):
+    argv, want = fresh_run
+    parser = cli._parser()
+    with pytest.raises(SystemExit):
+        cli.main(exit_argv)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code = cli.main(argv + ["--json", str(report)])
+    assert (code, capsys.readouterr().out, report.read_bytes()) == want
+    assert cli._parser() is parser

@@ -149,6 +149,11 @@ def test_values_and_thresholds_are_exact():
         Filtration([Fraction(5), "10/2", 7], [EDGE, EDGE, EDGE])
     with pytest.raises(ValueError, match="strictly increasing"):
         Filtration(["0.5", "1/2"], [EDGE, EDGE])
+    # an int comes back as it is, a bool or an integral Fraction as an int
+    g = edge_function(True, 2, Fraction(6, 2))
+    assert [(type(v), str(v)) for _, v in g.items()] == [(int, "1"), (int, "2"), (int, "3")]
+    half = Fraction(1, 2)
+    assert sublevel_filtration(EDGE, edge_function(half, 2, 3), [half]).thresholds[0] is half
 
 
 def test_is_perfect():

@@ -256,6 +256,8 @@ class PersistenceResult:
         reduces to zero, so a low that is no cycle cell, or another cell
         outside step u (the filtration), raises NotACycleError."""
         rows, p, last = self._bars(k, u), self.modulus, self.n_steps - 1 if u is None else u
+        if not chains:
+            return BarMatrix((0 if rows is None else rows.size, 0), *np.zeros((3, 0), np.int64))
         where = "the filtration" if u is None else f"step {u}"
         A, entry, n = self._A, self.filtration.entry, self._n_cells(k, last)
         if rows is None:

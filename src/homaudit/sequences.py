@@ -18,9 +18,12 @@ bar (Cohen-Steiner-Edelsbrunner-Harer-Morozov 2009; Bauer-Schmahl 2023); the
 rank at (u, v) is the number of image bars containing [u, v]. Order 2 at a
 term fails at (u, v) exactly when a nonzero entry of the composite of its
 two maps has its source born by u and its target alive after v. So every
-ordinary (u = v), persistent and module audit is a count over bar arrays,
-and a returned sequence's maps are selected from M only when read. No count
-is read from a map that fails a structural check, an internal fault. `audit`
+ordinary (u = v) and persistent audit is a count over bar arrays, each
+distinct position built once per system and kept under the counts that
+determine it; the module level is one per-step count table (+1 at each
+bar's birth, -1 at its death, summed over the steps) read the same way. A
+returned sequence's maps are selected from M only when read. No count is
+read from a map that fails a structural check, an internal fault. `audit`
 audits any `LinearSequence` from its maps alone.
 """
 
@@ -165,6 +168,8 @@ class _System:
             (label, k) for k in range(D, -1, -1) for label in self.term_cycle)
         self._gaps = tuple((gap, k) for k in range(D, -1, -1) for gap in GAPS)
         self._matrices: dict[tuple[str, int], BarMatrix] = {}
+        # (term, dim, image rank in, rank out, witnesses) -> (term, its audit)
+        self._audits: dict[tuple, tuple[SequenceTerm, PositionAudit]] = {}
 
     def _summands(self, label: str) -> list[PersistenceResult]:
         return [self.spaces[name] for name in label.split("⊕")]
@@ -204,6 +209,8 @@ class _System:
         maps = [self.matrix(gap, k) for gap, k in self._gaps]
         parts, faults = [(b, d, j) for j, (b, d) in enumerate(bars)], {}
         for i, m in enumerate(maps):
+            if not m.values.size:  # the zero map: no entry to check, no image bar
+                continue
             (sb, sd), (tb, td) = bars[i], bars[i + 1]
             ends = tb[m.rows], td[m.rows], sb[m.cols], sd[m.cols]
             bad = (ends[0] > ends[2]) | (ends[1] > ends[3])
@@ -211,10 +218,12 @@ class _System:
                 faults[i] = tuple(e[bad] for e in ends)
             parts.append((*_image_bars(m, sb, td, p), T + i))
         for j in range(1, G):
-            s, t = _composite(maps[j], maps[j - 1], p)
-            parts.append((bars[j - 1][0][s], bars[j + 1][1][t], T + G + j))
-        births, deaths, slots = (np.concatenate(x) for x in zip(
-            *((b, d, np.full(b.size, slot)) for b, d, slot in parts)))
+            if maps[j].values.size and maps[j - 1].values.size:
+                s, t = _composite(maps[j], maps[j - 1], p)
+                parts.append((bars[j - 1][0][s], bars[j + 1][1][t], T + G + j))
+        births, deaths, slots = zip(*parts)
+        slots = np.repeat(slots, [b.size for b in births])
+        births, deaths = np.concatenate(births), np.concatenate(deaths)
         alive = births < deaths
         return births[alive], deaths[alive], slots[alive], faults
 
@@ -410,17 +419,23 @@ def _check_steps(sys: _System, u: int, v: int) -> None:
         raise IndexError(f"bad step pair ({u}, {v})")
 
 
-def _positions(sys: _System, counts: list[int]) -> list[PositionAudit]:
-    """Each term's audit from the counts in the slots of `_System._profile`."""
+def _positions(sys: _System, counts: list[int]) -> list[tuple[SequenceTerm, PositionAudit]]:
+    """Each term and its audit from the counts in the slots of `_System._profile`,
+    built once per system for each (term, dim, image rank in, rank out,
+    order-2 witnesses), the values that fully determine them."""
     T, G = len(sys._terms), len(sys._gaps)
-    ranks = counts[T:T + G] + [0]
-    positions, im = [], 0
-    for j, (label, k) in enumerate(sys._terms):
-        ker, order2 = counts[j] - ranks[j], not counts[T + G + j]
-        positions.append(PositionAudit(label, k, counts[j], im, ker, order2,
-                                       order2 and im == ker, ker - im))
-        im = ranks[j]
-    return positions
+    ranks, built = counts[T:T + G] + [0], sys._audits
+    pairs = []
+    for key in zip(range(T), counts, [0] + ranks, ranks, counts[T + G:]):
+        pair = built.get(key)
+        if pair is None:
+            j, dim, im, rank, witnesses = key
+            label, k = sys._terms[j]
+            ker, order2 = dim - rank, not witnesses
+            pair = built[key] = (SequenceTerm(label, k, dim), PositionAudit(
+                label, k, dim, im, ker, order2, order2 and im == ker, ker - im))
+        pairs.append(pair)
+    return pairs
 
 
 def _sequence(sys: _System, level: str, u: int, v: int) -> tuple[LinearSequence, SequenceAudit]:
@@ -431,12 +446,15 @@ def _sequence(sys: _System, level: str, u: int, v: int) -> tuple[LinearSequence,
     births, deaths, slots, faults = sys._profile
     counts = np.bincount(slots[(births <= u) & (deaths > v)],
                          minlength=2 * len(sys._terms) + len(sys._gaps)).tolist()
-    terms = tuple(SequenceTerm(label, k, dim) for (label, k), dim in zip(sys._terms, counts))
+    if faults:
+        terms = tuple(SequenceTerm(label, k, dim) for (label, k), dim in zip(sys._terms, counts))
+    else:
+        terms, positions = zip(*_positions(sys, counts))
     seq = LinearSequence(level, sys.kind, terms, sys._maps_at(u, v), sys.modulus, u=u,
                          v=None if level == ORDINARY else v)
     if faults:
         return seq, audit(seq)
-    return seq, _sequence_audit(level, sys.kind, _positions(sys, counts))
+    return seq, _sequence_audit(level, sys.kind, positions)
 
 
 def ordinary_sequence(sys: _System, u: int) -> tuple[LinearSequence, SequenceAudit]:
@@ -465,15 +483,23 @@ def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
     A sequence of graded modules is exact exactly when it is exact at every
     step index, and its maps commute with the shift action exactly when the
     squares between consecutive steps commute. So the module level is the
-    ordinary sequence of every step, audited step by step and summed, plus
-    those squares; it must be exact everywhere.
+    ordinary audit of every step, summed, plus those squares; it must be
+    exact everywhere. Row u of the count table holds step u's counts.
     """
     n = sys.n_steps
     for u in range(n - 1):
         failures = check_squares(sys, u, u + 1)
         if failures:
             raise ValueError(f"graded {failures[0]} does not commute with the shift action")
-    per_step = [ordinary_sequence(sys, u)[1].positions for u in range(n)]
+    births, deaths, slots, faults = sys._profile
+    if faults:
+        per_step = [ordinary_sequence(sys, u)[1].positions for u in range(n)]
+    else:  # row u: the bars born by u less those dead by u, slot by slot
+        S = 2 * len(sys._terms) + len(sys._gaps)
+        table = np.bincount(births * S + slots, minlength=(n + 1) * S) - \
+            np.bincount(deaths * S + slots, minlength=(n + 1) * S)
+        per_step = [[pos for _, pos in _positions(sys, row)]
+                    for row in table.reshape(n + 1, S)[:n].cumsum(axis=0).tolist()]
     terms, positions = [], []
     for i, (label, k) in enumerate(sys._terms):
         steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,

@@ -28,7 +28,9 @@ X ∪ cone(A) that the filtered quotient C(X)/C(A) replaced
 representatives, with the rank profiles of `_Level` and their leak bounds
 and the scatter square check), the per-call audit path before it (each
 sequence sliced and audited by `audit` with fresh reductions, each square
-multiplied out through block-diagonal verticals), with
+multiplied out through block-diagonal verticals), the module level as the
+ordinary audit of every step (`per_step_module_sequence`), which one
+per-step count table replaced, with
 `assert_audits_match_per_call_path` comparing the count audits with both on
 every map and audit, and `tampered`, which adds an entry to a map over bars
 so that the tests can see how the audits treat a faulty map.
@@ -979,6 +981,38 @@ def per_call_module_sequence(system):
     return SequenceAudit(MODULE, system.kind, tuple(positions),
                          all(pos.order2 for pos in positions),
                          all(pos.exact for pos in positions))
+
+
+def per_step_module_sequence(system):
+    """The module sequence as the ordinary sequence of every step, each
+    audited by `ordinary_sequence` and summed position by position, after
+    checking the consecutive squares: the path that one per-step count
+    table replaced."""
+    n = system.n_steps
+    for u in range(n - 1):
+        failures = check_squares(system, u, u + 1)
+        if failures:
+            raise ValueError(f"graded {failures[0]} does not commute with the shift action")
+    per_step = [ordinary_sequence(system, u)[1].positions for u in range(n)]
+    terms, positions = [], []
+    for i, (label, k) in enumerate(system._terms):
+        steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,
+                                pos.order2, pos.exact, pos.defect)
+                      for u, pos in enumerate(step[i] for step in per_step))
+        dims = tuple(s.dim for s in steps)
+        terms.append(SequenceTerm(label, k, sum(dims), dims))
+        positions.append(PositionAudit(
+            label, k, sum(dims),
+            sum(s.dim_image_in for s in steps), sum(s.dim_kernel_out for s in steps),
+            all(s.order2 for s in steps), all(s.exact for s in steps),
+            sum(s.defect for s in steps), steps))
+    maps = [[system.horizontal(*system._gaps[i], u) if i < len(system._gaps) else
+             np.zeros((0, terms[-1].dims_per_step[u]), dtype=np.int64) for u in range(n)]
+            for i in range(len(terms))]
+    seq = LinearSequence(MODULE, system.kind, tuple(terms), maps, system.modulus)
+    return seq, SequenceAudit(MODULE, system.kind, tuple(positions),
+                              all(pos.order2 for pos in positions),
+                              all(pos.exact for pos in positions))
 
 
 def _assert_same_sequence(seq, want, what):

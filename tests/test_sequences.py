@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homaudit import linalg, sequences
 from homaudit.complexes import close_under_faces
@@ -18,10 +20,10 @@ from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 persistent_sequence)
 
 from naive import (PerStepSystem, fault_sites, level_ordinary_sequence, level_persistent_sequence,
-                   naive_persistent_sequence, per_call_check_squares,
-                   per_call_persistent_sequence, reading, scatter_check_squares,
+                   naive_persistent_sequence, per_call_check_squares, per_call_ordinary_sequence,
+                   per_call_persistent_sequence, per_step_module_sequence, reading, scatter_check_squares,
                    step_mv_connecting, tampered)
-from randfix import make_fixture
+from randfix import lower_star_fixture, make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
 FULL = close_under_faces([(0, 1, 2)])
@@ -402,9 +404,10 @@ def test_horizontal_maps_need_no_elimination(monkeypatch, torus, genus2, kind, p
 
 @pytest.mark.parametrize("which", ["triad", "pair"] + list(range(12)))
 def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
-    """Every audit of a system, at every u <= v and at every level, runs at
-    most one image reduction per map (gap, k), whatever n_steps is, and no
-    dense elimination; asking again runs none."""
+    """Every audit of a system, at every u <= v and at every level, runs
+    exactly one image reduction per nonzero map (gap, k) and none for a zero
+    map, whatever n_steps is, and no dense elimination; asking again runs
+    none."""
     sys_ = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
             else make_fixture(which)[1])
     reductions = []
@@ -425,7 +428,7 @@ def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
             ordinary_sequence(sys_, u)
         module_sequence(sys_)
     audit_everything()
-    assert 0 < len(reductions) <= len(sys_._gaps)
+    assert len(reductions) == sum(bool(sys_.matrix(*gap).values.size) for gap in sys_._gaps)
     first = len(reductions)
     audit_everything()
     assert len(reductions) == first
@@ -439,6 +442,22 @@ def _outcome(path, system, u, v):
         return "leak"
 
 
+def _order2_sites(probe):
+    """Every (j, t, s) where an entry added to map j over bars passes both
+    structural checks but breaks order 2 at term j: t is born and dies no
+    later than s, and alive after the earliest birth of a column of map j - 1
+    reaching s."""
+    gaps, bars, sites = probe._gaps, probe._bars, []
+    for j in range(1, len(gaps)):
+        before = probe.matrix(*gaps[j - 1])
+        (sb, sd), (tb, td) = bars[j], bars[j + 1]
+        for s in np.unique(before.rows).tolist():
+            born = bars[j - 1][0][before.cols[before.rows == s]].min()
+            sites += [(j, t, s) for t in
+                      ((tb <= sb[s]) & (td <= sd[s]) & (td > born)).nonzero()[0].tolist()]
+    return sites
+
+
 @pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
 def test_audits_see_a_map_that_breaks_order_2(torus, genus2, kind, p):
     """An entry added to map j over bars at (t, s), where map j - 1 reaches
@@ -448,17 +467,7 @@ def test_audits_see_a_map_that_breaks_order_2(torus, genus2, kind, p):
     with `audit` of their own sequences, with the per-call path and with the
     rank profiles on the same maps at every u <= v."""
     probe = _fresh_system(kind, torus, genus2, p)
-    gaps, terms, bars = probe._gaps, probe._terms, probe._bars
-
-    def breakable():  # (j, t, s), t alive after the earliest birth of a column reaching s
-        for j in range(1, len(gaps)):
-            before = probe.matrix(*gaps[j - 1])
-            (sb, sd), (tb, td) = bars[j], bars[j + 1]
-            for s in np.unique(before.rows).tolist():
-                born = bars[j - 1][0][before.cols[before.rows == s]].min()
-                for t in ((tb <= sb[s]) & (td <= sd[s]) & (td > born)).nonzero()[0].tolist():
-                    yield j, t, s
-    sites = list(breakable())
+    terms, sites = probe._terms, _order2_sites(probe)
     assert sites, "no map to break"
     n = probe.n_steps
     for j, t, s in sites[::max(1, len(sites) // 3)]:
@@ -474,6 +483,38 @@ def test_audits_see_a_map_that_breaks_order_2(torus, genus2, kind, p):
                 if not aud.position(*terms[j]).order2:
                     broken.append((u, v))
         assert broken and not persistent_sequence(sys_, *broken[0])[1].order2
+
+
+@pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
+def test_tampered_twins_share_the_position_dict_safely(torus, genus2, kind, p):
+    """A probe audited at every (u, v) fills its position dict; a tampered
+    twin (a shallow copy) shares that dict. At the order-2 break sites and
+    at a death-check fault site every twin audit still equals `audit` of its
+    own sequence and the per-call path, because the dict is keyed by the
+    counts that determine a position, never by (u, v). The probe's audits
+    are unchanged afterwards."""
+    probe = _fresh_system(kind, torus, genus2, p)
+    n = probe.n_steps
+    before = {(u, v): persistent_sequence(probe, u, v)[1] for u in range(n) for v in range(u, n)}
+    ordinary = [ordinary_sequence(probe, u)[1] for u in range(n)]
+    deaths = [(i, *site) for i in range(len(probe._gaps))
+              for check, site in fault_sites(probe, i) if check == "death"]
+    sites = _order2_sites(probe)
+    assert sites and deaths
+    for i, t, s in sites[::max(1, len(sites) // 4)] + deaths[:1]:
+        sys_ = tampered(probe, i, t, s)
+        assert sys_._audits is probe._audits
+        old = reading(sys_)
+        for u in range(n):
+            seq, aud = ordinary_sequence(sys_, u)
+            assert aud == audit(seq) == per_call_ordinary_sequence(old, u)[1], (i, u)
+            for v in range(u, n):
+                seq, aud = persistent_sequence(sys_, u, v)
+                assert aud == audit(seq) == per_call_persistent_sequence(old, u, v)[1], \
+                    (i, u, v)
+    assert {(u, v): persistent_sequence(probe, u, v)[1]
+            for u in range(n) for v in range(u, n)} == before
+    assert [ordinary_sequence(probe, u)[1] for u in range(n)] == ordinary
 
 
 @pytest.mark.parametrize("kind", ["triad", "pair"])
@@ -553,3 +594,36 @@ def test_order2_random_sample():
             for v in range(u, n):
                 _, aud = persistent_sequence(sys_, u, v)
                 assert aud.order2, (kind, i, u, v)
+
+
+_PROPERTY_SYSTEMS = st.tuples(st.integers(0, 63), st.sampled_from([2, 3, 5, 7]), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROPERTY_SYSTEMS, st.randoms(use_true_random=False), st.booleans())
+def test_count_table_and_position_dict_match_the_per_step_path(which, rng, module_first):
+    """On a fresh random or lower-star fixture over F_2, F_3, F_5 or F_7,
+    `module_sequence` gives the per-step path's terms (dims per step
+    included), positions and step audits, whether it runs before or after
+    the other audits; every ordinary and persistent audit, asked in a
+    shuffled order and then again in another, equals `audit` of its own
+    sequence."""
+    index, p, lower = which
+    sys_ = (lower_star_fixture if lower else make_fixture)(index, p)[1]
+    n = sys_.n_steps
+    queries = [(ordinary_sequence, (u,)) for u in range(n)]
+    queries += [(persistent_sequence, (u, v)) for u in range(n) for v in range(u, n)]
+    if module_first:
+        module = module_sequence(sys_)
+    for _ in range(2):
+        rng.shuffle(queries)
+        for path, steps in queries:
+            seq, aud = path(sys_, *steps)
+            assert aud == audit(seq), (path.__name__, steps)
+    if not module_first:
+        module = module_sequence(sys_)
+    seq, aud = module
+    want_seq, want = per_step_module_sequence(sys_)
+    assert seq.terms == want_seq.terms and aud == want
+    assert [[m.tolist() for m in per_step] for per_step in seq.maps] == \
+        [[m.tolist() for m in per_step] for per_step in want_seq.maps]

@@ -25,6 +25,7 @@ from typing import Optional
 from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces, is_subcomplex)
+from .linalg import _small_prime
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError, _exact,
                     _least_over_cofaces, _perfectness, critical_cells, sublevel_filtration)
 from .persistence import barcode as compute_barcode
@@ -355,7 +356,6 @@ def _write_report(args, command: str, inputs: dict, extra: dict) -> None:
 # argument wiring
 
 def _prime(text: str) -> int:
-    from .linalg import _small_prime
     value = int(text)
     if not _small_prime(value):
         raise argparse.ArgumentTypeError(f"{text} is not a prime below 2^31")

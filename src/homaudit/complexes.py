@@ -1,18 +1,17 @@
 """Finite simplicial complexes, boundary operators, and set operations.
 
 A complex fixes one deterministic total order on its simplices
-(dimension-major, then lexicographic on vertex tuples); every matrix and
-chain coordinate vector in the package is written in that order. Betti
-numbers come from the persistence column reduction of the one-step
-filtration, so the dense boundary matrices here are built for callers only.
+(dimension-major, then lexicographic on vertex tuples), and its dense
+boundary matrices, absolute and relative to a subcomplex, are written in
+that order. Betti numbers come from the persistence column reduction of
+the one-step filtration, so those matrices are built for callers only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -138,19 +137,6 @@ class SimplicialComplex:
 EMPTY_COMPLEX = SimplicialComplex(())
 
 
-@dataclass(frozen=True)
-class ChainCoordinates:
-    """A k-chain as a coefficient vector over the ambient complex's k-simplices."""
-
-    degree: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-
 def close_under_faces(generators: Iterable) -> SimplicialComplex:
     """Smallest complex containing the generators. Walking down from each
     simplex, a facet not seen yet is built once and walked in its turn."""
@@ -225,23 +211,3 @@ def relative_boundary_matrix(X: SimplicialComplex, A: SimplicialComplex,
                 if i is not None:
                     d[i, j] = sign % p
     return d
-
-
-def reindex_chains(chains: np.ndarray, from_basis: Sequence[Simplex],
-                   to_basis: Sequence[Simplex]) -> tuple[np.ndarray, list[Simplex]]:
-    """Move chain columns, one row per simplex of from_basis, onto to_basis.
-
-    Rows of simplices outside to_basis are dropped; the simplices whose
-    dropped row is nonzero come back as the leaked list. Inclusions leak
-    nothing; projections onto a quotient basis drop the rows of A.
-    """
-    pos = {s: i for i, s in enumerate(to_basis)}
-    out = np.zeros((len(to_basis), chains.shape[1]), dtype=np.int64)
-    leaked = []
-    for i, s in enumerate(from_basis):
-        j = pos.get(s)
-        if j is not None:
-            out[j] = chains[i]
-        elif chains[i].any():
-            leaked.append(s)
-    return out, leaked

@@ -1,13 +1,13 @@
-"""Discrete Morse functions: validation, critical cells, gradient field,
-sublevel complexes, filtrations, and the perfectness check.
+"""Discrete Morse functions: validation, critical cells, sublevel complexes,
+filtrations, and the perfectness check.
 
 One pass over the facet incidences classifies every cell, giving the
-violations, the critical cells and the gradient pairs together. A
-filtration stores the step at which each cell enters, found from the lowest
-value on the cell's cofaces; its step complexes are built only on request.
-Both walks read the complex's facet table. Values and thresholds are exact:
-an integral one is held as an `int`, any other as a `Fraction`; sublevel
-membership is decided by exact comparison, never by floats.
+violations and the critical cells together. A filtration stores the step
+at which each cell enters, found from the lowest value on the cell's
+cofaces; its step complexes are built only on request. Both walks read the
+complex's facet table. Values and thresholds are exact: an integral one is
+held as an `int`, any other as a `Fraction`; sublevel membership is decided
+by exact comparison, never by floats.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ class MorseFunction:
     def max_value(self) -> Fraction | int:
         return max(self._values.values())
 
-    @property
-    def min_value(self) -> Fraction | int:
-        return min(self._values.values())
-
     def restrict(self, sub: SimplicialComplex) -> "MorseFunction":
         """Value restriction to a subcomplex.
 
@@ -108,10 +104,10 @@ class MorseFunction:
         return g
 
 
-def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple, list]:
+def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple]:
     """One pass over the incidences of a facet n in a cell t, exceptional when
-    f(n) >= f(t): the violations (cell by cell in K's order), the critical
-    cells, and the exceptional incidences, the gradient pairs when f is Morse."""
+    f(n) >= f(t): the violations (cell by cell in K's order) and the critical
+    cells."""
     value, facets, up, down = f._values, K.facet_table, {}, {}
     for t in K.simplices():
         for n in facets[t]:
@@ -128,7 +124,7 @@ def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple, lis
         if len(ups) == 1 and len(downs) == 1:
             violations.append(MorseViolation(s, "both_exceptional", ups + downs))
     critical = tuple(s for s in K.simplices() if s not in up and s not in down)
-    return tuple(violations), critical, [(n, t) for t in down for n in down[t]]
+    return tuple(violations), critical
 
 
 def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolation, ...]:
@@ -141,31 +137,13 @@ def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolati
     return _classify(K, f)[0]
 
 
-def require_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple[Simplex, ...], list]:
-    """(critical cells, gradient pairs) of f, or NotMorseError with the violations."""
-    bad, critical, pairs = _classify(K, f)
+def critical_cells(K: SimplicialComplex, f: MorseFunction) -> tuple[Simplex, ...]:
+    """Cells with no exceptional facet and no exceptional cofacet, or
+    NotMorseError with the violations."""
+    bad, critical = _classify(K, f)
     if bad:
         raise NotMorseError(bad)
-    return critical, pairs
-
-
-def critical_cells(K: SimplicialComplex, f: MorseFunction) -> tuple[Simplex, ...]:
-    """Cells with no exceptional facet and no exceptional cofacet."""
-    return require_morse(K, f)[0]
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """The pairing (regular cell, cofacet) induced by a discrete Morse function."""
-
-    pairs: frozenset[tuple[Simplex, Simplex]]
-
-    def cells(self) -> frozenset[Simplex]:
-        return frozenset(c for pair in self.pairs for c in pair)
-
-
-def gradient_field(K: SimplicialComplex, f: MorseFunction) -> GradientField:
-    return GradientField(frozenset(require_morse(K, f)[1]))
+    return critical
 
 
 def sublevel(K: SimplicialComplex, f: MorseFunction, u: Rational) -> SimplicialComplex:

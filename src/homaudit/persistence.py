@@ -32,9 +32,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import linalg
-from .complexes import (EMPTY_COMPLEX, ChainCoordinates, NotSubcomplexError,
-                        SimplicialComplex, Simplex, is_subcomplex)
+from .complexes import (EMPTY_COMPLEX, NotSubcomplexError, SimplicialComplex, Simplex,
+                        is_subcomplex)
 from .linalg import check_modulus
 from .morse import Filtration
 
@@ -201,10 +200,6 @@ class PersistenceResult:
             return ()
         return self._cells[k][:self._n_cells(k, u)]
 
-    def step_map(self, k: int, u: int) -> np.ndarray:
-        """Matrix of the induced map from step u to step u+1."""
-        return self.induced_matrix(k, u, u + 1)
-
     def bars_alive(self, k: int, u: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """Births and deaths (n_steps when essential) of the bars alive at
         step u, or of every bar of positive length when u is None, in the order
@@ -296,15 +291,6 @@ class PersistenceResult:
         out[m.rows, m.cols] = m.values
         return out
 
-    def class_of_chain(self, u: int, chain: ChainCoordinates) -> np.ndarray:
-        """Homology coordinates at step u of a cycle given in the step's chain
-        coordinates (`basis_simplices`)."""
-        cells = self.basis_simplices(chain.degree, u)
-        coefficients = chain.coefficients.tolist()
-        if len(coefficients) != len(cells):
-            raise linalg.DimensionMismatchError("chain length differs from the step's chain space")
-        return self.class_of(chain.degree, u, [dict(zip(cells, coefficients))])[:, 0]
-
 
 def compute_persistence(filtration: Filtration, modulus: int,
                         max_degree: Optional[int] = None) -> PersistenceResult:
@@ -371,99 +357,3 @@ def barcode(result: PersistenceResult, k: int) -> Barcode:
     bars = [Interval(b, None if d == n else d, labels[b], None if d == n else labels[d])
             for b, d in sorted(zip(*(ends.tolist() for ends in result.bars_alive(k))))]
     return Barcode(k, tuple(bars))
-
-
-# ---------------------------------------------------------------------------
-# graded persistence module
-
-@dataclass(frozen=True)
-class GradedElement:
-    """One element of a graded module: a coordinate vector per step."""
-
-    components: tuple[np.ndarray, ...]
-
-    def is_zero(self) -> bool:
-        return all(not c.any() for c in self.components)
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedElement)
-                and len(self.components) == len(other.components)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.components, other.components)))
-
-
-class GradedModule:
-    """Direct sum of the per-step homologies with the degree-one shift action.
-
-    shifts[u] maps component u into component u+1 for u < n-1; the shift at
-    the top index is the identity, so multiplication folds the last component
-    onto itself and survivor classes are never killed by the action.
-    """
-
-    __slots__ = ("modulus", "dims", "shifts")
-
-    def __init__(self, modulus: int, dims: Sequence[int], shifts: Sequence[np.ndarray]):
-        if len(shifts) != len(dims):
-            raise ValueError("one shift matrix per component is required")
-        for u, s in enumerate(shifts[:-1]):
-            if s.shape != (dims[u + 1], dims[u]):
-                raise ValueError(f"shift {u} has shape {s.shape}, expected "
-                                 f"({dims[u + 1]}, {dims[u]})")
-        top = shifts[-1]
-        if top.shape != (dims[-1], dims[-1]) or not np.array_equal(
-                top % modulus, np.eye(dims[-1], dtype=np.int64)):
-            raise ValueError("the top-index shift must be the identity")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "dims", tuple(dims))
-        object.__setattr__(self, "shifts", tuple(shifts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedModule is immutable")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.dims)
-
-    def element(self, components: Sequence) -> GradedElement:
-        comps = []
-        for u, c in enumerate(components):
-            arr = np.asarray(c, dtype=np.int64) % self.modulus
-            if arr.shape != (self.dims[u],):
-                raise linalg.DimensionMismatchError(
-                    f"component {u} must have length {self.dims[u]}")
-            comps.append(arr)
-        if len(comps) != self.n_steps:
-            raise linalg.DimensionMismatchError("wrong number of components")
-        return GradedElement(tuple(comps))
-
-    def zero(self) -> GradedElement:
-        return self.element([np.zeros(d, dtype=np.int64) for d in self.dims])
-
-    def x_action(self, elem: GradedElement) -> GradedElement:
-        """Multiply by the polynomial variable: shift every component up one
-        index (component 0 receives 0), with the top component folding onto
-        itself through the identity."""
-        n = self.n_steps
-        out = [np.zeros(d, dtype=np.int64) for d in self.dims]
-        for u in range(n - 1):
-            out[u + 1] = (out[u + 1] + linalg.mat_mul(
-                self.shifts[u], elem.components[u].reshape(-1, 1), self.modulus)[:, 0]) % self.modulus
-        out[n - 1] = (out[n - 1] + elem.components[n - 1]) % self.modulus
-        return GradedElement(tuple(out))
-
-
-def graded_module(result: PersistenceResult, k: int) -> GradedModule:
-    n = result.n_steps
-    dims = [result.dim(k, u) for u in range(n)]
-    shifts = [result.step_map(k, u) for u in range(n - 1)]
-    shifts.append(np.eye(dims[-1], dtype=np.int64))
-    return GradedModule(result.modulus, dims, shifts)
-
-
-def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
-    """Componentwise direct sum; shifts act block-diagonally."""
-    if a.modulus != b.modulus or a.n_steps != b.n_steps:
-        raise ValueError("modules are not compatible")
-    dims = [da + db for da, db in zip(a.dims, b.dims)]
-    shifts = [linalg.block_diag(sa, sb) for sa, sb in zip(a.shifts, b.shifts)]
-    return GradedModule(a.modulus, dims, shifts)

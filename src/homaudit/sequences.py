@@ -310,20 +310,21 @@ def _boundary(X: SimplicialComplex, chains, keep=None) -> list[dict]:
     return out
 
 
-def mv_connecting(sys: MayerVietorisSystem, k: int, assign_shared_to: str = "A") -> BarMatrix:
+def mv_connecting(sys: MayerVietorisSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X) -> H_k(A∩B) over all bars: split each cycle
     column into an A-part and a B-part and take the class of the A-part's
     boundary. A cell present at a step lies in that step of A exactly when it
     lies in A, so the split is the same at every step. Simplices of A∩B go to
-    the A side (or B, for the well-definedness cross-check)."""
+    the A side."""
     a_entry, b_entry = sys.RA.filtration.entry, sys.RB.filtration.entry
 
     def in_a_part(s) -> bool:
-        in_a, in_b = s in a_entry, s in b_entry
-        if not in_a and not in_b:
+        if s in a_entry:
+            return True
+        if s not in b_entry:
             # the constructor checked that A ∪ B covers X, so this is a bug
             raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B")
-        return in_a and (assign_shared_to == "A" or not in_b)
+        return False
 
     return sys.RAB.coordinates(k, _boundary(sys.X, sys.RX.representatives(k + 1), in_a_part))
 

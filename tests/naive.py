@@ -18,17 +18,19 @@ checks of `Simplex` as generator scans (`naive_simplex`), the per-step
 views of a result selected eagerly, bar by bar, from its bar table
 (`EagerSteps`), `DensePersistence`, the
 dense per-step path that the bar-selection path replaced (one basis per
-step with classes found by a dense solve, composed step maps, persistent
-groups as images, the barcode by inclusion-exclusion over their ranks),
-with `assert_matches_oracle` comparing the two on every basis-free
+step with classes found by a dense solve, step maps from representatives
+moved between step bases by `reindex_chains`, composed step maps,
+persistent groups as images, the barcode by inclusion-exclusion over their
+ranks), with `assert_matches_oracle` comparing the two on every basis-free
 invariant, the relative barcodes as the reduced persistence of the cone
 X ∪ cone(A) that the filtered quotient C(X)/C(A) replaced
 (`cone_barcodes`), the per-step map path that the maps over bars replaced
 (`PerStepSystem`: every horizontal map built at every step from the step's
 representatives, with the rank profiles of `_Level` and their leak bounds
-and the scatter square check), the per-call audit path before it (each
-sequence sliced and audited by `audit` with fresh reductions, each square
-multiplied out through block-diagonal verticals), the module level as the
+and the scatter square check, and the connecting map over bars with A∩B
+on the B side, `b_side_mv_connecting`), the per-call audit path before it
+(each sequence sliced and audited by `audit` with fresh reductions, each
+square multiplied out through block-diagonal verticals), the module level as the
 ordinary audit of every step (`per_step_module_sequence`), which one
 per-step count table replaced, with
 `assert_audits_match_per_call_path` comparing the count audits with both on
@@ -48,7 +50,7 @@ import numpy as np
 from homaudit import linalg, sequences
 from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, Simplex,
                                 SimplicialComplex, boundary_matrix, intersect,
-                                reindex_chains, relative_basis, relative_boundary_matrix)
+                                relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import Filtration, MorseViolation
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, barcode,
@@ -62,6 +64,14 @@ from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
 def as_rows(m):
     arr = np.asarray(m, dtype=np.int64)
     return [[int(x) for x in row] for row in arr]
+
+
+def block_diag(a, b):
+    """The block matrix [[a, 0], [0, b]]."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 def naive_rref(rows, p):
@@ -196,11 +206,10 @@ def _cofacet_table(K):
 
 
 def naive_classify(K, f):
-    """(violations, critical cells, gradient pairs) by the three scans that
-    the library's one classification pass replaced, each over its own
-    cofacet table: validation, then the cells with no exceptional facet or
-    cofacet, then every (cell, cofacet) pair with f(cofacet) <= f(cell).
-    The last two run whether or not f is a discrete Morse function."""
+    """(violations, critical cells) by the separate Morse scans that the
+    library's one classification pass replaced, each over its own cofacet
+    table: validation, then the cells with no exceptional facet or cofacet,
+    which runs whether or not f is a discrete Morse function."""
     cofacets = _cofacet_table(K)
     violations = []
     for s in K.simplices():
@@ -220,17 +229,11 @@ def naive_classify(K, f):
         if any(f(n) >= f(s) for n in s.facets()):
             continue
         critical.append(s)
-    cofacets = _cofacet_table(K)
-    pairs = set()
-    for s in K.simplices():
-        for t in cofacets[s]:
-            if f(t) <= f(s):
-                pairs.add((s, t))
-    return tuple(violations), tuple(critical), frozenset(pairs)
+    return tuple(violations), tuple(critical)
 
 
 def fraction_classify(K, f):
-    """(violations, critical cells, gradient pairs) by the one classification
+    """(violations, critical cells) by the one classification
     pass, every value a `Fraction` and every cell's facets rebuilt by
     `Simplex.facets()`."""
     value = {s: Fraction(v) for s, v in f.items()}
@@ -249,8 +252,7 @@ def fraction_classify(K, f):
             violations.append(MorseViolation(s, "excess_facets", downs))
         if len(ups) == 1 and len(downs) == 1:
             violations.append(MorseViolation(s, "both_exceptional", ups + downs))
-    critical = tuple(s for s in K.simplices() if s not in up and s not in down)
-    return tuple(violations), critical, [(n, t) for t in down for n in down[t]]
+    return tuple(violations), tuple(s for s in K.simplices() if s not in up and s not in down)
 
 
 def fraction_filtration(K, f, thresholds):
@@ -493,6 +495,25 @@ class _StepChains:
         return np.zeros((len(self.basis(k - 1)), 0), dtype=np.int64)
 
 
+def reindex_chains(chains, from_basis, to_basis):
+    """Move chain columns, one row per simplex of from_basis, onto to_basis.
+
+    Rows of simplices outside to_basis are dropped; the simplices whose
+    dropped row is nonzero come back as the leaked list. Inclusions leak
+    nothing; projections onto a quotient basis drop the rows of A.
+    """
+    pos = {s: i for i, s in enumerate(to_basis)}
+    out = np.zeros((len(to_basis), chains.shape[1]), dtype=np.int64)
+    leaked = []
+    for i, s in enumerate(from_basis):
+        j = pos.get(s)
+        if j is not None:
+            out[j] = chains[i]
+        elif chains[i].any():
+            leaked.append(s)
+    return out, leaked
+
+
 def _step_chains(x_step, a_step, max_degree, p):
     """Chains of the quotient complex C(X_u)/C(A_u), one degree beyond max_degree."""
     degrees = range(max_degree + 2)
@@ -500,7 +521,7 @@ def _step_chains(x_step, a_step, max_degree, p):
                        tuple(relative_boundary_matrix(x_step, a_step, k, p) for k in degrees))
 
 
-def _kernel_from_rref(rref, pivots, p):
+def kernel_from_rref(rref, pivots, p):
     """The all-free-variables kernel basis of a reduced matrix, and its free
     columns; the basis is the identity on the free columns."""
     cols = rref.shape[1]
@@ -525,7 +546,7 @@ def _step_homology(chain, max_degree, p):
     reduced = [linalg.row_reduce(d, p) for d in boundaries]
     out = []
     for k in range(max_degree + 1):
-        cycles, free = _kernel_from_rref(*reduced[k], p)
+        cycles, free = kernel_from_rref(*reduced[k], p)
         bounds = boundaries[k + 1][:, list(reduced[k + 1][1])]
         _, spanned = linalg.row_reduce(bounds[free][::-1].T, p)
         is_new = np.ones(free.size, dtype=bool)
@@ -679,7 +700,7 @@ class PerStepSystem:
         return sum(R.dim(k, u) for R in self._summands(label))
 
     def vertical(self, label, k, u, v):
-        return reduce(linalg.block_diag,
+        return reduce(block_diag,
                       [R.induced_matrix(k, u, v) for R in self._summands(label)])
 
     def persistent_group(self, label, k, u, v):
@@ -744,6 +765,15 @@ def step_mv_connecting(system, k, u, assign_shared_to="A"):
 
     return system.spaces["A∩B"].class_of(k, u, sequences._boundary(
         system.filtration.complex, system.spaces["X"].representatives(k + 1, u), in_a_part))
+
+
+def b_side_mv_connecting(system, k):
+    """`sequences.mv_connecting` over all bars with the simplices of A∩B on
+    the B side: the class of the boundary of each cycle column's cells of A
+    not in B."""
+    a_entry, b_entry = system.RA.filtration.entry, system.RB.filtration.entry
+    return system.RAB.coordinates(k, sequences._boundary(
+        system.X, system.RX.representatives(k + 1), lambda s: s in a_entry and s not in b_entry))
 
 
 class _Level:
@@ -1096,8 +1126,8 @@ def dense_persistent_audit(twin, u, v):
     in the target basis."""
     p = twin.modulus
     schedule = twin._terms
-    groups = [reduce(linalg.block_diag, [R.persistent_group(k, u, v)
-                                         for R in twin._summands(label)])
+    groups = [reduce(block_diag, [R.persistent_group(k, u, v)
+                                  for R in twin._summands(label)])
               for label, k in schedule]
     terms = [SequenceTerm(label, k, g.shape[1]) for (label, k), g in zip(schedule, groups)]
     maps = []

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from homaudit.cli import main as cli_main
-from homaudit.complexes import ChainCoordinates, betti_numbers
-from homaudit.linalg import dense_rank, mat_mul, preimage
+from homaudit.complexes import betti_numbers
+from homaudit.linalg import dense_rank, mat_mul, solve_matrix
 from homaudit.morse import critical_cells, is_perfect, validate_morse
-from homaudit.persistence import barcode, graded_module
+from homaudit.persistence import barcode
 from homaudit.sequences import (check_squares, module_sequence, ordinary_sequence,
                                 persistent_sequence)
 
@@ -81,21 +81,24 @@ def test_criterion_2_torus_module_exactness(data_dir, torus_system, capsys):
                if t.label == "A∩B" and t.degree == 1)
     delta, alpha = seq.maps[idx - 1], seq.maps[idx]
     RAB = torus_system.RAB
-    mod_ab = graded_module(RAB, 1)
-    all_edges = np.ones(len(RAB.basis_simplices(1, 4)), dtype=np.int64)
-    gamma4 = RAB.class_of_chain(4, ChainCoordinates(1, all_edges))  # both circles, summed
+    both_circles = dict.fromkeys(RAB.basis_simplices(1, 4), 1)  # every edge, summed
+    gamma4 = RAB.class_of(1, 4, [both_circles])[:, 0]
     assert gamma4.any()
-    witness = mod_ab.element([[0] * dd for dd in mod_ab.dims[:4]]
-                             + [gamma4, [0] * mod_ab.dims[5]])
+    witness = [np.zeros(RAB.dim(1, u), dtype=np.int64) for u in range(RAB.n_steps)]
+    witness[4] = gamma4
     dim_a = torus_system.RA.dim(1, 4)
     image4 = mat_mul(alpha[4], gamma4.reshape(-1, 1), 2)[:, 0]
     assert not image4[:dim_a].any()      # vanishes in A already
     assert image4[dim_a:].any()          # alive in B, so the witness is not in ker
-    shifted = mod_ab.x_action(witness)
-    gamma5 = shifted.components[5]
-    assert gamma5.any() and not any(c.any() for c in shifted.components[:5])
+    # x shifts component u by the step map into u + 1; the top one folds onto itself
+    shifted = [np.zeros_like(witness[0])] + [
+        mat_mul(RAB.induced_matrix(1, u, u + 1), c.reshape(-1, 1), 2)[:, 0]
+        for u, c in enumerate(witness[:-1])]
+    shifted[-1] = (shifted[-1] + witness[-1]) % 2
+    gamma5 = shifted[5]
+    assert gamma5.any() and not any(c.any() for c in shifted[:5])
     assert not mat_mul(alpha[5], gamma5.reshape(-1, 1), 2).any()  # now in ker
-    sigma = preimage(delta[5], gamma5, 2)
+    sigma = solve_matrix(delta[5], gamma5, 2)
     assert sigma is not None and sigma.any()
     assert torus_system.RX.dim(2, 5) == 1  # the preimage is the fundamental class
     elapsed = time.monotonic() - start

@@ -1,5 +1,6 @@
-"""Residue arrays over F_p and the five core operations, checked against
-enumeration oracles and frozen hand values."""
+"""Residue arrays over F_p and the dense kernel (row reduction, rank,
+solves, products), checked against enumeration oracles, textbook
+elimination and frozen hand values."""
 
 import random
 
@@ -10,12 +11,11 @@ from hypothesis import strategies as st
 
 from homaudit import linalg
 from homaudit.complexes import boundary_matrix, close_under_faces
-from homaudit.linalg import (DimensionMismatchError, NotInvariantError, Subspace,
-                             check_modulus, image_basis, kernel_basis, mat_mul, nullspace,
-                             preimage, rank, restrict_map, row_reduce, solve_matrix)
+from homaudit.linalg import (DimensionMismatchError, Subspace, check_modulus, dense_rank,
+                             mat_mul, row_reduce, solve_matrix)
 
-from naive import (as_rows, kernel_by_enumeration, naive_nullspace, naive_rank, naive_rref,
-                   solutions_by_enumeration, span_size)
+from naive import (as_rows, kernel_by_enumeration, kernel_from_rref, naive_nullspace, naive_rank,
+                   naive_rref, solutions_by_enumeration, span_size)
 
 TRIANGLE = close_under_faces([(0, 1, 2)])
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -29,83 +29,79 @@ def zeros(rows, cols):
     return np.zeros((rows, cols), dtype=np.int64)
 
 
+def kernel(m, p):
+    """The kernel basis read off the library's reduction, one column each."""
+    return kernel_from_rref(*row_reduce(m, p), p)[0]
+
+
+def image(m, p):
+    """The image basis: the columns of m at the library's pivots."""
+    return m[:, list(row_reduce(m, p)[1])]
+
+
+def solve(m, v, p):
+    """One x with m x = v as a vector, or None."""
+    x = solve_matrix(m, np.asarray(v, dtype=np.int64), p)
+    return None if x is None else x[:, 0]
+
+
 def test_array_entries_reduced_mod_p_and_modulus_checked():
     m = np.array([[7, 0], [0, 5]])
-    assert rank(m, 5) == 1               # 7 is 2 mod 5, 5 is the zero residue
-    assert kernel_basis(m, 5).dim == 1
-    assert np.array_equal(image_basis(m, 5).basis, [[2], [0]])
-    assert np.array_equal(preimage(np.array([[-1]]), [1], 7), [6])  # -1 is 6 mod 7
-    assert np.array_equal(preimage(np.array([[4]]), [3], 5), [2])   # 3 / 4 over F_5
+    assert dense_rank(m, 5) == 1               # 7 is 2 mod 5, 5 is the zero residue
+    assert kernel(m, 5).shape == (2, 1)
+    assert np.array_equal(image(m, 5) % 5, [[2], [0]])
+    assert np.array_equal(solve(np.array([[-1]]), [1], 7), [6])  # -1 is 6 mod 7
+    assert np.array_equal(solve(np.array([[4]]), [3], 5), [2])   # 3 / 4 over F_5
     assert check_modulus(7) == 7
     for bad in (1, 4, 6, 2**31 + 11):
         with pytest.raises(ValueError):
             check_modulus(bad)
     with pytest.raises(ValueError):
-        rank(eye(2), 4)
-    with pytest.raises(ValueError):
-        kernel_basis(eye(2), 6)
+        Subspace(2, eye(2), 4)
 
 
 def test_rank_trivial_and_derived():
-    assert rank(zeros(3, 3), 2) == 0
-    assert rank(eye(3), 5) == 3
+    assert dense_rank(zeros(3, 3), 2) == 0
+    assert dense_rank(zeros(0, 3), 2) == 0
+    assert dense_rank(eye(3), 5) == 3
     d1 = boundary_matrix(TRIANGLE, 1, 2)
     # oracle: span of the three boundary columns over F_2 has 2^rank vectors
     assert span_size(d1, 2) == 2 ** 2
-    assert rank(d1, 2) == 2
+    assert dense_rank(d1, 2) == 2
 
 
 def test_kernel_basis():
-    assert kernel_basis(eye(4), 3).dim == 0
-    assert kernel_basis(zeros(2, 4), 2).dim == 4
+    assert kernel(eye(4), 3).shape == (4, 0)
+    assert np.array_equal(kernel(zeros(2, 4), 2), eye(4))
     d1 = boundary_matrix(HOLLOW, 1, 2)
     # oracle: exhaustive solve over F_2^3 finds exactly one nonzero kernel vector
     assert kernel_by_enumeration(d1, 2) == [(1, 1, 1)]
-    ker = kernel_basis(d1, 2)
-    assert ker.dim == 1
-    assert list(ker.basis[:, 0]) == [1, 1, 1]  # the sum of all three edges
+    ker = kernel(d1, 2)
+    assert ker.shape == (3, 1)
+    assert list(ker[:, 0]) == [1, 1, 1]  # the sum of all three edges
 
 
 def test_image_basis():
-    assert image_basis(zeros(3, 2), 2).dim == 0
-    full = image_basis(eye(3), 7)
-    assert full.dim == 3 and np.array_equal(full.basis, eye(3))
+    assert image(zeros(3, 2), 2).shape == (3, 0)
+    assert np.array_equal(image(eye(3), 7), eye(3))
     d2 = boundary_matrix(TRIANGLE, 2, 2)
-    img = image_basis(d2, 2)
-    assert img.dim == 1
-    assert np.array_equal(img.basis[:, 0], d2[:, 0])  # the boundary cycle itself
+    img = image(d2, 2)
+    assert img.shape == (3, 1)
+    assert np.array_equal(img[:, 0], d2[:, 0])  # the boundary cycle itself
 
 
 def test_preimage():
     v = np.array([1, 2, 3])
-    assert np.array_equal(preimage(eye(3), v, 5), v)
-    assert preimage(zeros(2, 2), [1, 0], 2) is None
+    assert np.array_equal(solve(eye(3), v, 5), v)
+    assert solve(zeros(2, 2), [1, 0], 2) is None
     d1 = boundary_matrix(TRIANGLE, 1, 3)
     target = np.array([1, 2, 0])  # e0 - e1 over F_3
     sols = solutions_by_enumeration(d1, target, 3)
     assert sols, "oracle says the system is solvable"
-    x = preimage(d1, target, 3)
+    x = solve(d1, target, 3)
     assert x is not None
     assert tuple(int(c) for c in x) in sols
     assert np.array_equal(mat_mul(d1, x.reshape(-1, 1), 3)[:, 0], target)
-
-
-def test_restrict_map():
-    sub = Subspace(2, [[1, 1]], 2)
-    restricted = restrict_map(eye(2), sub, sub, 2)
-    assert restricted.dtype == np.int64 and np.array_equal(restricted, eye(1))
-    assert np.array_equal(restrict_map(zeros(2, 2), sub, sub, 2), zeros(1, 1))
-    proj = np.array([[1, 0], [0, 0]])  # (x, y) -> (x, 0)
-    line = Subspace(2, [[1, 0]], 2)
-    assert np.array_equal(restrict_map(proj, line, line, 2), [[1]])
-    swap = np.array([[0, 1], [1, 0]])
-    with pytest.raises(NotInvariantError):
-        restrict_map(swap, line, line, 2)
-    zero = Subspace(2, [], 2)
-    with pytest.raises(NotInvariantError):
-        restrict_map(eye(2), line, zero, 2)  # a nonzero image has no place in 0
-    assert restrict_map(swap, zero, line, 2).shape == (1, 0)
-    assert restrict_map(zeros(2, 2), line, zero, 2).shape == (0, 1)
 
 
 def _random_matrix(rng, rows, cols, p, density=0.3):
@@ -123,9 +119,11 @@ def test_rank_nullity_randomized(p):
     for _ in range(25):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         m = _random_matrix(rng, rows, cols, p)
-        r = rank(m, p)
+        r = dense_rank(m, p)
         assert r == naive_rank(m, p)
-        assert r + kernel_basis(m, p).dim == cols
+        ker = kernel(m, p)
+        assert r + ker.shape[1] == cols
+        assert not mat_mul(m, ker, p).any()
 
 
 def test_preimage_contract_randomized():
@@ -135,7 +133,7 @@ def test_preimage_contract_randomized():
         m = _random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
         x = np.array([rng.randrange(p) for _ in range(m.shape[1])])
         v = mat_mul(m, x.reshape(-1, 1), p)[:, 0]
-        y = preimage(m, v, p)
+        y = solve(m, v, p)
         assert y is not None
         assert np.array_equal(mat_mul(m, y.reshape(-1, 1), p)[:, 0], v)
 
@@ -145,32 +143,30 @@ def test_basis_independence_randomized():
     for _ in range(20):
         p = rng.choice((2, 5))
         m = _random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
-        img, ker = image_basis(m, p), kernel_basis(m, p)
+        img, ker = image(m, p), kernel(m, p)
         # re-verified by the rank of the stacked basis matrix
-        assert rank(img.basis, p) == img.dim
-        assert rank(ker.basis, p) == ker.dim
+        assert dense_rank(img, p) == img.shape[1]
+        assert dense_rank(ker, p) == ker.shape[1]
+        built = Subspace(m.shape[0], img.T, p)  # the checked constructor
+        assert built.dim == img.shape[1] and np.array_equal(built.basis, img % p)
+        assert not built.basis.flags.writeable
 
 
-def test_image_and_kernel_bases_take_one_reduction(monkeypatch):
-    # the pivots of the one reduction prove independence; a checked
-    # Subspace would reduce the chosen basis a second time
+def test_rank_and_solve_take_one_reduction(monkeypatch):
     rng = random.Random(19)
     real = linalg.row_reduce
     for _ in range(40):
         p = rng.choice((2, 3, 7))
-        m = _random_matrix(rng, rng.randrange(0, 7), rng.randrange(0, 7), p)
-        pivots = list(row_reduce(m, p)[1])
-        want = {kernel_basis: Subspace(m.shape[1], nullspace(m, p).T, p),
-                image_basis: Subspace(m.shape[0], m[:, pivots].T, p)}
-        for fn, checked in want.items():
-            calls = []
-            with monkeypatch.context() as patch:
-                patch.setattr(linalg, "row_reduce", lambda a, q: calls.append(q) or real(a, q))
-                got = fn(m, p)
-            assert len(calls) == 1
-            assert (got.ambient, got.modulus, got.dim) == (checked.ambient, p, checked.dim)
-            assert got.basis.dtype == np.int64 and np.array_equal(got.basis, checked.basis)
-            assert not got.basis.flags.writeable
+        m = _random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
+        b = _random_matrix(rng, m.shape[0], rng.randrange(1, 3), p)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "row_reduce", lambda a, q: calls.append(q) or real(a, q))
+            r, x = dense_rank(m, p), solve_matrix(m, b, p)
+        assert calls == [p, p]
+        assert r == naive_rank(m, p)
+        assert (x is not None) == (naive_rank(np.hstack([m, b]), p) == r)
+        assert x is None or np.array_equal(mat_mul(m, x, p), b)
 
 
 def test_determinism():
@@ -179,9 +175,13 @@ def test_determinism():
         m1 = _random_matrix(rng1, 6, 6, 3)
         m2 = _random_matrix(rng2, 6, 6, 3)
         assert np.array_equal(m1, m2)
-        assert np.array_equal(kernel_basis(m1, 3).basis, kernel_basis(m2, 3).basis)
-        assert np.array_equal(image_basis(m1, 3).basis, image_basis(m2, 3).basis)
-        assert rank(m1, 3) == rank(m2, 3)
+        r1, r2 = row_reduce(m1, 3), row_reduce(m2, 3)
+        assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
+        assert np.array_equal(kernel(m1, 3), kernel(m2, 3))
+        assert np.array_equal(image(m1, 3), image(m2, 3))
+        assert dense_rank(m1, 3) == dense_rank(m2, 3)
+        v = m1[:, 0]
+        assert np.array_equal(solve_matrix(m1, v, 3), solve_matrix(m2, v, 3))
 
 
 def test_large_modulus_products_stay_exact():
@@ -194,11 +194,11 @@ def test_large_modulus_products_stay_exact():
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatchError):
-        preimage(eye(2), [1, 0, 0], 2)
-    with pytest.raises(DimensionMismatchError):
-        rank(np.array([1, 0]), 2)  # not a 2-D matrix
+        solve_matrix(eye(2), np.array([1, 0, 0]), 2)
     with pytest.raises(DimensionMismatchError):
         mat_mul(eye(2), eye(3), 2)
+    with pytest.raises(DimensionMismatchError):
+        Subspace(3, [[1, 0]], 2)  # vectors of the wrong length
     with pytest.raises(ValueError):
         Subspace(2, [[1, 0], [1, 0]], 2)  # dependent vectors
 
@@ -245,7 +245,7 @@ def test_kernel_matches_textbook_elimination(system):
     want_rref, want_pivots = naive_rref(as_rows(a), p)
     assert rref.shape == a.shape and rref.dtype == np.int64
     assert rref.tolist() == want_rref and pivots == tuple(want_pivots)
-    assert nullspace(a, p).T.tolist() == naive_nullspace(a, p)
+    assert kernel(a, p).T.tolist() == naive_nullspace(a, p)
 
     x = solve_matrix(a, b, p)
     solvable = naive_rank(np.hstack([a, b]), p) == naive_rank(a, p)
@@ -255,45 +255,6 @@ def test_kernel_matches_textbook_elimination(system):
         assert np.array_equal(_exact_product(a, x, p), b)
         free = [c for c in range(a.shape[1]) if c not in pivots]
         assert not x[free].any()  # free variables are set to 0
-
-
-def _restriction_oracle(m, domain_sub, codomain_sub, p):
-    """Coordinates of the images in the codomain basis by a full solve, or
-    None when some image lies outside the codomain subspace."""
-    return solve_matrix(codomain_sub.basis, _exact_product(m, domain_sub.basis, p), p)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_residue_systems())
-def test_restrict_map_matches_a_solve(system):
-    p, a, b = system
-    rows, cols = a.shape
-    img = image_basis(a, p)
-    pivots = naive_rref(as_rows(a), p)[1]
-    assert img.basis.shape == (rows, len(pivots))
-    assert img.basis.tolist() == a[:, pivots].tolist()  # the same columns as ever
-    built = Subspace(rows, img.basis.T, p)  # the checked constructor
-    assert np.array_equal(built.basis, img.basis) and not built.basis.flags.writeable
-
-    zero_rows, full_cols = Subspace(rows, [], p), Subspace(cols, eye(cols), p)
-    ker = kernel_basis(a, p)
-    cases = [(eye(rows), image_basis(b, p), img),   # raises unless im b ⊆ im a
-             (eye(rows), img, image_basis(b, p)),
-             (a, ker, zero_rows),                     # the kernel maps into 0
-             (a, full_cols, zero_rows),               # raises exactly when a ≠ 0
-             (a, full_cols, img),
-             (a, Subspace(cols, [], p), img)]         # zero-dimensional domain
-    for m, dom, cod in cases:
-        want = _restriction_oracle(m, dom, cod, p)
-        if want is None:
-            with pytest.raises(NotInvariantError):
-                restrict_map(m, dom, cod, p)
-        else:
-            got = restrict_map(m, dom, cod, p)
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-    if a.any():
-        with pytest.raises(NotInvariantError):
-            restrict_map(a, full_cols, zero_rows, p)
 
 
 def test_modulus_verdict_is_decided_once(monkeypatch):

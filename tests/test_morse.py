@@ -1,4 +1,4 @@
-"""Morse validation, critical cells, gradient pairing, sublevels, filtrations."""
+"""Morse validation, critical cells, sublevels, filtrations."""
 
 import random
 from fractions import Fraction
@@ -7,8 +7,8 @@ import pytest
 
 from homaudit.complexes import Simplex, betti_numbers, close_under_faces, is_subcomplex
 from homaudit.morse import (Filtration, MorseFunction, NotMorseError, critical_cells,
-                            filtration_from_morse, gradient_field, is_perfect,
-                            sublevel, sublevel_filtration, validate_morse)
+                            filtration_from_morse, is_perfect, sublevel, sublevel_filtration,
+                            validate_morse)
 
 from randfix import random_complex, random_morse
 
@@ -67,23 +67,6 @@ def test_critical_cells():
     assert crit == (Simplex((0,)),)
     with pytest.raises(NotMorseError):
         critical_cells(EDGE, edge_function(2, 2, 1))
-
-
-def test_gradient_field_and_partition():
-    field = gradient_field(EDGE, edge_function(0, 2, 1))
-    assert field.pairs == frozenset({(Simplex((1,)), Simplex((0, 1)))})
-    tri = close_under_faces([(0, 1, 2)])
-    assert gradient_field(tri, dimension_scaled(tri)).pairs == frozenset()
-    rng = random.Random(2)
-    for _ in range(15):
-        K = random_complex(rng)
-        f = random_morse(K, rng)
-        crit = set(critical_cells(K, f))
-        paired = gradient_field(K, f).cells()
-        assert crit | paired == set(K.simplices())
-        assert not (crit & paired)
-        seen = [c for pair in gradient_field(K, f).pairs for c in pair]
-        assert len(seen) == len(set(seen))  # each cell in at most one pair
 
 
 def test_sublevel():

@@ -1,7 +1,6 @@
 """Persistence engine: per-step homology, induced maps, persistent groups,
-barcodes against the structure-theorem consistency formula, graded modules,
-and the per-step views selected on first use against their eager
-definition."""
+barcodes against the structure-theorem consistency formula, and the
+per-step views selected on first use against their eager definition."""
 
 import functools
 import random
@@ -18,9 +17,8 @@ from homaudit.complexes import (EMPTY_COMPLEX, close_under_faces, intersect, rel
 from homaudit.fixtures import genus2_pair, torus_triad
 from homaudit.linalg import mat_mul
 from homaudit.morse import Filtration, filtration_from_morse, sublevel_filtration
-from homaudit.persistence import (GradedModule, NotACycleError, PersistenceResult, barcode,
-                                  compute_persistence, direct_sum, graded_module,
-                                  relative_persistence)
+from homaudit.persistence import (NotACycleError, PersistenceResult, barcode,
+                                  compute_persistence, relative_persistence)
 from homaudit.sequences import MayerVietorisSystem, PairSystem
 
 from naive import (DensePersistence, EagerSteps, chain_boundary, chain_columns, naive_class_of,
@@ -43,7 +41,7 @@ def test_point_then_hollow_triangle():
     filt = Filtration([0, 1], [POINT, HOLLOW])
     res = compute_persistence(filt, 2)
     assert res.dims(1) == (0, 1)
-    assert res.step_map(1, 0).shape == (1, 0)
+    assert res.induced_matrix(1, 0, 1).shape == (1, 0)
 
 
 def test_persistent_group_equal_indices_is_full_homology(torus_system):
@@ -122,54 +120,23 @@ def test_persistent_dims_against_bruteforce_oracle():
                         naive_persistent_dim(res, k, u, v)
 
 
-def test_graded_module_single_step_top_identity():
-    res = compute_persistence(Filtration([0], [HOLLOW]), 2)
-    mod = graded_module(res, 1)
-    assert mod.dims == (1,)
-    elem = mod.element([[1]])
-    assert mod.x_action(elem) == elem  # x acts as the identity at the top index
-    zero = mod.zero()
-    assert mod.x_action(zero) == zero
-
-
-def test_graded_module_shift_is_step_map(torus_system):
-    mod = graded_module(torus_system.RB, 1)
-    assert mod.dims == (0, 0, 1, 1, 2, 1)
-    for u in range(5):
-        assert np.array_equal(mod.shifts[u], torus_system.RB.step_map(1, u))
-    assert np.array_equal(mod.shifts[5], np.eye(1, dtype=np.int64))
-
-
 def test_x_action_nilpotent_exactly_where_barcode_dies(torus_system):
-    # the class of B born at step 4 dies at step 5: one shift kills it
-    mod_b = graded_module(torus_system.RB, 1)
+    # x acts on the persistence module as the step map from u to u + 1:
+    # the class of B born at step 4 dies at step 5, so one shift kills it
     bars = barcode(torus_system.RB, 1)
     torsion = [iv for iv in bars if iv.death is not None]
     assert [(iv.birth, iv.death) for iv in torsion] == [(4, 5)]
-    dying = torus_system.RB.step_map(1, 4)  # H1(B at 95) -> H1(B at 100)
+    dying = torus_system.RB.induced_matrix(1, 4, 5)  # H1(B at 95) -> H1(B at 100)
     kernel_vec = None
     for cand in ([1, 0], [0, 1], [1, 1]):
         if not mat_mul(dying, np.array(cand).reshape(-1, 1), 2).any():
             kernel_vec = cand
             break
     assert kernel_vec is not None
-    elem = mod_b.element([[0] * d for d in mod_b.dims[:4]] + [kernel_vec, [0]])
-    assert mod_b.x_action(elem).is_zero()
-    # an immortal class is never killed: the top fold keeps it alive
-    mod_ab = graded_module(torus_system.RAB, 1)
-    out = mod_ab.element([[0] * d for d in mod_ab.dims[:5]] + [[1, 0]])
-    for _ in range(mod_ab.n_steps + 1):
-        out = mod_ab.x_action(out)
-    assert not out.is_zero()
-
-
-def test_direct_sum_blocks(torus_system):
-    ma = graded_module(torus_system.RA, 1)
-    mb = graded_module(torus_system.RB, 1)
-    ms = direct_sum(ma, mb)
-    assert ms.dims == tuple(a + b for a, b in zip(ma.dims, mb.dims))
-    elem = ms.element([[0] * d for d in ms.dims])
-    assert ms.x_action(elem).is_zero()
+    # an immortal class is never killed: the shift into the last step keeps it
+    survivor = np.array([[1], [0]])
+    assert [iv.death for iv in barcode(torus_system.RAB, 1) if iv.birth <= 4] == [None, None]
+    assert mat_mul(torus_system.RAB.induced_matrix(1, 4, 5), survivor, 2).any()
 
 
 def test_relative_persistence_trivial_cases():
@@ -237,18 +204,10 @@ def test_oracle_sees_boundaries_above_the_truncation(torus_system, max_degree):
 
 
 def test_class_of_chain():
-    from homaudit.complexes import ChainCoordinates
     res = compute_persistence(Filtration([0], [HOLLOW]), 2)
-    cycle = ChainCoordinates(1, [1, 1, 1])
-    assert res.class_of_chain(0, cycle).tolist() == [1]
+    assert res.class_of(1, 0, [dict.fromkeys(HOLLOW.simplices(1), 1)]).tolist() == [[1]]
     with pytest.raises(NotACycleError):
-        res.class_of_chain(0, ChainCoordinates(1, [1, 0, 0]))
-
-
-def test_graded_module_validates_top_identity():
-    with pytest.raises(ValueError):
-        GradedModule(2, (1, 1), (np.eye(1, dtype=np.int64),
-                                 np.zeros((1, 1), dtype=np.int64)))
+        res.class_of(1, 0, [{HOLLOW.simplices(1)[0]: 1}])
 
 
 def _results_with_subcomplex(system):
@@ -283,8 +242,8 @@ def _assert_bases_match_three_reductions(R, A, rng=None):
                     if s in pos:
                         included[pos[s]] = prev_reps[i]
                 expected = naive_class_of(reps, bounds, included, p)
-                assert R.step_map(k, u - 1).shape == expected.shape
-                assert np.array_equal(R.step_map(k, u - 1), expected)
+                assert R.induced_matrix(k, u - 1, u).shape == expected.shape
+                assert np.array_equal(R.induced_matrix(k, u - 1, u), expected)
             if rng is not None:
                 # a random cycle and two random chains, each a cycle exactly
                 # when the textbook solve finds class coordinates
@@ -341,7 +300,8 @@ def _assert_representatives_follow_their_bars(R):
             columns = chain_columns(reps, R.basis_simplices(k, u))
             assert not mat_mul(chain_boundary(R, k, u), columns, p).any()
             assert np.array_equal(R.class_of(k, u, reps), np.eye(len(reps), dtype=np.int64))
-            born = np.ones(len(reps), dtype=bool) if u == 0 else ~R.step_map(k, u - 1).any(axis=1)
+            born = (np.ones(len(reps), dtype=bool) if u == 0
+                    else ~R.induced_matrix(k, u - 1, u).any(axis=1))
             for j in np.flatnonzero(born):
                 death = None
                 for w in range(u + 1, n):

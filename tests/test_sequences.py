@@ -19,10 +19,11 @@ from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 mv_connecting, ordinary_sequence, pair_connecting,
                                 persistent_sequence)
 
-from naive import (PerStepSystem, fault_sites, level_ordinary_sequence, level_persistent_sequence,
-                   naive_persistent_sequence, per_call_check_squares, per_call_ordinary_sequence,
-                   per_call_persistent_sequence, per_step_module_sequence, reading, scatter_check_squares,
-                   step_mv_connecting, tampered)
+from naive import (PerStepSystem, b_side_mv_connecting, fault_sites, level_ordinary_sequence,
+                   level_persistent_sequence, naive_persistent_sequence, per_call_check_squares,
+                   per_call_ordinary_sequence, per_call_persistent_sequence,
+                   per_step_module_sequence, reading, scatter_check_squares, step_mv_connecting,
+                   tampered)
 from randfix import lower_star_fixture, make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -100,7 +101,7 @@ def _assert_split_independent(sys_, k):
     each other and with the per-step path's. Over all bars they may differ
     on rows that are dead before the column is born."""
     i, old = sys_._gaps.index(("delta", k)), PerStepSystem(sys_)
-    sides = [mv_connecting(sys_, k, assign_shared_to=side) for side in "AB"]
+    sides = [mv_connecting(sys_, k), b_side_mv_connecting(sys_, k)]
     for u in range(sys_.n_steps):
         a_side, b_side = (_at(m, sys_._bars[i + 1], sys_._bars[i], u) for m in sides)
         assert np.array_equal(a_side, b_side)
@@ -377,7 +378,7 @@ def test_persistent_groups_and_barcodes_need_no_elimination(monkeypatch, torus, 
 
     real_audit = sequences.audit
     monkeypatch.setattr(sequences, "audit", flagged_audit)
-    for name in ("row_reduce", "image_basis", "solve_matrix"):
+    for name in ("row_reduce", "solve_matrix"):
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     for u in range(n):
         for v in range(u, n):

@@ -4,7 +4,8 @@ Commands: betti, morse-check, barcode, mv-audit, pair-audit; `main` parses
 with one parser per process and runs `cmd_` + the name with `-` as `_`, looked
 up at call time. Input is a UTF-8 text file with one simplex per line
 (`v0 v1 ... vk [: value]`, `#` starts a comment); membership files list the
-simplices of a subcomplex and are closed under faces after parsing.
+simplices of a subcomplex and are closed under faces inside the main complex.
+Each input file is read once, and a report's sha256 is that of the bytes parsed.
 
 Exit codes: 0 success / law holds; 1 audited law violated; 2 parse error;
 3 not a discrete Morse function (morse-check); 4 covering or subcomplex
@@ -16,15 +17,16 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import lt
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
-                        Simplex, betti_numbers, close_under_faces, is_subcomplex)
+                        Simplex, betti_numbers, close_under_faces)
 from .linalg import _small_prime
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError, _exact,
                     _least_over_cofaces, _perfectness, critical_cells, sublevel_filtration)
@@ -61,6 +63,8 @@ def _rational(text: str) -> Fraction | int:
     `Fraction`. Raises ValueError or ZeroDivisionError; exponents are capped first."""
     text = text.strip()
     if text.lstrip("+-").isdigit() and text.isascii():
+        if len(text) <= 4300:  # at most 4,300 digits: below the bound
+            return int(text)
         value = int(text)
     elif len(text.lower().partition("e")[2].lstrip("+-")) > 4:
         raise ValueError(f"exponent too large: {text!r}")
@@ -85,39 +89,54 @@ def _label(text: str, option: str) -> Fraction | int:
         raise InputContractError(f"{option} must be a rational, got {text!r}") from None
 
 
-def _parse_lines(path: Path):
-    """Yield (line_no, Simplex, value or None) for each content line."""
+def _parse_lines(path: Path, digests: Optional[dict] = None
+                 ) -> list[tuple[int, Simplex, Optional[Fraction | int]]]:
+    """(line_no, Simplex, value or None) for each content line of a UTF-8
+    file, read once; given a dict, `digests[path]` gets the sha256 of the
+    bytes read."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the bad byte's line: that of a character in its place
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(path, line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                        f"({exc.reason})") from None
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, tail = line.partition(":")
+        head, sep, tail = raw.partition("#")[0].partition(":")
         try:
-            verts = [int(tok) for tok in head.split()]
+            verts = (*map(int, head.split()),)
         except ValueError:
             raise ParseError(path, line_no,
                              f"vertex ids must be integers: {head.strip()!r}") from None
-        try:
-            simplex = Simplex(verts)
-        except MalformedSimplexError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        value = _fraction(tail, path, line_no) if sep == ":" else None
-        yield line_no, simplex, value
+        if not (verts and verts[0] >= 0 and all(map(lt, verts, verts[1:]))):
+            if not (verts or sep):
+                continue  # a blank or comment line
+            try:
+                Simplex(verts)  # raises: the vertices are not a simplex
+            except MalformedSimplexError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+        # checked as `Simplex` checks it, without the call
+        rows.append((line_no, tuple.__new__(Simplex, verts),
+                     _fraction(tail, path, line_no) if sep else None))
+    return rows
 
 
-def load_complex(path: Path, strict_values: bool = False
+def load_complex(path: Path, strict_values: bool = False, digests: Optional[dict] = None
                  ) -> tuple[SimplicialComplex, Optional[MorseFunction]]:
     """Parse a complex file; closure-added faces inherit the minimum value of
     the explicitly valued simplices containing them (strict mode rejects
-    inheritance instead). A simplex valued twice must get the same value."""
+    inheritance instead). A simplex valued twice must get the same value.
+    `digests` as for `_parse_lines`."""
     explicit: dict[Simplex, Fraction | int] = {}
     first_line: dict[Simplex, int] = {}
     generators: list[Simplex] = []
-    for line_no, simplex, value in _parse_lines(path):
+    for line_no, simplex, value in _parse_lines(path, digests):
         generators.append(simplex)
         if value is None:
             continue
@@ -129,6 +148,8 @@ def load_complex(path: Path, strict_values: bool = False
     K = close_under_faces(generators)
     if not explicit:
         return K, None
+    if len(explicit) == len(K):  # every cell valued: nothing to inherit
+        return K, MorseFunction(K, explicit)
     inherited = _least_over_cofaces(K, explicit)
     for s in K.simplices():
         if s in explicit:
@@ -140,13 +161,22 @@ def load_complex(path: Path, strict_values: bool = False
     return K, MorseFunction(K, {**inherited, **explicit})
 
 
-def load_membership(path: Path) -> SimplicialComplex:
-    """Parse a subcomplex membership file; values, if any, are ignored."""
-    return close_under_faces([s for _, s, _ in _parse_lines(path)])
+def load_membership(path: Path, K: SimplicialComplex, digests: Optional[dict] = None
+                    ) -> SimplicialComplex:
+    """Parse a subcomplex membership file and close it inside K, from K's own
+    cells; values, if any, are ignored. The whole file is parsed first, then
+    a listed simplex that is not in K raises NotSubcomplexError. `digests` as
+    for `_parse_lines`."""
+    return K.closure([s for _, s, _ in _parse_lines(path, digests)])
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _subspace(path: str, name: str, K: SimplicialComplex, digests: dict) -> SimplicialComplex:
+    """Subspace `name` (A or B) from its membership file, closed inside K."""
+    try:
+        return load_membership(Path(path), K, digests)
+    except NotSubcomplexError:
+        raise InputContractError(f"subspace {name} is not a subcomplex of the main complex"
+                                 ) from None
 
 
 def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
@@ -214,7 +244,8 @@ def cmd_morse_check(args) -> int:
 
 
 def cmd_barcode(args) -> int:
-    K, f = load_complex(Path(args.complex), args.strict_values)
+    digests = {}
+    K, f = load_complex(Path(args.complex), args.strict_values, digests)
     thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
     if args.degree is not None and args.degree < 0:
         raise InputContractError(f"--degree must be non-negative, got {args.degree}")
@@ -231,7 +262,7 @@ def cmd_barcode(args) -> int:
                                    for iv in bars]})
     if args.json:
         _write_report(args, command="barcode",
-                      inputs={"complex": Path(args.complex)},
+                      inputs={"complex": Path(args.complex)}, digests=digests,
                       extra={"degrees": rows,
                              "thresholds": [str(t) for t in filt.thresholds]})
     return EXIT_OK
@@ -263,11 +294,9 @@ def _print_audit(aud: SequenceAudit) -> None:
 
 def _run_audit(args, kind: str) -> int:
     level = _LEVELS[args.level]
-    complex_path = Path(args.complex)
-    K, f = load_complex(complex_path, args.strict_values)
-    A = load_membership(Path(args.subspace_a))
-    if not is_subcomplex(A, K):
-        raise InputContractError("subspace A is not a subcomplex of the main complex")
+    complex_path, digests = Path(args.complex), {}
+    K, f = load_complex(complex_path, args.strict_values, digests)
+    A = _subspace(args.subspace_a, "A", K, digests)
     thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
     u_label = _label(args.u, "--u") if args.u is not None else None
     v_label = _label(args.v, "--v") if args.v is not None else None
@@ -275,9 +304,7 @@ def _run_audit(args, kind: str) -> int:
 
     inputs = {"complex": complex_path, "subspace_a": Path(args.subspace_a)}
     if kind == "mayer-vietoris":
-        B = load_membership(Path(args.subspace_b))
-        if not is_subcomplex(B, K):
-            raise InputContractError("subspace B is not a subcomplex of the main complex")
+        B = _subspace(args.subspace_b, "B", K, digests)
         system = MayerVietorisSystem(K, A, B, filt, args.field)
         inputs["subspace_b"] = Path(args.subspace_b)
     else:
@@ -328,7 +355,7 @@ def _run_audit(args, kind: str) -> int:
     payload["positions"] = _audit_positions_payload(aud)
     if args.json:
         _write_report(args, command=f"{'mv' if kind == 'mayer-vietoris' else 'pair'}-audit",
-                      inputs=inputs, extra=payload)
+                      inputs=inputs, digests=digests, extra=payload)
     return EXIT_OK if holds else EXIT_LAW_VIOLATED
 
 
@@ -340,16 +367,44 @@ def cmd_pair_audit(args) -> int:
     return _run_audit(args, "pair")
 
 
-def _write_report(args, command: str, inputs: dict, extra: dict) -> None:
+def _write_report(args, command: str, inputs: dict, digests: dict, extra: dict) -> None:
+    """The report, with each input's path and the sha256 of the bytes parsed
+    from it, written in one pass; a path that cannot be written is an input
+    error, after the command's output."""
     report = dict(extra)
     report["command"] = command
     report["field"] = args.field
-    report["inputs"] = {name: {"path": str(p), "sha256": _digest(p)}
+    report["inputs"] = {name: {"path": str(p), "sha256": digests[p]}
                         for name, p in inputs.items()}
     report["tool"] = "homaudit"
     report["version"] = __version__
-    Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
+    text = _dumps(report) + "\n"
+    try:
+        Path(args.json).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputContractError(f"cannot write report {args.json}: "
+                                 f"{exc.strerror or exc}") from None
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """The text `json.dumps(value, indent=2, sort_keys=True)` gives, written in
+    one pass, for a value made of dicts with string keys, lists, tuples,
+    strings, ints, bools and None; `newline` is a newline and the indent."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
+                 for key in sorted(value)]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _dumps(item, inner) for item in value]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ the one-step filtration, so those matrices are built for callers only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import partial
 from itertools import combinations
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable
 
 import numpy as np
@@ -65,6 +67,34 @@ class Simplex(tuple):
         return out
 
 
+def _blocks(cells: list) -> list[list]:
+    """Cells sorted by length, cut into one block per dimension."""
+    lengths = list(map(len, cells))
+    ends = [bisect_right(lengths, k) for k in range(1, (lengths[-1] if cells else 0) + 1)]
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
+
+
+_face = partial(tuple.__new__, Simplex)  # a face of a valid simplex is valid
+
+
+def _face_closure(cells: Iterable[Simplex]) -> dict:
+    """The facet table of the smallest complex containing the cells, one
+    object per cell. Walking down one dimension at a time, each cell's facets
+    are enumerated once, column by column (column i deletes vertex i), and a
+    facet not seen yet is built then."""
+    levels = [dict(zip(block, block)) for block in _blocks(sorted(set(cells), key=len))]
+    facets = {}
+    for k in range(len(levels) - 1, 0, -1):
+        above, below = list(levels[k]), levels[k - 1]
+        vertex = [list(map(itemgetter(j), above)) for j in range(k + 1)]
+        columns = [list(zip(*vertex[:i], *vertex[i + 1:])) for i in range(k + 1)]
+        new = list(map(_face, set().union(*columns).difference(below)))
+        below.update(zip(new, new))
+        facets.update(zip(above, zip(*(map(below.__getitem__, c) for c in columns))))
+    facets.update(dict.fromkeys(levels[0] if levels else (), ()))
+    return facets
+
+
 class SimplicialComplex:
     """An immutable finite simplicial complex, closed under the face relation.
     `facet_table` (read-only): each cell's facets in vertex-deletion order, as its own simplices."""
@@ -73,20 +103,48 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Iterable[Simplex]):
         pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
-        own, facets = dict(zip(pool, pool)), {}
-        for s in own:  # vertex-deletion order is the reverse of combinations' order
-            try:
-                facets[s] = tuple(map(own.__getitem__, reversed(list(
-                    combinations(s, len(s) - 1))))) if len(s) > 1 else ()
-            except KeyError as missing:
-                raise ValueError(f"not closed under faces: {s} present but "
-                                 f"{missing.args[0]} missing") from None
-        top = max(map(len, pool), default=0)
-        by_dim = tuple(tuple(sorted(s for s in pool if len(s) == k)) for k in range(1, top + 1))
-        cells = tuple(s for block in by_dim for s in block)
-        index = {s: i for block in by_dim for i, s in enumerate(block)}
-        for name, value in zip(self.__slots__, (by_dim, cells, index, frozenset(pool), facets)):
+        facets = _face_closure(pool)
+        if len(facets) > len(pool):
+            s, f = next((s, f) for s in pool for f in facets[s] if f not in pool)
+            raise ValueError(f"not closed under faces: {s} present but {f} missing")
+        self._order(facets)
+
+    @classmethod
+    def _of(cls, facets: dict) -> "SimplicialComplex":
+        """The complex whose facet table is `facets`, trusted to be closed."""
+        K = object.__new__(cls)
+        K._order(facets)
+        return K
+
+    def _order(self, facets: dict) -> None:
+        """Order and index the cells of a facet table (its keys)."""
+        cells = sorted(sorted(facets), key=len)  # stable: lexicographic within a dimension
+        by_dim = tuple(map(tuple, _blocks(cells)))
+        index = {}
+        for block in by_dim:
+            index.update(zip(block, range(len(block))))
+        for name, value in zip(self.__slots__,
+                               (by_dim, tuple(cells), index, frozenset(facets), facets)):
             object.__setattr__(self, name, value)
+
+    def closure(self, generators: Iterable[Simplex]) -> "SimplicialComplex":
+        """Smallest subcomplex containing the generators, made of this
+        complex's own cells and facet table entries; NotSubcomplexError if a
+        generator is not a cell here."""
+        table, index, by_dim = self.facet_table, self._index, self._by_dim
+        levels = [set() for _ in by_dim]
+        for g in generators:
+            i = index.get(g)
+            if i is None:
+                raise NotSubcomplexError(f"{tuple(g)} is not a cell of the complex")
+            levels[len(g) - 1].add(by_dim[len(g) - 1][i])
+        sub = {}
+        for k in range(len(levels) - 1, -1, -1):
+            rows = list(map(table.__getitem__, levels[k]))
+            sub.update(zip(levels[k], rows))
+            if k:
+                levels[k - 1].update(*rows)
+        return SimplicialComplex._of(sub)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -138,18 +196,9 @@ EMPTY_COMPLEX = SimplicialComplex(())
 
 
 def close_under_faces(generators: Iterable) -> SimplicialComplex:
-    """Smallest complex containing the generators. Walking down from each
-    simplex, a facet not seen yet is built once and walked in its turn."""
-    cells = {g if isinstance(g, Simplex) else Simplex(g) for g in generators}
-    todo = list(cells)
-    while todo:
-        s = todo.pop()
-        for f in combinations(s, len(s) - 1):
-            if f and f not in cells:
-                f = tuple.__new__(Simplex, f)  # a face of a valid simplex is valid
-                cells.add(f)
-                todo.append(f)
-    return SimplicialComplex(cells)
+    """Smallest complex containing the generators."""
+    return SimplicialComplex._of(_face_closure(
+        g if isinstance(g, Simplex) else Simplex(g) for g in generators))
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
@@ -171,8 +220,9 @@ def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
 
 
 def intersect(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
-    """Set intersection of simplices; automatically face-closed."""
-    return SimplicialComplex(set(A.simplices()) & set(B.simplices()))
+    """Set intersection of simplices, face-closed as both are: A's facet
+    table restricted to the cells of B."""
+    return SimplicialComplex._of({s: f for s, f in A.facet_table.items() if s in B._all})
 
 
 def union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:

@@ -14,7 +14,15 @@ rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
 every face of each valued simplex (`faces_inherited_values`), the walk
 that one coface walk replaced, every value text parsed as a `Fraction`
 (`fraction_rational`), the path integral text now skips, the vertex
-checks of `Simplex` as generator scans (`naive_simplex`), the per-step
+checks of `Simplex` as generator scans (`naive_simplex`), the two-pass face
+closure (`two_pass_closure`: every facet enumerated to close the generators,
+then every cell's facets enumerated and looked up again to check closure and
+write the facet table) that one enumeration writing the table replaced, the
+membership file closed as a complex of its own and then checked cell by cell
+against the main complex (`close_then_check_membership`), which closing
+inside the main complex's facet table replaced, and the intersection as a
+set intersection with its table written again (`set_intersection`), which
+restricting one table replaced, the per-step
 views of a result selected eagerly, bar by bar, from its bar table
 (`EagerSteps`), `DensePersistence`, the
 dense per-step path that the bar-selection path replaced (one basis per
@@ -43,13 +51,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from homaudit import linalg, sequences
-from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, Simplex,
-                                SimplicialComplex, boundary_matrix, intersect,
+from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomplexError,
+                                Simplex, SimplicialComplex, boundary_matrix, intersect,
                                 relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import Filtration, MorseViolation
@@ -319,6 +327,49 @@ def naive_simplex(vertices):
     if any(a >= b for a, b in zip(vs, vs[1:])):
         raise MalformedSimplexError(f"vertices must be strictly increasing, got {vs}")
     return vs
+
+
+def _ordered_table(cells):
+    """(cells in dimension-major lexicographic order, facet table) of a
+    face-closed set of simplices, the table written with one object per cell:
+    each cell's facets in vertex-deletion order, the reverse of
+    `combinations`' order."""
+    own = {s: s for s in cells}
+    table = {s: tuple(own[f] for f in reversed(list(combinations(s, len(s) - 1))))
+             if len(s) > 1 else () for s in own}
+    return tuple(sorted(own, key=lambda s: (len(s), s))), table
+
+
+def two_pass_closure(generators):
+    """The face closure of the generators as (ordered cells, facet table):
+    every facet enumerated to close them, then every cell's facets enumerated
+    again for the table."""
+    cells = {g if isinstance(g, Simplex) else Simplex(g) for g in generators}
+    todo = list(cells)
+    while todo:
+        s = todo.pop()
+        for f in combinations(s, len(s) - 1):
+            if f and f not in cells:
+                f = Simplex(f)
+                cells.add(f)
+                todo.append(f)
+    return _ordered_table(cells)
+
+
+def close_then_check_membership(generators, K):
+    """A membership file's simplices closed as a complex of their own, then
+    checked cell by cell against K: (ordered cells, facet table), or
+    NotSubcomplexError."""
+    cells, table = two_pass_closure(generators)
+    if not all(s in K for s in cells):
+        raise NotSubcomplexError("not a subcomplex")
+    return cells, table
+
+
+def set_intersection(A, B):
+    """The cells common to A and B, with their table written again:
+    (ordered cells, facet table)."""
+    return _ordered_table(set(A.simplices()) & set(B.simplices()))
 
 
 class EagerSteps:

@@ -1,5 +1,7 @@
 """CLI behaviour: output formats, exit codes, JSON report stability."""
 
+import functools
+import itertools
 import json
 import os
 import random
@@ -12,15 +14,17 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from homaudit import cli
 from homaudit.cli import ParseError, _rational, load_complex, main
-from homaudit.complexes import Simplex
+from homaudit.complexes import NotSubcomplexError, Simplex, intersect
 from homaudit.fixtures import torus_triad
 from homaudit.morse import filtration_from_morse
 from homaudit.persistence import NotACycleError, PersistenceResult
 from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
 
-from naive import faces_inherited_values, fault_sites, fraction_rational, with_entry
-from randfix import random_complex
+from naive import (close_then_check_membership, faces_inherited_values, fault_sites,
+                   fraction_rational, set_intersection, with_entry)
+from randfix import make_fixture, random_complex
 
 TORUS_ARGS = None  # filled per-test from data_dir
 
@@ -100,6 +104,40 @@ def test_parse_error_reports_line(tmp_path, capsys):
     code, out, err = run(capsys, "betti", path)
     assert code == 2
     assert "bad.txt:2" in err
+
+
+@pytest.mark.parametrize("data, line_no, byte", [
+    (b"\xff", 1, "0xff"),
+    (b"0 1\n1 2\n\xff 3\n", 3, "0xff"),
+    (b"0 1 # caf\xc3\n", 1, "0xc3"),  # a sequence cut short by the line break
+    (b"0\r\n1\r2 # \xe2\x80\xa8 \xc3\x28\n", 4, "0xc3"),  # \r and U+2028 end lines too
+    (b"# \xc3\xa9t\xc3\xa9\n0 1\n\n0 : \x80\n", 4, "0x80"),
+], ids=["only", "third", "cut", "breaks", "after-utf8"])
+def test_non_utf8_input_is_a_parse_error_at_its_line(tmp_path, capsys, data, line_no, byte):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "betti", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {bad}:{line_no}: not UTF-8 text: byte {byte} (")
+    # a membership file is read the same way
+    complex_path = write(tmp_path, "x.txt", "0 1 : 1\n1 2 : 2\n")
+    whole = write(tmp_path, "whole.txt", "0 1\n1 2\n")
+    code, out, err = run(capsys, "mv-audit", complex_path, "--subspace-a", whole,
+                         "--subspace-b", str(bad), "--level", "ordinary")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {bad}:{line_no}: not UTF-8 text: byte {byte} (")
+
+
+@pytest.mark.parametrize("where, reason", [("missing/report.json", "No such file or directory"),
+                                           (".", "Is a directory")], ids=["missing", "dir"])
+def test_an_unwritable_report_is_an_input_error_after_the_output(data_dir, tmp_path, capsys,
+                                                                 where, reason):
+    target = str(tmp_path / where)
+    for argv in (["barcode", str(data_dir / "torus" / "complex.txt")],
+                 _torus_audit_args(data_dir, "persistent", "--u", "95", "--v", "100")):
+        want_out = run(capsys, *argv)[1]
+        assert run(capsys, *argv, "--json", target) == (
+            4, want_out, f"input error: cannot write report {target}: {reason}\n")
 
 
 def test_parse_error_bad_value(tmp_path, capsys):
@@ -352,11 +390,84 @@ def test_mv_audit_not_covering_exit4(tmp_path, capsys):
 
 def test_mv_audit_membership_outside_complex_exit4(tmp_path, capsys):
     complex_path = write(tmp_path, "x.txt", "0 1 : 1\n")
-    a_path = write(tmp_path, "a.txt", "5 6\n")
-    code, _, err = run(capsys, "mv-audit", complex_path,
-                       "--subspace-a", a_path, "--subspace-b", a_path,
-                       "--level", "ordinary")
-    assert code == 4
+    outside = write(tmp_path, "a.txt", "5 6\n")
+    malformed = write(tmp_path, "bad.txt", "5 6\n# the edge, then a bad line\n0 1\n1 0\n")
+    whole = write(tmp_path, "whole.txt", "0 1\n")
+    empty = write(tmp_path, "empty.txt", "# no simplex\n")
+
+    def audit(a_path, b_path):
+        return run(capsys, "mv-audit", complex_path, "--subspace-a", a_path,
+                   "--subspace-b", b_path, "--level", "ordinary")
+
+    not_a = "input error: subspace A is not a subcomplex of the main complex\n"
+    assert audit(outside, outside) == (4, "", not_a)
+    assert audit(whole, outside) == (
+        4, "", "input error: subspace B is not a subcomplex of the main complex\n")
+    # the whole file is parsed first: a malformed line wins over a simplex outside K
+    bad_line = (2, "", f"parse error: {malformed}:4: vertices must be strictly increasing, "
+                       "got (1, 0)\n")
+    assert audit(malformed, whole) == bad_line
+    assert audit(whole, malformed) == bad_line
+    # A is read and checked before B
+    assert audit(outside, malformed) == (4, "", not_a)
+    assert audit(malformed, outside) == bad_line
+    # an empty membership file is a valid, empty subcomplex
+    code, out, err = audit(empty, whole)
+    assert (code, err) == (0, "") and out.endswith("law (exact): holds\n")
+
+
+def _fixture_generators(cells, data):
+    """Some of the cells, in any order, some twice: the lines of a membership file."""
+    return data.draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
+
+
+_FILE_NUMBERS = itertools.count()
+
+
+def _written_membership(directory, generators):
+    path = directory / f"sub{next(_FILE_NUMBERS)}.txt"  # one new file per call
+    path.write_text("".join(" ".join(map(str, s)) + " : 7\n" for s in generators),
+                    encoding="utf-8")
+    return path
+
+
+def _as_oracle(sub, K):
+    """(ordered cells, facet table) of a subcomplex, its cells K's own objects."""
+    own = {s: s for s in K.simplices()}
+    assert all(s is own[s] for s in sub.simplices())
+    assert all(f is own[f] for facets in sub.facet_table.values() for f in facets)
+    return sub.simplices(), sub.facet_table
+
+
+@functools.cache
+def _fixture_complexes():
+    return [make_fixture(index)[1].X for index in range(64)]
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_membership_and_intersection_match_the_oracles(tmp_path, data):
+    """On fixtures 0-63, a membership file closed inside X, and the
+    intersection of two such subcomplexes, have the cells, the cell order and
+    the facet table of the close-then-check and set-intersection oracles, made
+    of X's own cells; a simplex outside X is refused by both."""
+    for X in _fixture_complexes():
+        cells = list(X.simplices())
+        subs = []
+        for _ in range(2):
+            generators = _fixture_generators(cells, data)
+            sub = cli.load_membership(_written_membership(tmp_path, generators), X)
+            assert _as_oracle(sub, X) == close_then_check_membership(generators, X)
+            subs.append(sub)
+        assert _as_oracle(intersect(*subs), X) == set_intersection(*subs)
+        stray = Simplex(data.draw(st.sampled_from([(0, 9), (9,), (0, 1, 2, 3), (2, 5, 6)])))
+        if stray not in X:
+            generators = _fixture_generators(cells, data) + [stray]
+            with pytest.raises(NotSubcomplexError):
+                close_then_check_membership(generators, X)
+            with pytest.raises(NotSubcomplexError):
+                cli.load_membership(_written_membership(tmp_path, generators), X)
 
 
 def test_internal_fault_is_not_reported_as_input_error(data_dir, monkeypatch):
@@ -471,6 +582,25 @@ def test_json_reports_are_byte_stable(data_dir, tmp_path, capsys):
     assert report["version"]
     for entry in report["inputs"].values():
         assert len(entry["sha256"]) == 64
+
+
+_JSON_TEXT = st.text(st.characters(min_codepoint=0), max_size=6)  # control, astral, surrogate
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1]), st.integers(),
+    st.integers(10 ** 20, 10 ** 60).flatmap(lambda n: st.sampled_from([n, -n])), _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example([True, 1, False, 0, None, {"": {}, "b": [], "a": [[]]}, ()])
+@example({"é\u2028": "\x00\x1f\x7f\ud83d\ude00\U0001f600", "A": -10 ** 25, "B": (True,)})
+def test_report_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_value_inheritance_takes_the_minimum_over_cofaces(tmp_path):

@@ -6,14 +6,22 @@ parser is cached (a tracer's wrapper, a test double) is the one called, and
 an argparse exit (`--version`, a usage error, a bad `--field`) leaves the
 next command's output as a fresh interpreter gives it. A complex file whose
 values are all integers is loaded, and its `MorseFunction` and sublevel
-filtration built, without constructing one `Fraction`.
+filtration built, without constructing one `Fraction`. Loading a complex
+enumerates each cell's facets once, in one face closure that writes the facet
+table; membership files and intersections are taken from the main complex's
+table without the validating constructor; an audit reads each input file
+once, its report digests included; and the report is written without
+`json.dumps`.
 """
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from homaudit import cli
+from homaudit import cli, complexes
+from homaudit.complexes import SimplicialComplex, intersect
 from homaudit.morse import sublevel_filtration
 
 from test_cli import _run_python, _torus_audit_args
@@ -99,3 +107,77 @@ def test_a_parser_exit_leaves_the_next_command_as_fresh(exit_argv, fresh_run, tm
     code = cli.main(argv + ["--json", str(report)])
     assert (code, capsys.readouterr().out, report.read_bytes()) == want
     assert cli._parser() is parser
+
+
+def _refuse(monkeypatch, holder, name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    monkeypatch.setattr(holder, name, refused)
+
+
+def test_loading_a_complex_enumerates_each_cells_facets_once(monkeypatch, data_dir, tmp_path):
+    closures, real = [], complexes._face_closure
+
+    def counting(cells):
+        cells = list(cells)
+        closures.append(cells)
+        return real(cells)
+
+    monkeypatch.setattr(complexes, "_face_closure", counting)
+    _refuse(monkeypatch, complexes, "combinations")
+    _refuse(monkeypatch, SimplicialComplex, "__init__")
+    _refuse(monkeypatch, complexes.Simplex, "facets")
+    bare = tmp_path / "bare.txt"
+    bare.write_text("0 1 2\n1 2 3\n2 3\n", encoding="utf-8")
+    for path, lines in ((data_dir / "torus" / "complex.txt", 54), (bare, 3)):
+        closures.clear()
+        K, _ = cli.load_complex(path)
+        assert len(closures) == 1 and len(closures[0]) == lines
+        assert K.n_cells(0) > 0
+
+
+def test_membership_and_intersection_skip_the_validating_constructor(monkeypatch, data_dir):
+    torus = data_dir / "torus"
+    K, _ = cli.load_complex(torus / "complex.txt")
+    _refuse(monkeypatch, SimplicialComplex, "__init__")
+    _refuse(monkeypatch, complexes, "_face_closure")
+    A = cli.load_membership(torus / "subspace_a.txt", K)
+    B = cli.load_membership(torus / "subspace_b.txt", K)
+    assert len(intersect(A, B)) == len(A) + len(B) - len(K)
+
+
+def test_an_audit_with_a_report_reads_each_input_once(monkeypatch, data_dir, tmp_path, capsys):
+    opened, real = [], pathlib.Path.open
+
+    def recording(self, mode="r", *args, **kwargs):
+        opened.append((str(self), "r" in mode))
+        return real(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", recording)
+    report = tmp_path / "report.json"
+    argv = _torus_audit_args(data_dir, "persistent", "--u", "95", "--v", "100")
+    assert cli.main(argv + ["--json", str(report)]) == 0
+    reads = sorted(path for path, read in opened if read)
+    inputs = [argv[1], argv[3], argv[5]]
+    assert reads == sorted(inputs)
+    monkeypatch.undo()
+    written = json.loads(report.read_text(encoding="utf-8"))
+    assert [entry["path"] for entry in written["inputs"].values()] == inputs
+    capsys.readouterr()
+
+
+def test_a_report_is_written_without_json_dumps(monkeypatch, data_dir, tmp_path, capsys):
+    for name in ("dumps", "dump"):
+        _refuse(monkeypatch, json, name)
+    for name in ("encode", "iterencode"):
+        _refuse(monkeypatch, json.JSONEncoder, name)
+    reports = []
+    for i, argv in enumerate((["barcode", str(data_dir / "genus2" / "complex.txt")],
+                              _torus_audit_args(data_dir, "module"))):
+        reports.append(tmp_path / f"r{i}.json")
+        assert cli.main(argv + ["--json", str(reports[-1])]) == 0
+    monkeypatch.undo()
+    for path in reports:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    capsys.readouterr()

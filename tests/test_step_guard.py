@@ -37,9 +37,9 @@ def test_program_path_builds_no_step_complex(monkeypatch, tmp_path):
     reference = workloads.load_reference()
     randfix = workloads.load_randfix()
     built, built_inside = [], []
-    init = SimplicialComplex.__init__
+    order = SimplicialComplex._order  # every complex is ordered once, however it is built
 
-    def counting_init(self, simplices):
+    def counting_order(self, facets):
         built.append(1)
         frame = sys._getframe(1)
         while frame is not None:
@@ -47,9 +47,9 @@ def test_program_path_builds_no_step_complex(monkeypatch, tmp_path):
                 built_inside.append(frame.f_code.co_name)
                 break
             frame = frame.f_back
-        init(self, simplices)
+        order(self, facets)
 
-    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(SimplicialComplex, "_order", counting_order)
     monkeypatch.setattr(morse.Filtration, "steps", property(_no_steps))
     for name, argv, json_out in workloads.data_commands():
         outcome = workloads.run_cli(argv, tmp_path / "report.json" if json_out else None)

@@ -28,8 +28,9 @@ from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces)
 from .linalg import _small_prime
-from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError, _exact,
-                    _least_over_cofaces, _perfectness, critical_cells, sublevel_filtration)
+from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError, _critical,
+                    _exact, _exceptional, _inherited_values, _perfectness, critical_cells,
+                    sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -150,15 +151,15 @@ def load_complex(path: Path, strict_values: bool = False, digests: Optional[dict
         return K, None
     if len(explicit) == len(K):  # every cell valued: nothing to inherit
         return K, MorseFunction(K, explicit)
-    inherited = _least_over_cofaces(K, explicit)
-    for s in K.simplices():
-        if s in explicit:
-            continue
-        if strict_values:
-            raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
-        if s not in inherited:
-            raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
-    return K, MorseFunction(K, {**inherited, **explicit})
+    if strict_values:
+        s = next(s for s in K.simplices() if s not in explicit)
+        raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
+    values = dict(zip(K.simplices(), _inherited_values(K, explicit)))
+    if None in values.values():
+        s = next(s for s, v in values.items() if v is None)
+        raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
+    values.update(explicit)
+    return K, MorseFunction(K, values)
 
 
 def load_membership(path: Path, K: SimplicialComplex, digests: Optional[dict] = None
@@ -185,18 +186,21 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
     """Filtration for a command run.
 
     Explicit thresholds win; otherwise the critical values when f is a valid
-    Morse function, else all distinct values. Any --u/--v labels are spliced
-    in, so persistent groups between arbitrary sublevels stay addressable. A
-    file without values yields the one-step filtration of the full complex.
+    Morse function, else all distinct values; whether it is one is read off
+    the classification counts, so no violation is built. Any --u/--v labels
+    are spliced in, so persistent groups between arbitrary sublevels stay
+    addressable. A file without values yields the one-step filtration of the
+    full complex.
     """
     if f is None:
         if thresholds or extra_labels:
             raise InputContractError("thresholds given but the complex file carries no values")
         return Filtration([0], [K])
-    try:
-        base = set(thresholds) if thresholds is not None else {f(s) for s in critical_cells(K, f)}
-    except NotMorseError:
-        base = {v for _, v in f.items()}
+    if thresholds is not None:
+        base = set(thresholds)
+    else:
+        count = _exceptional(K, f)[2]
+        base = set(map(f, K if count.max(initial=0) > 1 else _critical(K, count)))
     base.update(extra_labels)
     return sublevel_filtration(K, f, base)
 

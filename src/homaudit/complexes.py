@@ -5,13 +5,18 @@ A complex fixes one deterministic total order on its simplices
 boundary matrices, absolute and relative to a subcomplex, are written in
 that order. Betti numbers come from the persistence column reduction of
 the one-step filtration, so those matrices are built for callers only.
+
+Each cell's facets are also held in a private integer index of the (cell,
+facet) incidences, as positions in `simplices()`, built on first use by one
+pass over `facet_table` and kept like it: the Morse layer's per-cell passes
+are array operations on it, not walks over simplex-keyed dicts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -77,19 +82,22 @@ def _blocks(cells: list) -> list[list]:
 _face = partial(tuple.__new__, Simplex)  # a face of a valid simplex is valid
 
 
-def _face_closure(cells: Iterable[Simplex]) -> dict:
+def _face_closure(cells: Iterable[Simplex], closed: bool = False) -> dict:
     """The facet table of the smallest complex containing the cells, one
     object per cell. Walking down one dimension at a time, each cell's facets
     are enumerated once, column by column (column i deletes vertex i), and a
-    facet not seen yet is built then."""
+    facet not seen yet is built then; for cells `closed` under faces, it is
+    only looked up, and a missing one raises KeyError."""
     levels = [dict(zip(block, block)) for block in _blocks(sorted(set(cells), key=len))]
     facets = {}
     for k in range(len(levels) - 1, 0, -1):
         above, below = list(levels[k]), levels[k - 1]
         vertex = [list(map(itemgetter(j), above)) for j in range(k + 1)]
-        columns = [list(zip(*vertex[:i], *vertex[i + 1:])) for i in range(k + 1)]
-        new = list(map(_face, set().union(*columns).difference(below)))
-        below.update(zip(new, new))
+        columns = [zip(*vertex[:i], *vertex[i + 1:]) for i in range(k + 1)]
+        if not closed:
+            columns = list(map(list, columns))
+            new = list(map(_face, set().union(*columns).difference(below)))
+            below.update(zip(new, new))
         facets.update(zip(above, zip(*(map(below.__getitem__, c) for c in columns))))
     facets.update(dict.fromkeys(levels[0] if levels else (), ()))
     return facets
@@ -99,14 +107,15 @@ class SimplicialComplex:
     """An immutable finite simplicial complex, closed under the face relation.
     `facet_table` (read-only): each cell's facets in vertex-deletion order, as its own simplices."""
 
-    __slots__ = ("_by_dim", "_cells", "_index", "_all", "facet_table")
+    __slots__ = ("_by_dim", "_cells", "_index", "_all", "facet_table", "_incidences")
 
     def __init__(self, simplices: Iterable[Simplex]):
         pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
-        facets = _face_closure(pool)
-        if len(facets) > len(pool):
-            s, f = next((s, f) for s in pool for f in facets[s] if f not in pool)
-            raise ValueError(f"not closed under faces: {s} present but {f} missing")
+        try:
+            facets = _face_closure(pool, closed=True)
+        except KeyError:
+            s, f = next((s, f) for s in pool for f in s.facets() if f not in pool)
+            raise ValueError(f"not closed under faces: {s} present but {f} missing") from None
         self._order(facets)
 
     @classmethod
@@ -124,8 +133,29 @@ class SimplicialComplex:
         for block in by_dim:
             index.update(zip(block, range(len(block))))
         for name, value in zip(self.__slots__,
-                               (by_dim, tuple(cells), index, frozenset(facets), facets)):
+                               (by_dim, tuple(cells), index, frozenset(facets), facets, None)):
             object.__setattr__(self, name, value)
+
+    def _facet_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The integer index of the (cell, facet) incidences: (cells, facets,
+        levels), each incidence's cell and facet as positions in `simplices()`,
+        cell by cell in that order and each cell's facets in vertex-deletion
+        order, and per dimension k >= 1 the views of both on the k-cells'
+        incidences. Built on first use by one pass over the facet table, then
+        kept like it."""
+        if self._incidences is None:
+            sizes = list(map(len, self._by_dim)) or [0]
+            starts, per = [0, *accumulate(sizes)], [n * (k + 1) for k, n in enumerate(sizes)]
+            facets = np.fromiter(map(self._index.__getitem__, chain.from_iterable(
+                map(self.facet_table.__getitem__, self._cells[sizes[0]:]))),
+                dtype=np.intp, count=sum(per[1:]))  # positions within the facet's dimension
+            facets += np.repeat(np.array(starts[:-2], dtype=np.intp), per[1:])
+            cells = np.repeat(np.arange(sizes[0], starts[-1]),
+                              np.repeat(np.arange(2, len(sizes) + 1), sizes[1:]))
+            bounds = [0, *accumulate(per[1:])]
+            levels = tuple((cells[a:b], facets[a:b]) for a, b in zip(bounds, bounds[1:]))
+            object.__setattr__(self, "_incidences", (cells, facets, levels))
+        return self._incidences
 
     def closure(self, generators: Iterable[Simplex]) -> "SimplicialComplex":
         """Smallest subcomplex containing the generators, made of this
@@ -231,7 +261,7 @@ def union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
 
 
 def is_subcomplex(A: SimplicialComplex, K: SimplicialComplex) -> bool:
-    return all(s in K for s in A.simplices())
+    return A._all <= K._all
 
 
 def relative_basis(X: SimplicialComplex, A: SimplicialComplex, k: int) -> tuple[Simplex, ...]:

@@ -1,13 +1,22 @@
 """Discrete Morse functions: validation, critical cells, sublevel complexes,
 filtrations, and the perfectness check.
 
-One pass over the facet incidences classifies every cell, giving the
-violations and the critical cells together. A filtration stores the step
-at which each cell enters, found from the lowest value on the cell's
-cofaces; its step complexes are built only on request. Both walks read the
-complex's facet table. Values and thresholds are exact: an integral one is
-held as an `int`, any other as a `Fraction`; sublevel membership is decided
-by exact comparison, never by floats.
+The per-cell passes run on the complex's integer index of its (cell, facet)
+incidences, as a few array operations per complex (the coface walk takes
+one per dimension). Each cell holds its rank among the function's sorted
+distinct values, so comparing ranks decides every incidence alike for
+`int`, `Fraction` and values of any size. An incidence of a facet n in a
+cell t is exceptional when rank(n) >= rank(t); each cell's count of
+exceptional incidences tells whether f is a discrete Morse function and
+which cells are critical, and a `MorseViolation` is built only for a
+violating cell, only when the violations are asked for. A filtration
+stores the step at which each cell enters: each cell's value is placed
+among the thresholds by bisection, and its entry step is the least over
+its cofaces, found by one walk down the index; its step complexes are built
+only on request. The same walk gives the values a complex file's faces
+inherit. Values and thresholds are exact: an integral one is held as an
+`int`, any other as a `Fraction`; sublevel membership is decided by exact
+comparison, never by floats.
 """
 
 from __future__ import annotations
@@ -16,7 +25,10 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_faces,
                         is_subcomplex)
@@ -69,7 +81,7 @@ class MorseFunction:
         if missing:
             raise ValueError(f"function not total: no value for {tuple(missing[0])} "
                              f"(+{len(missing) - 1} more)")
-        extra = [s for s in table if s not in complex]
+        extra = [s for s in table if s not in complex._all]
         if extra:
             raise ValueError(f"value given for a simplex outside the complex: {tuple(extra[0])}")
         object.__setattr__(self, "complex", complex)
@@ -104,27 +116,66 @@ class MorseFunction:
         return g
 
 
-def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple]:
-    """One pass over the incidences of a facet n in a cell t, exceptional when
-    f(n) >= f(t): the violations (cell by cell in K's order) and the critical
-    cells."""
-    value, facets, up, down = f._values, K.facet_table, {}, {}
-    for t in K.simplices():
-        for n in facets[t]:
-            if value[n] >= value[t]:
-                up.setdefault(n, []).append(t)
-                down.setdefault(t, []).append(n)
-    violations = []
-    for s in K.simplices():
-        ups, downs = tuple(up.get(s, ())), tuple(down.get(s, ()))
+def _ranks(cells: Sequence[Simplex], value: Mapping) -> tuple[list, np.ndarray]:
+    """The sorted distinct values of the cells, and each cell's rank among them
+    (their number for a cell with no value)."""
+    values = list(map(value.get, cells))
+    distinct = sorted(set(values).difference((None,)))
+    rank = dict(zip(distinct, range(len(distinct))))
+    rank[None] = len(distinct)
+    return distinct, np.fromiter(map(rank.__getitem__, values), dtype=np.intp,
+                                 count=len(values))
+
+
+def _least_over_cofaces(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
+    """x, one integer per cell of K in its order, lowered in place to each
+    cell's least over itself and its cofaces: the index walked down from
+    the top dimension, each dimension's cells lowering their facets."""
+    for cells, facets in reversed(K._facet_index()[2]):
+        np.minimum.at(x, facets, x[cells])
+    return x
+
+
+def _exceptional(K: SimplicialComplex, f: MorseFunction) -> tuple[np.ndarray, ...]:
+    """f's exceptional incidences on K, a facet n of a cell t with f(n) >=
+    f(t), as the positions of their cells and facets in the index's order,
+    and per cell the number it takes part in: 0 when critical, 2 or more
+    when violating."""
+    cells, facets, _ = K._facet_index()
+    rank = _ranks(K.simplices(), f._values)[1]
+    exceptional = rank[facets] >= rank[cells]
+    cells, facets = cells[exceptional], facets[exceptional]
+    return cells, facets, np.bincount(np.concatenate((cells, facets)), minlength=len(K))
+
+
+def _critical(K: SimplicialComplex, count: np.ndarray) -> tuple[Simplex, ...]:
+    return tuple(map(K.simplices().__getitem__, (count == 0).nonzero()[0].tolist()))
+
+
+def _violations(K: SimplicialComplex, cells: np.ndarray,
+                facets: np.ndarray) -> tuple[MorseViolation, ...]:
+    """A violation per offending cell and kind, cell by cell in K's order,
+    from the exceptional incidences: a cell's exceptional cofacets in K's
+    order, then its exceptional facets in vertex-deletion order."""
+    simplices, up, down, out = K.simplices(), {}, {}, []
+    for t, n in zip(cells.tolist(), facets.tolist()):
+        up.setdefault(n, []).append(simplices[t])
+        down.setdefault(t, []).append(simplices[n])
+    for i in sorted(up.keys() | down.keys()):
+        s, ups, downs = simplices[i], tuple(up.get(i, ())), tuple(down.get(i, ()))
         if len(ups) > 1:
-            violations.append(MorseViolation(s, "excess_cofacets", ups))
+            out.append(MorseViolation(s, "excess_cofacets", ups))
         if len(downs) > 1:
-            violations.append(MorseViolation(s, "excess_facets", downs))
+            out.append(MorseViolation(s, "excess_facets", downs))
         if len(ups) == 1 and len(downs) == 1:
-            violations.append(MorseViolation(s, "both_exceptional", ups + downs))
-    critical = tuple(s for s in K.simplices() if s not in up and s not in down)
-    return tuple(violations), critical
+            out.append(MorseViolation(s, "both_exceptional", ups + downs))
+    return tuple(out)
+
+
+def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple]:
+    """The violations (cell by cell in K's order) and the critical cells."""
+    cells, facets, count = _exceptional(K, f)
+    return _violations(K, cells, facets) if count.max(initial=0) > 1 else (), _critical(K, count)
 
 
 def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolation, ...]:
@@ -160,7 +211,8 @@ class UnknownLabelError(KeyError):
 
 
 class Filtration:
-    """Strictly increasing thresholds over one complex and each cell's entry step."""
+    """Strictly increasing thresholds over one complex and each cell's entry
+    step, the cells in the complex's order."""
 
     __slots__ = ("thresholds", "complex", "entry")
 
@@ -173,8 +225,11 @@ class Filtration:
         for earlier, later in zip(steps, steps[1:]):
             if not is_subcomplex(earlier, later):
                 raise ValueError("filtration steps are not nested")
-        # the earliest step wins, so the steps are read from the last one down
-        entry = {s: u for u in reversed(range(len(ts))) for s in steps[u].simplices()}
+        # the earliest step wins, so the steps are read from the last one down;
+        # the cells keep the complex's order, which a persistence build reads
+        entry = dict.fromkeys(steps[-1].simplices(), len(ts) - 1)
+        for u in reversed(range(len(ts) - 1)):
+            entry.update(dict.fromkeys(steps[u].simplices(), u))
         for name, value in zip(self.__slots__, (ts, steps[-1], entry)):
             object.__setattr__(self, name, value)
 
@@ -227,21 +282,18 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    entry = _least_over_cofaces(K, {s: bisect_left(ts, f._values[s]) for s in K.simplices()})
+    cells = K.simplices()
+    step = np.fromiter(map(partial(bisect_left, ts), map(f._values.__getitem__, cells)),
+                       dtype=np.intp, count=len(cells))
+    entry = dict(zip(cells, _least_over_cofaces(K, step).tolist()))
     return Filtration._of(tuple(ts), K, entry)
 
 
-def _least_over_cofaces(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> dict:
-    """Each cell's least value over itself and its valued cofaces, walked down
-    the facet table from the top dimension (cells with none are left out)."""
-    least, facets = dict(value), K.facet_table
-    for s in reversed(K.simplices()):
-        x = least.get(s)
-        if x is not None:
-            for n in facets[s]:
-                if n not in least or x < least[n]:
-                    least[n] = x
-    return least
+def _inherited_values(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> list:
+    """Each cell's least value over itself and its valued cofaces, in K's
+    order (None for a cell with none), by the walk that gives entry steps."""
+    distinct, rank = _ranks(K.simplices(), value)
+    return list(map((distinct + [None]).__getitem__, _least_over_cofaces(K, rank).tolist()))
 
 
 def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,

@@ -1,8 +1,10 @@
 """Persistent homology of a filtration, from one column reduction per space.
 
 The cells of a space are ordered by the step at which they enter, then by
-dimension, then by simplex, and the boundary matrix in that order is
-reduced once on sparse columns over F_p (Zomorodian-Carlsson 2005). A pivot
+dimension, then by simplex, with one stable sort of the entry steps over the
+complex's own order. The boundary matrix in that order, built with one
+lookup per facet, is reduced once on sparse columns over F_p
+(Zomorodian-Carlsson 2005). A pivot
 pair (sigma, tau) is the bar [step of sigma, step of tau); an unpaired cycle
 cell is an essential bar. The reduced column R_tau, a cycle whose last cell
 is sigma, represents its bar at every step the bar is alive, and V_sigma an
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import not_
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -108,16 +112,20 @@ class PersistenceResult:
         self.n_steps = len(filtration)
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
-        blocks: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
-        for s, u in filtration.entry.items():
-            if s.dim <= top and s not in A:
-                blocks[s.dim].append((u, s))
-        for block in blocks:
-            block.sort()
+        K, in_a = filtration.complex, A._all.__contains__
+        cells, steps = K.simplices(), list(filtration.entry.values())  # both in K's order
+        self._cells, self._entry, a = [], [], 0
+        for k in range(top + 1):
+            # a stable sort of the entry steps over K's order, lexicographic within
+            # degree k, puts the k-cells not in A in filtration order
+            block = K._by_dim[k] if k < len(K._by_dim) else ()
+            order = sorted(compress(range(a, a + len(block)), map(not_, map(in_a, block))),
+                           key=steps.__getitem__)
+            a += len(block)
+            self._cells.append(tuple(map(cells.__getitem__, order)))
+            self._entry.append(np.array(list(map(steps.__getitem__, order)), dtype=np.int64))
         # degree k: cells in filtration order, their entry steps, their positions
-        self._cells = [tuple(s for _, s in block) for block in blocks]
-        self._entry = [np.array([u for u, _ in block], dtype=np.int64) for block in blocks]
-        self._index = [{s: i for i, s in enumerate(cells)} for cells in self._cells]
+        self._index = [dict(zip(c, range(len(c)))) for c in self._cells]
         self._reduce_filtration()
 
     def _reduce_filtration(self) -> None:
@@ -128,15 +136,18 @@ class PersistenceResult:
         their cycle columns and their birth and death steps (n_steps if none).
         A facet in A has no row: it is zero in C(X)/C(A)."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
-        table = self.filtration.complex.facet_table
+        facets, relative = self.filtration.complex.facet_table.__getitem__, bool(self._A._all)
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
         above: list[Optional[dict]] = []
         self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
         for k in range(top, -1, -1):
             # facet i of s: vertex i deleted, sign (-1)^i
             row, signs = self._index[k - 1], [(-1) ** i % p for i in range(k + 1)]
-            columns = [{row[f]: x for f, x in zip(table[s], signs) if f in row}
-                       for s in self._cells[k]]
+            rows = row.get  # one lookup per facet: a facet in A has no row, so None
+            columns = [dict(zip(map(rows, f), signs)) for f in map(facets, self._cells[k])]
+            if relative:
+                for column in columns:
+                    column.pop(None, None)
             reduced, sources, pivot_of = _reduce(columns, p, set(paired))
             if k < top:
                 lows, cycles, deaths = [], [], []

@@ -238,7 +238,7 @@ class MayerVietorisSystem(_System):
     def __init__(self, X: SimplicialComplex, A: SimplicialComplex, B: SimplicialComplex,
                  filtration: Filtration, modulus: int):
         super().__init__(X, (A, B), filtration, modulus)
-        if not all(s in A or s in B for s in X.simplices()):
+        if not X._all <= A._all | B._all:
             raise NotCoveringError("A ∪ B does not cover X")
         self.A, self.B = A, B
         self.RX = compute_persistence(filtration, self.modulus, self.top_degree)

@@ -10,7 +10,14 @@ step boundary matrices built from the simplices' own faces, the three
 separate Morse scans (`naive_classify`) that one classification pass
 replaced, that pass and the entry-step filtration on `Fraction` values and
 rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
-`int` values and the facet table replaced, a file's values inherited by
+`int` values and the facet table replaced, the classification pass and the
+least-over-cofaces walk on simplex-keyed dicts (`dict_classify`,
+`dict_least_over_cofaces`, and the file values it gave,
+`dict_inherited_values`), which ranks compared over the complex's integer
+index of its incidences replaced, the (step, simplex) pair sort of a
+persistence build (`pair_sorted_cells`), which one stable sort of the
+entry steps replaced, the validating constructor as it closed its cells
+before comparing sizes (`closure_then_compare`), a file's values inherited by
 every face of each valued simplex (`faces_inherited_values`), the walk
 that one coface walk replaced, every value text parsed as a `Fraction`
 (`fraction_rational`), the path integral text now skips, the vertex
@@ -57,8 +64,8 @@ import numpy as np
 
 from homaudit import linalg, sequences
 from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomplexError,
-                                Simplex, SimplicialComplex, boundary_matrix, intersect,
-                                relative_basis, relative_boundary_matrix)
+                                Simplex, SimplicialComplex, boundary_matrix, close_under_faces,
+                                intersect, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import Filtration, MorseViolation
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, barcode,
@@ -298,6 +305,88 @@ def faces_inherited_values(K, explicit, strict=False):
         else:
             raise ValueError(f"no value given or inheritable for {tuple(s)}")
     return values
+
+
+def dict_classify(K, f):
+    """(violations, critical cells) by the one classification pass over
+    simplex-keyed dicts that the integer index replaced: every incidence of
+    the facet table compared on f's values, the exceptional ones collected
+    per cell in dicts."""
+    value, facets, up, down = f._values, K.facet_table, {}, {}
+    for t in K.simplices():
+        for n in facets[t]:
+            if value[n] >= value[t]:
+                up.setdefault(n, []).append(t)
+                down.setdefault(t, []).append(n)
+    violations = []
+    for s in K.simplices():
+        ups, downs = tuple(up.get(s, ())), tuple(down.get(s, ()))
+        if len(ups) > 1:
+            violations.append(MorseViolation(s, "excess_cofacets", ups))
+        if len(downs) > 1:
+            violations.append(MorseViolation(s, "excess_facets", downs))
+        if len(ups) == 1 and len(downs) == 1:
+            violations.append(MorseViolation(s, "both_exceptional", ups + downs))
+    critical = tuple(s for s in K.simplices() if s not in up and s not in down)
+    return tuple(violations), critical
+
+
+def dict_least_over_cofaces(K, value):
+    """Each cell's least value over itself and its valued cofaces, walked down
+    the facet table from the top dimension over a simplex-keyed dict (cells
+    with none are left out): the walk that one pass over the integer index
+    replaced."""
+    least, facets = dict(value), K.facet_table
+    for s in reversed(K.simplices()):
+        x = least.get(s)
+        if x is not None:
+            for n in facets[s]:
+                if n not in least or x < least[n]:
+                    least[n] = x
+    return least
+
+
+def dict_inherited_values(K, explicit, strict=False):
+    """A complex file's values as the dict walk gave them: a cell with no
+    explicit value inherits the least over its valued cofaces, and the first
+    cell of K with no value given (strict mode) or none inheritable is named
+    as a `ValueError`."""
+    least = dict_least_over_cofaces(K, explicit)
+    for s in K.simplices():
+        if s in explicit:
+            continue
+        if strict:
+            raise ValueError(f"strict mode: no explicit value for {tuple(s)}")
+        if s not in least:
+            raise ValueError(f"no value given or inheritable for {tuple(s)}")
+    return {s: explicit.get(s, least[s]) for s in K.simplices()}
+
+
+def pair_sorted_cells(filtration, A, top):
+    """Per degree 0..top, the cells of the filtered complex not in A and their
+    entry steps in filtration order, by sorting (step, simplex) pairs: the
+    sort that one stable sort of the entry steps over the complex's order
+    replaced."""
+    blocks = [[] for _ in range(top + 1)]
+    for s, u in filtration.entry.items():
+        if s.dim <= top and s not in A:
+            blocks[s.dim].append((u, s))
+    for block in blocks:
+        block.sort()
+    return ([tuple(s for _, s in block) for block in blocks],
+            [[u for u, _ in block] for block in blocks])
+
+
+def closure_then_compare(simplices):
+    """The validating constructor as it closed the given simplices first and
+    compared sizes after: the complex, or the `ValueError` naming the first
+    cell of the pool with a missing facet, and that facet."""
+    pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
+    closed = close_under_faces(pool)
+    if len(closed) > len(pool):
+        s, f = next((s, f) for s in pool for f in closed.facet_table[s] if f not in pool)
+        raise ValueError(f"not closed under faces: {s} present but {f} missing")
+    return closed
 
 
 def fraction_rational(text):

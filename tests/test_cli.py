@@ -22,8 +22,8 @@ from homaudit.morse import filtration_from_morse
 from homaudit.persistence import NotACycleError, PersistenceResult
 from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
 
-from naive import (close_then_check_membership, faces_inherited_values, fault_sites,
-                   fraction_rational, set_intersection, with_entry)
+from naive import (close_then_check_membership, dict_inherited_values, faces_inherited_values,
+                   fault_sites, fraction_rational, set_intersection, with_entry)
 from randfix import make_fixture, random_complex
 
 TORUS_ARGS = None  # filled per-test from data_dir
@@ -766,7 +766,7 @@ def test_file_values_match_inheritance_by_faces(seed, strict, data):
     """Values on some cells of a random complex, the maximal cells listed
     bare otherwise: `load_complex` gives every cell the value, or names in
     its error the cell, that inheritance by each valued simplex's faces
-    gives."""
+    gives, and that the dict walk down the facet table gives."""
     K = random_complex(random.Random(seed))
     valued = data.draw(st.lists(st.booleans(), min_size=len(K), max_size=len(K)))
     assume(any(valued))
@@ -779,6 +779,11 @@ def test_file_values_match_inheritance_by_faces(seed, strict, data):
         want = faces_inherited_values(K, explicit, strict)
     except ValueError as exc:
         want = str(exc)
+    try:
+        walked = dict_inherited_values(K, explicit, strict)
+    except ValueError as exc:
+        walked = str(exc)
+    assert walked == want
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "partial.txt"
         path.write_text("\n".join(data.draw(st.permutations(lines))), encoding="utf-8")

@@ -11,7 +11,10 @@ enumerates each cell's facets once, in one face closure that writes the facet
 table; membership files and intersections are taken from the main complex's
 table without the validating constructor; an audit reads each input file
 once, its report digests included; and the report is written without
-`json.dumps`.
+`json.dumps`. An audit builds the main complex's integer index of its
+incidences once, and no other complex's; no persistence build compares two
+simplices, so none sorts (step, simplex) pairs; and a command on a file
+whose function is not Morse builds no `MorseViolation` unless it lists them.
 """
 
 import json
@@ -20,9 +23,10 @@ from fractions import Fraction
 
 import pytest
 
-from homaudit import cli, complexes
-from homaudit.complexes import SimplicialComplex, intersect
+from homaudit import cli, complexes, morse
+from homaudit.complexes import Simplex, SimplicialComplex, intersect
 from homaudit.morse import sublevel_filtration
+from homaudit.persistence import PersistenceResult
 
 from test_cli import _run_python, _torus_audit_args
 
@@ -181,3 +185,112 @@ def test_a_report_is_written_without_json_dumps(monkeypatch, data_dir, tmp_path,
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     capsys.readouterr()
+
+
+def test_an_audit_builds_the_main_complexs_index_once(monkeypatch, data_dir, capsys):
+    """Classification and entry steps read one index, the main complex's,
+    built at its first use; no other complex (A, B, A∩B) builds one."""
+    loaded, built, used = [], [], []
+    real_load, real_index = cli.load_complex, SimplicialComplex._facet_index
+
+    def load(*args, **kwargs):
+        loaded.append(real_load(*args, **kwargs))
+        return loaded[-1]
+
+    def index(K):
+        (built if K._incidences is None else used).append(K)
+        return real_index(K)
+
+    monkeypatch.setattr(cli, "load_complex", load)
+    monkeypatch.setattr(SimplicialComplex, "_facet_index", index)
+    for level in ("module", "persistent"):
+        for seen in (loaded, built, used):
+            seen.clear()
+        extra = ["--u", "95", "--v", "100"] if level == "persistent" else []
+        assert cli.main(_torus_audit_args(data_dir, level, *extra)) == 0
+        K = loaded[0][0]
+        assert [id(L) for L in built] == [id(K)]
+        assert all(L is K for L in used) and used  # the classification's, then the steps'
+    capsys.readouterr()
+
+
+def test_no_persistence_build_compares_two_simplices(monkeypatch, data_dir, capsys):
+    inside, real = [], PersistenceResult.__init__
+
+    def less(a, b):
+        if inside:
+            raise AssertionError(f"a persistence build compared {a} with {b}")
+        return tuple.__lt__(a, b)
+
+    def build(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            real(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Simplex, "__lt__", less, raising=False)
+    monkeypatch.setattr(PersistenceResult, "__init__", build)
+    for argv in (["barcode", str(data_dir / "genus2" / "complex.txt")],
+                 _torus_audit_args(data_dir, "module"),
+                 ["pair-audit", str(data_dir / "genus2" / "complex.txt"), "--subspace-a",
+                  str(data_dir / "genus2" / "subspace_a.txt"), "--level", "module"]):
+        assert cli.main(argv) in (0, 1)
+    assert Simplex((0, 2)) < Simplex((1,))  # the patch compares as tuples outside a build
+    capsys.readouterr()
+
+
+NON_MORSE = """\
+0 : 2
+1 : 0
+2 : 0
+3 : 1
+0 1 : 2
+0 2 : 1
+1 2 : 1
+0 1 2 : 2
+1 3 : 0
+2 3 : 0
+1 2 3 : 0
+"""
+
+NON_MORSE_AUDIT = """\
+mayer-vietoris sequence audit, level graded-module, field F_2
+  k=3 X      dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=2 A∩B    dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=2 A⊕B    dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=2 X      dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=1 A∩B    dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=1 A⊕B    dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=1 X      dim=0 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=0 A∩B    dim=3 im=0 ker=0 defect=0 order2=yes exact=yes
+  k=0 A⊕B    dim=6 im=3 ker=3 defect=0 order2=yes exact=yes
+  k=0 X      dim=3 im=3 ker=3 defect=0 order2=yes exact=yes
+law (exact): holds
+"""
+
+
+def test_a_non_morse_file_builds_no_violation_unless_listed(monkeypatch, tmp_path, capsys):
+    """barcode and mv-audit fall back to every distinct value, as before, with
+    no `MorseViolation` built; morse-check still lists all six."""
+    paths = {}
+    for name, text in (("c", NON_MORSE), ("a", "0 1 2\n"), ("b", "1 2 3\n")):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    made, real = [], morse.MorseViolation.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(morse.MorseViolation, "__init__", counting)
+    report = tmp_path / "report.json"
+    assert cli.main(["barcode", str(paths["c"]), "--json", str(report)]) == 0
+    assert capsys.readouterr().out == "degree 0: [0, inf)\ndegree 1:\ndegree 2:\n"
+    assert json.loads(report.read_text(encoding="utf-8"))["thresholds"] == ["0", "1", "2"]
+    assert cli.main(["mv-audit", str(paths["c"]), "--subspace-a", str(paths["a"]),
+                     "--subspace-b", str(paths["b"]), "--level", "module"]) == 0
+    assert capsys.readouterr().out == NON_MORSE_AUDIT
+    assert made == []
+    assert cli.main(["morse-check", str(paths["c"])]) == 3
+    assert len(made) == 6 and capsys.readouterr().out.count(" at (") == 6

@@ -1,7 +1,8 @@
 """Discrete Morse functions: validation, critical cells, sublevel complexes,
 filtrations, and the perfectness check.
 
-The per-cell passes run on the complex's integer index of its (cell, facet)
+A function holds its values in K's order, so the per-cell passes hash no
+cell: they run on the complex's integer index of its (cell, facet)
 incidences, as a few array operations per complex (the coface walk takes
 one per dimension). Each cell holds its rank among the function's sorted
 distinct values, so comparing ranks decides every incidence alike for
@@ -72,20 +73,22 @@ class MorseViolation:
 class MorseFunction:
     """A total assignment of rational values to the cells of one complex."""
 
-    __slots__ = ("complex", "_values")
+    __slots__ = ("complex", "_values", "_ordered")
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, Rational]):
         table = {s if isinstance(s, Simplex) else Simplex(s): _exact(v)
                  for s, v in values.items()}
-        missing = [s for s in complex.simplices() if s not in table]
-        if missing:
+        try:
+            ordered = list(map(table.__getitem__, complex.simplices()))  # the values in K's order
+        except KeyError:
+            missing = [s for s in complex.simplices() if s not in table]
             raise ValueError(f"function not total: no value for {tuple(missing[0])} "
-                             f"(+{len(missing) - 1} more)")
-        extra = [s for s in table if s not in complex._all]
-        if extra:
+                             f"(+{len(missing) - 1} more)") from None
+        if len(table) > len(ordered):  # every cell has a value, so some simplex is not a cell
+            extra = [s for s in table if s not in complex._all]
             raise ValueError(f"value given for a simplex outside the complex: {tuple(extra[0])}")
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "_values", table)
+        for name, value in zip(self.__slots__, (complex, table, ordered)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MorseFunction is immutable")
@@ -94,11 +97,11 @@ class MorseFunction:
         return self._values[s]
 
     def items(self):
-        return [(s, self._values[s]) for s in self.complex.simplices()]
+        return list(zip(self.complex.simplices(), self._ordered))
 
     @property
     def max_value(self) -> Fraction | int:
-        return max(self._values.values())
+        return max(self._ordered)
 
     def restrict(self, sub: SimplicialComplex) -> "MorseFunction":
         """Value restriction to a subcomplex.
@@ -116,10 +119,14 @@ class MorseFunction:
         return g
 
 
-def _ranks(cells: Sequence[Simplex], value: Mapping) -> tuple[list, np.ndarray]:
-    """The sorted distinct values of the cells, and each cell's rank among them
-    (their number for a cell with no value)."""
-    values = list(map(value.get, cells))
+def _in_order(K: SimplicialComplex, f: MorseFunction) -> list:
+    """f's values in K's order, its own list when K is f's complex (None for a cell with none)."""
+    return f._ordered if K is f.complex else list(map(f._values.get, K.simplices()))
+
+
+def _ranks(values: Sequence) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, one per cell in K's order, and each cell's
+    rank among them (their number for a cell with no value, None)."""
     distinct = sorted(set(values).difference((None,)))
     rank = dict(zip(distinct, range(len(distinct))))
     rank[None] = len(distinct)
@@ -142,7 +149,7 @@ def _exceptional(K: SimplicialComplex, f: MorseFunction) -> tuple[np.ndarray, ..
     and per cell the number it takes part in: 0 when critical, 2 or more
     when violating."""
     cells, facets, _ = K._facet_index()
-    rank = _ranks(K.simplices(), f._values)[1]
+    rank = _ranks(_in_order(K, f))[1]
     exceptional = rank[facets] >= rank[cells]
     cells, facets = cells[exceptional], facets[exceptional]
     return cells, facets, np.bincount(np.concatenate((cells, facets)), minlength=len(K))
@@ -283,8 +290,8 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
     cells = K.simplices()
-    step = np.fromiter(map(partial(bisect_left, ts), map(f._values.__getitem__, cells)),
-                       dtype=np.intp, count=len(cells))
+    step = np.fromiter(map(partial(bisect_left, ts), _in_order(K, f)), dtype=np.intp,
+                       count=len(cells))
     entry = dict(zip(cells, _least_over_cofaces(K, step).tolist()))
     return Filtration._of(tuple(ts), K, entry)
 
@@ -292,7 +299,7 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
 def _inherited_values(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> list:
     """Each cell's least value over itself and its valued cofaces, in K's
     order (None for a cell with none), by the walk that gives entry steps."""
-    distinct, rank = _ranks(K.simplices(), value)
+    distinct, rank = _ranks(list(map(value.get, K.simplices())))
     return list(map((distinct + [None]).__getitem__, _least_over_cofaces(K, rank).tolist()))
 
 
@@ -303,9 +310,11 @@ def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,
     Either way a final max-f step is appended when needed, so the last step
     equals K. Steps that repeat between consecutive thresholds are retained.
     """
-    crit = critical_cells(K, f)  # validates f
-    if thresholds is None:
-        thresholds = {f(s) for s in crit}
+    cells, facets, count = _exceptional(K, f)  # validates f
+    if count.max(initial=0) > 1:
+        raise NotMorseError(_violations(K, cells, facets))
+    if thresholds is None:  # the critical cells' values, read in K's order
+        thresholds = set(map(_in_order(K, f).__getitem__, (count == 0).nonzero()[0].tolist()))
     return sublevel_filtration(K, f, thresholds)
 
 

@@ -4,7 +4,9 @@ The cells of a space are ordered by the step at which they enter, then by
 dimension, then by simplex, with one stable sort of the entry steps over the
 complex's own order. The boundary matrix in that order, built with one
 lookup per facet, is reduced once on sparse columns over F_p
-(Zomorodian-Carlsson 2005). A pivot
+(Zomorodian-Carlsson 2005), top down: a low of the degree above is cleared
+(Chen-Kerber 2011) and gets no column, the reduction mutates the fresh
+columns it is given, and only a low that is not 1 is inverted. A pivot
 pair (sigma, tau) is the bar [step of sigma, step of tau); an unpaired cycle
 cell is an essential bar. The reduced column R_tau, a cycle whose last cell
 is sigma, represents its bar at every step the bar is alive, and V_sigma an
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import not_
+from itertools import filterfalse
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,27 +57,29 @@ def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
             target.pop(i, None)
 
 
-def _reduce(columns: Sequence[dict], p: int, cleared: set[int]) -> tuple[list, list, dict]:
+def _reduce(columns: Sequence[dict | None], p: int, cleared: set[int]) -> tuple[list, list, dict]:
     """Left-to-right column reduction of one degree's boundary columns.
 
     Returns the reduced columns R, the columns V with R_j = sum_i V_j[i] d_i,
     and the pivot of every nonzero R_j as {low row: j}. Each nonzero R_j is
-    scaled so that its low entry is 1. Columns in `cleared` are lows of the
-    degree above, so they would reduce to zero; they are skipped.
+    scaled so that its low entry is 1; only a low that is not 1 is inverted.
+    Columns in `cleared` are lows of the degree above, so they would reduce
+    to zero; they are skipped, and a caller may pass None for them. The
+    columns are reduced in place, so callers pass fresh ones.
     """
     reduced: list[Optional[dict]] = [None] * len(columns)
     sources: list[Optional[dict]] = [None] * len(columns)
     pivot_of: dict[int, int] = {}
-    for j, column in enumerate(columns):
+    for j, r in enumerate(columns):
         if j in cleared:
             continue
-        r, v = dict(column), {j: 1}
+        v = {j: 1}
         while r:
             low = max(r)
             i = pivot_of.get(low)
             if i is None:
-                inv = pow(r[low], -1, p)
-                if inv != 1:
+                if r[low] != 1:
+                    inv = pow(r[low], -1, p)
                     r = {row: x * inv % p for row, x in r.items()}
                     v = {row: x * inv % p for row, x in v.items()}
                 pivot_of[low] = j
@@ -112,17 +115,15 @@ class PersistenceResult:
         self.n_steps = len(filtration)
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
-        K, in_a = filtration.complex, A._all.__contains__
-        cells, steps = K.simplices(), list(filtration.entry.values())  # both in K's order
+        K, steps = filtration.complex, list(filtration.entry.values())  # steps in K's order
         self._cells, self._entry, a = [], [], 0
         for k in range(top + 1):
             # a stable sort of the entry steps over K's order, lexicographic within
-            # degree k, puts the k-cells not in A in filtration order
-            block = K._by_dim[k] if k < len(K._by_dim) else ()
-            order = sorted(compress(range(a, a + len(block)), map(not_, map(in_a, block))),
-                           key=steps.__getitem__)
-            a += len(block)
-            self._cells.append(tuple(map(cells.__getitem__, order)))
+            # degree k, puts the k-cells not in A in filtration order; A's cells by position
+            n, drop = K.n_cells(k), {a + i for i in map(K._index.__getitem__, A.simplices(k))}
+            order = sorted(filterfalse(drop.__contains__, range(a, a + n)), key=steps.__getitem__)
+            a += n
+            self._cells.append(tuple(map(K.simplices().__getitem__, order)))
             self._entry.append(np.array(list(map(steps.__getitem__, order)), dtype=np.int64))
         # degree k: cells in filtration order, their entry steps, their positions
         self._index = [dict(zip(c, range(len(c)))) for c in self._cells]
@@ -141,14 +142,16 @@ class PersistenceResult:
         above: list[Optional[dict]] = []
         self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
         for k in range(top, -1, -1):
-            # facet i of s: vertex i deleted, sign (-1)^i
-            row, signs = self._index[k - 1], [(-1) ** i % p for i in range(k + 1)]
-            rows = row.get  # one lookup per facet: a facet in A has no row, so None
-            columns = [dict(zip(map(rows, f), signs)) for f in map(facets, self._cells[k])]
+            # facet i of s: vertex i deleted, sign (-1)^i, looked up once: a facet in A
+            # has no row (None), and a vertex has no facets; a cleared cell gets no column
+            rows, cleared = (self._index[k - 1] if k else {}).get, set(paired)
+            signs = [(-1) ** i % p for i in range(k + 1)]
+            columns = [None if j in cleared else dict(zip(map(rows, facets(s)), signs))
+                       for j, s in enumerate(self._cells[k])]
             if relative:
-                for column in columns:
+                for column in filter(None, columns):
                     column.pop(None, None)
-            reduced, sources, pivot_of = _reduce(columns, p, set(paired))
+            reduced, sources, pivot_of = _reduce(columns, p, cleared)
             if k < top:
                 lows, cycles, deaths = [], [], []
                 for j, r in enumerate(reduced):

@@ -88,15 +88,14 @@ def test_the_index_is_built_on_first_use_and_kept():
 
 
 def test_ranks_compare_big_integers_and_fractions_exactly():
-    cells = close_under_faces([(0, 1, 2)]).simplices()
     values = [BIG, Fraction(2 * BIG + 1, 2), -BIG - 1, Fraction(-1, 3), BIG + 1, 0, BIG]
-    distinct, rank = _ranks(cells, dict(zip(cells, values)))
+    distinct, rank = _ranks(values)  # one value per cell of a triangle, in its order
     assert distinct == sorted(set(values))
     assert [distinct[r] for r in rank.tolist()] == values
     for a, x in zip(rank.tolist(), values):
         for b, y in zip(rank.tolist(), values):
             assert (a < b) == (x < y) and (a == b) == (x == y)
-    distinct, rank = _ranks(cells, {cells[1]: Fraction(1, 2)})  # unvalued cells rank last
+    distinct, rank = _ranks([None, Fraction(1, 2)] + [None] * 5)  # unvalued cells rank last
     assert distinct == [Fraction(1, 2)] and rank.tolist() == [1, 0, 1, 1, 1, 1, 1]
 
 

@@ -4,8 +4,7 @@ exactness audits for Mayer-Vietoris and relative-pair long sequences."""
 __version__ = "0.1.0"
 
 from .complexes import (SimplicialComplex, Simplex, betti_numbers, boundary_matrix,
-                        close_under_faces, intersect, is_subcomplex, relative_boundary_matrix,
-                        union)
+                        close_under_faces, intersect, is_subcomplex, relative_boundary_matrix)
 from .linalg import Subspace
 from .morse import (Filtration, MorseFunction, critical_cells, filtration_from_morse,
                     is_perfect, sublevel, sublevel_filtration, validate_morse)

@@ -28,8 +28,8 @@ from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
                         Simplex, betti_numbers, close_under_faces)
 from .linalg import _small_prime
-from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError, _critical,
-                    _exact, _exceptional, _inherited_values, _perfectness, critical_cells,
+from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
+                    _critical_values, _exact, _inherited_values, _perfectness, critical_cells,
                     sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
@@ -186,21 +186,18 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
     """Filtration for a command run.
 
     Explicit thresholds win; otherwise the critical values when f is a valid
-    Morse function, else all distinct values; whether it is one is read off
-    the classification counts, so no violation is built. Any --u/--v labels
-    are spliced in, so persistent groups between arbitrary sublevels stay
-    addressable. A file without values yields the one-step filtration of the
-    full complex.
+    Morse function, else all distinct values (`_critical_values` tells which
+    and builds no violation). Any --u/--v labels are spliced in, so
+    persistent groups between arbitrary sublevels stay addressable. A file
+    without values yields the one-step filtration of the full complex.
     """
     if f is None:
         if thresholds or extra_labels:
             raise InputContractError("thresholds given but the complex file carries no values")
         return Filtration([0], [K])
-    if thresholds is not None:
-        base = set(thresholds)
-    else:
-        count = _exceptional(K, f)[2]
-        base = set(map(f, K if count.max(initial=0) > 1 else _critical(K, count)))
+    base = set(thresholds) if thresholds is not None else _critical_values(K, f)
+    if base is None:  # f is not Morse
+        base = set(map(f, K))
     base.update(extra_labels)
     return sublevel_filtration(K, f, base)
 

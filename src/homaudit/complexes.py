@@ -6,10 +6,11 @@ boundary matrices, absolute and relative to a subcomplex, are written in
 that order. Betti numbers come from the persistence column reduction of
 the one-step filtration, so those matrices are built for callers only.
 
-Each cell's facets are also held in a private integer index of the (cell,
-facet) incidences, as positions in `simplices()`, built on first use by one
-pass over `facet_table` and kept like it: the Morse layer's per-cell passes
-are array operations on it, not walks over simplex-keyed dicts.
+A complex holds one cell set, the keys of its facet table, and one
+numbering, each cell's position in `simplices()`. A private integer index
+of the (cell, facet) incidences in that numbering is built on first use by
+one pass over `facet_table` and kept like it: the Morse layer's per-cell
+passes are array operations on it, not walks over simplex-keyed dicts.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class Simplex(tuple):
         # a face of a valid simplex is valid, so it skips the validation in __new__
         return [tuple.__new__(Simplex, self[:i] + self[i + 1:]) for i in range(len(self))]
 
-    def boundary(self) -> list[tuple[int, "Simplex"]]:
-        """(sign, facet) pairs; deleting the vertex at position i carries sign (-1)^i."""
-        return [((-1) ** i, f) for i, f in enumerate(self.facets())]
-
     def faces(self) -> list["Simplex"]:
         """All proper faces, every dimension."""
         out = []
@@ -82,22 +79,19 @@ def _blocks(cells: list) -> list[list]:
 _face = partial(tuple.__new__, Simplex)  # a face of a valid simplex is valid
 
 
-def _face_closure(cells: Iterable[Simplex], closed: bool = False) -> dict:
+def _face_closure(cells: Iterable[Simplex]) -> dict:
     """The facet table of the smallest complex containing the cells, one
     object per cell. Walking down one dimension at a time, each cell's facets
     are enumerated once, column by column (column i deletes vertex i), and a
-    facet not seen yet is built then; for cells `closed` under faces, it is
-    only looked up, and a missing one raises KeyError."""
+    facet not seen yet is built then."""
     levels = [dict(zip(block, block)) for block in _blocks(sorted(set(cells), key=len))]
     facets = {}
     for k in range(len(levels) - 1, 0, -1):
         above, below = list(levels[k]), levels[k - 1]
         vertex = [list(map(itemgetter(j), above)) for j in range(k + 1)]
-        columns = [zip(*vertex[:i], *vertex[i + 1:]) for i in range(k + 1)]
-        if not closed:
-            columns = list(map(list, columns))
-            new = list(map(_face, set().union(*columns).difference(below)))
-            below.update(zip(new, new))
+        columns = [list(zip(*vertex[:i], *vertex[i + 1:])) for i in range(k + 1)]
+        new = list(map(_face, set().union(*columns).difference(below)))
+        below.update(zip(new, new))
         facets.update(zip(above, zip(*(map(below.__getitem__, c) for c in columns))))
     facets.update(dict.fromkeys(levels[0] if levels else (), ()))
     return facets
@@ -107,15 +101,14 @@ class SimplicialComplex:
     """An immutable finite simplicial complex, closed under the face relation.
     `facet_table` (read-only): each cell's facets in vertex-deletion order, as its own simplices."""
 
-    __slots__ = ("_by_dim", "_cells", "_index", "_all", "facet_table", "_incidences")
+    __slots__ = ("_by_dim", "_cells", "_index", "facet_table", "_incidences")
 
     def __init__(self, simplices: Iterable[Simplex]):
         pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
-        try:
-            facets = _face_closure(pool, closed=True)
-        except KeyError:
+        facets = _face_closure(pool)
+        if len(facets) > len(pool):  # closing added a face
             s, f = next((s, f) for s in pool for f in s.facets() if f not in pool)
-            raise ValueError(f"not closed under faces: {s} present but {f} missing") from None
+            raise ValueError(f"not closed under faces: {s} present but {f} missing")
         self._order(facets)
 
     @classmethod
@@ -128,12 +121,9 @@ class SimplicialComplex:
     def _order(self, facets: dict) -> None:
         """Order and index the cells of a facet table (its keys)."""
         cells = sorted(sorted(facets), key=len)  # stable: lexicographic within a dimension
-        by_dim = tuple(map(tuple, _blocks(cells)))
-        index = {}
-        for block in by_dim:
-            index.update(zip(block, range(len(block))))
+        index = dict(zip(cells, range(len(cells))))  # each cell's position in simplices()
         for name, value in zip(self.__slots__,
-                               (by_dim, tuple(cells), index, frozenset(facets), facets, None)):
+                               (tuple(map(tuple, _blocks(cells))), tuple(cells), index, facets, None)):
             object.__setattr__(self, name, value)
 
     def _facet_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -145,12 +135,11 @@ class SimplicialComplex:
         kept like it."""
         if self._incidences is None:
             sizes = list(map(len, self._by_dim)) or [0]
-            starts, per = [0, *accumulate(sizes)], [n * (k + 1) for k, n in enumerate(sizes)]
+            per = [n * (k + 1) for k, n in enumerate(sizes)]
             facets = np.fromiter(map(self._index.__getitem__, chain.from_iterable(
                 map(self.facet_table.__getitem__, self._cells[sizes[0]:]))),
-                dtype=np.intp, count=sum(per[1:]))  # positions within the facet's dimension
-            facets += np.repeat(np.array(starts[:-2], dtype=np.intp), per[1:])
-            cells = np.repeat(np.arange(sizes[0], starts[-1]),
+                dtype=np.intp, count=sum(per[1:]))
+            cells = np.repeat(np.arange(sizes[0], len(self._cells)),
                               np.repeat(np.arange(2, len(sizes) + 1), sizes[1:]))
             bounds = [0, *accumulate(per[1:])]
             levels = tuple((cells[a:b], facets[a:b]) for a, b in zip(bounds, bounds[1:]))
@@ -161,13 +150,13 @@ class SimplicialComplex:
         """Smallest subcomplex containing the generators, made of this
         complex's own cells and facet table entries; NotSubcomplexError if a
         generator is not a cell here."""
-        table, index, by_dim = self.facet_table, self._index, self._by_dim
-        levels = [set() for _ in by_dim]
+        table, index, cells = self.facet_table, self._index, self._cells
+        levels = [set() for _ in self._by_dim]
         for g in generators:
             i = index.get(g)
             if i is None:
                 raise NotSubcomplexError(f"{tuple(g)} is not a cell of the complex")
-            levels[len(g) - 1].add(by_dim[len(g) - 1][i])
+            levels[len(g) - 1].add(cells[i])
         sub = {}
         for k in range(len(levels) - 1, -1, -1):
             rows = list(map(table.__getitem__, levels[k]))
@@ -193,29 +182,25 @@ class SimplicialComplex:
     def n_cells(self, k: int) -> int:
         return len(self.simplices(k))
 
-    def index(self, s: Simplex) -> int:
-        """Position of s within the ordered list of its own dimension."""
-        return self._index[s]
-
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         cofaced = {f for facets in self.facet_table.values() for f in facets}
-        return tuple(sorted((s for s in self._all if s not in cofaced),
-                            key=lambda s: (s.dim, s)))
+        return tuple(s for s in self._cells if s not in cofaced)
 
     def __contains__(self, s) -> bool:
-        return s in self._all
+        return s in self.facet_table
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self.facet_table)
 
     def __iter__(self):
         return iter(self.simplices())
 
-    def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self._all == other._all
+    def __eq__(self, other):  # a system compares its filtration's complex, often X itself
+        return other is self or isinstance(other, SimplicialComplex) and \
+            self.facet_table.keys() == other.facet_table.keys()
 
     def __hash__(self):
-        return hash(self._all)
+        return hash(frozenset(self.facet_table))
 
     def __repr__(self):
         counts = ",".join(str(self.n_cells(k)) for k in range(self.dim + 1))
@@ -252,16 +237,11 @@ def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
 def intersect(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Set intersection of simplices, face-closed as both are: A's facet
     table restricted to the cells of B."""
-    return SimplicialComplex._of({s: f for s, f in A.facet_table.items() if s in B._all})
-
-
-def union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
-    """Set union of simplices over a shared vertex universe."""
-    return SimplicialComplex(set(A.simplices()) | set(B.simplices()))
+    return SimplicialComplex._of({s: f for s, f in A.facet_table.items() if s in B.facet_table})
 
 
 def is_subcomplex(A: SimplicialComplex, K: SimplicialComplex) -> bool:
-    return A._all <= K._all
+    return A.facet_table.keys() <= K.facet_table.keys()
 
 
 def relative_basis(X: SimplicialComplex, A: SimplicialComplex, k: int) -> tuple[Simplex, ...]:
@@ -283,11 +263,11 @@ def relative_boundary_matrix(X: SimplicialComplex, A: SimplicialComplex,
     cols = relative_basis(X, A, k)
     rows = relative_basis(X, A, k - 1) if k > 0 else ()
     d = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if rows:
+    if rows:  # facet i of s, read off X's facet table, has the sign (-1)^i
         row_pos = {s: i for i, s in enumerate(rows)}
         for j, s in enumerate(cols):
-            for sign, f in s.boundary():
-                i = row_pos.get(f)
-                if i is not None:
-                    d[i, j] = sign % p
+            for i, f in enumerate(X.facet_table[s]):
+                r = row_pos.get(f)
+                if r is not None:
+                    d[r, j] = (-1) ** i % p
     return d

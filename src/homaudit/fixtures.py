@@ -16,7 +16,6 @@ null-homologous at level v.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -183,9 +182,7 @@ def _write_files(directory: str | Path, files: dict[str, tuple[str, list[str]]]
 
 def write_torus_files(directory: str | Path) -> dict[str, Path]:
     fx = torus_triad()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the restriction to B happens to be Morse anyway
-        restricted_b = fx.function.restrict(fx.B)
+    restricted_b = fx.function.restrict(fx.B)  # Morse on B, so no warning
     return _write_files(directory, {
         "complex": ("complex.txt",
                     complex_file_lines(fx.function, "torus with a perfect discrete Morse function")),

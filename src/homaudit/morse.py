@@ -10,7 +10,8 @@ distinct values, so comparing ranks decides every incidence alike for
 cell t is exceptional when rank(n) >= rank(t); each cell's count of
 exceptional incidences tells whether f is a discrete Morse function and
 which cells are critical, and a `MorseViolation` is built only for a
-violating cell, only when the violations are asked for. A filtration
+violating cell, only when the violations are asked for; `_critical_values`
+(f's critical values, or None when f is not Morse) builds none. A filtration
 stores the step at which each cell enters: each cell's value is placed
 among the thresholds by bisection, and its entry step is the least over
 its cofaces, found by one walk down the index; its step complexes are built
@@ -85,7 +86,7 @@ class MorseFunction:
             raise ValueError(f"function not total: no value for {tuple(missing[0])} "
                              f"(+{len(missing) - 1} more)") from None
         if len(table) > len(ordered):  # every cell has a value, so some simplex is not a cell
-            extra = [s for s in table if s not in complex._all]
+            extra = [s for s in table if s not in complex]
             raise ValueError(f"value given for a simplex outside the complex: {tuple(extra[0])}")
         for name, value in zip(self.__slots__, (complex, table, ordered)):
             object.__setattr__(self, name, value)
@@ -155,10 +156,6 @@ def _exceptional(K: SimplicialComplex, f: MorseFunction) -> tuple[np.ndarray, ..
     return cells, facets, np.bincount(np.concatenate((cells, facets)), minlength=len(K))
 
 
-def _critical(K: SimplicialComplex, count: np.ndarray) -> tuple[Simplex, ...]:
-    return tuple(map(K.simplices().__getitem__, (count == 0).nonzero()[0].tolist()))
-
-
 def _violations(K: SimplicialComplex, cells: np.ndarray,
                 facets: np.ndarray) -> tuple[MorseViolation, ...]:
     """A violation per offending cell and kind, cell by cell in K's order,
@@ -182,7 +179,16 @@ def _violations(K: SimplicialComplex, cells: np.ndarray,
 def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple]:
     """The violations (cell by cell in K's order) and the critical cells."""
     cells, facets, count = _exceptional(K, f)
-    return _violations(K, cells, facets) if count.max(initial=0) > 1 else (), _critical(K, count)
+    critical = tuple(map(K.simplices().__getitem__, (count == 0).nonzero()[0].tolist()))
+    return _violations(K, cells, facets) if count.max(initial=0) > 1 else (), critical
+
+
+def _critical_values(K: SimplicialComplex, f: MorseFunction) -> Optional[set]:
+    """f's critical values, or None when f is not Morse on K; builds no violation."""
+    count = _exceptional(K, f)[2]
+    if count.max(initial=0) > 1:
+        return None
+    return set(map(_in_order(K, f).__getitem__, (count == 0).nonzero()[0].tolist()))
 
 
 def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolation, ...]:
@@ -256,8 +262,10 @@ class Filtration:
 
     @property
     def steps(self) -> tuple[SimplicialComplex, ...]:
-        """The step complexes, built from `entry` on each access."""
-        return tuple(SimplicialComplex([s for s, e in self.entry.items() if e <= u])
+        """The step complexes, built on each access from `entry` and the complex's
+        facet table (a cell enters no earlier than its facets)."""
+        table = self.complex.facet_table
+        return tuple(SimplicialComplex._of({s: table[s] for s, e in self.entry.items() if e <= u})
                      for u in range(len(self)))
 
     def index_of(self, label: Rational) -> int:
@@ -310,12 +318,10 @@ def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,
     Either way a final max-f step is appended when needed, so the last step
     equals K. Steps that repeat between consecutive thresholds are retained.
     """
-    cells, facets, count = _exceptional(K, f)  # validates f
-    if count.max(initial=0) > 1:
-        raise NotMorseError(_violations(K, cells, facets))
-    if thresholds is None:  # the critical cells' values, read in K's order
-        thresholds = set(map(_in_order(K, f).__getitem__, (count == 0).nonzero()[0].tolist()))
-    return sublevel_filtration(K, f, thresholds)
+    critical = _critical_values(K, f)  # validates f
+    if critical is None:
+        raise NotMorseError(validate_morse(K, f))
+    return sublevel_filtration(K, f, critical if thresholds is None else thresholds)
 
 
 @dataclass(frozen=True)

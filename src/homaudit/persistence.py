@@ -57,21 +57,21 @@ def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
             target.pop(i, None)
 
 
-def _reduce(columns: Sequence[dict | None], p: int, cleared: set[int]) -> tuple[list, list, dict]:
+def _reduce(columns: Sequence[dict | None], p: int) -> tuple[list, list, dict]:
     """Left-to-right column reduction of one degree's boundary columns.
 
     Returns the reduced columns R, the columns V with R_j = sum_i V_j[i] d_i,
     and the pivot of every nonzero R_j as {low row: j}. Each nonzero R_j is
     scaled so that its low entry is 1; only a low that is not 1 is inverted.
-    Columns in `cleared` are lows of the degree above, so they would reduce
-    to zero; they are skipped, and a caller may pass None for them. The
-    columns are reduced in place, so callers pass fresh ones.
+    A None column is skipped, and its R_j and V_j are None: a caller passes
+    None for a cleared column, a low of the degree above, which would reduce
+    to zero. The columns are reduced in place, so callers pass fresh ones.
     """
     reduced: list[Optional[dict]] = [None] * len(columns)
     sources: list[Optional[dict]] = [None] * len(columns)
     pivot_of: dict[int, int] = {}
     for j, r in enumerate(columns):
-        if j in cleared:
+        if r is None:
             continue
         v = {j: 1}
         while r:
@@ -116,11 +116,11 @@ class PersistenceResult:
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
         K, steps = filtration.complex, list(filtration.entry.values())  # steps in K's order
+        drop = set(map(K._index.__getitem__, A.simplices()))  # A's cells, by position in K
         self._cells, self._entry, a = [], [], 0
-        for k in range(top + 1):
+        for n in map(K.n_cells, range(top + 1)):
             # a stable sort of the entry steps over K's order, lexicographic within
-            # degree k, puts the k-cells not in A in filtration order; A's cells by position
-            n, drop = K.n_cells(k), {a + i for i in map(K._index.__getitem__, A.simplices(k))}
+            # a degree, puts the degree's cells not in A in filtration order
             order = sorted(filterfalse(drop.__contains__, range(a, a + n)), key=steps.__getitem__)
             a += n
             self._cells.append(tuple(map(K.simplices().__getitem__, order)))
@@ -137,21 +137,21 @@ class PersistenceResult:
         their cycle columns and their birth and death steps (n_steps if none).
         A facet in A has no row: it is zero in C(X)/C(A)."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
-        facets, relative = self.filtration.complex.facet_table.__getitem__, bool(self._A._all)
+        facets = self.filtration.complex.facet_table.__getitem__
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
         above: list[Optional[dict]] = []
         self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
         for k in range(top, -1, -1):
             # facet i of s: vertex i deleted, sign (-1)^i, looked up once: a facet in A
             # has no row (None), and a vertex has no facets; a cleared cell gets no column
-            rows, cleared = (self._index[k - 1] if k else {}).get, set(paired)
+            rows = (self._index[k - 1] if k else {}).get
             signs = [(-1) ** i % p for i in range(k + 1)]
-            columns = [None if j in cleared else dict(zip(map(rows, facets(s)), signs))
+            columns = [None if j in paired else dict(zip(map(rows, facets(s)), signs))
                        for j, s in enumerate(self._cells[k])]
-            if relative:
+            if self._A:  # relative
                 for column in filter(None, columns):
                     column.pop(None, None)
-            reduced, sources, pivot_of = _reduce(columns, p, cleared)
+            reduced, sources, pivot_of = _reduce(columns, p)
             if k < top:
                 lows, cycles, deaths = [], [], []
                 for j, r in enumerate(reduced):

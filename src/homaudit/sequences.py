@@ -238,7 +238,7 @@ class MayerVietorisSystem(_System):
     def __init__(self, X: SimplicialComplex, A: SimplicialComplex, B: SimplicialComplex,
                  filtration: Filtration, modulus: int):
         super().__init__(X, (A, B), filtration, modulus)
-        if not X._all <= A._all | B._all:
+        if not X.facet_table.keys() <= A.facet_table.keys() | B.facet_table.keys():
             raise NotCoveringError("A ∪ B does not cover X")
         self.A, self.B = A, B
         self.RX = compute_persistence(filtration, self.modulus, self.top_degree)
@@ -316,12 +316,12 @@ def mv_connecting(sys: MayerVietorisSystem, k: int) -> BarMatrix:
     boundary. A cell present at a step lies in that step of A exactly when it
     lies in A, so the split is the same at every step. Simplices of A∩B go to
     the A side."""
-    a_entry, b_entry = sys.RA.filtration.entry, sys.RB.filtration.entry
+    a_cells, b_cells = sys.A.facet_table, sys.B.facet_table
 
     def in_a_part(s) -> bool:
-        if s in a_entry:
+        if s in a_cells:
             return True
-        if s not in b_entry:
+        if s not in b_cells:
             # the constructor checked that A ∪ B covers X, so this is a bug
             raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B")
         return False
@@ -375,7 +375,7 @@ def _image_bars(m: BarMatrix, births: np.ndarray, deaths: np.ndarray,
     columns: list[dict] = [{} for _ in range(cols.size)]
     for c, r, x in zip(col_at[m.cols].tolist(), row_at[m.rows].tolist(), m.values.tolist()):
         columns[c][r] = x
-    lows, pivots = np.array(list(_reduce(columns, p, set())[2].items()),
+    lows, pivots = np.array(list(_reduce(columns, p)[2].items()),
                             dtype=np.int64).reshape(-1, 2).T
     return births[cols[pivots]], deaths[rows[lows]]
 

@@ -512,9 +512,9 @@ def chain_boundary(result, k, u):
     cols = result.basis_simplices(k, u)
     d = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for j, s in enumerate(cols):
-        for sign, f in s.boundary():
+        for i, f in enumerate(s.facets()):  # deleting vertex i carries the sign (-1)^i
             if f in rows:
-                d[rows[f], j] = sign % result.modulus
+                d[rows[f], j] = (-1) ** i % result.modulus
     return d
 
 

@@ -75,9 +75,9 @@ def test_no_zero_map_is_reduced_or_composed(monkeypatch):
     reduced, composed = [], []
     real_reduce, real_composite = sequences._reduce, sequences._composite
 
-    def reduce(columns, p, cleared):
+    def reduce(columns, p):
         reduced.append(any(columns))
-        return real_reduce(columns, p, cleared)
+        return real_reduce(columns, p)
 
     def composite(a, b, p):
         composed.append(bool(a.values.size and b.values.size))

@@ -794,3 +794,31 @@ def test_file_values_match_inheritance_by_faces(seed, strict, data):
         except ParseError as exc:
             got = exc.message
     assert got == want
+
+
+@pytest.mark.parametrize("level,extra,message", [
+    ("persistent", ("--u", "100", "--v", "95"), "--u must not exceed --v"),
+    ("ordinary", ("--thresholds", ","), "empty threshold list"),
+])
+def test_audit_option_contracts_exit_4(data_dir, capsys, level, extra, message):
+    """A window with u after v, and a threshold list with no label, are
+    input errors (exit 4) with their own line and no output."""
+    assert run(capsys, *_torus_audit_args(data_dir, level, *extra)) == \
+        (4, "", f"input error: {message}\n")
+
+
+def test_morse_check_without_values_exit_4(tmp_path, capsys):
+    path = write(tmp_path, "bare.txt", "0 1 2\n")
+    assert run(capsys, "morse-check", path) == \
+        (4, "", "input error: morse-check needs a complex file with values\n")
+
+
+@pytest.mark.parametrize("command", ["betti", "morse-check", "barcode"])
+def test_unreadable_complex_path_exit_2(tmp_path, capsys, command):
+    """A complex path that is missing or is a directory is a parse error
+    (exit 2) naming the path, with no output."""
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), path
+        assert err.startswith(f"parse error: {path}: cannot read file: ") and \
+            err.count("\n") == 1, err

@@ -182,3 +182,21 @@ def test_weak_morse_inequality_randomized():
         for p in (2, 3):
             for ck, bk in zip(counts, betti_numbers(K, p)):
                 assert ck >= bk
+
+
+def test_a_function_reads_alike_on_a_subcomplex_of_its_own(torus):
+    """f on X, read on a band of the torus, gives what its restriction to the
+    band gives: the same violations, critical cells and entry steps, with
+    the cells in the band's order."""
+    f, thresholds = torus.function, (0, 6, 8, 79, 95, 100)
+    for S in (torus.A, torus.B, torus.complex.closure(torus.A.simplices(1))):
+        g = f.restrict(S)
+        assert g.complex is S and f.complex is not S
+        assert validate_morse(S, f) == validate_morse(S, g)
+        assert critical_cells(S, f) == critical_cells(S, g)
+        for build in (sublevel_filtration, filtration_from_morse):
+            got, want = build(S, f, thresholds), build(S, g, thresholds)
+            assert got.thresholds == want.thresholds
+            assert list(got.entry.items()) == list(want.entry.items())
+        assert list(filtration_from_morse(S, f).entry.items()) == \
+            list(filtration_from_morse(S, g).entry.items())

@@ -414,9 +414,9 @@ def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
     reductions = []
     real_reduce = sequences._reduce
 
-    def counted(columns, p, cleared):
+    def counted(columns, p):
         reductions.append(len(columns))
-        return real_reduce(columns, p, cleared)
+        return real_reduce(columns, p)
     monkeypatch.setattr(sequences, "_reduce", counted)
     monkeypatch.setattr(linalg, "row_reduce", lambda *args: pytest.fail("row_reduce"))
     n = sys_.n_steps
@@ -585,6 +585,38 @@ def test_module_sequence_rejects_a_map_that_breaks_a_square(torus):
                 module_sequence(tampered(sys_, i, *site))
             checks.add(check)
     assert checks == {"birth", "death"}
+
+
+def _unread_sites(system):
+    """Every (i, t, s) where an entry of map i over bars would have its
+    target bar born no earlier than its source bar dies: a fault of the
+    birth check that no step or pair of steps reads."""
+    for i in range(len(system._gaps)):
+        (sb, sd), (tb, _) = system._bars[i], system._bars[i + 1]
+        yield from ((i, t, s) for s in range(sb.size) for t in (tb >= sd[s]).nonzero()[0].tolist())
+
+
+@pytest.mark.parametrize("index", [1, 3, 11, 12, 14])
+def test_module_audit_of_a_fault_no_step_reads(index):
+    """An entry whose target bar is born no earlier than its source bar dies
+    fails the birth check, but every square commutes, so `module_sequence`
+    takes its per-step path. Every audit of the twin equals that of the
+    untampered system and of the per-step module path."""
+    probe = make_fixture(index)[1]
+    n, sites = probe.n_steps, list(_unread_sites(probe))
+    assert sites
+    for i, t, s in sites:
+        twin = tampered(probe, i, t, s)
+        assert twin._profile[3], (i, t, s)  # the twin has a fault
+        assert all(check_squares(twin, u, v) == [] for u in range(n) for v in range(u, n))
+        seq, aud = module_sequence(twin)
+        want_seq, want = per_step_module_sequence(twin)
+        assert seq.terms == want_seq.terms and aud == want == module_sequence(probe)[1]
+        for u in range(n):
+            assert ordinary_sequence(twin, u)[1] == ordinary_sequence(probe, u)[1], (i, u)
+            for v in range(u, n):
+                assert persistent_sequence(twin, u, v)[1] == \
+                    persistent_sequence(probe, u, v)[1], (i, u, v)
 
 
 def test_order2_random_sample():

@@ -22,9 +22,10 @@ ordinary (u = v) and persistent audit is a count over bar arrays, each
 distinct position built once per system and kept under the counts that
 determine it; the module level is one per-step count table (+1 at each
 bar's birth, -1 at its death, summed over the steps) read the same way. A
-returned sequence's maps are selected from M only when read. No count is
-read from a map that fails a structural check, an internal fault. `audit`
-audits any `LinearSequence` from its maps alone.
+returned sequence's maps are selected from M only when read. An entry in no
+group pair (its target born once its source is dead) is dropped; any other
+that fails a check is an internal fault: the module level raises, and
+`audit`, which audits any `LinearSequence` from its maps alone, audits (u, v).
 """
 
 from __future__ import annotations
@@ -214,8 +215,11 @@ class _System:
             (sb, sd), (tb, td) = bars[i], bars[i + 1]
             ends = tb[m.rows], td[m.rows], sb[m.cols], sd[m.cols]
             bad = (ends[0] > ends[2]) | (ends[1] > ends[3])
-            if bad.any():
-                faults[i] = tuple(e[bad] for e in ends)
+            if bad.any():  # drop the entries in no group pair: target born once source dead
+                read = ends[0] < ends[3]
+                maps[i] = m = BarMatrix(m.shape, *(a[read] for a in m[1:]))
+                if (bad := bad & read).any():
+                    faults[i] = tuple(e[bad] for e in ends)
             parts.append((*_image_bars(m, sb, td, p), T + i))
         for j in range(1, G):
             if maps[j].values.size and maps[j - 1].values.size:
@@ -447,15 +451,10 @@ def _sequence(sys: _System, level: str, u: int, v: int) -> tuple[LinearSequence,
     births, deaths, slots, faults = sys._profile
     counts = np.bincount(slots[(births <= u) & (deaths > v)],
                          minlength=2 * len(sys._terms) + len(sys._gaps)).tolist()
-    if faults:
-        terms = tuple(SequenceTerm(label, k, dim) for (label, k), dim in zip(sys._terms, counts))
-    else:
-        terms, positions = zip(*_positions(sys, counts))
+    terms, positions = zip(*_positions(sys, counts))
     seq = LinearSequence(level, sys.kind, terms, sys._maps_at(u, v), sys.modulus, u=u,
                          v=None if level == ORDINARY else v)
-    if faults:
-        return seq, audit(seq)
-    return seq, _sequence_audit(level, sys.kind, positions)
+    return seq, audit(seq) if faults else _sequence_audit(level, sys.kind, positions)
 
 
 def ordinary_sequence(sys: _System, u: int) -> tuple[LinearSequence, SequenceAudit]:
@@ -485,22 +484,21 @@ def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
     step index, and its maps commute with the shift action exactly when the
     squares between consecutive steps commute. So the module level is the
     ordinary audit of every step, summed, plus those squares; it must be
-    exact everywhere. Row u of the count table holds step u's counts.
+    exact everywhere. Row u of the count table holds step u's counts; a read
+    entry that fails a check breaks a square, so past them each count is a rank.
     """
     n = sys.n_steps
     for u in range(n - 1):
         failures = check_squares(sys, u, u + 1)
         if failures:
             raise ValueError(f"graded {failures[0]} does not commute with the shift action")
-    births, deaths, slots, faults = sys._profile
-    if faults:
-        per_step = [ordinary_sequence(sys, u)[1].positions for u in range(n)]
-    else:  # row u: the bars born by u less those dead by u, slot by slot
-        S = 2 * len(sys._terms) + len(sys._gaps)
-        table = np.bincount(births * S + slots, minlength=(n + 1) * S) - \
-            np.bincount(deaths * S + slots, minlength=(n + 1) * S)
-        per_step = [[pos for _, pos in _positions(sys, row)]
-                    for row in table.reshape(n + 1, S)[:n].cumsum(axis=0).tolist()]
+    # row u: the bars born by u less those dead by u, slot by slot
+    births, deaths, slots, _ = sys._profile
+    S = 2 * len(sys._terms) + len(sys._gaps)
+    table = np.bincount(births * S + slots, minlength=(n + 1) * S) - \
+        np.bincount(deaths * S + slots, minlength=(n + 1) * S)
+    per_step = [[pos for _, pos in _positions(sys, row)]
+                for row in table.reshape(n + 1, S)[:n].cumsum(axis=0).tolist()]
     terms, positions = [], []
     for i, (label, k) in enumerate(sys._terms):
         steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,

@@ -1055,6 +1055,34 @@ def fault_sites(system, i):
             yield check, site
 
 
+def entry_sites(system, read):
+    """Every (i, t, s) where an entry of map i over bars would fail a
+    structural check: when `read`, those some group pair holds (the target
+    born before the source dies); otherwise those no step or pair of steps
+    reads (the target born no earlier than the source dies)."""
+    for i in range(len(system._gaps)):
+        (sb, sd), (tb, td) = system._bars[i], system._bars[i + 1]
+        for s in range(sb.size):
+            fails = ((tb > sb[s]) | (td > sd[s])) & (tb < sd[s]) if read else tb >= sd[s]
+            yield from ((i, t, s) for t in fails.nonzero()[0].tolist())
+
+
+def order2_sites(probe):
+    """Every (j, t, s) where an entry added to map j over bars passes both
+    structural checks but breaks order 2 at term j: t is born and dies no
+    later than s, and alive after the earliest birth of a column of map j - 1
+    reaching s."""
+    gaps, bars, sites = probe._gaps, probe._bars, []
+    for j in range(1, len(gaps)):
+        before = probe.matrix(*gaps[j - 1])
+        (sb, sd), (tb, td) = bars[j], bars[j + 1]
+        for s in np.unique(before.rows).tolist():
+            born = bars[j - 1][0][before.cols[before.rows == s]].min()
+            sites += [(j, t, s) for t in
+                      ((tb <= sb[s]) & (td <= sd[s]) & (td > born)).nonzero()[0].tolist()]
+    return sites
+
+
 def tampered(system, i, t, s, x=1):
     """A copy of a system whose map i over bars has x added at (t, s); the
     other maps are built as usual, and nothing is counted yet."""

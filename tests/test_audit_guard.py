@@ -4,9 +4,9 @@ costs nothing.
 Auditing every u <= v of a system a second time builds no `PositionAudit`
 and no `SequenceTerm`: each distinct position is built once per system. The
 module level reads one per-step count table and never calls
-`ordinary_sequence` while every map passes its structural checks. No map
-without a nonzero entry reaches the image reduction (`_reduce`) or a
-composite (`_composite`).
+`ordinary_sequence`, also when a map holds an entry that no step or pair of
+steps reads. No map without a nonzero entry reaches the image reduction
+(`_reduce`) or a composite (`_composite`).
 """
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from homaudit import sequences
 from homaudit.sequences import module_sequence, ordinary_sequence, persistent_sequence
 
-from naive import per_step_module_sequence
+from naive import entry_sites, per_step_module_sequence, tampered
 from randfix import lower_star_fixture, make_fixture
 
 
@@ -62,6 +62,9 @@ def test_a_second_audit_builds_no_position(monkeypatch):
 
 def test_module_sequence_reads_no_ordinary_sequence(monkeypatch, torus_system, genus2_system):
     systems = [torus_system, genus2_system, *_systems()]
+    for index in (1, 3, 11, 12, 14):  # twins with an entry no group pair holds
+        probe = make_fixture(index)[1]
+        systems += [tampered(probe, *site) for site in entry_sites(probe, read=False)]
     monkeypatch.setattr(sequences, "ordinary_sequence",
                         lambda *args: pytest.fail("module_sequence read an ordinary sequence"))
     got = [module_sequence(system) for system in systems]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from homaudit import cli
+from homaudit import __version__, cli
 from homaudit.cli import ParseError, _rational, load_complex, main
 from homaudit.complexes import NotSubcomplexError, Simplex, intersect
 from homaudit.fixtures import torus_triad
@@ -23,8 +23,9 @@ from homaudit.persistence import NotACycleError, PersistenceResult
 from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
 
 from naive import (close_then_check_membership, dict_inherited_values, faces_inherited_values,
-                   fault_sites, fraction_rational, set_intersection, with_entry)
+                   fault_sites, fraction_rational, order2_sites, set_intersection, with_entry)
 from randfix import make_fixture, random_complex
+from test_audit_golden import _load_workloads
 
 TORUS_ARGS = None  # filled per-test from data_dir
 
@@ -318,7 +319,6 @@ INHERITED_FRACTIONS_REPORT = """\
 def test_inherited_fractional_values_report_bytes(tmp_path, capsys):
     # labels and report of values written as '0.5', '9/3', '1/3', thresholds
     # '0.5' and '1/2' together, '3' and '6/2' together
-    from homaudit import __version__
     path = write(tmp_path, "inherit.txt", INHERITED_FRACTIONS)
     report = tmp_path / "bars.json"
     code, out, _ = run(capsys, "barcode", path, "--thresholds=1/3,0.5,1/2,3,6/2",
@@ -504,6 +504,28 @@ def test_internal_fault_is_not_reported_as_input_error(data_dir, monkeypatch):
                                str(labels[v]), "--thresholds", ",".join(map(str, labels))))
 
 
+def test_a_map_that_breaks_order_2_exits_1(data_dir, capsys, monkeypatch):
+    # the three laws are theorems, so exit 1 means a map the program built is
+    # wrong: an entry that passes both structural checks but makes a
+    # composite nonzero breaks order 2 at the persistent level
+    torus = torus_triad()
+    probe = MayerVietorisSystem(torus.complex, torus.A, torus.B, filtration_from_morse(
+        torus.complex, torus.function, torus.thresholds), 2)
+    j, t, s = order2_sites(probe)[0]
+    assert (probe._gaps[j], t, s) == (("alpha", 1), 0, 0)
+    real_map_at = MayerVietorisSystem.map_at
+
+    def broken(self, gap, k):
+        m = real_map_at(self, gap, k)
+        return with_entry(m, t, s, 1, self.modulus) if (gap, k) == probe._gaps[j] else m
+
+    monkeypatch.setattr(MayerVietorisSystem, "map_at", broken)
+    code, out, err = run(capsys, *_torus_audit_args(data_dir, "persistent", "--u", "8",
+                                                    "--v", "8"))
+    assert code == 1 and err == ""
+    assert "law (order-2): VIOLATED at (k=1, A⊕B)\n" in out
+
+
 def test_persistent_needs_labels(data_dir, capsys):
     code, _, err = run(capsys, *_torus_audit_args(data_dir, "persistent"))
     assert code == 4 and "needs --u and --v" in err
@@ -584,6 +606,16 @@ def test_json_reports_are_byte_stable(data_dir, tmp_path, capsys):
         assert len(entry["sha256"]) == 64
 
 
+def test_a_second_run_in_the_process_gives_the_same_bytes(tmp_path):
+    # every command of the README, run twice through `main` in one process:
+    # the cached parser and each system's position dict change no output
+    workloads = _load_workloads()
+    runs = [[workloads.run_cli(argv, tmp_path / f"{name}.json" if writes else None)
+             for name, argv, writes in workloads.data_commands()] for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert {code for code, _, _ in runs[0]} == {0} and any(report for _, _, report in runs[0])
+
+
 _JSON_TEXT = st.text(st.characters(min_codepoint=0), max_size=6)  # control, astral, surrogate
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.sampled_from([0, 1, -1]), st.integers(),
@@ -601,6 +633,18 @@ _JSON_VALUES = st.recursive(
 @example({"é\u2028": "\x00\x1f\x7f\ud83d\ude00\U0001f600", "A": -10 ** 25, "B": (True,)})
 def test_report_writer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_refuses_a_value_json_would_round():
+    with pytest.raises(TypeError, match="a report holds no float"):
+        cli._dumps(1.5)
+
+
+def test_module_entry_point_prints_the_version():
+    # `python -m homaudit.cli --version`, run as the module's __main__
+    proc = _run_python("import runpy; runpy.run_module('homaudit.cli', run_name='__main__')",
+                       "--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"homaudit {__version__}\n", "")
 
 
 def test_value_inheritance_takes_the_minimum_over_cofaces(tmp_path):

@@ -19,6 +19,11 @@ from naive import naive_betti, naive_simplex, reindex_chains
 from randfix import random_complex
 
 
+def test_repr_counts_cells_by_degree():
+    assert repr(close_under_faces([(0, 1, 2)])) == "SimplicialComplex(dim 2; cells 3,3,1)"
+    assert repr(SimplicialComplex(())) == "SimplicialComplex(dim -1; cells -)"
+
+
 def test_simplex_validation():
     assert Simplex((0, 2, 5)).dim == 2
     with pytest.raises(MalformedSimplexError):

@@ -3,14 +3,19 @@ error type and message, before any work. A subspace outside X is a
 `NotSubcomplexError` and a filtration of another complex a plain
 `ValueError`, for both systems and for relative persistence; a value for a
 simplex outside K names that simplex; a sublevel filtration needs a
-threshold; a filtration restricts only to a subcomplex."""
+threshold; a filtration restricts only to a subcomplex, and so does a
+function; a filtration's lists are equal-length and non-empty. The library's
+values refuse assignment, and a system's queries reject an unknown map, a
+step past the last and an unknown position."""
 
 import pytest
 
 from homaudit.complexes import NotSubcomplexError, Simplex, close_under_faces
-from homaudit.morse import MorseFunction, sublevel_filtration
+from homaudit.linalg import Subspace
+from homaudit.morse import Filtration, MorseFunction, sublevel_filtration
 from homaudit.persistence import relative_persistence
-from homaudit.sequences import MayerVietorisSystem, PairSystem
+from homaudit.sequences import (MayerVietorisSystem, PairSystem, audit, module_sequence,
+                                ordinary_sequence)
 
 OUTSIDE = close_under_faces([(0, 99)])  # vertex 99 is in neither fixture
 
@@ -61,3 +66,27 @@ def test_filtration_checks(torus):
             lambda: filt.restrict_to(OUTSIDE))
     _raises(ValueError, "A is not a subcomplex of the filtered complex",
             lambda: filt.restrict_to(K).restrict_to(torus.A).restrict_to(torus.B))
+    _raises(ValueError, "can only restrict to a subcomplex", lambda: f.restrict(OUTSIDE))
+    for thresholds, steps in (([0, 1], [K]), ([], [])):
+        _raises(ValueError, "thresholds and steps must be equal-length and non-empty",
+                lambda: Filtration(thresholds, steps))
+
+
+def test_values_refuse_assignment(torus):
+    filt = sublevel_filtration(torus.complex, torus.function, torus.thresholds)
+    for value in (torus.complex, torus.function, filt, Subspace(2, [[1, 0]], 2)):
+        name = type(value).__name__
+        _raises(AttributeError, f"{name} is immutable",
+                lambda: setattr(value, value.__slots__[0], None))
+
+
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_system_queries_check_their_arguments(torus_system, genus2_system, kind):
+    system = torus_system if kind == "triad" else genus2_system
+    n = system.n_steps
+    _raises(ValueError, "gamma", lambda: system.map_at("gamma", 1))
+    _raises(IndexError, f"bad step pair ({n}, {n})", lambda: ordinary_sequence(system, n))
+    seq, aud = module_sequence(system)
+    _raises(ValueError, "a module sequence is audited step by step by module_sequence",
+            lambda: audit(seq))
+    _raises(KeyError, "'no position (A, degree 9)'", lambda: aud.position("A", 9))

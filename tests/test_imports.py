@@ -1,9 +1,15 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name the
+benchmark's tracer binds still exists.
 
-The package's `__init__.py` is left out: its imports are re-exports.
+The package's `__init__.py` is left out of the import check: its imports are
+re-exports. `perfbench/tracer.py` finds the public functions of its layers
+when it runs, so a deleted function that no workload calls would pass the
+benchmark's smoke check; the list below names them instead.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,3 +44,42 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the public functions of the traced layers, and the (class, method) pairs
+# the tracer wraps by name; a name may be added, not dropped
+TRACED_FUNCTIONS = {
+    "cli": ("build_parser", "cmd_barcode", "cmd_betti", "cmd_morse_check", "cmd_mv_audit",
+            "cmd_pair_audit", "load_complex", "load_membership", "main"),
+    "morse": ("critical_cells", "filtration_from_morse", "is_perfect", "sublevel",
+              "sublevel_filtration", "validate_morse"),
+    "complexes": ("betti_numbers", "boundary_matrix", "close_under_faces", "intersect",
+                  "is_subcomplex", "relative_basis", "relative_boundary_matrix"),
+    "linalg": ("check_modulus", "dense_rank", "is_prime", "mat_mul", "row_reduce",
+               "solve_matrix"),
+    "persistence": ("barcode", "compute_persistence", "relative_persistence"),
+    "sequences": ("audit", "check_squares", "induced_inclusion_map", "module_sequence",
+                  "mv_connecting", "ordinary_sequence", "pair_connecting",
+                  "persistent_sequence", "quotient_map"),
+}
+TRACED_METHODS = (("sequences", "MayerVietorisSystem", "__init__"),
+                  ("sequences", "PairSystem", "__init__"),
+                  ("sequences", "MayerVietorisSystem", "map_at"),
+                  ("sequences", "PairSystem", "map_at"),
+                  ("linalg", "Subspace", "__init__"))
+RULE = ("ROADMAP: a PR that removes a name perfbench/tracer.py binds needs its own "
+        "benchmark PR first")
+
+
+def test_every_name_the_tracer_binds_exists():
+    missing = []
+    for layer, names in TRACED_FUNCTIONS.items():
+        module = importlib.import_module(f"homaudit.{layer}")
+        missing += [f"{layer}.{name}" for name in names
+                    if not (inspect.isfunction(obj := getattr(module, name, None))
+                            and obj.__module__ == module.__name__)]
+    for layer, cls, method in TRACED_METHODS:
+        holder = getattr(importlib.import_module(f"homaudit.{layer}"), cls, None)
+        if holder is None or method not in vars(holder):
+            missing.append(f"{layer}.{cls}.{method}")
+    assert missing == [], RULE

@@ -141,10 +141,10 @@ def test_values_and_thresholds_are_exact():
 
 def test_is_perfect():
     point = close_under_faces([(0,)])
-    assert is_perfect(point, MorseFunction(point, {Simplex((0,)): 0}), 2).perfect
+    assert is_perfect(point, MorseFunction(point, {Simplex((0,)): 0}), 2)
     tri = close_under_faces([(0, 1, 2)])
     report = is_perfect(tri, dimension_scaled(tri), 2)
-    assert not report.perfect
+    assert not report and not report.perfect
     assert report.critical_counts == (3, 3, 1)
     assert report.betti == (1, 0, 0)
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homaudit import linalg
-from homaudit.complexes import (EMPTY_COMPLEX, close_under_faces, intersect, relative_basis,
-                                relative_boundary_matrix)
+from homaudit.complexes import (EMPTY_COMPLEX, Simplex, close_under_faces, intersect,
+                                relative_basis, relative_boundary_matrix)
 from homaudit.fixtures import genus2_pair, torus_triad
 from homaudit.linalg import mat_mul
 from homaudit.morse import Filtration, filtration_from_morse, sublevel_filtration
@@ -501,3 +501,13 @@ def test_per_step_views_equal_their_eager_definition(index, p, lower):
                                           eager.induced_matrix(k, u, v)), (k, u, v)
                     assert np.array_equal(R.persistent_group(k, u, v),
                                           eager.persistent_group(k, u, v)), (k, u, v)
+
+
+def test_a_chain_above_every_degree_is_no_cycle(torus_system):
+    # past max_degree + 1 a result keeps no cell and no bar, so a nonzero
+    # chain there is no cycle of the filtration
+    R = torus_system.RX
+    k = R.max_degree + 2
+    with pytest.raises(NotACycleError) as info:
+        R.coordinates(k, [{Simplex(range(k + 1)): 1}])
+    assert str(info.value) == f"{tuple(range(k + 1))} is not a {k}-cell of the filtration"

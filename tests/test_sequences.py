@@ -19,11 +19,11 @@ from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 mv_connecting, ordinary_sequence, pair_connecting,
                                 persistent_sequence)
 
-from naive import (PerStepSystem, b_side_mv_connecting, fault_sites, level_ordinary_sequence,
-                   level_persistent_sequence, naive_persistent_sequence, per_call_check_squares,
-                   per_call_ordinary_sequence, per_call_persistent_sequence,
-                   per_step_module_sequence, reading, scatter_check_squares, step_mv_connecting,
-                   tampered)
+from naive import (PerStepSystem, b_side_mv_connecting, entry_sites, fault_sites,
+                   level_ordinary_sequence, level_persistent_sequence, naive_persistent_sequence,
+                   order2_sites, per_call_check_squares, per_call_ordinary_sequence,
+                   per_call_persistent_sequence, per_step_module_sequence, reading,
+                   scatter_check_squares, step_mv_connecting, tampered)
 from randfix import lower_star_fixture, make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -443,22 +443,6 @@ def _outcome(path, system, u, v):
         return "leak"
 
 
-def _order2_sites(probe):
-    """Every (j, t, s) where an entry added to map j over bars passes both
-    structural checks but breaks order 2 at term j: t is born and dies no
-    later than s, and alive after the earliest birth of a column of map j - 1
-    reaching s."""
-    gaps, bars, sites = probe._gaps, probe._bars, []
-    for j in range(1, len(gaps)):
-        before = probe.matrix(*gaps[j - 1])
-        (sb, sd), (tb, td) = bars[j], bars[j + 1]
-        for s in np.unique(before.rows).tolist():
-            born = bars[j - 1][0][before.cols[before.rows == s]].min()
-            sites += [(j, t, s) for t in
-                      ((tb <= sb[s]) & (td <= sd[s]) & (td > born)).nonzero()[0].tolist()]
-    return sites
-
-
 @pytest.mark.parametrize("kind,p", [("triad", 2), ("triad", 3), ("pair", 2), ("pair", 3)])
 def test_audits_see_a_map_that_breaks_order_2(torus, genus2, kind, p):
     """An entry added to map j over bars at (t, s), where map j - 1 reaches
@@ -468,7 +452,7 @@ def test_audits_see_a_map_that_breaks_order_2(torus, genus2, kind, p):
     with `audit` of their own sequences, with the per-call path and with the
     rank profiles on the same maps at every u <= v."""
     probe = _fresh_system(kind, torus, genus2, p)
-    terms, sites = probe._terms, _order2_sites(probe)
+    terms, sites = probe._terms, order2_sites(probe)
     assert sites, "no map to break"
     n = probe.n_steps
     for j, t, s in sites[::max(1, len(sites) // 3)]:
@@ -500,7 +484,7 @@ def test_tampered_twins_share_the_position_dict_safely(torus, genus2, kind, p):
     ordinary = [ordinary_sequence(probe, u)[1] for u in range(n)]
     deaths = [(i, *site) for i in range(len(probe._gaps))
               for check, site in fault_sites(probe, i) if check == "death"]
-    sites = _order2_sites(probe)
+    sites = order2_sites(probe)
     assert sites and deaths
     for i, t, s in sites[::max(1, len(sites) // 4)] + deaths[:1]:
         sys_ = tampered(probe, i, t, s)
@@ -587,27 +571,18 @@ def test_module_sequence_rejects_a_map_that_breaks_a_square(torus):
     assert checks == {"birth", "death"}
 
 
-def _unread_sites(system):
-    """Every (i, t, s) where an entry of map i over bars would have its
-    target bar born no earlier than its source bar dies: a fault of the
-    birth check that no step or pair of steps reads."""
-    for i in range(len(system._gaps)):
-        (sb, sd), (tb, _) = system._bars[i], system._bars[i + 1]
-        yield from ((i, t, s) for s in range(sb.size) for t in (tb >= sd[s]).nonzero()[0].tolist())
-
-
 @pytest.mark.parametrize("index", [1, 3, 11, 12, 14])
 def test_module_audit_of_a_fault_no_step_reads(index):
     """An entry whose target bar is born no earlier than its source bar dies
-    fails the birth check, but every square commutes, so `module_sequence`
-    takes its per-step path. Every audit of the twin equals that of the
-    untampered system and of the per-step module path."""
+    is in no group pair: no step or pair of steps reads it, so it is no
+    fault, and every square commutes. Every audit of the twin equals that of
+    the untampered system and of the per-step module path."""
     probe = make_fixture(index)[1]
-    n, sites = probe.n_steps, list(_unread_sites(probe))
+    n, sites = probe.n_steps, list(entry_sites(probe, read=False))
     assert sites
     for i, t, s in sites:
         twin = tampered(probe, i, t, s)
-        assert twin._profile[3], (i, t, s)  # the twin has a fault
+        assert not twin._profile[3], (i, t, s)  # an unread entry is no fault
         assert all(check_squares(twin, u, v) == [] for u in range(n) for v in range(u, n))
         seq, aud = module_sequence(twin)
         want_seq, want = per_step_module_sequence(twin)
@@ -617,6 +592,23 @@ def test_module_audit_of_a_fault_no_step_reads(index):
             for v in range(u, n):
                 assert persistent_sequence(twin, u, v)[1] == \
                     persistent_sequence(probe, u, v)[1], (i, u, v)
+
+
+@pytest.mark.parametrize("fixture", [make_fixture, lower_star_fixture])
+def test_module_sequence_rejects_every_read_fault(fixture):
+    """An entry some group pair reads that fails a structural check breaks a
+    consecutive square: a target born after its source at the step before
+    the target's birth, a target dying after its source at the step before
+    the source's death. So `module_sequence` raises at every such site, and
+    its count table never holds a count that is not a rank."""
+    seen = 0
+    for index in range(16):
+        probe = fixture(index)[1]
+        for i, t, s in entry_sites(probe, read=True):
+            with pytest.raises(ValueError, match="shift action"):
+                module_sequence(tampered(probe, i, t, s))
+            seen += 1
+    assert seen
 
 
 def test_order2_random_sample():

@@ -9,8 +9,8 @@ the one-step filtration, so those matrices are built for callers only.
 A complex holds one cell set, the keys of its facet table, and one
 numbering, each cell's position in `simplices()`. A private integer index
 of the (cell, facet) incidences in that numbering is built on first use by
-one pass over `facet_table` and kept like it: the Morse layer's per-cell
-passes are array operations on it, not walks over simplex-keyed dicts.
+one pass over `facet_table` and kept like it: the Morse passes and the
+persistence build are array operations on it, and a subcomplex a mask.
 """
 
 from __future__ import annotations
@@ -145,6 +145,16 @@ class SimplicialComplex:
             levels = tuple((cells[a:b], facets[a:b]) for a, b in zip(bounds, bounds[1:]))
             object.__setattr__(self, "_incidences", (cells, facets, levels))
         return self._incidences
+
+    def _mask(self, sub: "SimplicialComplex") -> np.ndarray | None:
+        """The cells of `sub` as a mask over this complex's positions, by one
+        lookup per cell; None when `sub` is not a subcomplex."""
+        mask = np.zeros(len(self), dtype=bool)
+        try:
+            mask[list(map(self._index.__getitem__, sub.simplices()))] = True
+        except KeyError:
+            return None
+        return mask
 
     def closure(self, generators: Iterable[Simplex]) -> "SimplicialComplex":
         """Smallest subcomplex containing the generators, made of this

@@ -12,7 +12,8 @@ exceptional incidences tells whether f is a discrete Morse function and
 which cells are critical, and a `MorseViolation` is built only for a
 violating cell, only when the violations are asked for; `_critical_values`
 (f's critical values, or None when f is not Morse) builds none. A filtration
-stores the step at which each cell enters: each cell's value is placed
+stores the step at which each cell enters, as an integer array in the
+complex's order (a restriction indexes it): each cell's value is placed
 among the thresholds by bisection, and its entry step is the least over
 its cofaces, found by one walk down the index; its step complexes are built
 only on request. The same walk gives the values a complex file's faces
@@ -224,10 +225,12 @@ class UnknownLabelError(KeyError):
 
 
 class Filtration:
-    """Strictly increasing thresholds over one complex and each cell's entry
-    step, the cells in the complex's order."""
+    """Strictly increasing thresholds over one complex and the step at which
+    each cell enters, an integer array in the complex's order. The spaces of
+    a system are masks over its complex's cells that read this one array;
+    `entry`, the same steps keyed by cell, is built when read."""
 
-    __slots__ = ("thresholds", "complex", "entry")
+    __slots__ = ("thresholds", "complex", "_steps")
 
     def __init__(self, thresholds: Sequence[Rational], steps: Sequence[SimplicialComplex]):
         ts = tuple(_exact(t) for t in thresholds)
@@ -238,19 +241,19 @@ class Filtration:
         for earlier, later in zip(steps, steps[1:]):
             if not is_subcomplex(earlier, later):
                 raise ValueError("filtration steps are not nested")
-        # the earliest step wins, so the steps are read from the last one down;
-        # the cells keep the complex's order, which a persistence build reads
+        # the earliest step wins, so the steps are read from the last one down
         entry = dict.fromkeys(steps[-1].simplices(), len(ts) - 1)
         for u in reversed(range(len(ts) - 1)):
             entry.update(dict.fromkeys(steps[u].simplices(), u))
+        entry = np.fromiter(entry.values(), dtype=np.intp, count=len(entry))
         for name, value in zip(self.__slots__, (ts, steps[-1], entry)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, thresholds: tuple, K: SimplicialComplex, entry: dict) -> "Filtration":
-        """A filtration of K from sorted thresholds and each cell's entry step."""
+    def _of(cls, thresholds: tuple, K: SimplicialComplex, steps: np.ndarray) -> "Filtration":
+        """A filtration of K from sorted thresholds and each cell's entry step in K's order."""
         filtration = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (thresholds, K, entry)):
+        for name, value in zip(cls.__slots__, (thresholds, K, steps)):
             object.__setattr__(filtration, name, value)
         return filtration
 
@@ -261,11 +264,16 @@ class Filtration:
         return len(self.thresholds)
 
     @property
+    def entry(self) -> dict[Simplex, int]:
+        """Each cell's entry step, keyed by cell in the complex's order; built on each access."""
+        return dict(zip(self.complex.simplices(), self._steps.tolist()))
+
+    @property
     def steps(self) -> tuple[SimplicialComplex, ...]:
         """The step complexes, built on each access from `entry` and the complex's
         facet table (a cell enters no earlier than its facets)."""
-        table = self.complex.facet_table
-        return tuple(SimplicialComplex._of({s: table[s] for s, e in self.entry.items() if e <= u})
+        table, entry = self.complex.facet_table, self.entry
+        return tuple(SimplicialComplex._of({s: table[s] for s, e in entry.items() if e <= u})
                      for u in range(len(self)))
 
     def index_of(self, label: Rational) -> int:
@@ -280,9 +288,9 @@ class Filtration:
 
     def restrict_to(self, A: SimplicialComplex) -> "Filtration":
         """The induced filtration of a subcomplex: each step intersected with A."""
-        if not is_subcomplex(A, self.complex):
+        if (mask := self.complex._mask(A)) is None:
             raise ValueError("A is not a subcomplex of the filtered complex")
-        return Filtration._of(self.thresholds, A, {s: self.entry[s] for s in A.simplices()})
+        return Filtration._of(self.thresholds, A, self._steps[mask])
 
 
 def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
@@ -297,11 +305,9 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    cells = K.simplices()
     step = np.fromiter(map(partial(bisect_left, ts), _in_order(K, f)), dtype=np.intp,
-                       count=len(cells))
-    entry = dict(zip(cells, _least_over_cofaces(K, step).tolist()))
-    return Filtration._of(tuple(ts), K, entry)
+                       count=len(K))
+    return Filtration._of(tuple(ts), K, _least_over_cofaces(K, step))
 
 
 def _inherited_values(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> list:

@@ -1,9 +1,10 @@
 """Persistent homology of a filtration, from one column reduction per space.
 
-The cells of a space are ordered by the step at which they enter, then by
-dimension, then by simplex, with one stable sort of the entry steps over the
-complex's own order. The boundary matrix in that order, built with one
-lookup per facet, is reduced once on sparse columns over F_p
+A space is a mask over the cells of the filtered complex X, numbered by
+their position in X and ordered by entry step, then dimension, then
+simplex, with one stable argsort of the filtration's entry-step array. The
+boundary columns, read off X's integer facet index through an integer row
+map, are reduced once on sparse columns over F_p
 (Zomorodian-Carlsson 2005), top down: a low of the degree above is cleared
 (Chen-Kerber 2011) and gets no column, the reduction mutates the fresh
 columns it is given, and only a low that is not 1 is inverted. A pivot
@@ -16,15 +17,16 @@ selections, the persistent group H^{u,v} is the set of bars containing
 only the cells, cycle columns and bar table its reduction gives; a
 per-step view is selected from the table, and the index of the bars alive
 at each step is built by the first per-step query, then kept. Chains are
-sparse {simplex: coefficient} dicts: `representatives(k, u)` gives the
-cycle columns of the bars alive at u (of every bar), and `coordinates`
-finds classes by back-substitution on the lows of all cycle columns, so
-no step builds a dense basis.
+sparse {position in X: coefficient} dicts, passed between the spaces of one
+X unhashed: `_chains(k, u)` gives the cycle columns of the bars alive at u
+(of every bar), and `_coordinates` finds classes by back-substitution on
+the lows of all cycle columns, so no step builds a dense basis. The public
+`representatives`, `coordinates` and `class_of` key chains by simplex.
 
 The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u): its
 cells are the cells of X not in A, and a facet in A has no row, so a
 relative result reads chains of X with the cells of A zero. Absolute
-persistence is the same code with A empty. All algebra happens on
+persistence is the same code with no cell in A. All algebra happens on
 step indices; thresholds are carried along as labels only.
 """
 
@@ -32,13 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
+from itertools import accumulate, compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .complexes import (EMPTY_COMPLEX, NotSubcomplexError, SimplicialComplex, Simplex,
-                        is_subcomplex)
+from .complexes import NotSubcomplexError, SimplicialComplex, Simplex
 from .linalg import check_modulus
 from .morse import Filtration
 
@@ -101,32 +102,34 @@ class BarMatrix(NamedTuple):
 
 
 class PersistenceResult:
-    """The bar table of one filtration, with its bar-adapted homology bases,
-    and the per-step views and queries selected from it.
-
-    Produced by compute_persistence (absolute) or relative_persistence (the
-    pair, as the quotient C(X)/C(A)); immutable afterwards.
-    """
+    """The bar table of one filtered space, with its bar-adapted homology
+    bases, and the per-step views and queries selected from it. The space is
+    a mask over the cells of the filtered X (all of X when None), read
+    relative to a mask A (no cell when None); immutable once built."""
 
     def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
-                 A: SimplicialComplex):
-        self.filtration, self._A = filtration, A
+                 space: Optional[np.ndarray] = None, A: Optional[np.ndarray] = None):
+        self._filtration, self._space, self._A, self.n_steps = filtration, space, A, len(filtration)
         self.modulus = check_modulus(modulus)
-        self.n_steps = len(filtration)
-        self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
-        top = self.max_degree + 1  # one degree up, so the top degree sees its boundaries
-        K, steps = filtration.complex, list(filtration.entry.values())  # steps in K's order
-        drop = set(map(K._index.__getitem__, A.simplices()))  # A's cells, by position in K
-        self._cells, self._entry, a = [], [], 0
-        for n in map(K.n_cells, range(top + 1)):
-            # a stable sort of the entry steps over K's order, lexicographic within
-            # a degree, puts the degree's cells not in A in filtration order
-            order = sorted(filterfalse(drop.__contains__, range(a, a + n)), key=steps.__getitem__)
-            a += n
-            self._cells.append(tuple(map(K.simplices().__getitem__, order)))
-            self._entry.append(np.array(list(map(steps.__getitem__, order)), dtype=np.int64))
-        # degree k: cells in filtration order, their entry steps, their positions
-        self._index = [dict(zip(c, range(len(c)))) for c in self._cells]
+        X, steps = filtration.complex, filtration._steps
+        self.max_degree = max(X.dim, 0) if max_degree is None else max_degree
+        keep = space if A is None else ~A if space is None else space & ~A
+        # each cell's row in its degree: len(X) outside the space, -1 in A, where
+        # it is zero in C(X)/C(A) and dropped from every column
+        row_of = np.full(len(X), len(X), dtype=np.intp)
+        ends = list(accumulate(map(X.n_cells, range(self.max_degree + 2))))
+        cells = np.arange(ends[-1]) if keep is None else keep[:ends[-1]].nonzero()[0]
+        degree = np.searchsorted(ends, cells, side="right")  # X's order is dimension-major
+        # a stable argsort by degree, then entry step, over X's order: filtration order
+        order = cells[(degree * self.n_steps + steps[cells]).argsort(kind="stable")]
+        cuts = np.searchsorted(degree, np.arange(len(ends) + 1))
+        row_of[order] = np.arange(order.size) - cuts[degree]
+        cuts, entry = cuts.tolist(), steps[order]
+        self._order = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        self._entry = [entry[a:b] for a, b in zip(cuts, cuts[1:])]
+        if A is not None:
+            row_of[A] = -1
+        self._row_of = row_of
         self._reduce_filtration()
 
     def _reduce_filtration(self) -> None:
@@ -135,32 +138,36 @@ class PersistenceResult:
         per degree the bar table: the cycle cells (each the low of exactly one
         cycle column: R_tau when paired with tau, V_sigma when essential),
         their cycle columns and their birth and death steps (n_steps if none).
-        A facet in A has no row: it is zero in C(X)/C(A)."""
+        A column's rows are its cell's facets, read off X's integer facet
+        index and numbered by `_row_of`; a facet in A has none."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
-        facets = self.filtration.complex.facet_table.__getitem__
+        levels = self._filtration.complex._facet_index()[2]
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
         above: list[Optional[dict]] = []
         self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
         for k in range(top, -1, -1):
-            # facet i of s: vertex i deleted, sign (-1)^i, looked up once: a facet in A
-            # has no row (None), and a vertex has no facets; a cleared cell gets no column
-            rows = (self._index[k - 1] if k else {}).get
-            signs = [(-1) ** i % p for i in range(k + 1)]
-            columns = [None if j in paired else dict(zip(map(rows, facets(s)), signs))
-                       for j, s in enumerate(self._cells[k])]
-            if self._A:  # relative
-                for column in filter(None, columns):
-                    column.pop(None, None)
+            order = self._order[k]
+            if k and order.size:  # facet i of a cell: vertex i deleted, sign (-1)^i
+                cells, facets = levels[k - 1]  # X's k-cells from position cells[0] on
+                facets = facets.reshape(-1, k + 1)[order - cells[0]]
+                signs = [(-1) ** i % p for i in range(k + 1)]
+                columns = [None if j in paired else dict(zip(rows, signs))
+                           for j, rows in enumerate(self._row_of[facets].tolist())]
+                if self._A is not None:  # relative
+                    for column in filter(None, columns):
+                        column.pop(-1, None)
+            else:  # a vertex has no facets; a cleared cell gets no column
+                columns = [None if j in paired else {} for j in range(order.size)]
             reduced, sources, pivot_of = _reduce(columns, p)
             if k < top:
-                lows, cycles, deaths = [], [], []
+                lows, cycles, deaths, entry = [], [], [], self._entry[k + 1].tolist()
                 for j, r in enumerate(reduced):
                     if r:
                         continue  # j kills a class of degree k - 1
                     tau = paired.get(j)
                     lows.append(j)
                     cycles.append(sources[j] if tau is None else above[tau])
-                    deaths.append(n if tau is None else int(self._entry[k + 1][tau]))
+                    deaths.append(n if tau is None else entry[tau])
                 self._cycles.insert(0, cycles)
                 self._cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
                 self._births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
@@ -170,6 +177,15 @@ class PersistenceResult:
         self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
 
     @cached_property
+    def filtration(self) -> Filtration:
+        """The filtration of the space, X's when the space is all of X; built on first read."""
+        F, table = self._filtration, self._filtration.complex.facet_table
+        if self._space is None:
+            return F
+        space = {s: table[s] for s in compress(F.complex.simplices(), self._space.tolist())}
+        return Filtration._of(F.thresholds, SimplicialComplex._of(space), F._steps[self._space])
+
+    @cached_property
     def _alive(self) -> list[list[np.ndarray]]:
         """Per degree and step, the cycle cells whose bars are alive there:
         selected from the bar table by the first per-step query, then kept."""
@@ -177,7 +193,7 @@ class PersistenceResult:
                 for b, d in zip(self._births, self._deaths)]
 
     def labels(self) -> tuple[str, ...]:
-        return self.filtration.labels()
+        return self._filtration.labels()
 
     def _check(self, k: int, u: int, v: int) -> None:
         if k < 0:
@@ -210,9 +226,10 @@ class PersistenceResult:
         """The k-cells of step u not in A, in filtration order: its chain coordinates,
         given through degree max_degree + 1, whose cells bound the top degree."""
         self._check(0, u, u)  # a bad step raises; a degree outside the table has no cells
-        if not 0 <= k < len(self._cells):
+        if not 0 <= k < len(self._order):
             return ()
-        return self._cells[k][:self._n_cells(k, u)]
+        cells = self._filtration.complex.simplices()
+        return tuple(map(cells.__getitem__, self._order[k][:self._n_cells(k, u)].tolist()))
 
     def bars_alive(self, k: int, u: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """Births and deaths (n_steps when essential) of the bars alive at
@@ -244,18 +261,44 @@ class PersistenceResult:
             return np.zeros(0, dtype=np.intp)
         return (self._births[k][self._alive[k][v]] <= u).nonzero()[0]
 
-    def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
-        """The cycle columns of the bars of `bars_alive(k, u)` as {simplex:
-        coefficient} chains; a bar's chain is the same all its life."""
+    def _chains(self, k: int, u: Optional[int] = None) -> list[dict[int, int]]:
+        """The cycle columns of the bars of `bars_alive(k, u)` as {position in
+        X: coefficient} chains; a bar's chain is the same all its life."""
         alive = self._bars(k, u)
         if alive is None:
             return []
-        cells, cycles = self._cells[k], self._cycles[k]
-        return [{cells[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
+        order, cycles = self._lists[1][k], self._cycles[k]
+        return [{order[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
+
+    def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
+        """`_chains(k, u)` as {simplex: coefficient} chains."""
+        cells = self._filtration.complex.simplices()
+        return [{cells[i]: x for i, x in chain.items()} for chain in self._chains(k, u)]
 
     def coordinates(self, k: int, chains: Sequence[Mapping[Simplex, int]],
                     u: Optional[int] = None) -> BarMatrix:
-        """Homology coordinates of degree-k cycles, given as {simplex:
+        """`_coordinates` of degree-k cycles given as {simplex: coefficient}
+        chains, each simplex read at its position in X; a simplex that is no
+        k-cell of X, with a coefficient that is not 0, raises NotACycleError."""
+        self._check(k, u or 0, u or 0)
+        where = "the filtration" if u is None else f"step {u}"
+        index, at = self._filtration.complex._index, [{} for _ in chains]
+        for chain, out in zip(chains, at):
+            for s, x in chain.items():
+                if len(s) == k + 1 and s in index:
+                    out[index[s]] = int(x)
+                elif int(x) % self.modulus:
+                    raise NotACycleError(f"{tuple(s)} is not a {k}-cell of {where}")
+        return self._coordinates(k, at, u)
+
+    @cached_property
+    def _lists(self) -> tuple[list, list[list]]:
+        """`_row_of` and each degree's cells in filtration order, as lists for per-cell reads."""
+        return self._row_of.tolist(), [order.tolist() for order in self._order]
+
+    def _coordinates(self, k: int, chains: Sequence[Mapping[int, int]],
+                     u: Optional[int] = None) -> BarMatrix:
+        """Homology coordinates of degree-k cycles, given as {position in X:
         coefficient} chains, on the bars alive at step u (a column per chain),
         or on every bar of positive length when u is None. Each chain is
         reduced by back-substitution on the lows of all the degree's cycle
@@ -265,25 +308,26 @@ class PersistenceResult:
         reduces to zero, so a low that is no cycle cell, or another cell
         outside step u (the filtration), raises NotACycleError."""
         rows, p, last = self._bars(k, u), self.modulus, self.n_steps - 1 if u is None else u
+        where = "the filtration" if u is None else f"step {u}"
         if not chains:
             return BarMatrix((0 if rows is None else rows.size, 0), *np.zeros((3, 0), np.int64))
-        where = "the filtration" if u is None else f"step {u}"
-        A, entry, n = self._A, self.filtration.entry, self._n_cells(k, last)
+        (row_of, _), steps, n = self._lists, self._filtration._steps, self._n_cells(k, last)
         if rows is None:
-            index, cycles, cycle_at, rows = {}, [], {}, np.zeros(0, dtype=np.int64)
+            cycles, cycle_at, rows = [], {}, np.zeros(0, dtype=np.int64)
         else:
-            index, cycles, cycle_at = self._index[k], self._cycles[k], self._cycle_at[k]
+            cycles, cycle_at = self._cycles[k], self._cycle_at[k]
         out = []
         for col, chain in enumerate(chains):
             r = {}
             for s, x in chain.items():
-                x = int(x) % p
+                x %= p
                 if x:
-                    i = index.get(s, n)
-                    if i < n:
+                    i = row_of[s]
+                    if 0 <= i < n:
                         r[i] = x
-                    elif not (s in A and entry[s] <= last):
-                        raise NotACycleError(f"{tuple(s)} is not a {k}-cell of {where}")
+                    elif i >= 0 or steps[s] > last:  # a cell of A present at step u is zero
+                        cell = tuple(self._filtration.complex.simplices()[s])
+                        raise NotACycleError(f"{cell} is not a {k}-cell of {where}")
             while r:
                 low = max(r)
                 j = cycle_at.get(low)
@@ -309,8 +353,8 @@ class PersistenceResult:
 def compute_persistence(filtration: Filtration, modulus: int,
                         max_degree: Optional[int] = None) -> PersistenceResult:
     """Persistent homology of a filtration up to max_degree (default: dim of K),
-    computed as persistence relative to the empty complex."""
-    return PersistenceResult(filtration, modulus, max_degree, EMPTY_COMPLEX)
+    computed as persistence relative to no cell."""
+    return PersistenceResult(filtration, modulus, max_degree)
 
 
 def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
@@ -323,9 +367,9 @@ def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
     """
     if filtration.complex != X:
         raise ValueError("filtration does not filter X")
-    if not is_subcomplex(A, X):
+    if (mask := X._mask(A)) is None:
         raise NotSubcomplexError("A is not a subcomplex of X")
-    return PersistenceResult(filtration, modulus, max_degree, A)
+    return PersistenceResult(filtration, modulus, max_degree, A=mask)
 
 
 # ---------------------------------------------------------------------------

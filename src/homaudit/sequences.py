@@ -6,8 +6,11 @@ modules (exact componentwise).
 Sequences are finite windows over degrees 0..dim X; beyond the top degree
 the tails are closed off with zero spaces and zero maps.
 
-A system builds each horizontal map once, as M over all bars: a column per
-source bar and a row per target bar, summands side by side. A bar's cycle
+A system numbers its cells once, by their position in X, and each space is a
+mask over them: the subspace, intersection and cover checks are mask
+operations, and chains pass between spaces as {position: coefficient}. It
+builds each horizontal map once, as M over all bars: a column per source
+bar and a row per target bar, summands side by side. A bar's cycle
 column is one chain for its whole life, so the map at step u is M on the
 bars alive at u, and the persistent map at (u, v) is M on the bars alive
 through [u, v]. Two structural checks on every nonzero M[t, s], birth(t) <=
@@ -32,17 +35,16 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
-from .complexes import NotSubcomplexError, SimplicialComplex, intersect, is_subcomplex
+from .complexes import NotSubcomplexError, SimplicialComplex
 from .linalg import DimensionMismatchError
 from .morse import Filtration
-from .persistence import (BarMatrix, PersistenceResult, _reduce, compute_persistence,
-                          relative_persistence)
+from .persistence import BarMatrix, PersistenceResult, _reduce
 
 ORDINARY = "ordinary"
 PERSISTENT = "persistent-group"
@@ -139,6 +141,7 @@ class SequenceAudit:
 class _System:
     """Persistence of the spaces of a triad or pair over one filtration of X.
 
+    Each subspace is a mask over X's cells, found by one pass over X's index.
     `spaces` maps each space name to its persistence result, in the order
     reports list them. A sequence term is one space or the direct sum `A⊕B`
     of two, whose bars are its summands' bars side by side. `matrix` keeps
@@ -154,7 +157,8 @@ class _System:
 
     def __init__(self, X: SimplicialComplex, subcomplexes: tuple[SimplicialComplex, ...],
                  filtration: Filtration, modulus: int):
-        if not all(is_subcomplex(S, X) for S in subcomplexes):
+        self._masks = list(map(X._mask, subcomplexes))
+        if any(mask is None for mask in self._masks):
             raise NotSubcomplexError("subspaces must be subcomplexes of X")
         if filtration.complex != X:
             raise ValueError("the filtration must filter X")
@@ -171,6 +175,7 @@ class _System:
         self._matrices: dict[tuple[str, int], BarMatrix] = {}
         # (term, dim, image rank in, rank out, witnesses) -> (term, its audit)
         self._audits: dict[tuple, tuple[SequenceTerm, PositionAudit]] = {}
+        self._space = partial(PersistenceResult, filtration, self.modulus, self.top_degree)
 
     def _summands(self, label: str) -> list[PersistenceResult]:
         return [self.spaces[name] for name in label.split("⊕")]
@@ -242,13 +247,11 @@ class MayerVietorisSystem(_System):
     def __init__(self, X: SimplicialComplex, A: SimplicialComplex, B: SimplicialComplex,
                  filtration: Filtration, modulus: int):
         super().__init__(X, (A, B), filtration, modulus)
-        if not X.facet_table.keys() <= A.facet_table.keys() | B.facet_table.keys():
+        mA, mB = self._masks
+        if not (mA | mB).all():
             raise NotCoveringError("A ∪ B does not cover X")
-        self.A, self.B = A, B
-        self.RX = compute_persistence(filtration, self.modulus, self.top_degree)
-        self.RA, self.RB, self.RAB = (
-            compute_persistence(filtration.restrict_to(S), self.modulus, self.top_degree)
-            for S in (A, B, intersect(A, B)))
+        self.A, self.B, space = A, B, self._space
+        self.RX, self.RA, self.RB, self.RAB = space(), space(mA), space(mB), space(mA & mB)
         self.spaces = {TERM_X: self.RX, TERM_A: self.RA, TERM_B: self.RB, TERM_INT: self.RAB}
 
     def map_at(self, gap: str, k: int) -> BarMatrix:
@@ -260,7 +263,7 @@ class MayerVietorisSystem(_System):
                              np.append(s.rows, t.rows + s.shape[0]), np.append(s.cols, t.cols),
                              np.append(s.values, -t.values % self.modulus))
         if gap == "beta":  # H_k(A) ⊕ H_k(B) -> H_k(X), the classes side by side
-            return self.RX.coordinates(k, self.RA.representatives(k) + self.RB.representatives(k))
+            return self.RX._coordinates(k, self.RA._chains(k) + self.RB._chains(k))
         raise ValueError(gap)
 
 
@@ -274,10 +277,8 @@ class PairSystem(_System):
     def __init__(self, X: SimplicialComplex, A: SimplicialComplex,
                  filtration: Filtration, modulus: int):
         super().__init__(X, (A,), filtration, modulus)
-        self.A = A
-        self.RX = compute_persistence(filtration, self.modulus, self.top_degree)
-        self.RA = compute_persistence(filtration.restrict_to(A), self.modulus, self.top_degree)
-        self.RXA = relative_persistence(X, A, filtration, self.modulus, self.top_degree)
+        self.A, space, (mA,) = A, self._space, self._masks
+        self.RX, self.RA, self.RXA = space(), space(mA), space(None, mA)
         self.spaces = {TERM_X: self.RX, TERM_A: self.RA, TERM_REL: self.RXA}
 
     def map_at(self, gap: str, k: int) -> BarMatrix:
@@ -297,18 +298,24 @@ def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
                           k: int) -> BarMatrix:
     """H_k(sub) -> H_k(sup) over all bars: the classes, in the bigger space,
     of the smaller space's cycle columns."""
-    return R_sup.coordinates(k, R_sub.representatives(k))
+    return R_sup._coordinates(k, R_sub._chains(k))
 
 
-def _boundary(X: SimplicialComplex, chains, keep=None) -> list[dict]:
-    """The boundary of the part of each chain on the cells that `keep` accepts
-    (all when None), read off X's facet table: facet i has the sign (-1)^i."""
+def _boundary(X: SimplicialComplex, chains, k: int, keep=None) -> list[dict]:
+    """The boundary of the part of each k-chain of positions in X on the
+    cells that the mask `keep` marks (all when None), read off X's facet
+    index: facet i has the sign (-1)^i."""
+    if not chains:
+        return []
+    cells, facets = X._facet_index()[2][k - 1]  # X's k-cells from position cells[0] on
+    first, rows = int(cells[0]), list(zip(*facets.reshape(-1, k + 1).T.tolist()))
+    keep = None if keep is None else keep.tolist()
     out = []
     for chain in chains:
         boundary: dict = {}
         for s, x in chain.items():
-            if keep is None or keep(s):
-                for i, f in enumerate(X.facet_table[s]):
+            if keep is None or keep[s]:
+                for i, f in enumerate(rows[s - first]):
                     boundary[f] = boundary.get(f, 0) + (-x if i % 2 else x)
         out.append(boundary)
     return out
@@ -318,32 +325,23 @@ def mv_connecting(sys: MayerVietorisSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X) -> H_k(A∩B) over all bars: split each cycle
     column into an A-part and a B-part and take the class of the A-part's
     boundary. A cell present at a step lies in that step of A exactly when it
-    lies in A, so the split is the same at every step. Simplices of A∩B go to
-    the A side."""
-    a_cells, b_cells = sys.A.facet_table, sys.B.facet_table
-
-    def in_a_part(s) -> bool:
-        if s in a_cells:
-            return True
-        if s not in b_cells:
-            # the constructor checked that A ∪ B covers X, so this is a bug
-            raise RuntimeError(f"simplex {tuple(s)} lies in neither A nor B")
-        return False
-
-    return sys.RAB.coordinates(k, _boundary(sys.X, sys.RX.representatives(k + 1), in_a_part))
+    lies in A, so the split is the same at every step: the A-part is the
+    chain on A's mask, and a cell of A∩B goes to the A side."""
+    return sys.RAB._coordinates(k, _boundary(sys.X, sys.RX._chains(k + 1), k + 1,
+                                             sys._masks[0]))
 
 
 def pair_connecting(sys: PairSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative
     class is a chain of X whose boundary lies in A, and the class of that
     boundary is the image."""
-    return sys.RA.coordinates(k, _boundary(sys.X, sys.RXA.representatives(k + 1)))
+    return sys.RA._coordinates(k, _boundary(sys.X, sys.RXA._chains(k + 1), k + 1))
 
 
 def quotient_map(sys: PairSystem, k: int) -> BarMatrix:
     """H_k(X) -> H_k(X, A) over all bars: each cycle column of X read in
     C(X)/C(A), where its cells in A are zero."""
-    return sys.RXA.coordinates(k, sys.RX.representatives(k))
+    return sys.RXA._coordinates(k, sys.RX._chains(k))
 
 
 # ---------------------------------------------------------------------------

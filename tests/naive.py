@@ -39,7 +39,11 @@ persistent groups as images, the barcode by inclusion-exclusion over their
 ranks), with `assert_matches_oracle` comparing the two on every basis-free
 invariant, the relative barcodes as the reduced persistence of the cone
 X ∪ cone(A) that the filtered quotient C(X)/C(A) replaced
-(`cone_barcodes`), the per-step map path that the maps over bars replaced
+(`cone_barcodes`), the simplex-keyed build and maps that one numbering per
+system replaced (`SimplexKeyedResult`: each space's cells numbered afresh
+and each facet hashed into a `Simplex`-keyed dict; `simplex_keyed_system`:
+every map over bars from chains handed over as simplices, with the
+boundary of `simplex_boundary` read off X's facet table), the per-step map path that the maps over bars replaced
 (`PerStepSystem`: every horizontal map built at every step from the step's
 representatives, with the rank profiles of `_Level` and their leak bounds
 and the scatter square check, and the connecting map over bars with A∩B
@@ -62,14 +66,14 @@ from itertools import combinations, product
 
 import numpy as np
 
-from homaudit import linalg, sequences
+from homaudit import linalg
 from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomplexError,
                                 Simplex, SimplicialComplex, boundary_matrix, close_under_faces,
                                 intersect, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import Filtration, MorseViolation
-from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, barcode,
-                                  compute_persistence)
+from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _add_multiple,
+                                  _reduce, barcode, compute_persistence)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
                                 MayerVietorisSystem, PositionAudit, RestrictionLeakError,
                                 SequenceAudit, SequenceTerm, StepAudit, audit, check_squares,
@@ -806,6 +810,141 @@ def cone_barcodes(X, A, filtration, modulus, max_degree):
 
 
 # ---------------------------------------------------------------------------
+# the simplex-keyed build and maps that one numbering per system replaced
+
+def simplex_boundary(X, chains, keep=None):
+    """The boundary of the part of each {simplex: coefficient} chain on the
+    cells that `keep` accepts (all when None), read off X's facet table:
+    facet i has the sign (-1)^i."""
+    out = []
+    for chain in chains:
+        boundary = {}
+        for s, x in chain.items():
+            if keep is None or keep(s):
+                for i, f in enumerate(X.facet_table[s]):
+                    boundary[f] = boundary.get(f, 0) + (-x if i % 2 else x)
+        out.append(boundary)
+    return out
+
+
+class SimplexKeyedResult:
+    """The bar table of the space S of a filtration of X, relative to A,
+    built the way each result once built it: S's cells not in A numbered
+    afresh per degree by sorting (step, simplex) pairs, an `_index` dict per
+    degree keyed by simplex, and each boundary column built by hashing every
+    facet, read off S's own facet table, into the degree below. Chains leave
+    it as {simplex: coefficient} dicts (`representatives`) and come back by
+    hashing each simplex into `_index` (`coordinates`), over every bar of
+    positive length."""
+
+    def __init__(self, filtration, S, modulus, max_degree, A=EMPTY_COMPLEX):
+        self.modulus, self.n_steps, self._A = modulus, len(filtration), A
+        entry, top = filtration.entry, max_degree + 1
+        blocks = [sorted((entry[s], s) for s in S.simplices(k) if s not in A)
+                  for k in range(top + 1)]
+        self._cells = [tuple(s for _, s in block) for block in blocks]
+        self._entry = [[e for e, _ in block] for block in blocks]
+        self._index = [{s: i for i, s in enumerate(cells)} for cells in self._cells]
+        paired, above, tables = {}, [], []
+        for k in range(top, -1, -1):
+            rows = self._index[k - 1] if k else {}
+            columns = []
+            for j, s in enumerate(self._cells[k]):
+                column = {}
+                for i, f in enumerate(S.facet_table[s]):
+                    if f in rows:
+                        column[rows[f]] = (-1) ** i % modulus
+                columns.append(None if j in paired else column)
+            reduced, sources, pivot_of = _reduce(columns, modulus)
+            if k < top:
+                table = []  # (low, cycle column, birth, death) of each bar
+                for j, r in enumerate(reduced):
+                    if not r:
+                        tau = paired.get(j)
+                        table.append((j, sources[j] if tau is None else above[tau],
+                                      self._entry[k][j],
+                                      self.n_steps if tau is None else self._entry[k + 1][tau]))
+                tables.insert(0, table)
+            paired, above = pivot_of, reduced
+        self._table = tables
+        self._long = [[bar for bar in table if bar[2] < bar[3]] for table in tables]
+
+    def bars(self, k):
+        """Births and deaths of the bars of positive length, in table order."""
+        bars = self._long[k] if k < len(self._long) else []
+        return (np.array([b for _, _, b, _ in bars], dtype=np.int64),
+                np.array([d for _, _, _, d in bars], dtype=np.int64))
+
+    def representatives(self, k):
+        if k >= len(self._long):
+            return []
+        cells = self._cells[k]
+        return [{cells[i]: x for i, x in cycle.items()} for _, cycle, _, _ in self._long[k]]
+
+    def coordinates(self, k, chains):
+        """The classes of {simplex: coefficient} cycles on the bars of positive
+        length, by back-substitution on the lows of all cycle columns; a cell
+        of A is zero."""
+        p = self.modulus
+        table = self._table[k] if k < len(self._table) else []
+        cycle_at = {low: j for j, (low, _, _, _) in enumerate(table)}
+        rows = [j for j, (_, _, b, d) in enumerate(table) if b < d]
+        index = self._index[k] if k < len(self._index) else {}
+        out = np.zeros((len(table), len(chains)), dtype=np.int64)
+        for col, chain in enumerate(chains):
+            r = {}
+            for s, x in chain.items():
+                if x % p and s not in self._A:
+                    r[index[s]] = x % p
+            while r:
+                low = max(r)
+                j = cycle_at[low]
+                x = r[low]
+                _add_multiple(r, table[j][1], p - x, p)
+                out[j, col] = x
+        out = out[rows]
+        at = out.nonzero()
+        return BarMatrix(out.shape, at[0], at[1], out[at])
+
+
+def simplex_keyed_system(system):
+    """The spaces of a system as `SimplexKeyedResult`s, by name, and every
+    map over bars, by (gap, degree), built from them the way the system once
+    built it: with A∩B as the intersection of the complexes, and chains
+    handed between spaces, and split between A and B, as simplices."""
+    F, p, D, X, A = system.filtration, system.modulus, system.top_degree, system.X, system.A
+
+    def space(S, rel=EMPTY_COMPLEX):
+        return SimplexKeyedResult(F, S, p, D, rel)
+
+    def inclusion(sub, sup, k):
+        return sup.coordinates(k, sub.representatives(k))
+
+    spaces, maps = {"X": space(X), "A": space(A)}, {}
+    if system.kind == "pair":
+        spaces["(X,A)"] = RXA = space(X, A)
+        for k in range(D + 1):
+            maps["delta", k] = spaces["A"].coordinates(
+                k, simplex_boundary(X, RXA.representatives(k + 1)))
+            maps["alpha", k] = inclusion(spaces["A"], spaces["X"], k)
+            maps["beta", k] = inclusion(spaces["X"], RXA, k)
+        return spaces, maps
+    B = system.B
+    spaces.update({"B": space(B), "A∩B": space(intersect(A, B))})
+    RX, RA, RB, RAB = (spaces[name] for name in ("X", "A", "B", "A∩B"))
+    for k in range(D + 1):
+        maps["delta", k] = RAB.coordinates(k, simplex_boundary(
+            X, RX.representatives(k + 1), lambda s: s in A.facet_table))
+        s, t = inclusion(RAB, RA, k), inclusion(RAB, RB, k)
+        maps["alpha", k] = BarMatrix((s.shape[0] + t.shape[0], s.shape[1]),
+                                     np.append(s.rows, t.rows + s.shape[0]),
+                                     np.append(s.cols, t.cols),
+                                     np.append(s.values, -t.values % p))
+        maps["beta", k] = RX.coordinates(k, RA.representatives(k) + RB.representatives(k))
+    return spaces, maps
+
+
+# ---------------------------------------------------------------------------
 # the per-step map path that the maps over bars replaced
 
 class PerStepSystem:
@@ -879,8 +1018,8 @@ class PerStepSystem:
             return np.hstack([step_inclusion(A, X, k, u), step_inclusion(B, X, k, u)])
         XA = self.spaces["(X,A)"]
         if gap == "delta":
-            return A.class_of(k, u, sequences._boundary(self.filtration.complex,
-                                                        XA.representatives(k + 1, u)))
+            return A.class_of(k, u, simplex_boundary(self.filtration.complex,
+                                                     XA.representatives(k + 1, u)))
         if gap == "alpha":
             return step_inclusion(A, X, k, u)
         return step_inclusion(X, XA, k, u)  # the quotient map
@@ -903,7 +1042,7 @@ def step_mv_connecting(system, k, u, assign_shared_to="A"):
         assert in_a or in_b, f"simplex {tuple(s)} lies in neither A nor B at step {u}"
         return in_a and (assign_shared_to == "A" or not in_b)
 
-    return system.spaces["A∩B"].class_of(k, u, sequences._boundary(
+    return system.spaces["A∩B"].class_of(k, u, simplex_boundary(
         system.filtration.complex, system.spaces["X"].representatives(k + 1, u), in_a_part))
 
 
@@ -912,7 +1051,7 @@ def b_side_mv_connecting(system, k):
     the B side: the class of the boundary of each cycle column's cells of A
     not in B."""
     a_entry, b_entry = system.RA.filtration.entry, system.RB.filtration.entry
-    return system.RAB.coordinates(k, sequences._boundary(
+    return system.RAB.coordinates(k, simplex_boundary(
         system.X, system.RX.representatives(k + 1), lambda s: s in a_entry and s not in b_entry))
 
 

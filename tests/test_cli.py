@@ -471,15 +471,18 @@ def test_membership_and_intersection_match_the_oracles(tmp_path, data):
 
 
 def test_internal_fault_is_not_reported_as_input_error(data_dir, monkeypatch):
-    # the system constructors validate the cover, so a representative that
+    # the system constructors validate the cover, so a cycle column that
     # leaves its space is a library fault: it raises instead of exiting 4
-    real = PersistenceResult.representatives
+    real = PersistenceResult._chains
 
     def leaking(self, k, u=None):
-        outside = Simplex(range(10**6, 10**6 + k + 1))
-        return [{**chain, outside: 1} for chain in real(self, k, u)]
+        # a k-cell of X outside the space, by its position in X, when there is one
+        X = self._filtration.complex
+        first = sum(map(X.n_cells, range(k)))
+        outside = [i for i in range(first, first + X.n_cells(k)) if self._row_of[i] == len(X)]
+        return [{**chain, outside[0]: 1} if outside else chain for chain in real(self, k, u)]
 
-    monkeypatch.setattr(PersistenceResult, "representatives", leaking)
+    monkeypatch.setattr(PersistenceResult, "_chains", leaking)
     with pytest.raises((NotACycleError, RuntimeError)):
         main(_torus_audit_args(data_dir, "ordinary"))
     monkeypatch.undo()

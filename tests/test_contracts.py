@@ -4,18 +4,19 @@ error type and message, before any work. A subspace outside X is a
 `ValueError`, for both systems and for relative persistence; a value for a
 simplex outside K names that simplex; a sublevel filtration needs a
 threshold; a filtration restricts only to a subcomplex, and so does a
-function; a filtration's lists are equal-length and non-empty. The library's
-values refuse assignment, and a system's queries reject an unknown map, a
-step past the last and an unknown position."""
+function; a filtration's lists are equal-length and non-empty. A system
+checks its subspaces, its cover and its filtration before it builds any
+space. The library's values refuse assignment, and a system's queries
+reject an unknown map, a step past the last and an unknown position."""
 
 import pytest
 
 from homaudit.complexes import NotSubcomplexError, Simplex, close_under_faces
 from homaudit.linalg import Subspace
 from homaudit.morse import Filtration, MorseFunction, sublevel_filtration
-from homaudit.persistence import relative_persistence
-from homaudit.sequences import (MayerVietorisSystem, PairSystem, audit, module_sequence,
-                                ordinary_sequence)
+from homaudit.persistence import PersistenceResult, relative_persistence
+from homaudit.sequences import (MayerVietorisSystem, NotCoveringError, PairSystem, audit,
+                                module_sequence, ordinary_sequence)
 
 OUTSIDE = close_under_faces([(0, 99)])  # vertex 99 is in neither fixture
 
@@ -27,14 +28,17 @@ def _raises(error, message, build):
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_systems_and_relative_persistence_check_their_spaces(torus, genus2):
+def test_systems_and_relative_persistence_check_their_spaces(torus, genus2, monkeypatch):
     filt = sublevel_filtration(torus.complex, torus.function, torus.thresholds)
     X, A, B = torus.complex, torus.A, torus.B
     other = filt.restrict_to(A)  # a filtration of A, not of X
+    builds = []  # every check runs before any space is built
+    monkeypatch.setattr(PersistenceResult, "__init__", lambda *args: builds.append(args))
     for build in (lambda: MayerVietorisSystem(X, OUTSIDE, B, filt, 2),
                   lambda: MayerVietorisSystem(X, A, OUTSIDE, filt, 2),
                   lambda: PairSystem(X, OUTSIDE, filt, 2)):
         _raises(NotSubcomplexError, "subspaces must be subcomplexes of X", build)
+    _raises(NotCoveringError, "A ∪ B does not cover X", lambda: MayerVietorisSystem(X, A, A, filt, 2))
     for build in (lambda: MayerVietorisSystem(X, A, B, other, 2),
                   lambda: PairSystem(X, A, other, 2)):
         _raises(ValueError, "the filtration must filter X", build)
@@ -47,6 +51,7 @@ def test_systems_and_relative_persistence_check_their_spaces(torus, genus2):
             lambda: PairSystem(genus2.complex, OUTSIDE, g2, 3))
     _raises(ValueError, "filtration does not filter X",
             lambda: relative_persistence(genus2.complex, genus2.A, filt, 3))
+    assert builds == []
 
 
 def test_a_value_outside_the_complex_is_named(torus):

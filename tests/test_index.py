@@ -174,7 +174,7 @@ def test_bars_and_cycle_columns_match_the_dense_path(seed, p, data):
     for R, sub in results:
         top = R.max_degree + 1
         cells, steps = pair_sorted_cells(R.filtration, sub or EMPTY_COMPLEX, top)
-        assert R._cells == cells
+        assert [R.basis_simplices(k, R.n_steps - 1) for k in range(top + 1)] == cells
         assert [e.tolist() for e in R._entry] == steps
         assert_matches_oracle(R, sub)
         _assert_cycle_columns_are_bases(

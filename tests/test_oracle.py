@@ -16,6 +16,11 @@ the acceptance batch at its own primes, its first 64 fixtures rebuilt over
 F_2, F_3, F_5 and F_7 (at its own prime a fixture is the batch's), grid
 tori from the benchmark's generator and both shipped fixtures.
 
+Each space's bars and cycle columns, read as simplices, and every map over
+bars of a system against the simplex-keyed build and maps that one
+numbering per system replaced: on fixtures 0-63 over F_2, F_3, F_5 and
+F_7 and on the lower-star grid-torus triads and pairs at n = 8 and 10.
+
 Every relative barcode, reduced as the filtered quotient C(X)/C(A),
 against the reduced persistence of the cone X ∪ cone(A), built as a real
 complex: on every pair of the acceptance batch, of its first 64 fixtures
@@ -38,6 +43,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +57,8 @@ from homaudit.persistence import barcode, compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
 from naive import (assert_audits_match_per_call_path, assert_matches_oracle, cone_barcodes,
-                   fraction_classify, fraction_filtration, naive_betti, naive_classify)
+                   fraction_classify, fraction_filtration, naive_betti, naive_classify,
+                   simplex_keyed_system)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
                      lower_star_system, make_fixture, random_complex, random_subcomplex)
 
@@ -120,6 +127,39 @@ def test_lower_star_torus_16_matches_per_step_path_on_a_grid(kind):
     pairs = [(u, v) for u in range(0, n, 37) for v in range(u, n, 29)]
     pairs += [(u, u + 1) for u in range(5, n - 1, 23)] + [(n - 1, n - 1)]
     assert_audits_match_per_call_path(system, pairs, per_call=False)
+
+
+def _dense(m):
+    out = np.zeros(m.shape, dtype=np.int64)
+    out[m.rows, m.cols] = m.values
+    return out
+
+
+def _assert_positions_match_simplex_keyed_path(system):
+    """Each space's bars and cycle columns, read as simplices, and every map
+    over bars equal those of the simplex-keyed build and maps."""
+    spaces, maps = simplex_keyed_system(system)
+    for name, R in system.spaces.items():
+        old = spaces[name]
+        for k in range(R.max_degree + 1):
+            for got, want in zip(R.bars_alive(k), old.bars(k), strict=True):
+                assert np.array_equal(got, want), (name, k)
+            assert R.representatives(k) == old.representatives(k), (name, k)
+    for gap, k in system._gaps:
+        got, want = system.matrix(gap, k), maps[gap, k]
+        assert got.shape == want.shape and np.array_equal(_dense(got), _dense(want)), (gap, k)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fixtures_match_the_simplex_keyed_path(p):
+    for index in range(64):
+        _assert_positions_match_simplex_keyed_path(make_fixture(index, p)[1])
+
+
+@pytest.mark.parametrize("n,p", [(8, 2), (10, 3)])
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_lower_star_tori_match_the_simplex_keyed_path(n, p, kind):
+    _assert_positions_match_simplex_keyed_path(_lower_star_torus(n, kind, p))
 
 
 @settings(max_examples=80, deadline=None)

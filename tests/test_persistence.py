@@ -1,6 +1,7 @@
 """Persistence engine: per-step homology, induced maps, persistent groups,
-barcodes against the structure-theorem consistency formula, and the
-per-step views selected on first use against their eager definition."""
+barcodes against the structure-theorem consistency formula, the per-step
+views selected on first use against their eager definition, and the
+masked spaces of a system against the lone builds of their filtrations."""
 
 import functools
 import random
@@ -511,3 +512,36 @@ def test_a_chain_above_every_degree_is_no_cycle(torus_system):
     with pytest.raises(NotACycleError) as info:
         R.coordinates(k, [{Simplex(range(k + 1)): 1}])
     assert str(info.value) == f"{tuple(range(k + 1))} is not a {k}-cell of the filtration"
+
+
+def _lone_spaces(system):
+    """Each space of a system built on its own: its restricted filtration, or
+    the pair (X, A) by relative_persistence, with the system's top degree."""
+    filt, p, top, A = system.filtration, system.modulus, system.top_degree, system.A
+    spaces = {"X": compute_persistence(filt, p, top),
+              "A": compute_persistence(filt.restrict_to(A), p, top)}
+    if system.kind == "pair":
+        spaces["(X,A)"] = relative_persistence(system.X, A, filt, p, top)
+    else:
+        for name, S in (("B", system.B), ("A∩B", intersect(A, system.B))):
+            spaces[name] = compute_persistence(filt.restrict_to(S), p, top)
+    return spaces
+
+
+@pytest.mark.parametrize("index", range(0, 64, 3))
+def test_masked_spaces_equal_the_lone_builds(index, torus_system, genus2_system):
+    """The same bars, the same cycle columns read as simplices and the same
+    filtration of its own space, per space; A∩B filters the intersection."""
+    systems = [make_fixture(index, p)[1] for p in (2, 3)] + [lower_star_fixture(index, 5)[1]]
+    for system in systems + ([torus_system, genus2_system] if index == 0 else []):
+        lone = _lone_spaces(system)
+        assert lone.keys() == system.spaces.keys()
+        for name, R in system.spaces.items():
+            for k in range(system.top_degree + 2):
+                for got, want in zip(R.bars_alive(k), lone[name].bars_alive(k), strict=True):
+                    assert np.array_equal(got, want), (name, k)
+                assert R.representatives(k) == lone[name].representatives(k), (name, k)
+            assert R.filtration.complex == lone[name].filtration.complex, name
+            assert R.filtration.entry == lone[name].filtration.entry, name
+        if system.kind == "mayer-vietoris":
+            assert system.spaces["A∩B"].filtration.complex == intersect(system.A, system.B)

@@ -298,13 +298,13 @@ def test_each_horizontal_map_is_computed_once(monkeypatch, torus, genus2, kind):
     """map_at runs once per (gap, k), whatever the audits and their
     sequences' maps ask for, and each class computation under it runs once."""
     chain_calls, calls = Counter(), Counter()
-    coordinates = PersistenceResult.coordinates
+    coordinates = PersistenceResult._coordinates
 
     def counted(result, k, chains, u=None):
         chain_calls[id(result), k, u] += 1
         return coordinates(result, k, chains, u)
 
-    monkeypatch.setattr(PersistenceResult, "coordinates", counted)
+    monkeypatch.setattr(PersistenceResult, "_coordinates", counted)
     sys_ = _fresh_system(kind, torus, genus2)
     computed = sys_.map_at
 

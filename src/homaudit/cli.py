@@ -29,8 +29,8 @@ from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialCom
                         Simplex, betti_numbers, close_under_faces)
 from .linalg import _small_prime
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
-                    _critical_values, _exact, _inherited_values, _perfectness, critical_cells,
-                    sublevel_filtration)
+                    _critical_values, _exact, _in_order, _inherited_values, _perfectness,
+                    _ranks, _sublevel, critical_cells)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -195,11 +195,12 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
         if thresholds or extra_labels:
             raise InputContractError("thresholds given but the complex file carries no values")
         return Filtration([0], [K])
-    base = set(thresholds) if thresholds is not None else _critical_values(K, f)
+    ranked = _ranks(_in_order(K, f))  # once, for the Morse question and the steps
+    base = set(thresholds) if thresholds is not None else _critical_values(K, ranked)
     if base is None:  # f is not Morse
-        base = set(map(f, K))
+        base = set(ranked[0])
     base.update(extra_labels)
-    return sublevel_filtration(K, f, base)
+    return _sublevel(K, f, base, ranked)
 
 
 def _parse_threshold_list(text: str) -> list[Fraction | int]:

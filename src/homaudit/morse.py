@@ -13,10 +13,12 @@ which cells are critical, and a `MorseViolation` is built only for a
 violating cell, only when the violations are asked for; `_critical_values`
 (f's critical values, or None when f is not Morse) builds none. A filtration
 stores the step at which each cell enters, as an integer array in the
-complex's order (a restriction indexes it): each cell's value is placed
-among the thresholds by bisection, and its entry step is the least over
-its cofaces, found by one walk down the index; its step complexes are built
-only on request. The same walk gives the values a complex file's faces
+complex's order (a restriction indexes it): each threshold is placed among
+the ranked values by bisection, so a cell's own step is a search of its
+rank among those places, and its entry step is the least over its cofaces,
+found by one walk down the index; its step complexes are built only on
+request. A filtration ranks f's values once, and the Morse check reads the
+same ranks. The same walk gives the values a complex file's faces
 inherit. Values and thresholds are exact: an integral one is held as an
 `int`, any other as a `Fraction`; sublevel membership is decided by exact
 comparison, never by floats.
@@ -25,10 +27,9 @@ comparison, never by floats.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -122,8 +123,15 @@ class MorseFunction:
 
 
 def _in_order(K: SimplicialComplex, f: MorseFunction) -> list:
-    """f's values in K's order, its own list when K is f's complex (None for a cell with none)."""
-    return f._ordered if K is f.complex else list(map(f._values.get, K.simplices()))
+    """f's values in K's order, its own list when K is f's complex; a cell of
+    K that f gives no value is an input error, named as a ValueError."""
+    if K is f.complex:
+        return f._ordered
+    values = list(map(f._values.get, K.simplices()))
+    if None in values:
+        cell = K.simplices()[values.index(None)]
+        raise ValueError(f"function not total on the complex: no value for {tuple(cell)}")
+    return values
 
 
 def _ranks(values: Sequence) -> tuple[list, np.ndarray]:
@@ -145,13 +153,12 @@ def _least_over_cofaces(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _exceptional(K: SimplicialComplex, f: MorseFunction) -> tuple[np.ndarray, ...]:
-    """f's exceptional incidences on K, a facet n of a cell t with f(n) >=
-    f(t), as the positions of their cells and facets in the index's order,
-    and per cell the number it takes part in: 0 when critical, 2 or more
-    when violating."""
+def _exceptional(K: SimplicialComplex, rank: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The exceptional incidences on K of a function of ranks `rank` (from
+    `_ranks`), a facet n of a cell t with f(n) >= f(t), as the positions of
+    their cells and facets in the index's order, and per cell the number it
+    takes part in: 0 when critical, 2 or more when violating."""
     cells, facets, _ = K._facet_index()
-    rank = _ranks(_in_order(K, f))[1]
     exceptional = rank[facets] >= rank[cells]
     cells, facets = cells[exceptional], facets[exceptional]
     return cells, facets, np.bincount(np.concatenate((cells, facets)), minlength=len(K))
@@ -179,17 +186,19 @@ def _violations(K: SimplicialComplex, cells: np.ndarray,
 
 def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple]:
     """The violations (cell by cell in K's order) and the critical cells."""
-    cells, facets, count = _exceptional(K, f)
+    cells, facets, count = _exceptional(K, _ranks(_in_order(K, f))[1])
     critical = tuple(map(K.simplices().__getitem__, (count == 0).nonzero()[0].tolist()))
     return _violations(K, cells, facets) if count.max(initial=0) > 1 else (), critical
 
 
-def _critical_values(K: SimplicialComplex, f: MorseFunction) -> Optional[set]:
-    """f's critical values, or None when f is not Morse on K; builds no violation."""
-    count = _exceptional(K, f)[2]
+def _critical_values(K: SimplicialComplex, ranked: tuple[list, np.ndarray]) -> Optional[set]:
+    """The critical values of a function given by its `_ranks` on K, or None
+    when it is not Morse on K; builds no violation."""
+    distinct, rank = ranked
+    count = _exceptional(K, rank)[2]
     if count.max(initial=0) > 1:
         return None
-    return set(map(_in_order(K, f).__getitem__, (count == 0).nonzero()[0].tolist()))
+    return set(map(distinct.__getitem__, rank[count == 0].tolist()))
 
 
 def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolation, ...]:
@@ -299,15 +308,26 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
 
     If the last threshold does not capture all of K, a final step at max f is
     appended so the filtration always terminates in the full complex. A cell
-    enters with the earliest of its cofaces, each placed by bisecting its value."""
+    enters with the earliest of its cofaces; its own step is read off its
+    rank among f's values, once each threshold is placed among them. A cell
+    of K that f gives no value raises ValueError."""
+    return _sublevel(K, f, thresholds, _ranks(_in_order(K, f)))
+
+
+def _sublevel(K: SimplicialComplex, f: MorseFunction, thresholds: Iterable[Rational],
+              ranked: tuple[list, np.ndarray]) -> Filtration:
+    """`sublevel_filtration` from f's `_ranks` on K: each threshold is placed
+    among the distinct values by one bisection, and a cell's own step, the
+    number of thresholds below its value, is the number of those places at
+    or below its rank."""
     ts = sorted({_exact(t) for t in thresholds})
     if not ts:
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    step = np.fromiter(map(partial(bisect_left, ts), _in_order(K, f)), dtype=np.intp,
-                       count=len(K))
-    return Filtration._of(tuple(ts), K, _least_over_cofaces(K, step))
+    distinct, rank = ranked
+    cuts = np.array([bisect_right(distinct, t) for t in ts])  # how many values are at most each
+    return Filtration._of(tuple(ts), K, _least_over_cofaces(K, cuts.searchsorted(rank, "right")))
 
 
 def _inherited_values(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> list:
@@ -324,10 +344,11 @@ def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,
     Either way a final max-f step is appended when needed, so the last step
     equals K. Steps that repeat between consecutive thresholds are retained.
     """
-    critical = _critical_values(K, f)  # validates f
+    ranked = _ranks(_in_order(K, f))
+    critical = _critical_values(K, ranked)  # validates f
     if critical is None:
         raise NotMorseError(validate_morse(K, f))
-    return sublevel_filtration(K, f, critical if thresholds is None else thresholds)
+    return _sublevel(K, f, critical if thresholds is None else thresholds, ranked)
 
 
 @dataclass(frozen=True)

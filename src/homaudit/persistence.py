@@ -14,9 +14,13 @@ is sigma, represents its bar at every step the bar is alive, and V_sigma an
 essential bar. These bases fit every step at once: induced maps are 0/1
 selections, the persistent group H^{u,v} is the set of bars containing
 [u, v], and the barcode is read off the pairs. A result keeps per degree
-only the cells, cycle columns and bar table its reduction gives; a
-per-step view is selected from the table, and the index of the bars alive
-at each step is built by the first per-step query, then kept. Chains are
+only the cells and the bar table its reduction gives, plus the cycle
+columns when it is built with `cycles` (a system's spaces, whose maps read
+them); a barcode, the Betti numbers and every per-step view need only the
+table, so a result built without them tracks no V, and the first read of a
+cycle column reduces once more, tracking V. A per-step view is selected
+from the table, and the index of the bars alive at each step is built by
+the first per-step query, then kept. Chains are
 sparse {position in X: coefficient} dicts, passed between the spaces of one
 X unhashed: `_chains(k, u)` gives the cycle columns of the bars alive at u
 (of every bar), and `_coordinates` finds classes by back-substitution on
@@ -58,15 +62,18 @@ def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
             target.pop(i, None)
 
 
-def _reduce(columns: Sequence[dict | None], p: int) -> tuple[list, list, dict]:
+def _reduce(columns: Sequence[dict | None], p: int,
+            cycles: bool = True) -> tuple[list, Optional[list], dict]:
     """Left-to-right column reduction of one degree's boundary columns.
 
-    Returns the reduced columns R, the columns V with R_j = sum_i V_j[i] d_i,
-    and the pivot of every nonzero R_j as {low row: j}. Each nonzero R_j is
-    scaled so that its low entry is 1; only a low that is not 1 is inverted.
-    A None column is skipped, and its R_j and V_j are None: a caller passes
-    None for a cleared column, a low of the degree above, which would reduce
-    to zero. The columns are reduced in place, so callers pass fresh ones.
+    Returns the reduced columns R, the columns V with R_j = sum_i V_j[i] d_i
+    when `cycles` is true (None otherwise: V is neither tracked nor added
+    to, for a caller that reads only R and the pivots), and the pivot of
+    every nonzero R_j as {low row: j}. Each nonzero R_j is scaled so that
+    its low entry is 1; only a low that is not 1 is inverted. A None column
+    is skipped, and its R_j and V_j are None: a caller passes None for a
+    cleared column, a low of the degree above, which would reduce to zero.
+    The columns are reduced in place, so callers pass fresh ones.
     """
     reduced: list[Optional[dict]] = [None] * len(columns)
     sources: list[Optional[dict]] = [None] * len(columns)
@@ -74,7 +81,7 @@ def _reduce(columns: Sequence[dict | None], p: int) -> tuple[list, list, dict]:
     for j, r in enumerate(columns):
         if r is None:
             continue
-        v = {j: 1}
+        v = {j: 1} if cycles else None
         while r:
             low = max(r)
             i = pivot_of.get(low)
@@ -82,14 +89,16 @@ def _reduce(columns: Sequence[dict | None], p: int) -> tuple[list, list, dict]:
                 if r[low] != 1:
                     inv = pow(r[low], -1, p)
                     r = {row: x * inv % p for row, x in r.items()}
-                    v = {row: x * inv % p for row, x in v.items()}
+                    if cycles:
+                        v = {row: x * inv % p for row, x in v.items()}
                 pivot_of[low] = j
                 break
             c = p - r[low]
             _add_multiple(r, reduced[i], c, p)
-            _add_multiple(v, sources[i], c, p)
+            if cycles:
+                _add_multiple(v, sources[i], c, p)
         reduced[j], sources[j] = r, v
-    return reduced, sources, pivot_of
+    return reduced, sources if cycles else None, pivot_of
 
 
 class BarMatrix(NamedTuple):
@@ -105,10 +114,17 @@ class PersistenceResult:
     """The bar table of one filtered space, with its bar-adapted homology
     bases, and the per-step views and queries selected from it. The space is
     a mask over the cells of the filtered X (all of X when None), read
-    relative to a mask A (no cell when None); immutable once built."""
+    relative to a mask A (no cell when None); immutable once built.
+
+    With `cycles` the reduction tracks V and the result keeps every bar's
+    cycle column, for a caller that will read them (a system's maps read
+    every space's). Without it the build keeps only the bar table, and the
+    first read of a cycle column (`representatives`, `coordinates`,
+    `class_of`) reduces once more, tracking V, and keeps the columns."""
 
     def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
-                 space: Optional[np.ndarray] = None, A: Optional[np.ndarray] = None):
+                 space: Optional[np.ndarray] = None, A: Optional[np.ndarray] = None,
+                 cycles: bool = False):
         self._filtration, self._space, self._A, self.n_steps = filtration, space, A, len(filtration)
         self.modulus = check_modulus(modulus)
         X, steps = filtration.complex, filtration._steps
@@ -130,21 +146,22 @@ class PersistenceResult:
         if A is not None:
             row_of[A] = -1
         self._row_of = row_of
-        self._reduce_filtration()
+        self._reduce_filtration(cycles=cycles)
 
-    def _reduce_filtration(self) -> None:
+    def _reduce_filtration(self, cycles: bool) -> None:
         """Reduce every degree's boundary columns once, top down, each
         degree's pivots clearing the degree below (Chen-Kerber 2011), and keep
         per degree the bar table: the cycle cells (each the low of exactly one
-        cycle column: R_tau when paired with tau, V_sigma when essential),
-        their cycle columns and their birth and death steps (n_steps if none).
-        A column's rows are its cell's facets, read off X's integer facet
-        index and numbered by `_row_of`; a facet in A has none."""
+        cycle column: R_tau when paired with tau, V_sigma when essential) and
+        their birth and death steps (n_steps if none); with `cycles`, V is
+        tracked and the cycle columns are kept too. A column's rows are its
+        cell's facets, read off X's integer facet index and numbered by
+        `_row_of`; a facet in A has none."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
         levels = self._filtration.complex._facet_index()[2]
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
         above: list[Optional[dict]] = []
-        self._cycles, self._cycle_at, self._births, self._deaths = [], [], [], []
+        births, deaths, cycle_columns, cycle_at = [], [], [], []
         for k in range(top, -1, -1):
             order = self._order[k]
             if k and order.size:  # facet i of a cell: vertex i deleted, sign (-1)^i
@@ -158,23 +175,41 @@ class PersistenceResult:
                         column.pop(-1, None)
             else:  # a vertex has no facets; a cleared cell gets no column
                 columns = [None if j in paired else {} for j in range(order.size)]
-            reduced, sources, pivot_of = _reduce(columns, p)
+            reduced, sources, pivot_of = _reduce(columns, p, cycles=cycles)
             if k < top:
-                lows, cycles, deaths, entry = [], [], [], self._entry[k + 1].tolist()
+                lows, ends, kept, entry = [], [], [], self._entry[k + 1].tolist()
                 for j, r in enumerate(reduced):
                     if r:
                         continue  # j kills a class of degree k - 1
                     tau = paired.get(j)
                     lows.append(j)
-                    cycles.append(sources[j] if tau is None else above[tau])
-                    deaths.append(n if tau is None else entry[tau])
-                self._cycles.insert(0, cycles)
-                self._cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
-                self._births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
-                self._deaths.insert(0, np.array(deaths, dtype=np.int64))
+                    ends.append(n if tau is None else entry[tau])
+                    if cycles:
+                        kept.append(sources[j] if tau is None else above[tau])
+                births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
+                deaths.insert(0, np.array(ends, dtype=np.int64))
+                if cycles:
+                    cycle_columns.insert(0, kept)
+                    cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
             paired, above = pivot_of, reduced
+        self._births, self._deaths = births, deaths
         # per degree: the cycle cells of the bars of positive length (the others are never alive)
-        self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
+        self._long = [(b < d).nonzero()[0] for b, d in zip(births, deaths)]
+        if cycles:
+            self._cycles, self._cycle_at = cycle_columns, cycle_at
+
+    @cached_property
+    def _cycles(self) -> list[list[dict[int, int]]]:
+        """Per degree, each bar's cycle column, kept by a build with cycles;
+        a result built without finds them at this first read by reducing again."""
+        self._reduce_filtration(cycles=True)
+        return self._cycles
+
+    @cached_property
+    def _cycle_at(self) -> list[dict[int, int]]:
+        """Per degree, each cycle cell's bar; kept and found with `_cycles`."""
+        self._reduce_filtration(cycles=True)
+        return self._cycle_at
 
     @cached_property
     def filtration(self) -> Filtration:
@@ -353,7 +388,8 @@ class PersistenceResult:
 def compute_persistence(filtration: Filtration, modulus: int,
                         max_degree: Optional[int] = None) -> PersistenceResult:
     """Persistent homology of a filtration up to max_degree (default: dim of K),
-    computed as persistence relative to no cell."""
+    computed as persistence relative to no cell. The result is built without
+    cycles: its cycle columns are found at their first read."""
     return PersistenceResult(filtration, modulus, max_degree)
 
 
@@ -364,6 +400,8 @@ def relative_persistence(X: SimplicialComplex, A: SimplicialComplex,
     quotient C(X_u)/C(A_u).
 
     The filtration filters X; each step is paired with its intersection with A.
+    The result is built without cycles: its cycle columns are found at their
+    first read.
     """
     if filtration.complex != X:
         raise ValueError("filtration does not filter X")

@@ -175,7 +175,9 @@ class _System:
         self._matrices: dict[tuple[str, int], BarMatrix] = {}
         # (term, dim, image rank in, rank out, witnesses) -> (term, its audit)
         self._audits: dict[tuple, tuple[SequenceTerm, PositionAudit]] = {}
-        self._space = partial(PersistenceResult, filtration, self.modulus, self.top_degree)
+        # the maps over bars read every space's cycle columns: each keeps them from its build
+        self._space = partial(PersistenceResult, filtration, self.modulus, self.top_degree,
+                              cycles=True)
 
     def _summands(self, label: str) -> list[PersistenceResult]:
         return [self.spaces[name] for name in label.split("⊕")]
@@ -377,7 +379,7 @@ def _image_bars(m: BarMatrix, births: np.ndarray, deaths: np.ndarray,
     columns: list[dict] = [{} for _ in range(cols.size)]
     for c, r, x in zip(col_at[m.cols].tolist(), row_at[m.rows].tolist(), m.values.tolist()):
         columns[c][r] = x
-    lows, pivots = np.array(list(_reduce(columns, p)[2].items()),
+    lows, pivots = np.array(list(_reduce(columns, p, cycles=False)[2].items()),
                             dtype=np.int64).reshape(-1, 2).T
     return births[cols[pivots]], deaths[rows[lows]]
 

@@ -10,7 +10,9 @@ step boundary matrices built from the simplices' own faces, the three
 separate Morse scans (`naive_classify`) that one classification pass
 replaced, that pass and the entry-step filtration on `Fraction` values and
 rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
-`int` values and the facet table replaced, the classification pass and the
+`int` values and the facet table replaced, each cell's value placed among
+the thresholds by its own bisection (`bisect_filtration`), which placing
+each threshold among f's ranked values replaced, the classification pass and the
 least-over-cofaces walk on simplex-keyed dicts (`dict_classify`,
 `dict_least_over_cofaces`, and the file values it gave,
 `dict_inherited_values`), which ranks compared over the complex's integer
@@ -71,7 +73,7 @@ from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomp
                                 Simplex, SimplicialComplex, boundary_matrix, close_under_faces,
                                 intersect, relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
-from homaudit.morse import Filtration, MorseViolation
+from homaudit.morse import Filtration, MorseViolation, _exact, _least_over_cofaces
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _add_multiple,
                                   _reduce, barcode, compute_persistence)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
@@ -286,6 +288,16 @@ def fraction_filtration(K, f, thresholds):
         for n in s.facets():
             entry[n] = min(entry[n], entry[s])
     return tuple(ts), entry
+
+
+def bisect_filtration(K, f, thresholds):
+    """`sublevel_filtration` with each cell's value placed among the
+    thresholds by its own `bisect_left`, before the least-over-cofaces walk."""
+    ts = sorted({_exact(t) for t in thresholds})
+    if ts[-1] < f.max_value:
+        ts.append(f.max_value)
+    step = np.array([bisect_left(ts, f(s)) for s in K.simplices()], dtype=np.intp)
+    return Filtration._of(tuple(ts), K, _least_over_cofaces(K, step))
 
 
 def faces_inherited_values(K, explicit, strict=False):

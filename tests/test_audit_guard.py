@@ -78,9 +78,9 @@ def test_no_zero_map_is_reduced_or_composed(monkeypatch):
     reduced, composed = [], []
     real_reduce, real_composite = sequences._reduce, sequences._composite
 
-    def reduce(columns, p):
+    def reduce(columns, p, cycles=True):
         reduced.append(any(columns))
-        return real_reduce(columns, p)
+        return real_reduce(columns, p, cycles)
 
     def composite(a, b, p):
         composed.append(bool(a.values.size and b.values.size))

@@ -4,7 +4,10 @@ Every persistence build (absolute, restricted and relative, on the torus
 and genus-2 fixtures over F_2 and F_3) hands the column reduction None for
 each cleared cell, a low of the degree above, and a fresh dict for every
 other cell, and its bars and cycle columns still match the dense per-step
-path. With a counting mapping swapped in for a function's value table,
+path. A barcode, the Betti numbers and the CLI's `barcode`, `betti` and
+`morse-check` track no V: no reduction on their way is asked for cycles,
+and a result whose cycles are never read keeps no cycle table. With a
+counting mapping swapped in for a function's value table,
 `filtration_from_morse`, `validate_morse` and `critical_cells` read none of
 it (they read f's values in K's order), while `f(s)`, `items()`,
 `max_value` and `restrict` still give the same values.
@@ -14,7 +17,8 @@ from collections.abc import Mapping
 
 import pytest
 
-from homaudit import persistence
+from homaudit import cli, persistence
+from homaudit.complexes import betti_numbers
 from homaudit.morse import (MorseFunction, critical_cells, filtration_from_morse,
                             sublevel_filtration, validate_morse)
 from homaudit.persistence import compute_persistence, relative_persistence
@@ -39,9 +43,9 @@ def _builds(fixture, p):
 def test_a_cleared_cell_gets_no_column(monkeypatch, request, name, p):
     real_reduce, calls = persistence._reduce, []
 
-    def spy(columns, p):
+    def spy(columns, p, cycles=True):
         columns = list(columns)
-        out = real_reduce(columns, p)
+        out = real_reduce(columns, p, cycles)
         calls.append((columns, set(out[2])))  # the columns and their pivots' lows
         return out
 
@@ -66,6 +70,51 @@ def test_a_cleared_cell_gets_no_column(monkeypatch, request, name, p):
         assert_matches_oracle(R, A)
         _assert_cycle_columns_are_bases(
             R, DensePersistence(R.filtration, R.modulus, R.max_degree, A))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_kernel_without_cycles_gives_the_same_pivots(monkeypatch, torus, genus2, p):
+    # every degree's columns of each build, reduced again with and without V
+    real_reduce, given = persistence._reduce, []
+
+    def spy(columns, p, cycles=True):
+        given.append([None if c is None else dict(c) for c in columns])
+        return real_reduce(columns, p, cycles)
+
+    for build, _ in [*_builds(torus, p), *_builds(genus2, p)]:
+        monkeypatch.setattr(persistence, "_reduce", spy)
+        build()
+        monkeypatch.undo()
+    assert given
+    for columns in given:
+        def fresh():
+            return [None if c is None else dict(c) for c in columns]
+        reduced, sources, pivot_of = real_reduce(fresh(), p, True)
+        assert real_reduce(fresh(), p, False) == (reduced, None, pivot_of)
+        assert len(sources) == len(columns)
+
+
+def test_the_barcode_paths_track_no_v(monkeypatch, torus, genus2, data_dir, capsys):
+    real_reduce, asked = persistence._reduce, []
+
+    def spy(columns, p, cycles=True):
+        asked.append(cycles)
+        return real_reduce(columns, p, cycles)
+
+    monkeypatch.setattr(persistence, "_reduce", spy)
+    for fixture in (torus, genus2):
+        K = fixture.complex
+        R = compute_persistence(filtration_from_morse(K, fixture.function, fixture.thresholds), 2)
+        for k in range(R.max_degree + 1):
+            persistence.barcode(R, k)
+        assert not {"_cycles", "_cycle_at", "_lists"} & vars(R).keys()
+        betti_numbers(K, 3)
+    for name in ("torus", "genus2"):
+        path = str(data_dir / name / "complex.txt")
+        for argv in (["barcode", path], ["betti", path], ["morse-check", path]):
+            assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert asked and not any(asked)
 
 
 class _Counting(Mapping):

@@ -200,3 +200,18 @@ def test_a_function_reads_alike_on_a_subcomplex_of_its_own(torus):
             assert list(got.entry.items()) == list(want.entry.items())
         assert list(filtration_from_morse(S, f).entry.items()) == \
             list(filtration_from_morse(S, g).entry.items())
+
+
+def test_a_cell_with_no_value_is_an_input_error():
+    """f on an edge, read on the edge plus an edge to a new vertex: every
+    entry point names the first cell of L (in its order) with no value."""
+    f, L = edge_function(0, 2, 1), close_under_faces([(0, 1), (1, 2)])
+    message = r"no value for \(2,\)"
+    with pytest.raises(ValueError, match=message):
+        sublevel_filtration(L, f, [1, 2])
+    with pytest.raises(ValueError, match=message):
+        filtration_from_morse(L, f)
+    with pytest.raises(ValueError, match=message):
+        validate_morse(L, f)
+    with pytest.raises(ValueError, match=message):
+        critical_cells(L, f)

@@ -20,6 +20,10 @@ Each space's bars and cycle columns, read as simplices, and every map over
 bars of a system against the simplex-keyed build and maps that one
 numbering per system replaced: on fixtures 0-63 over F_2, F_3, F_5 and
 F_7 and on the lower-star grid-torus triads and pairs at n = 8 and 10.
+Each of those spaces built without cycles, and the grid tori n = 6..14,
+read for their bars first and their cycles after, against the same space
+built with cycles and the simplex-keyed build: bars, representatives,
+coordinates and classes.
 
 Every relative barcode, reduced as the filtered quotient C(X)/C(A),
 against the reduced persistence of the cone X ∪ cone(A), built as a real
@@ -33,8 +37,9 @@ restrictions against steps intersected with the subcomplex), the one Morse
 classification pass against the separate scans, classification and
 entry steps on `int` values and the facet table against the same passes on
 `Fraction` values and rebuilt facets (also on non-integral variants of
-every input), and Betti numbers from the column reduction against dense
-ranks.
+every input), each cell's step from thresholds placed among f's ranked
+values against each value bisected among the thresholds, and Betti
+numbers from the column reduction against dense ranks.
 """
 
 import importlib.util
@@ -51,14 +56,14 @@ from hypothesis import strategies as st
 from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_faces,
                                 intersect)
 from homaudit.linalg import dense_rank
-from homaudit.morse import (Filtration, MorseFunction, _classify, filtration_from_morse,
-                            sublevel, sublevel_filtration)
-from homaudit.persistence import barcode, compute_persistence
+from homaudit.morse import (Filtration, MorseFunction, _classify, critical_cells,
+                            filtration_from_morse, sublevel, sublevel_filtration)
+from homaudit.persistence import PersistenceResult, barcode, compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
-from naive import (assert_audits_match_per_call_path, assert_matches_oracle, cone_barcodes,
-                   fraction_classify, fraction_filtration, naive_betti, naive_classify,
-                   simplex_keyed_system)
+from naive import (SimplexKeyedResult, assert_audits_match_per_call_path, assert_matches_oracle,
+                   bisect_filtration, cone_barcodes, fraction_classify, fraction_filtration,
+                   naive_betti, naive_classify, simplex_keyed_system)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
                      lower_star_system, make_fixture, random_complex, random_subcomplex)
 
@@ -135,9 +140,40 @@ def _dense(m):
     return out
 
 
+def _with_a_sum(chains, p):
+    """The chains, then the sum of chain i times i + 1 over F_p."""
+    total = {}
+    for i, chain in enumerate(chains):
+        for s, x in chain.items():
+            total[s] = (total.get(s, 0) + (i + 1) * x) % p
+    return chains + [total]
+
+
+def _assert_lean_result_matches(lean, eager, old):
+    """A result built without cycles, its bars read first and its cycles
+    after, against the same space built with cycles and the simplex-keyed
+    build: the bars, representatives, coordinates and class_of."""
+    p, degrees = eager.modulus, range(eager.max_degree + 1)
+    for k in degrees:
+        for got, want in zip(lean.bars_alive(k), old.bars(k), strict=True):
+            assert np.array_equal(got, want), k
+    assert not {"_cycles", "_cycle_at", "_lists"} & vars(lean).keys()
+    for k in degrees:
+        chains = _with_a_sum(eager.representatives(k), p)
+        assert lean.representatives(k) == chains[:-1] == old.representatives(k), k
+        want = _dense(old.coordinates(k, chains))
+        assert np.array_equal(_dense(lean.coordinates(k, chains)), want), k
+        assert np.array_equal(_dense(eager.coordinates(k, chains)), want), k
+        for u in range(eager.n_steps):
+            at_u = _with_a_sum(eager.representatives(k, u), p)
+            assert lean.representatives(k, u) == at_u[:-1], (k, u)
+            assert np.array_equal(lean.class_of(k, u, at_u), eager.class_of(k, u, at_u)), (k, u)
+
+
 def _assert_positions_match_simplex_keyed_path(system):
     """Each space's bars and cycle columns, read as simplices, and every map
-    over bars equal those of the simplex-keyed build and maps."""
+    over bars equal those of the simplex-keyed build and maps; the same space
+    built without cycles, its cycles read after its bars, equals both."""
     spaces, maps = simplex_keyed_system(system)
     for name, R in system.spaces.items():
         old = spaces[name]
@@ -145,6 +181,8 @@ def _assert_positions_match_simplex_keyed_path(system):
             for got, want in zip(R.bars_alive(k), old.bars(k), strict=True):
                 assert np.array_equal(got, want), (name, k)
             assert R.representatives(k) == old.representatives(k), (name, k)
+        lean = PersistenceResult(system.filtration, R.modulus, R.max_degree, R._space, R._A)
+        _assert_lean_result_matches(lean, R, old)
     for gap, k in system._gaps:
         got, want = system.matrix(gap, k), maps[gap, k]
         assert got.shape == want.shape and np.array_equal(_dense(got), _dense(want)), (gap, k)
@@ -160,6 +198,19 @@ def test_fixtures_match_the_simplex_keyed_path(p):
 @pytest.mark.parametrize("kind", ["triad", "pair"])
 def test_lower_star_tori_match_the_simplex_keyed_path(n, p, kind):
     _assert_positions_match_simplex_keyed_path(_lower_star_torus(n, kind, p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lean_grid_tori_match_the_simplex_keyed_path(p):
+    gridgen = _load_gridgen()
+    for n in range(6, 15):
+        grid = gridgen.grid_torus(n, 1000 + n)
+        K = SimplicialComplex(Simplex(s) for s in grid.values)
+        f = MorseFunction(K, {Simplex(s): v for s, v in grid.values.items()})
+        filt = filtration_from_morse(K, f, gridgen.thresholds(grid))
+        _assert_lean_result_matches(compute_persistence(filt, p),
+                                    PersistenceResult(filt, p, None, cycles=True),
+                                    SimplexKeyedResult(filt, K, p, K.dim))
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,6 +399,42 @@ def test_int_values_match_the_fraction_path(torus, genus2):
     for K, f, thresholds in inputs:
         for g, ts in _non_integral_variants(K, f, thresholds):
             _assert_matches_fraction_path(K, g, ts)
+
+
+def _placement_thresholds(values):
+    """Threshold lists below, on, between and above sorted distinct values,
+    each alone, then all mixed."""
+    below, above = [values[0] - 1], [values[-1] + 1]
+    between = [Fraction(a + b, 2) for a, b in zip(values, values[1:])]
+    return [below, values, between or above, above,
+            below + values[::2] + between[1::2] + above]
+
+
+def _assert_placement_matches(K, f, threshold_lists):
+    for thresholds in threshold_lists:
+        got, want = sublevel_filtration(K, f, thresholds), bisect_filtration(K, f, thresholds)
+        assert got.thresholds == want.thresholds, thresholds
+        assert np.array_equal(got._steps, want._steps), thresholds
+
+
+def test_rank_placement_matches_bisection(torus, genus2):
+    """Each cell's step, from thresholds placed among the ranked values,
+    against each value bisected among the thresholds: on the acceptance
+    batch and on A, at its thresholds and below, on, between and above its
+    values, and from its critical values; on the shipped and grid tori and
+    their non-integral variants."""
+    for _, system, f in fixture_batch(FIXTURE_COUNT):
+        values = sorted({v for _, v in f.items()})
+        lists = [system.filtration.thresholds] + _placement_thresholds(values)
+        for K in (system.X, system.A):
+            _assert_placement_matches(K, f, lists)
+        critical = {f(s) for s in critical_cells(system.X, f)}
+        got, want = filtration_from_morse(system.X, f), bisect_filtration(system.X, f, critical)
+        assert got.thresholds == want.thresholds and np.array_equal(got._steps, want._steps)
+    for K, f, thresholds, _ in _shipped_and_grid_inputs(torus, genus2, 14):
+        for g, ts in _non_integral_variants(K, f, thresholds):
+            values = sorted({v for _, v in g.items()})
+            _assert_placement_matches(K, g, [ts] + _placement_thresholds(values))
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)

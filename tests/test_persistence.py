@@ -5,7 +5,6 @@ masked spaces of a system against the lone builds of their filtrations."""
 
 import functools
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from homaudit.linalg import mat_mul
 from homaudit.morse import Filtration, filtration_from_morse, sublevel_filtration
 from homaudit.persistence import (NotACycleError, PersistenceResult, barcode,
                                   compute_persistence, relative_persistence)
-from homaudit.sequences import MayerVietorisSystem, PairSystem
+from homaudit.sequences import (MayerVietorisSystem, PairSystem, module_sequence,
+                                ordinary_sequence)
 
 from naive import (DensePersistence, EagerSteps, chain_boundary, chain_columns, naive_class_of,
                    naive_homology_basis, naive_nullspace, naive_persistent_dim, naive_rank)
@@ -451,14 +451,16 @@ def test_relative_chain_coordinates_are_the_cells_outside_a():
 
 
 def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
-    # one filtration reduction per result, and no dense elimination to build
-    # every step's bases, step maps, induced maps, groups and bars
+    # a result reduces its filtration once, without V, and every bar read is a
+    # selection; a lean result reduces once more, with V, at its first cycle
+    # read, and no later read reduces again; no dense elimination builds any
+    # step's bases, step maps, induced maps, groups or bars
     real_reduction = PersistenceResult._reduce_filtration
-    reductions, eliminations = Counter(), []
+    reductions, eliminations = {}, []
 
-    def counted(result):
-        reductions[id(result)] += 1
-        return real_reduction(result)
+    def counted(result, cycles):
+        reductions.setdefault(id(result), []).append(cycles)
+        return real_reduction(result, cycles)
 
     monkeypatch.setattr(PersistenceResult, "_reduce_filtration", counted)
     monkeypatch.setattr(linalg, "row_reduce",
@@ -472,12 +474,43 @@ def test_each_result_reduces_its_filtration_once(torus, genus2, monkeypatch):
         for k in range(R.max_degree + 2):
             barcode(R, k)
             for u in range(R.n_steps):
-                R.class_of(k, u, R.representatives(k, u))
                 for v in range(u, R.n_steps):
                     R.induced_matrix(k, u, v)
                     R.persistent_group(k, u, v)
-    assert sorted(reductions) == sorted(id(R) for R in results)
-    assert set(reductions.values()) == {1} and not eliminations
+    assert [reductions.pop(id(R)) for R in results] == [[False]] * len(results)
+    for R in results:
+        R.representatives(0)
+        assert reductions[id(R)] == [True]
+        for k in range(R.max_degree + 2):
+            for u in range(R.n_steps):
+                R.class_of(k, u, R.representatives(k, u))
+    assert [reductions[id(R)] for R in results] == [[True]] * len(results)
+    assert not eliminations
+
+
+def test_each_space_of_a_system_reduces_once_with_cycles(torus, genus2, monkeypatch):
+    real_reduction = PersistenceResult._reduce_filtration
+    reductions = []
+
+    def counted(result, cycles):
+        reductions.append((id(result), cycles))
+        return real_reduction(result, cycles)
+
+    monkeypatch.setattr(PersistenceResult, "_reduce_filtration", counted)
+    torus_filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+    genus2_filt = sublevel_filtration(genus2.complex, genus2.function, genus2.thresholds)
+    systems = [MayerVietorisSystem(torus.complex, torus.A, torus.B, torus_filt, 2),
+               PairSystem(genus2.complex, genus2.A, genus2_filt, 3)]
+    systems += [make_fixture(index)[1] for index in range(16)]
+    for system in systems:
+        module_sequence(system)
+        for u in range(system.n_steps):
+            ordinary_sequence(system, u)
+        for R in system.spaces.values():
+            for k in range(R.max_degree + 2):
+                R.class_of(k, 0, R.representatives(k, 0))
+    spaces = [id(R) for system in systems for R in system.spaces.values()]
+    assert sorted(reductions) == sorted((space, True) for space in spaces)
 
 
 @settings(max_examples=120, deadline=None)

@@ -414,9 +414,9 @@ def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
     reductions = []
     real_reduce = sequences._reduce
 
-    def counted(columns, p):
+    def counted(columns, p, cycles=True):
         reductions.append(len(columns))
-        return real_reduce(columns, p)
+        return real_reduce(columns, p, cycles)
     monkeypatch.setattr(sequences, "_reduce", counted)
     monkeypatch.setattr(linalg, "row_reduce", lambda *args: pytest.fail("row_reduce"))
     n = sys_.n_steps

@@ -223,7 +223,7 @@ def critical_cells(K: SimplicialComplex, f: MorseFunction) -> tuple[Simplex, ...
 def sublevel(K: SimplicialComplex, f: MorseFunction, u: Rational) -> SimplicialComplex:
     """Face closure of every cell with value at most u."""
     u = Fraction(u)
-    return close_under_faces([s for s in K.simplices() if f(s) <= u])
+    return close_under_faces([s for s, x in zip(K.simplices(), _in_order(K, f)) if x <= u])
 
 
 class UnknownLabelError(KeyError):

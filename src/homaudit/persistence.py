@@ -4,10 +4,15 @@ A space is a mask over the cells of the filtered complex X, numbered by
 their position in X and ordered by entry step, then dimension, then
 simplex, with one stable argsort of the filtration's entry-step array. The
 boundary columns, read off X's integer facet index through an integer row
-map, are reduced once on sparse columns over F_p
-(Zomorodian-Carlsson 2005), top down: a low of the degree above is cleared
-(Chen-Kerber 2011) and gets no column, the reduction mutates the fresh
-columns it is given, and only a low that is not 1 is inverted. A pivot
+map, are reduced once (Zomorodian-Carlsson 2005), top down: a low of the
+degree above is cleared (Chen-Kerber 2011) and gets no column. Over F_2
+(`_reduce_f2`) a column is its list of rows, no coefficient being other
+than 1: it stays that list while its low is free, becomes a set at its
+first addition, and each addition is one symmetric difference. Over any
+other F_p (`_reduce`) a column is a sparse {row: coefficient} dict; the
+reduction mutates the fresh columns it is given, and only a low that is
+not 1 is inverted. The dict kernel is also the image-bar reduction of a
+map over bars and the F_2 kernel's reference in the tests. A pivot
 pair (sigma, tau) is the bar [step of sigma, step of tau); an unpaired cycle
 cell is an essential bar. The reduced column R_tau, a cycle whose last cell
 is sigma, represents its bar at every step the bar is alive, and V_sigma an
@@ -24,7 +29,9 @@ the first per-step query, then kept. Chains are
 sparse {position in X: coefficient} dicts, passed between the spaces of one
 X unhashed: `_chains(k, u)` gives the cycle columns of the bars alive at u
 (of every bar), and `_coordinates` finds classes by back-substitution on
-the lows of all cycle columns, so no step builds a dense basis. The public
+the lows of all cycle columns, so no step builds a dense basis; over F_2
+both read the cycle columns as row collections, and back-substitution
+works on a set of rows. The public
 `representatives`, `coordinates` and `class_of` key chains by simplex.
 
 The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u): its
@@ -101,6 +108,36 @@ def _reduce(columns: Sequence[dict | None], p: int,
     return reduced, sources if cycles else None, pivot_of
 
 
+def _reduce_f2(columns: Sequence[list | None],
+               cycles: bool = True) -> tuple[list, Optional[list], dict]:
+    """`_reduce` over F_2, on columns given as lists of distinct rows: R_j
+    and V_j are row collections, not dicts. A column stays the list it is
+    given (V_j the list [j]) while its low is free; one that needs an
+    addition is copied to a set, and each addition, to R and to V, is one
+    symmetric difference with the source column as stored. No column given
+    is mutated."""
+    reduced: list = [None] * len(columns)
+    sources: list = [None] * len(columns)
+    pivot_of: dict[int, int] = {}
+    for j, r in enumerate(columns):
+        if r is None:
+            continue
+        v = [j] if cycles else None
+        while r:
+            low = max(r)
+            i = pivot_of.get(low)
+            if i is None:
+                pivot_of[low] = j
+                break
+            if type(r) is list:  # its first addition: R_j and V_j become sets
+                r, v = set(r), {j} if cycles else None
+            r.symmetric_difference_update(reduced[i])
+            if cycles:
+                v.symmetric_difference_update(sources[i])
+        reduced[j], sources[j] = r, v
+    return reduced, sources if cycles else None, pivot_of
+
+
 class BarMatrix(NamedTuple):
     """A matrix over bars, stored sparse: values[e] at (rows[e], cols[e])."""
 
@@ -160,22 +197,29 @@ class PersistenceResult:
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
         levels = self._filtration.complex._facet_index()[2]
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
-        above: list[Optional[dict]] = []
+        above: list = []
         births, deaths, cycle_columns, cycle_at = [], [], [], []
         for k in range(top, -1, -1):
             order = self._order[k]
             if k and order.size:  # facet i of a cell: vertex i deleted, sign (-1)^i
                 cells, facets = levels[k - 1]  # X's k-cells from position cells[0] on
-                facets = facets.reshape(-1, k + 1)[order - cells[0]]
+                rows = self._row_of[facets.reshape(-1, k + 1)[order - cells[0]]].tolist()
+            else:  # a vertex has no facets
+                rows = [[] for _ in range(order.size)]
+            # a cleared cell gets no column; a facet in A has the row -1 and is dropped
+            if p == 2:  # a column is its list of rows
+                if self._A is not None:
+                    rows = [[i for i in r if i >= 0] for r in rows]
+                columns = [None if j in paired else r for j, r in enumerate(rows)]
+                reduced, sources, pivot_of = _reduce_f2(columns, cycles)
+            else:
                 signs = [(-1) ** i % p for i in range(k + 1)]
-                columns = [None if j in paired else dict(zip(rows, signs))
-                           for j, rows in enumerate(self._row_of[facets].tolist())]
-                if self._A is not None:  # relative
+                columns = [None if j in paired else dict(zip(r, signs))
+                           for j, r in enumerate(rows)]
+                if self._A is not None:
                     for column in filter(None, columns):
                         column.pop(-1, None)
-            else:  # a vertex has no facets; a cleared cell gets no column
-                columns = [None if j in paired else {} for j in range(order.size)]
-            reduced, sources, pivot_of = _reduce(columns, p, cycles=cycles)
+                reduced, sources, pivot_of = _reduce(columns, p, cycles=cycles)
             if k < top:
                 lows, ends, kept, entry = [], [], [], self._entry[k + 1].tolist()
                 for j, r in enumerate(reduced):
@@ -199,9 +243,10 @@ class PersistenceResult:
             self._cycles, self._cycle_at = cycle_columns, cycle_at
 
     @cached_property
-    def _cycles(self) -> list[list[dict[int, int]]]:
-        """Per degree, each bar's cycle column, kept by a build with cycles;
-        a result built without finds them at this first read by reducing again."""
+    def _cycles(self) -> list[list]:
+        """Per degree, each bar's cycle column (its rows over F_2, a {row:
+        coefficient} dict otherwise), kept by a build with cycles; a result
+        built without finds them at this first read by reducing again."""
         self._reduce_filtration(cycles=True)
         return self._cycles
 
@@ -283,9 +328,8 @@ class PersistenceResult:
             return np.zeros((0, 0), dtype=np.int64)
         at_u, at_v = self._alive[k][u], self._alive[k][v]
         m = np.zeros((at_v.size, at_u.size), dtype=np.int64)
-        if m.size:  # the bars alive through [u, v] go to themselves
-            rows = (self._births[k][at_v] <= u).nonzero()[0]  # among those at v: born by u
-            m[rows, (self._deaths[k][at_u] > v).nonzero()[0]] = 1  # among those at u: dying after v
+        if m.size:  # a bar alive at u and at v is alive through [u, v]: it goes to itself
+            m[at_v[:, None] == at_u] = 1
         return m
 
     def persistent_group(self, k: int, u: int, v: int) -> np.ndarray:
@@ -303,6 +347,8 @@ class PersistenceResult:
         if alive is None:
             return []
         order, cycles = self._lists[1][k], self._cycles[k]
+        if self.modulus == 2:  # a column is its rows, each with coefficient 1
+            return [dict.fromkeys(map(order.__getitem__, cycles[j]), 1) for j in alive.tolist()]
         return [{order[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
 
     def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
@@ -363,13 +409,19 @@ class PersistenceResult:
                     elif i >= 0 or steps[s] > last:  # a cell of A present at step u is zero
                         cell = tuple(self._filtration.complex.simplices()[s])
                         raise NotACycleError(f"{cell} is not a {k}-cell of {where}")
+            if p == 2:
+                r = set(r)
             while r:
                 low = max(r)
                 j = cycle_at.get(low)
                 if j is None:
                     raise NotACycleError(f"a {k}-chain is not a cycle of {where}")
-                x = r[low]
-                _add_multiple(r, cycles[j], p - x, p)
+                if p == 2:  # every coefficient is 1
+                    x = 1
+                    r.symmetric_difference_update(cycles[j])
+                else:
+                    x = r[low]
+                    _add_multiple(r, cycles[j], p - x, p)
                 out.append((j, col, x))
         j, col, x = np.array(out, dtype=np.int64).reshape(-1, 3).T
         position = np.full(len(cycles), -1)

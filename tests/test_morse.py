@@ -215,3 +215,5 @@ def test_a_cell_with_no_value_is_an_input_error():
         validate_morse(L, f)
     with pytest.raises(ValueError, match=message):
         critical_cells(L, f)
+    with pytest.raises(ValueError, match=message):
+        sublevel(L, f, 1)

@@ -25,6 +25,11 @@ read for their bars first and their cycles after, against the same space
 built with cycles and the simplex-keyed build: bars, representatives,
 coordinates and classes.
 
+The F_2 kernel against the dict kernel on every degree's columns of the
+builds over F_2 of fixtures 0-63 (absolute, restricted and relative), the
+grid tori n = 6..14 and the lower-star grid-torus triads and pairs at
+n = 8 and 10: the same pivots, and R and V as the same row sets.
+
 Every relative barcode, reduced as the filtered quotient C(X)/C(A),
 against the reduced persistence of the cone X ∪ cone(A), built as a real
 complex: on every pair of the acceptance batch, of its first 64 fixtures
@@ -53,12 +58,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homaudit import persistence
 from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_faces,
                                 intersect)
 from homaudit.linalg import dense_rank
 from homaudit.morse import (Filtration, MorseFunction, _classify, critical_cells,
                             filtration_from_morse, sublevel, sublevel_filtration)
-from homaudit.persistence import PersistenceResult, barcode, compute_persistence
+from homaudit.persistence import (PersistenceResult, _reduce, _reduce_f2, barcode,
+                                  compute_persistence)
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
 from naive import (SimplexKeyedResult, assert_audits_match_per_call_path, assert_matches_oracle,
@@ -200,17 +207,70 @@ def test_lower_star_tori_match_the_simplex_keyed_path(n, p, kind):
     _assert_positions_match_simplex_keyed_path(_lower_star_torus(n, kind, p))
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_lean_grid_tori_match_the_simplex_keyed_path(p):
+def _grid_torus_filtrations():
+    """The filtrations of the grid tori n = 6..14 from the benchmark's
+    generator, at its thresholds."""
     gridgen = _load_gridgen()
     for n in range(6, 15):
         grid = gridgen.grid_torus(n, 1000 + n)
         K = SimplicialComplex(Simplex(s) for s in grid.values)
         f = MorseFunction(K, {Simplex(s): v for s, v in grid.values.items()})
-        filt = filtration_from_morse(K, f, gridgen.thresholds(grid))
+        yield filtration_from_morse(K, f, gridgen.thresholds(grid))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lean_grid_tori_match_the_simplex_keyed_path(p):
+    for filt in _grid_torus_filtrations():
         _assert_lean_result_matches(compute_persistence(filt, p),
                                     PersistenceResult(filt, p, None, cycles=True),
-                                    SimplexKeyedResult(filt, K, p, K.dim))
+                                    SimplexKeyedResult(filt, filt.complex, p, filt.complex.dim))
+
+
+def _assert_same_row_sets(got, want):
+    """F_2 row collections against {row: 1} dicts, column by column."""
+    for g, w in zip(got, want, strict=True):
+        if w is None:
+            assert g is None
+        else:
+            assert len(set(g)) == len(g) and set(g) == w.keys() and set(w.values()) <= {1}
+
+
+def _assert_f2_kernel_matches_the_dict_kernel(columns):
+    """One degree's columns, as lists of rows, reduced by the F_2 kernel
+    with and without V and by the dict kernel with V: the same pivots, and
+    column by column R (and V) as the same row sets."""
+    want_r, want_v, want_pivots = _reduce(
+        [None if c is None else dict.fromkeys(c, 1) for c in columns], 2)
+    for cycles in (True, False):
+        got_r, got_v, got_pivots = _reduce_f2([None if c is None else list(c) for c in columns],
+                                              cycles)
+        assert got_pivots == want_pivots
+        _assert_same_row_sets(got_r, want_r)
+        if cycles:
+            _assert_same_row_sets(got_v, want_v)
+        else:
+            assert got_v is None
+
+
+def test_f2_kernel_matches_the_dict_kernel():
+    real, seen = persistence._reduce_f2, []
+
+    def spy(columns, cycles=True):
+        seen.append([None if c is None else list(c) for c in columns])
+        return real(columns, cycles)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persistence, "_reduce_f2", spy)
+        for index in range(64):  # absolute and restricted spaces, and relative pairs
+            make_fixture(index, 2)
+        for filt in _grid_torus_filtrations():
+            compute_persistence(filt, 2)
+        for n in (8, 10):
+            for kind in ("triad", "pair"):
+                _lower_star_torus(n, kind, 2)
+    assert len(seen) > 64
+    for columns in seen:
+        _assert_f2_kernel_matches_the_dict_kernel(columns)
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,34 +5,34 @@ their position in X and ordered by entry step, then dimension, then
 simplex, with one stable argsort of the filtration's entry-step array. The
 boundary columns, read off X's integer facet index through an integer row
 map, are reduced once (Zomorodian-Carlsson 2005), top down: a low of the
-degree above is cleared (Chen-Kerber 2011) and gets no column. Over F_2
-(`_reduce_f2`) a column is its list of rows, no coefficient being other
-than 1: it stays that list while its low is free, becomes a set at its
-first addition, and each addition is one symmetric difference. Over any
-other F_p (`_reduce`) a column is a sparse {row: coefficient} dict; the
-reduction mutates the fresh columns it is given, and only a low that is
-not 1 is inverted. The dict kernel is also the image-bar reduction of a
-map over bars and the F_2 kernel's reference in the tests. A pivot
-pair (sigma, tau) is the bar [step of sigma, step of tau); an unpaired cycle
-cell is an essential bar. The reduced column R_tau, a cycle whose last cell
-is sigma, represents its bar at every step the bar is alive, and V_sigma an
-essential bar. These bases fit every step at once: induced maps are 0/1
-selections, the persistent group H^{u,v} is the set of bars containing
-[u, v], and the barcode is read off the pairs. A result keeps per degree
-only the cells and the bar table its reduction gives, plus the cycle
-columns when it is built with `cycles` (a system's spaces, whose maps read
-them); a barcode, the Betti numbers and every per-step view need only the
-table, so a result built without them tracks no V, and the first read of a
-cycle column reduces once more, tracking V. A per-step view is selected
-from the table, and the index of the bars alive at each step is built by
-the first per-step query, then kept. Chains are
-sparse {position in X: coefficient} dicts, passed between the spaces of one
-X unhashed: `_chains(k, u)` gives the cycle columns of the bars alive at u
-(of every bar), and `_coordinates` finds classes by back-substitution on
-the lows of all cycle columns, so no step builds a dense basis; over F_2
-both read the cycle columns as row collections, and back-substitution
-works on a set of rows. The public
-`representatives`, `coordinates` and `class_of` key chains by simplex.
+degree above is cleared (Chen-Kerber 2011) and gets no column. One kernel,
+`_reduce`, reduces every column; the modulus picks its arithmetic. Over
+F_2 a column is its list of rows, no coefficient being other than 1: it
+stays that list while its low is free, becomes a set at its first
+addition, and each addition is one symmetric difference. Over any other
+F_p a column is a sparse {row: coefficient} dict, reduced in place, and
+only a low that is not 1 is inverted. The same kernel reduces the image
+bars of a map over bars. A pivot pair (sigma, tau) is the bar [step of
+sigma, step of tau); an unpaired cycle cell is an essential bar. The
+reduced column R_tau, a cycle whose last cell is sigma, represents its bar
+at every step the bar is alive, and V_sigma an essential bar. These bases
+fit every step at once: induced maps are 0/1 selections, the persistent
+group H^{u,v} is the set of bars containing [u, v], and the barcode is
+read off the pairs. A result keeps per degree only the cells and the bar
+table its reduction gives; a barcode, the Betti numbers and every per-step
+view need only the table. The cycle columns, with each cycle cell's bar,
+are one cached table, `_cycle_table`: a result built with `cycles` (a
+system's spaces, whose maps read them) tracks V and keeps it, and a result
+built without tracks no V and reduces once more, tracking V, at its first
+cycle read. A per-step view is selected from the table, and the index of
+the bars alive at each step is built by the first per-step query, then
+kept. Chains are sparse {position in X: coefficient} dicts, passed between
+the spaces of one X unhashed: `_chains(k, u)` gives the cycle columns of
+the bars alive at u (of every bar), and `_coordinates` finds classes by
+back-substitution on the lows of all cycle columns, so no step builds a
+dense basis; over F_2 both read the cycle columns as row collections, and
+back-substitution works on a set of rows. The public `representatives`,
+`coordinates` and `class_of` key chains by simplex.
 
 The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u): its
 cells are the cells of X not in A, and a facet in A has no row, so a
@@ -69,71 +69,54 @@ def _add_multiple(target: dict, source: dict, c: int, p: int) -> None:
             target.pop(i, None)
 
 
-def _reduce(columns: Sequence[dict | None], p: int,
+def _reduce(columns: Sequence[list | dict | None], p: int,
             cycles: bool = True) -> tuple[list, Optional[list], dict]:
     """Left-to-right column reduction of one degree's boundary columns.
 
     Returns the reduced columns R, the columns V with R_j = sum_i V_j[i] d_i
     when `cycles` is true (None otherwise: V is neither tracked nor added
     to, for a caller that reads only R and the pivots), and the pivot of
-    every nonzero R_j as {low row: j}. Each nonzero R_j is scaled so that
-    its low entry is 1; only a low that is not 1 is inverted. A None column
-    is skipped, and its R_j and V_j are None: a caller passes None for a
-    cleared column, a low of the degree above, which would reduce to zero.
-    The columns are reduced in place, so callers pass fresh ones.
+    every nonzero R_j as {low row: j}. A None column is skipped, and its R_j
+    and V_j are None: a caller passes None for a cleared column, a low of
+    the degree above, which would reduce to zero. Over F_2 a column is a
+    list, or a dict, of its rows, every coefficient being 1: R_j stays the
+    column given (V_j the list [j]) while its low is free, becomes a set at
+    its first addition, and each addition, to R and to V, is one symmetric
+    difference with the source as stored; no column given is mutated. Over
+    any other F_p a column is a {row: coefficient} dict, reduced in place,
+    so callers pass fresh ones, and each nonzero R_j is scaled so that its
+    low entry is 1; only a low that is not 1 is inverted.
     """
-    reduced: list[Optional[dict]] = [None] * len(columns)
-    sources: list[Optional[dict]] = [None] * len(columns)
+    reduced: list = [None] * len(columns)
+    sources: list = [None] * len(columns)
     pivot_of: dict[int, int] = {}
+    f2 = p == 2
     for j, r in enumerate(columns):
         if r is None:
             continue
-        v = {j: 1} if cycles else None
+        v = ([j] if f2 else {j: 1}) if cycles else None
         while r:
             low = max(r)
             i = pivot_of.get(low)
             if i is None:
-                if r[low] != 1:
+                if not f2 and r[low] != 1:
                     inv = pow(r[low], -1, p)
                     r = {row: x * inv % p for row, x in r.items()}
                     if cycles:
                         v = {row: x * inv % p for row, x in v.items()}
                 pivot_of[low] = j
                 break
+            if f2:
+                if type(r) is not set:  # its first addition: R_j and V_j become sets
+                    r, v = set(r), {j} if cycles else None
+                r.symmetric_difference_update(reduced[i])
+                if cycles:
+                    v.symmetric_difference_update(sources[i])
+                continue
             c = p - r[low]
             _add_multiple(r, reduced[i], c, p)
             if cycles:
                 _add_multiple(v, sources[i], c, p)
-        reduced[j], sources[j] = r, v
-    return reduced, sources if cycles else None, pivot_of
-
-
-def _reduce_f2(columns: Sequence[list | None],
-               cycles: bool = True) -> tuple[list, Optional[list], dict]:
-    """`_reduce` over F_2, on columns given as lists of distinct rows: R_j
-    and V_j are row collections, not dicts. A column stays the list it is
-    given (V_j the list [j]) while its low is free; one that needs an
-    addition is copied to a set, and each addition, to R and to V, is one
-    symmetric difference with the source column as stored. No column given
-    is mutated."""
-    reduced: list = [None] * len(columns)
-    sources: list = [None] * len(columns)
-    pivot_of: dict[int, int] = {}
-    for j, r in enumerate(columns):
-        if r is None:
-            continue
-        v = [j] if cycles else None
-        while r:
-            low = max(r)
-            i = pivot_of.get(low)
-            if i is None:
-                pivot_of[low] = j
-                break
-            if type(r) is list:  # its first addition: R_j and V_j become sets
-                r, v = set(r), {j} if cycles else None
-            r.symmetric_difference_update(reduced[i])
-            if cycles:
-                v.symmetric_difference_update(sources[i])
         reduced[j], sources[j] = r, v
     return reduced, sources if cycles else None, pivot_of
 
@@ -153,11 +136,11 @@ class PersistenceResult:
     a mask over the cells of the filtered X (all of X when None), read
     relative to a mask A (no cell when None); immutable once built.
 
-    With `cycles` the reduction tracks V and the result keeps every bar's
-    cycle column, for a caller that will read them (a system's maps read
-    every space's). Without it the build keeps only the bar table, and the
-    first read of a cycle column (`representatives`, `coordinates`,
-    `class_of`) reduces once more, tracking V, and keeps the columns."""
+    With `cycles` the reduction tracks V and the result keeps its cycle
+    table, for a caller that will read it (a system's maps read every
+    space's). Without it the build keeps only the bar table, and the first
+    read of a cycle column (`representatives`, `coordinates`, `class_of`)
+    builds the cached `_cycle_table` by reducing once more, tracking V."""
 
     def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
                  space: Optional[np.ndarray] = None, A: Optional[np.ndarray] = None,
@@ -183,17 +166,21 @@ class PersistenceResult:
         if A is not None:
             row_of[A] = -1
         self._row_of = row_of
-        self._reduce_filtration(cycles=cycles)
+        self._births, self._deaths, table = self._reduce_filtration(cycles)
+        # per degree: the cycle cells of the bars of positive length (the others are never alive)
+        self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
+        if cycles:
+            self._cycle_table = table
 
-    def _reduce_filtration(self, cycles: bool) -> None:
+    def _reduce_filtration(self, cycles: bool) -> tuple[list, list, Optional[tuple]]:
         """Reduce every degree's boundary columns once, top down, each
-        degree's pivots clearing the degree below (Chen-Kerber 2011), and keep
-        per degree the bar table: the cycle cells (each the low of exactly one
-        cycle column: R_tau when paired with tau, V_sigma when essential) and
-        their birth and death steps (n_steps if none); with `cycles`, V is
-        tracked and the cycle columns are kept too. A column's rows are its
-        cell's facets, read off X's integer facet index and numbered by
-        `_row_of`; a facet in A has none."""
+        degree's pivots clearing the degree below (Chen-Kerber 2011). Returns
+        per degree the bar table, the birth and death steps (n_steps if none)
+        of the bars in the order of their cycle cells (each the low of exactly
+        one cycle column: R_tau when paired with tau, V_sigma when essential),
+        and with `cycles`, which tracks V, the `_cycle_table` (None without).
+        A column's rows are its cell's facets, read off X's integer facet
+        index and numbered by `_row_of`; a facet in A has none."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
         levels = self._filtration.complex._facet_index()[2]
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
@@ -211,7 +198,6 @@ class PersistenceResult:
                 if self._A is not None:
                     rows = [[i for i in r if i >= 0] for r in rows]
                 columns = [None if j in paired else r for j, r in enumerate(rows)]
-                reduced, sources, pivot_of = _reduce_f2(columns, cycles)
             else:
                 signs = [(-1) ** i % p for i in range(k + 1)]
                 columns = [None if j in paired else dict(zip(r, signs))
@@ -219,7 +205,7 @@ class PersistenceResult:
                 if self._A is not None:
                     for column in filter(None, columns):
                         column.pop(-1, None)
-                reduced, sources, pivot_of = _reduce(columns, p, cycles=cycles)
+            reduced, sources, pivot_of = _reduce(columns, p, cycles)
             if k < top:
                 lows, ends, kept, entry = [], [], [], self._entry[k + 1].tolist()
                 for j, r in enumerate(reduced):
@@ -236,25 +222,15 @@ class PersistenceResult:
                     cycle_columns.insert(0, kept)
                     cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
             paired, above = pivot_of, reduced
-        self._births, self._deaths = births, deaths
-        # per degree: the cycle cells of the bars of positive length (the others are never alive)
-        self._long = [(b < d).nonzero()[0] for b, d in zip(births, deaths)]
-        if cycles:
-            self._cycles, self._cycle_at = cycle_columns, cycle_at
+        return births, deaths, (cycle_columns, cycle_at) if cycles else None
 
     @cached_property
-    def _cycles(self) -> list[list]:
+    def _cycle_table(self) -> tuple[list[list], list[dict[int, int]]]:
         """Per degree, each bar's cycle column (its rows over F_2, a {row:
-        coefficient} dict otherwise), kept by a build with cycles; a result
-        built without finds them at this first read by reducing again."""
-        self._reduce_filtration(cycles=True)
-        return self._cycles
-
-    @cached_property
-    def _cycle_at(self) -> list[dict[int, int]]:
-        """Per degree, each cycle cell's bar; kept and found with `_cycles`."""
-        self._reduce_filtration(cycles=True)
-        return self._cycle_at
+        coefficient} dict otherwise), and each cycle cell's bar. A build with
+        cycles keeps it; a result built without finds it at this first read
+        by reducing again, tracking V."""
+        return self._reduce_filtration(cycles=True)[2]
 
     @cached_property
     def filtration(self) -> Filtration:
@@ -346,7 +322,7 @@ class PersistenceResult:
         alive = self._bars(k, u)
         if alive is None:
             return []
-        order, cycles = self._lists[1][k], self._cycles[k]
+        order, cycles = self._lists[1][k], self._cycle_table[0][k]
         if self.modulus == 2:  # a column is its rows, each with coefficient 1
             return [dict.fromkeys(map(order.__getitem__, cycles[j]), 1) for j in alive.tolist()]
         return [{order[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
@@ -387,16 +363,15 @@ class PersistenceResult:
         alive at u is a boundary there. A chain is read in C(X)/C(A), where a
         cell of A present at step u (any, when u is None) is zero. A cycle
         reduces to zero, so a low that is no cycle cell, or another cell
-        outside step u (the filtration), raises NotACycleError."""
+        outside step u (the filtration), raises NotACycleError. Above
+        max_degree there is no bar, and every chain has no coordinate."""
         rows, p, last = self._bars(k, u), self.modulus, self.n_steps - 1 if u is None else u
         where = "the filtration" if u is None else f"step {u}"
-        if not chains:
-            return BarMatrix((0 if rows is None else rows.size, 0), *np.zeros((3, 0), np.int64))
+        if rows is None or not chains:  # above max_degree there are no bars
+            return BarMatrix((0 if rows is None else rows.size, len(chains)),
+                             *np.zeros((3, 0), np.int64))
         (row_of, _), steps, n = self._lists, self._filtration._steps, self._n_cells(k, last)
-        if rows is None:
-            cycles, cycle_at, rows = [], {}, np.zeros(0, dtype=np.int64)
-        else:
-            cycles, cycle_at = self._cycles[k], self._cycle_at[k]
+        cycles, cycle_at = (table[k] for table in self._cycle_table)
         out = []
         for col, chain in enumerate(chains):
             r = {}

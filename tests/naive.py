@@ -45,7 +45,10 @@ X ∪ cone(A) that the filtered quotient C(X)/C(A) replaced
 system replaced (`SimplexKeyedResult`: each space's cells numbered afresh
 and each facet hashed into a `Simplex`-keyed dict; `simplex_keyed_system`:
 every map over bars from chains handed over as simplices, with the
-boundary of `simplex_boundary` read off X's facet table), the per-step map path that the maps over bars replaced
+boundary of `simplex_boundary` read off X's facet table), the column
+reduction on {row: coefficient} dicts over every field (`dict_reduce`),
+whose F_2 case one entry at a time the set arithmetic of the one kernel
+replaced, the per-step map path that the maps over bars replaced
 (`PerStepSystem`: every horizontal map built at every step from the step's
 representatives, with the rank profiles of `_Level` and their leak bounds
 and the scatter square check, and the connecting map over bars with A∩B
@@ -75,7 +78,7 @@ from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomp
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
 from homaudit.morse import Filtration, MorseViolation, _exact, _least_over_cofaces
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _add_multiple,
-                                  _reduce, barcode, compute_persistence)
+                                  barcode, compute_persistence)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
                                 MayerVietorisSystem, PositionAudit, RestrictionLeakError,
                                 SequenceAudit, SequenceTerm, StepAudit, audit, check_squares,
@@ -822,6 +825,37 @@ def cone_barcodes(X, A, filtration, modulus, max_degree):
 
 
 # ---------------------------------------------------------------------------
+# the dict reduction that the F_2 set arithmetic of one kernel replaced
+
+def dict_reduce(columns, p, cycles=True):
+    """`persistence._reduce` on {row: coefficient} dict columns over every
+    F_p, F_2 included, one entry at a time: the same R, V (None without
+    `cycles`) and pivots, with each nonzero R_j scaled so that its low is 1.
+    A None column is skipped; the columns are reduced in place."""
+    reduced, sources, pivot_of = [None] * len(columns), [None] * len(columns), {}
+    for j, r in enumerate(columns):
+        if r is None:
+            continue
+        v = {j: 1} if cycles else None
+        while r:
+            low = max(r)
+            i = pivot_of.get(low)
+            if i is None:
+                inv = pow(r[low], -1, p)
+                r = {row: x * inv % p for row, x in r.items()}
+                if cycles:
+                    v = {row: x * inv % p for row, x in v.items()}
+                pivot_of[low] = j
+                break
+            c = p - r[low]
+            _add_multiple(r, reduced[i], c, p)
+            if cycles:
+                _add_multiple(v, sources[i], c, p)
+        reduced[j], sources[j] = r, v
+    return reduced, sources if cycles else None, pivot_of
+
+
+# ---------------------------------------------------------------------------
 # the simplex-keyed build and maps that one numbering per system replaced
 
 def simplex_boundary(X, chains, keep=None):
@@ -867,7 +901,7 @@ class SimplexKeyedResult:
                     if f in rows:
                         column[rows[f]] = (-1) ** i % modulus
                 columns.append(None if j in paired else column)
-            reduced, sources, pivot_of = _reduce(columns, modulus)
+            reduced, sources, pivot_of = dict_reduce(columns, modulus)
             if k < top:
                 table = []  # (low, cycle column, birth, death) of each bar
                 for j, r in enumerate(reduced):

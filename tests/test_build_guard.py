@@ -1,14 +1,14 @@
 """Persistence and Morse builds do only the work the bars need.
 
 Every persistence build (absolute, restricted and relative, on the torus
-and genus-2 fixtures over F_2 and F_3) hands the column reduction it calls
-(the F_2 kernel over F_2, the dict kernel otherwise) None for each cleared
-cell, a low of the degree above, and a fresh column for every other cell,
-a list of rows over F_2 and a dict otherwise, and its bars and cycle
-columns still match the dense per-step path. A barcode, the Betti numbers
-and the CLI's `barcode`, `betti` and `morse-check` track no V: no
-reduction on their way, by either kernel, is asked for cycles, and a
-result whose cycles are never read keeps no cycle table. With a
+and genus-2 fixtures over F_2 and F_3) hands the one column reduction,
+with its modulus, None for each cleared cell, a low of the degree above,
+and a fresh column for every other cell, a list of rows over F_2 and a
+dict otherwise, and its bars and cycle columns still match the dense
+per-step path. A barcode, the Betti numbers and the CLI's `barcode`,
+`betti` and `morse-check` track no V: no reduction on their way, over
+either field, is asked for cycles, and a result whose cycles are never
+read keeps no cycle table. With a
 counting mapping swapped in for a function's value table,
 `filtration_from_morse`, `validate_morse` and `critical_cells` read none of
 it (they read f's values in K's order), while `f(s)`, `items()`,
@@ -40,25 +40,25 @@ def _builds(fixture, p):
         yield (lambda A=A: relative_persistence(K, A, filt, p)), A
 
 
-def _kernel(p):
-    """The name of the kernel a build over F_p calls, and its column type."""
-    return ("_reduce_f2", list) if p == 2 else ("_reduce", dict)
+def _column_type(p):
+    """The type of the columns a build over F_p gives the kernel."""
+    return list if p == 2 else dict
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("name", ["torus", "genus2"])
 def test_a_cleared_cell_gets_no_column(monkeypatch, request, name, p):
-    kernel, column_type = _kernel(p)
-    real_reduce, calls = getattr(persistence, kernel), []
+    column_type, real_reduce, calls = _column_type(p), persistence._reduce, []
 
-    def spy(columns, *args, **kwargs):
+    def spy(columns, modulus, cycles=True):
+        assert modulus == p
         columns = list(columns)
-        out = real_reduce(columns, *args, **kwargs)
+        out = real_reduce(columns, modulus, cycles)
         calls.append((columns, set(out[2])))  # the columns and their pivots' lows
         return out
 
     for build, A in _builds(request.getfixturevalue(name), p):
-        monkeypatch.setattr(persistence, kernel, spy)
+        monkeypatch.setattr(persistence, "_reduce", spy)
         calls.clear()
         R = build()
         monkeypatch.undo()
@@ -75,7 +75,7 @@ def test_a_cleared_cell_gets_no_column(monkeypatch, request, name, p):
                 else:
                     assert type(column) is column_type, j
             fresh = [id(c) for c in columns if c is not None]
-            assert len(set(fresh)) == len(fresh)  # the dict kernel reduces in place: none is shared
+            assert len(set(fresh)) == len(fresh)  # reduced in place over F_3: none is shared
         assert_matches_oracle(R, A)
         _assert_cycle_columns_are_bases(
             R, DensePersistence(R.filtration, R.modulus, R.max_degree, A))
@@ -84,53 +84,46 @@ def test_a_cleared_cell_gets_no_column(monkeypatch, request, name, p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_kernel_without_cycles_gives_the_same_pivots(monkeypatch, torus, genus2, p):
     # every degree's columns of each build, reduced again with and without V
-    kernel, column_type = _kernel(p)
-    real_reduce, given = getattr(persistence, kernel), []
-    modulus = () if p == 2 else (p,)  # the F_2 kernel takes no modulus
+    column_type, real_reduce, given = _column_type(p), persistence._reduce, []
 
-    def spy(columns, *args, **kwargs):
+    def spy(columns, modulus, cycles=True):
         given.append([None if c is None else column_type(c) for c in columns])
-        return real_reduce(columns, *args, **kwargs)
+        return real_reduce(columns, modulus, cycles)
 
     for build, _ in [*_builds(torus, p), *_builds(genus2, p)]:
-        monkeypatch.setattr(persistence, kernel, spy)
+        monkeypatch.setattr(persistence, "_reduce", spy)
         build()
         monkeypatch.undo()
     assert given
     for columns in given:
         def fresh():
             return [None if c is None else column_type(c) for c in columns]
-        reduced, sources, pivot_of = real_reduce(fresh(), *modulus, True)
-        assert real_reduce(fresh(), *modulus, False) == (reduced, None, pivot_of)
+        reduced, sources, pivot_of = real_reduce(fresh(), p, True)
+        assert real_reduce(fresh(), p, False) == (reduced, None, pivot_of)
         assert len(sources) == len(columns)
 
 
 def test_the_barcode_paths_track_no_v(monkeypatch, torus, genus2, data_dir, capsys):
-    real_reduce, real_reduce_f2, asked = persistence._reduce, persistence._reduce_f2, []
+    real_reduce, asked = persistence._reduce, []
 
     def spy(columns, p, cycles=True):
-        asked.append(("_reduce", cycles))
+        asked.append((p, cycles))
         return real_reduce(columns, p, cycles)
 
-    def spy_f2(columns, cycles=True):
-        asked.append(("_reduce_f2", cycles))
-        return real_reduce_f2(columns, cycles)
-
     monkeypatch.setattr(persistence, "_reduce", spy)
-    monkeypatch.setattr(persistence, "_reduce_f2", spy_f2)
     for fixture in (torus, genus2):
         K = fixture.complex
         R = compute_persistence(filtration_from_morse(K, fixture.function, fixture.thresholds), 2)
         for k in range(R.max_degree + 1):
             persistence.barcode(R, k)
-        assert not {"_cycles", "_cycle_at", "_lists"} & vars(R).keys()
+        assert not {"_cycle_table", "_lists"} & vars(R).keys()
         betti_numbers(K, 3)
     for name in ("torus", "genus2"):
         path = str(data_dir / name / "complex.txt")
         for argv in (["barcode", path], ["betti", path], ["morse-check", path]):
             assert cli.main(argv) == 0
     capsys.readouterr()
-    assert {kernel for kernel, _ in asked} == {"_reduce", "_reduce_f2"}
+    assert {p for p, _ in asked} == {2, 3}  # the Betti numbers are over F_3
     assert not any(cycles for _, cycles in asked)
 
 

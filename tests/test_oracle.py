@@ -25,10 +25,14 @@ read for their bars first and their cycles after, against the same space
 built with cycles and the simplex-keyed build: bars, representatives,
 coordinates and classes.
 
-The F_2 kernel against the dict kernel on every degree's columns of the
-builds over F_2 of fixtures 0-63 (absolute, restricted and relative), the
-grid tori n = 6..14 and the lower-star grid-torus triads and pairs at
-n = 8 and 10: the same pivots, and R and V as the same row sets.
+The reduction kernel against the dict reduction of `naive.dict_reduce`,
+with V and without: on random sparse columns over F_2, F_3, F_5 and F_7
+with cleared slots (over F_2 given as lists of rows and as {row: 1}
+dicts), and on every degree's columns of the builds over F_2 of fixtures
+0-63 (absolute, restricted and relative), the grid tori n = 6..14 and the
+lower-star grid-torus triads and pairs at n = 8 and 10: the same pivots,
+R and V equal column by column (as the same row sets over F_2), and no
+column given over F_2 mutated.
 
 Every relative barcode, reduced as the filtered quotient C(X)/C(A),
 against the reduced persistence of the cone X ∪ cone(A), built as a real
@@ -64,13 +68,12 @@ from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close
 from homaudit.linalg import dense_rank
 from homaudit.morse import (Filtration, MorseFunction, _classify, critical_cells,
                             filtration_from_morse, sublevel, sublevel_filtration)
-from homaudit.persistence import (PersistenceResult, _reduce, _reduce_f2, barcode,
-                                  compute_persistence)
+from homaudit.persistence import PersistenceResult, _reduce, barcode, compute_persistence
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
 from naive import (SimplexKeyedResult, assert_audits_match_per_call_path, assert_matches_oracle,
-                   bisect_filtration, cone_barcodes, fraction_classify, fraction_filtration,
-                   naive_betti, naive_classify, simplex_keyed_system)
+                   bisect_filtration, cone_barcodes, dict_reduce, fraction_classify,
+                   fraction_filtration, naive_betti, naive_classify, simplex_keyed_system)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
                      lower_star_system, make_fixture, random_complex, random_subcomplex)
 
@@ -164,7 +167,7 @@ def _assert_lean_result_matches(lean, eager, old):
     for k in degrees:
         for got, want in zip(lean.bars_alive(k), old.bars(k), strict=True):
             assert np.array_equal(got, want), k
-    assert not {"_cycles", "_cycle_at", "_lists"} & vars(lean).keys()
+    assert not {"_cycle_table", "_lists"} & vars(lean).keys()
     for k in degrees:
         chains = _with_a_sum(eager.representatives(k), p)
         assert lean.representatives(k) == chains[:-1] == old.representatives(k), k
@@ -226,41 +229,67 @@ def test_lean_grid_tori_match_the_simplex_keyed_path(p):
                                     SimplexKeyedResult(filt, filt.complex, p, filt.complex.dim))
 
 
-def _assert_same_row_sets(got, want):
-    """F_2 row collections against {row: 1} dicts, column by column."""
+def _assert_same_columns(got, want, p):
+    """Kernel columns against `dict_reduce`'s, column by column: over F_2 as
+    the same sets of distinct rows, over any other F_p as equal dicts."""
     for g, w in zip(got, want, strict=True):
         if w is None:
             assert g is None
-        else:
+        elif p == 2:
             assert len(set(g)) == len(g) and set(g) == w.keys() and set(w.values()) <= {1}
+        else:
+            assert g == w
 
 
-def _assert_f2_kernel_matches_the_dict_kernel(columns):
-    """One degree's columns, as lists of rows, reduced by the F_2 kernel
-    with and without V and by the dict kernel with V: the same pivots, and
-    column by column R (and V) as the same row sets."""
-    want_r, want_v, want_pivots = _reduce(
-        [None if c is None else dict.fromkeys(c, 1) for c in columns], 2)
+def _assert_kernel_matches_the_reference(columns, p):
+    """One degree's columns (lists of rows or {row: 1} dicts over F_2, dicts
+    otherwise; None for a cleared slot) reduced by `_reduce` with and without
+    V and by `dict_reduce` with V: the same pivots, and column by column the
+    same R (and V). The columns given over F_2 are not mutated."""
+    want_r, want_v, want_pivots = dict_reduce(
+        [None if c is None else dict.fromkeys(c, 1) if p == 2 else dict(c) for c in columns], p)
     for cycles in (True, False):
-        got_r, got_v, got_pivots = _reduce_f2([None if c is None else list(c) for c in columns],
-                                              cycles)
+        given = [None if c is None else type(c)(c) for c in columns]
+        got_r, got_v, got_pivots = _reduce(given, p, cycles)
         assert got_pivots == want_pivots
-        _assert_same_row_sets(got_r, want_r)
+        _assert_same_columns(got_r, want_r, p)
         if cycles:
-            _assert_same_row_sets(got_v, want_v)
+            _assert_same_columns(got_v, want_v, p)
         else:
             assert got_v is None
+        if p == 2:
+            assert given == columns
+
+
+@st.composite
+def _sparse_columns(draw):
+    """(p, columns): a few sparse columns over F_p on a few rows, some None;
+    over F_2 each column is given as a list of its rows or as a {row: 1} dict."""
+    p = draw(st.sampled_from(PRIMES))
+    column = st.dictionaries(st.integers(0, 9), st.integers(1, p - 1), max_size=5)
+    columns = draw(st.lists(st.none() | column, max_size=10))
+    if p == 2:
+        columns = [list(c) if c is not None and draw(st.booleans()) else c for c in columns]
+    return p, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_columns())
+def test_the_kernel_matches_the_dict_reduction(case):
+    _assert_kernel_matches_the_reference(case[1], case[0])
 
 
 def test_f2_kernel_matches_the_dict_kernel():
-    real, seen = persistence._reduce_f2, []
+    # every degree's columns of F_2 builds, as the kernel is given them
+    real, seen = persistence._reduce, []
 
-    def spy(columns, cycles=True):
+    def spy(columns, p, cycles=True):
+        assert p == 2 and all(c is None or type(c) is list for c in columns)
         seen.append([None if c is None else list(c) for c in columns])
-        return real(columns, cycles)
+        return real(columns, p, cycles)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(persistence, "_reduce_f2", spy)
+        patch.setattr(persistence, "_reduce", spy)
         for index in range(64):  # absolute and restricted spaces, and relative pairs
             make_fixture(index, 2)
         for filt in _grid_torus_filtrations():
@@ -270,7 +299,7 @@ def test_f2_kernel_matches_the_dict_kernel():
                 _lower_star_torus(n, kind, 2)
     assert len(seen) > 64
     for columns in seen:
-        _assert_f2_kernel_matches_the_dict_kernel(columns)
+        _assert_kernel_matches_the_reference(columns, 2)
 
 
 @settings(max_examples=80, deadline=None)

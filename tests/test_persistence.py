@@ -547,6 +547,19 @@ def test_a_chain_above_every_degree_is_no_cycle(torus_system):
     assert str(info.value) == f"{tuple(range(k + 1))} is not a {k}-cell of the filtration"
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_cycle_above_max_degree_has_no_coordinates(p):
+    # a cell of X above max_degree is in no bar, so a chain on such cells has
+    # a class on no bar: a zero-row matrix, not an error
+    R = compute_persistence(Filtration([0], [close_under_faces([(0, 1, 2)])]), p, max_degree=0)
+    assert R.dim(1, 0) == R.dim(2, 0) == 0
+    for k, chain in ((1, {(1, 2): 1, (0, 2): -1, (0, 1): 1}), (2, {(0, 1, 2): 1})):
+        for u in (0, None):
+            m = R.coordinates(k, [chain, chain], u)
+            assert m.shape == (0, 2) and m.values.size == 0, (k, u)
+        assert R.class_of(k, 0, [chain]).shape == (0, 1), k
+
+
 def _lone_spaces(system):
     """Each space of a system built on its own: its restricted filtration, or
     the pair (X, A) by relative_persistence, with the system's top degree."""

@@ -8,11 +8,11 @@ map, are reduced once (Zomorodian-Carlsson 2005), top down: a low of the
 degree above is cleared (Chen-Kerber 2011) and gets no column. One kernel,
 `_reduce`, reduces every column; the modulus picks its arithmetic. Over
 F_2 a column is its list of rows, no coefficient being other than 1: it
-stays that list while its low is free, becomes a set at its first
-addition, and each addition is one symmetric difference. Over any other
-F_p a column is a sparse {row: coefficient} dict, reduced in place, and
-only a low that is not 1 is inverted. The same kernel reduces the image
-bars of a map over bars. A pivot pair (sigma, tau) is the bar [step of
+stays that list while its low is free, becomes an int, bit i for row i,
+at its first addition, and each addition is one XOR. Over any other F_p a
+column is a sparse {row: coefficient} dict, reduced in place, and only a
+low that is not 1 is inverted. The same kernel reduces the image bars of
+a map over bars. A pivot pair (sigma, tau) is the bar [step of
 sigma, step of tau); an unpaired cycle cell is an essential bar. The
 reduced column R_tau, a cycle whose last cell is sigma, represents its bar
 at every step the bar is alive, and V_sigma an essential bar. These bases
@@ -30,9 +30,9 @@ kept. Chains are sparse {position in X: coefficient} dicts, passed between
 the spaces of one X unhashed: `_chains(k, u)` gives the cycle columns of
 the bars alive at u (of every bar), and `_coordinates` finds classes by
 back-substitution on the lows of all cycle columns, so no step builds a
-dense basis; over F_2 both read the cycle columns as row collections, and
-back-substitution works on a set of rows. The public `representatives`,
-`coordinates` and `class_of` key chains by simplex.
+dense basis; over F_2 `_chains` reads an int column's rows off its bits
+in one pass, and back-substitution XORs into an int. The public
+`representatives`, `coordinates` and `class_of` key chains by simplex.
 
 The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u): its
 cells are the cells of X not in A, and a facet in A has no row, so a
@@ -43,6 +43,7 @@ step indices; thresholds are carried along as labels only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
@@ -80,12 +81,12 @@ def _reduce(columns: Sequence[list | dict | None], p: int,
     and V_j are None: a caller passes None for a cleared column, a low of
     the degree above, which would reduce to zero. Over F_2 a column is a
     list, or a dict, of its rows, every coefficient being 1: R_j stays the
-    column given (V_j the list [j]) while its low is free, becomes a set at
-    its first addition, and each addition, to R and to V, is one symmetric
-    difference with the source as stored; no column given is mutated. Over
-    any other F_p a column is a {row: coefficient} dict, reduced in place,
-    so callers pass fresh ones, and each nonzero R_j is scaled so that its
-    low entry is 1; only a low that is not 1 is inverted.
+    column given (V_j the list [j]) while its low is free; at its first
+    addition R_j and V_j become ints, bit i for row i, and each addition is
+    one XOR (row by row from a source still as given). No column given is
+    mutated. Over any other F_p a column is a {row: coefficient} dict,
+    reduced in place, so callers pass fresh ones, and each nonzero R_j is
+    scaled so that its low entry is 1; only a low that is not 1 is inverted.
     """
     reduced: list = [None] * len(columns)
     sources: list = [None] * len(columns)
@@ -96,7 +97,7 @@ def _reduce(columns: Sequence[list | dict | None], p: int,
             continue
         v = ([j] if f2 else {j: 1}) if cycles else None
         while r:
-            low = max(r)
+            low = r.bit_length() - 1 if type(r) is int else max(r)
             i = pivot_of.get(low)
             if i is None:
                 if not f2 and r[low] != 1:
@@ -107,11 +108,24 @@ def _reduce(columns: Sequence[list | dict | None], p: int,
                 pivot_of[low] = j
                 break
             if f2:
-                if type(r) is not set:  # its first addition: R_j and V_j become sets
-                    r, v = set(r), {j} if cycles else None
-                r.symmetric_difference_update(reduced[i])
+                if type(r) is not int:  # its first addition: R_j and V_j become ints
+                    bits = 0
+                    for row in r:
+                        bits ^= 1 << row
+                    r, v = bits, 1 << j if cycles else None
+                s = reduced[i]
+                if type(s) is int:
+                    r ^= s
+                else:
+                    for row in s:
+                        r ^= 1 << row
                 if cycles:
-                    v.symmetric_difference_update(sources[i])
+                    s = sources[i]
+                    if type(s) is int:
+                        v ^= s
+                    else:
+                        for row in s:
+                            v ^= 1 << row
                 continue
             c = p - r[low]
             _add_multiple(r, reduced[i], c, p)
@@ -119,6 +133,14 @@ def _reduce(columns: Sequence[list | dict | None], p: int,
                 _add_multiple(v, sources[i], c, p)
         reduced[j], sources[j] = r, v
     return reduced, sources if cycles else None, pivot_of
+
+
+def _rows(column: list | int) -> list:
+    """The rows of an F_2 column as `_reduce` returns it: the list given, or
+    the set bits of an int, found in one pass over its binary digits."""
+    if type(column) is not int:
+        return column
+    return [m.start() for m in re.finditer("1", bin(column)[:1:-1])]  # digit i is bit i
 
 
 class BarMatrix(NamedTuple):
@@ -324,7 +346,8 @@ class PersistenceResult:
             return []
         order, cycles = self._lists[1][k], self._cycle_table[0][k]
         if self.modulus == 2:  # a column is its rows, each with coefficient 1
-            return [dict.fromkeys(map(order.__getitem__, cycles[j]), 1) for j in alive.tolist()]
+            return [dict.fromkeys(map(order.__getitem__, _rows(cycles[j])), 1)
+                    for j in alive.tolist()]
         return [{order[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
 
     def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
@@ -384,16 +407,16 @@ class PersistenceResult:
                     elif i >= 0 or steps[s] > last:  # a cell of A present at step u is zero
                         cell = tuple(self._filtration.complex.simplices()[s])
                         raise NotACycleError(f"{cell} is not a {k}-cell of {where}")
-            if p == 2:
-                r = set(r)
+            if p == 2:  # the chain as an int, bit i for row i, like an added-to cycle column
+                r = sum(1 << i for i in r)
             while r:
-                low = max(r)
+                low = r.bit_length() - 1 if p == 2 else max(r)
                 j = cycle_at.get(low)
                 if j is None:
                     raise NotACycleError(f"a {k}-chain is not a cycle of {where}")
                 if p == 2:  # every coefficient is 1
-                    x = 1
-                    r.symmetric_difference_update(cycles[j])
+                    x, z = 1, cycles[j]
+                    r ^= z if type(z) is int else sum(1 << i for i in z)
                 else:
                     x = r[low]
                     _add_multiple(r, cycles[j], p - x, p)

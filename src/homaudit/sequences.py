@@ -303,10 +303,10 @@ def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
     return R_sup._coordinates(k, R_sub._chains(k))
 
 
-def _boundary(X: SimplicialComplex, chains, k: int, keep=None) -> list[dict]:
-    """The boundary of the part of each k-chain of positions in X on the
-    cells that the mask `keep` marks (all when None), read off X's facet
-    index: facet i has the sign (-1)^i."""
+def _boundary(X: SimplicialComplex, chains, k: int, p: int, keep=None) -> list[dict]:
+    """The boundary over F_p of the part of each k-chain of positions in X on
+    the cells that the mask `keep` marks (all when None), read off X's facet
+    index: facet i has the sign (-1)^i. An entry that sums to 0 is dropped."""
     if not chains:
         return []
     cells, facets = X._facet_index()[2][k - 1]  # X's k-cells from position cells[0] on
@@ -319,7 +319,7 @@ def _boundary(X: SimplicialComplex, chains, k: int, keep=None) -> list[dict]:
             if keep is None or keep[s]:
                 for i, f in enumerate(rows[s - first]):
                     boundary[f] = boundary.get(f, 0) + (-x if i % 2 else x)
-        out.append(boundary)
+        out.append({f: y % p for f, y in boundary.items() if y % p})
     return out
 
 
@@ -329,7 +329,7 @@ def mv_connecting(sys: MayerVietorisSystem, k: int) -> BarMatrix:
     boundary. A cell present at a step lies in that step of A exactly when it
     lies in A, so the split is the same at every step: the A-part is the
     chain on A's mask, and a cell of A∩B goes to the A side."""
-    return sys.RAB._coordinates(k, _boundary(sys.X, sys.RX._chains(k + 1), k + 1,
+    return sys.RAB._coordinates(k, _boundary(sys.X, sys.RX._chains(k + 1), k + 1, sys.modulus,
                                              sys._masks[0]))
 
 
@@ -337,7 +337,7 @@ def pair_connecting(sys: PairSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative
     class is a chain of X whose boundary lies in A, and the class of that
     boundary is the image."""
-    return sys.RA._coordinates(k, _boundary(sys.X, sys.RXA._chains(k + 1), k + 1))
+    return sys.RA._coordinates(k, _boundary(sys.X, sys.RXA._chains(k + 1), k + 1, sys.modulus))
 
 
 def quotient_map(sys: PairSystem, k: int) -> BarMatrix:

@@ -48,7 +48,9 @@ every map over bars from chains handed over as simplices, with the
 boundary of `simplex_boundary` read off X's facet table), the column
 reduction on {row: coefficient} dicts over every field (`dict_reduce`),
 whose F_2 case one entry at a time the set arithmetic of the one kernel
-replaced, the per-step map path that the maps over bars replaced
+replaced, that set arithmetic, which its int columns replaced, in the
+kernel (`set_reduce`) and in the back-substitution (`set_coordinates`,
+with `f2_rows` reading an int column bit by bit), the per-step map path that the maps over bars replaced
 (`PerStepSystem`: every horizontal map built at every step from the step's
 representatives, with the rank profiles of `_Level` and their leak bounds
 and the scatter square check, and the connecting map over bars with A∩B
@@ -825,7 +827,7 @@ def cone_barcodes(X, A, filtration, modulus, max_degree):
 
 
 # ---------------------------------------------------------------------------
-# the dict reduction that the F_2 set arithmetic of one kernel replaced
+# the dict reduction that the F_2 set arithmetic of the one kernel replaced
 
 def dict_reduce(columns, p, cycles=True):
     """`persistence._reduce` on {row: coefficient} dict columns over every
@@ -853,6 +855,78 @@ def dict_reduce(columns, p, cycles=True):
                 _add_multiple(v, sources[i], c, p)
         reduced[j], sources[j] = r, v
     return reduced, sources if cycles else None, pivot_of
+
+
+# ---------------------------------------------------------------------------
+# the F_2 set columns that the int columns of the one kernel replaced
+
+def f2_rows(column):
+    """The rows of an F_2 column as `persistence._reduce` returns it: the
+    column given, or the set bits of an int, read one bit at a time."""
+    if type(column) is int:
+        return {i for i in range(column.bit_length()) if column >> i & 1}
+    return set(column)
+
+
+def set_reduce(columns, cycles=True):
+    """`persistence._reduce` over F_2 on set columns: R_j stays the column
+    given (a list or dict of its rows; V_j the list [j]) while its low is
+    free, becomes a set at its first addition, and each addition, to R and
+    to V, is one symmetric difference, the low being the set's max. No
+    column given is mutated."""
+    reduced, sources, pivot_of = [None] * len(columns), [None] * len(columns), {}
+    for j, r in enumerate(columns):
+        if r is None:
+            continue
+        v = [j] if cycles else None
+        while r:
+            low = max(r)
+            i = pivot_of.get(low)
+            if i is None:
+                pivot_of[low] = j
+                break
+            if type(r) is not set:  # its first addition: R_j and V_j become sets
+                r, v = set(r), {j} if cycles else None
+            r.symmetric_difference_update(reduced[i])
+            if cycles:
+                v.symmetric_difference_update(sources[i])
+        reduced[j], sources[j] = r, v
+    return reduced, sources if cycles else None, pivot_of
+
+
+def set_coordinates(result, k, chains, u=None):
+    """`PersistenceResult._coordinates` over F_2 by back-substitution on a
+    set of rows, `max` finding each low, with the result's cycle columns read
+    as row sets by `f2_rows`; a chain that is not a cycle raises
+    NotACycleError."""
+    rows, last = result._bars(k, u), result.n_steps - 1 if u is None else u
+    if rows is None or not chains:
+        return BarMatrix((0 if rows is None else rows.size, len(chains)),
+                         *np.zeros((3, 0), np.int64))
+    row_of, steps, n = result._row_of.tolist(), result._filtration._steps, result._n_cells(k, last)
+    cycles = [f2_rows(c) for c in result._cycle_table[0][k]]
+    cycle_at = result._cycle_table[1][k]
+    out = []
+    for col, chain in enumerate(chains):
+        r = set()
+        for s, x in chain.items():
+            if x % 2:
+                i = row_of[s]
+                if 0 <= i < n:
+                    r.add(i)
+                elif i >= 0 or steps[s] > last:
+                    raise NotACycleError(f"cell {s} is outside the space")
+        while r:
+            j = cycle_at.get(max(r))
+            if j is None:
+                raise NotACycleError(f"a {k}-chain is not a cycle")
+            r.symmetric_difference_update(cycles[j])
+            out.append((j, col, 1))
+    j, col, x = np.array(out, dtype=np.int64).reshape(-1, 3).T
+    position = np.full(len(cycles), -1)
+    position[rows] = np.arange(rows.size)
+    row = position[j]
+    return BarMatrix((rows.size, len(chains)), row[row >= 0], col[row >= 0], x[row >= 0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,20 @@ built with cycles and the simplex-keyed build: bars, representatives,
 coordinates and classes.
 
 The reduction kernel against the dict reduction of `naive.dict_reduce`,
-with V and without: on random sparse columns over F_2, F_3, F_5 and F_7
-with cleared slots (over F_2 given as lists of rows and as {row: 1}
-dicts), and on every degree's columns of the builds over F_2 of fixtures
-0-63 (absolute, restricted and relative), the grid tori n = 6..14 and the
-lower-star grid-torus triads and pairs at n = 8 and 10: the same pivots,
-R and V equal column by column (as the same row sets over F_2), and no
-column given over F_2 mutated.
+and over F_2 against the set kernel `naive.set_reduce` that its int
+columns replaced, with V and without: on random sparse columns over F_2,
+F_3, F_5 and F_7 with cleared slots, on rows on both sides of the 30-bit
+digit boundaries of an int (over F_2 given as lists of rows and as {row:
+1} dicts), and on every degree's columns of the builds over F_2 of
+fixtures 0-63 (absolute, restricted and relative), the grid tori n =
+6..14 and the lower-star grid-torus triads and pairs at n = 8 and 10: the
+same pivots, R and V equal column by column (as the same row sets over
+F_2), and no column given over F_2 mutated. Over F_2 on the n=8
+lower-star triad, a column with no addition comes back as the list it was
+given and each space's cycle table keeps an int only where the kernel
+made one; on the lower-star triads and pairs at n = 8 and 10, every
+back-substitution of a system's maps equals the set back-substitution
+`naive.set_coordinates`.
 
 Every relative barcode, reduced as the filtered quotient C(X)/C(A),
 against the reduced persistence of the cone X ∪ cone(A), built as a real
@@ -72,8 +79,9 @@ from homaudit.persistence import PersistenceResult, _reduce, barcode, compute_pe
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
 from naive import (SimplexKeyedResult, assert_audits_match_per_call_path, assert_matches_oracle,
-                   bisect_filtration, cone_barcodes, dict_reduce, fraction_classify,
-                   fraction_filtration, naive_betti, naive_classify, simplex_keyed_system)
+                   bisect_filtration, cone_barcodes, dict_reduce, f2_rows, fraction_classify,
+                   fraction_filtration, naive_betti, naive_classify, set_coordinates,
+                   set_reduce, simplex_keyed_system)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
                      lower_star_system, make_fixture, random_complex, random_subcomplex)
 
@@ -231,21 +239,29 @@ def test_lean_grid_tori_match_the_simplex_keyed_path(p):
 
 def _assert_same_columns(got, want, p):
     """Kernel columns against `dict_reduce`'s, column by column: over F_2 as
-    the same sets of distinct rows, over any other F_p as equal dicts."""
+    the same sets of distinct rows (a list's, or an int's set bits, decoded
+    by `f2_rows`), over any other F_p as equal dicts."""
     for g, w in zip(got, want, strict=True):
         if w is None:
             assert g is None
         elif p == 2:
-            assert len(set(g)) == len(g) and set(g) == w.keys() and set(w.values()) <= {1}
+            assert type(g) is int or len(set(g)) == len(g)
+            assert f2_rows(g) == w.keys() and set(w.values()) <= {1}
         else:
             assert g == w
+
+
+def _row_sets(columns):
+    """F_2 kernel columns as sets of rows, None kept (and None for no V)."""
+    return None if columns is None else [None if c is None else f2_rows(c) for c in columns]
 
 
 def _assert_kernel_matches_the_reference(columns, p):
     """One degree's columns (lists of rows or {row: 1} dicts over F_2, dicts
     otherwise; None for a cleared slot) reduced by `_reduce` with and without
-    V and by `dict_reduce` with V: the same pivots, and column by column the
-    same R (and V). The columns given over F_2 are not mutated."""
+    V, by `dict_reduce` with V and, over F_2, by the set kernel `set_reduce`:
+    the same pivots, and column by column the same R (and V). The columns
+    given over F_2 are not mutated."""
     want_r, want_v, want_pivots = dict_reduce(
         [None if c is None else dict.fromkeys(c, 1) if p == 2 else dict(c) for c in columns], p)
     for cycles in (True, False):
@@ -259,14 +275,23 @@ def _assert_kernel_matches_the_reference(columns, p):
             assert got_v is None
         if p == 2:
             assert given == columns
+            set_r, set_v, set_pivots = set_reduce(given, cycles)
+            assert set_pivots == got_pivots
+            assert _row_sets(set_r) == _row_sets(got_r)
+            assert _row_sets(set_v) == _row_sets(got_v)
+
+
+# rows within one 30-bit digit of a CPython int and on both sides of digit boundaries
+_ROWS = st.integers(0, 9) | st.sampled_from((29, 30, 31, 59, 60, 61, 1000))
 
 
 @st.composite
 def _sparse_columns(draw):
-    """(p, columns): a few sparse columns over F_p on a few rows, some None;
-    over F_2 each column is given as a list of its rows or as a {row: 1} dict."""
+    """(p, columns): a few sparse columns over F_p on a few rows, some None,
+    drawn across the digit boundaries of an int's bits; over F_2 each column
+    is given as a list of its rows or as a {row: 1} dict."""
     p = draw(st.sampled_from(PRIMES))
-    column = st.dictionaries(st.integers(0, 9), st.integers(1, p - 1), max_size=5)
+    column = st.dictionaries(_ROWS, st.integers(1, p - 1), max_size=5)
     columns = draw(st.lists(st.none() | column, max_size=10))
     if p == 2:
         columns = [list(c) if c is not None and draw(st.booleans()) else c for c in columns]
@@ -300,6 +325,66 @@ def test_f2_kernel_matches_the_dict_kernel():
     assert len(seen) > 64
     for columns in seen:
         _assert_kernel_matches_the_reference(columns, 2)
+
+
+def test_f2_columns_become_ints_only_when_added_to():
+    """Over F_2, on the n=8 lower-star triad: a column that gets no addition
+    comes back as the very list it was given, with V_j the list [j], and one
+    that does as ints; each space's cycle table holds an int only where the
+    kernel returned one, so an untouched cycle column stays its short list."""
+    real, calls = persistence._reduce, []
+
+    def spy(columns, p, cycles=True):
+        out = real(columns, p, cycles)
+        calls.append((list(columns), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persistence, "_reduce", spy)
+        system = _lower_star_torus(8, "triad", 2)
+        tables = [R._cycle_table[0] for R in system.spaces.values()]
+    from_kernel, added = set(), 0
+    for columns, (reduced, sources, _) in calls:
+        want = dict_reduce([None if c is None else dict.fromkeys(c, 1) for c in columns], 2)[0]
+        for j, (c, r, v) in enumerate(zip(columns, reduced, sources)):
+            if c is None:
+                continue
+            # an addition lowers the low; with none the column keeps its own
+            if not c or (want[j] and max(want[j]) == max(c)):
+                assert r is c and v == [j]
+            else:
+                assert type(r) is int and type(v) is int
+                from_kernel |= {id(r), id(v)}
+                added += 1
+    assert added
+    kept = [column for table in tables for columns in table for column in columns]
+    assert any(type(column) is list for column in kept)
+    assert any(type(column) is int for column in kept)
+    for column in kept:
+        assert type(column) is list or id(column) in from_kernel
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_f2_back_substitution_matches_the_set_back_substitution(n, kind):
+    # every coordinate call of a system's maps over bars, against sets of rows
+    real, seen = PersistenceResult._coordinates, []
+
+    def spy(self, k, chains, u=None):
+        out = real(self, k, chains, u)
+        seen.append((self, k, chains, u, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PersistenceResult, "_coordinates", spy)
+        system = _lower_star_torus(n, kind, 2)
+        for gap, k in system._gaps:
+            system.matrix(gap, k)
+    assert sum(out.values.size for *_, out in seen) > 0
+    for R, k, chains, u, got in seen:
+        want = set_coordinates(R, k, chains, u)
+        assert got.shape == want.shape
+        assert np.array_equal(_dense(got), _dense(want)), (k, u)
 
 
 @settings(max_examples=80, deadline=None)

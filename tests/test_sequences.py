@@ -119,6 +119,23 @@ def test_mv_connecting_splitting_independence_odd_characteristic():
         _assert_split_independent(sys_, k)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_boundaries_of_the_connecting_maps_keep_no_zero_entry(torus, p):
+    # the torus's cycle columns have facets shared by two cells, whose sums vanish
+    filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
+    system = MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, p)
+    entries = 0
+    for k in range(system.top_degree):
+        for keep in (system._masks[0], None):  # the A-part, as for delta, and whole chains
+            chains = system.RX._chains(k + 1)
+            boundaries = sequences._boundary(system.X, chains, k + 1, p, keep)
+            assert len(boundaries) == len(chains)
+            for boundary in boundaries:
+                assert all(x % p for x in boundary.values()), boundary
+                entries += len(boundary)
+    assert entries
+
+
 def test_pair_connecting_edge():
     X = close_under_faces([(0, 1)])
     A = close_under_faces([(0,), (1,)])

@@ -30,6 +30,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -237,9 +238,10 @@ class Filtration:
     """Strictly increasing thresholds over one complex and the step at which
     each cell enters, an integer array in the complex's order. The spaces of
     a system are masks over its complex's cells that read this one array;
-    `entry`, the same steps keyed by cell, is built when read."""
+    `entry`, the same steps keyed by cell, is built when read, and the
+    numbering of the cells in filtration order on first use, then kept."""
 
-    __slots__ = ("thresholds", "complex", "_steps")
+    __slots__ = ("thresholds", "complex", "_steps", "_numbered")
 
     def __init__(self, thresholds: Sequence[Rational], steps: Sequence[SimplicialComplex]):
         ts = tuple(_exact(t) for t in thresholds)
@@ -255,16 +257,34 @@ class Filtration:
         for u in reversed(range(len(ts) - 1)):
             entry.update(dict.fromkeys(steps[u].simplices(), u))
         entry = np.fromiter(entry.values(), dtype=np.intp, count=len(entry))
-        for name, value in zip(self.__slots__, (ts, steps[-1], entry)):
+        for name, value in zip(self.__slots__, (ts, steps[-1], entry, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _of(cls, thresholds: tuple, K: SimplicialComplex, steps: np.ndarray) -> "Filtration":
         """A filtration of K from sorted thresholds and each cell's entry step in K's order."""
         filtration = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (thresholds, K, steps)):
+        for name, value in zip(cls.__slots__, (thresholds, K, steps, None)):
             object.__setattr__(filtration, name, value)
         return filtration
+
+    def _numbering(self) -> tuple[np.ndarray, tuple]:
+        """(index, degrees): each degree's cells numbered once in filtration
+        order (entry step, then the complex's order), each cell's index by its
+        position, and per degree its cells' positions, entry steps and facet
+        rows (a list of indices per cell) in that order. Built once, then kept."""
+        if self._numbered is None:
+            K, steps = self.complex, self._steps
+            levels, ends = K._facet_index()[2], [0, *accumulate(map(len, K._by_dim))]
+            index, degrees = np.empty(len(K), dtype=np.intp), []
+            for k, (a, b) in enumerate(zip(ends, ends[1:])):
+                order = a + steps[a:b].argsort(kind="stable")
+                index[order] = np.arange(b - a)
+                facets = index[levels[k - 1][1].reshape(-1, k + 1)[order - a]].tolist() if k \
+                    else [[] for _ in order]  # a vertex has no facets
+                degrees.append((order, steps[order], facets))
+            object.__setattr__(self, "_numbered", (index, tuple(degrees)))
+        return self._numbered
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")

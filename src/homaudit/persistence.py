@@ -1,42 +1,29 @@
 """Persistent homology of a filtration, from one column reduction per space.
 
-A space is a mask over the cells of the filtered complex X, numbered by
-their position in X and ordered by entry step, then dimension, then
-simplex, with one stable argsort of the filtration's entry-step array. The
-boundary columns, read off X's integer facet index through an integer row
-map, are reduced once (Zomorodian-Carlsson 2005), top down: a low of the
-degree above is cleared (Chen-Kerber 2011) and gets no column. One kernel,
-`_reduce`, reduces every column; the modulus picks its arithmetic. Over
-F_2 a column is its list of rows, no coefficient being other than 1: it
-stays that list while its low is free, becomes an int, bit i for row i,
-at its first addition, and each addition is one XOR. Over any other F_p a
-column is a sparse {row: coefficient} dict, reduced in place, and only a
-low that is not 1 is inverted. The same kernel reduces the image bars of
-a map over bars. A pivot pair (sigma, tau) is the bar [step of
-sigma, step of tau); an unpaired cycle cell is an essential bar. The
-reduced column R_tau, a cycle whose last cell is sigma, represents its bar
-at every step the bar is alive, and V_sigma an essential bar. These bases
-fit every step at once: induced maps are 0/1 selections, the persistent
-group H^{u,v} is the set of bars containing [u, v], and the barcode is
-read off the pairs. A result keeps per degree only the cells and the bar
-table its reduction gives; a barcode, the Betti numbers and every per-step
-view need only the table. The cycle columns, with each cycle cell's bar,
-are one cached table, `_cycle_table`: a result built with `cycles` (a
-system's spaces, whose maps read them) tracks V and keeps it, and a result
-built without tracks no V and reduces once more, tracking V, at its first
-cycle read. A per-step view is selected from the table, and the index of
-the bars alive at each step is built by the first per-step query, then
-kept. Chains are sparse {position in X: coefficient} dicts, passed between
-the spaces of one X unhashed: `_chains(k, u)` gives the cycle columns of
-the bars alive at u (of every bar), and `_coordinates` finds classes by
-back-substitution on the lows of all cycle columns, so no step builds a
-dense basis; over F_2 `_chains` reads an int column's rows off its bits
-in one pass, and back-substitution XORs into an int. The public
-`representatives`, `coordinates` and `class_of` key chains by simplex.
+A filtration numbers each degree's cells of X once, in filtration order
+(entry step, then X's order), and keeps X's facet rows in that numbering.
+A space is the mask of the indices it keeps, plus A's mask of rows that
+are zero: its boundary columns, X's facet rows less A's, are reduced once
+(Zomorodian-Carlsson 2005), top down, and a low of the degree above is
+cleared (Chen-Kerber 2011): it gets no column, nor does a cell the space
+does not keep. One kernel, `_reduce`, does every reduction, the image bars
+of a map over bars included; the modulus picks its column arithmetic. A
+pivot pair (sigma, tau) is the bar [step of sigma, step of tau); an
+unpaired cycle cell is an essential bar. The reduced column R_tau
+represents its bar at every step the bar is alive, and V_sigma an
+essential bar, so one basis fits every step: induced maps are 0/1
+selections and the persistent group H^{u,v} is the set of bars containing
+[u, v]. A result keeps per degree only its bar table; its cycle columns,
+with each cycle cell's bar, are one cached table, kept by a build with
+`cycles` (a system's spaces) and found at the first cycle read otherwise.
+The spaces of one filtration share their rows, so chains pass between them
+as the columns are kept (`_chains`), and `_coordinates` finds classes by
+back-substitution on the lows of all cycle columns, checking membership
+with masks. Only the public `representatives`, `coordinates`, `class_of`
+and `basis_simplices` translate to simplices.
 
-The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u): its
-cells are the cells of X not in A, and a facet in A has no row, so a
-relative result reads chains of X with the cells of A zero. Absolute
+The pair (X, A) is reduced as the filtered quotient C(X_u)/C(A_u), so a
+relative result reads chains of X with the cells of A zero; absolute
 persistence is the same code with no cell in A. All algebra happens on
 step indices; thresholds are carried along as labels only.
 """
@@ -46,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -143,6 +130,11 @@ def _rows(column: list | int) -> list:
     return [m.start() for m in re.finditer("1", bin(column)[:1:-1])]  # digit i is bit i
 
 
+def _as_int(rows) -> int:
+    """Distinct rows as an int, bit i for row i: the form of an F_2 column once added to."""
+    return sum(map((1).__lshift__, rows))
+
+
 class BarMatrix(NamedTuple):
     """A matrix over bars, stored sparse: values[e] at (rows[e], cols[e])."""
 
@@ -156,38 +148,24 @@ class PersistenceResult:
     """The bar table of one filtered space, with its bar-adapted homology
     bases, and the per-step views and queries selected from it. The space is
     a mask over the cells of the filtered X (all of X when None), read
-    relative to a mask A (no cell when None); immutable once built.
-
-    With `cycles` the reduction tracks V and the result keeps its cycle
-    table, for a caller that will read it (a system's maps read every
-    space's). Without it the build keeps only the bar table, and the first
-    read of a cycle column (`representatives`, `coordinates`, `class_of`)
-    builds the cached `_cycle_table` by reducing once more, tracking V."""
+    relative to a mask A (no cell when None); immutable once built. With
+    `cycles` the build tracks V and keeps the cycle table; without, the
+    first cycle read reduces once more, tracking V."""
 
     def __init__(self, filtration: Filtration, modulus: int, max_degree: Optional[int],
                  space: Optional[np.ndarray] = None, A: Optional[np.ndarray] = None,
                  cycles: bool = False):
         self._filtration, self._space, self._A, self.n_steps = filtration, space, A, len(filtration)
         self.modulus = check_modulus(modulus)
-        X, steps = filtration.complex, filtration._steps
-        self.max_degree = max(X.dim, 0) if max_degree is None else max_degree
+        self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
+        top, none = self.max_degree + 1, np.zeros(0, dtype=np.intp)
+        degrees = filtration._numbering()[1][:top + 1]
+        # per degree, in the filtration's numbering: X's cells, their steps and their facets
+        self._cells = degrees + ((none, none, []),) * (top + 1 - len(degrees))
+        # per degree, the mask of the cells the space keeps and of A's, which are zero
         keep = space if A is None else ~A if space is None else space & ~A
-        # each cell's row in its degree: len(X) outside the space, -1 in A, where
-        # it is zero in C(X)/C(A) and dropped from every column
-        row_of = np.full(len(X), len(X), dtype=np.intp)
-        ends = list(accumulate(map(X.n_cells, range(self.max_degree + 2))))
-        cells = np.arange(ends[-1]) if keep is None else keep[:ends[-1]].nonzero()[0]
-        degree = np.searchsorted(ends, cells, side="right")  # X's order is dimension-major
-        # a stable argsort by degree, then entry step, over X's order: filtration order
-        order = cells[(degree * self.n_steps + steps[cells]).argsort(kind="stable")]
-        cuts = np.searchsorted(degree, np.arange(len(ends) + 1))
-        row_of[order] = np.arange(order.size) - cuts[degree]
-        cuts, entry = cuts.tolist(), steps[order]
-        self._order = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-        self._entry = [entry[a:b] for a, b in zip(cuts, cuts[1:])]
-        if A is not None:
-            row_of[A] = -1
-        self._row_of = row_of
+        self._keep = [np.ones(c.size, bool) if keep is None else keep[c] for c, _, _ in self._cells]
+        self._zero = [np.zeros(c.size, bool) if A is None else A[c] for c, _, _ in self._cells]
         self._births, self._deaths, table = self._reduce_filtration(cycles)
         # per degree: the cycle cells of the bars of positive length (the others are never alive)
         self._long = [(b < d).nonzero()[0] for b, d in zip(self._births, self._deaths)]
@@ -201,44 +179,40 @@ class PersistenceResult:
         of the bars in the order of their cycle cells (each the low of exactly
         one cycle column: R_tau when paired with tau, V_sigma when essential),
         and with `cycles`, which tracks V, the `_cycle_table` (None without).
-        A column's rows are its cell's facets, read off X's integer facet
-        index and numbered by `_row_of`; a facet in A has none."""
+        Column j is X's cell j of its degree, None when the space does not
+        keep it, and its rows are the filtration's facet rows, less A's."""
         p, n, top = self.modulus, self.n_steps, self.max_degree + 1
-        levels = self._filtration.complex._facet_index()[2]
         paired: dict[int, int] = {}  # low of each pivot column of the degree above -> column
         above: list = []
         births, deaths, cycle_columns, cycle_at = [], [], [], []
         for k in range(top, -1, -1):
-            order = self._order[k]
-            if k and order.size:  # facet i of a cell: vertex i deleted, sign (-1)^i
-                cells, facets = levels[k - 1]  # X's k-cells from position cells[0] on
-                rows = self._row_of[facets.reshape(-1, k + 1)[order - cells[0]]].tolist()
-            else:  # a vertex has no facets
-                rows = [[] for _ in range(order.size)]
-            # a cleared cell gets no column; a facet in A has the row -1 and is dropped
+            _, entry, rows = self._cells[k]
+            keep = self._keep[k].tolist()
+            # a cell the space does not keep, or a cleared one, gets no column;
+            # a facet in A is zero in C(X)/C(A) and has no row
+            zero = self._zero[k - 1].tolist() if k and self._A is not None else None
             if p == 2:  # a column is its list of rows
-                if self._A is not None:
-                    rows = [[i for i in r if i >= 0] for r in rows]
-                columns = [None if j in paired else r for j, r in enumerate(rows)]
+                if zero is not None:
+                    rows = [[i for i in r if not zero[i]] for r in rows]
+                columns = [r if keep[j] and j not in paired else None for j, r in enumerate(rows)]
             else:
                 signs = [(-1) ** i % p for i in range(k + 1)]
-                columns = [None if j in paired else dict(zip(r, signs))
+                columns = [dict(zip(r, signs)) if keep[j] and j not in paired else None
                            for j, r in enumerate(rows)]
-                if self._A is not None:
-                    for column in filter(None, columns):
-                        column.pop(-1, None)
+                if zero is not None:
+                    columns = [c and {i: x for i, x in c.items() if not zero[i]} for c in columns]
             reduced, sources, pivot_of = _reduce(columns, p, cycles)
             if k < top:
-                lows, ends, kept, entry = [], [], [], self._entry[k + 1].tolist()
+                lows, ends, kept, entry_above = [], [], [], self._cells[k + 1][1].tolist()
                 for j, r in enumerate(reduced):
-                    if r:
-                        continue  # j kills a class of degree k - 1
+                    if r or not keep[j]:
+                        continue  # j kills a class of degree k - 1, or is outside the space
                     tau = paired.get(j)
                     lows.append(j)
-                    ends.append(n if tau is None else entry[tau])
+                    ends.append(n if tau is None else entry_above[tau])
                     if cycles:
                         kept.append(sources[j] if tau is None else above[tau])
-                births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
+                births.insert(0, entry[np.array(lows, dtype=np.int64)])
                 deaths.insert(0, np.array(ends, dtype=np.int64))
                 if cycles:
                     cycle_columns.insert(0, kept)
@@ -248,10 +222,8 @@ class PersistenceResult:
 
     @cached_property
     def _cycle_table(self) -> tuple[list[list], list[dict[int, int]]]:
-        """Per degree, each bar's cycle column (its rows over F_2, a {row:
-        coefficient} dict otherwise), and each cycle cell's bar. A build with
-        cycles keeps it; a result built without finds it at this first read
-        by reducing again, tracking V."""
+        """Per degree, each bar's cycle column, as `_chains` gives it, and each
+        cycle cell's bar; a build without cycles reduces again, tracking V."""
         return self._reduce_filtration(cycles=True)[2]
 
     @cached_property
@@ -287,12 +259,6 @@ class PersistenceResult:
             return None
         return self._long[k] if u is None else self._alive[k][u]
 
-    def _n_cells(self, k: int, u: int) -> int:
-        """Number of k-cells present at step u (a prefix of the degree's cells)."""
-        if k < 0 or k >= len(self._entry):
-            return 0
-        return int(np.searchsorted(self._entry[k], u, side="right"))
-
     def dim(self, k: int, u: int) -> int:
         alive = self._bars(k, u)
         return 0 if alive is None else alive.size
@@ -304,10 +270,10 @@ class PersistenceResult:
         """The k-cells of step u not in A, in filtration order: its chain coordinates,
         given through degree max_degree + 1, whose cells bound the top degree."""
         self._check(0, u, u)  # a bad step raises; a degree outside the table has no cells
-        if not 0 <= k < len(self._order):
+        if not 0 <= k < len(self._cells):
             return ()
-        cells = self._filtration.complex.simplices()
-        return tuple(map(cells.__getitem__, self._order[k][:self._n_cells(k, u)].tolist()))
+        (order, entry, _), cells = self._cells[k], self._filtration.complex.simplices()
+        return tuple(map(cells.__getitem__, order[(entry <= u) & self._keep[k]].tolist()))
 
     def bars_alive(self, k: int, u: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """Births and deaths (n_steps when essential) of the bars alive at
@@ -338,77 +304,80 @@ class PersistenceResult:
             return np.zeros(0, dtype=np.intp)
         return (self._births[k][self._alive[k][v]] <= u).nonzero()[0]
 
-    def _chains(self, k: int, u: Optional[int] = None) -> list[dict[int, int]]:
-        """The cycle columns of the bars of `bars_alive(k, u)` as {position in
-        X: coefficient} chains; a bar's chain is the same all its life."""
+    def _chains(self, k: int, u: Optional[int] = None) -> list:
+        """The cycle columns of the bars of `bars_alive(k, u)` as kept, over
+        the filtration's numbering: over F_2 a list of rows or an int, bit i
+        for row i, otherwise a {row: coefficient} dict; the same all its life."""
         alive = self._bars(k, u)
-        if alive is None:
-            return []
-        order, cycles = self._lists[1][k], self._cycle_table[0][k]
-        if self.modulus == 2:  # a column is its rows, each with coefficient 1
-            return [dict.fromkeys(map(order.__getitem__, _rows(cycles[j])), 1)
-                    for j in alive.tolist()]
-        return [{order[i]: x for i, x in cycles[j].items()} for j in alive.tolist()]
+        return [] if alive is None else list(map(self._cycle_table[0][k].__getitem__,
+                                                 alive.tolist()))
 
     def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
         """`_chains(k, u)` as {simplex: coefficient} chains."""
-        cells = self._filtration.complex.simplices()
-        return [{cells[i]: x for i, x in chain.items()} for chain in self._chains(k, u)]
+        chains = self._chains(k, u)
+        if not chains:
+            return []
+        if self.modulus == 2:  # each row has the coefficient 1
+            chains = [dict.fromkeys(_rows(chain), 1) for chain in chains]
+        order, cells = self._cells[k][0], self._filtration.complex.simplices()
+        return [dict(zip(map(cells.__getitem__, order[list(chain)].tolist()), chain.values()))
+                for chain in chains]
 
     def coordinates(self, k: int, chains: Sequence[Mapping[Simplex, int]],
                     u: Optional[int] = None) -> BarMatrix:
         """`_coordinates` of degree-k cycles given as {simplex: coefficient}
-        chains, each simplex read at its position in X; a simplex that is no
-        k-cell of X, with a coefficient that is not 0, raises NotACycleError."""
+        chains; a simplex that is no k-cell of X, with a coefficient that is
+        not 0, raises NotACycleError."""
         self._check(k, u or 0, u or 0)
-        where = "the filtration" if u is None else f"step {u}"
-        index, at = self._filtration.complex._index, [{} for _ in chains]
-        for chain, out in zip(chains, at):
+        where, p = "the filtration" if u is None else f"step {u}", self.modulus
+        index, at = self._filtration.complex._index, self._filtration._numbering()[0]
+        numbered = []
+        for chain in chains:
+            out = {}
             for s, x in chain.items():
                 if len(s) == k + 1 and s in index:
-                    out[index[s]] = int(x)
-                elif int(x) % self.modulus:
+                    out[int(at[index[s]])] = int(x) % p
+                elif int(x) % p:
                     raise NotACycleError(f"{tuple(s)} is not a {k}-cell of {where}")
-        return self._coordinates(k, at, u)
+            numbered.append([i for i, x in out.items() if x] if p == 2 else out)
+        return self._coordinates(k, numbered, u)
 
     @cached_property
-    def _lists(self) -> tuple[list, list[list]]:
-        """`_row_of` and each degree's cells in filtration order, as lists for per-cell reads."""
-        return self._row_of.tolist(), [order.tolist() for order in self._order]
+    def _bits(self) -> list[tuple[int, int]]:
+        """Per degree, the cells the space keeps and all its cells, those of A
+        included, as ints: bit i for the cell of index i."""
+        return [tuple(int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
+                      for m in (keep, keep | zero)) for keep, zero in zip(self._keep, self._zero)]
 
-    def _coordinates(self, k: int, chains: Sequence[Mapping[int, int]],
-                     u: Optional[int] = None) -> BarMatrix:
-        """Homology coordinates of degree-k cycles, given as {position in X:
-        coefficient} chains, on the bars alive at step u (a column per chain),
-        or on every bar of positive length when u is None. Each chain is
-        reduced by back-substitution on the lows of all the degree's cycle
-        columns, which are distinct and carry the coefficient 1; a bar not
-        alive at u is a boundary there. A chain is read in C(X)/C(A), where a
-        cell of A present at step u (any, when u is None) is zero. A cycle
-        reduces to zero, so a low that is no cycle cell, or another cell
-        outside step u (the filtration), raises NotACycleError. Above
-        max_degree there is no bar, and every chain has no coordinate."""
+    def _coordinates(self, k: int, chains: Sequence, u: Optional[int] = None) -> BarMatrix:
+        """Homology coordinates of degree-k cycles, given as `_chains` gives
+        them, on the bars alive at step u (a column per chain), or on every bar
+        of positive length when u is None, by back-substitution on the lows of
+        all the degree's cycle columns (distinct, each with the coefficient 1);
+        a bar not alive at u is a boundary there. A chain is read in C(X)/C(A):
+        a cell of A is zero, and a cell outside the space or entering after u
+        raises NotACycleError (a shift and ANDs with `_bits`), as does a low
+        that is no cycle cell. Above max_degree no chain has a coordinate."""
         rows, p, last = self._bars(k, u), self.modulus, self.n_steps - 1 if u is None else u
         where = "the filtration" if u is None else f"step {u}"
         if rows is None or not chains:  # above max_degree there are no bars
             return BarMatrix((0 if rows is None else rows.size, len(chains)),
                              *np.zeros((3, 0), np.int64))
-        (row_of, _), steps, n = self._lists, self._filtration._steps, self._n_cells(k, last)
+        n, (keep, cells) = int(self._cells[k][1].searchsorted(last, "right")), self._bits[k]
         cycles, cycle_at = (table[k] for table in self._cycle_table)
         out = []
         for col, chain in enumerate(chains):
-            r = {}
-            for s, x in chain.items():
-                x %= p
-                if x:
-                    i = row_of[s]
-                    if 0 <= i < n:
-                        r[i] = x
-                    elif i >= 0 or steps[s] > last:  # a cell of A present at step u is zero
-                        cell = tuple(self._filtration.complex.simplices()[s])
-                        raise NotACycleError(f"{cell} is not a {k}-cell of {where}")
-            if p == 2:  # the chain as an int, bit i for row i, like an added-to cycle column
-                r = sum(1 << i for i in r)
+            if p == 2:  # the chain as an int, like an added-to cycle column
+                r = support = chain if type(chain) is int else _as_int(chain)
+            else:
+                r = {i: x % p for i, x in chain.items() if x % p}
+                support = _as_int(r)
+            if outside := support >> n << n | support & ~cells:
+                i = self._cells[k][0][(outside & -outside).bit_length() - 1]
+                cell = tuple(self._filtration.complex.simplices()[i])
+                raise NotACycleError(f"{cell} is not a {k}-cell of {where}")
+            if support & ~keep:  # a cell of A is zero
+                r = r & keep if p == 2 else {i: x for i, x in r.items() if keep >> i & 1}
             while r:
                 low = r.bit_length() - 1 if p == 2 else max(r)
                 j = cycle_at.get(low)
@@ -416,7 +385,7 @@ class PersistenceResult:
                     raise NotACycleError(f"a {k}-chain is not a cycle of {where}")
                 if p == 2:  # every coefficient is 1
                     x, z = 1, cycles[j]
-                    r ^= z if type(z) is int else sum(1 << i for i in z)
+                    r ^= z if type(z) is int else _as_int(z)
                 else:
                     x = r[low]
                     _add_multiple(r, cycles[j], p - x, p)

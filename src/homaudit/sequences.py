@@ -6,10 +6,10 @@ modules (exact componentwise).
 Sequences are finite windows over degrees 0..dim X; beyond the top degree
 the tails are closed off with zero spaces and zero maps.
 
-A system numbers its cells once, by their position in X, and each space is a
-mask over them: the subspace, intersection and cover checks are mask
-operations, and chains pass between spaces as {position: coefficient}. It
-builds each horizontal map once, as M over all bars: a column per source
+Each space of a system is a mask over X's cells, so the subspace,
+intersection and cover checks are mask operations, and every space reads
+its rows off the one numbering of X's filtration: chains pass between
+spaces as a result keeps its cycle columns. A system builds each horizontal map once, as M over all bars: a column per source
 bar and a row per target bar, summands side by side. A bar's cycle
 column is one chain for its whole life, so the map at step u is M on the
 bars alive at u, and the persistent map at (u, v) is M on the bars alive
@@ -44,7 +44,7 @@ from . import linalg
 from .complexes import NotSubcomplexError, SimplicialComplex
 from .linalg import DimensionMismatchError
 from .morse import Filtration
-from .persistence import BarMatrix, PersistenceResult, _reduce
+from .persistence import BarMatrix, PersistenceResult, _reduce, _rows
 
 ORDINARY = "ordinary"
 PERSISTENT = "persistent-group"
@@ -303,22 +303,30 @@ def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
     return R_sup._coordinates(k, R_sub._chains(k))
 
 
-def _boundary(X: SimplicialComplex, chains, k: int, p: int, keep=None) -> list[dict]:
-    """The boundary over F_p of the part of each k-chain of positions in X on
-    the cells that the mask `keep` marks (all when None), read off X's facet
-    index: facet i has the sign (-1)^i. An entry that sums to 0 is dropped."""
+def _boundary(filtration: Filtration, chains: list, k: int, p: int, keep=None) -> list:
+    """The boundary over F_p, read off the filtration's facet rows (facet i
+    has the sign (-1)^i), of the part of each k-chain, given as `_chains`
+    gives it, on the cells that the mask `keep` over X marks (all when
+    None): over F_2 an int, one XOR per facet, otherwise a dict with no zero."""
     if not chains:
         return []
-    cells, facets = X._facet_index()[2][k - 1]  # X's k-cells from position cells[0] on
-    first, rows = int(cells[0]), list(zip(*facets.reshape(-1, k + 1).T.tolist()))
-    keep = None if keep is None else keep.tolist()
+    order, _, rows = filtration._numbering()[1][k]
+    keep = None if keep is None else keep[order].tolist()
     out = []
     for chain in chains:
-        boundary: dict = {}
-        for s, x in chain.items():
-            if keep is None or keep[s]:
-                for i, f in enumerate(rows[s - first]):
-                    boundary[f] = boundary.get(f, 0) + (-x if i % 2 else x)
+        if p == 2:
+            boundary = 0
+            for i in _rows(chain):
+                if keep is None or keep[i]:
+                    for f in rows[i]:
+                        boundary ^= 1 << f
+            out.append(boundary)
+            continue
+        boundary = {}
+        for i, x in chain.items():
+            if keep is None or keep[i]:
+                for sign, f in enumerate(rows[i]):
+                    boundary[f] = boundary.get(f, 0) + (-x if sign % 2 else x)
         out.append({f: y % p for f, y in boundary.items() if y % p})
     return out
 
@@ -329,15 +337,16 @@ def mv_connecting(sys: MayerVietorisSystem, k: int) -> BarMatrix:
     boundary. A cell present at a step lies in that step of A exactly when it
     lies in A, so the split is the same at every step: the A-part is the
     chain on A's mask, and a cell of A∩B goes to the A side."""
-    return sys.RAB._coordinates(k, _boundary(sys.X, sys.RX._chains(k + 1), k + 1, sys.modulus,
-                                             sys._masks[0]))
+    return sys.RAB._coordinates(k, _boundary(sys.filtration, sys.RX._chains(k + 1), k + 1,
+                                             sys.modulus, sys._masks[0]))
 
 
 def pair_connecting(sys: PairSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative
     class is a chain of X whose boundary lies in A, and the class of that
     boundary is the image."""
-    return sys.RA._coordinates(k, _boundary(sys.X, sys.RXA._chains(k + 1), k + 1, sys.modulus))
+    return sys.RA._coordinates(k, _boundary(sys.filtration, sys.RXA._chains(k + 1), k + 1,
+                                            sys.modulus))
 
 
 def quotient_map(sys: PairSystem, k: int) -> BarMatrix:

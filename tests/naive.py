@@ -45,12 +45,19 @@ X ∪ cone(A) that the filtered quotient C(X)/C(A) replaced
 system replaced (`SimplexKeyedResult`: each space's cells numbered afresh
 and each facet hashed into a `Simplex`-keyed dict; `simplex_keyed_system`:
 every map over bars from chains handed over as simplices, with the
-boundary of `simplex_boundary` read off X's facet table), the column
+boundary of `simplex_boundary` read off X's facet table), the X-position
+build and maps that one numbering per filtration replaced
+(`XPositionResult`: each space's cells numbered afresh by one stable
+argsort and each column's rows read through a row map of len(X);
+`x_position_system`: every map over bars from chains handed over as
+{position in X: coefficient} dicts, with the boundary of
+`position_boundary` rebuilding X's facet rows on every call), the column
 reduction on {row: coefficient} dicts over every field (`dict_reduce`),
 whose F_2 case one entry at a time the set arithmetic of the one kernel
 replaced, that set arithmetic, which its int columns replaced, in the
 kernel (`set_reduce`) and in the back-substitution (`set_coordinates`,
-with `f2_rows` reading an int column bit by bit), the per-step map path that the maps over bars replaced
+with `f2_rows` reading an int column bit by bit and each cell checked by
+its position in X), the per-step map path that the maps over bars replaced
 (`PerStepSystem`: every horizontal map built at every step from the step's
 representatives, with the rank profiles of `_Level` and their leak bounds
 and the scatter square check, and the connecting map over bars with A∩B
@@ -896,26 +903,27 @@ def set_reduce(columns, cycles=True):
 
 def set_coordinates(result, k, chains, u=None):
     """`PersistenceResult._coordinates` over F_2 by back-substitution on a
-    set of rows, `max` finding each low, with the result's cycle columns read
-    as row sets by `f2_rows`; a chain that is not a cycle raises
-    NotACycleError."""
+    set of rows, `max` finding each low, with the chains and the result's
+    cycle columns read as row sets by `f2_rows`; each cell is checked by its
+    position in X against the result's space and A masks and its entry
+    step, and a chain that is not a cycle raises NotACycleError."""
     rows, last = result._bars(k, u), result.n_steps - 1 if u is None else u
     if rows is None or not chains:
         return BarMatrix((0 if rows is None else rows.size, len(chains)),
                          *np.zeros((3, 0), np.int64))
-    row_of, steps, n = result._row_of.tolist(), result._filtration._steps, result._n_cells(k, last)
+    F, space, A = result._filtration, result._space, result._A
+    position, steps = F._numbering()[1][k][0].tolist(), F._steps
     cycles = [f2_rows(c) for c in result._cycle_table[0][k]]
     cycle_at = result._cycle_table[1][k]
     out = []
     for col, chain in enumerate(chains):
         r = set()
-        for s, x in chain.items():
-            if x % 2:
-                i = row_of[s]
-                if 0 <= i < n:
-                    r.add(i)
-                elif i >= 0 or steps[s] > last:
-                    raise NotACycleError(f"cell {s} is outside the space")
+        for i in f2_rows(chain):
+            s = position[i]
+            if steps[s] > last or space is not None and not space[s]:
+                raise NotACycleError(f"cell {s} is outside the space")
+            if A is None or not A[s]:
+                r.add(i)
         while r:
             j = cycle_at.get(max(r))
             if j is None:
@@ -923,9 +931,9 @@ def set_coordinates(result, k, chains, u=None):
             r.symmetric_difference_update(cycles[j])
             out.append((j, col, 1))
     j, col, x = np.array(out, dtype=np.int64).reshape(-1, 3).T
-    position = np.full(len(cycles), -1)
-    position[rows] = np.arange(rows.size)
-    row = position[j]
+    at = np.full(len(cycles), -1)
+    at[rows] = np.arange(rows.size)
+    row = at[j]
     return BarMatrix((rows.size, len(chains)), row[row >= 0], col[row >= 0], x[row >= 0])
 
 
@@ -1061,6 +1069,183 @@ def simplex_keyed_system(system):
                                      np.append(s.cols, t.cols),
                                      np.append(s.values, -t.values % p))
         maps["beta", k] = RX.coordinates(k, RA.representatives(k) + RB.representatives(k))
+    return spaces, maps
+
+
+# ---------------------------------------------------------------------------
+# the X-position path that one numbering per filtration replaced
+
+class XPositionResult:
+    """The bar table and cycle columns of one space of a filtration of X,
+    built the way each result once built them: the space's cells (a mask
+    over X's positions, all when None) not in the mask A numbered afresh per
+    degree by one stable argsort of (degree, entry step) over X's order, a
+    row map `_row_of` of len(X) (len(X) outside the space, -1 in A) reading
+    each column's rows off X's facet index, and one `dict_reduce` per degree,
+    top down, with clearing. Chains leave it as {position in X:
+    coefficient} dicts (`chains`) and come back through `_row_of`
+    (`position_coordinates`); `coordinates` reads {simplex: coefficient}
+    chains at their positions in X."""
+
+    def __init__(self, filtration, modulus, max_degree, space=None, A=None):
+        self._filtration, self.modulus, self.n_steps = filtration, modulus, len(filtration)
+        X, steps, p = filtration.complex, filtration._steps, modulus
+        keep = space if A is None else ~A if space is None else space & ~A
+        row_of = np.full(len(X), len(X), dtype=np.intp)
+        ends = [sum(X.n_cells(j) for j in range(k + 1)) for k in range(max_degree + 2)]
+        cells = np.arange(ends[-1]) if keep is None else keep[:ends[-1]].nonzero()[0]
+        degree = np.searchsorted(ends, cells, side="right")
+        order = cells[(degree * self.n_steps + steps[cells]).argsort(kind="stable")]
+        cuts = np.searchsorted(degree, np.arange(len(ends) + 1))
+        row_of[order] = np.arange(order.size) - cuts[degree]
+        cuts, entry = cuts.tolist(), steps[order]
+        self._order = [order[a:b].tolist() for a, b in zip(cuts, cuts[1:])]
+        self._entry = [entry[a:b] for a, b in zip(cuts, cuts[1:])]
+        if A is not None:
+            row_of[A] = -1
+        self._row_of = row_of.tolist()
+        levels, top = X._facet_index()[2], max_degree + 1
+        paired, above, births, deaths, columns_kept, cycle_at = {}, [], [], [], [], []
+        for k in range(top, -1, -1):
+            order = np.array(self._order[k], dtype=np.intp)
+            if k and order.size:
+                cells, facets = levels[k - 1]
+                rows = row_of[facets.reshape(-1, k + 1)[order - cells[0]]].tolist()
+            else:
+                rows = [[] for _ in range(order.size)]
+            signs = [(-1) ** i % p for i in range(k + 1)]
+            columns = [None if j in paired else {i: x for i, x in zip(r, signs) if i >= 0}
+                       for j, r in enumerate(rows)]
+            reduced, sources, pivot_of = dict_reduce(columns, p)
+            if k < top:
+                lows, ends, kept, entry = [], [], [], self._entry[k + 1].tolist()
+                for j, r in enumerate(reduced):
+                    if not r:
+                        tau = paired.get(j)
+                        lows.append(j)
+                        ends.append(self.n_steps if tau is None else entry[tau])
+                        kept.append(sources[j] if tau is None else above[tau])
+                births.insert(0, self._entry[k][np.array(lows, dtype=np.int64)])
+                deaths.insert(0, np.array(ends, dtype=np.int64))
+                columns_kept.insert(0, kept)
+                cycle_at.insert(0, {low: j for j, low in enumerate(lows)})
+            paired, above = pivot_of, reduced
+        self._cycles, self._cycle_at = columns_kept, cycle_at
+        self._births, self._deaths = births, deaths
+
+    def _bars(self, k, u):
+        """The cycle cells of the bars alive at u (of positive length when u is None)."""
+        if k >= len(self._births):
+            return None
+        b, d = self._births[k], self._deaths[k]
+        return ((b < d) if u is None else (b <= u) & (d > u)).nonzero()[0]
+
+    def chains(self, k, u=None):
+        """The cycle columns of the bars alive at u as {position in X: coefficient} dicts."""
+        alive = self._bars(k, u)
+        if alive is None:
+            return []
+        order = self._order[k]
+        return [{order[i]: x for i, x in self._cycles[k][j].items()} for j in alive.tolist()]
+
+    def coordinates(self, k, chains, u=None):
+        """{simplex: coefficient} chains read at their positions in X."""
+        index, p = self._filtration.complex._index, self.modulus
+        at = []
+        for chain in chains:
+            out = {}
+            for s, x in chain.items():
+                if len(s) == k + 1 and s in index:
+                    out[index[s]] = int(x)
+                elif int(x) % p:
+                    raise NotACycleError(f"{tuple(s)} is not a {k}-cell of X")
+            at.append(out)
+        return self.position_coordinates(k, at, u)
+
+    def position_coordinates(self, k, chains, u=None):
+        """Classes of {position in X: coefficient} cycles on the bars alive at
+        u (of positive length when u is None), by back-substitution, each cell
+        read through `_row_of`: a cell of A present at u is zero, and a cell
+        outside the space, or entering after u, raises NotACycleError."""
+        rows, p = self._bars(k, u), self.modulus
+        last = self.n_steps - 1 if u is None else u
+        if rows is None or not chains:
+            return BarMatrix((0 if rows is None else rows.size, len(chains)),
+                             *np.zeros((3, 0), np.int64))
+        steps = self._filtration._steps
+        n = int(np.searchsorted(self._entry[k], last, side="right"))
+        cycles, cycle_at = self._cycles[k], self._cycle_at[k]
+        out = []
+        for col, chain in enumerate(chains):
+            r = {}
+            for s, x in chain.items():
+                x %= p
+                if x:
+                    i = self._row_of[s]
+                    if 0 <= i < n:
+                        r[i] = x
+                    elif i >= 0 or steps[s] > last:
+                        raise NotACycleError(f"cell {s} is outside the space at {last}")
+            while r:
+                low = max(r)
+                j = cycle_at.get(low)
+                if j is None:
+                    raise NotACycleError(f"a {k}-chain is not a cycle")
+                x = r[low]
+                _add_multiple(r, cycles[j], p - x, p)
+                out.append((j, col, x))
+        j, col, x = np.array(out, dtype=np.int64).reshape(-1, 3).T
+        position = np.full(len(cycles), -1)
+        position[rows] = np.arange(rows.size)
+        row = position[j]
+        return BarMatrix((rows.size, len(chains)), row[row >= 0], col[row >= 0], x[row >= 0])
+
+
+def position_boundary(X, chains, k, p, keep=None):
+    """The boundary over F_p of the part of each k-chain of positions in X on
+    the cells that the mask `keep` marks (all when None), rebuilding X's facet
+    rows from its facet index: facet i has the sign (-1)^i."""
+    if not chains:
+        return []
+    cells, facets = X._facet_index()[2][k - 1]
+    first, rows = int(cells[0]), list(zip(*facets.reshape(-1, k + 1).T.tolist()))
+    out = []
+    for chain in chains:
+        boundary = {}
+        for s, x in chain.items():
+            if keep is None or keep[s]:
+                for i, f in enumerate(rows[s - first]):
+                    boundary[f] = boundary.get(f, 0) + (-x if i % 2 else x)
+        out.append({f: y % p for f, y in boundary.items() if y % p})
+    return out
+
+
+def x_position_system(system):
+    """The spaces of a system as `XPositionResult`s, by name, and every map
+    over bars, by (gap, degree), built from them the way the system once
+    built it: chains handed between spaces as {position in X: coefficient}
+    dicts, and split between A and B by A's mask."""
+    F, p, D, X = system.filtration, system.modulus, system.top_degree, system.X
+    masks = {name: (R._space, R._A) for name, R in system.spaces.items()}
+    spaces = {name: XPositionResult(F, p, D, *mask) for name, mask in masks.items()}
+    RX, RA, maps = spaces["X"], spaces["A"], {}
+    for k in range(D + 1):
+        if system.kind == "pair":
+            RXA = spaces["(X,A)"]
+            maps["delta", k] = RA.position_coordinates(
+                k, position_boundary(X, RXA.chains(k + 1), k + 1, p))
+            maps["alpha", k] = RX.position_coordinates(k, RA.chains(k))
+            maps["beta", k] = RXA.position_coordinates(k, RX.chains(k))
+            continue
+        RB, RAB = spaces["B"], spaces["A∩B"]
+        maps["delta", k] = RAB.position_coordinates(k, position_boundary(
+            X, RX.chains(k + 1), k + 1, p, system._masks[0]))
+        s, t = RA.position_coordinates(k, RAB.chains(k)), RB.position_coordinates(k, RAB.chains(k))
+        maps["alpha", k] = BarMatrix((s.shape[0] + t.shape[0], s.shape[1]),
+                                     np.append(s.rows, t.rows + s.shape[0]),
+                                     np.append(s.cols, t.cols),
+                                     np.append(s.values, -t.values % p))
+        maps["beta", k] = RX.position_coordinates(k, RA.chains(k) + RB.chains(k))
     return spaces, maps
 
 

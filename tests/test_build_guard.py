@@ -2,8 +2,9 @@
 
 Every persistence build (absolute, restricted and relative, on the torus
 and genus-2 fixtures over F_2 and F_3) hands the one column reduction,
-with its modulus, None for each cleared cell, a low of the degree above,
-and a fresh column for every other cell, a list of rows over F_2 and a
+with its modulus, a slot for each of X's cells of the degree, None for a
+cell outside the space or cleared (a low of the degree above), and a fresh
+column for every other cell, a list of rows over F_2 and a
 dict otherwise, and its bars and cycle columns still match the dense
 per-step path. A barcode, the Betti numbers and the CLI's `barcode`,
 `betti` and `morse-check` track no V: no reduction on their way, over
@@ -68,9 +69,11 @@ def test_a_cleared_cell_gets_no_column(monkeypatch, request, name, p):
         assert any(cleared_by_degree), "nothing was cleared"
         # a vertex has no rows
         assert all(c == column_type() for c in calls[-1][0] if c is not None)
-        for (columns, _), cleared in zip(calls, cleared_by_degree):
+        # column j is X's cell j of its degree in filtration order, given when the space keeps it
+        for (columns, _), cleared, keep in zip(calls, cleared_by_degree, R._keep[::-1]):
+            assert len(columns) == keep.size
             for j, column in enumerate(columns):
-                if j in cleared:
+                if j in cleared or not keep[j]:
                     assert column is None, j
                 else:
                     assert type(column) is column_type, j
@@ -116,7 +119,7 @@ def test_the_barcode_paths_track_no_v(monkeypatch, torus, genus2, data_dir, caps
         R = compute_persistence(filtration_from_morse(K, fixture.function, fixture.thresholds), 2)
         for k in range(R.max_degree + 1):
             persistence.barcode(R, k)
-        assert not {"_cycle_table", "_lists"} & vars(R).keys()
+        assert not {"_cycle_table", "_bits"} & vars(R).keys()
         betti_numbers(K, 3)
     for name in ("torus", "genus2"):
         path = str(data_dir / name / "complex.txt")

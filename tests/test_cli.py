@@ -19,7 +19,7 @@ from homaudit.cli import ParseError, _rational, load_complex, main
 from homaudit.complexes import NotSubcomplexError, Simplex, intersect
 from homaudit.fixtures import torus_triad
 from homaudit.morse import filtration_from_morse
-from homaudit.persistence import NotACycleError, PersistenceResult
+from homaudit.persistence import NotACycleError, PersistenceResult, _as_int, _rows
 from homaudit.sequences import MayerVietorisSystem, RestrictionLeakError
 
 from naive import (close_then_check_membership, dict_inherited_values, faces_inherited_values,
@@ -476,11 +476,11 @@ def test_internal_fault_is_not_reported_as_input_error(data_dir, monkeypatch):
     real = PersistenceResult._chains
 
     def leaking(self, k, u=None):
-        # a k-cell of X outside the space, by its position in X, when there is one
-        X = self._filtration.complex
-        first = sum(map(X.n_cells, range(k)))
-        outside = [i for i in range(first, first + X.n_cells(k)) if self._row_of[i] == len(X)]
-        return [{**chain, outside[0]: 1} if outside else chain for chain in real(self, k, u)]
+        # a k-cell of X outside the space, by its index in the filtration's numbering,
+        # when there is one, added to each F_2 chain
+        outside = (~self._keep[k] & ~self._zero[k]).nonzero()[0].tolist()
+        return [_as_int(_rows(chain)) | 1 << outside[0] if outside else chain
+                for chain in real(self, k, u)]
 
     monkeypatch.setattr(PersistenceResult, "_chains", leaking)
     with pytest.raises((NotACycleError, RuntimeError)):

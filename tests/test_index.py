@@ -175,7 +175,7 @@ def test_bars_and_cycle_columns_match_the_dense_path(seed, p, data):
         top = R.max_degree + 1
         cells, steps = pair_sorted_cells(R.filtration, sub or EMPTY_COMPLEX, top)
         assert [R.basis_simplices(k, R.n_steps - 1) for k in range(top + 1)] == cells
-        assert [e.tolist() for e in R._entry] == steps
+        assert [entry[keep].tolist() for (_, entry, _), keep in zip(R._cells, R._keep)] == steps
         assert_matches_oracle(R, sub)
         _assert_cycle_columns_are_bases(
             R, DensePersistence(R.filtration, R.modulus, R.max_degree, sub))

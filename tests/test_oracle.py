@@ -25,6 +25,16 @@ read for their bars first and their cycles after, against the same space
 built with cycles and the simplex-keyed build: bars, representatives,
 coordinates and classes.
 
+Every map over bars of a system, and `coordinates` of every space's cycles
+in every space at every step, against the X-position path that one
+numbering per filtration replaced (`naive.x_position_system`: each space
+numbered afresh, chains passed as {position in X: coefficient} dicts and
+read back through a row map): on fixtures 0-63 over F_2, F_3, F_5 and F_7
+and on the lower-star grid-torus triads and pairs at n = 8 and 10. A cycle
+with a cell outside its space, with a cell of A entering after the step or
+with any cell entering after the step is no cycle there, and one with a
+cell of A present at the step has the cycle's classes.
+
 The reduction kernel against the dict reduction of `naive.dict_reduce`,
 and over F_2 against the set kernel `naive.set_reduce` that its int
 columns replaced, with V and without: on random sparse columns over F_2,
@@ -34,7 +44,8 @@ digit boundaries of an int (over F_2 given as lists of rows and as {row:
 fixtures 0-63 (absolute, restricted and relative), the grid tori n =
 6..14 and the lower-star grid-torus triads and pairs at n = 8 and 10: the
 same pivots, R and V equal column by column (as the same row sets over
-F_2), and no column given over F_2 mutated. Over F_2 on the n=8
+F_2), and no column given over F_2 mutated. Each kernel call there runs
+under a CPU-time alarm, so a kernel that loops fails instead of hanging. Over F_2 on the n=8
 lower-star triad, a column with no addition comes back as the list it was
 given and each space's cycle table keeps an int only where the kernel
 made one; on the lower-star triads and pairs at n = 8 and 10, every
@@ -60,7 +71,9 @@ numbers from the column reduction against dense ranks.
 
 import importlib.util
 import random
+import signal
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,13 +88,14 @@ from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close
 from homaudit.linalg import dense_rank
 from homaudit.morse import (Filtration, MorseFunction, _classify, critical_cells,
                             filtration_from_morse, sublevel, sublevel_filtration)
-from homaudit.persistence import PersistenceResult, _reduce, barcode, compute_persistence
+from homaudit.persistence import (NotACycleError, PersistenceResult, _reduce, barcode,
+                                  compute_persistence)
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
 from naive import (SimplexKeyedResult, assert_audits_match_per_call_path, assert_matches_oracle,
                    bisect_filtration, cone_barcodes, dict_reduce, f2_rows, fraction_classify,
                    fraction_filtration, naive_betti, naive_classify, set_coordinates,
-                   set_reduce, simplex_keyed_system)
+                   set_reduce, simplex_keyed_system, x_position_system)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
                      lower_star_system, make_fixture, random_complex, random_subcomplex)
 
@@ -175,7 +189,7 @@ def _assert_lean_result_matches(lean, eager, old):
     for k in degrees:
         for got, want in zip(lean.bars_alive(k), old.bars(k), strict=True):
             assert np.array_equal(got, want), k
-    assert not {"_cycle_table", "_lists"} & vars(lean).keys()
+    assert not {"_cycle_table", "_bits"} & vars(lean).keys()
     for k in degrees:
         chains = _with_a_sum(eager.representatives(k), p)
         assert lean.representatives(k) == chains[:-1] == old.representatives(k), k
@@ -237,6 +251,85 @@ def test_lean_grid_tori_match_the_simplex_keyed_path(p):
                                     SimplexKeyedResult(filt, filt.complex, p, filt.complex.dim))
 
 
+def _outcome(result, k, chains, u):
+    """The dense coordinates of the chains at u, or NotACycleError."""
+    try:
+        return _dense(result.coordinates(k, chains, u))
+    except NotACycleError:
+        return NotACycleError
+
+
+def _same_outcome(got, want):
+    if got is NotACycleError or want is NotACycleError:
+        return got is want
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+def _assert_numbering_matches_the_x_position_path(system):
+    """Every map over bars, and at every step (and over all bars) the
+    coordinates in each space of every space's cycle columns and their sum,
+    equal those of the X-position path; a batch that is no cycle is
+    compared chain by chain."""
+    spaces, maps = x_position_system(system)
+    for gap, k in system._gaps:
+        got, want = system.matrix(gap, k), maps[gap, k]
+        assert got.shape == want.shape and np.array_equal(_dense(got), _dense(want)), (gap, k)
+    for k in range(system.top_degree + 1):
+        chains = _with_a_sum([c for R in system.spaces.values() for c in R.representatives(k)],
+                             system.modulus)
+        for name, R in system.spaces.items():
+            for u in [None, *range(system.n_steps)]:
+                got, want = _outcome(R, k, chains, u), _outcome(spaces[name], k, chains, u)
+                if got is NotACycleError or want is NotACycleError:
+                    for chain in chains:
+                        assert _same_outcome(_outcome(R, k, [chain], u),
+                                             _outcome(spaces[name], k, [chain], u)), (name, k, u)
+                else:
+                    assert _same_outcome(got, want), (name, k, u)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fixtures_match_the_x_position_path(p):
+    for index in range(64):
+        _assert_numbering_matches_the_x_position_path(make_fixture(index, p)[1])
+
+
+@pytest.mark.parametrize("n,p", [(8, 2), (10, 3)])
+@pytest.mark.parametrize("kind", ["triad", "pair"])
+def test_lower_star_tori_match_the_x_position_path(n, p, kind):
+    _assert_numbering_matches_the_x_position_path(_lower_star_torus(n, kind, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_cell_outside_the_space_or_the_step_makes_no_cycle(p):
+    """A cycle of a space at step u plus one edge: an edge outside the space,
+    an edge of A entering after u or any edge entering after u makes it no
+    cycle there, on the system and on the X-position path; an edge of A
+    present at u is zero in (X, A)."""
+    system = _lower_star_torus(8, "pair", p)
+    spaces, steps, in_a = x_position_system(system)[0], system.filtration._steps, system._masks[0]
+    edges = [(i, s) for i, s in enumerate(system.X.simplices()) if len(s) == 2]
+    for name, picks, raises in (("A", lambda i, u: not in_a[i] and steps[i] <= u, True),
+                                ("(X,A)", lambda i, u: in_a[i] and steps[i] > u, True),
+                                ("X", lambda i, u: steps[i] > u, True),
+                                ("(X,A)", lambda i, u: in_a[i] and steps[i] <= u, False)):
+        R = system.spaces[name]
+        u, edge = next((u, s) for u in range(system.n_steps) if R.dim(1, u)
+                       for i, s in edges if picks(i, u))
+        cycle = R.representatives(1, u)[0]
+        assert edge not in cycle
+        chain = {**cycle, edge: 1}
+        for result in (R, spaces[name]):
+            if raises:
+                with pytest.raises(NotACycleError) as info:
+                    result.coordinates(1, [chain], u)
+            else:
+                assert _same_outcome(_outcome(result, 1, [chain], u),
+                                     _outcome(result, 1, [cycle], u)), name
+            if raises and result is R:
+                assert str(info.value) == f"{tuple(edge)} is not a 1-cell of step {u}"
+
+
 def _assert_same_columns(got, want, p):
     """Kernel columns against `dict_reduce`'s, column by column: over F_2 as
     the same sets of distinct rows (a list's, or an int's set bits, decoded
@@ -256,6 +349,24 @@ def _row_sets(columns):
     return None if columns is None else [None if c is None else f2_rows(c) for c in columns]
 
 
+@contextmanager
+def _cpu_bound(seconds=0.1):
+    """Raise TimeoutError in the body once it has run `seconds` of process
+    CPU time: the kernel loops until its column is empty, so a wrong low
+    would hang the property, which has no deadline, instead of failing it.
+    The largest columns given here reduce in under a millisecond."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the kernel ran past {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
 def _assert_kernel_matches_the_reference(columns, p):
     """One degree's columns (lists of rows or {row: 1} dicts over F_2, dicts
     otherwise; None for a cleared slot) reduced by `_reduce` with and without
@@ -266,7 +377,8 @@ def _assert_kernel_matches_the_reference(columns, p):
         [None if c is None else dict.fromkeys(c, 1) if p == 2 else dict(c) for c in columns], p)
     for cycles in (True, False):
         given = [None if c is None else type(c)(c) for c in columns]
-        got_r, got_v, got_pivots = _reduce(given, p, cycles)
+        with _cpu_bound():
+            got_r, got_v, got_pivots = _reduce(given, p, cycles)
         assert got_pivots == want_pivots
         _assert_same_columns(got_r, want_r, p)
         if cycles:
@@ -298,7 +410,8 @@ def _sparse_columns(draw):
     return p, columns
 
 
-@settings(max_examples=300, deadline=None)
+# one failure shrunk at a time: a looping kernel costs the CPU bound per example tried
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
 @given(_sparse_columns())
 def test_the_kernel_matches_the_dict_reduction(case):
     _assert_kernel_matches_the_reference(case[1], case[0])

@@ -12,7 +12,7 @@ from homaudit import linalg, sequences
 from homaudit.complexes import close_under_faces
 from homaudit.linalg import DimensionMismatchError
 from homaudit.morse import Filtration, filtration_from_morse
-from homaudit.persistence import PersistenceResult, barcode, compute_persistence
+from homaudit.persistence import PersistenceResult, _rows, barcode, compute_persistence
 from homaudit.sequences import (ORDINARY, LinearSequence, MayerVietorisSystem,
                                 NotCoveringError, PairSystem, SequenceTerm, audit,
                                 check_squares, induced_inclusion_map, module_sequence,
@@ -23,7 +23,7 @@ from naive import (PerStepSystem, b_side_mv_connecting, entry_sites, fault_sites
                    level_ordinary_sequence, level_persistent_sequence, naive_persistent_sequence,
                    order2_sites, per_call_check_squares, per_call_ordinary_sequence,
                    per_call_persistent_sequence, per_step_module_sequence, reading,
-                   scatter_check_squares, step_mv_connecting, tampered)
+                   scatter_check_squares, simplex_boundary, step_mv_connecting, tampered)
 from randfix import lower_star_fixture, make_fixture
 
 HOLLOW = close_under_faces([(0, 1), (1, 2), (0, 2)])
@@ -124,14 +124,22 @@ def test_boundaries_of_the_connecting_maps_keep_no_zero_entry(torus, p):
     # the torus's cycle columns have facets shared by two cells, whose sums vanish
     filt = filtration_from_morse(torus.complex, torus.function, torus.thresholds)
     system = MayerVietorisSystem(torus.complex, torus.A, torus.B, filt, p)
-    entries = 0
+    X, entries = system.X, 0
     for k in range(system.top_degree):
-        for keep in (system._masks[0], None):  # the A-part, as for delta, and whole chains
+        cells = [X.simplices()[i] for i in filt._numbering()[1][k][0].tolist()]  # by index
+        for keep in (torus.A, None):  # the A-part, as for delta, and whole chains
             chains = system.RX._chains(k + 1)
-            boundaries = sequences._boundary(system.X, chains, k + 1, p, keep)
+            mask = None if keep is None else system._masks[0]
+            boundaries = sequences._boundary(filt, chains, k + 1, p, mask)
             assert len(boundaries) == len(chains)
-            for boundary in boundaries:
+            wanted = simplex_boundary(X, system.RX.representatives(k + 1),
+                                      None if keep is None else keep.__contains__)
+            for boundary, want in zip(boundaries, wanted):
+                if p == 2:  # an int over F_2, each of its rows with the coefficient 1
+                    boundary = dict.fromkeys(_rows(boundary), 1)
                 assert all(x % p for x in boundary.values()), boundary
+                assert {cells[i]: x for i, x in boundary.items()} == \
+                    {s: y % p for s, y in want.items() if y % p}
                 entries += len(boundary)
     assert entries
 

@@ -10,14 +10,16 @@ A complex holds one cell set, the keys of its facet table, and one
 numbering, each cell's position in `simplices()`. A private integer index
 of the (cell, facet) incidences in that numbering is built on first use by
 one pass over `facet_table` and kept like it: the Morse passes and the
-persistence build are array operations on it, and a subcomplex a mask.
+persistence build are array operations on it. A subcomplex taken from K
+is a mask over those positions, closed by the one coface walk down the
+index (`_least_over_cofaces`) and built from K's own cells (`_sub`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -156,24 +158,23 @@ class SimplicialComplex:
             return None
         return mask
 
+    def _sub(self, mask: np.ndarray) -> "SimplicialComplex":
+        """The subcomplex on a face-closed mask over this complex's positions,
+        made of its own cells and facet table entries."""
+        cells = list(compress(self._cells, mask.tolist()))
+        return SimplicialComplex._of(dict(zip(cells, map(self.facet_table.__getitem__, cells))))
+
     def closure(self, generators: Iterable[Simplex]) -> "SimplicialComplex":
-        """Smallest subcomplex containing the generators, made of this
-        complex's own cells and facet table entries; NotSubcomplexError if a
-        generator is not a cell here."""
-        table, index, cells = self.facet_table, self._index, self._cells
-        levels = [set() for _ in self._by_dim]
-        for g in generators:
-            i = index.get(g)
-            if i is None:
-                raise NotSubcomplexError(f"{tuple(g)} is not a cell of the complex")
-            levels[len(g) - 1].add(cells[i])
-        sub = {}
-        for k in range(len(levels) - 1, -1, -1):
-            rows = list(map(table.__getitem__, levels[k]))
-            sub.update(zip(levels[k], rows))
-            if k:
-                levels[k - 1].update(*rows)
-        return SimplicialComplex._of(sub)
+        """Smallest subcomplex containing the generators, marked and closed by
+        the coface walk; NotSubcomplexError at the first one not a cell here."""
+        generators = list(generators)
+        at = list(map(self._index.get, generators))
+        if None in at:
+            g = tuple(generators[at.index(None)])
+            raise NotSubcomplexError(f"{g} is not a cell of the complex")
+        outside = np.ones(len(self), dtype=np.intp)
+        outside[at] = 0
+        return self._sub(_least_over_cofaces(self, outside) == 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -218,6 +219,15 @@ class SimplicialComplex:
 
 
 EMPTY_COMPLEX = SimplicialComplex(())
+
+
+def _least_over_cofaces(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
+    """x, one integer per cell of K in its order, lowered in place to each
+    cell's least over itself and its cofaces: the index walked down from
+    the top dimension, each dimension's cells lowering their facets."""
+    for cells, facets in reversed(K._facet_index()[2]):
+        np.minimum.at(x, facets, x[cells])
+    return x
 
 
 def close_under_faces(generators: Iterable) -> SimplicialComplex:

@@ -16,12 +16,14 @@ stores the step at which each cell enters, as an integer array in the
 complex's order (a restriction indexes it): each threshold is placed among
 the ranked values by bisection, so a cell's own step is a search of its
 rank among those places, and its entry step is the least over its cofaces,
-found by one walk down the index; its step complexes are built only on
-request. A filtration ranks f's values once, and the Morse check reads the
-same ranks. The same walk gives the values a complex file's faces
-inherit. Values and thresholds are exact: an integral one is held as an
-`int`, any other as a `Fraction`; sublevel membership is decided by exact
-comparison, never by floats.
+found by the complex's coface walk, which also gives a sublevel complex
+and the values a complex file's faces inherit. Given its step complexes, a
+filtration counts the steps' masks over the last step that hold each cell;
+its step complexes are built only on request, as masks. A filtration ranks
+f's values once, and the Morse check reads the same ranks. Values and
+thresholds are exact: an integral one is held as an `int`, any other as a
+`Fraction`; sublevel membership is decided by exact comparison, never by
+floats.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_faces,
+from .complexes import (SimplicialComplex, Simplex, _least_over_cofaces, betti_numbers,
                         is_subcomplex)
 
 Rational = Fraction | int | str
@@ -145,15 +147,6 @@ def _ranks(values: Sequence) -> tuple[list, np.ndarray]:
                                  count=len(values))
 
 
-def _least_over_cofaces(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
-    """x, one integer per cell of K in its order, lowered in place to each
-    cell's least over itself and its cofaces: the index walked down from
-    the top dimension, each dimension's cells lowering their facets."""
-    for cells, facets in reversed(K._facet_index()[2]):
-        np.minimum.at(x, facets, x[cells])
-    return x
-
-
 def _exceptional(K: SimplicialComplex, rank: np.ndarray) -> tuple[np.ndarray, ...]:
     """The exceptional incidences on K of a function of ranks `rank` (from
     `_ranks`), a facet n of a cell t with f(n) >= f(t), as the positions of
@@ -222,9 +215,10 @@ def critical_cells(K: SimplicialComplex, f: MorseFunction) -> tuple[Simplex, ...
 
 
 def sublevel(K: SimplicialComplex, f: MorseFunction, u: Rational) -> SimplicialComplex:
-    """Face closure of every cell with value at most u."""
-    u = Fraction(u)
-    return close_under_faces([s for s, x in zip(K.simplices(), _in_order(K, f)) if x <= u])
+    """Face closure of every cell with value at most u: the cells whose least
+    rank over themselves and their cofaces is at most u's."""
+    distinct, rank = _ranks(_in_order(K, f))
+    return K._sub(_least_over_cofaces(K, rank) < bisect_right(distinct, Fraction(u)))
 
 
 class UnknownLabelError(KeyError):
@@ -249,14 +243,11 @@ class Filtration:
             raise ValueError("thresholds and steps must be equal-length and non-empty")
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValueError("thresholds must be strictly increasing")
-        for earlier, later in zip(steps, steps[1:]):
-            if not is_subcomplex(earlier, later):
-                raise ValueError("filtration steps are not nested")
-        # the earliest step wins, so the steps are read from the last one down
-        entry = dict.fromkeys(steps[-1].simplices(), len(ts) - 1)
-        for u in reversed(range(len(ts) - 1)):
-            entry.update(dict.fromkeys(steps[u].simplices(), u))
-        entry = np.fromiter(entry.values(), dtype=np.intp, count=len(entry))
+        masks = list(map(steps[-1]._mask, steps))  # each step's cells over the last step's
+        if any(m is None for m in masks) or any((a & ~b).any() for a, b in zip(masks, masks[1:])):
+            raise ValueError("filtration steps are not nested")
+        # a cell is in every step from the one it enters on
+        entry = len(ts) - np.count_nonzero(masks, axis=0)
         for name, value in zip(self.__slots__, (ts, steps[-1], entry, None)):
             object.__setattr__(self, name, value)
 
@@ -299,11 +290,9 @@ class Filtration:
 
     @property
     def steps(self) -> tuple[SimplicialComplex, ...]:
-        """The step complexes, built on each access from `entry` and the complex's
-        facet table (a cell enters no earlier than its facets)."""
-        table, entry = self.complex.facet_table, self.entry
-        return tuple(SimplicialComplex._of({s: table[s] for s, e in entry.items() if e <= u})
-                     for u in range(len(self)))
+        """The step complexes, built on each access as the subcomplexes on the
+        masks of the cells entered by then (a cell enters no earlier than its facets)."""
+        return tuple(self.complex._sub(self._steps <= u) for u in range(len(self)))
 
     def index_of(self, label: Rational) -> int:
         t = _exact(label)

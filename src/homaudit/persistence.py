@@ -7,8 +7,9 @@ are zero: its boundary columns, X's facet rows less A's, are reduced once
 (Zomorodian-Carlsson 2005), top down, and a low of the degree above is
 cleared (Chen-Kerber 2011): it gets no column, nor does a cell the space
 does not keep. One kernel, `_reduce`, does every reduction, the image bars
-of a map over bars included; the modulus picks its column arithmetic. A
-pivot pair (sigma, tau) is the bar [step of sigma, step of tau); an
+of a map over bars included (`_image_bars`); the modulus picks its column
+arithmetic. No other module reads a column, the kernel or the cycle table.
+A pivot pair (sigma, tau) is the bar [step of sigma, step of tau); an
 unpaired cycle cell is an essential bar. The reduced column R_tau
 represents its bar at every step the bar is alive, and V_sigma an
 essential bar, so one basis fits every step: induced maps are 0/1
@@ -17,7 +18,8 @@ selections and the persistent group H^{u,v} is the set of bars containing
 with each cycle cell's bar, are one cached table, kept by a build with
 `cycles` (a system's spaces) and found at the first cycle read otherwise.
 The spaces of one filtration share their rows, so chains pass between them
-as the columns are kept (`_chains`), and `_coordinates` finds classes by
+as the columns are kept (`_chains`), a result gives the boundaries of its
+own cycle columns (`_boundaries`), and `_coordinates` finds classes by
 back-substitution on the lows of all cycle columns, checking membership
 with masks. Only the public `representatives`, `coordinates`, `class_of`
 and `basis_simplices` translate to simplices.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -106,13 +107,9 @@ def _reduce(columns: Sequence[list | dict | None], p: int,
                 else:
                     for row in s:
                         r ^= 1 << row
-                if cycles:
+                if cycles:  # an untouched V_i is [i]
                     s = sources[i]
-                    if type(s) is int:
-                        v ^= s
-                    else:
-                        for row in s:
-                            v ^= 1 << row
+                    v ^= s if type(s) is int else 1 << i
                 continue
             c = p - r[low]
             _add_multiple(r, reduced[i], c, p)
@@ -120,6 +117,23 @@ def _reduce(columns: Sequence[list | dict | None], p: int,
                 _add_multiple(v, sources[i], c, p)
         reduced[j], sources[j] = r, v
     return reduced, sources if cycles else None, pivot_of
+
+
+def _image_bars(m: BarMatrix, births: np.ndarray, deaths: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image barcode of m, given its columns' births and its rows'
+    deaths: columns in birth order and rows numbered by death, both stably,
+    m is reduced once, and each pivot column gives the bar [its birth, the
+    death of its low)."""
+    cols, rows = births.argsort(kind="stable"), deaths.argsort(kind="stable")
+    col_at, row_at = np.empty_like(cols), np.empty_like(rows)
+    col_at[cols], row_at[rows] = np.arange(cols.size), np.arange(rows.size)
+    columns: list[dict] = [{} for _ in range(cols.size)]
+    for c, r, x in zip(col_at[m.cols].tolist(), row_at[m.rows].tolist(), m.values.tolist()):
+        columns[c][r] = x
+    lows, pivots = np.array(list(_reduce(columns, p, cycles=False)[2].items()),
+                            dtype=np.int64).reshape(-1, 2).T
+    return births[cols[pivots]], deaths[rows[lows]]
 
 
 def _rows(column: list | int) -> list:
@@ -157,6 +171,8 @@ class PersistenceResult:
                  cycles: bool = False):
         self._filtration, self._space, self._A, self.n_steps = filtration, space, A, len(filtration)
         self.modulus = check_modulus(modulus)
+        if max_degree is not None and max_degree < 0:
+            raise ValueError(f"max_degree must be non-negative, got {max_degree}")
         self.max_degree = max(filtration.complex.dim, 0) if max_degree is None else max_degree
         top, none = self.max_degree + 1, np.zeros(0, dtype=np.intp)
         degrees = filtration._numbering()[1][:top + 1]
@@ -229,11 +245,10 @@ class PersistenceResult:
     @cached_property
     def filtration(self) -> Filtration:
         """The filtration of the space, X's when the space is all of X; built on first read."""
-        F, table = self._filtration, self._filtration.complex.facet_table
+        F = self._filtration
         if self._space is None:
             return F
-        space = {s: table[s] for s in compress(F.complex.simplices(), self._space.tolist())}
-        return Filtration._of(F.thresholds, SimplicialComplex._of(space), F._steps[self._space])
+        return Filtration._of(F.thresholds, F.complex._sub(self._space), F._steps[self._space])
 
     @cached_property
     def _alive(self) -> list[list[np.ndarray]]:
@@ -311,6 +326,32 @@ class PersistenceResult:
         alive = self._bars(k, u)
         return [] if alive is None else list(map(self._cycle_table[0][k].__getitem__,
                                                  alive.tolist()))
+
+    def _boundaries(self, k: int, keep: Optional[np.ndarray] = None) -> list:
+        """The boundaries, as `_coordinates` takes chains, of the parts of
+        `_chains(k)` on the cells the mask `keep` over X marks (all when None),
+        read off the facet rows (facet i has the sign (-1)^i): over F_2 an
+        int, one XOR per facet, otherwise a dict with no zero."""
+        chains, p = self._chains(k), self.modulus
+        order, _, rows = self._cells[k]
+        keep = None if keep is None else keep[order].tolist()
+        out = []
+        for chain in chains:
+            if p == 2:
+                boundary = 0
+                for i in _rows(chain):
+                    if keep is None or keep[i]:
+                        for f in rows[i]:
+                            boundary ^= 1 << f
+                out.append(boundary)
+                continue
+            boundary = {}
+            for i, x in chain.items():
+                if keep is None or keep[i]:
+                    for sign, f in enumerate(rows[i]):
+                        boundary[f] = boundary.get(f, 0) + (-x if sign % 2 else x)
+            out.append({f: y % p for f, y in boundary.items() if y % p})
+        return out
 
     def representatives(self, k: int, u: Optional[int] = None) -> list[dict[Simplex, int]]:
         """`_chains(k, u)` as {simplex: coefficient} chains."""

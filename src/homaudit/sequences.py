@@ -7,28 +7,31 @@ Sequences are finite windows over degrees 0..dim X; beyond the top degree
 the tails are closed off with zero spaces and zero maps.
 
 Each space of a system is a mask over X's cells, so the subspace,
-intersection and cover checks are mask operations, and every space reads
-its rows off the one numbering of X's filtration: chains pass between
-spaces as a result keeps its cycle columns. A system builds each horizontal map once, as M over all bars: a column per source
-bar and a row per target bar, summands side by side. A bar's cycle
-column is one chain for its whole life, so the map at step u is M on the
-bars alive at u, and the persistent map at (u, v) is M on the bars alive
-through [u, v]. Two structural checks on every nonzero M[t, s], birth(t) <=
-birth(s) and death(t) <= death(s), give every commuting square and every
-restriction that stays in its target group. M is reduced once, columns in
-birth order and rows numbered by death, and each pivot column gives an image
-bar (Cohen-Steiner-Edelsbrunner-Harer-Morozov 2009; Bauer-Schmahl 2023); the
-rank at (u, v) is the number of image bars containing [u, v]. Order 2 at a
-term fails at (u, v) exactly when a nonzero entry of the composite of its
-two maps has its source born by u and its target alive after v. So every
-ordinary (u = v) and persistent audit is a count over bar arrays, each
-distinct position built once per system and kept under the counts that
-determine it; the module level is one per-step count table (+1 at each
-bar's birth, -1 at its death, summed over the steps) read the same way. A
-returned sequence's maps are selected from M only when read. An entry in no
-group pair (its target born once its source is dead) is dropped; any other
-that fails a check is an internal fault: the module level raises, and
-`audit`, which audits any `LinearSequence` from its maps alone, audits (u, v).
+intersection and cover checks are mask operations, and every space reads its
+rows off the one numbering of X's filtration: chains pass between spaces as
+a result keeps its cycle columns, from one result's `_chains` or
+`_boundaries` to another's `_coordinates`, unread here. A system builds each
+horizontal map once, as M over all bars: a column per source bar and a row
+per target bar, summands side by side. A bar's cycle column is one chain for
+its whole life, so the map at step u is M on the bars alive at u, and the
+persistent map at (u, v) is M on the bars alive through [u, v]. Two
+structural checks on every nonzero M[t, s], birth(t) <= birth(s) and
+death(t) <= death(s), give every commuting square and every restriction that
+stays in its target group. Persistence reduces M once (`_image_bars`),
+columns in birth order and rows numbered by death, and each pivot column
+gives an image bar (Cohen-Steiner-Edelsbrunner-Harer-Morozov 2009;
+Bauer-Schmahl 2023); the rank at (u, v) is the number of image bars
+containing [u, v]. Order 2 at a term fails at (u, v) exactly when a nonzero
+entry of the composite of its two maps has its source born by u and its
+target alive after v. So every ordinary (u = v) and persistent audit is a
+count over bar arrays, each distinct position built once per system and kept
+under the counts that determine it; the module level is one per-step count
+table (+1 at each bar's birth, -1 at its death, summed over the steps) read
+the same way. A returned sequence's maps are selected from M only when read.
+An entry in no group pair (its target born once its source is dead) is
+dropped; any other that fails a check is an internal fault: the module level
+raises, and `audit`, which audits any `LinearSequence` from its maps alone,
+audits (u, v).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from . import linalg
 from .complexes import NotSubcomplexError, SimplicialComplex
 from .linalg import DimensionMismatchError
 from .morse import Filtration
-from .persistence import BarMatrix, PersistenceResult, _reduce, _rows
+from .persistence import BarMatrix, PersistenceResult, _image_bars
 
 ORDINARY = "ordinary"
 PERSISTENT = "persistent-group"
@@ -191,6 +194,8 @@ class _System:
     def matrix(self, gap: str, k: int) -> BarMatrix:
         """The map `gap` ('delta', 'alpha' or 'beta') of degree k over all bars."""
         if (gap, k) not in self._matrices:
+            if (gap, k) not in self._gaps:
+                raise ValueError(f"the sequence has no map {gap} of degree {k}")
             self._matrices[gap, k] = self.map_at(gap, k)
         return self._matrices[gap, k]
 
@@ -204,6 +209,7 @@ class _System:
     def horizontal(self, gap: str, k: int, u: int) -> np.ndarray:
         """The map `gap` of degree k at step u, read-only."""
         _check_steps(self, u, u)
+        self.matrix(gap, k)  # ValueError unless (gap, k) is an arrow of the sequence
         return self._maps_at(u, u)[self._gaps.index((gap, k))]
 
     @cached_property
@@ -303,50 +309,20 @@ def induced_inclusion_map(R_sub: PersistenceResult, R_sup: PersistenceResult,
     return R_sup._coordinates(k, R_sub._chains(k))
 
 
-def _boundary(filtration: Filtration, chains: list, k: int, p: int, keep=None) -> list:
-    """The boundary over F_p, read off the filtration's facet rows (facet i
-    has the sign (-1)^i), of the part of each k-chain, given as `_chains`
-    gives it, on the cells that the mask `keep` over X marks (all when
-    None): over F_2 an int, one XOR per facet, otherwise a dict with no zero."""
-    if not chains:
-        return []
-    order, _, rows = filtration._numbering()[1][k]
-    keep = None if keep is None else keep[order].tolist()
-    out = []
-    for chain in chains:
-        if p == 2:
-            boundary = 0
-            for i in _rows(chain):
-                if keep is None or keep[i]:
-                    for f in rows[i]:
-                        boundary ^= 1 << f
-            out.append(boundary)
-            continue
-        boundary = {}
-        for i, x in chain.items():
-            if keep is None or keep[i]:
-                for sign, f in enumerate(rows[i]):
-                    boundary[f] = boundary.get(f, 0) + (-x if sign % 2 else x)
-        out.append({f: y % p for f, y in boundary.items() if y % p})
-    return out
-
-
 def mv_connecting(sys: MayerVietorisSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X) -> H_k(A∩B) over all bars: split each cycle
     column into an A-part and a B-part and take the class of the A-part's
     boundary. A cell present at a step lies in that step of A exactly when it
     lies in A, so the split is the same at every step: the A-part is the
     chain on A's mask, and a cell of A∩B goes to the A side."""
-    return sys.RAB._coordinates(k, _boundary(sys.filtration, sys.RX._chains(k + 1), k + 1,
-                                             sys.modulus, sys._masks[0]))
+    return sys.RAB._coordinates(k, sys.RX._boundaries(k + 1, sys._masks[0]))
 
 
 def pair_connecting(sys: PairSystem, k: int) -> BarMatrix:
     """Connecting map H_{k+1}(X, A) -> H_k(A) over all bars: a relative
     class is a chain of X whose boundary lies in A, and the class of that
     boundary is the image."""
-    return sys.RA._coordinates(k, _boundary(sys.filtration, sys.RXA._chains(k + 1), k + 1,
-                                            sys.modulus))
+    return sys.RA._coordinates(k, sys.RXA._boundaries(k + 1))
 
 
 def quotient_map(sys: PairSystem, k: int) -> BarMatrix:
@@ -356,7 +332,7 @@ def quotient_map(sys: PairSystem, k: int) -> BarMatrix:
 
 
 # ---------------------------------------------------------------------------
-# maps over bars: selection, image bars, composites
+# maps over bars: selection and composites
 
 def _group(bars: tuple[np.ndarray, np.ndarray], u: int, v: int) -> tuple:
     """The bars alive through [u, v]: a mask, each bar's position among them, their number."""
@@ -374,23 +350,6 @@ def _select(m: BarMatrix, target: tuple, source: tuple) -> np.ndarray:
         out[row_at[m.rows[keep]], col_at[m.cols[keep]]] = m.values[keep]
     out.setflags(write=False)
     return out
-
-
-def _image_bars(m: BarMatrix, births: np.ndarray, deaths: np.ndarray,
-                p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The image barcode of m, given its columns' births and its rows'
-    deaths: columns in birth order and rows numbered by death, both stably,
-    m is reduced once, and each pivot column gives the bar [its birth, the
-    death of its low)."""
-    cols, rows = births.argsort(kind="stable"), deaths.argsort(kind="stable")
-    col_at, row_at = np.empty_like(cols), np.empty_like(rows)
-    col_at[cols], row_at[rows] = np.arange(cols.size), np.arange(rows.size)
-    columns: list[dict] = [{} for _ in range(cols.size)]
-    for c, r, x in zip(col_at[m.cols].tolist(), row_at[m.rows].tolist(), m.values.tolist()):
-        columns[c][r] = x
-    lows, pivots = np.array(list(_reduce(columns, p, cycles=False)[2].items()),
-                            dtype=np.int64).reshape(-1, 2).T
-    return births[cols[pivots]], deaths[rows[lows]]
 
 
 def _composite(a: BarMatrix, b: BarMatrix, p: int) -> tuple[np.ndarray, np.ndarray]:

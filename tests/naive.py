@@ -29,7 +29,12 @@ then every cell's facets enumerated and looked up again to check closure and
 write the facet table) that one enumeration writing the table replaced, the
 membership file closed as a complex of its own and then checked cell by cell
 against the main complex (`close_then_check_membership`), which closing
-inside the main complex's facet table replaced, and the intersection as a
+inside the main complex's facet table replaced, the closure of
+generators inside K as a walk over sets of cells (`set_walk_closure`), the
+sublevel complex closed from scratch (`closed_sublevel`) and the entry
+steps of `Filtration(thresholds, steps)` built as a dict after pairwise
+subcomplex checks (`dict_entry_steps`), which masks closed by the one
+coface walk replaced, the intersection as a
 set intersection with its table written again (`set_intersection`), which
 restricting one table replaced, the per-step
 views of a result selected eagerly, bar by bar, from its bar table
@@ -82,10 +87,11 @@ import numpy as np
 
 from homaudit import linalg
 from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomplexError,
-                                Simplex, SimplicialComplex, boundary_matrix, close_under_faces,
-                                intersect, relative_basis, relative_boundary_matrix)
+                                Simplex, SimplicialComplex, _least_over_cofaces, boundary_matrix,
+                                close_under_faces, intersect, is_subcomplex, relative_basis,
+                                relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
-from homaudit.morse import Filtration, MorseViolation, _exact, _least_over_cofaces
+from homaudit.morse import Filtration, MorseViolation, _exact
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _add_multiple,
                                   barcode, compute_persistence)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
@@ -481,6 +487,49 @@ def close_then_check_membership(generators, K):
     if not all(s in K for s in cells):
         raise NotSubcomplexError("not a subcomplex")
     return cells, table
+
+
+def set_walk_closure(K, generators):
+    """`K.closure` as a walk over sets of cells: the generators' cells put in
+    one set per dimension, then each dimension's facets added to the one
+    below, from the top down; the complex written from K's own cells and
+    facet table entries. NotSubcomplexError at the first generator that is
+    not a cell of K."""
+    table, index, cells = K.facet_table, K._index, K.simplices()
+    levels = [set() for _ in range(K.dim + 1)]
+    for g in generators:
+        i = index.get(g)
+        if i is None:
+            raise NotSubcomplexError(f"{tuple(g)} is not a cell of the complex")
+        levels[len(g) - 1].add(cells[i])
+    sub = {}
+    for k in range(len(levels) - 1, -1, -1):
+        rows = list(map(table.__getitem__, levels[k]))
+        sub.update(zip(levels[k], rows))
+        if k:
+            levels[k - 1].update(*rows)
+    return SimplicialComplex._of(sub)
+
+
+def closed_sublevel(K, f, u):
+    """`morse.sublevel` as the face closure, from scratch, of every cell of K
+    with value at most u."""
+    u = Fraction(u)
+    return close_under_faces([s for s in K.simplices() if f(s) <= u])
+
+
+def dict_entry_steps(steps):
+    """The entry steps that `Filtration(thresholds, steps)` keeps, built as a
+    dict: each consecutive pair of steps checked by `is_subcomplex`, then
+    every cell keyed at the last step and updated with each earlier step,
+    from the last one down; as an array in the last step's order."""
+    for earlier, later in zip(steps, steps[1:]):
+        if not is_subcomplex(earlier, later):
+            raise ValueError("filtration steps are not nested")
+    entry = dict.fromkeys(steps[-1].simplices(), len(steps) - 1)
+    for u in reversed(range(len(steps) - 1)):
+        entry.update(dict.fromkeys(steps[u].simplices(), u))
+    return np.fromiter(entry.values(), dtype=np.intp, count=len(entry))
 
 
 def set_intersection(A, B):

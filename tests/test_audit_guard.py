@@ -6,7 +6,7 @@ and no `SequenceTerm`: each distinct position is built once per system. The
 module level reads one per-step count table and never calls
 `ordinary_sequence`, also when a map holds an entry that no step or pair of
 steps reads. No map without a nonzero entry reaches the image reduction
-(`_reduce`) or a composite (`_composite`).
+(`_image_bars`) or a composite (`_composite`).
 """
 
 import pytest
@@ -76,17 +76,17 @@ def test_module_sequence_reads_no_ordinary_sequence(monkeypatch, torus_system, g
 
 def test_no_zero_map_is_reduced_or_composed(monkeypatch):
     reduced, composed = [], []
-    real_reduce, real_composite = sequences._reduce, sequences._composite
+    real_image_bars, real_composite = sequences._image_bars, sequences._composite
 
-    def reduce(columns, p, cycles=True):
-        reduced.append(any(columns))
-        return real_reduce(columns, p, cycles)
+    def image_bars(m, births, deaths, p):
+        reduced.append(bool(m.values.size))
+        return real_image_bars(m, births, deaths, p)
 
     def composite(a, b, p):
         composed.append(bool(a.values.size and b.values.size))
         return real_composite(a, b, p)
 
-    monkeypatch.setattr(sequences, "_reduce", reduce)
+    monkeypatch.setattr(sequences, "_image_bars", image_bars)
     monkeypatch.setattr(sequences, "_composite", composite)
     zero_maps = 0
     for system in _systems():

@@ -6,15 +6,17 @@ simplex outside K names that simplex; a sublevel filtration needs a
 threshold; a filtration restricts only to a subcomplex, and so does a
 function; a filtration's lists are equal-length and non-empty. A system
 checks its subspaces, its cover and its filtration before it builds any
-space. The library's values refuse assignment, and a system's queries
-reject an unknown map, a step past the last and an unknown position."""
+space. A persistence build refuses a negative top degree. The library's
+values refuse assignment, and a system's queries reject an unknown map, a
+step past the last, an unknown position and a (map, degree) that is not an
+arrow of the sequence."""
 
 import pytest
 
 from homaudit.complexes import NotSubcomplexError, Simplex, close_under_faces
 from homaudit.linalg import Subspace
 from homaudit.morse import Filtration, MorseFunction, sublevel_filtration
-from homaudit.persistence import PersistenceResult, relative_persistence
+from homaudit.persistence import PersistenceResult, compute_persistence, relative_persistence
 from homaudit.sequences import (MayerVietorisSystem, NotCoveringError, PairSystem, audit,
                                 module_sequence, ordinary_sequence)
 
@@ -95,3 +97,19 @@ def test_system_queries_check_their_arguments(torus_system, genus2_system, kind)
     _raises(ValueError, "a module sequence is audited step by step by module_sequence",
             lambda: audit(seq))
     _raises(KeyError, "'no position (A, degree 9)'", lambda: aud.position("A", 9))
+    for gap, k in (("delta", 9), ("gamma", 1), ("alpha", -1)):
+        message = f"the sequence has no map {gap} of degree {k}"
+        _raises(ValueError, message, lambda: system.horizontal(gap, k, 0))
+        _raises(ValueError, message, lambda: system.matrix(gap, k))
+        assert (gap, k) not in system._matrices
+
+
+def test_a_negative_max_degree_is_refused(torus):
+    filt = sublevel_filtration(torus.complex, torus.function, torus.thresholds)
+    for max_degree in (-1, -3):
+        message = f"max_degree must be non-negative, got {max_degree}"
+        _raises(ValueError, message, lambda: compute_persistence(filt, 2, max_degree=max_degree))
+        _raises(ValueError, message,
+                lambda: relative_persistence(torus.complex, torus.A, filt, 2, max_degree))
+    R = compute_persistence(filt, 2, max_degree=None)  # None still means dim K
+    assert R.max_degree == 2 and [R.dim(k, len(filt) - 1) for k in range(3)] == [1, 2, 1]

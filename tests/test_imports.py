@@ -83,3 +83,54 @@ def test_every_name_the_tracer_binds_exists():
         if holder is None or method not in vars(holder):
             missing.append(f"{layer}.{cls}.{method}")
     assert missing == [], RULE
+
+
+# the F_2 column format, the kernel and the cycle table have one reader,
+# persistence.py, and the filtration numbering two, morse.py and persistence.py
+OWNED = {"_reduce": {"persistence.py"}, "_rows": {"persistence.py"},
+         "_as_int": {"persistence.py"}, "_cycle_table": {"persistence.py"},
+         "_numbering": {"morse.py", "persistence.py"}}
+
+
+def _read_names(tree) -> set[str]:
+    """Every name a module reads: as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _modulus_compared_with_2(tree) -> list[int]:
+    """The lines of every comparison of `p` or a `modulus` with the constant 2."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            named = {getattr(o, "id", None) or getattr(o, "attr", None) for o in operands}
+            if named & {"p", "modulus"} and any(
+                    isinstance(o, ast.Constant) and o.value == 2 for o in operands):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_columns_and_the_numbering_are_read_by_their_owners_only():
+    package = ROOT / "src" / "homaudit"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    readers = {name: sorted(module for module, tree in trees.items()
+                            if name in _read_names(tree) and module not in owners)
+               for name, owners in OWNED.items()}
+    assert readers == dict.fromkeys(OWNED, [])
+    assert _modulus_compared_with_2(trees["sequences.py"]) == []
+
+
+def test_the_owner_guard_sees_a_reader():
+    tree = ast.parse("from .persistence import _rows\n"
+                     "def f(R, p):\n    return R._numbering() if p == 2 else R.modulus != 2\n")
+    assert {"_rows", "_numbering"} <= _read_names(tree)
+    assert _modulus_compared_with_2(tree) == [3, 3]

@@ -130,7 +130,7 @@ def test_boundaries_of_the_connecting_maps_keep_no_zero_entry(torus, p):
         for keep in (torus.A, None):  # the A-part, as for delta, and whole chains
             chains = system.RX._chains(k + 1)
             mask = None if keep is None else system._masks[0]
-            boundaries = sequences._boundary(filt, chains, k + 1, p, mask)
+            boundaries = system.RX._boundaries(k + 1, mask)
             assert len(boundaries) == len(chains)
             wanted = simplex_boundary(X, system.RX.representatives(k + 1),
                                       None if keep is None else keep.__contains__)
@@ -437,12 +437,12 @@ def test_all_audits_reduce_each_map_once(monkeypatch, torus, genus2, which):
     sys_ = (_fresh_system(which, torus, genus2, 3) if isinstance(which, str)
             else make_fixture(which)[1])
     reductions = []
-    real_reduce = sequences._reduce
+    real_image_bars = sequences._image_bars
 
-    def counted(columns, p, cycles=True):
-        reductions.append(len(columns))
-        return real_reduce(columns, p, cycles)
-    monkeypatch.setattr(sequences, "_reduce", counted)
+    def counted(m, births, deaths, p):
+        reductions.append(m.shape)
+        return real_image_bars(m, births, deaths, p)
+    monkeypatch.setattr(sequences, "_image_bars", counted)
     monkeypatch.setattr(linalg, "row_reduce", lambda *args: pytest.fail("row_reduce"))
     n = sys_.n_steps
 

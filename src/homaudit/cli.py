@@ -29,8 +29,8 @@ from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialCom
                         Simplex, betti_numbers, close_under_faces)
 from .linalg import _small_prime
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
-                    _critical_values, _exact, _in_order, _inherited_values, _perfectness,
-                    _ranks, _sublevel, critical_cells)
+                    _critical_values, _exact, _perfectness, critical_cells,
+                    sublevel_filtration)
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
@@ -149,17 +149,15 @@ def load_complex(path: Path, strict_values: bool = False, digests: Optional[dict
     K = close_under_faces(generators)
     if not explicit:
         return K, None
-    if len(explicit) == len(K):  # every cell valued: nothing to inherit
-        return K, MorseFunction(K, explicit)
-    if strict_values:
+    if strict_values and len(explicit) < len(K):
         s = next(s for s in K.simplices() if s not in explicit)
         raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
-    values = dict(zip(K.simplices(), _inherited_values(K, explicit)))
-    if None in values.values():
-        s = next(s for s, v in values.items() if v is None)
+    f = MorseFunction._inherited(K, explicit)
+    if f is None:  # a cell outside the closure of the valued ones
+        valued = K.closure(explicit)
+        s = next(s for s in K.simplices() if s not in valued)
         raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
-    values.update(explicit)
-    return K, MorseFunction(K, values)
+    return K, f
 
 
 def load_membership(path: Path, K: SimplicialComplex, digests: Optional[dict] = None
@@ -186,21 +184,18 @@ def _build_filtration(K: SimplicialComplex, f: Optional[MorseFunction],
     """Filtration for a command run.
 
     Explicit thresholds win; otherwise the critical values when f is a valid
-    Morse function, else all distinct values (`_critical_values` tells which
-    and builds no violation). Any --u/--v labels are spliced in, so
-    persistent groups between arbitrary sublevels stay addressable. A file
-    without values yields the one-step filtration of the full complex.
+    Morse function, else all distinct values (`_critical_values` gives either
+    and builds no violation). The --u/--v labels a level reads are spliced
+    in, so persistent groups between arbitrary sublevels stay addressable. A
+    file without values yields the one-step filtration of the full complex.
     """
     if f is None:
         if thresholds or extra_labels:
             raise InputContractError("thresholds given but the complex file carries no values")
         return Filtration([0], [K])
-    ranked = _ranks(_in_order(K, f))  # once, for the Morse question and the steps
-    base = set(thresholds) if thresholds is not None else _critical_values(K, ranked)
-    if base is None:  # f is not Morse
-        base = set(ranked[0])
+    base = set(thresholds) if thresholds is not None else _critical_values(K, f)[0]
     base.update(extra_labels)
-    return _sublevel(K, f, base, ranked)
+    return sublevel_filtration(K, f, base)
 
 
 def _parse_threshold_list(text: str) -> list[Fraction | int]:
@@ -296,6 +291,9 @@ def _print_audit(aud: SequenceAudit) -> None:
 
 def _run_audit(args, kind: str) -> int:
     level = _LEVELS[args.level]
+    for flag, levels in (("u", ("ordinary", "persistent")), ("v", ("persistent",))):
+        if getattr(args, flag) is not None and args.level not in levels:
+            raise InputContractError(f"--{flag} is not read at --level {args.level}")
     complex_path, digests = Path(args.complex), {}
     K, f = load_complex(complex_path, args.strict_values, digests)
     A = _subspace(args.subspace_a, "A", K, digests)
@@ -312,8 +310,7 @@ def _run_audit(args, kind: str) -> int:
     else:
         system = PairSystem(K, A, filt, args.field)
 
-    payload = {"thresholds": [str(t) for t in filt.thresholds], "level": level,
-               "kind": kind}
+    payload = {}
     if level == ORDINARY:
         u = filt.index_of(u_label) if u_label is not None else len(filt) - 1
         _, aud = ordinary_sequence(system, u)
@@ -352,10 +349,11 @@ def _run_audit(args, kind: str) -> int:
         defects = {f"(k={k}, {t})": d for (t, k), d in sorted(aud.defects().items())}
         print(f"note: sequence is of order 2 but not exact; defects {defects}")
 
-    payload["verdict"] = {"law": law, "holds": holds,
-                          "order2": aud.order2, "exact": aud.exact}
-    payload["positions"] = _audit_positions_payload(aud)
     if args.json:
+        payload.update(thresholds=[str(t) for t in filt.thresholds], level=level, kind=kind,
+                       positions=_audit_positions_payload(aud),
+                       verdict={"law": law, "holds": holds,
+                                "order2": aud.order2, "exact": aud.exact})
         _write_report(args, command=f"{'mv' if kind == 'mayer-vietoris' else 'pair'}-audit",
                       inputs=inputs, digests=digests, extra=payload)
     return EXIT_OK if holds else EXIT_LAW_VIOLATED

@@ -1,29 +1,27 @@
 """Discrete Morse functions: validation, critical cells, sublevel complexes,
 filtrations, and the perfectness check.
 
-A function holds its values in K's order, so the per-cell passes hash no
-cell: they run on the complex's integer index of its (cell, facet)
-incidences, as a few array operations per complex (the coface walk takes
-one per dimension). Each cell holds its rank among the function's sorted
-distinct values, so comparing ranks decides every incidence alike for
-`int`, `Fraction` and values of any size. An incidence of a facet n in a
-cell t is exceptional when rank(n) >= rank(t); each cell's count of
-exceptional incidences tells whether f is a discrete Morse function and
-which cells are critical, and a `MorseViolation` is built only for a
-violating cell, only when the violations are asked for; `_critical_values`
-(f's critical values, or None when f is not Morse) builds none. A filtration
+A function is its ranks: its sorted distinct values and each cell's rank
+among them, one read-only integer array in its complex's order, ranked once
+when it is built (a complex file's closure-added face takes the least rank
+over its valued cofaces by the one coface walk). Every pass reads them
+through `_ranked` and hashes no cell: it runs on the complex's integer index
+of its (cell, facet) incidences, as a few array operations per complex, and
+comparing ranks decides every incidence alike for `int`, `Fraction` and
+values of any size. An incidence of a facet n in a cell t is exceptional
+when rank(n) >= rank(t); each cell's count of exceptional incidences tells
+whether f is a discrete Morse function and which cells are critical, and a
+`MorseViolation` is built only for a violating cell, only when the
+violations are asked for; `_critical_values` builds none. A filtration
 stores the step at which each cell enters, as an integer array in the
 complex's order (a restriction indexes it): each threshold is placed among
 the ranked values by bisection, so a cell's own step is a search of its
 rank among those places, and its entry step is the least over its cofaces,
-found by the complex's coface walk, which also gives a sublevel complex
-and the values a complex file's faces inherit. Given its step complexes, a
-filtration counts the steps' masks over the last step that hold each cell;
-its step complexes are built only on request, as masks. A filtration ranks
-f's values once, and the Morse check reads the same ranks. Values and
-thresholds are exact: an integral one is held as an `int`, any other as a
-`Fraction`; sublevel membership is decided by exact comparison, never by
-floats.
+found by the coface walk, which also gives a sublevel complex. Given its
+step complexes, a filtration counts the steps' masks over the last step that
+hold each cell; its step complexes are built only on request, as masks.
+Values and thresholds are exact: an integral one is held as an `int`, any
+other as a `Fraction`; sublevel membership is decided by exact comparison.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .complexes import (SimplicialComplex, Simplex, _least_over_cofaces, betti_numbers,
-                        is_subcomplex)
+from .complexes import SimplicialComplex, Simplex, _least_over_cofaces, betti_numbers
 
 Rational = Fraction | int | str
 
@@ -77,9 +74,10 @@ class MorseViolation:
 
 
 class MorseFunction:
-    """A total assignment of rational values to the cells of one complex."""
+    """A total assignment of rational values to the cells of one complex, held
+    as its sorted distinct values and each cell's rank among them in K's order."""
 
-    __slots__ = ("complex", "_values", "_ordered")
+    __slots__ = ("complex", "_distinct", "_rank")
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, Rational]):
         table = {s if isinstance(s, Simplex) else Simplex(s): _exact(v)
@@ -93,48 +91,56 @@ class MorseFunction:
         if len(table) > len(ordered):  # every cell has a value, so some simplex is not a cell
             extra = [s for s in table if s not in complex]
             raise ValueError(f"value given for a simplex outside the complex: {tuple(extra[0])}")
-        for name, value in zip(self.__slots__, (complex, table, ordered)):
+        self._hold(complex, *_ranks(ordered))
+
+    @classmethod
+    def _of(cls, K: SimplicialComplex, distinct: list, rank: np.ndarray) -> "MorseFunction":
+        """The function on K of sorted distinct values and their ranks, trusted."""
+        return object.__new__(cls)._hold(K, distinct, rank)
+
+    def _hold(self, K: SimplicialComplex, distinct: list, rank: np.ndarray) -> "MorseFunction":
+        rank.flags.writeable = False  # every pass on K reads this one array
+        for name, value in zip(self.__slots__, (K, distinct, rank)):
             object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _inherited(cls, K: SimplicialComplex,
+                   explicit: Mapping[Simplex, Fraction | int]) -> Optional["MorseFunction"]:
+        """The function on K of explicit exact values on cells of K, a cell
+        without one taking the least rank over its valued cofaces by the coface
+        walk (skipped when every cell is valued); None when a cell gets none."""
+        distinct, rank = _ranks(list(map(explicit.get, K.simplices())))
+        if len(explicit) < len(K):
+            unvalued = rank == len(distinct)
+            rank[unvalued] = _least_over_cofaces(K, rank.copy())[unvalued]
+        return cls._of(K, distinct, rank) if rank.max() < len(distinct) else None
 
     def __setattr__(self, name, value):
         raise AttributeError("MorseFunction is immutable")
 
     def __call__(self, s: Simplex) -> Fraction | int:
-        return self._values[s]
+        return self._distinct[self._rank[self.complex._index[s]]]
 
     def items(self):
-        return list(zip(self.complex.simplices(), self._ordered))
+        return list(zip(self.complex, map(self._distinct.__getitem__, self._rank.tolist())))
 
     @property
     def max_value(self) -> Fraction | int:
-        return max(self._ordered)
+        return max(self._distinct[-1:])  # a ValueError on the empty complex
 
     def restrict(self, sub: SimplicialComplex) -> "MorseFunction":
-        """Value restriction to a subcomplex.
-
-        Restrictions are not re-validated; a warning is emitted if the result
-        violates the Morse conditions on the subcomplex.
-        """
-        if not is_subcomplex(sub, self.complex):
+        """Value restriction to a subcomplex, ranked among its own values; not
+        re-validated, but a warning is emitted if it is not Morse there."""
+        if (mask := self.complex._mask(sub)) is None:
             raise ValueError("can only restrict to a subcomplex")
-        g = MorseFunction(sub, {s: self._values[s] for s in sub.simplices()})
+        used, rank = np.unique(self._rank[mask], return_inverse=True)
+        g = MorseFunction._of(sub, list(map(self._distinct.__getitem__, used.tolist())), rank)
         bad = validate_morse(sub, g)
         if bad:
             warnings.warn(f"restriction is not a Morse function on the subcomplex "
                           f"({len(bad)} violations)", stacklevel=2)
         return g
-
-
-def _in_order(K: SimplicialComplex, f: MorseFunction) -> list:
-    """f's values in K's order, its own list when K is f's complex; a cell of
-    K that f gives no value is an input error, named as a ValueError."""
-    if K is f.complex:
-        return f._ordered
-    values = list(map(f._values.get, K.simplices()))
-    if None in values:
-        cell = K.simplices()[values.index(None)]
-        raise ValueError(f"function not total on the complex: no value for {tuple(cell)}")
-    return values
 
 
 def _ranks(values: Sequence) -> tuple[list, np.ndarray]:
@@ -147,9 +153,21 @@ def _ranks(values: Sequence) -> tuple[list, np.ndarray]:
                                  count=len(values))
 
 
+def _ranked(K: SimplicialComplex, f: MorseFunction) -> tuple[list, np.ndarray]:
+    """f's sorted distinct values and each cell of K's rank among them, in K's
+    order (f's own ranks on f's complex); a ValueError names a cell with none."""
+    if K is f.complex:
+        return f._distinct, f._rank
+    at = list(map(f.complex._index.get, K.simplices()))
+    if None in at:
+        cell = K.simplices()[at.index(None)]
+        raise ValueError(f"function not total on the complex: no value for {tuple(cell)}")
+    return f._distinct, f._rank[at]
+
+
 def _exceptional(K: SimplicialComplex, rank: np.ndarray) -> tuple[np.ndarray, ...]:
     """The exceptional incidences on K of a function of ranks `rank` (from
-    `_ranks`), a facet n of a cell t with f(n) >= f(t), as the positions of
+    `_ranked`), a facet n of a cell t with f(n) >= f(t), as the positions of
     their cells and facets in the index's order, and per cell the number it
     takes part in: 0 when critical, 2 or more when violating."""
     cells, facets, _ = K._facet_index()
@@ -180,19 +198,18 @@ def _violations(K: SimplicialComplex, cells: np.ndarray,
 
 def _classify(K: SimplicialComplex, f: MorseFunction) -> tuple[tuple, tuple]:
     """The violations (cell by cell in K's order) and the critical cells."""
-    cells, facets, count = _exceptional(K, _ranks(_in_order(K, f))[1])
+    cells, facets, count = _exceptional(K, _ranked(K, f)[1])
     critical = tuple(map(K.simplices().__getitem__, (count == 0).nonzero()[0].tolist()))
     return _violations(K, cells, facets) if count.max(initial=0) > 1 else (), critical
 
 
-def _critical_values(K: SimplicialComplex, ranked: tuple[list, np.ndarray]) -> Optional[set]:
-    """The critical values of a function given by its `_ranks` on K, or None
-    when it is not Morse on K; builds no violation."""
-    distinct, rank = ranked
+def _critical_values(K: SimplicialComplex, f: MorseFunction) -> tuple[set, bool]:
+    """(values, morse): f's critical values on K and True, or every distinct
+    value of f and False when f is not Morse on K; builds no violation."""
+    distinct, rank = _ranked(K, f)
     count = _exceptional(K, rank)[2]
-    if count.max(initial=0) > 1:
-        return None
-    return set(map(distinct.__getitem__, rank[count == 0].tolist()))
+    morse = count.max(initial=0) <= 1
+    return set(map(distinct.__getitem__, rank[count == 0].tolist()) if morse else distinct), morse
 
 
 def validate_morse(K: SimplicialComplex, f: MorseFunction) -> tuple[MorseViolation, ...]:
@@ -217,8 +234,8 @@ def critical_cells(K: SimplicialComplex, f: MorseFunction) -> tuple[Simplex, ...
 def sublevel(K: SimplicialComplex, f: MorseFunction, u: Rational) -> SimplicialComplex:
     """Face closure of every cell with value at most u: the cells whose least
     rank over themselves and their cofaces is at most u's."""
-    distinct, rank = _ranks(_in_order(K, f))
-    return K._sub(_least_over_cofaces(K, rank) < bisect_right(distinct, Fraction(u)))
+    distinct, rank = _ranked(K, f)
+    return K._sub(_least_over_cofaces(K, rank.copy()) < bisect_right(distinct, Fraction(u)))
 
 
 class UnknownLabelError(KeyError):
@@ -316,34 +333,19 @@ def sublevel_filtration(K: SimplicialComplex, f: MorseFunction,
     """Sublevel complexes of f at the given thresholds (sorted, deduplicated).
 
     If the last threshold does not capture all of K, a final step at max f is
-    appended so the filtration always terminates in the full complex. A cell
-    enters with the earliest of its cofaces; its own step is read off its
-    rank among f's values, once each threshold is placed among them. A cell
-    of K that f gives no value raises ValueError."""
-    return _sublevel(K, f, thresholds, _ranks(_in_order(K, f)))
-
-
-def _sublevel(K: SimplicialComplex, f: MorseFunction, thresholds: Iterable[Rational],
-              ranked: tuple[list, np.ndarray]) -> Filtration:
-    """`sublevel_filtration` from f's `_ranks` on K: each threshold is placed
-    among the distinct values by one bisection, and a cell's own step, the
-    number of thresholds below its value, is the number of those places at
-    or below its rank."""
+    appended so the filtration always terminates in the full complex. Each
+    threshold is placed among f's ranked values by one bisection, so a cell's
+    own step, the number of thresholds below its value, is the number of
+    those places at or below its rank; a cell enters with the earliest of its
+    cofaces. A cell of K that f gives no value raises ValueError."""
+    distinct, rank = _ranked(K, f)
     ts = sorted({_exact(t) for t in thresholds})
     if not ts:
         raise ValueError("at least one threshold is required")
     if ts[-1] < f.max_value:
         ts.append(f.max_value)
-    distinct, rank = ranked
     cuts = np.array([bisect_right(distinct, t) for t in ts])  # how many values are at most each
     return Filtration._of(tuple(ts), K, _least_over_cofaces(K, cuts.searchsorted(rank, "right")))
-
-
-def _inherited_values(K: SimplicialComplex, value: Mapping[Simplex, Rational]) -> list:
-    """Each cell's least value over itself and its valued cofaces, in K's
-    order (None for a cell with none), by the walk that gives entry steps."""
-    distinct, rank = _ranks(list(map(value.get, K.simplices())))
-    return list(map((distinct + [None]).__getitem__, _least_over_cofaces(K, rank).tolist()))
 
 
 def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,
@@ -353,11 +355,10 @@ def filtration_from_morse(K: SimplicialComplex, f: MorseFunction,
     Either way a final max-f step is appended when needed, so the last step
     equals K. Steps that repeat between consecutive thresholds are retained.
     """
-    ranked = _ranks(_in_order(K, f))
-    critical = _critical_values(K, ranked)  # validates f
-    if critical is None:
+    critical, morse = _critical_values(K, f)  # validates f
+    if not morse:
         raise NotMorseError(validate_morse(K, f))
-    return _sublevel(K, f, critical if thresholds is None else thresholds, ranked)
+    return sublevel_filtration(K, f, critical if thresholds is None else thresholds)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ replaced, that pass and the entry-step filtration on `Fraction` values and
 rebuilt facets (`fraction_classify`, `fraction_filtration`), the path that
 `int` values and the facet table replaced, each cell's value placed among
 the thresholds by its own bisection (`bisect_filtration`), which placing
-each threshold among f's ranked values replaced, the classification pass and the
-least-over-cofaces walk on simplex-keyed dicts (`dict_classify`,
+each threshold among f's ranked values replaced, the function as a value table keyed
+by cell (`DictFunction`), which one rank array replaced, the classification
+pass and the least-over-cofaces walk on simplex-keyed dicts (`dict_classify`,
 `dict_least_over_cofaces`, and the file values it gave,
 `dict_inherited_values`), which ranks compared over the complex's integer
 index of its incidences replaced, the (step, simplex) pair sort of a
@@ -341,12 +342,46 @@ def faces_inherited_values(K, explicit, strict=False):
     return values
 
 
+class DictFunction:
+    """A function held as a value table keyed by cell, each value exact, and
+    its values in K's order, which one rank array in K's order replaced:
+    `in_order` is the lookup of another complex's cells in the table that
+    every Morse pass made, and `restrict` keeps the parent's values."""
+
+    def __init__(self, K, values):
+        self.complex = K
+        self.values = {Simplex(s): _exact(v) for s, v in values.items()}
+        self.ordered = [self.values[s] for s in K.simplices()]
+
+    def __call__(self, s):
+        return self.values[s]
+
+    def items(self):
+        return list(zip(self.complex.simplices(), self.ordered))
+
+    @property
+    def max_value(self):
+        return max(self.ordered)
+
+    def restrict(self, sub):
+        return DictFunction(sub, {s: self.values[s] for s in sub.simplices()})
+
+    def in_order(self, K):
+        """The values of K's cells in K's order; a cell with none is named as a ValueError."""
+        values = list(map(self.values.get, K.simplices()))
+        if None in values:
+            cell = K.simplices()[values.index(None)]
+            raise ValueError(f"function not total on the complex: no value for {tuple(cell)}")
+        return values
+
+
 def dict_classify(K, f):
-    """(violations, critical cells) by the one classification pass over
-    simplex-keyed dicts that the integer index replaced: every incidence of
-    the facet table compared on f's values, the exceptional ones collected
-    per cell in dicts."""
-    value, facets, up, down = f._values, K.facet_table, {}, {}
+    """(violations, critical cells) of a `DictFunction` by the one
+    classification pass over simplex-keyed dicts that the integer index
+    replaced: every incidence of the facet table compared on f's values
+    (checked total on K), the exceptional ones collected per cell in dicts."""
+    value = dict(zip(K.simplices(), f.in_order(K)))
+    facets, up, down = K.facet_table, {}, {}
     for t in K.simplices():
         for n in facets[t]:
             if value[n] >= value[t]:

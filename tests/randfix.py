@@ -29,7 +29,11 @@ def random_complex(rng: random.Random, max_simplices=25, n_vertices=7) -> Simpli
 
 
 def random_morse(K: SimplicialComplex, rng: random.Random) -> MorseFunction:
-    """A valid Morse function from a random reversed-collapse build order.
+    return MorseFunction(K, random_morse_values(K, rng))
+
+
+def random_morse_values(K: SimplicialComplex, rng: random.Random) -> dict[Simplex, Fraction]:
+    """The values of a valid Morse function from a random reversed-collapse build order.
 
     Cells enter one at a time (critical) or as a matched face/coface pair
     sharing a value, so every regular cell has exactly one exceptional
@@ -60,7 +64,7 @@ def random_morse(K: SimplicialComplex, rng: random.Random) -> MorseFunction:
             values[crit] = Fraction(clock)
             present.add(crit)
         clock += 1
-    return MorseFunction(K, values)
+    return values
 
 
 def random_triad(K: SimplicialComplex, rng: random.Random):
@@ -98,11 +102,15 @@ def make_fixture(index: int, p=None):
 
 
 def lower_star(K: SimplicialComplex, rng: random.Random) -> MorseFunction:
+    return MorseFunction(K, lower_star_values(K, rng))
+
+
+def lower_star_values(K: SimplicialComplex, rng: random.Random) -> dict[Simplex, int]:
     """Lower-star values of a random vertex order: each cell takes the latest
     position among its vertices. Such a function is Morse only by chance."""
     vertices = [s[0] for s in K.simplices(0)]
     position = dict(zip(vertices, rng.sample(range(len(vertices)), len(vertices))))
-    return MorseFunction(K, {s: max(map(position.__getitem__, s)) for s in K.simplices()})
+    return {s: max(map(position.__getitem__, s)) for s in K.simplices()}
 
 
 def lower_star_system(kind: str, K: SimplicialComplex, cover, f: MorseFunction, p: int):

@@ -854,6 +854,27 @@ def test_audit_option_contracts_exit_4(data_dir, capsys, level, extra, message):
         (4, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("level,flag", [("module", "--u"), ("module", "--v"),
+                                        ("ordinary", "--v")])
+def test_a_label_at_a_level_that_does_not_read_it_exit_4(data_dir, capsys, level, flag):
+    """A --u or --v label at a level that never reads it is an input error
+    (exit 4) naming the flag and the level, with no output: spliced in as a
+    threshold, it would change the filtration the level audits."""
+    assert run(capsys, *_torus_audit_args(data_dir, level, flag, "50")) == \
+        (4, "", f"input error: {flag} is not read at --level {level}\n")
+
+
+def test_an_audit_without_json_builds_no_report_rows(monkeypatch, data_dir, capsys):
+    def refuse(aud):
+        raise AssertionError("a report row was built without --json")
+
+    monkeypatch.setattr(cli, "_audit_positions_payload", refuse)
+    for level, extra in (("ordinary", ()), ("persistent", ("--u", "95", "--v", "100")),
+                         ("module", ())):
+        code, out, _ = run(capsys, *_torus_audit_args(data_dir, level, *extra))
+        assert code == 0 and "law (" in out, level
+
+
 def test_morse_check_without_values_exit_4(tmp_path, capsys):
     path = write(tmp_path, "bare.txt", "0 1 2\n")
     assert run(capsys, "morse-check", path) == \

@@ -86,10 +86,12 @@ def test_every_name_the_tracer_binds_exists():
 
 
 # the F_2 column format, the kernel and the cycle table have one reader,
-# persistence.py, and the filtration numbering two, morse.py and persistence.py
+# persistence.py, and the filtration numbering two, morse.py and persistence.py;
+# a function is ranked once, when it is built, and its ranks are read in morse.py
 OWNED = {"_reduce": {"persistence.py"}, "_rows": {"persistence.py"},
          "_as_int": {"persistence.py"}, "_cycle_table": {"persistence.py"},
-         "_numbering": {"morse.py", "persistence.py"}}
+         "_numbering": {"morse.py", "persistence.py"}, "_ranks": {"morse.py"},
+         "_rank": {"morse.py"}, "_distinct": {"morse.py"}}
 
 
 def _read_names(tree) -> set[str]:

@@ -29,7 +29,7 @@ from homaudit.morse import (MorseFunction, MorseViolation, _classify, _ranks,
                             sublevel_filtration)
 from homaudit.persistence import compute_persistence, relative_persistence
 
-from naive import (DensePersistence, assert_matches_oracle, closure_then_compare,
+from naive import (DensePersistence, DictFunction, assert_matches_oracle, closure_then_compare,
                    dict_classify, fraction_classify, fraction_filtration, naive_classify,
                    pair_sorted_cells)
 from randfix import random_complex, random_subcomplex
@@ -109,8 +109,9 @@ def test_every_violation_kind_in_the_order_of_the_scans():
     bad, critical = _classify(K, f)
     assert {v.kind for v in bad} == {"excess_cofacets", "excess_facets", "both_exceptional"}
     assert {len(v.cell) for v in bad} == {1, 2, 3, 4}
-    for oracle in (naive_classify, fraction_classify, dict_classify):
+    for oracle in (naive_classify, fraction_classify):
         assert (bad, critical) == oracle(K, f), oracle.__name__
+    assert (bad, critical) == dict_classify(K, DictFunction(K, values))
 
 
 def _big_values():
@@ -122,9 +123,14 @@ def _big_values():
                                st.integers(-3, 3), st.integers(1, 4)))
 
 
+def _drawn_values(data, K):
+    """A big or fractional value for every cell of K, keyed by cell."""
+    return dict(zip(K.simplices(),
+                    data.draw(st.lists(_big_values(), min_size=len(K), max_size=len(K)))))
+
+
 def _drawn_function(data, K):
-    values = data.draw(st.lists(_big_values(), min_size=len(K), max_size=len(K)))
-    return MorseFunction(K, dict(zip(K.simplices(), values)))
+    return MorseFunction(K, _drawn_values(data, K))
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,9 +139,11 @@ def test_classification_and_entry_steps_on_big_and_fractional_values(seed, data)
     rng = random.Random(seed)
     K = random_complex(rng, max_simplices=data.draw(st.sampled_from((1, 8, 25, 40))),
                        n_vertices=6)
-    f = _drawn_function(data, K)
+    values = _drawn_values(data, K)
+    f = MorseFunction(K, values)
     got = _classify(K, f)
-    assert got == naive_classify(K, f) == fraction_classify(K, f) == dict_classify(K, f)
+    assert got == naive_classify(K, f) == fraction_classify(K, f) == \
+        dict_classify(K, DictFunction(K, values))
     assert all(isinstance(v, MorseViolation) for v in got[0])
     thresholds = data.draw(st.lists(_big_values(), min_size=1, max_size=5))
     filt = sublevel_filtration(K, f, thresholds)

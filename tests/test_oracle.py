@@ -67,12 +67,23 @@ entry steps on `int` values and the facet table against the same passes on
 every input), each cell's step from thresholds placed among f's ranked
 values against each value bisected among the thresholds, and Betti
 numbers from the column reduction against dense ranks.
+
+A function held as its ranks against the value table keyed by cell that
+they replaced (`naive.DictFunction`), built from the same values: its
+values, items and maximum, its restriction to a subcomplex (items and
+maximum), its classification, the entry steps of its filtrations on its
+complex and on the subcomplex, its sublevels of the subcomplex, and the
+error naming a cell it gives no value; on the shipped torus and genus 2
+(built from their values and loaded from their files), fixtures 0-63
+(with Morse and with lower-star values), the lower-star grid tori at n = 8
+and 10, and drawn big and fractional values.
 """
 
 import importlib.util
 import random
 import signal
 import sys
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -86,18 +97,23 @@ from homaudit import persistence
 from homaudit.complexes import (SimplicialComplex, Simplex, betti_numbers, close_under_faces,
                                 intersect)
 from homaudit.linalg import dense_rank
-from homaudit.morse import (Filtration, MorseFunction, _classify, critical_cells,
-                            filtration_from_morse, sublevel, sublevel_filtration)
+from homaudit.cli import load_complex
+from homaudit.morse import (Filtration, MorseFunction, NotMorseError, _classify, critical_cells,
+                            filtration_from_morse, sublevel, sublevel_filtration,
+                            validate_morse)
 from homaudit.persistence import (NotACycleError, PersistenceResult, _reduce, barcode,
                                   compute_persistence)
 from homaudit.sequences import MayerVietorisSystem, PairSystem, persistent_sequence
 
-from naive import (SimplexKeyedResult, assert_audits_match_per_call_path, assert_matches_oracle,
-                   bisect_filtration, cone_barcodes, dict_reduce, f2_rows, fraction_classify,
+from naive import (DictFunction, SimplexKeyedResult, assert_audits_match_per_call_path,
+                   assert_matches_oracle, bisect_filtration, closed_sublevel, cone_barcodes,
+                   dict_classify, dict_reduce, f2_rows, fraction_classify,
                    fraction_filtration, naive_betti, naive_classify, set_coordinates,
                    set_reduce, simplex_keyed_system, x_position_system)
 from randfix import (FIXTURE_COUNT, fixture_batch, lower_star, lower_star_fixture,
-                     lower_star_system, make_fixture, random_complex, random_subcomplex)
+                     lower_star_system, lower_star_values, make_fixture, random_complex,
+                     random_morse_values, random_subcomplex)
+from test_index import _drawn_values
 
 PRIMES = (2, 3, 5, 7)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -751,3 +767,114 @@ def test_betti_numbers_match_dense_ranks(torus, genus2, p):
     complexes.append(SimplicialComplex(()))
     for K in complexes:
         assert betti_numbers(K, p) == naive_betti(K, p), K
+
+
+def _assert_same_entry(filt, want):
+    ts, entry = want
+    assert filt.thresholds == ts
+    assert list(filt.entry.items()) == list(entry.items())
+
+
+def _assert_passes_match(K, f, g, thresholds):
+    """validate_morse, critical_cells and both filtrations of f on K against
+    the dict classification and the Fraction filtration of g."""
+    bad, critical = dict_classify(K, g)
+    assert validate_morse(K, f) == bad
+    _assert_same_entry(sublevel_filtration(K, f, thresholds),
+                       fraction_filtration(K, g, thresholds))
+    if bad:
+        for run in (lambda: critical_cells(K, f), lambda: filtration_from_morse(K, f)):
+            with pytest.raises(NotMorseError) as exc:
+                run()
+            assert exc.value.violations == bad
+        return
+    assert critical_cells(K, f) == critical
+    if not critical:  # the empty complex
+        with pytest.raises(ValueError, match="at least one threshold is required"):
+            filtration_from_morse(K, f)
+    else:
+        _assert_same_entry(filtration_from_morse(K, f),
+                           fraction_filtration(K, g, {g(s) for s in critical}))
+    _assert_same_entry(filtration_from_morse(K, f, thresholds),
+                       fraction_filtration(K, g, thresholds))
+
+
+def _maximum(f):
+    """f's largest value, or the text of the error that asking for it raises."""
+    try:
+        return f.max_value
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_matches_the_value_table(K, values, A, f=None):
+    """f (by default built from `values` on K) against the value table built
+    from the same values, on K and on its subcomplex A."""
+    f = MorseFunction(K, values) if f is None else f
+    g = DictFunction(K, values)
+    items = f.items()
+    assert [f(s) for s in K] == [g(s) for s in K]
+    assert items == g.items() and f.max_value == g.max_value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a restriction that is not Morse warns
+        h = f.restrict(A)
+    assert h.items() == g.restrict(A).items() and _maximum(h) == _maximum(g.restrict(A))
+    distinct = sorted(set(g.ordered))
+    thresholds = distinct[::3] + [Fraction(distinct[0]) - Fraction(1, 2)]
+    for L in (K, A):
+        _assert_passes_match(L, f, g, thresholds)
+    for u in distinct[::max(1, len(distinct) // 6)] + [Fraction(distinct[-1]) + 1]:
+        want = closed_sublevel(A, g, u)
+        assert sublevel(A, f, u).simplices() == want.simplices() and sublevel(A, f, u) == want
+    outside = close_under_faces([*A.maximal_simplices(), (1 + max(v for s in K for v in s),)])
+    with pytest.raises(ValueError) as want:
+        g.in_order(outside)
+    for run in (validate_morse, critical_cells, lambda L, f: sublevel(L, f, 0),
+                lambda L, f: sublevel_filtration(L, f, [0]), filtration_from_morse):
+        with pytest.raises(ValueError) as got:
+            run(outside, f)
+        assert str(got.value) == str(want.value)
+    assert f.items() == items  # no pass changes f
+
+
+def _shipped_values(path):
+    """Every cell's value in a shipped complex file, read as a `Fraction`."""
+    values = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            cell, value = line.split(":")
+            values[Simplex(map(int, cell.split()))] = Fraction(value.strip())
+    return values
+
+
+def test_functions_match_the_value_table_on_the_shipped_fixtures(torus, genus2, data_dir):
+    for name, fixture in (("torus", torus), ("genus2", genus2)):
+        path = data_dir / name / "complex.txt"
+        values = _shipped_values(path)
+        K, loaded = load_complex(path)
+        assert K == fixture.complex and len(values) == len(K)
+        for f in (None, fixture.function, loaded):
+            _assert_matches_the_value_table(fixture.complex, values, fixture.A, f)
+
+
+def test_functions_match_the_value_table_on_fixtures_and_lower_star_tori():
+    for index in range(64):
+        X, A = make_fixture(index)[1].X, make_fixture(index)[1].A
+        for values in (random_morse_values(X, random.Random(index)),
+                       lower_star_values(X, random.Random(index))):
+            _assert_matches_the_value_table(X, values, A)
+    gridgen = _load_gridgen()
+    for n in (8, 10):
+        grid = gridgen.grid_torus(n, 2000 + n)
+        K = SimplicialComplex(Simplex(s) for s in grid.values)
+        A = close_under_faces(grid.band(0, n // 2))
+        _assert_matches_the_value_table(K, lower_star_values(K, random.Random(n)), A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_functions_match_the_value_table_on_big_and_fractional_values(seed, data):
+    rng = random.Random(seed)
+    K = random_complex(rng, max_simplices=data.draw(st.sampled_from((1, 8, 25, 40))),
+                       n_vertices=6)
+    _assert_matches_the_value_table(K, _drawn_values(data, K), random_subcomplex(K, rng))

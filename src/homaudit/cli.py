@@ -17,16 +17,19 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import lt
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .complexes import (MalformedSimplexError, NotSubcomplexError, SimplicialComplex,
-                        Simplex, betti_numbers, close_under_faces)
+                        Simplex, _closed, _ids, betti_numbers)
 from .linalg import _small_prime
 from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
                     _critical_values, _exact, _perfectness, critical_cells,
@@ -55,6 +58,7 @@ class InputContractError(Exception):
     """Subcomplex / covering hypotheses on the parsed inputs failed."""
 
 
+_NOT_INTEGRAL = re.compile(r"^(?![+-]?[0-9]+$)", re.M)  # a line not integral ASCII
 _RATIONAL_BOUND = 10 ** 4300  # labels are printed; Python prints ints of <= 4300 digits
 
 
@@ -90,11 +94,14 @@ def _label(text: str, option: str) -> Fraction | int:
         raise InputContractError(f"{option} must be a rational, got {text!r}") from None
 
 
-def _parse_lines(path: Path, digests: Optional[dict] = None
-                 ) -> list[tuple[int, Simplex, Optional[Fraction | int]]]:
-    """(line_no, Simplex, value or None) for each content line of a UTF-8
-    file, read once; given a dict, `digests[path]` gets the sha256 of the
-    bytes read."""
+def _parse_lines(path: Path, digests: Optional[dict] = None) -> tuple:
+    """(sizes, ids, valued, values) of the lines of a UTF-8 file, read once:
+    each line's number of vertices (0 on a blank or comment line), all their
+    ids, one line after another (a batch, as `complexes._batch` gives it),
+    whether each line gives a value, and the values given, exact. Ids are
+    converted in one batch and checked as arrays, integral ASCII values in one
+    check; a file that fails a check is read again for its first bad line.
+    Given a dict, `digests[path]` gets the sha256 of the bytes read."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -107,25 +114,33 @@ def _parse_lines(path: Path, digests: Optional[dict] = None
                                         f"({exc.reason})") from None
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()
-    rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        head, sep, tail = raw.partition("#")[0].partition(":")
-        try:
-            verts = (*map(int, head.split()),)
-        except ValueError:
-            raise ParseError(path, line_no,
-                             f"vertex ids must be integers: {head.strip()!r}") from None
-        if not (verts and verts[0] >= 0 and all(map(lt, verts, verts[1:]))):
-            if not (verts or sep):
-                continue  # a blank or comment line
+    lines = [raw.partition("#")[0] for raw in text.splitlines()]
+    heads = [line.partition(":")[0] for line in lines]
+    sizes = np.fromiter(map(len, map(str.split, heads)), np.intp, len(lines))
+    valued = np.fromiter(map(str.__contains__, lines, repeat(":")), bool, len(lines))
+    try:
+        ids = _ids([*map(int, " ".join(heads).split())])
+        previous = np.concatenate(([-1], ids[:-1]))
+        previous[(np.cumsum(sizes) - sizes)[sizes > 0]] = -1  # a line's first id: not negative
+        if not (sizes[valued].all() and (ids > previous).all()):
+            raise ValueError
+    except ValueError:  # the first bad line, read as a line alone: ids, simplex, value
+        for line_no, (head, sep, tail) in enumerate(map(str.partition, lines, repeat(":")), 1):
             try:
-                Simplex(verts)  # raises: the vertices are not a simplex
+                if head.split() or sep:
+                    Simplex(map(int, head.split()))
             except MalformedSimplexError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-        # checked as `Simplex` checks it, without the call
-        rows.append((line_no, tuple.__new__(Simplex, verts),
-                     _fraction(tail, path, line_no) if sep else None))
-    return rows
+            except ValueError:
+                raise ParseError(path, line_no,
+                                 f"vertex ids must be integers: {head.strip()!r}") from None
+            if sep:
+                _fraction(tail, path, line_no)
+    texts = [line.partition(":")[2].strip() for line in lines if ":" in line]
+    if not _NOT_INTEGRAL.search("\n".join(texts)) and max(map(len, texts)) <= 4300:
+        return sizes, ids, valued, [*map(int, texts)]  # as `_rational` reads integral text
+    return sizes, ids, valued, [_fraction(t, path, n)
+                                for t, n in zip(texts, np.flatnonzero(valued) + 1)]
 
 
 def load_complex(path: Path, strict_values: bool = False, digests: Optional[dict] = None
@@ -134,39 +149,38 @@ def load_complex(path: Path, strict_values: bool = False, digests: Optional[dict
     the explicitly valued simplices containing them (strict mode rejects
     inheritance instead). A simplex valued twice must get the same value.
     `digests` as for `_parse_lines`."""
-    explicit: dict[Simplex, Fraction | int] = {}
-    first_line: dict[Simplex, int] = {}
-    generators: list[Simplex] = []
-    for line_no, simplex, value in _parse_lines(path, digests):
-        generators.append(simplex)
-        if value is None:
-            continue
-        if explicit.setdefault(simplex, value) != value:
-            raise ParseError(path, line_no,
-                             f"simplex {tuple(simplex)} given value {value}, but value "
-                             f"{explicit[simplex]} on line {first_line[simplex]}")
-        first_line.setdefault(simplex, line_no)
-    K = close_under_faces(generators)
-    if not explicit:
+    sizes, ids, valued, values = _parse_lines(path, digests)
+    K, at = _closed(sizes, ids)
+    if not values:
         return K, None
-    if strict_values and len(explicit) < len(K):
-        s = next(s for s in K.simplices() if s not in explicit)
+    at = at[valued]
+    cells, first, inverse = np.unique(at, return_index=True, return_inverse=True)
+    if len(cells) < len(at):  # the first line whose value differs from its cell's first
+        lines = (np.flatnonzero(valued) + 1).tolist()
+        for j, i in enumerate(first[inverse].tolist()):
+            if values[j] != values[i]:
+                raise ParseError(path, lines[j], f"simplex {tuple(K.simplices()[at[j]])} given "
+                                                 f"value {values[j]}, but value {values[i]} "
+                                                 f"on line {lines[i]}")
+    if strict_values and len(cells) < len(K):
+        s = K.simplices()[int(np.argmin(np.isin(np.arange(len(K)), cells)))]
         raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
-    f = MorseFunction._inherited(K, explicit)
+    f = MorseFunction._inherited(K, cells, [values[i] for i in first.tolist()])
     if f is None:  # a cell outside the closure of the valued ones
-        valued = K.closure(explicit)
-        s = next(s for s in K.simplices() if s not in valued)
+        valued = K._mask(K.closure(map(K.simplices().__getitem__, cells.tolist())))
+        s = K.simplices()[int(np.argmin(valued))]
         raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
     return K, f
 
 
 def load_membership(path: Path, K: SimplicialComplex, digests: Optional[dict] = None
                     ) -> SimplicialComplex:
-    """Parse a subcomplex membership file and close it inside K, from K's own
-    cells; values, if any, are ignored. The whole file is parsed first, then
-    a listed simplex that is not in K raises NotSubcomplexError. `digests` as
-    for `_parse_lines`."""
-    return K.closure([s for _, s, _ in _parse_lines(path, digests)])
+    """Parse a subcomplex membership file and close it inside K, as a mask
+    over K's cells. Values, if any, are checked as rationals, then ignored.
+    The whole file is parsed first, then a listed simplex that is not in K
+    raises NotSubcomplexError. `digests` as for `_parse_lines`."""
+    sizes, ids, _, _ = _parse_lines(path, digests)
+    return K._closure(sizes[sizes > 0], ids)
 
 
 def _subspace(path: str, name: str, K: SimplicialComplex, digests: dict) -> SimplicialComplex:

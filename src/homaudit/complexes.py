@@ -6,27 +6,31 @@ boundary matrices, absolute and relative to a subcomplex, are written in
 that order. Betti numbers come from the persistence column reduction of
 the one-step filtration, so those matrices are built for callers only.
 
-A complex holds one cell set, the keys of its facet table, and one
-numbering, each cell's position in `simplices()`. A private integer index
-of the (cell, facet) incidences in that numbering is built on first use by
-one pass over `facet_table` and kept like it: the Morse passes and the
-persistence build are array operations on it. A subcomplex taken from K
-is a mask over those positions, closed by the one coface walk down the
-index (`_least_over_cofaces`) and built from K's own cells (`_sub`).
+A complex is held as arrays: its sorted vertex ids (int64, or Python ints
+once an id reaches 2**63) and per degree one sorted array of rows of
+indices into them, a cell's position being its row's place in that order.
+A row's key reads its digits as one number (`_keys`): a closure sorts keys
+once per degree (`_closed`) and keeps where each facet fell, which is the
+integer index of the (cell, facet) incidences (a few simplices are closed
+on sets of tuples, `_closed_few`, and their facets looked up when indexed);
+a lookup finds each simplex's key, its degree and then its vertex indices,
+among the cells' keys with one `searchsorted` (`_find`). A subcomplex taken
+from K is a mask over K's positions, closed by the one coface walk down the
+index (`_least_over_cofaces`), and keeps that mask (`_sub`, `_mask`). The
+cells as `Simplex` objects, their positions (`_index`) and the
+`facet_table` are built on first read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import partial
 from itertools import accumulate, chain, combinations, compress
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable
 
 import numpy as np
 
 from .linalg import check_modulus
-
 
 class MalformedSimplexError(ValueError):
     """Vertex list is not strictly increasing non-negative integers."""
@@ -71,107 +75,198 @@ class Simplex(tuple):
         return out
 
 
-def _blocks(cells: list) -> list[list]:
-    """Cells sorted by length, cut into one block per dimension."""
-    lengths = list(map(len, cells))
-    ends = [bisect_right(lengths, k) for k in range(1, (lengths[-1] if cells else 0) + 1)]
-    return [cells[a:b] for a, b in zip([0] + ends, ends)]
-
-
 _face = partial(tuple.__new__, Simplex)  # a face of a valid simplex is valid
 
 
-def _face_closure(cells: Iterable[Simplex]) -> dict:
-    """The facet table of the smallest complex containing the cells, one
-    object per cell. Walking down one dimension at a time, each cell's facets
-    are enumerated once, column by column (column i deletes vertex i), and a
-    facet not seen yet is built then."""
-    levels = [dict(zip(block, block)) for block in _blocks(sorted(set(cells), key=len))]
-    facets = {}
-    for k in range(len(levels) - 1, 0, -1):
-        above, below = list(levels[k]), levels[k - 1]
-        vertex = [list(map(itemgetter(j), above)) for j in range(k + 1)]
-        columns = [list(zip(*vertex[:i], *vertex[i + 1:])) for i in range(k + 1)]
-        new = list(map(_face, set().union(*columns).difference(below)))
-        below.update(zip(new, new))
-        facets.update(zip(above, zip(*(map(below.__getitem__, c) for c in columns))))
-    facets.update(dict.fromkeys(levels[0] if levels else (), ()))
-    return facets
+def _ids(values: list) -> np.ndarray:
+    """Vertex ids as an int64 array, or as an object array of ints once one reaches 2**63."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _batch(cells: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, ids) of a batch of simplices: each one's number of vertices,
+    and all their vertex ids, one simplex after another."""
+    cells = list(cells)
+    return np.fromiter(map(len, cells), np.intp, len(cells)), _ids([*chain.from_iterable(cells)])
+
+
+def _keys(radix: int, rows: np.ndarray) -> np.ndarray:
+    """Each row of digits below `radix` read as one number, so that keys sort
+    as the rows do (int64, or Python ints where int64 would overflow)."""
+    dtype = np.intp if radix ** rows.shape[1] < 2 ** 63 else object
+    weights = np.array([radix ** j for j in range(rows.shape[1] - 1, -1, -1)], dtype=dtype)
+    return rows.astype(dtype, copy=False) @ weights
+
+
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(one, inverse): a place where each distinct key occurs, in key order,
+    and each key's place among the distinct keys."""
+    order = keys.argsort()
+    ordered, new = keys[order], np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
+def _facet_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's facets, row by row in vertex-deletion order (facet i deletes vertex i)."""
+    width = rows.shape[1]
+    return rows[:, [[j for j in range(width) if j != i] for i in range(width)]].reshape(-1, width - 1)
+
+
+def _closed(sizes: np.ndarray, ids: np.ndarray) -> tuple["SimplicialComplex", np.ndarray]:
+    """The smallest complex containing a batch of simplices (`_batch`), and
+    each simplex's position in it: from the top degree down, a degree's rows
+    are the distinct rows among its generators and the facets of the degree
+    above, and where each of those falls among them is kept, the facets' for
+    the facet index."""
+    one, index = _unique(ids)
+    starts, top = np.cumsum(sizes) - sizes, int(sizes.max()) if len(sizes) else 0
+    arrays, facets, below = [], [], np.zeros((0, top), dtype=np.intp)
+    at = index[np.minimum(starts, len(index) - 1)] if len(index) else np.zeros_like(sizes)
+    for width in range(top, 1, -1):
+        generators = sizes == width
+        rows = np.concatenate((below, index[starts[generators][:, None] + np.arange(width)]))
+        distinct, place = _unique(_keys(len(one), rows))
+        facets.append(place[:len(below)])
+        at[generators] = place[len(below):]
+        arrays.append(rows[distinct])
+        below = _facet_rows(arrays[-1])
+    facets.append(below.ravel())  # a vertex's row is its position
+    arrays.append(np.arange(len(one)).reshape(-1, 1))
+    K = SimplicialComplex._of(ids[one], tuple(reversed(arrays)) if len(one) else ())
+    K._built["facets"] = facets[:0:-1]  # per degree k >= 1, its facets among the (k-1)-cells
+    return K, at + np.array([0, *accumulate(map(len, K._arrays))])[sizes - 1]
+
+
+def _closed_few(cells: set) -> "SimplicialComplex":
+    """The smallest complex containing a set of simplices: for a few, one
+    degree at a time from the top on sets of tuples, then as arrays (under
+    about 32 simplices the array passes' fixed cost is the larger); else `_closed`."""
+    if len(cells) > 32:
+        return _closed(*_batch(cells))[0]
+    levels, below, rows = {}, set(), []
+    for c in cells:
+        levels.setdefault(len(c), set()).add(c)
+    for width in range(max(levels, default=0), 0, -1):
+        rows.append(sorted(levels.get(width, set()) | below))
+        below = {c[:i] + c[i + 1:] for c in rows[-1] for i in range(width)} if width > 1 else ()
+    verts = _ids([c[0] for c in rows[-1]] if rows else [])
+    return SimplicialComplex._of(verts, tuple(np.searchsorted(verts, _ids([*chain.from_iterable(
+        r)])).reshape(-1, k + 1) for k, r in enumerate(reversed(rows))))
 
 
 class SimplicialComplex:
     """An immutable finite simplicial complex, closed under the face relation.
     `facet_table` (read-only): each cell's facets in vertex-deletion order, as its own simplices."""
 
-    __slots__ = ("_by_dim", "_cells", "_index", "facet_table", "_incidences")
+    __slots__ = ("_verts", "_arrays", "_over", "_incidences", "_built")
 
     def __init__(self, simplices: Iterable[Simplex]):
         pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
-        facets = _face_closure(pool)
-        if len(facets) > len(pool):  # closing added a face
+        closed = _closed_few(pool)
+        if len(closed) > len(pool):  # closing added a face
             s, f = next((s, f) for s in pool for f in s.facets() if f not in pool)
             raise ValueError(f"not closed under faces: {s} present but {f} missing")
-        self._order(facets)
+        self._hold(closed._verts, closed._arrays)._built.update(closed._built)
 
     @classmethod
-    def _of(cls, facets: dict) -> "SimplicialComplex":
-        """The complex whose facet table is `facets`, trusted to be closed."""
-        K = object.__new__(cls)
-        K._order(facets)
-        return K
+    def _of(cls, verts: np.ndarray, arrays: tuple, over: tuple | None = None
+            ) -> "SimplicialComplex":
+        """The complex of sorted vertex ids and sorted rows per degree, trusted
+        to be closed; `over` is (K, mask) for a subcomplex taken from K."""
+        return object.__new__(cls)._hold(verts, arrays, over)
 
-    def _order(self, facets: dict) -> None:
-        """Order and index the cells of a facet table (its keys)."""
-        cells = sorted(sorted(facets), key=len)  # stable: lexicographic within a dimension
-        index = dict(zip(cells, range(len(cells))))  # each cell's position in simplices()
-        for name, value in zip(self.__slots__,
-                               (tuple(map(tuple, _blocks(cells))), tuple(cells), index, facets, None)):
+    def _hold(self, verts: np.ndarray, arrays: tuple, over: tuple | None = None
+              ) -> "SimplicialComplex":
+        for name, value in zip(self.__slots__, (verts, arrays, over, None, {})):
             object.__setattr__(self, name, value)
+        return self
 
     def _facet_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The integer index of the (cell, facet) incidences: (cells, facets,
         levels), each incidence's cell and facet as positions in `simplices()`,
         cell by cell in that order and each cell's facets in vertex-deletion
         order, and per dimension k >= 1 the views of both on the k-cells'
-        incidences. Built on first use by one pass over the facet table, then
-        kept like it."""
+        incidences. Built on first use, then kept."""
         if self._incidences is None:
-            sizes = list(map(len, self._by_dim)) or [0]
-            per = [n * (k + 1) for k, n in enumerate(sizes)]
-            facets = np.fromiter(map(self._index.__getitem__, chain.from_iterable(
-                map(self.facet_table.__getitem__, self._cells[sizes[0]:]))),
-                dtype=np.intp, count=sum(per[1:]))
-            cells = np.repeat(np.arange(sizes[0], len(self._cells)),
+            sizes, radix = list(map(len, self._arrays)) or [0], len(self._verts)
+            ends = [0, *accumulate(sizes)]
+            local = self._built.get("facets") or [  # kept by a closure, else looked up
+                np.searchsorted(_keys(radix, below), _keys(radix, _facet_rows(rows)))
+                for below, rows in zip(self._arrays, self._arrays[1:])]
+            facets = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+                ends[k] + at for k, at in enumerate(local)])
+            cells = np.repeat(np.arange(sizes[0], ends[-1]),
                               np.repeat(np.arange(2, len(sizes) + 1), sizes[1:]))
-            bounds = [0, *accumulate(per[1:])]
+            bounds = [0, *accumulate(n * (k + 1) for k, n in enumerate(sizes) if k)]
             levels = tuple((cells[a:b], facets[a:b]) for a, b in zip(bounds, bounds[1:]))
             object.__setattr__(self, "_incidences", (cells, facets, levels))
         return self._incidences
 
+    def _find(self, sizes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Each simplex of a batch (`_batch`) as its position here, -1 for one
+        that is not a cell, by key: its degree, then its ids' indices (an id
+        not here: len(_verts)), padded to the top width, in base len(_verts) + 1."""
+        verts, top = self._verts, len(self._arrays)
+        if not top:
+            return np.full(len(sizes), -1, dtype=np.intp)
+        if ids.dtype != verts.dtype:
+            verts, ids = verts.astype(object), ids.astype(object)
+        index = np.searchsorted(verts, ids)
+        index[verts.take(index, mode="clip") != ids] = len(verts)
+        rows, radix = np.zeros((len(sizes), top + 1), dtype=np.intp), len(verts) + 1
+        rows[:, 0] = np.minimum(sizes, top + 1) - 1  # one too wide: a degree no cell has
+        column = np.arange(1, len(ids) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows[np.repeat(np.arange(len(sizes)), sizes), np.minimum(column, top)] = index
+        keys = _keys(radix, rows)
+        if "keys" not in self._built:  # the cells' keys, sorted as the cells are
+            self._built["keys"] = np.concatenate([
+                k * radix ** top + _keys(radix, cells).astype(keys.dtype) * radix ** (top - 1 - k)
+                for k, cells in enumerate(self._arrays)])
+        mine = self._built["keys"]
+        place = np.minimum(np.searchsorted(mine, keys), len(mine) - 1)
+        return np.where(mine[place] == keys, place, -1)
+
     def _mask(self, sub: "SimplicialComplex") -> np.ndarray | None:
-        """The cells of `sub` as a mask over this complex's positions, by one
-        lookup per cell; None when `sub` is not a subcomplex."""
+        """The cells of `sub` as a mask over this complex's positions (the mask
+        a subcomplex taken from here keeps); None when `sub` is not a subcomplex."""
+        if sub._over is not None and sub._over[0] is self:
+            return sub._over[1]
+        at = np.arange(len(self)) if sub is self else self._find(*sub._batch())
         mask = np.zeros(len(self), dtype=bool)
-        try:
-            mask[list(map(self._index.__getitem__, sub.simplices()))] = True
-        except KeyError:
-            return None
-        return mask
+        mask[at] = True
+        return None if (at < 0).any() else mask
+
+    def _batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells as a batch (`_batch`), read off the arrays."""
+        return (np.repeat(np.arange(1, len(self._arrays) + 1), list(map(len, self._arrays))),
+                np.concatenate([self._verts[rows].ravel() for rows in self._arrays] or [[]]))
 
     def _sub(self, mask: np.ndarray) -> "SimplicialComplex":
         """The subcomplex on a face-closed mask over this complex's positions,
-        made of its own cells and facet table entries."""
-        cells = list(compress(self._cells, mask.tolist()))
-        return SimplicialComplex._of(dict(zip(cells, map(self.facet_table.__getitem__, cells))))
+        made of its rows; it keeps the mask."""
+        ends = [0, *accumulate(map(len, self._arrays))]
+        arrays = [rows[mask[a:b]] for rows, a, b in zip(self._arrays, ends, ends[1:])]
+        while arrays and not len(arrays[-1]):
+            arrays.pop()
+        return SimplicialComplex._of(self._verts, tuple(arrays), (self, mask))
 
     def closure(self, generators: Iterable[Simplex]) -> "SimplicialComplex":
         """Smallest subcomplex containing the generators, marked and closed by
         the coface walk; NotSubcomplexError at the first one not a cell here."""
-        generators = list(generators)
-        at = list(map(self._index.get, generators))
-        if None in at:
-            g = tuple(generators[at.index(None)])
-            raise NotSubcomplexError(f"{g} is not a cell of the complex")
+        return self._closure(*_batch(generators))
+
+    def _closure(self, sizes: np.ndarray, ids: np.ndarray) -> "SimplicialComplex":
+        """`closure` of a batch of simplices (`_batch`)."""
+        at = self._find(sizes, ids)
+        if (missing := np.flatnonzero(at < 0)).size:
+            cell = tuple(np.split(ids, np.cumsum(sizes))[missing[0]].tolist())
+            raise NotSubcomplexError(f"{cell} is not a cell of the complex")
         outside = np.ones(len(self), dtype=np.intp)
         outside[at] = 0
         return self._sub(_least_over_cofaces(self, outside) == 0)
@@ -180,38 +275,67 @@ class SimplicialComplex:
         raise AttributeError("SimplicialComplex is immutable")
 
     @property
+    def _cells(self) -> tuple[Simplex, ...]:
+        """Every cell as a `Simplex`, in order, built on first read (a
+        subcomplex taken from K reads K's own objects)."""
+        if "cells" not in self._built:
+            parent, mask = self._over or (None, None)
+            self._built["cells"] = tuple(map(_face, chain.from_iterable(
+                self._verts[rows].tolist() for rows in self._arrays))) if parent is None \
+                else tuple(compress(parent._cells, mask.tolist()))
+        return self._built["cells"]
+
+    @property
+    def _index(self) -> dict[Simplex, int]:
+        """Each cell's position in `simplices()`, built on first read."""
+        if "index" not in self._built:
+            self._built["index"] = dict(zip(self._cells, range(len(self))))
+        return self._built["index"]
+
+    @property
+    def facet_table(self) -> dict[Simplex, tuple[Simplex, ...]]:
+        if "table" not in self._built:
+            cells, levels = self._cells, self._facet_index()[2]
+            facets = [tuple(map(cells.__getitem__, row)) for k, (_, at) in enumerate(levels, 1)
+                      for row in at.reshape(-1, k + 1).tolist()]
+            self._built["table"] = dict(zip(cells, [()] * self.n_cells(0) + facets))
+        return self._built["table"]
+
+    @property
     def dim(self) -> int:
-        return len(self._by_dim) - 1
+        return len(self._arrays) - 1
 
     def simplices(self, k: int | None = None) -> tuple[Simplex, ...]:
         if k is None:
             return self._cells
-        if k < 0 or k > self.dim:
-            return ()
-        return self._by_dim[k]
+        start = sum(map(len, self._arrays[:k]))
+        return self._cells[start:start + self.n_cells(k)] if 0 <= k <= self.dim else ()
 
     def n_cells(self, k: int) -> int:
-        return len(self.simplices(k))
+        return len(self._arrays[k]) if 0 <= k <= self.dim else 0
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        cofaced = {f for facets in self.facet_table.values() for f in facets}
-        return tuple(s for s in self._cells if s not in cofaced)
+        cofaced = np.zeros(len(self), dtype=bool)
+        cofaced[self._facet_index()[1]] = True
+        return tuple(compress(self._cells, (~cofaced).tolist()))
 
     def __contains__(self, s) -> bool:
-        return s in self.facet_table
+        return s in self._index
 
     def __len__(self) -> int:
-        return len(self.facet_table)
+        return sum(map(len, self._arrays))
 
     def __iter__(self):
-        return iter(self.simplices())
+        return iter(self._cells)
 
     def __eq__(self, other):  # a system compares its filtration's complex, often X itself
         return other is self or isinstance(other, SimplicialComplex) and \
-            self.facet_table.keys() == other.facet_table.keys()
+            len(self._arrays) == len(other._arrays) and all(
+                np.array_equal(self._verts[a], other._verts[b])
+                for a, b in zip(self._arrays, other._arrays))
 
     def __hash__(self):
-        return hash(frozenset(self.facet_table))
+        return hash(self._cells)
 
     def __repr__(self):
         counts = ",".join(str(self.n_cells(k)) for k in range(self.dim + 1))
@@ -232,8 +356,7 @@ def _least_over_cofaces(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
 
 def close_under_faces(generators: Iterable) -> SimplicialComplex:
     """Smallest complex containing the generators."""
-    return SimplicialComplex._of(_face_closure(
-        g if isinstance(g, Simplex) else Simplex(g) for g in generators))
+    return _closed_few({g if isinstance(g, Simplex) else Simplex(g) for g in generators})
 
 
 def boundary_matrix(K: SimplicialComplex, k: int, p: int) -> np.ndarray:
@@ -255,13 +378,13 @@ def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
 
 
 def intersect(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
-    """Set intersection of simplices, face-closed as both are: A's facet
-    table restricted to the cells of B."""
-    return SimplicialComplex._of({s: f for s, f in A.facet_table.items() if s in B.facet_table})
+    """Set intersection of simplices, face-closed as both are: A's cells
+    that B holds, as a mask over A."""
+    return A._sub(B._find(*A._batch()) >= 0)
 
 
 def is_subcomplex(A: SimplicialComplex, K: SimplicialComplex) -> bool:
-    return A.facet_table.keys() <= K.facet_table.keys()
+    return K._mask(A) is not None
 
 
 def relative_basis(X: SimplicialComplex, A: SimplicialComplex, k: int) -> tuple[Simplex, ...]:

@@ -105,13 +105,16 @@ class MorseFunction:
         return self
 
     @classmethod
-    def _inherited(cls, K: SimplicialComplex,
-                   explicit: Mapping[Simplex, Fraction | int]) -> Optional["MorseFunction"]:
-        """The function on K of explicit exact values on cells of K, a cell
-        without one taking the least rank over its valued cofaces by the coface
-        walk (skipped when every cell is valued); None when a cell gets none."""
-        distinct, rank = _ranks(list(map(explicit.get, K.simplices())))
-        if len(explicit) < len(K):
+    def _inherited(cls, K: SimplicialComplex, at: np.ndarray,
+                   values: list) -> Optional["MorseFunction"]:
+        """The function on K of explicit exact values on the distinct cells of
+        K at positions `at`, a cell without one taking the least rank over its
+        valued cofaces by the coface walk (skipped when every cell is valued);
+        None when a cell gets none."""
+        distinct, ranked = _ranks(values)
+        rank = np.full(len(K), len(distinct), dtype=np.intp)
+        rank[at] = ranked
+        if len(at) < len(K):
             unvalued = rank == len(distinct)
             rank[unvalued] = _least_over_cofaces(K, rank.copy())[unvalued]
         return cls._of(K, distinct, rank) if rank.max() < len(distinct) else None
@@ -158,11 +161,10 @@ def _ranked(K: SimplicialComplex, f: MorseFunction) -> tuple[list, np.ndarray]:
     order (f's own ranks on f's complex); a ValueError names a cell with none."""
     if K is f.complex:
         return f._distinct, f._rank
-    at = list(map(f.complex._index.get, K.simplices()))
-    if None in at:
-        cell = K.simplices()[at.index(None)]
+    if (mask := f.complex._mask(K)) is None:  # K's order is f.complex's, restricted
+        cell = next(s for s in K.simplices() if s not in f.complex)
         raise ValueError(f"function not total on the complex: no value for {tuple(cell)}")
-    return f._distinct, f._rank[at]
+    return f._distinct, f._rank[mask]
 
 
 def _exceptional(K: SimplicialComplex, rank: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -283,7 +285,7 @@ class Filtration:
         rows (a list of indices per cell) in that order. Built once, then kept."""
         if self._numbered is None:
             K, steps = self.complex, self._steps
-            levels, ends = K._facet_index()[2], [0, *accumulate(map(len, K._by_dim))]
+            levels, ends = K._facet_index()[2], [0, *accumulate(map(len, K._arrays))]
             index, degrees = np.empty(len(K), dtype=np.intp), []
             for k, (a, b) in enumerate(zip(ends, ends[1:])):
                 order = a + steps[a:b].argsort(kind="stable")

@@ -144,7 +144,8 @@ class SequenceAudit:
 class _System:
     """Persistence of the spaces of a triad or pair over one filtration of X.
 
-    Each subspace is a mask over X's cells, found by one pass over X's index.
+    Each subspace is a mask over X's cells: the one a subcomplex taken from X
+    keeps, or else one lookup by key.
     `spaces` maps each space name to its persistence result, in the order
     reports list them. A sequence term is one space or the direct sum `A⊕B`
     of two, whose bars are its summands' bars side by side. `matrix` keeps

@@ -74,25 +74,34 @@ ordinary audit of every step (`per_step_module_sequence`), which one
 per-step count table replaced, with
 `assert_audits_match_per_call_path` comparing the count audits with both on
 every map and audit, and `tampered`, which adds an entry to a map over bars
-so that the tests can see how the audits treat a faulty map.
+so that the tests can see how the audits treat a faulty map. Last, the
+load path that the array-held complex replaced: the file parsed line by
+line into one `Simplex` per line (`line_parse`), the face closure on dicts
+(`face_closure`), ordered and indexed by sorting simplices (`dict_complex`,
+the former `_order`), the closure and the mask of a subcomplex by one
+`_index` lookup per cell (`index_closure`, `index_mask`), and the loaders
+made of them (`dict_load_complex`, `dict_load_membership`).
 """
 
 import copy
+import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, product
+from operator import itemgetter, lt
 
 import numpy as np
 
 from homaudit import linalg
+from homaudit.cli import ParseError, _fraction
 from homaudit.complexes import (EMPTY_COMPLEX, MalformedSimplexError, NotSubcomplexError,
-                                Simplex, SimplicialComplex, _least_over_cofaces, boundary_matrix,
-                                close_under_faces, intersect, is_subcomplex, relative_basis,
-                                relative_boundary_matrix)
+                                Simplex, SimplicialComplex, _ids, _least_over_cofaces,
+                                boundary_matrix, intersect, is_subcomplex,
+                                relative_basis, relative_boundary_matrix)
 from homaudit.linalg import DimensionMismatchError, dense_rank, mat_mul, solve_matrix
-from homaudit.morse import Filtration, MorseViolation, _exact
+from homaudit.morse import Filtration, MorseFunction, MorseViolation, _exact
 from homaudit.persistence import (BarMatrix, NotACycleError, PersistenceResult, _add_multiple,
                                   barcode, compute_persistence)
 from homaudit.sequences import (MODULE, ORDINARY, PERSISTENT, LinearSequence,
@@ -446,12 +455,146 @@ def pair_sorted_cells(filtration, A, top):
             [[u for u, _ in block] for block in blocks])
 
 
+def _blocks(cells):
+    """Cells sorted by length, cut into one block per dimension."""
+    lengths = list(map(len, cells))
+    ends = [bisect_right(lengths, k) for k in range(1, (lengths[-1] if cells else 0) + 1)]
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
+
+
+_face = partial(tuple.__new__, Simplex)  # a face of a valid simplex is valid
+
+
+def face_closure(cells):
+    """The facet table of the smallest complex containing the cells, one
+    object per cell, as the dict path built it: walking down one dimension
+    at a time, each cell's facets are enumerated once, column by column
+    (column i deletes vertex i), and a facet not seen yet is built then."""
+    levels = [dict(zip(block, block)) for block in _blocks(sorted(set(cells), key=len))]
+    facets = {}
+    for k in range(len(levels) - 1, 0, -1):
+        above, below = list(levels[k]), levels[k - 1]
+        vertex = [list(map(itemgetter(j), above)) for j in range(k + 1)]
+        columns = [list(zip(*vertex[:i], *vertex[i + 1:])) for i in range(k + 1)]
+        new = list(map(_face, set().union(*columns).difference(below)))
+        below.update(zip(new, new))
+        facets.update(zip(above, zip(*(map(below.__getitem__, c) for c in columns))))
+    facets.update(dict.fromkeys(levels[0] if levels else (), ()))
+    return facets
+
+
+def dict_complex(facets):
+    """The complex of a facet table as the dict path ordered it (`_order`):
+    its cells sorted by dimension, then lexicographically, each one's
+    position its place there, and the table itself. Its rows are written
+    from that order one cell at a time, so that comparing it with a complex
+    built on arrays compares the two orders, and its cells, positions and
+    table are the dict path's own."""
+    cells = sorted(sorted(facets), key=len)
+    verts = [s[0] for s in cells if len(s) == 1]
+    at = dict(zip(verts, range(len(verts))))
+    K = SimplicialComplex._of(_ids(verts), tuple(
+        np.array([[at[v] for v in s] for s in block], dtype=np.intp) for block in _blocks(cells)))
+    K._built.update(cells=tuple(cells), index=dict(zip(cells, range(len(cells)))), table=facets)
+    return K
+
+
+def index_closure(K, generators):
+    """`K.closure` as each generator's `_index` lookup gave it, closed by the
+    coface walk; NotSubcomplexError at the first generator that is not a cell."""
+    generators = list(generators)
+    at = list(map(K._index.get, generators))
+    if None in at:
+        g = tuple(generators[at.index(None)])
+        raise NotSubcomplexError(f"{g} is not a cell of the complex")
+    outside = np.ones(len(K), dtype=np.intp)
+    outside[at] = 0
+    return K._sub(_least_over_cofaces(K, outside) == 0)
+
+
+def index_mask(K, sub):
+    """`K._mask(sub)` by one `_index` lookup per cell of sub; None when sub is
+    not a subcomplex of K."""
+    mask = np.zeros(len(K), dtype=bool)
+    try:
+        mask[list(map(K._index.__getitem__, sub.simplices()))] = True
+    except KeyError:
+        return None
+    return mask
+
+
+def line_parse(path, digests=None):
+    """(line_no, Simplex, value or None) for each content line of a UTF-8
+    file, read once, one line at a time: the parse of the dict path.
+    `digests` as for `cli._parse_lines`."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the bad byte's line: that of a character in its place
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(path, line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                        f"({exc.reason})") from None
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        head, sep, tail = raw.partition("#")[0].partition(":")
+        try:
+            verts = (*map(int, head.split()),)
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"vertex ids must be integers: {head.strip()!r}") from None
+        if not (verts and verts[0] >= 0 and all(map(lt, verts, verts[1:]))):
+            if not (verts or sep):
+                continue  # a blank or comment line
+            try:
+                Simplex(verts)  # raises: the vertices are not a simplex
+            except MalformedSimplexError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+        rows.append((line_no, tuple.__new__(Simplex, verts),
+                     _fraction(tail, path, line_no) if sep else None))
+    return rows
+
+
+def dict_load_complex(path, strict_values=False, digests=None):
+    """`cli.load_complex` on the dict path: the file parsed line by line
+    (`line_parse`), its explicit values kept in a dict keyed by simplex, the
+    complex closed and ordered on dicts (`face_closure`, `dict_complex`),
+    and the values inherited by the dict walk (`dict_inherited_values`)."""
+    explicit, first_line, generators = {}, {}, []
+    for line_no, simplex, value in line_parse(path, digests):
+        generators.append(simplex)
+        if value is None:
+            continue
+        if explicit.setdefault(simplex, value) != value:
+            raise ParseError(path, line_no,
+                             f"simplex {tuple(simplex)} given value {value}, but value "
+                             f"{explicit[simplex]} on line {first_line[simplex]}")
+        first_line.setdefault(simplex, line_no)
+    K = dict_complex(face_closure(generators))
+    if not explicit:
+        return K, None
+    try:
+        return K, MorseFunction(K, dict_inherited_values(K, explicit, strict_values))
+    except ValueError as exc:
+        raise ParseError(path, 0, str(exc)) from None
+
+
+def dict_load_membership(path, K, digests=None):
+    """`cli.load_membership` on the dict path: the file parsed line by line,
+    then closed inside K by `_index` lookups (`index_closure`)."""
+    return index_closure(K, [s for _, s, _ in line_parse(path, digests)])
+
+
 def closure_then_compare(simplices):
     """The validating constructor as it closed the given simplices first and
     compared sizes after: the complex, or the `ValueError` naming the first
     cell of the pool with a missing facet, and that facet."""
     pool = {s if isinstance(s, Simplex) else Simplex(s) for s in simplices}
-    closed = close_under_faces(pool)
+    closed = dict_complex(face_closure(pool))
     if len(closed) > len(pool):
         s, f = next((s, f) for s in pool for f in closed.facet_table[s] if f not in pool)
         raise ValueError(f"not closed under faces: {s} present but {f} missing")
@@ -543,14 +686,14 @@ def set_walk_closure(K, generators):
         sub.update(zip(levels[k], rows))
         if k:
             levels[k - 1].update(*rows)
-    return SimplicialComplex._of(sub)
+    return dict_complex(sub)
 
 
 def closed_sublevel(K, f, u):
     """`morse.sublevel` as the face closure, from scratch, of every cell of K
     with value at most u."""
     u = Fraction(u)
-    return close_under_faces([s for s in K.simplices() if f(s) <= u])
+    return dict_complex(face_closure([s for s in K.simplices() if f(s) <= u]))
 
 
 def dict_entry_steps(steps):

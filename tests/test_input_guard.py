@@ -7,11 +7,11 @@ an argparse exit (`--version`, a usage error, a bad `--field`) leaves the
 next command's output as a fresh interpreter gives it. A complex file whose
 values are all integers is loaded, and its `MorseFunction` and sublevel
 filtration built, without constructing one `Fraction`. Loading a complex
-enumerates each cell's facets once, in one face closure that writes the facet
-table; membership files and intersections are taken from the main complex's
-table without the validating constructor; an audit reads each input file
-once, its report digests included; and the report is written without
-`json.dumps`. An audit builds the main complex's integer index of its
+enumerates each cell's facets once, in one closure pass over the file's
+simplices as arrays; membership files and intersections are taken from the
+main complex's rows without the validating constructor or a closure pass;
+an audit reads each input file once, its report digests included; and the
+report is written without `json.dumps`. An audit builds the main complex's integer index of its
 incidences once, and no other complex's; no persistence build compares two
 simplices, so none sorts (step, simplex) pairs; and a command on a file
 whose function is not Morse builds no `MorseViolation` unless it lists them.
@@ -120,14 +120,19 @@ def _refuse(monkeypatch, holder, name):
 
 
 def test_loading_a_complex_enumerates_each_cells_facets_once(monkeypatch, data_dir, tmp_path):
-    closures, real = [], complexes._face_closure
+    closures, enumerated = [], []
+    real_closed, real_facets = cli._closed, complexes._facet_rows
 
-    def counting(cells):
-        cells = list(cells)
-        closures.append(cells)
-        return real(cells)
+    def counting(sizes, ids):
+        closures.append(int((sizes > 0).sum()))  # the simplices of the file's lines
+        return real_closed(sizes, ids)
 
-    monkeypatch.setattr(complexes, "_face_closure", counting)
+    def facet_rows(rows):
+        enumerated.append(len(rows))
+        return real_facets(rows)
+
+    monkeypatch.setattr(cli, "_closed", counting)
+    monkeypatch.setattr(complexes, "_facet_rows", facet_rows)
     _refuse(monkeypatch, complexes, "combinations")
     _refuse(monkeypatch, SimplicialComplex, "__init__")
     _refuse(monkeypatch, complexes.Simplex, "facets")
@@ -135,8 +140,10 @@ def test_loading_a_complex_enumerates_each_cells_facets_once(monkeypatch, data_d
     bare.write_text("0 1 2\n1 2 3\n2 3\n", encoding="utf-8")
     for path, lines in ((data_dir / "torus" / "complex.txt", 54), (bare, 3)):
         closures.clear()
+        enumerated.clear()
         K, _ = cli.load_complex(path)
-        assert len(closures) == 1 and len(closures[0]) == lines
+        assert closures == [lines]  # one closure pass over the file's simplices
+        assert sum(enumerated) == len(K) - K.n_cells(0)  # each cell's facets once
         assert K.n_cells(0) > 0
 
 
@@ -144,7 +151,8 @@ def test_membership_and_intersection_skip_the_validating_constructor(monkeypatch
     torus = data_dir / "torus"
     K, _ = cli.load_complex(torus / "complex.txt")
     _refuse(monkeypatch, SimplicialComplex, "__init__")
-    _refuse(monkeypatch, complexes, "_face_closure")
+    for holder in (cli, complexes):
+        _refuse(monkeypatch, holder, "_closed")
     A = cli.load_membership(torus / "subspace_a.txt", K)
     B = cli.load_membership(torus / "subspace_b.txt", K)
     assert len(intersect(A, B)) == len(A) + len(B) - len(K)

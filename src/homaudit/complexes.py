@@ -32,6 +32,7 @@ import numpy as np
 
 from .linalg import check_modulus
 
+
 class MalformedSimplexError(ValueError):
     """Vertex list is not strictly increasing non-negative integers."""
 

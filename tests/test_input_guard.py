@@ -11,10 +11,11 @@ enumerates each cell's facets once, in one closure pass over the file's
 simplices as arrays; membership files and intersections are taken from the
 main complex's rows without the validating constructor or a closure pass;
 an audit reads each input file once, its report digests included; and the
-report is written without `json.dumps`. An audit builds the main complex's integer index of its
-incidences once, and no other complex's; no persistence build compares two
-simplices, so none sorts (step, simplex) pairs; and a command on a file
-whose function is not Morse builds no `MorseViolation` unless it lists them.
+report is written without `json.dumps`. An audit builds the main complex's
+integer index of its incidences once, and no other complex's; no
+persistence build compares two simplices, so none sorts (step, simplex)
+pairs; and a command on a file whose function is not Morse builds no
+`MorseViolation` unless it lists them.
 """
 
 import json

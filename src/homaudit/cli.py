@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -58,7 +57,6 @@ class InputContractError(Exception):
     """Subcomplex / covering hypotheses on the parsed inputs failed."""
 
 
-_NOT_INTEGRAL = re.compile(r"^(?![+-]?[0-9]+$)", re.M)  # a line not integral ASCII
 _RATIONAL_BOUND = 10 ** 4300  # labels are printed; Python prints ints of <= 4300 digits
 
 
@@ -99,8 +97,8 @@ def _parse_lines(path: Path, digests: Optional[dict] = None) -> tuple:
     each line's number of vertices (0 on a blank or comment line), all their
     ids, one line after another (a batch, as `complexes._batch` gives it),
     whether each line gives a value, and the values given, exact. Ids are
-    converted in one batch and checked as arrays, integral ASCII values in one
-    check; a file that fails a check is read again for its first bad line.
+    converted in one batch and checked as arrays; a file whose ids fail a
+    check is read again for its first bad line.
     Given a dict, `digests[path]` gets the sha256 of the bytes read."""
     try:
         data = path.read_bytes()
@@ -120,9 +118,9 @@ def _parse_lines(path: Path, digests: Optional[dict] = None) -> tuple:
     valued = np.fromiter(map(str.__contains__, lines, repeat(":")), bool, len(lines))
     try:
         ids = _ids([*map(int, " ".join(heads).split())])
-        previous = np.concatenate(([-1], ids[:-1]))
-        previous[(np.cumsum(sizes) - sizes)[sizes > 0]] = -1  # a line's first id: not negative
-        if not (sizes[valued].all() and (ids > previous).all()):
+        previous = np.concatenate(([-1], ids))
+        previous[np.cumsum(sizes) - sizes] = -1  # a line's first id: not negative
+        if not (sizes[valued].all() and (ids > previous[:-1]).all()):
             raise ValueError
     except ValueError:  # the first bad line, read as a line alone: ids, simplex, value
         for line_no, (head, sep, tail) in enumerate(map(str.partition, lines, repeat(":")), 1):
@@ -136,9 +134,7 @@ def _parse_lines(path: Path, digests: Optional[dict] = None) -> tuple:
                                  f"vertex ids must be integers: {head.strip()!r}") from None
             if sep:
                 _fraction(tail, path, line_no)
-    texts = [line.partition(":")[2].strip() for line in lines if ":" in line]
-    if not _NOT_INTEGRAL.search("\n".join(texts)) and max(map(len, texts)) <= 4300:
-        return sizes, ids, valued, [*map(int, texts)]  # as `_rational` reads integral text
+    texts = [line.partition(":")[2] for line in lines if ":" in line]
     return sizes, ids, valued, [_fraction(t, path, n)
                                 for t, n in zip(texts, np.flatnonzero(valued) + 1)]
 
@@ -153,21 +149,23 @@ def load_complex(path: Path, strict_values: bool = False, digests: Optional[dict
     K, at = _closed(sizes, ids)
     if not values:
         return K, None
-    at = at[valued]
-    cells, first, inverse = np.unique(at, return_index=True, return_inverse=True)
-    if len(cells) < len(at):  # the first line whose value differs from its cell's first
+    at, explicit = at[valued], np.zeros(len(K), dtype=bool)
+    explicit[at] = True
+    if np.count_nonzero(explicit) < len(at):  # a cell valued twice: did its value change?
         lines = (np.flatnonzero(valued) + 1).tolist()
+        cells, first, inverse = np.unique(at, return_index=True, return_inverse=True)
         for j, i in enumerate(first[inverse].tolist()):
             if values[j] != values[i]:
                 raise ParseError(path, lines[j], f"simplex {tuple(K.simplices()[at[j]])} given "
                                                  f"value {values[j]}, but value {values[i]} "
                                                  f"on line {lines[i]}")
-    if strict_values and len(cells) < len(K):
-        s = K.simplices()[int(np.argmin(np.isin(np.arange(len(K)), cells)))]
+        at, values = cells, [values[i] for i in first.tolist()]
+    if strict_values and not explicit.all():
+        s = K.simplices()[int(np.argmin(explicit))]
         raise ParseError(path, 0, f"strict mode: no explicit value for {tuple(s)}")
-    f = MorseFunction._inherited(K, cells, [values[i] for i in first.tolist()])
+    f = MorseFunction._inherited(K, at, values)
     if f is None:  # a cell outside the closure of the valued ones
-        valued = K._mask(K.closure(map(K.simplices().__getitem__, cells.tolist())))
+        valued = K._mask(K.closure(compress(K.simplices(), explicit.tolist())))
         s = K.simplices()[int(np.argmin(valued))]
         raise ParseError(path, 0, f"no value given or inheritable for {tuple(s)}")
     return K, f

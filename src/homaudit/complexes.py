@@ -11,10 +11,12 @@ once an id reaches 2**63) and per degree one sorted array of rows of
 indices into them, a cell's position being its row's place in that order.
 A row's key reads its digits as one number (`_keys`): a closure sorts keys
 once per degree (`_closed`) and keeps where each facet fell, which is the
-integer index of the (cell, facet) incidences (a few simplices are closed
-on sets of tuples, `_closed_few`, and their facets looked up when indexed);
-a lookup finds each simplex's key, its degree and then its vertex indices,
-among the cells' keys with one `searchsorted` (`_find`). A subcomplex taken
+integer index of the (cell, facet) incidences, and the keys themselves (a
+few simplices are closed on sets of tuples, `_closed_few`, and their facets
+looked up when indexed); a lookup finds each row's key among the keys of
+the cells of its degree with one `searchsorted` (`_lookup`), for a batch of
+simplices one width at a time (`_find`) and for the cells of another
+complex one degree at a time (`_place`). A subcomplex taken
 from K is a mask over K's positions, closed by the one coface walk down the
 index (`_least_over_cofaces`), and keeps that mask (`_sub`, `_mask`). The
 cells as `Simplex` objects, their positions (`_index`) and the
@@ -124,24 +126,29 @@ def _closed(sizes: np.ndarray, ids: np.ndarray) -> tuple["SimplicialComplex", np
     each simplex's position in it: from the top degree down, a degree's rows
     are the distinct rows among its generators and the facets of the degree
     above, and where each of those falls among them is kept, the facets' for
-    the facet index."""
+    the facet index; the rows' keys are kept for lookups."""
     one, index = _unique(ids)
     starts, top = np.cumsum(sizes) - sizes, int(sizes.max()) if len(sizes) else 0
-    arrays, facets, below = [], [], np.zeros((0, top), dtype=np.intp)
+    arrays, facets, keys, below = [], [], [], np.zeros((0, top), dtype=np.intp)
     at = index[np.minimum(starts, len(index) - 1)] if len(index) else np.zeros_like(sizes)
     for width in range(top, 1, -1):
         generators = sizes == width
         rows = np.concatenate((below, index[starts[generators][:, None] + np.arange(width)]))
-        distinct, place = _unique(_keys(len(one), rows))
+        row_keys = _keys(len(one) + 1, rows)  # in the base `_lookup` reads them in
+        distinct, place = _unique(row_keys)
         facets.append(place[:len(below)])
         at[generators] = place[len(below):]
         arrays.append(rows[distinct])
+        keys.append(row_keys[distinct])
         below = _facet_rows(arrays[-1])
     facets.append(below.ravel())  # a vertex's row is its position
     arrays.append(np.arange(len(one)).reshape(-1, 1))
+    keys.append(arrays[-1].ravel())
     K = SimplicialComplex._of(ids[one], tuple(reversed(arrays)) if len(one) else ())
-    K._built["facets"] = facets[:0:-1]  # per degree k >= 1, its facets among the (k-1)-cells
-    return K, at + np.array([0, *accumulate(map(len, K._arrays))])[sizes - 1]
+    K._built["keys"] = dict(enumerate(reversed(keys)))
+    ends = np.array([0, *accumulate(map(len, K._arrays))])
+    K._built["facets"] = [ends[k] + f for k, f in enumerate(facets[:0:-1])]  # per degree >= 1
+    return K, at + ends[sizes - 1]
 
 
 def _closed_few(cells: set) -> "SimplicialComplex":
@@ -195,13 +202,11 @@ class SimplicialComplex:
         order, and per dimension k >= 1 the views of both on the k-cells'
         incidences. Built on first use, then kept."""
         if self._incidences is None:
-            sizes, radix = list(map(len, self._arrays)) or [0], len(self._verts)
+            sizes = list(map(len, self._arrays)) or [0]
             ends = [0, *accumulate(sizes)]
-            local = self._built.get("facets") or [  # kept by a closure, else looked up
-                np.searchsorted(_keys(radix, below), _keys(radix, _facet_rows(rows)))
-                for below, rows in zip(self._arrays, self._arrays[1:])]
-            facets = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-                ends[k] + at for k, at in enumerate(local)])
+            facets = np.concatenate([np.zeros(0, dtype=np.intp)] + (  # kept by a closure
+                self._built.get("facets") or [self._lookup(k, _facet_rows(rows))
+                                              for k, rows in enumerate(self._arrays[1:])]))
             cells = np.repeat(np.arange(sizes[0], ends[-1]),
                               np.repeat(np.arange(2, len(sizes) + 1), sizes[1:]))
             bounds = [0, *accumulate(n * (k + 1) for k, n in enumerate(sizes) if k)]
@@ -209,44 +214,58 @@ class SimplicialComplex:
             object.__setattr__(self, "_incidences", (cells, facets, levels))
         return self._incidences
 
-    def _find(self, sizes: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Each simplex of a batch (`_batch`) as its position here, -1 for one
-        that is not a cell, by key: its degree, then its ids' indices (an id
-        not here: len(_verts)), padded to the top width, in base len(_verts) + 1."""
-        verts, top = self._verts, len(self._arrays)
-        if not top:
-            return np.full(len(sizes), -1, dtype=np.intp)
+    def _indices(self, ids: np.ndarray) -> np.ndarray:
+        """Each vertex id as its index in `_verts`, len(_verts) for an id not here."""
+        verts = self._verts
+        if not len(verts):
+            return np.zeros(len(ids), dtype=np.intp)
         if ids.dtype != verts.dtype:
             verts, ids = verts.astype(object), ids.astype(object)
         index = np.searchsorted(verts, ids)
         index[verts.take(index, mode="clip") != ids] = len(verts)
-        rows, radix = np.zeros((len(sizes), top + 1), dtype=np.intp), len(verts) + 1
-        rows[:, 0] = np.minimum(sizes, top + 1) - 1  # one too wide: a degree no cell has
-        column = np.arange(1, len(ids) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        rows[np.repeat(np.arange(len(sizes)), sizes), np.minimum(column, top)] = index
-        keys = _keys(radix, rows)
-        if "keys" not in self._built:  # the cells' keys, sorted as the cells are
-            self._built["keys"] = np.concatenate([
-                k * radix ** top + _keys(radix, cells).astype(keys.dtype) * radix ** (top - 1 - k)
-                for k, cells in enumerate(self._arrays)])
-        mine = self._built["keys"]
-        place = np.minimum(np.searchsorted(mine, keys), len(mine) - 1)
-        return np.where(mine[place] == keys, place, -1)
+        return index
+
+    def _lookup(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Each row of vertex indices (`_indices`) as the position of the k-cell
+        it is, -1 for a row that is none: its key, in base len(_verts) + 1,
+        looked up among the k-cells' keys with one `searchsorted`."""
+        if k >= len(self._arrays):
+            return np.full(len(rows), -1, dtype=np.intp)
+        radix, keys = len(self._verts) + 1, self._built.setdefault("keys", {})
+        if k not in keys:  # the k-cells' keys, sorted as the cells are
+            keys[k] = _keys(radix, self._arrays[k])
+        mine, theirs = keys[k], _keys(radix, rows)
+        at = np.searchsorted(mine, theirs)
+        start = sum(map(len, self._arrays[:k]))
+        return np.where(mine.take(at, mode="clip") == theirs, at + start, -1)
+
+    def _find(self, sizes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Each simplex of a batch (`_batch`) as its position here, -1 for one
+        that is not a cell, looked up one width at a time."""
+        index, widths = self._indices(ids), set(sizes.tolist())
+        if len(widths) == 1:  # one width, as in a file of maximal simplices
+            return self._lookup(widths.pop() - 1, index.reshape(len(sizes), -1))
+        starts, at = np.cumsum(sizes) - sizes, np.full(len(sizes), -1, dtype=np.intp)
+        for width in widths:
+            chosen = sizes == width
+            at[chosen] = self._lookup(width - 1, index[starts[chosen][:, None] + np.arange(width)])
+        return at
+
+    def _place(self, other: "SimplicialComplex") -> np.ndarray:
+        """Each cell of another complex as its position here, -1 for one that is not a cell."""
+        index = self._indices(other._verts)
+        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            self._lookup(k, index[rows]) for k, rows in enumerate(other._arrays)])
 
     def _mask(self, sub: "SimplicialComplex") -> np.ndarray | None:
         """The cells of `sub` as a mask over this complex's positions (the mask
         a subcomplex taken from here keeps); None when `sub` is not a subcomplex."""
         if sub._over is not None and sub._over[0] is self:
             return sub._over[1]
-        at = np.arange(len(self)) if sub is self else self._find(*sub._batch())
+        at = np.arange(len(self)) if sub is self else self._place(sub)
         mask = np.zeros(len(self), dtype=bool)
         mask[at] = True
         return None if (at < 0).any() else mask
-
-    def _batch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cells as a batch (`_batch`), read off the arrays."""
-        return (np.repeat(np.arange(1, len(self._arrays) + 1), list(map(len, self._arrays))),
-                np.concatenate([self._verts[rows].ravel() for rows in self._arrays] or [[]]))
 
     def _sub(self, mask: np.ndarray) -> "SimplicialComplex":
         """The subcomplex on a face-closed mask over this complex's positions,
@@ -265,8 +284,8 @@ class SimplicialComplex:
     def _closure(self, sizes: np.ndarray, ids: np.ndarray) -> "SimplicialComplex":
         """`closure` of a batch of simplices (`_batch`)."""
         at = self._find(sizes, ids)
-        if (missing := np.flatnonzero(at < 0)).size:
-            cell = tuple(np.split(ids, np.cumsum(sizes))[missing[0]].tolist())
+        if (at < 0).any():
+            cell = tuple(np.split(ids, np.cumsum(sizes))[np.argmin(at)].tolist())
             raise NotSubcomplexError(f"{cell} is not a cell of the complex")
         outside = np.ones(len(self), dtype=np.intp)
         outside[at] = 0
@@ -381,7 +400,7 @@ def betti_numbers(K: SimplicialComplex, p: int) -> list[int]:
 def intersect(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Set intersection of simplices, face-closed as both are: A's cells
     that B holds, as a mask over A."""
-    return A._sub(B._find(*A._batch()) >= 0)
+    return A._sub(B._place(A) >= 0)
 
 
 def is_subcomplex(A: SimplicialComplex, K: SimplicialComplex) -> bool:

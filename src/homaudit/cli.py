@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import re
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
@@ -36,8 +37,8 @@ from .morse import (Filtration, MorseFunction, NotMorseError, UnknownLabelError,
 from .persistence import barcode as compute_barcode
 from .persistence import compute_persistence
 from .sequences import (MODULE, ORDINARY, PERSISTENT, MayerVietorisSystem,
-                        NotCoveringError, PairSystem, SequenceAudit, module_sequence,
-                        ordinary_sequence, persistent_sequence)
+                        NotCoveringError, PairSystem, SequenceAudit, _StepAudits,
+                        module_sequence, ordinary_sequence, persistent_sequence)
 
 EXIT_OK = 0
 EXIT_LAW_VIOLATED = 1
@@ -92,11 +93,22 @@ def _label(text: str, option: str) -> Fraction | int:
         raise InputContractError(f"{option} must be a rational, got {text!r}") from None
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a text: each ends at `\\n`, `\\r\\n` or `\\r`, and only there."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+# a vertex id: ASCII decimal digits; a minus sign before a nonzero id reads as
+# the negative id it is, which no simplex takes
+_VERTEX = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
+
+
 def _parse_lines(path: Path, digests: Optional[dict] = None) -> tuple:
     """(sizes, ids, valued, values) of the lines of a UTF-8 file, read once:
     each line's number of vertices (0 on a blank or comment line), all their
     ids, one line after another (a batch, as `complexes._batch` gives it),
-    whether each line gives a value, and the values given, exact. Ids are
+    whether each line gives a value, and the values given, exact. Lines end
+    as `_lines` ends them, and ids are ASCII decimal digits. Ids are
     converted in one batch and checked as arrays; a file whose ids fail a
     check is read again for its first bad line.
     Given a dict, `digests[path]` gets the sha256 of the bytes read."""
@@ -107,31 +119,34 @@ def _parse_lines(path: Path, digests: Optional[dict] = None) -> tuple:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:  # the bad byte's line: that of a character in its place
-        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        line_no = len(_lines(data[:exc.start].decode("utf-8")))
         raise ParseError(path, line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
                                         f"({exc.reason})") from None
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()
-    lines = [raw.partition("#")[0] for raw in text.splitlines()]
+    lines = [raw.partition("#")[0] for raw in _lines(text)]
     heads = [line.partition(":")[0] for line in lines]
     sizes = np.fromiter(map(len, map(str.split, heads)), np.intp, len(lines))
     valued = np.fromiter(map(str.__contains__, lines, repeat(":")), bool, len(lines))
     try:
-        ids = _ids([*map(int, " ".join(heads).split())])
+        tokens = " ".join(heads).split()
+        digits = "".join(tokens)
+        if not (digits.isascii() and digits.isdigit() or not digits):
+            raise ValueError
+        ids = _ids([*map(int, tokens)])
         previous = np.concatenate(([-1], ids))
         previous[np.cumsum(sizes) - sizes] = -1  # a line's first id: not negative
         if not (sizes[valued].all() and (ids > previous[:-1]).all()):
             raise ValueError
     except ValueError:  # the first bad line, read as a line alone: ids, simplex, value
         for line_no, (head, sep, tail) in enumerate(map(str.partition, lines, repeat(":")), 1):
+            if not all(map(_VERTEX.fullmatch, head.split())):
+                raise ParseError(path, line_no, f"vertex ids must be integers: {head.strip()!r}")
             try:
                 if head.split() or sep:
                     Simplex(map(int, head.split()))
             except MalformedSimplexError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"vertex ids must be integers: {head.strip()!r}") from None
             if sep:
                 _fraction(tail, path, line_no)
     texts = [line.partition(":")[2] for line in lines if ":" in line]
@@ -287,9 +302,7 @@ def _audit_positions_payload(aud: SequenceAudit) -> list[dict]:
                "image_in": pos.dim_image_in, "kernel_out": pos.dim_kernel_out,
                "order2": pos.order2, "exact": pos.exact, "defect": pos.defect}
         if pos.steps is not None:
-            row["steps"] = [{"step": s.step, "dim": s.dim, "image_in": s.dim_image_in,
-                             "kernel_out": s.dim_kernel_out, "order2": s.order2,
-                             "exact": s.exact, "defect": s.defect} for s in pos.steps]
+            row["steps"] = pos.steps  # written by `_step_rows`
         rows.append(row)
     return rows
 
@@ -381,8 +394,9 @@ def cmd_pair_audit(args) -> int:
 
 def _write_report(args, command: str, inputs: dict, digests: dict, extra: dict) -> None:
     """The report, with each input's path and the sha256 of the bytes parsed
-    from it, written in one pass; a path that cannot be written is an input
-    error, after the command's output."""
+    from it, written in one pass, piece by piece as `_write` gives it (never
+    held whole); a path that cannot be written is an input error, after the
+    command's output."""
     report = dict(extra)
     report["command"] = command
     report["field"] = args.field
@@ -390,9 +404,12 @@ def _write_report(args, command: str, inputs: dict, digests: dict, extra: dict) 
                         for name, p in inputs.items()}
     report["tool"] = "homaudit"
     report["version"] = __version__
-    text = _dumps(report) + "\n"
+    out: list[str] = []
+    _write(report, "\n", out, {})
+    out.append("\n")
     try:
-        Path(args.json).write_text(text, encoding="utf-8")
+        with Path(args.json).open("w", encoding="utf-8") as file:
+            file.writelines(out)
     except OSError as exc:
         raise InputContractError(f"cannot write report {args.json}: "
                                  f"{exc.strerror or exc}") from None
@@ -400,23 +417,53 @@ def _write_report(args, command: str, inputs: dict, digests: dict, extra: dict) 
 
 def _dumps(value, newline: str = "\n") -> str:
     """The text `json.dumps(value, indent=2, sort_keys=True)` gives, written in
-    one pass, for a value made of dicts with string keys, lists, tuples,
-    strings, ints, bools and None; `newline` is a newline and the indent."""
+    one pass, for a value made of dicts with string keys, lists, tuples, the
+    steps of module positions (as lists of dicts, by `_step_rows`), strings,
+    ints, bools and None; `newline` is a newline and the indent."""
+    out: list[str] = []
+    _write(value, newline, out, {})
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str], heads: dict) -> None:
+    """`value`'s text as for `_dumps`, appended to `out` piece by piece, so
+    that no nested value's text is copied into its container's; `heads` as
+    for `_step_rows`."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
-                 for key in sorted(value)]
-        return "{" + ",".join(items) + newline + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [inner + _dumps(item, inner) for item in value]
-        return "[" + ",".join(items) + newline + "]" if items else "[]"
-    raise TypeError(f"a report holds no {type(value).__name__}")
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, _StepAudits) and value:
+        _step_rows(value, newline, out, heads.setdefault(newline, {}))
+    elif isinstance(value, (dict, list, tuple, _StepAudits)):
+        is_dict, inner = isinstance(value, dict), newline + "  "
+        start, end = "{}" if is_dict else "[]"
+        for i, item in enumerate(sorted(value) if is_dict else value):
+            key = encode_basestring_ascii(item) + ": " if is_dict else ""
+            out.append(f"{',' if i else start}{inner}{key}")
+            _write(value[item] if is_dict else item, inner, out, heads)
+        out.append(newline + end if value else start + end)
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
+
+
+def _step_rows(steps: _StepAudits, newline: str, out: list[str], heads: dict) -> None:
+    """The steps of a module position as `_write` writes a list of their rows,
+    read off the columns. `heads` keeps the text of each distinct row up to
+    its step, written once for all the positions of a report: its keys in
+    `sort_keys` order, so `step` is last."""
+    inner, rows = newline + "  ", [*zip(*steps._columns())]
+    key, close = inner + '  "', inner + "}"
+    for row in set(rows).difference(heads):
+        dim, im, ker, order2, exact, defect = row
+        heads[row] = (f'{inner}{{{key}defect": {defect},{key}dim": {dim},{key}exact": '
+                      f'{str(exact).lower()},{key}image_in": {im},{key}kernel_out": {ker},'
+                      f'{key}order2": {str(order2).lower()},{key}step": ')
+    out.extend(("[", (close + ",").join(map(str.__add__, map(heads.__getitem__, rows),
+                                                map(str, range(len(rows))))),
+                close + newline + "]"))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ target alive after v. So every ordinary (u = v) and persistent audit is a
 count over bar arrays, each distinct position built once per system and kept
 under the counts that determine it; the module level is one per-step count
 table (+1 at each bar's birth, -1 at its death, summed over the steps) read
-the same way. A returned sequence's maps are selected from M only when read.
+as arrays, every step at once. A returned sequence's maps are selected from M only when read.
 An entry in no group pair (its target born once its source is dead) is
 dropped; any other that fails a check is an internal fault: the module level
 raises, and `audit`, which audits any `LinearSequence` from its maps alone,
@@ -116,7 +116,8 @@ class PositionAudit:
     order2: bool
     exact: bool
     defect: int
-    steps: Optional[tuple[StepAudit, ...]] = None
+    # module level only: a read-only sequence of StepAudit, built when read
+    steps: Optional[Sequence[StepAudit]] = None
 
 
 @dataclass(frozen=True)
@@ -385,6 +386,45 @@ class _Lazy(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
+class _StepAudits(Sequence):
+    """The steps of one position of a module audit, from its columns (dim,
+    image in, kernel out, order 2, exact, defect: one entry per step): a
+    read-only sequence of StepAudit, each built when read, equal to the
+    tuple of them and hashing like it."""
+
+    def __init__(self, *columns: np.ndarray):
+        self._arrays, self._lists = columns, None
+
+    def _columns(self) -> list[list]:
+        """The columns as lists of Python ints and bools, converted once."""
+        if self._lists is None:
+            self._lists = [a.tolist() for a in self._arrays]
+        return self._lists
+
+    def __len__(self) -> int:
+        return len(self._arrays[0])
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return tuple(map(self.__getitem__, range(*u.indices(len(self)))))
+        u = range(len(self))[u]
+        return StepAudit(u, *(c[u] for c in self._columns()))
+
+    def __iter__(self):
+        return map(StepAudit, range(len(self)), *self._columns())
+
+    def __eq__(self, other):
+        if isinstance(other, _StepAudits):
+            return self._columns() == other._columns()
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 # ---------------------------------------------------------------------------
 # sequence assembly
 
@@ -454,33 +494,37 @@ def module_sequence(sys: _System) -> tuple[LinearSequence, SequenceAudit]:
     squares between consecutive steps commute. So the module level is the
     ordinary audit of every step, summed, plus those squares; it must be
     exact everywhere. Row u of the count table holds step u's counts; a read
-    entry that fails a check breaks a square, so past them each count is a rank.
+    entry that fails a check breaks a square, so past them each count is a
+    rank. Every step's audit is read off the table as arrays, and each
+    position's steps are a `_StepAudits` over them.
     """
-    n = sys.n_steps
-    for u in range(n - 1):
-        failures = check_squares(sys, u, u + 1)
-        if failures:
-            raise ValueError(f"graded {failures[0]} does not commute with the shift action")
+    n, T, G = sys.n_steps, len(sys._terms), len(sys._gaps)
+    births, deaths, slots, faults = sys._profile
+    u = np.arange(n - 1)[:, None]  # the squares between steps u and u + 1, all at once
+    broken = np.zeros(n - 1, dtype=bool)
+    for ends in faults.values():
+        broken |= _breaks(ends, u, u + 1).any(axis=1)
+    if broken.any():
+        first = int(broken.argmax())
+        raise ValueError(f"graded {check_squares(sys, first, first + 1)[0]} "
+                         "does not commute with the shift action")
     # row u: the bars born by u less those dead by u, slot by slot
-    births, deaths, slots, _ = sys._profile
-    S = 2 * len(sys._terms) + len(sys._gaps)
-    table = np.bincount(births * S + slots, minlength=(n + 1) * S) - \
-        np.bincount(deaths * S + slots, minlength=(n + 1) * S)
-    per_step = [[pos for _, pos in _positions(sys, row)]
-                for row in table.reshape(n + 1, S)[:n].cumsum(axis=0).tolist()]
+    S = 2 * T + G
+    table = (np.bincount(births * S + slots, minlength=(n + 1) * S) -
+             np.bincount(deaths * S + slots, minlength=(n + 1) * S)
+             ).reshape(n + 1, S)[:n].cumsum(axis=0)
+    dim, (rank, im) = table[:, :T], np.zeros((2, n, T), dtype=table.dtype)
+    rank[:, :G] = table[:, T:T + G]  # the last term's map out is the zero map
+    im[:, 1:] = rank[:, :-1]
+    ker, order2 = dim - rank, table[:, T + G:] == 0
+    columns = dim, im, ker, order2, order2 & (im == ker), ker - im
+    sums = [(c.all if c.dtype == bool else c.sum)(axis=0).tolist() for c in columns]
     terms, positions = [], []
-    for i, (label, k) in enumerate(sys._terms):
-        steps = tuple(StepAudit(u, pos.dim, pos.dim_image_in, pos.dim_kernel_out,
-                                pos.order2, pos.exact, pos.defect)
-                      for u, pos in enumerate(step[i] for step in per_step))
-        dims = tuple(s.dim for s in steps)
-        terms.append(SequenceTerm(label, k, sum(dims), dims))
-        positions.append(PositionAudit(
-            label, k, sum(dims),
-            sum(s.dim_image_in for s in steps), sum(s.dim_kernel_out for s in steps),
-            all(s.order2 for s in steps), all(s.exact for s in steps),
-            sum(s.defect for s in steps), steps))
-    maps = _Lazy(len(terms), lambda i: _Lazy(n, lambda u: sys._maps_at(u, u)[i]))
+    for j, (label, k) in enumerate(sys._terms):
+        terms.append(SequenceTerm(label, k, sums[0][j], tuple(dim[:, j].tolist())))
+        positions.append(PositionAudit(label, k, *(s[j] for s in sums),
+                                       _StepAudits(*(c[:, j] for c in columns))))
+    maps = _Lazy(T, lambda i: _Lazy(n, lambda u: sys._maps_at(u, u)[i]))
     seq = LinearSequence(MODULE, sys.kind, tuple(terms), maps, sys.modulus)
     return seq, _sequence_audit(MODULE, sys.kind, positions)
 
@@ -528,5 +572,12 @@ def check_squares(sys: _System, u: int, v: int) -> list[str]:
     means all squares commute."""
     _check_steps(sys, u, v)
     return [f"{sys._gaps[i][0]} square at degree {sys._gaps[i][1]} between steps {u} and {v}"
-            for i, (tb, td, sb, sd) in sys._profile[3].items()
-            if ((tb <= v) & (td > v) & (sb <= u) & (sd > u) & ((sd > v) != (tb <= u))).any()]
+            for i, ends in sys._profile[3].items() if _breaks(ends, u, v).any()]
+
+
+def _breaks(ends: tuple, u, v) -> np.ndarray:
+    """Which entries, given by (target births, target deaths, source births,
+    source deaths), break a square between steps u <= v: scalars, or arrays
+    that broadcast against the entries."""
+    tb, td, sb, sd = ends
+    return (tb <= v) & (td > v) & (sb <= u) & (sd > u) & ((sd > v) != (tb <= u))

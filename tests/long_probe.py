@@ -1,6 +1,6 @@
 """The long-filtration probe: the module audit of lower-star grid tori, stage by stage.
 
-    PYTHONPATH=src python tests/long_probe.py [N ...] [--repeat R]
+    PYTHONPATH=src python tests/long_probe.py [N ...] [--repeat R] [--json]
 
 For each n (default 32 64 100; 200 takes a few seconds and a few hundred MB)
 the probe writes, into a temporary directory:
@@ -15,7 +15,10 @@ the probe writes, into a temporary directory:
 
 It then runs the stages of `mv-audit --level module` in this process, as the
 CLI does: load, memberships (A and B), filtration, system build,
-`_profile`, and `module_sequence` after the profile. Each stage prints its
+`_profile`, and `module_sequence` after the profile; with `--json`, also
+the report: the payload and `_write_report` of the module audit, to a
+temporary file, after which the report's size in bytes and the peak resident
+set size (`ru_maxrss`) are printed. Each stage prints its
 CPU seconds (`time.process_time`) and the resident set size after it, in MB
 (`VmRSS`, read after `gc.collect()`; peak `ru_maxrss` where /proc is
 missing). With `--repeat R` every n runs R times and each stage prints its
@@ -30,6 +33,7 @@ least CPU time. Last come the n=100/n=64 ratios of each stage's CPU time
 import argparse
 import gc
 import importlib.util
+import os
 import random
 import resource
 import sys
@@ -83,13 +87,16 @@ def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def run_stages(paths: tuple[Path, Path, Path]) -> list[tuple[float, float]]:
-    """(CPU seconds, RSS MB after) of each stage of one module audit."""
+def run_stages(paths: tuple[Path, Path, Path],
+               report: Path | None = None) -> list[tuple[float, float]]:
+    """(CPU seconds, RSS MB after) of each stage of one module audit; given a
+    report path, the last stage writes the audit's report there as
+    `mv-audit --json` does."""
     from homaudit import cli
-    from homaudit.sequences import MayerVietorisSystem, module_sequence
+    from homaudit.sequences import MODULE, MayerVietorisSystem, module_sequence
 
     complex_path, a_path, b_path = paths
-    out, state = [], {}
+    out, state, digests = [], {}, {}
 
     def stage(run):
         start = time.process_time()
@@ -97,11 +104,11 @@ def run_stages(paths: tuple[Path, Path, Path]) -> list[tuple[float, float]]:
         out.append((time.process_time() - start, rss_mb()))
 
     def load():
-        state["K"], state["f"] = cli.load_complex(complex_path, False, {})
+        state["K"], state["f"] = cli.load_complex(complex_path, False, digests)
 
     def memberships():
-        state["A"] = cli.load_membership(a_path, state["K"], {})
-        state["B"] = cli.load_membership(b_path, state["K"], {})
+        state["A"] = cli.load_membership(a_path, state["K"], digests)
+        state["B"] = cli.load_membership(b_path, state["K"], digests)
 
     def filtration():
         state["filt"] = cli._build_filtration(state["K"], state["f"], None, [])
@@ -114,7 +121,26 @@ def run_stages(paths: tuple[Path, Path, Path]) -> list[tuple[float, float]]:
     stage(filtration)
     stage(build)
     stage(lambda: state["sys"]._profile)
-    stage(lambda: module_sequence(state["sys"]))
+
+    def audit():
+        aud = module_sequence(state["sys"])[1]
+        if report is not None:  # kept for the report stage
+            state["aud"] = aud
+
+    stage(audit)
+
+    def write():
+        aud = state["aud"]
+        payload = {"thresholds": [str(t) for t in state["filt"].thresholds], "level": MODULE,
+                   "kind": "mayer-vietoris", "positions": cli._audit_positions_payload(aud),
+                   "verdict": {"law": "exact", "holds": aud.exact, "order2": aud.order2,
+                               "exact": aud.exact}}
+        cli._write_report(argparse.Namespace(field=2, json=str(report)), command="mv-audit",
+                          inputs={"complex": complex_path, "subspace_a": a_path,
+                                  "subspace_b": b_path}, digests=digests, extra=payload)
+
+    if report is not None:
+        stage(write)
     return out
 
 
@@ -122,24 +148,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sizes", nargs="*", type=int, default=[32, 64, 100])
     parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--json", action="store_true",
+                        help="add the report stage: the module audit written as with --json")
     args = parser.parse_args(argv)
     gridgen, best = _gridgen(), {}
+    stages = STAGES + ("report",) * args.json
     print(f"{'n':>4} {'stage':<16} {'cpu_s':>8} {'rss_mb':>7}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             paths = write_triad(gridgen, n, Path(tmp))
-            runs = [run_stages(paths) for _ in range(args.repeat)]
-            best[n] = [min(run[i][0] for run in runs) for i in range(len(STAGES))]
-            for i, name in enumerate(STAGES):
+            report = Path(tmp) / f"report{n}.json" if args.json else None
+            runs = [run_stages(paths, report) for _ in range(args.repeat)]
+            best[n] = [min(run[i][0] for run in runs) for i in range(len(stages))]
+            for i, name in enumerate(stages):
                 print(f"{n:>4} {name:<16} {best[n][i]:>8.4f} {runs[-1][i][1]:>7.1f}")
             total = sum(best[n][:2])
             print(f"{n:>4} {'load+memberships':<16} {total:>8.4f}")
+            if report is not None:
+                peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                print(f"{n:>4} report {os.path.getsize(report)} bytes, peak RSS {peak:.1f} MB")
     for big, small in ((100, 64), (200, 100)):
         if big in best and small in best:
             ratios = [b / s if s else float("nan") for b, s in zip(best[big], best[small])]
             load = sum(best[big][:2]) / sum(best[small][:2])
             print(f"n={big}/n={small}: " + ", ".join(
-                f"{name} {r:.2f}" for name, r in zip(STAGES, ratios))
+                f"{name} {r:.2f}" for name, r in zip(stages, ratios))
                 + f", load+memberships {load:.2f}")
     return 0
 

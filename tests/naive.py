@@ -85,6 +85,7 @@ made of them (`dict_load_complex`, `dict_load_membership`).
 
 import copy
 import hashlib
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -523,10 +524,25 @@ def index_mask(K, sub):
     return mask
 
 
+def _line_ends(text):
+    """The text split at each `\\r\\n`, `\\r` and `\\n`: its lines."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def _vertex_id(token):
+    """A vertex id as the dict path reads it: ASCII digits, or a minus sign
+    and ASCII digits of a nonzero number (a negative id, which no simplex
+    takes); anything else raises ValueError."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()) or (digits != token and not int(digits)):
+        raise ValueError(token)
+    return int(token)
+
+
 def line_parse(path, digests=None):
     """(line_no, Simplex, value or None) for each content line of a UTF-8
-    file, read once, one line at a time: the parse of the dict path.
-    `digests` as for `cli._parse_lines`."""
+    file, read once, one line at a time: the parse of the dict path. Lines
+    end at `\\n`, `\\r\\n` and `\\r` alone. `digests` as for `cli._parse_lines`."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -534,16 +550,16 @@ def line_parse(path, digests=None):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:  # the bad byte's line: that of a character in its place
-        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        line_no = len(_line_ends(data[:exc.start].decode("utf-8")))
         raise ParseError(path, line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
                                         f"({exc.reason})") from None
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()
     rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_line_ends(text), start=1):
         head, sep, tail = raw.partition("#")[0].partition(":")
         try:
-            verts = (*map(int, head.split()),)
+            verts = (*map(_vertex_id, head.split()),)
         except ValueError:
             raise ParseError(path, line_no,
                              f"vertex ids must be integers: {head.strip()!r}") from None
@@ -1854,9 +1870,11 @@ def per_call_module_sequence(system):
 
 def per_step_module_sequence(system):
     """The module sequence as the ordinary sequence of every step, each
-    audited by `ordinary_sequence` and summed position by position, after
-    checking the consecutive squares: the path that one per-step count
-    table replaced."""
+    audited by `ordinary_sequence` and summed position by position into a
+    tuple of `StepAudit` per position, after checking the consecutive
+    squares one pair at a time by `check_squares`: the path that one
+    per-step count table, read as arrays, and one pass over the squares
+    replaced."""
     n = system.n_steps
     for u in range(n - 1):
         failures = check_squares(system, u, u + 1)
@@ -1882,6 +1900,23 @@ def per_step_module_sequence(system):
     return seq, SequenceAudit(MODULE, system.kind, tuple(positions),
                               all(pos.order2 for pos in positions),
                               all(pos.exact for pos in positions))
+
+
+def dict_positions_payload(aud):
+    """The positions of an audit as the report held them when every step row
+    was a dict built from its `StepAudit`: the payload `cli` wrote with
+    `json.dumps(indent=2, sort_keys=True)`'s bytes."""
+    rows = []
+    for pos in aud.positions:
+        row = {"term": pos.term, "degree": pos.degree, "dim": pos.dim,
+               "image_in": pos.dim_image_in, "kernel_out": pos.dim_kernel_out,
+               "order2": pos.order2, "exact": pos.exact, "defect": pos.defect}
+        if pos.steps is not None:
+            row["steps"] = [{"step": s.step, "dim": s.dim, "image_in": s.dim_image_in,
+                             "kernel_out": s.dim_kernel_out, "order2": s.order2,
+                             "exact": s.exact, "defect": s.defect} for s in pos.steps]
+        rows.append(row)
+    return rows
 
 
 def _assert_same_sequence(seq, want, what):

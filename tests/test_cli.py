@@ -111,7 +111,7 @@ def test_parse_error_reports_line(tmp_path, capsys):
     (b"\xff", 1, "0xff"),
     (b"0 1\n1 2\n\xff 3\n", 3, "0xff"),
     (b"0 1 # caf\xc3\n", 1, "0xc3"),  # a sequence cut short by the line break
-    (b"0\r\n1\r2 # \xe2\x80\xa8 \xc3\x28\n", 4, "0xc3"),  # \r and U+2028 end lines too
+    (b"0\r\n1\r2 # \xe2\x80\xa8 \xc3\x28\n", 3, "0xc3"),  # \r ends a line too, U+2028 none
     (b"# \xc3\xa9t\xc3\xa9\n0 1\n\n0 : \x80\n", 4, "0x80"),
 ], ids=["only", "third", "cut", "breaks", "after-utf8"])
 def test_non_utf8_input_is_a_parse_error_at_its_line(tmp_path, capsys, data, line_no, byte):

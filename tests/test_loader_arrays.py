@@ -7,9 +7,11 @@ time on keys, memberships looked up by key) against the dict path kept in
 same exit code, stdout, stderr and report for `betti`, `morse-check` and
 `mv-audit --level ordinary`. Vertex ids at and past 2**63 give what the same
 complex relabelled to small ids gives. A membership file's values are
-checked as rationals. Every character `str.splitlines` breaks at ends a
-line, a comment's included. Masks, closures and key lookups against their
-`_index`-lookup forms, also where the keys outgrow int64.
+checked as rationals. Lines end at `\\n`, `\\r\\n` and `\\r` only: the other
+characters `str.splitlines` breaks at run on inside a line, a comment's
+included. Vertex ids are ASCII decimal digits. Masks, closures and key
+lookups against their `_index`-lookup forms, also where the keys outgrow
+int64.
 """
 
 import itertools
@@ -58,7 +60,10 @@ def _both(capsys, argv, report=None):
     return new, old
 
 
-_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+# what follows a drawn line: mostly a line end; now and then a character
+# `str.splitlines` breaks at, which ends no line, so the line runs on
+_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"] * 2 +
+                        ["\v", "\f", "\x1c", "\x85", "\u2028"])
 _GAPS = st.sampled_from([" ", " ", "  ", "\t", " \t"])
 _RARELY = st.sampled_from([False] * 15 + [True])  # a rare branch, drawn evenly
 _SIMPLICES = st.tuples(
@@ -184,20 +189,42 @@ def test_a_membership_value_is_checked_as_a_rational(tmp_path, capsys, command):
 @pytest.mark.parametrize("end", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                                  "\u2029", "\r", "\r\n"])
 def test_every_splitlines_break_ends_a_line(tmp_path, capsys, end):
+    """Each of these ends a line for `str.splitlines`; the loader ends one at
+    `\\r` and `\\r\\n` (and `\\n`) only, and at any other the line runs on."""
+    assert f"a{end}b".splitlines() == ["a", "b"]
+    ends = end in ("\r", "\r\n")
     x = _write(tmp_path, f"0 : 0{end}1 : 1\n".encode("utf-8"))
-    assert _outcome(capsys, ["barcode", str(x)])[:2] == (0, "degree 0: [0, inf) [1, inf)\n")
-    # a comment ends there too: what follows is a line of its own
+    code, out, err, _ = _outcome(capsys, ["barcode", str(x)])
+    if ends:
+        assert (code, out, err) == (0, "degree 0: [0, inf) [1, inf)\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {x}:1: not a rational value: {f'0{end}1 : 1'!r}\n"
+    # in a comment: what follows is a line of its own, or comment text
     x = _write(tmp_path, f"1 : 1 # a{end}2 : 5\n".encode("utf-8"))
-    assert _outcome(capsys, ["barcode", str(x)])[:2] == (0, "degree 0: [1, inf) [5, inf)\n")
+    assert _outcome(capsys, ["barcode", str(x)])[:2] == \
+        (0, "degree 0: [1, inf) [5, inf)\n" if ends else "degree 0: [1, inf)\n")
+    new, old = _both(capsys, ["barcode", str(x)])
+    assert new == old
 
 
-def test_a_comment_holding_a_line_separator_breaks_its_line(tmp_path, capsys):
+def test_a_comment_holding_a_line_separator_runs_to_the_line_end(tmp_path, capsys):
     x = _write(tmp_path, "0 : 0\n1 : 1\n# note\u2028more text\n".encode("utf-8"))
-    assert x.read_bytes().count(b"\n") == 3
-    code, out, err, _ = _outcome(capsys, ["betti", str(x)])
-    assert (code, out) == (2, "")
-    assert err == f"parse error: {x}:4: vertex ids must be integers: 'more text'\n"
+    assert _outcome(capsys, ["betti", str(x)])[:3] == (0, "b0=2\n", "")
     new, old = _both(capsys, ["betti", str(x)])
+    assert new == old
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "+3", "-0"])
+def test_a_vertex_id_is_ascii_decimal_digits(tmp_path, capsys, token):
+    """`int` reads each of these as a vertex (10, 3, 1, 3 and 0); the loader
+    and the dict path refuse them alike, at their line."""
+    x = _write(tmp_path, f"0 : 0\n{token} 4 : 1\n".encode("utf-8"))
+    for command in ("morse-check", "betti"):
+        code, out, err, _ = _outcome(capsys, [command, str(x)])
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {x}:2: vertex ids must be integers: {f'{token} 4'!r}\n"
+    new, old = _both(capsys, ["morse-check", str(x)])
     assert new == old
 
 
